@@ -7,7 +7,6 @@ E*-unitarity sweeps, and the germ groupoid with its corona-valued lag.
 
 from .action import (
     SelfSimilarTriple,
-    act_and_cocycle,
     act_inf_path,
     act_infinite,
     all_paths_upto,
@@ -79,7 +78,6 @@ from .semigroup import (
     Triple,
     Zero,
     check_e_star_unitary,
-    cover_oracle,
     element_eq,
     idempotent_order,
     is_cover,

@@ -28,10 +28,11 @@ from . import periodic
 
 
 class SelfSimilarTriple:
-    """Action + cocycle data; all evaluation goes through the three callables.
+    """Action + cocycle data; all evaluation goes through two callables.
 
-    vertex_act(g, v) -> v', edge_act(g, e) -> e', cocycle(g, e) -> g'.
-    Values are pure and may be memoized by the constructors.
+    act_vertex(g, v) -> g.v, and step(g, e) -> (g.e, phi(g, e)): the pair
+    an element leaves an edge as, action and cocycle in one evaluation (the
+    wreath recursion). Both are pure.
     """
 
     def __init__(
@@ -39,25 +40,14 @@ class SelfSimilarTriple:
         graph: Graph,
         group: GroupBackend,
         vertex_act: Callable,
-        edge_act: Callable,
-        cocycle: Callable,
+        step: Callable,
         description: str = "triple",
     ):
         self.graph = graph
         self.group = group
-        self._vertex_act = vertex_act
-        self._edge_act = edge_act
-        self._cocycle = cocycle
+        self.act_vertex = vertex_act
+        self.step = step
         self.description = description
-
-    def act_vertex(self, g, v: int) -> int:
-        return self._vertex_act(g, v)
-
-    def act_edge(self, g, e: int) -> int:
-        return self._edge_act(g, e)
-
-    def edge_cocycle(self, g, e: int):
-        return self._cocycle(g, e)
 
     def act_path(self, g, a: Path) -> tuple[Path, object]:
         """The pair (g.a, phi(g, a)) via the one-step recursion.
@@ -72,17 +62,14 @@ class SelfSimilarTriple:
             return vertex_path(self.graph, self.act_vertex(g, a.vertex)), g
         images = []
         state = g
+        step = self.step
         for e in a.edges:
-            images.append(self.act_edge(state, e))
-            state = self.edge_cocycle(state, e)
+            image, state = step(state, e)
+            images.append(image)
         return Path(self.graph, None, tuple(images)), state
 
     def __str__(self) -> str:
         return self.description
-
-
-def act_and_cocycle(t: SelfSimilarTriple, g, a: Path) -> tuple[Path, object]:
-    return t.act_path(g, a)
 
 
 def act_infinite(t: SelfSimilarTriple, g, xi: InfPath, n: int) -> Path:
@@ -116,16 +103,16 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
                 if key in seen:
                     return "periodic", images, carries, seen[key], n - seen[key]
                 seen[key] = n
-            letter = xi.letter(n + 1)
-            images.append(t.act_edge(carries[-1], letter))
-            carries.append(t.edge_cocycle(carries[-1], letter))
+            image, carry = t.step(carries[-1], xi.letter(n + 1))
+            images.append(image)
+            carries.append(carry)
             n += 1
         return "bounded", images[:depth], carries[: depth + 1]
     horizon = min(depth, xi.depth_limit)
     for n in range(horizon):
-        letter = xi.letter(n + 1)
-        images.append(t.act_edge(carries[-1], letter))
-        carries.append(t.edge_cocycle(carries[-1], letter))
+        image, carry = t.step(carries[-1], xi.letter(n + 1))
+        images.append(image)
+        carries.append(carry)
     return "bounded", images, carries
 
 
@@ -210,27 +197,28 @@ def verify_axioms(t: SelfSimilarTriple, window: Iterable) -> AxiomReport:
     ident = group.identity()
     for e in graph.edges():
         record(
-            group.is_identity(t.edge_cocycle(ident, e)),
+            group.is_identity(t.step(ident, e)[1]),
             "cocycle-at-one",
             f"phi(1, {graph.edge_labels[e]}) != 1",
         )
 
-    for g in window:
+    # steps[i][e] = (g.e, phi(g, e)) for the i-th window element g.
+    steps = [[t.step(g, e) for e in graph.edges()] for g in window]
+    for g, g_steps in zip(window, steps):
         gname = group.render(g)
         v_img = [t.act_vertex(g, v) for v in graph.vertices()]
         if sorted(v_img) != list(graph.vertices()):
             bad.append(Violation("vertex-bijection", f"sigma_{gname} is not a vertex bijection"))
-        e_img = [t.act_edge(g, e) for e in graph.edges()]
-        if sorted(e_img) != list(graph.edges()):
+        if sorted(image for image, _ in g_steps) != list(graph.edges()):
             bad.append(Violation("edge-bijection", f"sigma_{gname} is not an edge bijection"))
-        for e in graph.edges():
+        for e, (image, coc) in enumerate(g_steps):
             ename = graph.edge_labels[e]
-            if graph.range_of[t.act_edge(g, e)] != t.act_vertex(g, graph.range_of[e]):
+            if graph.range_of[image] != t.act_vertex(g, graph.range_of[e]):
                 bad.append(Violation("range-equivariance", f"r(sigma_{gname}({ename}))"))
-            if graph.source_of[t.act_edge(g, e)] != t.act_vertex(g, graph.source_of[e]):
+            if graph.source_of[image] != t.act_vertex(g, graph.source_of[e]):
                 bad.append(Violation("source-equivariance", f"d(sigma_{gname}({ename}))"))
             for v in graph.vertices():
-                if t.act_vertex(t.edge_cocycle(g, e), v) != t.act_vertex(g, v):
+                if t.act_vertex(coc, v) != t.act_vertex(g, v):
                     bad.append(
                         Violation(
                             "cocycle-on-vertices",
@@ -239,20 +227,24 @@ def verify_axioms(t: SelfSimilarTriple, window: Iterable) -> AxiomReport:
                     )
 
     pairs = 0
-    for g in window:
-        for h in window:
+    for g, g_steps in zip(window, steps):
+        for h, h_steps in zip(window, steps):
             pairs += 1
             gh = group.mul(g, h)
             detail = f"(g={group.render(g)}, h={group.render(h)})"
             for v in graph.vertices():
                 if t.act_vertex(gh, v) != t.act_vertex(g, t.act_vertex(h, v)):
                     bad.append(Violation("action-hom-vertices", f"{detail} at {graph.vertex_labels[v]}"))
-            for e in graph.edges():
-                if t.act_edge(gh, e) != t.act_edge(g, t.act_edge(h, e)):
+            for e, (h_image, h_coc) in enumerate(h_steps):
+                gh_image, gh_coc = t.step(gh, e)
+                g_image, g_coc = g_steps[h_image]
+                if gh_image != g_image:
                     bad.append(Violation("action-hom-edges", f"{detail} at {graph.edge_labels[e]}"))
-                lhs = t.edge_cocycle(gh, e)
-                rhs = group.mul(t.edge_cocycle(g, t.act_edge(h, e)), t.edge_cocycle(h, e))
-                record(group.eq(lhs, rhs), "cocycle-identity", f"{detail} at {graph.edge_labels[e]}")
+                record(
+                    group.eq(gh_coc, group.mul(g_coc, h_coc)),
+                    "cocycle-identity",
+                    f"{detail} at {graph.edge_labels[e]}",
+                )
     return AxiomReport(tuple(bad), tuple(open_), pairs)
 
 
@@ -321,9 +313,10 @@ def check_residually_free(
     for g in nontrivial:
         g_is_id = group.is_identity(g)
         for e in graph.edges():
-            if t.act_edge(g, e) != e:
+            image, coc = t.step(g, e)
+            if image != e:
                 continue
-            coc_trivial = group.is_identity(t.edge_cocycle(g, e))
+            coc_trivial = group.is_identity(coc)
             # A definite counterexample needs: g definitely != 1 and the
             # cocycle definitely trivial.
             if g_is_id.is_distinct and coc_trivial.is_equal:

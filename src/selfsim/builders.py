@@ -10,6 +10,7 @@ single-vertex picture where generators permute letters and restrict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .action import SelfSimilarTriple
@@ -84,31 +85,48 @@ def from_katsura(data: KatsuraData) -> SelfSimilarTriple:
     """
     data.validate()
     graph = katsura_graph(data)
-    coords = []
+    # cells[e] = (A[i][j], B[i][j], id of edge (i,j,0)) for e = (i,j,n), whose
+    # id is that base plus n: katsura_graph numbers each cell's edges in a run.
+    cells = []
     for i in range(data.size):
         for j in range(data.size):
-            for c in range(data.a[i][j]):
-                coords.append((i, j, c))
-    index = {t: e for e, t in enumerate(coords)}
+            base = len(cells)
+            cells.extend([(data.a[i][j], data.b[i][j], base)] * data.a[i][j])
 
-    def edge_act(m: int, e: int) -> int:
-        i, j, c = coords[e]
-        _, rem = divmod(m * data.b[i][j] + c, data.a[i][j])
-        return index[(i, j, rem)]
-
-    def cocycle(m: int, e: int) -> int:
-        i, j, c = coords[e]
-        quot, _ = divmod(m * data.b[i][j] + c, data.a[i][j])
-        return quot
+    def step(m: int, e: int) -> tuple[int, int]:
+        a, b, base = cells[e]
+        quot, rem = divmod(m * b + e - base, a)
+        return base + rem, quot
 
     return SelfSimilarTriple(
         graph,
         IntegerGroup(),
         vertex_act=lambda m, v: v,
-        edge_act=edge_act,
-        cocycle=cocycle,
+        step=step,
         description=f"katsura A={list(map(list, data.a))} B={list(map(list, data.b))}",
     )
+
+
+def _cycles(perm: Sequence[int], weights: Sequence[int]) -> list[tuple]:
+    """For each point x: (the cycle of perm through x, x's place in it, sums).
+
+    sums[j] is the total weight of the first j points of the cycle, so
+    sums[-1] is the weight of the whole cycle.
+    """
+    if sorted(perm) != list(range(len(perm))):
+        raise ValueError("generator tables must be permutations")
+    where: list = [None] * len(perm)
+    for start in range(len(perm)):
+        if where[start] is not None:
+            continue
+        cycle = [start]
+        while perm[cycle[-1]] != start:
+            cycle.append(perm[cycle[-1]])
+        sums = (0, *accumulate(weights[x] for x in cycle))
+        cycle = tuple(cycle)
+        for k, x in enumerate(cycle):
+            where[x] = (cycle, k, sums)
+    return where
 
 
 def integer_triple_from_generator(
@@ -118,64 +136,33 @@ def integer_triple_from_generator(
     cocycle_row: Sequence[int],
     description: str = "integer triple",
 ) -> SelfSimilarTriple:
-    """Integer-backend triple from the generator's tables, extended by iteration.
+    """Integer-backend triple from the generator's tables, in closed form.
 
-    sigma_m is the m-th power of the generator permutation; the cocycle
-    extends by phi(m, e) = phi(1, sigma_(m-1) e) + phi(m-1, e) and by the
-    inverse identity phi(-m, e) = -phi(m, sigma_(-m) e).
+    sigma_m is the m-th power of the generator permutation, and the cocycle
+    is the one the rules phi(m, e) = phi(1, sigma_(m-1) e) + phi(m-1, e) and
+    phi(-m, e) = -phi(m, sigma_(-m) e) force: the sum of phi(1, .) over the
+    m steps of e's orbit (negated going backwards). With e at place k of a
+    cycle of length L and q, r = divmod(k + m, L), the image is the cycle's
+    r-th point and phi(m, e) = q*sums[L] + sums[r] - sums[k], sums[j] being
+    the total of phi(1, .) over the first j points of the cycle.
     """
-    vperm = tuple(vertex_perm)
-    eperm = tuple(edge_perm)
-    row = tuple(cocycle_row)
-    n_e = graph.n_edges
-    inv_eperm = [0] * n_e
-    for x, y in enumerate(eperm):
-        inv_eperm[y] = x
-    inv_vperm = [0] * graph.n_vertices
-    for x, y in enumerate(vperm):
-        inv_vperm[y] = x
+    vertex_cycles = _cycles(vertex_perm, [0] * graph.n_vertices)
+    edge_cycles = _cycles(edge_perm, cocycle_row)
 
-    edge_pow: dict[int, tuple[int, ...]] = {0: tuple(range(n_e)), 1: eperm}
-    vert_pow: dict[int, tuple[int, ...]] = {0: tuple(range(graph.n_vertices)), 1: vperm}
-    coc: dict[tuple[int, int], int] = {}
+    def act_vertex(m: int, v: int) -> int:
+        cycle, k, _ = vertex_cycles[v]
+        return cycle[(k + m) % len(cycle)]
 
-    def epow(m: int) -> tuple[int, ...]:
-        if m not in edge_pow:
-            if m > 0:
-                prev = epow(m - 1)
-                edge_pow[m] = tuple(eperm[prev[e]] for e in range(n_e))
-            else:
-                prev = epow(m + 1)
-                edge_pow[m] = tuple(inv_eperm[prev[e]] for e in range(n_e))
-        return edge_pow[m]
-
-    def vpow(m: int) -> tuple[int, ...]:
-        if m not in vert_pow:
-            if m > 0:
-                prev = vpow(m - 1)
-                vert_pow[m] = tuple(vperm[prev[v]] for v in range(graph.n_vertices))
-            else:
-                prev = vpow(m + 1)
-                vert_pow[m] = tuple(inv_vperm[prev[v]] for v in range(graph.n_vertices))
-        return vert_pow[m]
-
-    def cocycle(m: int, e: int) -> int:
-        if m == 0:
-            return 0
-        key = (m, e)
-        if key not in coc:
-            if m > 0:
-                coc[key] = row[epow(m - 1)[e]] + cocycle(m - 1, e)
-            else:
-                coc[key] = -cocycle(-m, epow(m)[e])
-        return coc[key]
+    def step(m: int, e: int) -> tuple[int, int]:
+        cycle, k, sums = edge_cycles[e]
+        quot, rem = divmod(k + m, len(cycle))
+        return cycle[rem], quot * sums[-1] + sums[rem] - sums[k]
 
     return SelfSimilarTriple(
         graph,
         IntegerGroup(),
-        vertex_act=lambda m, v: vpow(m)[v],
-        edge_act=lambda m, e: epow(m)[e],
-        cocycle=cocycle,
+        vertex_act=act_vertex,
+        step=step,
         description=description,
     )
 
@@ -194,8 +181,7 @@ def from_automaton(data: AutomatonData, faithful_to_depth: bool = False) -> Self
         graph,
         group,
         vertex_act=lambda g, v: v,
-        edge_act=lambda g, e: group.step(g, e)[0],
-        cocycle=lambda g, e: group.step(g, e)[1],
+        step=group.step,
         description=f"automaton on {len(data.alphabet)} letters",
     )
 
@@ -210,14 +196,12 @@ def finite_triple(
 ) -> SelfSimilarTriple:
     """Triple over a finite group given by full (element x vertex/edge) tables."""
     vt = tuple(tuple(r) for r in vertex_table)
-    et = tuple(tuple(r) for r in edge_table)
-    ct = tuple(tuple(r) for r in cocycle_table)
+    steps = tuple(tuple(zip(er, cr)) for er, cr in zip(edge_table, cocycle_table))
     return SelfSimilarTriple(
         graph,
         group,
         vertex_act=lambda g, v: vt[g][v],
-        edge_act=lambda g, e: et[g][e],
-        cocycle=lambda g, e: ct[g][e],
+        step=lambda g, e: steps[g][e],
         description=description,
     )
 

@@ -1,8 +1,9 @@
 """Command-line interface: load a spec file, run checks, evaluate expressions.
 
 Exit codes: 0 success / holds / equal / true; 1 counterexample / distinct /
-false; 2 undecided or depth exceeded; 3 input error. Output is plain text,
-byte-deterministic for identical inputs; the first line echoes the command.
+false; 2 undecided or depth exceeded; 3 input error, out-of-range flags and
+SELFSIM_* values included. Output is plain text, byte-deterministic for
+identical inputs; the first line echoes the command.
 """
 
 from __future__ import annotations
@@ -35,22 +36,29 @@ from .specfile import (
 OK, FAIL, UNKNOWN, INPUT_ERROR = 0, 1, 2, 3
 
 
-def _env_int(name: str, fallback: int) -> int:
-    value = os.environ.get(name)
-    if value is None:
+def _at_least(name: str, value: int, least: int) -> int:
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def _env_int(name: str, fallback: int, least: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
         return fallback
     try:
-        return int(value)
+        value = int(text)
     except ValueError:
-        return fallback
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+    return _at_least(name, value, least)
 
 
 def default_depth() -> int:
-    return _env_int("SELFSIM_DEPTH", 64)
+    return _env_int("SELFSIM_DEPTH", 64, 1)
 
 
 def default_window_radius() -> int:
-    return _env_int("SELFSIM_WINDOW", 4)
+    return _env_int("SELFSIM_WINDOW", 4, 0)
 
 
 def _counterexample_line(triple, g, edge: int) -> str:
@@ -253,10 +261,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_err:
         return INPUT_ERROR if exit_err.code not in (0, None) else 0
-    if args.window is None:
-        args.window = default_window_radius()
-    if args.depth is None:
-        args.depth = default_depth()
 
     lines: list[str] = []
 
@@ -271,6 +275,13 @@ def main(argv=None) -> int:
     out("> " + " ".join(echo_args))
     handler = _COMMANDS[args.command][0]
     try:
+        if args.window is None:
+            args.window = default_window_radius()
+        if args.depth is None:
+            args.depth = default_depth()
+        _at_least("--window", args.window, 0)
+        _at_least("--depth", args.depth, 1)
+        _at_least("--bound", args.bound, 0)
         loaded = load_spec_file(args.spec)
         code = handler(loaded.triple, args, out)
     except (UndecidedError, DepthExceededError) as err:

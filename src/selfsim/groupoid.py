@@ -38,7 +38,6 @@ from .graph import (
     Path,
     PeriodicPath,
     PrefixRel,
-    complement,
     concat,
     inf_path_eq,
     prefix_compare,
@@ -90,7 +89,7 @@ class GermContext:
         if window is None:
             window = default_window(triple.group, window_radius)
         self.window = list(window)
-        self.depth = depth
+        self.depth = self._depth(depth)
         self.freeness = check_residually_free(triple, self.window)
         if self.freeness.found_counterexample and not allow_unverified:
             g, e = self.freeness.counterexample
@@ -98,6 +97,14 @@ class GermContext:
                 f"freeness counterexample (g={triple.group.render(g)},"
                 f" e={triple.graph.edge_labels[e]}); pass allow_unverified to proceed"
             )
+
+    def _depth(self, depth: int | None) -> int:
+        """The depth to work at: None means the context's own; below 1 is refused."""
+        if depth is None:
+            return self.depth
+        if depth < 1:
+            raise ValueError(f"depth must be at least 1, got {depth}")
+        return depth
 
     # -- construction ------------------------------------------------------
 
@@ -122,7 +129,7 @@ class GermContext:
         return u.xi.prepend(u.beta)
 
     def range_point(self, u: Germ, depth: int | None = None) -> InfPath:
-        gxi = act_inf_path(self.triple, u.g, u.xi, depth or self.depth)
+        gxi = act_inf_path(self.triple, u.g, u.xi, self._depth(depth))
         return gxi.prepend(u.alpha)
 
     def source_prefix(self, u: Germ, n: int) -> Path:
@@ -138,13 +145,13 @@ class GermContext:
 
     def germ_eq(self, u1: Germ, u2: Germ, depth: int | None = None) -> Tri:
         """Germ equality via the finite-path criterion, oriented by |beta|."""
-        depth = depth or self.depth
+        depth = self._depth(depth)
         if len(u1.beta) > len(u2.beta):
             u1, u2 = u2, u1
         rel = prefix_compare(u1.beta, u2.beta)
         if rel not in (PrefixRel.EQUAL, PrefixRel.A_PROPER):
             return DISTINCT
-        gamma = complement(u1.beta, u2.beta)
+        gamma = u2.beta.drop(len(u1.beta))
         tails = inf_path_eq(u1.xi, u2.xi.prepend(gamma), depth)
         if tails.is_distinct:
             return DISTINCT
@@ -180,7 +187,7 @@ class GermContext:
         provably diverge, and refuses (rather than guessing) when the tails
         cannot be decided at this depth.
         """
-        depth = depth or self.depth
+        depth = self._depth(depth)
         n = max(len(u1.beta), len(u2.alpha))
         r1 = self.reparametrize(u1, n, "beta")
         r2 = self.reparametrize(u2, n, "alpha")
@@ -194,20 +201,20 @@ class GermContext:
         return Germ(r1.alpha, self.triple.group.mul(r1.g, r2.g), r2.beta, r2.xi)
 
     def inverse(self, u: Germ, depth: int | None = None) -> Germ:
-        gxi = act_inf_path(self.triple, u.g, u.xi, depth or self.depth)
+        gxi = act_inf_path(self.triple, u.g, u.xi, self._depth(depth))
         return Germ(u.beta, self.triple.group.inv(u.g), u.alpha, gxi)
 
     # -- lag and the concrete model ----------------------------------------
 
     def lag(self, u: Germ, depth: int | None = None) -> LagValue:
         """(right-shift^|alpha| of the cocycle sequence class, |alpha| - |beta|)."""
-        depth = depth or self.depth
+        depth = self._depth(depth)
         seq = phi_corona(self.triple, u.g, u.xi, depth)
         return LagValue(shift_right(seq, len(u.alpha)), len(u.alpha) - len(u.beta))
 
     def f_map(self, u: Germ, depth: int | None = None) -> tuple[InfPath, LagValue, InfPath]:
         """(range point, lag, source point): injective on germs."""
-        depth = depth or self.depth
+        depth = self._depth(depth)
         return (self.range_point(u, depth), self.lag(u, depth), self.source_point(u))
 
     def model_check(
@@ -226,7 +233,7 @@ class GermContext:
         and the letter law eta_(n+p) = g_(n+p) zeta_(n+q) hold. Fully decided
         when all three sequences are eventually periodic.
         """
-        depth = depth or self.depth
+        depth = self._depth(depth)
         if split is not None:
             p, q = split
             if p < 0 or q < 0 or p - q != k:
@@ -285,7 +292,7 @@ class GermContext:
         if rel in (PrefixRel.EQUAL, PrefixRel.A_PROPER):
             return (alpha, g, beta)
         if rel == PrefixRel.B_PROPER:
-            eps = complement(beta, gamma)
+            eps = gamma.drop(len(beta))
             img, coc = self.triple.act_path(g, eps)
             return (concat(alpha, img), coc, gamma)
         raise EmptySetError(f"cylinder {gamma} does not meet the domain cylinder {beta}")
@@ -304,7 +311,7 @@ class GermContext:
         Membership means u is germ-equal to [alpha, g, beta; point] at its own
         source point, which must lie in the cylinder of beta.
         """
-        depth = depth or self.depth
+        depth = self._depth(depth)
         alpha, g, beta = self.normalize_basic(alpha, g, beta, gamma)
         source = self.source_point(u)
         try:
@@ -340,14 +347,13 @@ def _model_conditions(
     group = t.group
     pending = False
     for n in range(1, horizon + 1):
-        carry = gseq.entry(n + p)
-        letter = zeta.letter(n + q)
-        step = group.eq(gseq.entry(n + p + 1), t.edge_cocycle(carry, letter))
-        if step.is_distinct:
+        image, coc = t.step(gseq.entry(n + p), zeta.letter(n + q))
+        carried = group.eq(gseq.entry(n + p + 1), coc)
+        if carried.is_distinct:
             return DISTINCT
-        if step.is_unknown:
+        if carried.is_unknown:
             pending = True
-        if eta.letter(n + p) != t.act_edge(carry, letter):
+        if eta.letter(n + p) != image:
             return DISTINCT
     if decisive and not pending:
         return EQUAL

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .action import SelfSimilarTriple, all_paths_upto
 from .errors import NotIdempotentError, SourceConditionError
-from .graph import Path, PrefixRel, complement, concat, extensions, prefix_compare
+from .graph import Path, PrefixRel, concat, extensions, prefix_compare
 from .tri import Tri, DISTINCT, from_bool
 
 
@@ -66,19 +66,20 @@ def mul(t: SelfSimilarTriple, s: SemigroupElement, u: SemigroupElement) -> Semig
 
     With s = (alpha, g, beta) and u = (gamma, h, delta): when gamma = beta.eps
     the product is (alpha.(g eps), phi(g, eps) h, delta); when beta = gamma.eps
-    it is the adjoint mirror of that case; otherwise zero.
+    it is (alpha, g phi(h^-1, eps)^-1, delta.(h^-1 eps)), the adjoint of the
+    first case applied to the adjoint operands; otherwise zero.
     """
     if isinstance(s, Zero) or isinstance(u, Zero):
         return ZERO
     rel = prefix_compare(s.beta, u.alpha)
     if rel == PrefixRel.INCOMPARABLE:
         return ZERO
-    if rel in (PrefixRel.EQUAL, PrefixRel.A_PROPER):
-        eps = complement(s.beta, u.alpha)
-        img, coc = t.act_path(s.g, eps)
-        return Triple(concat(s.alpha, img), t.group.mul(coc, u.g), u.beta)
-    # beta = gamma.eps: star of the first case applied to the starred operands.
-    return star(t, mul(t, star(t, u), star(t, s)))
+    group = t.group
+    if rel == PrefixRel.B_PROPER:
+        img, coc = t.act_path(group.inv(u.g), s.beta.drop(len(u.alpha)))
+        return Triple(s.alpha, group.mul(s.g, group.inv(coc)), concat(u.beta, img))
+    img, coc = t.act_path(s.g, u.alpha.drop(len(s.beta)))
+    return Triple(concat(s.alpha, img), group.mul(coc, u.g), u.beta)
 
 
 def element_eq(t: SelfSimilarTriple, s: SemigroupElement, u: SemigroupElement, depth: int | None = None) -> Tri:
@@ -167,27 +168,6 @@ def is_cover(t: SelfSimilarTriple, members: Iterable[SemigroupElement], target: 
             prefix_compare(p, delta) in (PrefixRel.EQUAL, PrefixRel.A_PROPER) for p in relative
         ):
             return False
-    return True
-
-
-def cover_oracle(
-    t: SelfSimilarTriple, members: Sequence[SemigroupElement], target: SemigroupElement, slack: int = 2
-) -> bool:
-    """Brute-force cover definition, for cross-checking is_cover.
-
-    Enumerates every nonzero idempotent below the target out to the members'
-    depth plus slack and tests intersection by multiplying.
-    """
-    beta = target.alpha
-    lengths = [len(m.alpha) for m in members if not isinstance(m, Zero)]
-    horizon = (max(lengths) - len(beta) if lengths else 0) + slack
-    for k in range(horizon + 1):
-        for delta in extensions(beta, k):
-            e_delta = unit_idempotent(t, delta)
-            if not any(
-                not isinstance(mul(t, e_delta, m), Zero) for m in members if not isinstance(m, Zero)
-            ):
-                return False
     return True
 
 

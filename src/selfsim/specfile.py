@@ -447,7 +447,6 @@ def _automaton_from_action(graph: Graph, grpsec: _Section, asec: _Section) -> Se
         graph,
         group,
         vertex_act=lambda g, v: v,
-        edge_act=lambda g, e: group.step(g, e)[0],
-        cocycle=lambda g, e: group.step(g, e)[1],
+        step=group.step,
         description="automaton triple",
     )

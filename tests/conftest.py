@@ -59,6 +59,27 @@ def odometer_oracle(m, edges):
     return image, carry
 
 
+def cover_oracle(t, members, target, slack=2):
+    """Brute-force cover definition, for cross-checking is_cover.
+
+    Enumerates every nonzero idempotent below the target out to the members'
+    depth plus slack and tests intersection by multiplying.
+    """
+    beta = target.alpha
+    lengths = [len(m.alpha) for m in members if not isinstance(m, ss.Zero)]
+    horizon = (max(lengths) - len(beta) if lengths else 0) + slack
+    for k in range(horizon + 1):
+        for delta in ss.extensions(beta, k):
+            e_delta = ss.unit_idempotent(t, delta)
+            if not any(
+                not isinstance(ss.mul(t, e_delta, m), ss.Zero)
+                for m in members
+                if not isinstance(m, ss.Zero)
+            ):
+                return False
+    return True
+
+
 def paths_with_source(triple, v, max_len):
     return [p for p in ss.all_paths_upto(triple.graph, max_len) if p.source_vertex == v]
 

@@ -11,7 +11,13 @@ import time
 import pytest
 
 import selfsim as ss
-from conftest import labeled_odometer, odometer_oracle, random_composable_pair, random_germ
+from conftest import (
+    cover_oracle,
+    labeled_odometer,
+    odometer_oracle,
+    random_composable_pair,
+    random_germ,
+)
 from test_semigroup import elements_upto
 
 
@@ -180,7 +186,7 @@ def test_criterion_05_cover_checker_vs_oracle():
                 for chosen in itertools.combinations(near, min(r, 6)):
                     members = [ss.unit_idempotent(t, p) for p in chosen]
                     cases += 1
-                    if ss.is_cover(t, members, target) != ss.cover_oracle(t, members, target):
+                    if ss.is_cover(t, members, target) != cover_oracle(t, members, target):
                         disagreements += 1
                 if r >= 6:
                     break
@@ -195,7 +201,7 @@ def test_criterion_05_cover_checker_vs_oracle():
                 chosen = rng.sample(family, rng.randint(0, min(6, len(family))))
                 members = [ss.unit_idempotent(t, p) for p in chosen]
                 cases += 1
-                if ss.is_cover(t, members, target) != ss.cover_oracle(t, members, target):
+                if ss.is_cover(t, members, target) != cover_oracle(t, members, target):
                     disagreements += 1
     assert disagreements == 0
     report(5, f"cover checker agrees with the brute-force oracle on {cases} cases")

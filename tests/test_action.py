@@ -26,8 +26,7 @@ def test_verify_axioms_detects_patched_cocycle(odo):
         odo.graph,
         odo.group,
         vertex_act=odo.act_vertex,
-        edge_act=odo.act_edge,
-        cocycle=lambda m, e: 1 if (m, e) == (1, 0) else odo.edge_cocycle(m, e),
+        step=lambda m, e: (odo.step(m, e)[0], 1) if (m, e) == (1, 0) else odo.step(m, e),
     )
     report = ss.verify_axioms(broken, ss.default_window(odo.group, 2))
     assert any(v.law == "cocycle-identity" for v in report.violations)
@@ -137,7 +136,7 @@ def test_capital_phi_letter_law(odo):
         img = ss.act_infinite(odo, m, xi, 64)
         for n in range(1, 65):
             phi_n = ss.capital_phi(odo, m, xi, n)
-            assert img.edges[n - 1] == odo.act_edge(phi_n, xi.letter(n))
+            assert img.edges[n - 1] == odo.step(phi_n, xi.letter(n))[0]
 
 
 def test_capital_phi_shift_law(odo):

@@ -1,5 +1,7 @@
 """Two-matrix and automaton builders, and their cross-checks."""
 
+import random
+
 import pytest
 
 import selfsim as ss
@@ -15,35 +17,31 @@ def test_katsura_graph_shape(kat32):
 
 def test_katsura_division_examples(odo_katsura, kat32):
     # m=1 on edge counter 1 with A=2,B=1: 1*1+1 = 1*2+0
-    assert odo_katsura.act_edge(1, 1) == 0
-    assert odo_katsura.edge_cocycle(1, 1) == 1
+    assert odo_katsura.step(1, 1) == (0, 1)
     # m=1 on counter 1 with A=3,B=2: 2+1 = 1*3+0
-    assert kat32.act_edge(1, 1) == 0
-    assert kat32.edge_cocycle(1, 1) == 1
+    assert kat32.step(1, 1) == (0, 1)
     # m=0 everywhere trivial
     for e in kat32.graph.edges():
-        assert kat32.act_edge(0, e) == e
-        assert kat32.edge_cocycle(0, e) == 0
+        assert kat32.step(0, e) == (e, 0)
 
 
 def test_katsura_negative_m_floored_division(kat32):
     # remainders stay in [0, A) for negative m
     for m in range(-6, 7):
         for e in kat32.graph.edges():
-            image = kat32.act_edge(m, e)
+            image, k = kat32.step(m, e)
             assert 0 <= image < 3
             # reconstruct the division: m*B + n = k*A + n'
             n = int(kat32.graph.edge_labels[e].split(",")[2][:-1])
             n2 = int(kat32.graph.edge_labels[image].split(",")[2][:-1])
-            k = kat32.edge_cocycle(m, e)
             assert m * 2 + n == k * 3 + n2
 
 
 def test_katsura_inverse_relations(kat32):
     for m in range(-4, 5):
         for e in kat32.graph.edges():
-            assert kat32.act_edge(-m, kat32.act_edge(m, e)) == e
-            assert kat32.edge_cocycle(-m, e) == -kat32.edge_cocycle(m, kat32.act_edge(-m, e))
+            assert kat32.step(-m, kat32.step(m, e)[0])[0] == e
+            assert kat32.step(-m, e)[1] == -kat32.step(m, kat32.step(-m, e)[0])[1]
 
 
 def test_katsura_invalid_matrices():
@@ -74,13 +72,55 @@ def test_closed_form_matches_generator_iteration(odo_katsura):
     iterated = ss.integer_triple_from_generator(
         graph,
         [0],
-        [odo_katsura.act_edge(1, e) for e in graph.edges()],
-        [odo_katsura.edge_cocycle(1, e) for e in graph.edges()],
+        [odo_katsura.step(1, e)[0] for e in graph.edges()],
+        [odo_katsura.step(1, e)[1] for e in graph.edges()],
     )
     for m in range(-8, 9):
         for e in graph.edges():
-            assert iterated.act_edge(m, e) == odo_katsura.act_edge(m, e)
-            assert iterated.edge_cocycle(m, e) == odo_katsura.edge_cocycle(m, e)
+            assert iterated.step(m, e) == odo_katsura.step(m, e)
+
+
+def iterated(perm, row, m, x):
+    """(sigma_m x, phi(m, x)) by the defining recursion, one generator step at a time.
+
+    phi(m, e) = phi(1, sigma_(m-1) e) + phi(m-1, e) for m > 0, and
+    phi(-m, e) = -phi(m, sigma_(-m) e).
+    """
+    if m < 0:
+        inverse = {y: z for z, y in enumerate(perm)}
+        start = x
+        for _ in range(-m):
+            start = inverse[start]
+        return start, -iterated(perm, row, -m, start)[1]
+    coc = 0
+    for _ in range(m):
+        coc += row[x]
+        x = perm[x]
+    return x, coc
+
+
+def test_integer_closed_form_matches_recursion():
+    rng = random.Random(2013)
+    for _ in range(100):
+        n_v, n_e = rng.randint(1, 4), rng.randint(1, 9)
+        vertices = [f"v{i}" for i in range(n_v)]
+        edges = [(f"e{i}", rng.choice(vertices), rng.choice(vertices)) for i in range(n_e)]
+        graph = ss.make_graph(vertices, edges)
+        vperm = rng.sample(range(n_v), n_v)
+        eperm = rng.sample(range(n_e), n_e)
+        row = [rng.randint(-3, 3) for _ in range(n_e)]
+        t = ss.integer_triple_from_generator(graph, vperm, eperm, row)
+        for _ in range(40):
+            m = rng.randint(-400, 400)
+            e, v = rng.randrange(n_e), rng.randrange(n_v)
+            assert t.step(m, e) == iterated(eperm, row, m, e)
+            assert t.act_vertex(m, v) == iterated(vperm, [0] * n_v, m, v)[0]
+
+
+def test_integer_generator_tables_must_be_permutations():
+    graph = ss.make_graph(["v"], [("e0", "v", "v"), ("e1", "v", "v")])
+    with pytest.raises(ValueError):
+        ss.integer_triple_from_generator(graph, [0], [0, 0], [0, 1])
 
 
 def test_adding_machine_action(machine):
@@ -113,8 +153,7 @@ def test_swap_automaton_with_trivial_restrictions():
         restriction=[[(), ()]],
     )
     t = ss.from_automaton(data)
-    assert t.act_edge(t.group.generator(0), 0) == 1
-    assert t.edge_cocycle(t.group.generator(0), 0) == ()
+    assert t.step(t.group.generator(0), 0) == (1, ())
     report = ss.verify_axioms(t, ss.default_window(t.group, 2))
     assert report.ok
 
@@ -132,12 +171,11 @@ def test_identity_state_acts_trivially():
 
 def test_z2_swap_shape(swap2):
     assert swap2.group.is_finite
-    assert swap2.act_edge(1, 0) == 1 and swap2.act_edge(1, 1) == 0
-    assert swap2.edge_cocycle(1, 0) == swap2.group.identity()
+    assert swap2.step(1, 0) == (1, swap2.group.identity())
+    assert swap2.step(1, 1)[0] == 0
 
 
 def test_labeled_odometer_matches_builder(odo, odo_katsura):
     for m in range(-5, 6):
         for e in (0, 1):
-            assert odo.act_edge(m, e) == odo_katsura.act_edge(m, e)
-            assert odo.edge_cocycle(m, e) == odo_katsura.edge_cocycle(m, e)
+            assert odo.step(m, e) == odo_katsura.step(m, e)

@@ -98,3 +98,63 @@ def test_env_var_overrides_window(capsys, monkeypatch):
     main(["validate", str(SPECS / "odometer.spec")])
     out = capsys.readouterr().out
     assert "window of 5 elements" in out
+
+
+@pytest.mark.parametrize(
+    "spec,path", [("odometer.spec", "e0.e0"), ("odometer_katsura.spec", "(1,1,0).(1,1,0)")]
+)
+@pytest.mark.parametrize("m,carry", [(5000, 1250), (1000000, 250000)])
+def test_act_with_large_integer(spec, path, m, carry, capsys):
+    code = main(["act", str(SPECS / spec), str(m), path])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"{path} ; cocycle {carry}"
+
+
+ODOMETER = str(SPECS / "odometer.spec")
+LAG = ["lag", ODOMETER, "@v,1,@v;(e1)*"]
+OUT_OF_RANGE = [
+    ("depth_zero", LAG + ["--depth", "0"], {}, "--depth must be at least 1, got 0"),
+    ("depth_negative", LAG + ["--depth", "-5"], {}, "--depth must be at least 1, got -5"),
+    (
+        "window_negative",
+        ["residual-free", ODOMETER, "--window", "-1"],
+        {},
+        "--window must be at least 0, got -1",
+    ),
+    (
+        "bound_negative",
+        ["e-star-unitary", str(SPECS / "z2_swap.spec"), "--bound", "-1"],
+        {},
+        "--bound must be at least 0, got -1",
+    ),
+    (
+        "env_depth_malformed",
+        LAG,
+        {"SELFSIM_DEPTH": "abc"},
+        "SELFSIM_DEPTH must be an integer, got 'abc'",
+    ),
+    ("env_depth_zero", LAG, {"SELFSIM_DEPTH": "0"}, "SELFSIM_DEPTH must be at least 1, got 0"),
+    (
+        "env_window_malformed",
+        ["validate", ODOMETER],
+        {"SELFSIM_WINDOW": "4.5"},
+        "SELFSIM_WINDOW must be an integer, got '4.5'",
+    ),
+    (
+        "env_window_negative",
+        ["validate", ODOMETER],
+        {"SELFSIM_WINDOW": "-2"},
+        "SELFSIM_WINDOW must be at least 0, got -2",
+    ),
+]
+
+
+@pytest.mark.parametrize("name,argv,env,message", OUT_OF_RANGE, ids=[c[0] for c in OUT_OF_RANGE])
+def test_out_of_range_limit_is_input_error(name, argv, env, message, capsys, monkeypatch):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code = main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert len(lines) == 2 and lines[0].startswith("> ")
+    assert lines[1] == f"error: {message}"

@@ -44,6 +44,18 @@ def test_context_refuses_unfree_triple(kat20):
     assert ctx.freeness.found_counterexample
 
 
+def test_depth_below_one_is_refused(ctx, odo, xi0):
+    u = ctx.make(vp(odo), 1, vp(odo), xi0)
+    assert str(ctx.lag(u)) == str(ctx.lag(u, ctx.depth))
+    for depth in (0, -5):
+        with pytest.raises(ValueError):
+            ctx.lag(u, depth)
+        with pytest.raises(ValueError):
+            ctx.germ_eq(u, u, depth)
+        with pytest.raises(ValueError):
+            ss.GermContext(odo, window=ctx.window, depth=depth)
+
+
 def test_make_validates(ctx, odo, xi0):
     with pytest.raises(SourceConditionError):
         # mismatched cylinder on a two-vertex graph (trivial action: not free,

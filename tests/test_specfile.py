@@ -58,8 +58,8 @@ def test_load_automaton_builder():
     text = "[automaton]\nalphabet = 0 1\nmap = a 0 1 1\nmap = a 1 0 a\nfaithful_depth = true\n"
     t = load_spec_text(text).triple
     a = t.group.generator(0)
-    assert t.act_edge(a, 0) == 1
-    assert t.edge_cocycle(a, 1) == a
+    assert t.step(a, 0)[0] == 1
+    assert t.step(a, 1)[1] == a
 
 
 def test_load_two_state_automaton():
@@ -73,8 +73,8 @@ map = b 1 0 1
 """
     t = load_spec_text(text).triple
     a, b = t.group.generator(0), t.group.generator(1)
-    assert t.act_edge(a, 1) == 0 and t.edge_cocycle(a, 1) == a
-    assert t.act_edge(b, 1) == 0 and t.edge_cocycle(b, 1) == ()
+    assert t.step(a, 1) == (0, a)
+    assert t.step(b, 1) == (0, ())
     assert ss.verify_axioms(t, ss.default_window(t.group, 2)).violations == ()
 
 
@@ -97,7 +97,7 @@ edge = 1 e1 e0 0
 """
     t = load_spec_text(text).triple
     assert t.group.is_finite
-    assert t.act_edge(1, 0) == 1
+    assert t.step(1, 0)[0] == 1
 
 
 def test_load_explicit_automaton_group():
