@@ -22,7 +22,7 @@ from .graph import (
     stream_path,
     vertex_path,
 )
-from .groups import GroupBackend
+from .groups import MAX_ENUMERATION, GroupBackend, refuse_oversize
 from .tri import Tri
 from . import periodic
 
@@ -55,7 +55,7 @@ class SelfSimilarTriple:
         On a vertex path the cocycle is g itself; on longer paths the group
         element mutates edge by edge as it passes through.
         """
-        if a.graph != self.graph:
+        if a.graph is not self.graph and a.graph != self.graph:
             raise ValueError("path does not belong to this triple's graph")
         self.group.check(g)
         if a.is_vertex:
@@ -278,8 +278,35 @@ class FreenessReport:
         return self.kind == "counterexample"
 
 
+def count_paths_upto(graph: Graph, max_len: int, stop: int | None = None) -> int:
+    """len(all_paths_upto(graph, max_len)), counted per source vertex layer by layer.
+
+    Counting stops once the total passes ``stop`` or a layer is empty.
+    """
+    layer = {v: 1 for v in graph.vertices()}  # source vertex -> paths ending there
+    total = len(layer)
+    for _ in range(max_len):
+        if not layer or (stop is not None and total > stop):
+            break
+        nxt: dict[int, int] = {}
+        for v, count in layer.items():
+            for e in graph.edges_into(v):
+                w = graph.source_of[e]
+                nxt[w] = nxt.get(w, 0) + count
+        layer = nxt
+        total += sum(nxt.values())
+    return total
+
+
+def check_path_bound(graph: Graph, max_len: int) -> None:
+    """Refuse a bound whose path family would pass MAX_ENUMERATION, before building it."""
+    count = count_paths_upto(graph, max_len, stop=MAX_ENUMERATION)
+    refuse_oversize(count, f"paths of length <= {max_len}")
+
+
 def all_paths_upto(graph: Graph, max_len: int) -> list[Path]:
     """Every path of length <= max_len, vertex paths first, deterministic order."""
+    check_path_bound(graph, max_len)
     result: list[Path] = [vertex_path(graph, v) for v in graph.vertices()]
     layer = list(result)
     for _ in range(max_len):

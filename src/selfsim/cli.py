@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .action import check_residually_free, verify_axioms
+from .action import check_path_bound, check_residually_free, verify_axioms
 from .errors import (
     DepthExceededError,
     FreenessNotVerifiedError,
@@ -22,7 +22,7 @@ from .errors import (
 )
 from .graph import validate_graph
 from .groupoid import GermContext, hausdorff_report
-from .groups import IntegerGroup, default_window
+from .groups import IntegerGroup, check_window_radius, default_window
 from .semigroup import check_e_star_unitary, is_cover, mul, render, unit_idempotent
 from .specfile import (
     load_spec_file,
@@ -282,8 +282,11 @@ def main(argv=None) -> int:
         _at_least("--window", args.window, 0)
         _at_least("--depth", args.depth, 1)
         _at_least("--bound", args.bound, 0)
-        loaded = load_spec_file(args.spec)
-        code = handler(loaded.triple, args, out)
+        triple = load_spec_file(args.spec).triple
+        # Oversize limits are refused for every command, before anything is built.
+        check_window_radius(triple.group, args.window)
+        check_path_bound(triple.graph, args.bound)
+        code = handler(triple, args, out)
     except (UndecidedError, DepthExceededError) as err:
         out(f"undecided: {err}")
         code = UNKNOWN

@@ -25,10 +25,16 @@ class Graph:
     edge_labels: tuple[str, ...]
     range_of: tuple[int, ...]   # edge -> vertex
     source_of: tuple[int, ...]  # edge -> vertex
+    _into: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.range_of) != len(self.edge_labels) or len(self.source_of) != len(self.edge_labels):
             raise ValueError("range/source maps must cover every edge")
+        # Keyed by range id, dangling ids included: validate_graph reports those.
+        into: dict[int, tuple[int, ...]] = {}
+        for e, v in enumerate(self.range_of):
+            into[v] = into.get(v, ()) + (e,)
+        object.__setattr__(self, "_into", into)
 
     @property
     def n_vertices(self) -> int:
@@ -45,8 +51,8 @@ class Graph:
         return range(self.n_edges)
 
     def edges_into(self, v: int) -> tuple[int, ...]:
-        """Edges e with r(e) = v."""
-        return tuple(e for e in self.edges() if self.range_of[e] == v)
+        """Edges e with r(e) = v, in id order."""
+        return self._into.get(v, ())
 
     def edges_out_of(self, v: int) -> tuple[int, ...]:
         """Edges e with d(e) = v."""
@@ -91,7 +97,7 @@ def validate_graph(g: Graph) -> GraphReport:
         if not 0 <= g.source_of[e] < g.n_vertices:
             problems.append(f"edge {g.edge_labels[e]}: source is not a vertex")
     for v in g.vertices():
-        if not any(g.range_of[e] == v for e in g.edges()):
+        if not g.edges_into(v):
             problems.append(f"vertex {g.vertex_labels[v]}: no incoming edge (source)")
     return GraphReport(not problems, tuple(problems))
 
@@ -176,7 +182,7 @@ def edge_path(graph: Graph, edges: Iterable[int]) -> Path:
 
 def concat(a: Path, b: Path) -> Path:
     """Concatenation a.b, defined when d(a) = r(b)."""
-    if a.graph != b.graph:
+    if a.graph is not b.graph and a.graph != b.graph:
         raise CompositionError("paths live on different graphs")
     if a.source_vertex != b.range_vertex:
         raise CompositionError(
@@ -202,7 +208,7 @@ def prefix_compare(a: Path, b: Path) -> PrefixRel:
 
     A vertex path is a prefix of every path it is the range of.
     """
-    if a.graph != b.graph:
+    if a.graph is not b.graph and a.graph != b.graph:
         return PrefixRel.INCOMPARABLE
     if len(a) <= len(b):
         shorter, longer, short_is_a = a, b, True

@@ -16,6 +16,17 @@ from .tri import Tri, DISTINCT, EQUAL, from_bool, unknown
 
 DEFAULT_EQ_DEPTH = 32
 
+# The most elements a window, or paths a path family, may hold. Far above
+# every shipped default (9 window elements at radius 4, 121 paths to length 4
+# on three loops), far below what exhausts memory.
+MAX_ENUMERATION = 100_000
+
+
+def refuse_oversize(count: int, noun: str) -> None:
+    """Raise ValueError when an enumeration would pass MAX_ENUMERATION."""
+    if count > MAX_ENUMERATION:
+        raise ValueError(f"more than {MAX_ENUMERATION} {noun} (the enumeration limit)")
+
 
 class GroupBackend:
     def identity(self):
@@ -86,8 +97,13 @@ class IntegerGroup(GroupBackend):
         except ValueError:
             raise BackendMismatchError(f"not an integer: {text!r}") from None
 
+    def window_size(self, radius: int, stop: int | None = None) -> int:
+        """2 radius + 1, exact at once (``stop`` is there for the common signature)."""
+        return 2 * radius + 1
+
     def window(self, radius: int) -> list[int]:
         """Identity first, then by increasing magnitude: 0, 1, -1, 2, -2, ..."""
+        check_window_radius(self, radius)
         out = [0]
         for m in range(1, radius + 1):
             out.extend((m, -m))
@@ -337,8 +353,26 @@ class AutomatonGroup(GroupBackend):
             word.append(-sym if inv else sym)
         return reduce_word(word)
 
+    def window_size(self, radius: int, stop: int | None = None) -> int:
+        """Reduced words of length <= radius: 1 + sum_(1<=i<=radius) 2k (2k-1)^(i-1).
+
+        Summing stops once the total passes ``stop``, so a huge radius costs
+        a few steps.
+        """
+        k2 = 2 * len(self.generator_names)
+        if k2 <= 2:
+            return 1 + k2 * radius
+        total, layer = 1, k2
+        for _ in range(radius):
+            total += layer
+            if stop is not None and total > stop:
+                break
+            layer *= k2 - 1
+        return total
+
     def window(self, radius: int) -> list[tuple[int, ...]]:
         """All reduced words of length <= radius, identity first."""
+        check_window_radius(self, radius)
         out = [()]
         frontier: list[tuple[int, ...]] = [()]
         syms = [s for g in range(len(self.generator_names)) for s in (g + 1, -(g + 1))]
@@ -355,6 +389,16 @@ class AutomatonGroup(GroupBackend):
 
     def __str__(self) -> str:
         return f"automaton group on {len(self.generator_names)} generator(s)"
+
+
+def check_window_radius(backend: GroupBackend, radius: int) -> None:
+    """Refuse a radius whose window would pass MAX_ENUMERATION, before building it.
+
+    A finite group's window is the whole group, whatever the radius.
+    """
+    if isinstance(backend, (IntegerGroup, AutomatonGroup)):
+        size = backend.window_size(radius, stop=MAX_ENUMERATION)
+        refuse_oversize(size, f"elements in the window of radius {radius}")
 
 
 def default_window(backend: GroupBackend, radius: int):

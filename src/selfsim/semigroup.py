@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .action import SelfSimilarTriple, all_paths_upto
 from .errors import NotIdempotentError, SourceConditionError
-from .graph import Path, PrefixRel, concat, extensions, prefix_compare
+from .graph import Path, PrefixRel, concat, prefix_compare
 from .tri import Tri, DISTINCT, from_bool
 
 
@@ -136,19 +136,33 @@ def idempotent_order(t: SelfSimilarTriple, e: SemigroupElement, f: SemigroupElem
     return IdempotentOrder.ORTHOGONAL
 
 
+_MEMBER = None  # trie key marking where a member's path ends; edge keys are ints
+
+
 def is_cover(t: SelfSimilarTriple, members: Iterable[SemigroupElement], target: SemigroupElement) -> bool:
     """Does the family cover the idempotent target?
 
-    A cover means every nonzero idempotent below the target intersects some
-    member. Since intersecting idempotents are comparable, it suffices that
-    every extension of the target's path by L = max relative length carries
-    some member's path as a prefix; members not below the target are
-    discarded unless they dominate it outright.
+    A cover means every nonzero idempotent e_delta below the target e_beta
+    meets some member. Intersecting idempotents are comparable, so e_delta
+    meets a member exactly when one of their paths is a prefix of the other.
+    A member at or above the target covers it outright, orthogonal members
+    are dropped, and the rest go into a trie of their suffixes below beta.
+
+    The check descends from beta with an explicit stack. A node carrying a
+    member's path is covered. A node with no member at it or below it is a
+    witness against the cover: no member lies above it either, since the
+    descent stops at the first member on each branch, so its idempotent is
+    nonzero and orthogonal to every member. Any other node is covered when
+    each child delta.e, one per edge e into d(delta), is. The walk visits
+    only trie nodes and their children: O(total member length x in-degree),
+    against O(in-degree^L x members) for enumerating every extension of beta
+    by L edges. A branch ending at a source vertex with no member on it is a
+    witness like any other, so graphs with sources need no special case.
     """
     if not is_idempotent(t, target) or isinstance(target, Zero):
         raise NotIdempotentError("cover target must be a nonzero idempotent")
     beta = target.alpha
-    relative: list[Path] = []
+    below: dict = {}  # trie of the member suffixes below beta
     for m in members:
         if not is_idempotent(t, m):
             raise NotIdempotentError(f"{render(t, m)} is not an idempotent")
@@ -159,15 +173,23 @@ def is_cover(t: SelfSimilarTriple, members: Iterable[SemigroupElement], target: 
             # Member at or above the target: covers it outright.
             return True
         if rel == PrefixRel.A_PROPER:
-            relative.append(m.alpha)
-    if not relative:
-        return False
-    horizon = max(len(p) for p in relative) - len(beta)
-    for delta in extensions(beta, horizon):
-        if not any(
-            prefix_compare(p, delta) in (PrefixRel.EQUAL, PrefixRel.A_PROPER) for p in relative
-        ):
+            node = below
+            for e in m.alpha.edges[len(beta):]:
+                node = node.setdefault(e, {})
+            node[_MEMBER] = True
+    graph = beta.graph
+    stack = [(below, beta.source_vertex)]
+    while stack:
+        node, v = stack.pop()
+        if _MEMBER in node:
+            continue
+        if not node:  # no member below beta at all
             return False
+        for e in graph.edges_into(v):
+            child = node.get(e)
+            if child is None:
+                return False
+            stack.append((child, graph.source_of[e]))
     return True
 
 

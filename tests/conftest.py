@@ -3,10 +3,31 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
 import selfsim as ss
+from selfsim.errors import NotIdempotentError
+from selfsim.semigroup import render
+from selfsim.specfile import load_spec_file, load_spec_text
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+# Vertex b receives no edge (a source), so the path y from a stops there.
+SOURCE_VERTEX_SPEC = """\
+[graph]
+vertices = a b
+edge = x a a
+edge = y a b
+
+[group]
+kind = cayley
+elements = 1
+row = 1
+
+[action]
+"""
 
 
 def labeled_odometer():
@@ -67,7 +88,8 @@ def cover_oracle(t, members, target, slack=2):
     """
     beta = target.alpha
     lengths = [len(m.alpha) for m in members if not isinstance(m, ss.Zero)]
-    horizon = (max(lengths) - len(beta) if lengths else 0) + slack
+    # Never below 0: members shorter than the target still leave e_beta to check.
+    horizon = max(max(lengths, default=0) - len(beta), 0) + slack
     for k in range(horizon + 1):
         for delta in ss.extensions(beta, k):
             e_delta = ss.unit_idempotent(t, delta)
@@ -78,6 +100,91 @@ def cover_oracle(t, members, target, slack=2):
             ):
                 return False
     return True
+
+
+def enumeration_cover(t, members, target):
+    """The extension enumeration is_cover used before its descent, as an oracle.
+
+    Every extension of the target's path by L = max relative length must
+    carry a member's path as a prefix. It agrees with the definition only on
+    graphs without sources: a branch that stops at a source before depth L
+    drops out of the enumeration unchecked.
+    """
+    if not ss.is_idempotent(t, target) or isinstance(target, ss.Zero):
+        raise NotIdempotentError("cover target must be a nonzero idempotent")
+    beta = target.alpha
+    relative = []
+    for m in members:
+        if not ss.is_idempotent(t, m):
+            raise NotIdempotentError(f"{render(t, m)} is not an idempotent")
+        if isinstance(m, ss.Zero):
+            continue
+        rel = ss.prefix_compare(beta, m.alpha)
+        if rel in (ss.PrefixRel.EQUAL, ss.PrefixRel.B_PROPER):
+            return True
+        if rel == ss.PrefixRel.A_PROPER:
+            relative.append(m.alpha)
+    if not relative:
+        return False
+    horizon = max(len(p) for p in relative) - len(beta)
+    return all(
+        any(ss.prefix_compare(p, delta) in (ss.PrefixRel.EQUAL, ss.PrefixRel.A_PROPER) for p in relative)
+        for delta in ss.extensions(beta, horizon)
+    )
+
+
+def spec_triples():
+    """(name, triple) for every spec shipped in specs/, in name order."""
+    return [(p.stem, load_spec_file(str(p)).triple) for p in sorted(SPECS.glob("*.spec"))]
+
+
+def source_vertex_triple():
+    return load_spec_text(SOURCE_VERTEX_SPEC).triple
+
+
+def _random_extension(rng: random.Random, path, length):
+    """path extended by up to ``length`` random edges, stopping early at a source."""
+    graph = path.graph
+    for _ in range(length):
+        into = graph.edges_into(path.source_vertex)
+        if not into:
+            break
+        path = ss.concat(path, ss.edge_path(graph, [rng.choice(into)]))
+    return path
+
+
+def random_cover_case(rng: random.Random, t, targets, paths, depth=3):
+    """A seeded (members, target) pair; roughly half the families are covers.
+
+    Members below the target (by at most ``depth`` edges) dominate, with some anywhere, some at or above
+    it and some zero; a third of the cases start from a complete family (a
+    target split into children a few times), minus one member half the time.
+    """
+    graph = t.graph
+    beta = rng.choice(targets)
+    chosen = []
+    if rng.random() < 1 / 3:
+        frontier = [beta]
+        for _ in range(rng.randint(1, 3)):
+            node = frontier.pop(rng.randrange(len(frontier)))
+            children = [ss.concat(node, ss.edge_path(graph, [e])) for e in graph.edges_into(node.source_vertex)]
+            frontier.extend(children or [node])
+        if rng.random() < 0.5:
+            frontier.pop(rng.randrange(len(frontier)))
+        chosen.extend(frontier)
+    for _ in range(rng.randint(0 if chosen else 1, 4)):
+        roll = rng.random()
+        if roll < 0.7:
+            chosen.append(_random_extension(rng, beta, rng.randint(1, depth)))
+        elif roll < 0.85:
+            chosen.append(rng.choice(paths))
+        elif roll < 0.95:
+            chosen.append(beta.prefix(rng.randint(0, len(beta))))
+        else:
+            chosen.append(None)
+    rng.shuffle(chosen)
+    members = [ss.ZERO if p is None else ss.unit_idempotent(t, p) for p in chosen]
+    return members, ss.unit_idempotent(t, beta)
 
 
 def paths_with_source(triple, v, max_len):

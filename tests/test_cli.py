@@ -1,9 +1,12 @@
 """CLI behavior: golden-file output comparison and the exit-code contract."""
 
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from conftest import SOURCE_VERTEX_SPEC
 from selfsim.cli import main
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -146,6 +149,30 @@ OUT_OF_RANGE = [
         {"SELFSIM_WINDOW": "-2"},
         "SELFSIM_WINDOW must be at least 0, got -2",
     ),
+    (
+        "window_over_limit",
+        ["residual-free", ODOMETER, "--window", "100000000"],
+        {},
+        "more than 100000 elements in the window of radius 100000000 (the enumeration limit)",
+    ),
+    (
+        "automaton_window_over_limit",
+        ["validate", str(SPECS / "adding_machine.spec"), "--window", "50000"],
+        {},
+        "more than 100000 elements in the window of radius 50000 (the enumeration limit)",
+    ),
+    (
+        "bound_over_limit",
+        ["e-star-unitary", ODOMETER, "--bound", "1000000000"],
+        {},
+        "more than 100000 paths of length <= 1000000000 (the enumeration limit)",
+    ),
+    (
+        "env_window_over_limit",
+        ["validate", ODOMETER],
+        {"SELFSIM_WINDOW": "100000000"},
+        "more than 100000 elements in the window of radius 100000000 (the enumeration limit)",
+    ),
 ]
 
 
@@ -158,3 +185,52 @@ def test_out_of_range_limit_is_input_error(name, argv, env, message, capsys, mon
     assert code == 3
     assert len(lines) == 2 and lines[0].startswith("> ")
     assert lines[1] == f"error: {message}"
+
+
+def test_window_limit_spares_finite_groups(capsys):
+    # A finite group's window is the whole group, whatever the radius.
+    code = main(["residual-free", str(SPECS / "z2_swap.spec"), "--window", "100000000"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "holds (all 2 elements swept)"
+
+
+def test_cover_branch_ending_at_a_source(tmp_path, capsys):
+    spec = tmp_path / "source_vertex.spec"
+    spec.write_text(SOURCE_VERTEX_SPEC, encoding="utf-8")
+    code = main(["cover", str(spec), "@a", "x.x", "x.y"])
+    assert code == 1
+    assert capsys.readouterr().out == "> cover @a x.x x.y\ncover: false\n"
+    assert main(["cover", str(spec), "@a", "x.x", "x.y", "y"]) == 0
+    assert capsys.readouterr().out.endswith("cover: true\n")
+
+
+def test_cover_with_a_long_member_answers_at_once(capsys):
+    long_member = ".".join(["e0"] * 5000)
+    start = time.perf_counter()
+    code = main(["cover", ODOMETER, "@v", long_member])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.splitlines()[-1] == "cover: false"
+    assert "Traceback" not in out
+    assert elapsed < 1.0, f"cover with a 5000-edge member took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["residual-free", ODOMETER, "--window", "100000000"],
+        ["validate", str(SPECS / "adding_machine.spec"), "--window", "100000000"],
+        ["e-star-unitary", ODOMETER, "--bound", "100000000"],
+    ],
+    ids=["integer_window", "automaton_window", "bound"],
+)
+def test_over_limit_is_refused_before_building(argv, capsys):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 1_000_000, f"peak {peak} bytes traced before the refusal"

@@ -1,0 +1,127 @@
+"""Grammar fuzz of the CLI: every argv ends in an exit code 0-3, deterministically.
+
+Arguments are assembled from the literal grammar of the spec they run on
+(paths, infinite paths, semigroup elements, germs, corona sequences) with
+some malformed pieces mixed in, and from flags with legal, negative and
+over-limit values. Legal windows and bounds stay at 3 or below so each call
+is cheap.
+"""
+
+import contextlib
+import io
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from conftest import SPECS
+from selfsim.cli import main
+from selfsim.specfile import load_spec_file
+
+SPEC_NAMES = sorted(p.stem for p in SPECS.glob("*.spec"))
+JUNK = ["", "@", "zz", "(", ")*", "e9", "@nowhere", "1,,1", ";"]
+OVER_LIMIT = 10**9
+
+
+def _elements(triple):
+    group = triple.group
+    if hasattr(group, "names"):
+        return list(group.names)
+    if hasattr(group, "generator_names"):
+        names = list(group.generator_names)
+        return ["1"] + names + [n + "'" for n in names] + [f"{n}.{n}" for n in names]
+    return [str(m) for m in range(-3, 4)]
+
+
+GRAMMAR = {}
+for _name in SPEC_NAMES:
+    _t = load_spec_file(str(SPECS / f"{_name}.spec")).triple
+    GRAMMAR[_name] = (
+        list(_t.graph.edge_labels),
+        ["@" + v for v in _t.graph.vertex_labels],
+        _elements(_t),
+    )
+
+
+@st.composite
+def argvs(draw):
+    name = draw(st.sampled_from(SPEC_NAMES))
+    edges, vertices, elements = GRAMMAR[name]
+
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    def junk_or(build):
+        return pick(JUNK) if draw(st.integers(0, 9)) == 9 else build()
+
+    def edge_path():
+        return ".".join(draw(st.lists(st.sampled_from(edges), min_size=1, max_size=4)))
+
+    def path():
+        return pick(vertices) if draw(st.booleans()) else edge_path()
+
+    def inf_path():
+        prefix = "" if draw(st.booleans()) else edge_path()
+        return f"{prefix}({edge_path()})*"
+
+    def element():
+        return junk_or(lambda: pick(elements))
+
+    def triple():
+        return f"{path()},{element()},{path()}"
+
+    def germ():
+        return junk_or(lambda: f"{triple()};{inf_path()}")
+
+    def corona():
+        head = ",".join(element() for _ in range(draw(st.integers(0, 2))))
+        body = ",".join(element() for _ in range(draw(st.integers(1, 2))))
+        return junk_or(lambda: f"{head}({body})*" if draw(st.booleans()) else body)
+
+    command = pick(
+        ["validate", "act", "phi", "smul", "cover", "residual-free", "e-star-unitary",
+         "germ-eq", "lag", "model-check", "hausdorff"]
+    )
+    args = {
+        "act": lambda: [element(), junk_or(path)],
+        "phi": lambda: [element(), junk_or(path)],
+        "smul": lambda: [junk_or(triple), "0" if draw(st.booleans()) else triple()],
+        "cover": lambda: [junk_or(path)] + [path() for _ in range(draw(st.integers(1, 4)))],
+        "germ-eq": lambda: [germ(), germ()],
+        "lag": lambda: [germ()],
+        "model-check": lambda: [junk_or(inf_path), corona(), pick(["-1", "0", "1", "x"]),
+                                junk_or(inf_path)],
+    }.get(command, lambda: [])()
+    # katsura_3_2's E*-unitarity cube costs seconds at bound 3 (ROADMAP item 2).
+    top = 2 if (name, command) == ("katsura_3_2", "e-star-unitary") else 3
+    flags = [
+        ["--window", str(draw(st.sampled_from([1, 0, 2, 3, -1, OVER_LIMIT])))],
+        ["--bound", str(draw(st.sampled_from([*range(1, top + 1), 0, -1, OVER_LIMIT])))],
+        ["--depth", str(draw(st.sampled_from([8, 1, 2, 3, 64, 0, -5, OVER_LIMIT])))],
+    ]
+    if draw(st.booleans()):
+        flags.append(["--allow-unverified"])
+    if command == "model-check" and draw(st.booleans()):
+        flags.append(["--split", pick(["0:0", "1:2", "3", "a:b", "-1:0"])])
+    ordered = [token for flag in draw(st.permutations(flags)) for token in flag]
+    return [command, str(SPECS / f"{name}.spec"), *args, *ordered]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(argvs())
+def test_cli_grammar_fuzz(argv):
+    code, output = _run(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in output
+    assert _run(argv) == (code, output), argv

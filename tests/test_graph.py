@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import selfsim as ss
+from selfsim.action import count_paths_upto
 from selfsim.errors import CompositionError, DepthExceededError
 
 
@@ -200,3 +201,42 @@ def test_drop_and_prepend(graph):
     assert xi.drop(2).letter(1) == xi.letter(3)
     back = xi.drop(2).prepend(xi.truncate(2))
     assert back == xi
+
+
+def test_edges_into_is_precomputed_with_dangling_ranges():
+    # Edge f's range 5 is not a vertex; the graph keeps it, validate reports it.
+    g = ss.Graph(("v", "w"), ("e", "f", "h"), (0, 5, 0), (1, 0, 0))
+    assert g.edges_into(0) == (0, 2)
+    assert g.edges_into(5) == (1,)
+    assert g.edges_into(1) == () and g.edges_into(7) == ()
+    assert "edge f: range is not a vertex" in ss.validate_graph(g).problems
+    same = ss.Graph(("v", "w"), ("e", "f", "h"), (0, 5, 0), (1, 0, 0))
+    assert same == g and hash(same) == hash(g) and "_into" not in repr(g)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [("e0", "v", "v"), ("e1", "v", "v")],
+        [("a", "u", "w"), ("b", "w", "u"), ("c", "u", "u")],
+        [("x", "u", "u"), ("y", "u", "w")],  # w is a source
+        [("p", "u", "w"), ("q", "w", "x")],  # every path dies out
+    ],
+)
+def test_count_paths_matches_enumeration(rows):
+    vertices = sorted({v for _, r, s in rows for v in (r, s)})
+    g = ss.make_graph(vertices, rows)
+    for bound in range(7):
+        assert count_paths_upto(g, bound) == len(ss.all_paths_upto(g, bound))
+    # A huge bound costs at most a stop's worth of layers, or ends with the paths.
+    total = count_paths_upto(g, 10**9, stop=1000)
+    assert total > 1000 or total == count_paths_upto(g, 10) == 6
+
+
+def test_all_paths_refuses_oversize_before_building(graph):
+    # 2^(b+1) - 1 paths on two loops: bound 15 gives 65535, bound 16 131071.
+    assert count_paths_upto(graph, 16) == 131071
+    with pytest.raises(ValueError, match="more than 100000 paths of length <= 16 "):
+        ss.all_paths_upto(graph, 16)
+    with pytest.raises(ValueError, match="paths of length <= 1000000000 "):
+        ss.all_paths_upto(graph, 10**9)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import selfsim as ss
 from selfsim.errors import BackendMismatchError, NonBijectiveOutputError
-from selfsim.groups import reduce_word, invert_word
+from selfsim.groups import MAX_ENUMERATION, reduce_word, invert_word
 
 
 def test_integer_ops():
@@ -133,3 +133,29 @@ def test_default_window_shape(odo, swap2, machine):
     assert set(ss.default_window(swap2.group, 1)) == {0, 1}
     words = ss.default_window(machine.group, 2)
     assert () in words and (1,) in words and (-1,) in words and (1, 1) in words
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_window_size_closed_form_matches_window(k):
+    names = [f"s{i}" for i in range(k)]
+    group = ss.AutomatonGroup(names, 2, [[1, 0]] * k, [[(), ()]] * k)
+    for radius in range(6):
+        assert group.window_size(radius) == len(group.window(radius))
+    integers = ss.IntegerGroup()
+    for radius in range(6):
+        assert integers.window_size(radius) == len(integers.window(radius))
+
+
+def test_window_refuses_oversize_before_building():
+    group = ss.AutomatonGroup(["a", "b"], 2, [[1, 0], [0, 1]], [[(), ()], [(), ()]])
+    # 1 + 4 (3^r - 1) / 2 words: radius 10 gives 118097, past the limit.
+    assert group.window_size(9) == 39365 <= MAX_ENUMERATION < group.window_size(10)
+    assert group.window_size(10**9, stop=MAX_ENUMERATION) > MAX_ENUMERATION
+    with pytest.raises(ValueError, match="more than 100000 elements in the window of radius 10 "):
+        group.window(10)
+    with pytest.raises(ValueError, match="radius 1000000000 "):
+        ss.IntegerGroup().window(10**9)
+    # The integer window at radius r has 2r + 1 elements.
+    assert len(ss.IntegerGroup().window(49999)) == 99999
+    with pytest.raises(ValueError, match="radius 50000 "):
+        ss.IntegerGroup().window(50000)

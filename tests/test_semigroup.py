@@ -2,12 +2,20 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 import selfsim as ss
-from conftest import cover_oracle
+from conftest import (
+    cover_oracle,
+    enumeration_cover,
+    random_cover_case,
+    source_vertex_triple,
+    spec_triples,
+)
 from selfsim.errors import NotIdempotentError, SourceConditionError
+from selfsim.semigroup import render
 
 
 def epath(t, *ids):
@@ -243,6 +251,81 @@ def test_cover_vs_oracle_random(odo):
             members = [ss.unit_idempotent(odo, p) for p in chosen]
             target = ss.unit_idempotent(odo, target_path)
             assert ss.is_cover(odo, members, target) == cover_oracle(odo, members, target)
+
+
+def test_cover_branch_ending_at_a_source_is_a_witness():
+    # e_y lies below e_@a and meets neither member: y stops at the source b.
+    t = source_vertex_triple()
+
+    def path(*labels):
+        return ss.edge_path(t.graph, [t.graph.edge_id(x) for x in labels])
+
+    target = ss.unit_idempotent(t, ss.vertex_path(t.graph, t.graph.vertex_id("a")))
+    members = [ss.unit_idempotent(t, path("x", "x")), ss.unit_idempotent(t, path("x", "y"))]
+    assert not ss.is_cover(t, members, target)
+    assert not cover_oracle(t, members, target)
+    assert enumeration_cover(t, members, target)  # the enumeration never reaches y
+    members.append(ss.unit_idempotent(t, path("y")))
+    assert ss.is_cover(t, members, target)
+    # A target at the source itself has no member below it.
+    b = ss.unit_idempotent(t, ss.vertex_path(t.graph, t.graph.vertex_id("b")))
+    assert not ss.is_cover(t, members, b)
+    assert ss.is_cover(t, [b], b)
+
+
+def test_cover_descent_needs_no_recursion(odo):
+    # The comb e1, e0.e1, ..., e0^(n-1).e1, e0^n covers @v; it is deeper than
+    # the interpreter's recursion limit.
+    n = 1500
+    target = ss.unit_idempotent(odo, vpath(odo))
+    comb = [ss.unit_idempotent(odo, epath(odo, *([0] * k), 1)) for k in range(n)]
+    tip = ss.unit_idempotent(odo, epath(odo, *([0] * n)))
+    assert ss.is_cover(odo, comb + [tip], target)
+    assert not ss.is_cover(odo, comb, target)
+
+
+COVER_GRAPHS = spec_triples() + [("source_vertex", source_vertex_triple())]
+
+
+@pytest.mark.parametrize("name,t", COVER_GRAPHS, ids=[name for name, _ in COVER_GRAPHS])
+def test_cover_descent_vs_definition(name, t):
+    rng = random.Random(f"cover-definition-{name}")
+    targets = ss.all_paths_upto(t.graph, 2)
+    paths = ss.all_paths_upto(t.graph, 3)
+    outcomes = Counter()
+    for _ in range(2000):
+        members, target = random_cover_case(rng, t, targets, paths, depth=2)
+        expected = cover_oracle(t, members, target, slack=1)
+        assert ss.is_cover(t, members, target) == expected, [render(t, m) for m in members]
+        outcomes[expected] += 1
+    assert min(outcomes.values()) >= 300, outcomes  # both answers well represented
+
+
+@pytest.mark.parametrize("name,t", spec_triples(), ids=[name for name, _ in spec_triples()])
+def test_cover_descent_vs_enumeration(name, t):
+    assert ss.validate_graph(t.graph).ok  # no sources: the enumeration is exact
+    rng = random.Random(f"cover-enumeration-{name}")
+    targets = ss.all_paths_upto(t.graph, 3)
+    paths = ss.all_paths_upto(t.graph, 4)
+    for _ in range(2000):
+        members, target = random_cover_case(rng, t, targets, paths)
+        expected = enumeration_cover(t, members, target)
+        assert ss.is_cover(t, members, target) == expected, [render(t, m) for m in members]
+
+
+def test_cover_refusals_match_enumeration(odo):
+    ev = ss.unit_idempotent(odo, vpath(odo))
+    e0 = ss.unit_idempotent(odo, epath(odo, 0))
+    bad = ss.Triple(epath(odo, 0), 1, epath(odo, 0))
+    for cover in (ss.is_cover, enumeration_cover):
+        with pytest.raises(NotIdempotentError):
+            cover(odo, [e0], ss.ZERO)
+        with pytest.raises(NotIdempotentError):
+            cover(odo, [e0], bad)
+        with pytest.raises(NotIdempotentError):
+            cover(odo, [e0, bad], ev)
+        # A member at or above the target answers before later members are read.
+        assert cover(odo, [ev, bad], e0)
 
 
 def apply_element(t, s, eta, depth=64):
