@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .corona import BoundedSeq, CoronaSeq, PeriodicSeq
+from .errors import DepthExceededError
 from .graph import (
     Graph,
     InfPath,
@@ -93,39 +94,60 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
     """
     images: list[int] = []
     carries = [g]
+    step = t.step
+    state = g
     if isinstance(xi, PeriodicPath):
-        p, q = len(xi.prefix_edges), len(xi.cycle_edges)
-        seen: dict = {}
-        n = 0
-        while n <= depth + p + q:
-            if n >= p:
-                key = (carries[-1], (n - p) % q)
-                if key in seen:
-                    return "periodic", images, carries, seen[key], n - seen[key]
-                seen[key] = n
-            image, carry = t.step(carries[-1], xi.letter(n + 1))
+        prefix, cycle = xi.prefix_edges, xi.cycle_edges
+        p, q = len(prefix), len(cycle)
+        for e in prefix:
+            image, state = step(state, e)
             images.append(image)
-            carries.append(carry)
-            n += 1
+            carries.append(state)
+        seen: dict = {}
+        phase = 0
+        for n in range(p, depth + p + q + 1):
+            key = (state, phase)
+            if key in seen:
+                return "periodic", images, carries, seen[key], n - seen[key]
+            seen[key] = n
+            image, state = step(state, cycle[phase])
+            images.append(image)
+            carries.append(state)
+            phase = phase + 1 if phase + 1 < q else 0
         return "bounded", images[:depth], carries[: depth + 1]
-    horizon = min(depth, xi.depth_limit)
-    for n in range(horizon):
-        image, carry = t.step(carries[-1], xi.letter(n + 1))
+    for n in range(1, min(depth, xi.depth_limit) + 1):
+        image, state = step(state, xi.letter(n))
         images.append(image)
-        carries.append(carry)
+        carries.append(state)
     return "bounded", images, carries
+
+
+def _image_path(t: SelfSimilarTriple, outcome) -> InfPath:
+    """g.xi from an _orbit outcome; undecided when the walk saw no letter."""
+    if outcome[0] == "periodic":
+        _, images, _, start, period = outcome
+        pre, cyc = periodic.normalize(tuple(images[:start]), tuple(images[start : start + period]))
+        return PeriodicPath(t.graph, pre, cyc)
+    images = outcome[1]
+    if not images:
+        raise DepthExceededError("no letter of the path is known: its image is undecided")
+    return stream_path(t.graph, images)
+
+
+def _carry_seq(t: SelfSimilarTriple, outcome) -> CoronaSeq:
+    """Phi(g, xi) from an _orbit outcome."""
+    carries = outcome[2]
+    if outcome[0] == "periodic":
+        start, period = outcome[3], outcome[4]
+        # Phi_n = carries[n-1]: shift the detected closure by one index.
+        return PeriodicSeq.make(t.group, tuple(carries[:start]), tuple(carries[start : start + period]))
+    return BoundedSeq(t.group, tuple(carries[:-1]) if len(carries) > 1 else (carries[0],))
 
 
 def act_inf_path(t: SelfSimilarTriple, g, xi: InfPath, depth: int = 64) -> InfPath:
     """The infinite path g.xi; eventually periodic when the carry orbit closes."""
     t.group.check(g)
-    outcome = _orbit(t, g, xi, depth)
-    if outcome[0] == "periodic":
-        _, images, _, start, period = outcome
-        pre, cyc = periodic.normalize(tuple(images[:start]), tuple(images[start : start + period]))
-        return PeriodicPath(t.graph, pre, cyc)
-    _, images, _ = outcome
-    return stream_path(t.graph, images)
+    return _image_path(t, _orbit(t, g, xi, depth))
 
 
 def phi_corona(t: SelfSimilarTriple, g, xi: InfPath, depth: int = 64) -> CoronaSeq:
@@ -136,13 +158,14 @@ def phi_corona(t: SelfSimilarTriple, g, xi: InfPath, depth: int = 64) -> CoronaS
     degrade to unknown rather than being silently wrong.
     """
     t.group.check(g)
+    return _carry_seq(t, _orbit(t, g, xi, depth))
+
+
+def act_and_phi_corona(t: SelfSimilarTriple, g, xi: InfPath, depth: int = 64) -> tuple[InfPath, CoronaSeq]:
+    """(g.xi, Phi(g, xi)) from one walk of the carry orbit."""
+    t.group.check(g)
     outcome = _orbit(t, g, xi, depth)
-    if outcome[0] == "periodic":
-        _, _, carries, start, period = outcome
-        # Phi_n = carries[n-1]: shift the detected closure by one index.
-        return PeriodicSeq.make(t.group, tuple(carries[:start]), tuple(carries[start : start + period]))
-    _, _, carries = outcome
-    return BoundedSeq(t.group, tuple(carries[:-1]) if len(carries) > 1 else (g,))
+    return _image_path(t, outcome), _carry_seq(t, outcome)
 
 
 @dataclass(frozen=True)
@@ -329,6 +352,8 @@ def check_residually_free(
     clean is reported as a consistency failure: for a fully swept finite
     group it contradicts the reduction of path fixing to edge fixing, and for
     an infinite group it indicates an edge counterexample outside the window.
+    Each window element acts once on each path and only elements sending a
+    path to one image are compared, so the path sweeps cost |W|·|P| actions.
     """
     window = _check_window(t, window)
     group = t.group
@@ -359,28 +384,26 @@ def check_residually_free(
     failures: list[str] = []
     if counterexample is None:
         paths = all_paths_upto(graph, path_bound)
-        for g in nontrivial:
-            if not group.is_identity(g).is_distinct:
-                continue
-            for a in paths:
+        # Path-freeness applies to the elements that are definitely not 1.
+        surely_nontrivial = [group.is_identity(g).is_distinct for g in window]
+        for a in paths:
+            # Act once per element; only elements with one image can agree on a.
+            by_image: dict = {}
+            for i, g in enumerate(window):
                 img, coc = t.act_path(g, a)
-                if img == a and group.is_identity(coc).is_equal:
+                if surely_nontrivial[i] and img == a and group.is_identity(coc).is_equal:
                     failures.append(
                         f"path-freeness: g={group.render(g)} fixes {a} with trivial cocycle"
                     )
-        for g1 in window:
-            for g2 in window:
-                if group.eq(g1, g2).is_equal:
-                    continue
-                if not group.eq(g1, g2).is_distinct:
-                    continue
-                for a in paths:
-                    i1, c1 = t.act_path(g1, a)
-                    i2, c2 = t.act_path(g2, a)
-                    if i1 == i2 and group.eq(c1, c2).is_equal:
-                        failures.append(
-                            f"rigidity: g1={group.render(g1)}, g2={group.render(g2)} agree on {a}"
-                        )
+                by_image.setdefault((img.vertex, img.edges), []).append((g, coc))
+            for agreeing in by_image.values():
+                for g1, c1 in agreeing:
+                    for g2, c2 in agreeing:
+                        # eq(g, g) is equal, so an element never pairs with itself.
+                        if g1 is not g2 and group.eq(c1, c2).is_equal and group.eq(g1, g2).is_distinct:
+                            failures.append(
+                                f"rigidity: g1={group.render(g1)}, g2={group.render(g2)} agree on {a}"
+                            )
 
     if counterexample is not None:
         kind = "counterexample"

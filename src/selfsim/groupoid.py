@@ -15,6 +15,7 @@ from math import lcm
 from .action import (
     FreenessReport,
     SelfSimilarTriple,
+    act_and_phi_corona,
     act_inf_path,
     check_residually_free,
     phi_corona,
@@ -213,9 +214,13 @@ class GermContext:
         return LagValue(shift_right(seq, len(u.alpha)), len(u.alpha) - len(u.beta))
 
     def f_map(self, u: Germ, depth: int | None = None) -> tuple[InfPath, LagValue, InfPath]:
-        """(range point, lag, source point): injective on germs."""
-        depth = self._depth(depth)
-        return (self.range_point(u, depth), self.lag(u, depth), self.source_point(u))
+        """(range point, lag, source point): injective on germs.
+
+        The range point and the lag share one walk of the carry orbit of (g, xi).
+        """
+        gxi, seq = act_and_phi_corona(self.triple, u.g, u.xi, self._depth(depth))
+        lag = LagValue(shift_right(seq, len(u.alpha)), len(u.alpha) - len(u.beta))
+        return (gxi.prepend(u.alpha), lag, self.source_point(u))
 
     def model_check(
         self,
@@ -239,31 +244,20 @@ class GermContext:
             if p < 0 or q < 0 or p - q != k:
                 raise ValueError("split must be nonnegative with p - q = k")
             return _model_conditions(self.triple, eta, gseq, p, q, zeta, depth)
-        all_periodic = (
-            isinstance(eta, PeriodicPath)
-            and isinstance(zeta, PeriodicPath)
-            and isinstance(gseq, PeriodicSeq)
-        )
-        p_lo = max(k, 0)
-        p_hi = depth
-        if all_periodic:
-            # Past every preperiod the conditions are periodic in n, so a
-            # clean failure out there recurs for every larger split.
-            period = lcm(len(eta.cycle_edges), len(zeta.cycle_edges), len(gseq.cycle))
-            p_hi = max(
-                p_hi,
-                len(eta.prefix_edges) + len(zeta.prefix_edges) + len(gseq.prefix) + period + abs(k) + 1,
-            )
-        saw_unknown = False
-        for p in range(p_lo, p_hi + 1):
-            verdict = _model_conditions(self.triple, eta, gseq, p, p - k, zeta, depth)
-            if verdict.is_equal:
-                return EQUAL
-            if verdict.is_unknown:
-                saw_unknown = True
-        if saw_unknown or not all_periodic:
+        if not _all_periodic(eta, gseq, zeta):
+            # Bounded inputs never decide a split, so no split search can either.
             return unknown(depth)
-        return DISTINCT
+        # The conditions for split p + 1 are those for split p from n = 2 on,
+        # so holding at some split means holding at every larger one, and
+        # past every preperiod the splits repeat. The top split of the range
+        # p = max(k, 0) .. p_hi decides the whole range.
+        period = lcm(len(eta.cycle_edges), len(zeta.cycle_edges), len(gseq.cycle))
+        p_hi = max(
+            depth,
+            len(eta.prefix_edges) + len(zeta.prefix_edges) + len(gseq.prefix) + period + abs(k) + 1,
+        )
+        verdict = _model_conditions(self.triple, eta, gseq, p_hi, p_hi - k, zeta, depth)
+        return unknown(depth) if verdict.is_unknown else verdict
 
     def model_to_germ(
         self, eta: InfPath, gseq: CoronaSeq, k: int, zeta: InfPath, split: tuple[int, int]
@@ -323,30 +317,38 @@ class GermContext:
         return self.germ_eq(u, candidate, depth)
 
 
+def _all_periodic(eta: InfPath, gseq: CoronaSeq, zeta: InfPath) -> bool:
+    return isinstance(eta, PeriodicPath) and isinstance(zeta, PeriodicPath) and isinstance(gseq, PeriodicSeq)
+
+
 def _model_conditions(
     t: SelfSimilarTriple, eta: InfPath, gseq: CoronaSeq, p: int, q: int, zeta: InfPath, depth: int
 ) -> Tri:
     """Check the two model conditions for one split, over a decisive window.
 
-    For eventually periodic inputs one combined period past every preperiod
-    decides all n; bounded inputs cap the window and leave the verdict open.
+    For eventually periodic inputs the preperiods plus one combined period
+    decide all n; an undecided carry is still reported at the full depth.
+    Bounded inputs cap the window and leave the verdict open.
     """
-    horizon = depth
-    decisive = True
-    if isinstance(gseq, PeriodicSeq) and isinstance(zeta, PeriodicPath) and isinstance(eta, PeriodicPath):
+    periodic_inputs = _all_periodic(eta, gseq, zeta)
+    if periodic_inputs:
+        # Past every preperiod the conditions are periodic in n: one combined
+        # period after the preperiods decides every n.
         period = lcm(len(gseq.cycle), len(zeta.cycle_edges), len(eta.cycle_edges))
         base = max(len(gseq.prefix) - p, len(zeta.prefix_edges) - q, len(eta.prefix_edges) - p, 0)
-        horizon = max(horizon, base + period)
+        steps = base + period
+        reported = max(depth, steps)
     else:
-        decisive = False
+        steps = depth
         for lim, offset in ((gseq.depth_limit, p + 1), (zeta.depth_limit, q), (eta.depth_limit, p)):
             if lim is not None:
-                horizon = min(horizon, lim - offset)
-        if horizon < 1:
+                steps = min(steps, lim - offset)
+        if steps < 1:
             return unknown(0)
+        reported = steps
     group = t.group
     pending = False
-    for n in range(1, horizon + 1):
+    for n in range(1, steps + 1):
         image, coc = t.step(gseq.entry(n + p), zeta.letter(n + q))
         carried = group.eq(gseq.entry(n + p + 1), coc)
         if carried.is_distinct:
@@ -355,6 +357,6 @@ def _model_conditions(
             pending = True
         if eta.letter(n + p) != image:
             return DISTINCT
-    if decisive and not pending:
+    if periodic_inputs and not pending:
         return EQUAL
-    return unknown(horizon)
+    return unknown(reported)

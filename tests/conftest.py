@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import random
+from math import lcm
 from pathlib import Path
 
 import pytest
 
 import selfsim as ss
+from selfsim.action import FreenessReport
 from selfsim.errors import NotIdempotentError
 from selfsim.semigroup import render
 from selfsim.specfile import load_spec_file, load_spec_text
+from selfsim.tri import DISTINCT, EQUAL, unknown
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -27,6 +30,17 @@ elements = 1
 row = 1
 
 [action]
+"""
+
+# Two copies of the adding machine: a.b' acts trivially, so comparing
+# distinct carries stays undecided and the model conditions stay pending.
+TWIN_MACHINE_SPEC = """\
+[automaton]
+alphabet = 0 1
+map = a 0 1 1
+map = a 1 0 a
+map = b 0 1 1
+map = b 1 0 b
 """
 
 
@@ -240,3 +254,113 @@ def random_composable_pair(rng: random.Random, ctx, max_len=3, depth=64):
     alpha1 = rng.choice(alphas)
     u1 = ctx.make(alpha1, g1, beta1, xi1)
     return u1, u2
+
+
+def pairwise_freeness(t, window, path_bound=4):
+    """The freeness gate as it swept before grouping by image, as an oracle.
+
+    Path-freeness acts every surely nontrivial element on every path, and
+    rigidity acts both elements of every ordered pair of distinct window
+    elements on every path: 2 |W|^2 |P| path actions.
+    """
+    window = list(window)
+    group, graph = t.group, t.graph
+    nontrivial = [g for g in window if not group.is_identity(g).is_equal]
+    undecided = []
+    counterexample = None
+    for g in nontrivial:
+        g_is_id = group.is_identity(g)
+        for e in graph.edges():
+            image, coc = t.step(g, e)
+            if image != e:
+                continue
+            coc_trivial = group.is_identity(coc)
+            if g_is_id.is_distinct and coc_trivial.is_equal:
+                counterexample = (g, e)
+                break
+            if coc_trivial.is_unknown or g_is_id.is_unknown:
+                undecided.append(f"(g={group.render(g)}, e={graph.edge_labels[e]}) undecided at depth")
+        if counterexample:
+            break
+    failures = []
+    if counterexample is None:
+        paths = ss.all_paths_upto(graph, path_bound)
+        for g in nontrivial:
+            if not group.is_identity(g).is_distinct:
+                continue
+            for a in paths:
+                img, coc = t.act_path(g, a)
+                if img == a and group.is_identity(coc).is_equal:
+                    failures.append(f"path-freeness: g={group.render(g)} fixes {a} with trivial cocycle")
+        for g1 in window:
+            for g2 in window:
+                if not group.eq(g1, g2).is_distinct:
+                    continue
+                for a in paths:
+                    i1, c1 = t.act_path(g1, a)
+                    i2, c2 = t.act_path(g2, a)
+                    if i1 == i2 and group.eq(c1, c2).is_equal:
+                        failures.append(f"rigidity: g1={group.render(g1)}, g2={group.render(g2)} agree on {a}")
+    if counterexample is not None:
+        kind = "counterexample"
+    elif group.is_finite and len(window) >= len(list(group.elements())) and not undecided:
+        kind = "holds"
+    else:
+        kind = "unknown"
+    return FreenessReport(kind, counterexample, tuple(sorted(set(failures))), tuple(undecided), len(window))
+
+
+def _full_depth_conditions(t, eta, gseq, p, q, zeta, depth):
+    """One split's model conditions, walked to max(depth, base + period)."""
+    horizon = depth
+    decisive = True
+    if isinstance(gseq, ss.PeriodicSeq) and isinstance(zeta, ss.PeriodicPath) and isinstance(eta, ss.PeriodicPath):
+        period = lcm(len(gseq.cycle), len(zeta.cycle_edges), len(eta.cycle_edges))
+        base = max(len(gseq.prefix) - p, len(zeta.prefix_edges) - q, len(eta.prefix_edges) - p, 0)
+        horizon = max(horizon, base + period)
+    else:
+        decisive = False
+        for lim, offset in ((gseq.depth_limit, p + 1), (zeta.depth_limit, q), (eta.depth_limit, p)):
+            if lim is not None:
+                horizon = min(horizon, lim - offset)
+        if horizon < 1:
+            return unknown(0)
+    pending = False
+    for n in range(1, horizon + 1):
+        image, coc = t.step(gseq.entry(n + p), zeta.letter(n + q))
+        carried = t.group.eq(gseq.entry(n + p + 1), coc)
+        if carried.is_distinct:
+            return DISTINCT
+        if carried.is_unknown:
+            pending = True
+        if eta.letter(n + p) != image:
+            return DISTINCT
+    if decisive and not pending:
+        return EQUAL
+    return unknown(horizon)
+
+
+def split_loop_model_check(ctx, eta, gseq, k, zeta, depth=None, split=None):
+    """GermContext.model_check as a loop over every split p = max(k, 0)..p_hi, as an oracle."""
+    depth = ctx.depth if depth is None else depth
+    t = ctx.triple
+    if split is not None:
+        p, q = split
+        return _full_depth_conditions(t, eta, gseq, p, q, zeta, depth)
+    all_periodic = (
+        isinstance(eta, ss.PeriodicPath) and isinstance(zeta, ss.PeriodicPath) and isinstance(gseq, ss.PeriodicSeq)
+    )
+    p_hi = depth
+    if all_periodic:
+        period = lcm(len(eta.cycle_edges), len(zeta.cycle_edges), len(gseq.cycle))
+        p_hi = max(p_hi, len(eta.prefix_edges) + len(zeta.prefix_edges) + len(gseq.prefix) + period + abs(k) + 1)
+    saw_unknown = False
+    for p in range(max(k, 0), p_hi + 1):
+        verdict = _full_depth_conditions(t, eta, gseq, p, p - k, zeta, depth)
+        if verdict.is_equal:
+            return EQUAL
+        if verdict.is_unknown:
+            saw_unknown = True
+    if saw_unknown or not all_periodic:
+        return unknown(depth)
+    return DISTINCT

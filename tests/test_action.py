@@ -3,7 +3,8 @@
 import pytest
 
 import selfsim as ss
-from conftest import odometer_oracle
+from conftest import TWIN_MACHINE_SPEC, odometer_oracle, pairwise_freeness, spec_triples
+from selfsim.specfile import load_spec_text
 
 
 def edges_of(triple, *ids):
@@ -195,3 +196,42 @@ def test_residually_free_counterexample(kat20):
 def test_residually_free_finite_holds(swap2):
     report = ss.check_residually_free(swap2, ss.default_window(swap2.group, 1))
     assert report.kind == "holds"
+
+
+def loops_with_rigidity_failures():
+    """One vertex, loops a b c d; the generator cycles a -> b -> c and adds 1 along d.
+
+    Window elements 3k fix a, b and c with cocycle k, so at radius 2 only
+    the rigidity sweep sees anything; radius 3 reaches the counterexample.
+    """
+    graph = ss.make_graph(["v"], [(x, "v", "v") for x in "abcd"])
+    return ss.integer_triple_from_generator(graph, [0], [1, 2, 0, 3], [0, 0, 0, 1])
+
+
+GATE_TRIPLES = spec_triples() + [("loops", loops_with_rigidity_failures())]
+
+
+@pytest.mark.parametrize("name,t", GATE_TRIPLES, ids=[name for name, _ in GATE_TRIPLES])
+def test_freeness_gate_matches_pairwise_sweep(name, t):
+    for radius in range(5):
+        window = ss.default_window(t.group, radius)
+        for bound in range(4):
+            assert ss.check_residually_free(t, window, bound) == pairwise_freeness(t, window, bound), (radius, bound)
+
+
+def test_freeness_gate_matches_pairwise_sweep_with_undecided_words():
+    t = load_spec_text(TWIN_MACHINE_SPEC).triple
+    for radius in range(3):
+        window = ss.default_window(t.group, radius)
+        for bound in range(4):
+            assert ss.check_residually_free(t, window, bound) == pairwise_freeness(t, window, bound), (radius, bound)
+
+
+def test_freeness_gate_reports_consistency_failures():
+    t = loops_with_rigidity_failures()
+    report = ss.check_residually_free(t, ss.default_window(t.group, 2), path_bound=2)
+    assert report.kind == "unknown" and report.counterexample is None
+    assert len(report.consistency_failures) == 72
+    assert all(f.startswith("rigidity: ") for f in report.consistency_failures)
+    found = ss.check_residually_free(t, ss.default_window(t.group, 3), path_bound=2)
+    assert found.counterexample == (3, t.graph.edge_id("a"))

@@ -1,17 +1,27 @@
 """Germ equality, representatives, composition, lag, model, open sets."""
 
 import random
+from math import lcm
 
 import pytest
 
 import selfsim as ss
 from selfsim.errors import (
+    DepthExceededError,
     EmptySetError,
     FreenessNotVerifiedError,
     NotComposableError,
     SourceConditionError,
 )
-from conftest import random_composable_pair, random_germ
+from selfsim.specfile import load_spec_file, load_spec_text
+from conftest import (
+    SPECS,
+    TWIN_MACHINE_SPEC,
+    random_composable_pair,
+    random_germ,
+    random_inf_path,
+    split_loop_model_check,
+)
 
 
 @pytest.fixture(scope="module")
@@ -352,3 +362,221 @@ def test_hausdorff_reports(odo, kat20, swap2):
     assert bad.kind == "not-implied" and bad.freeness.counterexample == (1, 0)
     fin = ss.hausdorff_report(swap2, ss.default_window(swap2.group, 1))
     assert fin.kind == "hausdorff" and fin.freeness.kind == "holds"
+
+
+# -- fast paths against their oracles -------------------------------------------
+
+
+def unfaithful_machine():
+    """The adding machine without its faithfulness flag: words that act alike compare unknown."""
+    text = (SPECS / "adding_machine.spec").read_text(encoding="utf-8")
+    return load_spec_text(text.replace("faithful_depth = true", "faithful_depth = false")).triple
+
+
+@pytest.fixture(scope="module")
+def bench_contexts():
+    """GermContexts at window radius 4 over the four germ benchmark triples."""
+    triples = [load_spec_file(str(SPECS / f"{name}.spec")).triple
+               for name in ("odometer", "katsura_3_2", "adding_machine")]
+    triples.append(unfaithful_machine())
+    return [ss.GermContext(t, window=ss.default_window(t.group, 4)) for t in triples]
+
+
+@pytest.fixture(scope="module")
+def oracle_contexts(bench_contexts, swap2):
+    twin = load_spec_text(TWIN_MACHINE_SPEC).triple
+    return bench_contexts + [
+        ss.GermContext(swap2, window=ss.default_window(swap2.group, 4)),
+        # Radius 2 keeps the two-generator window at 17 words.
+        ss.GermContext(twin, window=ss.default_window(twin.group, 2)),
+    ]
+
+
+def outcome(call):
+    """The value of call(), or the type of what it raised."""
+    try:
+        return call()
+    except Exception as err:  # noqa: BLE001 - the exception type is the outcome
+        return type(err)
+
+
+def as_stream(xi, n):
+    """The stream path of the first n letters of xi."""
+    return ss.stream_path(xi.graph, [xi.letter(i) for i in range(1, n + 1)])
+
+
+def random_periodic_seq(rng, ctx):
+    def entries(lo, hi):
+        return [rng.choice(ctx.window) for _ in range(rng.randint(lo, hi))]
+
+    return ss.PeriodicSeq.make(ctx.triple.group, entries(0, 2), entries(1, 2))
+
+
+def mutate(rng, ctx, eta, gseq):
+    """Change one letter of eta (to a parallel edge), or one entry of gseq
+    before or in its cycle."""
+    graph, group = ctx.triple.graph, ctx.triple.group
+    n = len(eta.prefix_edges) + len(eta.cycle_edges) + rng.randint(1, 3)
+    letters = [eta.letter(i) for i in range(1, n + 1)]
+    i = rng.randrange(n)
+    parallel = [e for e in graph.edges()
+                if e != letters[i] and graph.range_of[e] == graph.range_of[letters[i]]
+                and graph.source_of[e] == graph.source_of[letters[i]]]
+    if parallel and rng.random() < 0.4:
+        letters[i] = rng.choice(parallel)
+        return ss.periodic_path(graph, letters, eta.drop(n).cycle_edges), gseq
+    m = len(gseq.prefix) + rng.randint(1, 3)
+    entries = [gseq.entry(j) for j in range(1, m + 1)]
+    cycle = list(ss.shift_left(gseq, m).cycle)
+    values = entries if rng.random() < 0.5 else cycle
+    j = rng.randrange(len(values))
+    # Prefer an element the backend cannot tell apart from the entry, if any.
+    blurred = [g for g in ctx.window if group.eq(g, values[j]).is_unknown]
+    values[j] = rng.choice(blurred or [g for g in ctx.window if g != values[j]])
+    return eta, ss.PeriodicSeq.make(gseq.backend, entries, cycle)
+
+
+def random_model_input(rng, ctx):
+    """(eta, gseq, k, zeta): random, F(u)-derived, mutated, some stream-backed."""
+    t = ctx.triple
+    roll = rng.random()
+    if roll < 0.3:
+        eta, zeta = random_inf_path(rng, t), random_inf_path(rng, t)
+        gseq, k = random_periodic_seq(rng, ctx), rng.randint(-3, 3)
+    else:
+        eta, lag, zeta = ctx.f_map(random_germ(rng, ctx, 3))
+        gseq, k = lag.corona, lag.shift
+        if roll < 0.55 and isinstance(eta, ss.PeriodicPath) and isinstance(gseq, ss.PeriodicSeq):
+            eta, gseq = mutate(rng, ctx, eta, gseq)
+        if rng.random() < 0.3:
+            k = rng.randint(-3, 3)
+    if rng.random() < 0.25:
+        # Stream-backed: bound one or more of the three to a known prefix.
+        if isinstance(eta, ss.PeriodicPath) and rng.random() < 0.6:
+            eta = as_stream(eta, rng.randint(1, 40))
+        if isinstance(zeta, ss.PeriodicPath) and rng.random() < 0.6:
+            zeta = as_stream(zeta, rng.randint(1, 40))
+        if isinstance(gseq, ss.PeriodicSeq) and rng.random() < 0.6:
+            gseq = ss.BoundedSeq(gseq.backend, tuple(gseq.entry(n) for n in range(1, rng.randint(1, 40) + 1)))
+    return eta, gseq, k, zeta
+
+
+def random_split(rng, k):
+    p = max(k, 0) + rng.randint(0, 4)
+    return p, p - k
+
+
+def test_model_check_matches_split_loop(oracle_contexts):
+    rng = random.Random(41)
+    verdicts = set()
+    for ctx in oracle_contexts:
+        for _ in range(400):
+            eta, gseq, k, zeta = random_model_input(rng, ctx)
+            depth = rng.randint(1, 80)
+            split = random_split(rng, k) if rng.random() < 0.5 else None
+            fast = outcome(lambda: ctx.model_check(eta, gseq, k, zeta, depth=depth, split=split))
+            slow = outcome(lambda: split_loop_model_check(ctx, eta, gseq, k, zeta, depth=depth, split=split))
+            assert fast == slow, (ctx.triple, str(eta), str(gseq), k, str(zeta), depth, split)
+            periodic = all(isinstance(x, (ss.PeriodicPath, ss.PeriodicSeq)) for x in (eta, gseq, zeta))
+            verdicts.add((periodic, fast.verdict))
+    # Every verdict is reached on periodic inputs, undecided carries included.
+    assert {v for periodic, v in verdicts if periodic} == {"equal", "distinct", "unknown"}
+
+
+def counting_context(ctx):
+    """A GermContext like ctx over a copy of its triple whose step counts its calls."""
+    t = ctx.triple
+    calls = [0]
+
+    def step(g, e):
+        calls[0] += 1
+        return t.step(g, e)
+
+    counted = ss.SelfSimilarTriple(t.graph, t.group, t.act_vertex, step, t.description)
+    return ss.GermContext(counted, window=ctx.window), calls
+
+
+def test_model_check_walks_preperiods_plus_one_period(oracle_contexts):
+    rng = random.Random(43)
+    for base_ctx in oracle_contexts:
+        ctx, calls = counting_context(base_ctx)
+        for _ in range(40):
+            eta, lag, zeta = ctx.f_map(random_germ(rng, ctx, 3))
+            gseq, k = lag.corona, lag.shift
+            if not (isinstance(eta, ss.PeriodicPath) and isinstance(gseq, ss.PeriodicSeq)):
+                continue
+            period = lcm(len(gseq.cycle), len(zeta.cycle_edges), len(eta.cycle_edges))
+            p, q = random_split(rng, k)
+            base = max(len(gseq.prefix) - p, len(zeta.prefix_edges) - q, len(eta.prefix_edges) - p, 0)
+            calls[0] = 0
+            ctx.model_check(eta, gseq, k, zeta, depth=64, split=(p, q))
+            assert calls[0] <= base + period
+            # Without a split only the top split is walked, past every preperiod.
+            calls[0] = 0
+            ctx.model_check(eta, gseq, k, zeta, depth=64)
+            assert calls[0] <= period
+
+
+def test_model_check_without_split_on_bounded_input_walks_nothing(oracle_contexts):
+    rng = random.Random(47)
+    for base_ctx in oracle_contexts:
+        ctx, calls = counting_context(base_ctx)
+        for _ in range(20):
+            eta, lag, zeta = ctx.f_map(random_germ(rng, ctx, 3))
+            zeta = as_stream(zeta, rng.randint(1, 40))
+            calls[0] = 0
+            assert ctx.model_check(eta, lag.corona, lag.shift, zeta, depth=64) == ss.Tri("unknown", 64)
+            assert calls[0] == 0
+
+
+@pytest.fixture
+def exhausted_stream_germ(ctx, odo):
+    """A stream germ reparametrized over all five of its known letters."""
+    xi = ss.stream_path(odo.graph, [0, 1, 0, 1, 1])
+    u = ctx.make(vp(odo), 3, vp(odo), xi)
+    return ctx.reparametrize(u, 5, "beta")
+
+
+@pytest.mark.parametrize("operation", ["inverse", "range_point", "f_map"])
+def test_exhausted_stream_is_undecided(ctx, exhausted_stream_germ, operation):
+    with pytest.raises(DepthExceededError):
+        getattr(ctx, operation)(exhausted_stream_germ)
+
+
+def test_exhausted_stream_compose_is_undecided(ctx, odo, xi0, exhausted_stream_germ):
+    u = exhausted_stream_germ
+    left = ctx.unit(u.alpha, xi0)
+    with pytest.raises(DepthExceededError):
+        ctx.compose(left, u)
+
+
+def same_inf_path(a, b) -> bool:
+    if isinstance(a, ss.PeriodicPath) or isinstance(b, ss.PeriodicPath):
+        return a == b
+    return a.depth_limit == b.depth_limit and a.truncate(a.depth_limit) == b.truncate(b.depth_limit)
+
+
+def same_lag(a, b) -> bool:
+    if a.shift != b.shift or type(a.corona) is not type(b.corona):
+        return False
+    if isinstance(a.corona, ss.PeriodicSeq):
+        return a.corona == b.corona
+    return a.corona.values == b.corona.values
+
+
+def test_f_map_matches_separate_calls(bench_contexts):
+    rng = random.Random(53)
+    for ctx in bench_contexts:
+        for _ in range(60):
+            u = random_germ(rng, ctx, 3)
+            if rng.random() < 0.4:
+                u = ss.Germ(u.alpha, u.g, u.beta, as_stream(u.xi, rng.randint(1, 40)))
+            depth = rng.randint(1, 80)
+            fused = outcome(lambda: ctx.f_map(u, depth))
+            separate = outcome(lambda: (ctx.range_point(u, depth), ctx.lag(u, depth), ctx.source_point(u)))
+            if isinstance(fused, type):
+                assert fused is separate
+                continue
+            assert same_inf_path(fused[0], separate[0])
+            assert same_lag(fused[1], separate[1])
+            assert same_inf_path(fused[2], separate[2])
