@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .action import check_path_bound, check_residually_free, verify_axioms
@@ -232,6 +233,14 @@ _COMMANDS = {
 }
 
 
+# Each argparse parser reads a token as a positional when it matches its
+# (private) _negative_number_matcher; the default takes only plain negative
+# numbers, so a corona literal such as -1,0(0)* would be read as an unknown
+# option. No option here starts with a digit, so every token that starts
+# with "-" and a digit is a value.
+_NEGATIVE_LEADING = re.compile(r"^-\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selfsim", description="self-similar graph action calculator"
@@ -239,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, positionals, summary) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
+        p._negative_number_matcher = _NEGATIVE_LEADING
         p.add_argument("spec", help="spec file path")
         for pos in positionals:
             if pos == "alphas":
@@ -246,7 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 p.add_argument(pos)
         p.add_argument("--window", type=int, default=None, help="window radius")
-        p.add_argument("--bound", type=int, default=4, help="path length bound for sweeps")
+        p.add_argument(
+            "--bound",
+            type=int,
+            default=4,
+            help="path length bound, read by residual-free and e-star-unitary only"
+            " (hausdorff and the germ gate use only the edge sweep's verdict)",
+        )
         p.add_argument("--depth", type=int, default=None, help="depth for infinite computations")
         p.add_argument("--allow-unverified", action="store_true", dest="allow_unverified")
         if name == "model-check":

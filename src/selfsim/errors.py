@@ -20,7 +20,7 @@ class BackendMismatchError(SelfSimError):
 
 
 class SourceConditionError(SelfSimError):
-    """Triple (alpha, g, beta) violates d(alpha) = g d(beta)."""
+    """Triple (alpha, g, beta) violates d(alpha) = g d(beta), or the action breaks the laws behind it."""
 
 
 class NotIdempotentError(SelfSimError):

@@ -11,7 +11,7 @@ import pytest
 import selfsim as ss
 from selfsim.action import FreenessReport
 from selfsim.errors import NotIdempotentError
-from selfsim.semigroup import render
+from selfsim.semigroup import UnitaryReport, render
 from selfsim.specfile import load_spec_file, load_spec_text
 from selfsim.tri import DISTINCT, EQUAL, unknown
 
@@ -308,6 +308,43 @@ def pairwise_freeness(t, window, path_bound=4):
     else:
         kind = "unknown"
     return FreenessReport(kind, counterexample, tuple(sorted(set(failures))), tuple(undecided), len(window))
+
+
+def cube_e_star_unitary(t, window, path_bound=4):
+    """check_e_star_unitary as the full search it reduces, as an oracle.
+
+    Every s = (alpha, g, beta) with g in the window and paths of length <=
+    path_bound is multiplied against every idempotent e_gamma of the same
+    depth, looking for s e = e with s not idempotent: one Triple, one mul and
+    one element_eq per candidate.
+    """
+    window = list(window)
+    group = t.group
+    paths = ss.all_paths_upto(t.graph, path_bound)
+    undecided = False
+    for g in window:
+        for beta in paths:
+            alpha_source = t.act_vertex(g, beta.source_vertex)
+            for alpha in paths:
+                if alpha.source_vertex != alpha_source:
+                    continue
+                s = ss.Triple(alpha, g, beta)
+                if ss.is_idempotent(t, s):
+                    continue
+                if alpha == beta and group.is_identity(g).is_unknown:
+                    undecided = True
+                    continue
+                for gamma in paths:
+                    e = ss.unit_idempotent(t, gamma)
+                    prod = ss.mul(t, s, e)
+                    verdict = ss.element_eq(t, prod, e)
+                    if verdict.is_equal:
+                        return UnitaryReport("counterexample", (s, e), len(window))
+                    if verdict.is_unknown:
+                        undecided = True
+    if group.is_finite and len(window) >= len(list(group.elements())) and not undecided:
+        return UnitaryReport("holds", None, len(window))
+    return UnitaryReport("unknown", None, len(window))
 
 
 def _full_depth_conditions(t, eta, gseq, p, q, zeta, depth):

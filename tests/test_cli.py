@@ -234,3 +234,54 @@ def test_over_limit_is_refused_before_building(argv, capsys):
         tracemalloc.stop()
     assert code == 3
     assert peak < 1_000_000, f"peak {peak} bytes traced before the refusal"
+
+
+def test_negative_corona_literal_needs_no_separator(capsys):
+    head = ["model-check", ODOMETER, "e1(e0)*"]
+    tail = ["-1,0(0)*", "0", "(e0)*"]
+    assert main(head + ["--"] + tail) == 0
+    separated = capsys.readouterr().out.splitlines()
+    assert main(head + tail) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert plain[1:] == separated[1:] == ["passes"]
+    assert main(["act", ODOMETER, "-3", "e0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "e1 ; cocycle -2"
+
+
+def test_e_star_unitary_at_the_defaults_answers_at_once(capsys):
+    start = time.perf_counter()
+    code = main(["e-star-unitary", str(SPECS / "katsura_3_2.spec")])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "no counterexample in window of 9 elements (paths to length 4); unknown beyond window"
+    )
+    assert elapsed < 0.5, f"e-star-unitary on katsura_3_2 took {elapsed:.2f}s"
+
+
+# The element 1 fixes both vertices but sends the loop at u to the loop at w.
+SPLIT_LOOPS_SPEC = """\
+[graph]
+vertices = u w
+edge = a u u
+edge = b w w
+
+[group]
+kind = cayley
+elements = 0 1
+row = 0 1
+row = 1 0
+
+[action]
+edge = 1 a b 0
+edge = 1 b a 0
+"""
+
+
+def test_e_star_unitary_refuses_a_window_breaking_equivariance(tmp_path, capsys):
+    spec = tmp_path / "split_loops.spec"
+    spec.write_text(SPLIT_LOOPS_SPEC, encoding="utf-8")
+    code = main(["e-star-unitary", str(spec)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert lines[1:] == ["error: sigma_1(a) breaks range or source equivariance"]

@@ -9,13 +9,15 @@ import pytest
 import selfsim as ss
 from conftest import (
     cover_oracle,
+    cube_e_star_unitary,
     enumeration_cover,
     random_cover_case,
     source_vertex_triple,
     spec_triples,
 )
-from selfsim.errors import NotIdempotentError, SourceConditionError
+from selfsim.errors import CompositionError, NotIdempotentError, SourceConditionError
 from selfsim.semigroup import render
+from selfsim.tri import unknown
 
 
 def epath(t, *ids):
@@ -413,3 +415,228 @@ def test_e_star_unitary_trivial_group_holds():
     report = ss.check_e_star_unitary(t, [0], path_bound=3)
     assert report.kind == "holds"
     assert ss.check_residually_free(t, [0]).kind == "holds"
+
+
+def report_or_error(t, search, window, bound):
+    try:
+        return search(t, window, bound)
+    except Exception as err:
+        return err
+
+
+def spec_parity_grid(name):
+    """(radius, bound) pairs on which a spec's search is checked against the cube.
+
+    Radius 0-4 x bound 0-3, with bound 4 at radius 0-1, and katsura_3_2 only
+    at radius + bound <= 4 below bound 4: the cube costs up to |W|·|P|^3
+    products, and the full 5 x 5 grid (katsura_3_2 at radius + bound <= 5)
+    took about 74 s on a 2-vCPU machine.
+    """
+    if name == "katsura_3_2":
+        return [(r, b) for r in range(5) for b in range(4) if r + b <= 4]
+    return [(r, b) for r in range(5) for b in range(5) if b < 4 or r <= 1]
+
+
+@pytest.mark.parametrize("name,t", spec_triples(), ids=[name for name, _ in spec_triples()])
+def test_e_star_unitary_matches_cube_on_specs(name, t):
+    seen = set()  # a finite group's window is the whole group at every radius
+    for radius, bound in spec_parity_grid(name):
+        window = ss.default_window(t.group, radius)
+        if (tuple(window), bound) in seen:
+            continue
+        seen.add((tuple(window), bound))
+        expected = cube_e_star_unitary(t, window, bound)
+        assert ss.check_e_star_unitary(t, window, bound) == expected, (radius, bound)
+
+
+def cyclic_group(n):
+    return ss.FiniteGroup([str(i) for i in range(n)], [[(a + b) % n for b in range(n)] for a in range(n)])
+
+
+def power_of(perm, k):
+    result = tuple(range(len(perm)))
+    for _ in range(k):
+        result = tuple(perm[x] for x in result)
+    return result
+
+
+def random_finite_triple(rng):
+    """A seeded Cayley triple over Z/2 or Z/3 on one or two vertices.
+
+    Built to satisfy the axioms: the generator permutes the vertices (a swap
+    only over Z/2) and the edges compatibly, with order dividing n, and its
+    cocycle sums to 0 around every orbit of length n (1 on every edge under
+    the swap, so that sigma_phi(g, e) = sigma_g on vertices). Half the
+    triples then get one table entry changed at random (a no-op where
+    the entry has one possible value).
+    """
+    n = rng.choice([2, 3])
+    n_vertices = rng.choice([1, 2, 2])
+    n_edges = rng.randint(1, 3)
+    names = "uw"[:n_vertices]
+    edges = [(f"e{i}", rng.choice(names), rng.choice(names)) for i in range(n_edges)]
+    graph = ss.make_graph(list(names), edges)
+    swap = n == 2 and n_vertices == 2 and rng.random() < 0.5
+    pi = [1, 0] if swap else list(range(n_vertices))
+    sigmas = [
+        sigma
+        for sigma in itertools.permutations(range(n_edges))
+        if all(
+            (graph.range_of[sigma[e]], graph.source_of[sigma[e]]) == (pi[graph.range_of[e]], pi[graph.source_of[e]])
+            for e in graph.edges()
+        )
+        and power_of(sigma, n) == tuple(range(n_edges))
+    ]
+    if not sigmas:  # no edge permutation follows the swap
+        pi = list(range(n_vertices))
+        sigmas = [tuple(range(n_edges))]
+    sigma = rng.choice(sigmas)
+    if pi != list(range(n_vertices)):
+        c = [1] * n_edges
+    else:
+        c = [rng.randrange(n) for _ in range(n_edges)]
+        for e in graph.edges():
+            orbit = [power_of(sigma, i)[e] for i in range(n)]
+            if len(set(orbit)) == n and e == min(orbit):
+                c[orbit[-1]] = -sum(c[x] for x in orbit[:-1]) % n
+    vertex_table = [[power_of(pi, g)[v] for v in graph.vertices()] for g in range(n)]
+    edge_table = [list(power_of(sigma, g)) for g in range(n)]
+    cocycle_table = [
+        [sum(c[power_of(sigma, i)[e]] for i in range(g)) % n for e in graph.edges()] for g in range(n)
+    ]
+    if rng.random() < 0.5:
+        table, size, values = rng.choice(
+            [(vertex_table, n_vertices, n_vertices), (edge_table, n_edges, n_edges)] * 2
+            + [(cocycle_table, n_edges, n)]
+        )
+        row, col = rng.randrange(n), rng.randrange(size)
+        if values > 1:
+            table[row][col] = (table[row][col] + rng.randrange(1, values)) % values
+    group = cyclic_group(n)
+    return ss.finite_triple(graph, group, vertex_table, edge_table, cocycle_table)
+
+
+def test_e_star_unitary_matches_cube_on_random_triples():
+    rng = random.Random("e-star-random")
+    outcomes = Counter()
+    for _ in range(1000):
+        t = random_finite_triple(rng)
+        window = list(t.group.elements()) if rng.random() < 0.7 else [0]
+        bound = rng.randint(0, 2)
+        expected = report_or_error(t, cube_e_star_unitary, window, bound)
+        got = report_or_error(t, ss.check_e_star_unitary, window, bound)
+        axioms_ok = ss.verify_axioms(t, window).ok
+        if isinstance(expected, Exception):
+            assert isinstance(got, SourceConditionError), (expected, got)
+            outcomes["cube raised"] += 1
+        elif isinstance(got, SourceConditionError):
+            assert not axioms_ok
+            outcomes["refused past the cube"] += 1
+        else:
+            # Wherever the search answers, it answers as the cube does.
+            assert got == expected
+            outcomes[("axioms ok" if axioms_ok else "axioms broken", expected.kind)] += 1
+        if axioms_ok:
+            assert not isinstance(got, Exception)
+    assert sum(outcomes.values()) == 1000
+    for kind in ["holds", "counterexample", "unknown"]:
+        assert outcomes[("axioms ok", kind)] >= 100, outcomes
+    assert outcomes["cube raised"] >= 50, outcomes
+
+
+def two_loop_triple(vertex_table, edge_table, cocycle_table=None, group=None):
+    """Z/2 (or the given group) on loops a at u and b at w, trivial cocycle by default."""
+    graph = ss.make_graph(["u", "w"], [("a", "u", "u"), ("b", "w", "w")])
+    group = group or cyclic_group(2)
+    cocycle_table = cocycle_table or [[0, 0] for _ in vertex_table]
+    return ss.finite_triple(graph, group, vertex_table, edge_table, cocycle_table)
+
+
+def test_e_star_unitary_refuses_an_identity_moving_a_vertex():
+    # Both elements swap u and w, and the loops with them.
+    t = two_loop_triple([[1, 0], [1, 0]], [[1, 0], [1, 0]])
+    with pytest.raises(SourceConditionError, match="identity moves vertex u"):
+        ss.check_e_star_unitary(t, [0, 1], 2)
+    with pytest.raises(SourceConditionError):  # the cube fails inside unit_idempotent
+        cube_e_star_unitary(t, [0, 1], 2)
+
+
+def test_e_star_unitary_refuses_a_step_breaking_range_equivariance():
+    # 1 fixes both vertices but sends the loop at u to the loop at w.
+    t = two_loop_triple([[0, 1], [0, 1]], [[0, 1], [1, 0]])
+    with pytest.raises(SourceConditionError, match=r"sigma_1\(a\) breaks range or source equivariance"):
+        ss.check_e_star_unitary(t, [0, 1], 2)
+    with pytest.raises(CompositionError):  # the cube fails inside concat
+        cube_e_star_unitary(t, [0, 1], 2)
+
+
+def test_e_star_unitary_refuses_a_step_breaking_source_equivariance():
+    # 1 fixes both vertices but swaps x (from u) with y (from w), both into u.
+    graph = ss.make_graph(["u", "w"], [("x", "u", "u"), ("y", "u", "w"), ("z", "w", "w")])
+    t = ss.finite_triple(graph, cyclic_group(2), [[0, 1], [0, 1]], [[0, 1, 2], [1, 0, 2]], [[0] * 3] * 2)
+    with pytest.raises(SourceConditionError, match=r"sigma_1\(x\) breaks range or source equivariance"):
+        ss.check_e_star_unitary(t, [0, 1], 2)
+
+
+class BlindGroup(ss.FiniteGroup):
+    """A finite group that cannot decide whether one element is the identity."""
+
+    def __init__(self, n, blind):
+        super().__init__([str(i) for i in range(n)], [[(a + b) % n for b in range(n)] for a in range(n)])
+        self.blind = blind
+
+    def eq(self, a, b, depth=None):
+        if {a, b} == {self.blind, 0}:
+            return unknown(1)
+        return super().eq(a, b, depth)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        # Whether the element 1, which fixes both vertices, is the identity is undecided.
+        two_loop_triple([[0, 1], [0, 1]], [[0, 1], [0, 1]], group=BlindGroup(2, 1)),
+        # 1 fixes a with cocycle 2, which is undecided; 2 fixes no vertex.
+        two_loop_triple(
+            [[0, 1], [0, 1], [1, 0]], [[0, 1], [0, 1], [1, 0]], [[0, 0], [2, 1], [0, 0]], group=BlindGroup(3, 2)
+        ),
+    ],
+    ids=["element", "cocycle"],
+)
+def test_e_star_unitary_undecided_comparison_blocks_holds(t):
+    window = list(t.group.elements())
+    report = ss.check_e_star_unitary(t, window, 1)
+    assert report == cube_e_star_unitary(t, window, 1)
+    assert report.kind == "unknown"
+
+
+def count_path_actions(t, monkeypatch):
+    """Wrap t.act_path with a call counter; returns a one-element list holding the count."""
+    calls = [0]
+    act_path = t.act_path
+
+    def counting(g, a):
+        calls[0] += 1
+        return act_path(g, a)
+
+    monkeypatch.setattr(t, "act_path", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name,t", spec_triples(), ids=[name for name, _ in spec_triples()])
+def test_e_star_unitary_costs_one_action_per_element_and_path(name, t, monkeypatch):
+    window = ss.default_window(t.group, 4)
+    paths = ss.all_paths_upto(t.graph, 4)
+    calls = count_path_actions(t, monkeypatch)
+    ss.check_e_star_unitary(t, window, 4)
+    assert calls[0] <= len(window) * len(paths)
+
+
+def test_e_star_unitary_acts_only_at_fixed_vertices(monkeypatch):
+    # 1 swaps u and w: no (v, 1, v) exists, so no path is acted on.
+    t = two_loop_triple([[0, 1], [1, 0]], [[0, 1], [1, 0]])
+    calls = count_path_actions(t, monkeypatch)
+    report = ss.check_e_star_unitary(t, [0, 1], 3)
+    assert calls[0] == 0
+    assert report == cube_e_star_unitary(t, [0, 1], 3)
+    assert report.kind == "holds"
