@@ -190,11 +190,12 @@ def _check_window(t: SelfSimilarTriple, window: Sequence) -> list:
     if not window:
         raise ValueError("window must not be empty")
     group = t.group
-    if not any(group.eq(g, group.identity()).is_equal for g in window):
+    ident = group.identity()  # a literal member is equal at once
+    if ident not in window and not any(group.eq(g, ident).is_equal for g in window):
         raise ValueError("window must contain the identity")
     for g in window:
         ginv = group.inv(g)
-        if not any(group.eq(ginv, h).is_equal for h in window):
+        if ginv not in window and not any(group.eq(ginv, h).is_equal for h in window):
             raise ValueError("window must be closed under inverses")
     return window
 
@@ -358,12 +359,14 @@ def check_residually_free(
     window = _check_window(t, window)
     group = t.group
     graph = t.graph
-    nontrivial = [g for g in window if not group.is_identity(g).is_equal]
+    # One identity test per element: an undecided one may spend a comparison budget.
+    g_is_ids = [group.is_identity(g) for g in window]
     undecided: list[str] = []
     counterexample = None
 
-    for g in nontrivial:
-        g_is_id = group.is_identity(g)
+    for g, g_is_id in zip(window, g_is_ids):
+        if g_is_id.is_equal:
+            continue
         for e in graph.edges():
             image, coc = t.step(g, e)
             if image != e:
@@ -385,7 +388,7 @@ def check_residually_free(
     if counterexample is None:
         paths = all_paths_upto(graph, path_bound)
         # Path-freeness applies to the elements that are definitely not 1.
-        surely_nontrivial = [group.is_identity(g).is_distinct for g in window]
+        surely_nontrivial = [g_is_id.is_distinct for g_is_id in g_is_ids]
         for a in paths:
             # Act once per element; only elements with one image can agree on a.
             by_image: dict = {}

@@ -233,6 +233,9 @@ _COMMANDS = {
 }
 
 
+# The commands that sweep paths and so take --bound.
+_PATH_SWEEPS = ("residual-free", "e-star-unitary")
+
 # Each argparse parser reads a token as a positional when it matches its
 # (private) _negative_number_matcher; the default takes only plain negative
 # numbers, so a corona literal such as -1,0(0)* would be read as an unknown
@@ -256,13 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 p.add_argument(pos)
         p.add_argument("--window", type=int, default=None, help="window radius")
-        p.add_argument(
-            "--bound",
-            type=int,
-            default=4,
-            help="path length bound, read by residual-free and e-star-unitary only"
-            " (hausdorff and the germ gate use only the edge sweep's verdict)",
-        )
+        if name in _PATH_SWEEPS:
+            p.add_argument("--bound", type=int, default=4, help="path length bound")
         p.add_argument("--depth", type=int, default=None, help="depth for infinite computations")
         p.add_argument("--allow-unverified", action="store_true", dest="allow_unverified")
         if name == "model-check":
@@ -297,11 +295,13 @@ def main(argv=None) -> int:
             args.depth = default_depth()
         _at_least("--window", args.window, 0)
         _at_least("--depth", args.depth, 1)
-        _at_least("--bound", args.bound, 0)
+        if args.command in _PATH_SWEEPS:
+            _at_least("--bound", args.bound, 0)
         triple = load_spec_file(args.spec).triple
-        # Oversize limits are refused for every command, before anything is built.
+        # Oversize limits are refused before anything is built.
         check_window_radius(triple.group, args.window)
-        check_path_bound(triple.graph, args.bound)
+        if args.command in _PATH_SWEEPS:
+            check_path_bound(triple.graph, args.bound)
         code = handler(triple, args, out)
     except (UndecidedError, DepthExceededError) as err:
         out(f"undecided: {err}")
@@ -315,7 +315,11 @@ def main(argv=None) -> int:
     except ValueError as err:
         out(f"error: {err}")
         code = INPUT_ERROR
-    print("\n".join(lines))
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # The reader left; keep the exit code, and silence the flush at shutdown.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -65,7 +65,7 @@ class HausdorffReport:
 
 def hausdorff_report(t: SelfSimilarTriple, window) -> HausdorffReport:
     """Freeness implies a Hausdorff germ groupoid; the converse is not claimed."""
-    fr = check_residually_free(t, window)
+    fr = check_residually_free(t, window, path_bound=0)  # only the edge verdict is read
     if fr.found_counterexample:
         return HausdorffReport("not-implied", fr)
     return HausdorffReport("hausdorff", fr)
@@ -91,7 +91,7 @@ class GermContext:
             window = default_window(triple.group, window_radius)
         self.window = list(window)
         self.depth = self._depth(depth)
-        self.freeness = check_residually_free(triple, self.window)
+        self.freeness = check_residually_free(triple, self.window, path_bound=0)  # edge verdict only
         if self.freeness.found_counterexample and not allow_unverified:
             g, e = self.freeness.counterexample
             raise FreenessNotVerifiedError(
@@ -159,7 +159,7 @@ class GermContext:
         img, coc = self.triple.act_path(u1.g, gamma)
         if u2.alpha != concat(u1.alpha, img):
             return DISTINCT
-        return all_of(tails, self.triple.group.eq(u2.g, coc, depth))
+        return all_of(tails, self.triple.group.eq(u2.g, coc))
 
     def reparametrize(self, u: Germ, n: int, side: str = "beta") -> Germ:
         """Equal germ whose alpha (or beta) component has length n >= current.

@@ -3,8 +3,9 @@
 Three backends: the integers under addition, finite groups given by a Cayley
 table, and automaton groups whose elements are reduced words over the
 generators. The first two decide equality exactly; automaton words are
-compared through the action they induce on letter sequences, which yields a
-three-valued answer.
+compared through the action they induce on letter sequences, walked to
+closure, which is exact on a faithful automaton unless the walk outgrows
+its budget.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from typing import Sequence
 from .errors import BackendMismatchError, NonBijectiveOutputError
 from .tri import Tri, DISTINCT, EQUAL, from_bool, unknown
 
-DEFAULT_EQ_DEPTH = 32
-
-# The most elements a window, or paths a path family, may hold. Far above
-# every shipped default (9 window elements at radius 4, 121 paths to length 4
-# on three loops), far below what exhausts memory.
+# The most elements a window, or paths a path family, may hold, and the
+# budget of an automaton word comparison. Far above every shipped default (9
+# window elements at radius 4, 121 paths to length 4 on three loops), far
+# below what exhausts memory.
 MAX_ENUMERATION = 100_000
 
 
@@ -38,7 +38,7 @@ class GroupBackend:
     def inv(self, a):
         raise NotImplementedError
 
-    def eq(self, a, b, depth: int | None = None) -> Tri:
+    def eq(self, a, b) -> Tri:
         raise NotImplementedError
 
     def contains(self, x) -> bool:
@@ -49,8 +49,8 @@ class GroupBackend:
             raise BackendMismatchError(f"{x!r} is not an element of {self}")
         return x
 
-    def is_identity(self, x, depth: int | None = None) -> Tri:
-        return self.eq(x, self.identity(), depth)
+    def is_identity(self, x) -> Tri:
+        return self.eq(x, self.identity())
 
     def render(self, x) -> str:
         raise NotImplementedError
@@ -82,7 +82,7 @@ class IntegerGroup(GroupBackend):
     def inv(self, a: int) -> int:
         return -self.check(a)
 
-    def eq(self, a, b, depth=None) -> Tri:
+    def eq(self, a, b) -> Tri:
         return from_bool(self.check(a) == self.check(b))
 
     def contains(self, x) -> bool:
@@ -175,7 +175,7 @@ class FiniteGroup(GroupBackend):
     def inv(self, a: int) -> int:
         return self._inverse[self.check(a)]
 
-    def eq(self, a, b, depth=None) -> Tri:
+    def eq(self, a, b) -> Tri:
         return from_bool(self.check(a) == self.check(b))
 
     def contains(self, x) -> bool:
@@ -220,10 +220,10 @@ class AutomatonGroup(GroupBackend):
 
     Each state (generator) permutes the letter alphabet and restricts to a
     word at every letter. Words act on letter sequences by the usual wreath
-    recursion; equality is decided by comparing induced actions on all finite
-    sequences up to a depth, so it is three-valued: a mismatch certifies
-    distinctness, while agreement certifies equality only when the backend is
-    flagged faithful to that depth.
+    recursion; equality compares the induced actions on all finite sequences,
+    so it is three-valued: a mismatch certifies distinctness, while agreement
+    everywhere certifies equality only when the backend is flagged faithful
+    (words that act alike are equal).
     """
 
     def __init__(
@@ -233,17 +233,16 @@ class AutomatonGroup(GroupBackend):
         outputs: Sequence[Sequence[int]],
         restrictions: Sequence[Sequence[Sequence[int]]],
         faithful_to_depth: bool = False,
-        default_depth: int = DEFAULT_EQ_DEPTH,
     ):
         self.generator_names = tuple(generator_names)
         self.n_letters = n_letters
         self.outputs = tuple(tuple(row) for row in outputs)
         self.restrictions = tuple(tuple(reduce_word(w) for w in rows) for rows in restrictions)
         self.faithful_to_depth = faithful_to_depth
-        self.default_depth = default_depth
         if len(self.outputs) != len(self.generator_names) or len(self.restrictions) != len(self.generator_names):
             raise ValueError("outputs/restrictions must cover every generator")
-        self._inv_outputs = []
+        # (image letter, restriction word) of each signed generator at each letter.
+        self._moves: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
         for g, row in enumerate(self.outputs):
             if sorted(row) != list(range(n_letters)):
                 raise NonBijectiveOutputError(
@@ -252,8 +251,8 @@ class AutomatonGroup(GroupBackend):
             inv = [0] * n_letters
             for x, y in enumerate(row):
                 inv[y] = x
-            self._inv_outputs.append(tuple(inv))
-        self._inv_outputs = tuple(self._inv_outputs)
+            self._moves[g + 1] = tuple(zip(row, self.restrictions[g]))
+            self._moves[-g - 1] = tuple((pre, invert_word(self.restrictions[g][pre])) for pre in inv)
 
     def identity(self) -> tuple[int, ...]:
         return ()
@@ -273,48 +272,39 @@ class AutomatonGroup(GroupBackend):
     def generator(self, index: int) -> tuple[int, ...]:
         return (index + 1,)
 
-    def _letter_step(self, sym: int, letter: int) -> tuple[int, tuple[int, ...]]:
-        """Image letter and restriction word of a single signed generator."""
-        if sym > 0:
-            g = sym - 1
-            return self.outputs[g][letter], self.restrictions[g][letter]
-        g = -sym - 1
-        pre = self._inv_outputs[g][letter]
-        return pre, invert_word(self.restrictions[g][pre])
-
     def step(self, word, letter: int) -> tuple[int, tuple[int, ...]]:
         """Act on one letter: returns (image letter, restriction word).
 
         The word acts as the composite of its generators, rightmost first;
-        restrictions compose by the cocycle rule.
+        restrictions compose by the cocycle rule. Each restriction is reduced,
+        so prepending one cancels only at the junction: the restriction is
+        kept reversed on a stack, in time linear in the letters pushed.
         """
         img = letter
-        rest: tuple[int, ...] = ()
+        stack: list[int] = []
+        moves = self._moves
         for sym in reversed(word):
-            img, r = self._letter_step(sym, img)
-            rest = reduce_word(r + rest)
-        return img, rest
+            img, r = moves[sym][img]
+            for s in reversed(r):
+                if stack and stack[-1] == -s:
+                    stack.pop()
+                else:
+                    stack.append(s)
+        return img, tuple(reversed(stack))
 
-    def act_letters(self, word, letters: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Image sequence and final restriction of the word acting on a letter sequence."""
-        out = []
-        state = reduce_word(word)
-        for letter in letters:
-            img, state = self.step(state, letter)
-            out.append(img)
-        return tuple(out), state
-
-    def eq(self, a, b, depth: int | None = None) -> Tri:
+    def eq(self, a, b) -> Tri:
         a = self.check(a)
         b = self.check(b)
         if a == b:
             return EQUAL
-        depth = self.default_depth if depth is None else depth
-        # Breadth-first comparison of the two actions along the letter tree,
-        # closing branches whose restriction pair has been seen before.
+        # Breadth-first walk of the restriction pairs, each pair once. Reduced
+        # words restrict to words no longer than themselves, so the walk
+        # closes; it gives up only when the pairs and their letters pass the budget.
         seen = {(a, b)}
+        spent = 1 + len(a) + len(b)
         frontier = [(a, b)]
-        for _ in range(depth):
+        levels = 0
+        while frontier:
             nxt = []
             for u, v in frontier:
                 for letter in range(self.n_letters):
@@ -324,12 +314,14 @@ class AutomatonGroup(GroupBackend):
                         return DISTINCT
                     if ru != rv and (ru, rv) not in seen:
                         seen.add((ru, rv))
+                        spent += 1 + len(ru) + len(rv)
+                        if spent > MAX_ENUMERATION:
+                            return unknown(levels)
                         nxt.append((ru, rv))
-            if not nxt:
-                # Actions provably agree on all finite sequences.
-                return EQUAL if self.faithful_to_depth else unknown(depth)
             frontier = nxt
-        return EQUAL if self.faithful_to_depth else unknown(depth)
+            levels += 1
+        # Closed: the actions agree on every finite sequence.
+        return EQUAL if self.faithful_to_depth else unknown(levels)
 
     def render(self, x) -> str:
         if not x:

@@ -82,13 +82,13 @@ def mul(t: SelfSimilarTriple, s: SemigroupElement, u: SemigroupElement) -> Semig
     return Triple(concat(s.alpha, img), group.mul(coc, u.g), u.beta)
 
 
-def element_eq(t: SelfSimilarTriple, s: SemigroupElement, u: SemigroupElement, depth: int | None = None) -> Tri:
+def element_eq(t: SelfSimilarTriple, s: SemigroupElement, u: SemigroupElement) -> Tri:
     """Equality of semigroup elements; tri-state via the group backend."""
     if isinstance(s, Zero) or isinstance(u, Zero):
         return from_bool(isinstance(s, Zero) and isinstance(u, Zero))
     if s.alpha != u.alpha or s.beta != u.beta:
         return DISTINCT
-    return t.group.eq(s.g, u.g, depth)
+    return t.group.eq(s.g, u.g)
 
 
 def is_idempotent(t: SelfSimilarTriple, s: SemigroupElement) -> bool:

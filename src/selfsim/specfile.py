@@ -78,11 +78,8 @@ def parse_path(graph: Graph, text: str) -> Path:
     return edge_path(graph, edges)
 
 
-def parse_inf_path(graph: Graph, text: str) -> InfPath:
-    """Eventually periodic literal prefix(cycle)*."""
-    text = text.strip()
-    if not text.endswith(")*"):
-        raise SpecFileError(f"infinite path literal must end in ')*': {text!r}")
+def _split_cycle(text: str) -> tuple[str, str] | None:
+    """(prefix, cycle) of a literal `prefix(cycle)*` ending in ')*', or None when malformed."""
     body = text[:-2]
     depth = 0
     start = None
@@ -94,9 +91,19 @@ def parse_inf_path(graph: Graph, text: str) -> InfPath:
         elif ch == ")":
             depth -= 1
     if start is None or depth != 1:
+        return None
+    return body[:start], body[start + 1 :]
+
+
+def parse_inf_path(graph: Graph, text: str) -> InfPath:
+    """Eventually periodic literal prefix(cycle)*."""
+    text = text.strip()
+    if not text.endswith(")*"):
+        raise SpecFileError(f"infinite path literal must end in ')*': {text!r}")
+    parts = _split_cycle(text)
+    if parts is None:
         raise SpecFileError(f"malformed infinite path literal: {text!r}")
-    prefix_text = body[:start]
-    cycle_text = body[start + 1 :]
+    prefix_text, cycle_text = parts
     prefix = parse_path(graph, prefix_text).edges if prefix_text else ()
     cycle = parse_path(graph, cycle_text)
     if cycle.is_vertex:
@@ -142,20 +149,10 @@ def parse_corona(backend: GroupBackend, text: str) -> CoronaSeq:
         return tuple(backend.parse(p.strip()) for p in split_top(chunk, ","))
 
     if text.endswith(")*"):
-        body = text[:-2]
-        depth = 0
-        start = None
-        for i, ch in enumerate(body):
-            if ch == "(":
-                if depth == 0:
-                    start = i
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-        if start is None or depth != 1:
+        parts = _split_cycle(text)
+        if parts is None:
             raise SpecFileError(f"malformed corona literal: {text!r}")
-        prefix = entries(body[:start])
-        cycle = entries(body[start + 1 :])
+        prefix, cycle = map(entries, parts)
         if not cycle:
             raise SpecFileError("corona cycle part must be nonempty")
         return PeriodicSeq.make(backend, prefix, cycle)

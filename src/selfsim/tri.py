@@ -10,8 +10,9 @@ class Tri:
     """Outcome of an equality test: equal, distinct, or unknown at some depth.
 
     Exact backends (integers, Cayley tables) only ever produce equal/distinct.
-    Depth-bounded backends (free automaton words, stream paths) may answer
-    unknown, carrying the depth to which the comparison was pushed.
+    Automaton words answer unknown when the automaton is not flagged faithful
+    or their comparison spends its budget, stream paths past their known
+    depth; unknown carries the depth to which the comparison was pushed.
     """
 
     verdict: str  # "equal" | "distinct" | "unknown"

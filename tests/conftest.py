@@ -11,11 +11,14 @@ import pytest
 import selfsim as ss
 from selfsim.action import FreenessReport
 from selfsim.errors import NotIdempotentError
+from selfsim.groups import invert_word, reduce_word
 from selfsim.semigroup import UnitaryReport, render
 from selfsim.specfile import load_spec_file, load_spec_text
 from selfsim.tri import DISTINCT, EQUAL, unknown
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+# Specs that only the tests load (the cli benchmark loads every spec in specs/).
+TEST_SPECS = Path(__file__).resolve().parent / "specs"
 
 # Vertex b receives no edge (a source), so the path y from a stops there.
 SOURCE_VERTEX_SPEC = """\
@@ -42,6 +45,37 @@ map = a 1 0 a
 map = b 0 1 1
 map = b 1 0 b
 """
+
+
+# Three states whose restrictions hold inverse letters, so the stack step
+# cancels at the junction of nonempty words.
+INVERSE_LETTER_SPEC = """\
+[automaton]
+alphabet = 0 1 2
+map = x 0 1 y.z'
+map = x 1 2 1
+map = x 2 0 x'.y
+map = y 0 0 z.z
+map = y 1 2 x
+map = y 2 1 y'.x'
+map = z 0 2 x.y'
+map = z 1 1 z'
+map = z 2 0 1
+"""
+
+
+def fold_step(group, word, letter):
+    """AutomatonGroup.step as the old fold: re-reduce the whole restriction per generator."""
+    img, rest = letter, ()
+    for sym in reversed(word):
+        g = abs(sym) - 1
+        if sym > 0:
+            img, r = group.outputs[g][img], group.restrictions[g][img]
+        else:
+            img = group.outputs[g].index(img)
+            r = invert_word(group.restrictions[g][img])
+        rest = reduce_word(r + rest)
+    return img, rest
 
 
 def labeled_odometer():

@@ -1,12 +1,15 @@
 """CLI behavior: golden-file output comparison and the exit-code contract."""
 
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from conftest import SOURCE_VERTEX_SPEC
+from conftest import SOURCE_VERTEX_SPEC, TEST_SPECS
 from selfsim.cli import main
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -285,3 +288,83 @@ def test_e_star_unitary_refuses_a_window_breaking_equivariance(tmp_path, capsys)
     lines = capsys.readouterr().out.splitlines()
     assert code == 3
     assert lines[1:] == ["error: sigma_1(a) breaks range or source equivariance"]
+
+
+MACHINE = str(SPECS / "adding_machine.spec")
+
+
+@pytest.mark.parametrize("depth", range(1, 65))
+def test_germ_eq_on_a_nontrivial_power_is_distinct_at_every_depth(depth, capsys):
+    argv = ["germ-eq", MACHINE, "@v,a.a.a.a,@v;(0)*", "@v,1,@v;(0)*", "--depth", str(depth)]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["distinct"]
+
+
+def test_germ_eq_on_power_2048_is_distinct(capsys):
+    word = ".".join(["a"] * 2048)
+    assert main(["germ-eq", MACHINE, f"@v,{word},@v;(0)*", "@v,1,@v;(0)*"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["distinct"]
+
+
+@pytest.mark.parametrize(
+    "word,n,code",
+    [("a", 2, 0), ("b.c.d", 1, 0), ("a.d", 4, 0), ("a.b", 16, 0), ("a.c", 8, 0),
+     ("a.d", 2, 1), ("a.b", 8, 1), ("a.c", 4, 1)],
+)
+def test_grigorchuk_relations_through_germ_eq(word, n, code, capsys):
+    # Window 0 holds only the identity, so the freeness gate passes; with
+    # equal points the germs are equal exactly when the group elements are.
+    power = ".".join([word] * n)
+    argv = ["germ-eq", str(TEST_SPECS / "grigorchuk.spec"), f"@v,{power},@v;(0)*", "@v,1,@v;(0)*",
+            "--window", "0"]
+    assert main(argv) == code
+    assert capsys.readouterr().out.splitlines()[1:] == [["equal", "distinct"][code]]
+
+
+def test_chain_sweeps_find_no_false_counterexample(capsys):
+    chain = str(TEST_SPECS / "chain40.spec")
+    # t fixes letter 0 with restriction s1, and s1 != 1 shows only at level 40.
+    assert main(["residual-free", chain, "--window", "1", "--bound", "0"]) == 2
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "no counterexample in window of 83 elements; unknown beyond window"
+    ]
+    assert main(["e-star-unitary", chain, "--window", "1", "--bound", "1"]) == 2
+
+
+def test_sweep_on_a_walk_that_never_closes_ends_at_the_budget(capsys):
+    start = time.perf_counter()
+    code = main(["residual-free", str(TEST_SPECS / "doubling.spec"), "--window", "1", "--bound", "0"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr().out.splitlines()[-1].endswith("unknown beyond window")
+    assert elapsed < 10.0, f"residual-free on the doubling automaton took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hausdorff", ODOMETER, "--bound", "3"],
+        ["germ-eq", ODOMETER, "@v,1,@v;(e0)*", "e1,0,e0;(e0)*", "--bound", "1"],
+        ["validate", ODOMETER, "--bound", "0"],
+    ],
+    ids=["hausdorff", "germ_eq", "validate"],
+)
+def test_bound_is_refused_where_no_path_sweep_reads_it(argv, capsys):
+    assert main(argv) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_closed_stdout_keeps_the_exit_code():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "selfsim.cli", "act", ODOMETER, "1", "e0.e0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    # The reader goes away before the command writes a byte.
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=30) == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -123,3 +123,26 @@ def test_cli_grammar_fuzz(argv):
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in output
     assert _run(argv) == (code, output), argv
+
+
+def _bound_where_read(argv):
+    """argv without its --bound flag unless the command sweeps paths (only those take it)."""
+    if argv[0] in ("residual-free", "e-star-unitary"):
+        return argv
+    i = argv.index("--bound")
+    return argv[:i] + argv[i + 2 :]
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(argvs().map(_bound_where_read))
+def test_cli_grammar_fuzz_with_bound_only_on_path_sweeps(argv):
+    code, output = _run(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in output
+    assert _run(argv) == (code, output), argv

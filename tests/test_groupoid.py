@@ -364,6 +364,47 @@ def test_hausdorff_reports(odo, kat20, swap2):
     assert fin.kind == "hausdorff" and fin.freeness.kind == "holds"
 
 
+def _edge_path_actions(t, monkeypatch):
+    """Wrap t.act_path; returns a list that counts the calls on paths holding an edge."""
+    calls = [0]
+    act_path = t.act_path
+
+    def counting(g, a):
+        calls[0] += len(a) > 0
+        return act_path(g, a)
+
+    monkeypatch.setattr(t, "act_path", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.spec")))
+def test_germ_gate_and_hausdorff_sweep_no_paths(name, monkeypatch):
+    # Both read only the edge sweep's verdict, so no path holding an edge is acted on.
+    t = load_spec_file(str(SPECS / f"{name}.spec")).triple
+    calls = _edge_path_actions(t, monkeypatch)
+    window = ss.default_window(t.group, 4)
+    ctx = ss.GermContext(t, window=window, allow_unverified=True)
+    report = ss.hausdorff_report(t, window)
+    assert calls[0] == 0
+    assert ctx.freeness.kind == report.freeness.kind == ss.check_residually_free(t, window).kind
+
+
+def test_germ_eq_on_adding_machine_powers_is_exact_at_every_depth(machine):
+    ctx = ss.GermContext(machine, window=ss.default_window(machine.group, 2))
+    point = ss.periodic_path(machine.graph, [], [0])
+    vertex = ss.vertex_path(machine.graph, 0)
+    rng = random.Random(11)
+
+    def germ(n):
+        return ctx.make(vertex, (1,) * n if n >= 0 else (-1,) * -n, vertex, point)
+
+    for _ in range(12):
+        n, m = rng.randint(-200, 200), rng.randint(-200, 200)
+        for depth in range(1, 65):
+            assert ctx.germ_eq(germ(n), germ(m), depth).is_distinct == (n != m)
+            assert ctx.germ_eq(germ(n), germ(n), depth).is_equal
+
+
 # -- fast paths against their oracles -------------------------------------------
 
 

@@ -1,13 +1,18 @@
 """Group backend behavior: exact backends, Cayley validation, word equality."""
 
+import inspect
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 import selfsim as ss
+from conftest import INVERSE_LETTER_SPEC, TEST_SPECS, fold_step
 from selfsim.errors import BackendMismatchError, NonBijectiveOutputError
 from selfsim.groups import MAX_ENUMERATION, reduce_word, invert_word
+from selfsim.specfile import load_spec_file, load_spec_text
 
 
 def test_integer_ops():
@@ -81,7 +86,7 @@ def machine_group(machine):
 def test_word_ops(machine_group):
     a = machine_group.generator(0)
     assert machine_group.mul(a, machine_group.inv(a)) == ()
-    assert machine_group.eq(machine_group.mul(a, machine_group.inv(a)), (), depth=8).is_equal
+    assert machine_group.eq(machine_group.mul(a, machine_group.inv(a)), ()).is_equal
     assert machine_group.render(machine_group.mul(a, a)) == "a.a"
     assert machine_group.parse("a.a'") == ()
     assert machine_group.parse("1") == ()
@@ -91,18 +96,18 @@ def test_word_action_equality(machine_group):
     g = machine_group
     a = g.generator(0)
     # a * a^-1 reduces to the identity word; a vs a.a act differently at depth 1
-    assert g.eq(a, g.mul(g.mul(a, a), g.inv(a)), depth=8).is_equal
-    assert g.eq(a, g.mul(a, a), depth=8).is_distinct
+    assert g.eq(a, g.mul(g.mul(a, a), g.inv(a))).is_equal
+    assert g.eq(a, g.mul(a, a)).is_distinct
 
 
 def test_word_equality_unknown_without_faithful_flag():
     # Trivial automaton: the generator acts as the identity everywhere, but
     # the word stays distinct from the empty word without the faithful flag.
     g = ss.AutomatonGroup(["t"], 2, [[0, 1]], [[(), ()]], faithful_to_depth=False)
-    verdict = g.eq(g.generator(0), (), depth=8)
+    verdict = g.eq(g.generator(0), ())
     assert verdict.is_unknown
     faithful = ss.AutomatonGroup(["t"], 2, [[0, 1]], [[(), ()]], faithful_to_depth=True)
-    assert faithful.eq(faithful.generator(0), (), depth=8).is_equal
+    assert faithful.eq(faithful.generator(0), ()).is_equal
 
 
 def test_non_bijective_output_rejected():
@@ -118,13 +123,13 @@ def test_group_laws_sampled(odo, swap2, machine):
     ):
         g = triple.group
         for a in window:
-            assert g.eq(g.mul(a, g.identity()), a, depth=8).is_equal
-            assert g.eq(g.mul(a, g.inv(a)), g.identity(), depth=8).is_equal
+            assert g.eq(g.mul(a, g.identity()), a).is_equal
+            assert g.eq(g.mul(a, g.inv(a)), g.identity()).is_equal
             for b in window:
                 for c in window:
                     lhs = g.mul(g.mul(a, b), c)
                     rhs = g.mul(a, g.mul(b, c))
-                    assert g.eq(lhs, rhs, depth=8).is_equal
+                    assert g.eq(lhs, rhs).is_equal
 
 
 def test_default_window_shape(odo, swap2, machine):
@@ -159,3 +164,109 @@ def test_window_refuses_oversize_before_building():
     assert len(ss.IntegerGroup().window(49999)) == 99999
     with pytest.raises(ValueError, match="radius 50000 "):
         ss.IntegerGroup().window(50000)
+
+
+def test_equality_takes_no_depth():
+    for method in (
+        ss.GroupBackend.eq,
+        ss.GroupBackend.is_identity,
+        ss.IntegerGroup.eq,
+        ss.FiniteGroup.eq,
+        ss.AutomatonGroup.eq,
+        ss.element_eq,
+    ):
+        assert "depth" not in inspect.signature(method).parameters, method
+
+
+def _test_group(name):
+    return load_spec_file(str(TEST_SPECS / f"{name}.spec")).triple.group
+
+
+def test_step_matches_the_fold(machine_group):
+    rng = random.Random(61)
+    inverse_letters = load_spec_text(INVERSE_LETTER_SPEC).triple.group
+    for group in (machine_group, _test_group("grigorchuk"), inverse_letters):
+        syms = [s for g in range(len(group.generator_names)) for s in (g + 1, -(g + 1))]
+        for _ in range(400):
+            word = reduce_word([rng.choice(syms) for _ in range(rng.randint(0, 40))])
+            for letter in range(group.n_letters):
+                assert group.step(word, letter) == fold_step(group, word, letter), (word, letter)
+
+
+def test_power_2048_of_adding_machine_is_not_identity(machine_group):
+    a = machine_group.generator(0)
+    # a * 2048 repeats the one-letter word: the reduced word a^2048.
+    assert machine_group.eq(a * 2048, ()).is_distinct
+    assert machine_group.is_identity(a * 2048).is_distinct
+
+
+def test_adding_machine_powers_equal_only_when_exponents_do(machine_group):
+    rng = random.Random(7)
+
+    def power(n):
+        return (1,) * n if n >= 0 else (-1,) * -n
+
+    for _ in range(300):
+        n, m = rng.randint(-200, 200), rng.randint(-200, 200)
+        if rng.random() < 0.2:
+            m = n
+        verdict = machine_group.eq(power(n), power(m))
+        assert not verdict.is_unknown
+        assert verdict.is_equal == (n == m), (n, m)
+
+
+@pytest.mark.parametrize(
+    "word,n,expected",
+    [
+        ("a", 2, "equal"),
+        ("b.c.d", 1, "equal"),
+        ("a.d", 4, "equal"),
+        ("a.b", 16, "equal"),
+        ("a.c", 8, "equal"),
+        ("a.d", 2, "distinct"),
+        ("a.b", 8, "distinct"),
+        ("a.c", 4, "distinct"),
+    ],
+)
+def test_grigorchuk_relations(word, n, expected):
+    g = _test_group("grigorchuk")
+    assert g.eq(g.parse(".".join([word] * n)), ()).verdict == expected
+
+
+def test_chain_is_decided_below_the_old_depth():
+    # s1 fixes every letter down to level 39 and moves one at level 40.
+    g = _test_group("chain40")
+    assert g.eq(g.parse("s1"), ()).is_distinct
+    assert g.eq(g.parse("s1"), g.parse("s2")).is_distinct
+
+
+def test_non_faithful_closure_reports_levels_compared():
+    g = ss.AutomatonGroup(["t"], 2, [[0, 1]], [[(), ()]])
+    assert str(g.eq(g.generator(0), ())) == "unknown@1"
+
+
+def test_comparison_budget_ends_a_walk_that_never_closes():
+    # The doubling automaton's a acts trivially, but the restrictions of a
+    # double at every level, so the walk only ends at the budget.
+    g = _test_group("doubling")
+    start = time.perf_counter()
+    verdict = g.eq(g.parse("a"), ())
+    assert verdict.is_unknown
+    assert time.perf_counter() - start < 1.0
+
+
+def test_comparison_budget_bounds_the_letters_stepped(monkeypatch):
+    g = _test_group("doubling")
+    stepped = [0]
+    step = g.step
+
+    def counting(word, letter):
+        stepped[0] += len(word)
+        return step(word, letter)
+
+    monkeypatch.setattr(g, "step", counting)
+    for word in ("a", "a'", "a.a.a"):
+        stepped[0] = 0
+        assert g.is_identity(g.parse(word)).is_unknown
+        # Every word stepped belongs to a pair the budget admitted.
+        assert 0 < stepped[0] <= g.n_letters * MAX_ENUMERATION
