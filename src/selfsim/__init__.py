@@ -3,92 +3,50 @@
 Groups acting on graphs with an edge cocycle, the induced action on finite
 and infinite paths, the inverse semigroup of triples, covers, freeness and
 E*-unitarity sweeps, and the germ groupoid with its corona-valued lag.
+
+Importing the package loads no submodule. Each public name is imported from
+its module on first access (PEP 562) and kept in the package namespace.
 """
 
-from .action import (
-    SelfSimilarTriple,
-    act_inf_path,
-    act_infinite,
-    all_paths_upto,
-    capital_phi,
-    check_residually_free,
-    inverse_cocycle_check,
-    phi_corona,
-    verify_axioms,
-)
-from .builders import (
-    AutomatonData,
-    KatsuraData,
-    adding_machine,
-    from_automaton,
-    from_katsura,
-    integer_triple_from_generator,
-    finite_triple,
-    katsura_2_0,
-    katsura_3_2,
-    odometer,
-    z2_swap,
-)
-from .corona import (
-    BoundedSeq,
-    CoronaSeq,
-    LagValue,
-    PeriodicSeq,
-    corona_eq,
-    corona_identity,
-    corona_inv,
-    corona_mul,
-    lag_eq,
-    lag_identity,
-    lag_inv,
-    lag_mul,
-    shift_left,
-    shift_right,
-)
-from .graph import (
-    Graph,
-    InfPath,
-    Path,
-    PeriodicPath,
-    PrefixRel,
-    StreamPath,
-    concat,
-    complement,
-    edge_path,
-    extensions,
-    inf_path_eq,
-    make_graph,
-    periodic_path,
-    prefix_compare,
-    stream_path,
-    validate_graph,
-    vertex_path,
-)
-from .groupoid import Germ, GermContext, hausdorff_report
-from .groups import (
-    AutomatonGroup,
-    FiniteGroup,
-    GroupBackend,
-    IntegerGroup,
-    default_window,
-)
-from .semigroup import (
-    ZERO,
-    IdempotentOrder,
-    Triple,
-    Zero,
-    check_e_star_unitary,
-    element_eq,
-    idempotent_order,
-    is_cover,
-    is_idempotent,
-    make_triple,
-    mul,
-    star,
-    unit_idempotent,
-)
-from .tri import Tri
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Public names by the module that defines them.
+_EXPORTS = {
+    "action": "SelfSimilarTriple act_inf_path act_infinite all_paths_upto capital_phi"
+              " check_residually_free inverse_cocycle_check phi_corona verify_axioms",
+    "builders": "AutomatonData KatsuraData adding_machine from_automaton from_katsura"
+                " integer_triple_from_generator finite_triple katsura_2_0 katsura_3_2 odometer z2_swap",
+    "corona": "BoundedSeq CoronaSeq LagValue PeriodicSeq corona_eq corona_identity corona_inv"
+              " corona_mul lag_eq lag_identity lag_inv lag_mul shift_left shift_right",
+    "graph": "Graph InfPath Path PeriodicPath PrefixRel StreamPath concat complement edge_path"
+             " extensions inf_path_eq make_graph periodic_path prefix_compare stream_path"
+             " validate_graph vertex_path",
+    "groupoid": "Germ GermContext hausdorff_report",
+    "groups": "AutomatonGroup FiniteGroup GroupBackend IntegerGroup default_window",
+    "semigroup": "ZERO IdempotentOrder Triple Zero check_e_star_unitary element_eq idempotent_order"
+                 " is_cover is_idempotent make_triple mul star unit_idempotent",
+    "tri": "Tri",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+# Submodules that are also package attributes.
+_SUBMODULES = ("action", "builders", "corona", "errors", "graph", "groupoid", "groups", "periodic",
+               "semigroup", "tri")
+
+__all__ = sorted([*_MODULE_OF, *_SUBMODULES])
+
+
+def __getattr__(name: str):
+    if name in _MODULE_OF:
+        value = getattr(_import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    elif name in _SUBMODULES:
+        value = _import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

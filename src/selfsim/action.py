@@ -8,11 +8,9 @@ the freeness sweeps all live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
-from .corona import BoundedSeq, CoronaSeq, PeriodicSeq
-from .errors import DepthExceededError
+from .errors import DepthExceededError, Record
 from .graph import (
     Graph,
     InfPath,
@@ -26,6 +24,8 @@ from .graph import (
 from .groups import MAX_ENUMERATION, GroupBackend, refuse_oversize
 from .tri import Tri
 from . import periodic
+
+# CoronaSeq (annotations) lives in corona, imported only where carry sequences are built.
 
 
 class SelfSimilarTriple:
@@ -136,6 +136,7 @@ def _image_path(t: SelfSimilarTriple, outcome) -> InfPath:
 
 def _carry_seq(t: SelfSimilarTriple, outcome) -> CoronaSeq:
     """Phi(g, xi) from an _orbit outcome."""
+    from .corona import BoundedSeq, PeriodicSeq
     carries = outcome[2]
     if outcome[0] == "periodic":
         start, period = outcome[3], outcome[4]
@@ -168,17 +169,12 @@ def act_and_phi_corona(t: SelfSimilarTriple, g, xi: InfPath, depth: int = 64) ->
     return _image_path(t, outcome), _carry_seq(t, outcome)
 
 
-@dataclass(frozen=True)
-class Violation:
-    law: str
-    detail: str
+class Violation(Record):
+    __slots__ = ("law", "detail")  # str, str
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    violations: tuple[Violation, ...]
-    undecided: tuple[Violation, ...]
-    checked_pairs: int
+class AxiomReport(Record):
+    __slots__ = ("violations", "undecided", "checked_pairs")  # Violation tuples, int
 
     @property
     def ok(self) -> bool:
@@ -281,21 +277,17 @@ def inverse_cocycle_check(t: SelfSimilarTriple, g, a: Path) -> Tri:
     return group.eq(lhs, rhs)
 
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(Record):
     """Outcome of the freeness sweep over a window of group elements.
 
     kind is "holds" (finite group fully swept, nothing found),
     "counterexample" (some g != 1 fixes an edge with trivial cocycle), or
     "unknown" (nothing found within the window, but the window is not all
-    of the group or some comparison stayed undecided).
+    of the group or some comparison stayed undecided). counterexample is
+    (g, edge id) or None; consistency_failures and undecided are strings.
     """
 
-    kind: str
-    counterexample: tuple | None  # (g, edge id)
-    consistency_failures: tuple[str, ...]
-    undecided: tuple[str, ...]
-    window_size: int
+    __slots__ = ("kind", "counterexample", "consistency_failures", "undecided", "window_size")
 
     @property
     def found_counterexample(self) -> bool:

@@ -9,20 +9,17 @@ single-vertex picture where generators permute letters and restrict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import accumulate
-from typing import Sequence
 
 from .action import SelfSimilarTriple
-from .errors import InvalidMatricesError
+from .errors import InvalidMatricesError, Record
 from .graph import Graph, make_graph
 from .groups import AutomatonGroup, FiniteGroup, IntegerGroup
 
 
-@dataclass(frozen=True)
-class KatsuraData:
-    a: tuple[tuple[int, ...], ...]
-    b: tuple[tuple[int, ...], ...]
+class KatsuraData(Record):
+    __slots__ = ("a", "b")  # square matrices as tuples of row tuples
 
     @staticmethod
     def make(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> "KatsuraData":
@@ -48,12 +45,10 @@ class KatsuraData:
                     )
 
 
-@dataclass(frozen=True)
-class AutomatonData:
-    alphabet: tuple[str, ...]
-    states: tuple[str, ...]
-    output: tuple[tuple[int, ...], ...]        # state -> letter -> letter
-    restriction: tuple[tuple[tuple[int, ...], ...], ...]  # state -> letter -> word
+class AutomatonData(Record):
+    # alphabet and states are label tuples; output[state][letter] is a letter,
+    # restriction[state][letter] a word.
+    __slots__ = ("alphabet", "states", "output", "restriction")
 
     @staticmethod
     def make(alphabet, states, output, restriction) -> "AutomatonData":

@@ -22,9 +22,7 @@ from .errors import (
     UndecidedError,
 )
 from .graph import validate_graph
-from .groupoid import GermContext, hausdorff_report
 from .groups import IntegerGroup, check_window_radius, default_window
-from .semigroup import check_e_star_unitary, is_cover, mul, render, unit_idempotent
 from .specfile import (
     load_spec_file,
     parse_corona,
@@ -33,6 +31,8 @@ from .specfile import (
     parse_path,
     parse_semigroup_element,
 )
+
+# Handlers import semigroup and groupoid themselves: a command loads only what it runs.
 
 OK, FAIL, UNKNOWN, INPUT_ERROR = 0, 1, 2, 3
 
@@ -67,7 +67,8 @@ def _counterexample_line(triple, g, edge: int) -> str:
     return f"({gname}={triple.group.render(g)}, e={triple.graph.edge_labels[edge]})"
 
 
-def _germ_context(triple, args, out) -> GermContext:
+def _germ_context(triple, args, out):
+    from .groupoid import GermContext
     window = default_window(triple.group, args.window)
     return GermContext(
         triple,
@@ -114,6 +115,7 @@ def _cmd_phi(triple, args, out):
 
 
 def _cmd_smul(triple, args, out):
+    from .semigroup import mul, render
     s = parse_semigroup_element(triple, args.s)
     u = parse_semigroup_element(triple, args.t)
     out(render(triple, mul(triple, s, u)))
@@ -121,6 +123,7 @@ def _cmd_smul(triple, args, out):
 
 
 def _cmd_cover(triple, args, out):
+    from .semigroup import is_cover, unit_idempotent
     target = unit_idempotent(triple, parse_path(triple.graph, args.beta))
     members = [unit_idempotent(triple, parse_path(triple.graph, a)) for a in args.alphas]
     covered = is_cover(triple, members, target)
@@ -145,6 +148,7 @@ def _cmd_residual_free(triple, args, out):
 
 
 def _cmd_e_star_unitary(triple, args, out):
+    from .semigroup import check_e_star_unitary, render
     window = default_window(triple.group, args.window)
     report = check_e_star_unitary(triple, window, path_bound=args.bound)
     if report.kind == "counterexample":
@@ -207,6 +211,7 @@ def _cmd_model_check(triple, args, out):
 
 
 def _cmd_hausdorff(triple, args, out):
+    from .groupoid import hausdorff_report
     window = default_window(triple.group, args.window)
     report = hausdorff_report(triple, window)
     if report.kind == "hausdorff":

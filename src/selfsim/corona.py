@@ -10,11 +10,10 @@ automorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import lcm
 
 from . import periodic
-from .errors import DepthExceededError
+from .errors import DepthExceededError, Frozen, Record, Value
 from .groups import GroupBackend
 from .tri import Tri, DISTINCT, all_of, unknown
 
@@ -22,6 +21,7 @@ from .tri import Tri, DISTINCT, all_of, unknown
 class CoronaSeq:
     """Common interface: 1-indexed entries in the group backend."""
 
+    __slots__ = ()
     backend: GroupBackend
 
     def entry(self, n: int):
@@ -32,11 +32,22 @@ class CoronaSeq:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class PeriodicSeq(CoronaSeq):
-    backend: GroupBackend = field(repr=False)
-    prefix: tuple
-    cycle: tuple
+class PeriodicSeq(CoronaSeq, Frozen):
+    __slots__ = ("backend", "prefix", "cycle")
+    _hidden = ("backend",)  # compared, not shown
+
+    def __init__(self, backend: GroupBackend, prefix: tuple, cycle: tuple):
+        set_backend, set_prefix, set_cycle = self._setters
+        set_backend(self, backend)
+        set_prefix(self, prefix)
+        set_cycle(self, cycle)
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__ and self.prefix == other.prefix and self.cycle == other.cycle
+                and self.backend == other.backend)
+
+    def __hash__(self):
+        return hash((self.backend, self.prefix, self.cycle))
 
     @staticmethod
     def make(backend: GroupBackend, prefix, cycle) -> "PeriodicSeq":
@@ -59,10 +70,12 @@ class PeriodicSeq(CoronaSeq):
         return f"{head}({body})*"
 
 
-@dataclass(eq=False)
-class BoundedSeq(CoronaSeq):
-    backend: GroupBackend
-    values: tuple  # entries 1..len(values)
+class BoundedSeq(CoronaSeq, Value):
+    __slots__ = ("backend", "values")
+
+    def __init__(self, backend: GroupBackend, values: tuple):
+        self.backend = backend
+        self.values = values  # entries 1..len(values)
 
     def entry(self, n: int):
         if n < 1:
@@ -147,12 +160,10 @@ def corona_eq(a: CoronaSeq, b: CoronaSeq, depth: int = 64) -> Tri:
     return unknown(horizon)
 
 
-@dataclass(frozen=True)
-class LagValue:
+class LagValue(Record):
     """Element of the lag group: corona part and integer shift."""
 
-    corona: CoronaSeq
-    shift: int
+    __slots__ = ("corona", "shift")  # CoronaSeq, int
 
     def __str__(self) -> str:
         return f"({self.corona}, {self.shift})"

@@ -9,32 +9,38 @@ one edge; ``validate_graph`` reports violations instead of raising.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from . import periodic
-from .errors import CompositionError, DepthExceededError
+from .errors import CompositionError, DepthExceededError, Frozen, Record, Value
 from .tri import Tri, DISTINCT, EQUAL, from_bool, unknown
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """Finite directed graph with dense integer ids and string labels."""
 
-    vertex_labels: tuple[str, ...]
-    edge_labels: tuple[str, ...]
-    range_of: tuple[int, ...]   # edge -> vertex
-    source_of: tuple[int, ...]  # edge -> vertex
-    _into: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("vertex_labels", "edge_labels", "range_of", "source_of", "_into")
+    _hidden = ("_into",)
 
-    def __post_init__(self):
-        if len(self.range_of) != len(self.edge_labels) or len(self.source_of) != len(self.edge_labels):
+    def __init__(self, vertex_labels: tuple[str, ...], edge_labels: tuple[str, ...],
+                 range_of: tuple[int, ...], source_of: tuple[int, ...]):  # edge -> vertex maps
+        if len(range_of) != len(edge_labels) or len(source_of) != len(edge_labels):
             raise ValueError("range/source maps must cover every edge")
         # Keyed by range id, dangling ids included: validate_graph reports those.
         into: dict[int, tuple[int, ...]] = {}
-        for e, v in enumerate(self.range_of):
+        for e, v in enumerate(range_of):
             into[v] = into.get(v, ()) + (e,)
-        object.__setattr__(self, "_into", into)
+        for setter, value in zip(self._setters, (vertex_labels, edge_labels, range_of, source_of, into)):
+            setter(self, value)
+
+    def _key(self) -> tuple:
+        return (self.vertex_labels, self.edge_labels, self.range_of, self.source_of)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n_vertices(self) -> int:
@@ -82,10 +88,8 @@ def make_graph(vertices: Sequence[str], edges: Sequence[tuple[str, str, str]]) -
     return Graph(vlabels, elabels, rng, src)
 
 
-@dataclass(frozen=True)
-class GraphReport:
-    ok: bool
-    problems: tuple[str, ...]
+class GraphReport(Record):
+    __slots__ = ("ok", "problems")  # bool, tuple[str, ...]
 
 
 def validate_graph(g: Graph) -> GraphReport:
@@ -102,21 +106,30 @@ def validate_graph(g: Graph) -> GraphReport:
     return GraphReport(not problems, tuple(problems))
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Frozen):
     """Finite path: either a vertex (length 0) or a composable edge sequence.
 
     Vertex paths carry their vertex explicitly so range and source need no
     graph lookup.
     """
 
-    graph: Graph = field(repr=False)
-    vertex: int | None
-    edges: tuple[int, ...]
+    __slots__ = ("graph", "vertex", "edges")
+    _hidden = ("graph",)  # compared, not shown
 
-    def __post_init__(self):
-        if (self.vertex is None) == (not self.edges):
+    def __init__(self, graph: Graph, vertex: int | None, edges: tuple[int, ...]):
+        if (vertex is None) == (not edges):
             raise ValueError("exactly one of vertex / edges must be set")
+        set_graph, set_vertex, set_edges = self._setters
+        set_graph(self, graph)
+        set_vertex(self, vertex)
+        set_edges(self, edges)
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__ and self.edges == other.edges and self.vertex == other.vertex
+                and (self.graph is other.graph or self.graph == other.graph))
+
+    def __hash__(self):
+        return hash((self.graph, self.vertex, self.edges))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -253,6 +266,7 @@ def extensions(b: Path, count: int) -> list[Path]:
 class InfPath:
     """Right-infinite path; subclasses: PeriodicPath (exact), StreamPath (bounded)."""
 
+    __slots__ = ()
     graph: Graph
 
     def letter(self, n: int) -> int:
@@ -283,17 +297,29 @@ class InfPath:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class PeriodicPath(InfPath):
+class PeriodicPath(InfPath, Frozen):
     """Eventually periodic infinite path in normal form.
 
     Normal form (minimal prefix, primitive cycle) makes structural equality
     agree with equality of the underlying infinite words.
     """
 
-    graph: Graph = field(repr=False)
-    prefix_edges: tuple[int, ...]
-    cycle_edges: tuple[int, ...]
+    __slots__ = ("graph", "prefix_edges", "cycle_edges")
+    _hidden = ("graph",)  # compared, not shown
+
+    def __init__(self, graph: Graph, prefix_edges: tuple[int, ...], cycle_edges: tuple[int, ...]):
+        set_graph, set_prefix, set_cycle = self._setters
+        set_graph(self, graph)
+        set_prefix(self, prefix_edges)
+        set_cycle(self, cycle_edges)
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__ and self.prefix_edges == other.prefix_edges
+                and self.cycle_edges == other.cycle_edges
+                and (self.graph is other.graph or self.graph == other.graph))
+
+    def __hash__(self):
+        return hash((self.graph, self.prefix_edges, self.cycle_edges))
 
     def letter(self, n: int) -> int:
         if n < 1:
@@ -338,15 +364,16 @@ def periodic_path(graph: Graph, prefix: Sequence[int] | Path, cycle: Sequence[in
     return PeriodicPath(graph, pre, cyc)
 
 
-@dataclass(eq=False)
-class StreamPath(InfPath):
-    """Infinite path known only through a prefix query up to a declared depth."""
+class StreamPath(InfPath, Value):
+    """Infinite path known only through a prefix query up to a declared depth; compared by identity."""
 
-    graph: Graph
-    fetch: Callable[[int], int]  # 1-indexed edge query
-    max_depth: int
+    __slots__ = ("graph", "fetch", "max_depth", "_cache")
+    _hidden = ("_cache",)
 
-    def __post_init__(self):
+    def __init__(self, graph: Graph, fetch: Callable[[int], int], max_depth: int):
+        self.graph = graph
+        self.fetch = fetch  # 1-indexed edge query
+        self.max_depth = max_depth
         self._cache: dict[int, int] = {}
 
     def letter(self, n: int) -> int:

@@ -9,7 +9,6 @@ lag are only valid under that hypothesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .action import (
@@ -31,8 +30,10 @@ from .errors import (
     EmptySetError,
     FreenessNotVerifiedError,
     NotComposableError,
+    Record,
     SourceConditionError,
     UndecidedError,
+    Value,
 )
 from .graph import (
     InfPath,
@@ -47,20 +48,23 @@ from .groups import default_window
 from .tri import Tri, DISTINCT, EQUAL, all_of, unknown
 
 
-@dataclass(eq=False)
-class Germ:
-    """[alpha, g, beta; xi]: source point beta.xi, range point alpha.(g xi)."""
+class Germ(Value):
+    """[alpha, g, beta; xi]: source point beta.xi, range point alpha.(g xi).
 
-    alpha: Path
-    g: object
-    beta: Path
-    xi: InfPath
+    Compared by identity; GermContext.germ_eq decides germ equality.
+    """
+
+    __slots__ = ("alpha", "g", "beta", "xi")
+
+    def __init__(self, alpha: Path, g, beta: Path, xi: InfPath):
+        self.alpha = alpha
+        self.g = g
+        self.beta = beta
+        self.xi = xi
 
 
-@dataclass(frozen=True)
-class HausdorffReport:
-    kind: str  # "hausdorff" | "not-implied"
-    freeness: FreenessReport
+class HausdorffReport(Record):
+    __slots__ = ("kind", "freeness")  # "hausdorff" | "not-implied", FreenessReport
 
 
 def hausdorff_report(t: SelfSimilarTriple, window) -> HausdorffReport:

@@ -10,7 +10,7 @@ its budget.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import BackendMismatchError, NonBijectiveOutputError
 from .tri import Tri, DISTINCT, EQUAL, from_bool, unknown
@@ -75,6 +75,9 @@ class IntegerGroup(GroupBackend):
 
     def identity(self) -> int:
         return 0
+
+    def check(self, x):
+        return x if type(x) is int else GroupBackend.check(self, x)  # bool takes the full test
 
     def mul(self, a: int, b: int) -> int:
         return self.check(a) + self.check(b)
@@ -168,6 +171,9 @@ class FiniteGroup(GroupBackend):
 
     def identity(self) -> int:
         return self._identity
+
+    def check(self, x):
+        return x if type(x) is int and 0 <= x < len(self.names) else GroupBackend.check(self, x)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[self.check(a)][self.check(b)]

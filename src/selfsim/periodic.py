@@ -8,12 +8,10 @@ denote the same sequence exactly when their normal forms coincide.
 
 from __future__ import annotations
 
-from typing import Sequence, TypeVar
-
-T = TypeVar("T")
+from collections.abc import Sequence
 
 
-def primitive_root(cycle: Sequence[T]) -> tuple[T, ...]:
+def primitive_root(cycle: Sequence) -> tuple:
     cyc = tuple(cycle)
     n = len(cyc)
     for d in range(1, n + 1):
@@ -22,7 +20,7 @@ def primitive_root(cycle: Sequence[T]) -> tuple[T, ...]:
     return cyc
 
 
-def normalize(prefix: Sequence[T], cycle: Sequence[T]) -> tuple[tuple[T, ...], tuple[T, ...]]:
+def normalize(prefix: Sequence, cycle: Sequence) -> tuple[tuple, tuple]:
     """Return the normal form of the eventually periodic sequence (prefix, cycle)."""
     if not cycle:
         raise ValueError("cycle must be nonempty")
@@ -36,14 +34,14 @@ def normalize(prefix: Sequence[T], cycle: Sequence[T]) -> tuple[tuple[T, ...], t
     return tuple(pre), tuple(cyc)
 
 
-def entry(prefix: Sequence[T], cycle: Sequence[T], n: int) -> T:
+def entry(prefix: Sequence, cycle: Sequence, n: int):
     """0-based entry of the sequence prefix + cycle + cycle + ..."""
     if n < len(prefix):
         return prefix[n]
     return cycle[(n - len(prefix)) % len(cycle)]
 
 
-def drop(prefix: Sequence[T], cycle: Sequence[T], k: int) -> tuple[tuple[T, ...], tuple[T, ...]]:
+def drop(prefix: Sequence, cycle: Sequence, k: int) -> tuple[tuple, tuple]:
     """Representation of the sequence with its first k entries removed."""
     pre = tuple(prefix)
     cyc = tuple(cycle)

@@ -10,17 +10,17 @@ which is what makes the finite cover check below complete.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .action import SelfSimilarTriple, all_paths_upto
-from .errors import NotIdempotentError, SourceConditionError
+from .errors import Frozen, NotIdempotentError, Record, SourceConditionError
 from .graph import Path, PrefixRel, concat, prefix_compare
 from .tri import Tri, DISTINCT, from_bool
 
 
-@dataclass(frozen=True)
-class Zero:
+class Zero(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "0"
 
@@ -28,11 +28,21 @@ class Zero:
 ZERO = Zero()
 
 
-@dataclass(frozen=True)
-class Triple:
-    alpha: Path
-    g: object
-    beta: Path
+class Triple(Frozen):
+    __slots__ = ("alpha", "g", "beta")
+
+    def __init__(self, alpha: Path, g, beta: Path):
+        set_alpha, set_g, set_beta = self._setters
+        set_alpha(self, alpha)
+        set_g(self, g)
+        set_beta(self, beta)
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__ and self.alpha == other.alpha and self.g == other.g
+                and self.beta == other.beta)
+
+    def __hash__(self):
+        return hash((self.alpha, self.g, self.beta))
 
 
 SemigroupElement = Triple | Zero
@@ -193,11 +203,9 @@ def is_cover(t: SelfSimilarTriple, members: Iterable[SemigroupElement], target: 
     return True
 
 
-@dataclass(frozen=True)
-class UnitaryReport:
-    kind: str  # "holds" | "counterexample" | "unknown"
-    counterexample: tuple | None  # (element, idempotent)
-    window_size: int
+class UnitaryReport(Record):
+    # kind: "holds" | "counterexample" | "unknown"; counterexample: (element, idempotent) or None
+    __slots__ = ("kind", "counterexample", "window_size")
 
 
 def _check_reduction(t: SelfSimilarTriple, window: list) -> None:

@@ -23,8 +23,6 @@ are `alpha,g,beta` or `0`; germs are `alpha,g,beta;xi`; corona sequences are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .action import SelfSimilarTriple
 from .builders import (
     AutomatonData,
@@ -34,11 +32,12 @@ from .builders import (
     from_katsura,
     integer_triple_from_generator,
 )
-from .corona import BoundedSeq, CoronaSeq, PeriodicSeq
-from .errors import SpecFileError
+from .errors import Record, SpecFileError
 from .graph import Graph, InfPath, Path, edge_path, make_graph, periodic_path, vertex_path
 from .groups import AutomatonGroup, FiniteGroup, GroupBackend
-from .semigroup import SemigroupElement, ZERO, make_triple
+
+# SemigroupElement and CoronaSeq (annotations) live in semigroup and corona,
+# which the parsers that need them import.
 
 
 # -- literal parsing ---------------------------------------------------------
@@ -112,6 +111,7 @@ def parse_inf_path(graph: Graph, text: str) -> InfPath:
 
 
 def parse_semigroup_element(t: SelfSimilarTriple, text: str) -> SemigroupElement:
+    from .semigroup import ZERO, make_triple
     text = text.strip()
     if text == "0":
         return ZERO
@@ -140,6 +140,7 @@ def parse_germ_parts(t: SelfSimilarTriple, text: str) -> tuple[Path, object, Pat
 
 def parse_corona(backend: GroupBackend, text: str) -> CoronaSeq:
     """`g1,g2(g3)*` for a periodic class, or `g1,g2,g3` for a bounded stream."""
+    from .corona import BoundedSeq, PeriodicSeq
     text = text.strip()
 
     def entries(chunk: str) -> tuple:
@@ -165,11 +166,8 @@ def parse_corona(backend: GroupBackend, text: str) -> CoronaSeq:
 # -- spec files --------------------------------------------------------------
 
 
-@dataclass
-class _Section:
-    name: str
-    line: int
-    rows: list[tuple[str, str, int]]  # (key, value, line)
+class _Section(Record):
+    __slots__ = ("name", "line", "rows")  # rows: list of (key, value, line)
 
     def get(self, key: str, default: str | None = None) -> str | None:
         found = [v for k, v, _ in self.rows if k == key]
@@ -233,10 +231,8 @@ def _parse_word(names: tuple[str, ...], text: str, line: int) -> tuple[int, ...]
     return tuple(word)
 
 
-@dataclass
-class LoadedSpec:
-    triple: SelfSimilarTriple
-    source: str  # "explicit" | "katsura" | "automaton"
+class LoadedSpec(Record):
+    __slots__ = ("triple", "source")  # SelfSimilarTriple, "explicit" | "katsura" | "automaton"
 
 
 def load_spec_text(text: str) -> LoadedSpec:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .errors import Frozen
 
 
-@dataclass(frozen=True)
-class Tri:
+class Tri(Frozen):
     """Outcome of an equality test: equal, distinct, or unknown at some depth.
 
     Exact backends (integers, Cayley tables) only ever produce equal/distinct.
@@ -15,8 +14,18 @@ class Tri:
     depth; unknown carries the depth to which the comparison was pushed.
     """
 
-    verdict: str  # "equal" | "distinct" | "unknown"
-    depth: int | None = None
+    __slots__ = ("verdict", "depth")
+
+    def __init__(self, verdict: str, depth: int | None = None):  # "equal" | "distinct" | "unknown"
+        set_verdict, set_depth = self._setters
+        set_verdict(self, verdict)
+        set_depth(self, depth)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.verdict == other.verdict and self.depth == other.depth
+
+    def __hash__(self):
+        return hash((self.verdict, self.depth))
 
     @property
     def is_equal(self) -> bool:

@@ -17,6 +17,9 @@ from selfsim.cli import main
 from selfsim.specfile import load_spec_file
 
 SPEC_NAMES = sorted(p.stem for p in SPECS.glob("*.spec"))
+PATH_SWEEPS = ["residual-free", "e-star-unitary"]  # the commands that take --bound
+COMMANDS = ["validate", "act", "phi", "smul", "cover", *PATH_SWEEPS, "germ-eq", "lag", "model-check",
+            "hausdorff"]
 JUNK = ["", "@", "zz", "(", ")*", "e9", "@nowhere", "1,,1", ";"]
 OVER_LIMIT = 10**9
 
@@ -42,7 +45,7 @@ for _name in SPEC_NAMES:
 
 
 @st.composite
-def argvs(draw):
+def argvs(draw, commands=COMMANDS):
     name = draw(st.sampled_from(SPEC_NAMES))
     edges, vertices, elements = GRAMMAR[name]
 
@@ -76,10 +79,7 @@ def argvs(draw):
         body = ",".join(element() for _ in range(draw(st.integers(1, 2))))
         return junk_or(lambda: f"{head}({body})*" if draw(st.booleans()) else body)
 
-    command = pick(
-        ["validate", "act", "phi", "smul", "cover", "residual-free", "e-star-unitary",
-         "germ-eq", "lag", "model-check", "hausdorff"]
-    )
+    command = pick(commands)
     args = {
         "act": lambda: [element(), junk_or(path)],
         "phi": lambda: [element(), junk_or(path)],
@@ -92,9 +92,10 @@ def argvs(draw):
     }.get(command, lambda: [])()
     flags = [
         ["--window", str(draw(st.sampled_from([1, 0, 2, 3, -1, OVER_LIMIT])))],
-        ["--bound", str(draw(st.sampled_from([1, 2, 3, 0, -1, OVER_LIMIT])))],
         ["--depth", str(draw(st.sampled_from([8, 1, 2, 3, 64, 0, -5, OVER_LIMIT])))],
     ]
+    if command in PATH_SWEEPS:
+        flags.append(["--bound", str(draw(st.sampled_from([1, 2, 3, 0, -1, OVER_LIMIT])))])
     if draw(st.booleans()):
         flags.append(["--allow-unverified"])
     if command == "model-check" and draw(st.booleans()):
@@ -125,24 +126,14 @@ def test_cli_grammar_fuzz(argv):
     assert _run(argv) == (code, output), argv
 
 
-def _bound_where_read(argv):
-    """argv without its --bound flag unless the command sweeps paths (only those take it)."""
-    if argv[0] in ("residual-free", "e-star-unitary"):
-        return argv
-    i = argv.index("--bound")
-    return argv[:i] + argv[i + 2 :]
-
-
 @settings(
-    max_examples=200,
+    max_examples=100,
     deadline=None,
     derandomize=True,
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(argvs().map(_bound_where_read))
-def test_cli_grammar_fuzz_with_bound_only_on_path_sweeps(argv):
-    code, output = _run(argv)
-    assert code in (0, 1, 2, 3), (argv, code)
-    assert "Traceback" not in output
-    assert _run(argv) == (code, output), argv
+@given(argvs([c for c in COMMANDS if c not in PATH_SWEEPS]), st.sampled_from(["1", "0", "-1", "x"]))
+def test_cli_refuses_bound_off_path_sweeps(argv, bound):
+    """Only the two path sweeps take --bound: every other command exits 3 at parsing."""
+    assert _run([*argv, "--bound", bound]) == (3, "")

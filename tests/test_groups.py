@@ -25,6 +25,21 @@ def test_integer_ops():
         z.mul(1, "x")
 
 
+def test_check_fast_path_keeps_refusing_non_elements():
+    z = ss.IntegerGroup()
+    c3 = ss.FiniteGroup(["0", "1", "2"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+
+    class Wide(int):
+        pass
+
+    assert z.check(5) == 5 and z.check(-7) == -7 and z.check(Wide(4)) == 4
+    assert [c3.check(x) for x in range(3)] == [0, 1, 2] and c3.check(Wide(2)) == 2
+    for backend, bad in [(z, True), (z, False), (z, "1"), (z, 1.0), (c3, True), (c3, 3), (c3, -1),
+                         (c3, Wide(3)), (c3, "0")]:
+        with pytest.raises(BackendMismatchError):
+            backend.check(bad)
+
+
 def test_cyclic_two():
     g = ss.FiniteGroup(["0", "1"], [[0, 1], [1, 0]])
     assert g.mul(1, 1) == 0
