@@ -14,19 +14,22 @@ __version__ = "0.1.0"
 
 # Public names by the module that defines them.
 _EXPORTS = {
-    "action": "SelfSimilarTriple act_inf_path act_infinite all_paths_upto capital_phi"
-              " check_residually_free inverse_cocycle_check phi_corona verify_axioms",
-    "builders": "AutomatonData KatsuraData adding_machine from_automaton from_katsura"
-                " integer_triple_from_generator finite_triple katsura_2_0 katsura_3_2 odometer z2_swap",
+    "action": "SelfSimilarTriple",
+    "automaton": "AutomatonData AutomatonGroup from_automaton",
+    "builders": "KatsuraData adding_machine from_katsura integer_triple_from_generator katsura_2_0"
+                " katsura_3_2 odometer z2_swap",
+    "cayley": "FiniteGroup finite_triple",
     "corona": "BoundedSeq CoronaSeq LagValue PeriodicSeq corona_eq corona_identity corona_inv"
               " corona_mul lag_eq lag_identity lag_inv lag_mul shift_left shift_right",
-    "graph": "Graph InfPath Path PeriodicPath PrefixRel StreamPath concat complement edge_path"
-             " extensions inf_path_eq make_graph periodic_path prefix_compare stream_path"
+    "graph": "Graph Path PrefixRel concat complement edge_path extensions make_graph prefix_compare"
              " validate_graph vertex_path",
     "groupoid": "Germ GermContext hausdorff_report",
-    "groups": "AutomatonGroup FiniteGroup GroupBackend IntegerGroup default_window",
+    "groups": "GroupBackend IntegerGroup default_window",
+    "infinite": "InfPath PeriodicPath StreamPath act_inf_path act_infinite capital_phi inf_path_eq"
+                " periodic_path phi_corona stream_path",
     "semigroup": "ZERO IdempotentOrder Triple Zero check_e_star_unitary element_eq idempotent_order"
                  " is_cover is_idempotent make_triple mul star unit_idempotent",
+    "sweeps": "all_paths_upto check_residually_free inverse_cocycle_check verify_axioms",
     "tri": "Tri",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -1,31 +1,17 @@
 """Self-similar actions on graphs: the triple (G, E, sigma, phi).
 
 The triple packages a group action by graph automorphisms together with an
-edge cocycle. The recursion extending both to finite paths, the induced
-action on infinite paths, the cocycle sequence along an infinite path, and
-the freeness sweeps all live here.
+edge cocycle, and extends both to finite paths by the one-step recursion.
+The action on infinite paths lives in ``infinite``, the sweeps over a
+window of elements in ``sweeps``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable
 
-from .errors import DepthExceededError, Record
-from .graph import (
-    Graph,
-    InfPath,
-    Path,
-    PeriodicPath,
-    StreamPath,
-    concat,
-    stream_path,
-    vertex_path,
-)
-from .groups import MAX_ENUMERATION, GroupBackend, refuse_oversize
-from .tri import Tri
-from . import periodic
-
-# CoronaSeq (annotations) lives in corona, imported only where carry sequences are built.
+from .graph import Graph, Path, vertex_path
+from .groups import GroupBackend
 
 
 class SelfSimilarTriple:
@@ -71,339 +57,3 @@ class SelfSimilarTriple:
 
     def __str__(self) -> str:
         return self.description
-
-
-def act_infinite(t: SelfSimilarTriple, g, xi: InfPath, n: int) -> Path:
-    """Length-n prefix of g.xi, computed as g acting on the length-n truncation."""
-    return t.act_path(g, xi.truncate(n))[0]
-
-
-def capital_phi(t: SelfSimilarTriple, g, xi: InfPath, n: int):
-    """n-th cocycle value along xi: phi(g, xi|_(n-1)); n >= 1."""
-    if n < 1:
-        raise ValueError("cocycle sequence is 1-indexed")
-    return t.act_path(g, xi.truncate(n - 1))[1]
-
-
-def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
-    """Walk the carry state along xi, detecting closure for periodic inputs.
-
-    Returns ("periodic", images, carries, preperiod, period) when the state
-    (carry value, phase in the cycle) recurs, else ("bounded", images,
-    carries). carries[n] = phi(g, xi|_n), images[n-1] = (g.xi)_n.
-    """
-    images: list[int] = []
-    carries = [g]
-    step = t.step
-    state = g
-    if isinstance(xi, PeriodicPath):
-        prefix, cycle = xi.prefix_edges, xi.cycle_edges
-        p, q = len(prefix), len(cycle)
-        for e in prefix:
-            image, state = step(state, e)
-            images.append(image)
-            carries.append(state)
-        seen: dict = {}
-        phase = 0
-        for n in range(p, depth + p + q + 1):
-            key = (state, phase)
-            if key in seen:
-                return "periodic", images, carries, seen[key], n - seen[key]
-            seen[key] = n
-            image, state = step(state, cycle[phase])
-            images.append(image)
-            carries.append(state)
-            phase = phase + 1 if phase + 1 < q else 0
-        return "bounded", images[:depth], carries[: depth + 1]
-    for n in range(1, min(depth, xi.depth_limit) + 1):
-        image, state = step(state, xi.letter(n))
-        images.append(image)
-        carries.append(state)
-    return "bounded", images, carries
-
-
-def _image_path(t: SelfSimilarTriple, outcome) -> InfPath:
-    """g.xi from an _orbit outcome; undecided when the walk saw no letter."""
-    if outcome[0] == "periodic":
-        _, images, _, start, period = outcome
-        pre, cyc = periodic.normalize(tuple(images[:start]), tuple(images[start : start + period]))
-        return PeriodicPath(t.graph, pre, cyc)
-    images = outcome[1]
-    if not images:
-        raise DepthExceededError("no letter of the path is known: its image is undecided")
-    return stream_path(t.graph, images)
-
-
-def _carry_seq(t: SelfSimilarTriple, outcome) -> CoronaSeq:
-    """Phi(g, xi) from an _orbit outcome."""
-    from .corona import BoundedSeq, PeriodicSeq
-    carries = outcome[2]
-    if outcome[0] == "periodic":
-        start, period = outcome[3], outcome[4]
-        # Phi_n = carries[n-1]: shift the detected closure by one index.
-        return PeriodicSeq.make(t.group, tuple(carries[:start]), tuple(carries[start : start + period]))
-    return BoundedSeq(t.group, tuple(carries[:-1]) if len(carries) > 1 else (carries[0],))
-
-
-def act_inf_path(t: SelfSimilarTriple, g, xi: InfPath, depth: int = 64) -> InfPath:
-    """The infinite path g.xi; eventually periodic when the carry orbit closes."""
-    t.group.check(g)
-    return _image_path(t, _orbit(t, g, xi, depth))
-
-
-def phi_corona(t: SelfSimilarTriple, g, xi: InfPath, depth: int = 64) -> CoronaSeq:
-    """The cocycle sequence Phi(g, xi) as a corona representative.
-
-    Eventually periodic whenever the carry orbit closes within the depth
-    bound; otherwise a bounded stream, and downstream equality answers
-    degrade to unknown rather than being silently wrong.
-    """
-    t.group.check(g)
-    return _carry_seq(t, _orbit(t, g, xi, depth))
-
-
-def act_and_phi_corona(t: SelfSimilarTriple, g, xi: InfPath, depth: int = 64) -> tuple[InfPath, CoronaSeq]:
-    """(g.xi, Phi(g, xi)) from one walk of the carry orbit."""
-    t.group.check(g)
-    outcome = _orbit(t, g, xi, depth)
-    return _image_path(t, outcome), _carry_seq(t, outcome)
-
-
-class Violation(Record):
-    __slots__ = ("law", "detail")  # str, str
-
-
-class AxiomReport(Record):
-    __slots__ = ("violations", "undecided", "checked_pairs")  # Violation tuples, int
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.undecided
-
-
-def _check_window(t: SelfSimilarTriple, window: Sequence) -> list:
-    window = list(window)
-    if not window:
-        raise ValueError("window must not be empty")
-    group = t.group
-    ident = group.identity()  # a literal member is equal at once
-    if ident not in window and not any(group.eq(g, ident).is_equal for g in window):
-        raise ValueError("window must contain the identity")
-    for g in window:
-        ginv = group.inv(g)
-        if ginv not in window and not any(group.eq(ginv, h).is_equal for h in window):
-            raise ValueError("window must be closed under inverses")
-    return window
-
-
-def verify_axioms(t: SelfSimilarTriple, window: Iterable) -> AxiomReport:
-    """Check the automorphism and cocycle axioms over a finite window.
-
-    Laws: sigma_g bijective on vertices and edges, r/d equivariance,
-    sigma_(gh) = sigma_g sigma_h, the cocycle identity, phi(1, e) = 1, and
-    sigma_phi(g,e) = sigma_g on vertices.
-    """
-    window = _check_window(t, window)
-    graph, group = t.graph, t.group
-    bad: list[Violation] = []
-    open_: list[Violation] = []
-
-    def record(tri: Tri, law: str, detail: str):
-        if tri.is_distinct:
-            bad.append(Violation(law, detail))
-        elif tri.is_unknown:
-            open_.append(Violation(law, detail))
-
-    ident = group.identity()
-    for e in graph.edges():
-        record(
-            group.is_identity(t.step(ident, e)[1]),
-            "cocycle-at-one",
-            f"phi(1, {graph.edge_labels[e]}) != 1",
-        )
-
-    # steps[i][e] = (g.e, phi(g, e)) for the i-th window element g.
-    steps = [[t.step(g, e) for e in graph.edges()] for g in window]
-    for g, g_steps in zip(window, steps):
-        gname = group.render(g)
-        v_img = [t.act_vertex(g, v) for v in graph.vertices()]
-        if sorted(v_img) != list(graph.vertices()):
-            bad.append(Violation("vertex-bijection", f"sigma_{gname} is not a vertex bijection"))
-        if sorted(image for image, _ in g_steps) != list(graph.edges()):
-            bad.append(Violation("edge-bijection", f"sigma_{gname} is not an edge bijection"))
-        for e, (image, coc) in enumerate(g_steps):
-            ename = graph.edge_labels[e]
-            if graph.range_of[image] != t.act_vertex(g, graph.range_of[e]):
-                bad.append(Violation("range-equivariance", f"r(sigma_{gname}({ename}))"))
-            if graph.source_of[image] != t.act_vertex(g, graph.source_of[e]):
-                bad.append(Violation("source-equivariance", f"d(sigma_{gname}({ename}))"))
-            for v in graph.vertices():
-                if t.act_vertex(coc, v) != t.act_vertex(g, v):
-                    bad.append(
-                        Violation(
-                            "cocycle-on-vertices",
-                            f"sigma_phi({gname},{ename}) != sigma_{gname} at {graph.vertex_labels[v]}",
-                        )
-                    )
-
-    pairs = 0
-    for g, g_steps in zip(window, steps):
-        for h, h_steps in zip(window, steps):
-            pairs += 1
-            gh = group.mul(g, h)
-            detail = f"(g={group.render(g)}, h={group.render(h)})"
-            for v in graph.vertices():
-                if t.act_vertex(gh, v) != t.act_vertex(g, t.act_vertex(h, v)):
-                    bad.append(Violation("action-hom-vertices", f"{detail} at {graph.vertex_labels[v]}"))
-            for e, (h_image, h_coc) in enumerate(h_steps):
-                gh_image, gh_coc = t.step(gh, e)
-                g_image, g_coc = g_steps[h_image]
-                if gh_image != g_image:
-                    bad.append(Violation("action-hom-edges", f"{detail} at {graph.edge_labels[e]}"))
-                record(
-                    group.eq(gh_coc, group.mul(g_coc, h_coc)),
-                    "cocycle-identity",
-                    f"{detail} at {graph.edge_labels[e]}",
-                )
-    return AxiomReport(tuple(bad), tuple(open_), pairs)
-
-
-def inverse_cocycle_check(t: SelfSimilarTriple, g, a: Path) -> Tri:
-    """phi(g^-1, a) == phi(g, g^-1 a)^-1."""
-    group = t.group
-    ginv = group.inv(g)
-    lhs = t.act_path(ginv, a)[1]
-    rhs = group.inv(t.act_path(g, t.act_path(ginv, a)[0])[1])
-    return group.eq(lhs, rhs)
-
-
-class FreenessReport(Record):
-    """Outcome of the freeness sweep over a window of group elements.
-
-    kind is "holds" (finite group fully swept, nothing found),
-    "counterexample" (some g != 1 fixes an edge with trivial cocycle), or
-    "unknown" (nothing found within the window, but the window is not all
-    of the group or some comparison stayed undecided). counterexample is
-    (g, edge id) or None; consistency_failures and undecided are strings.
-    """
-
-    __slots__ = ("kind", "counterexample", "consistency_failures", "undecided", "window_size")
-
-    @property
-    def found_counterexample(self) -> bool:
-        return self.kind == "counterexample"
-
-
-def count_paths_upto(graph: Graph, max_len: int, stop: int | None = None) -> int:
-    """len(all_paths_upto(graph, max_len)), counted per source vertex layer by layer.
-
-    Counting stops once the total passes ``stop`` or a layer is empty.
-    """
-    layer = {v: 1 for v in graph.vertices()}  # source vertex -> paths ending there
-    total = len(layer)
-    for _ in range(max_len):
-        if not layer or (stop is not None and total > stop):
-            break
-        nxt: dict[int, int] = {}
-        for v, count in layer.items():
-            for e in graph.edges_into(v):
-                w = graph.source_of[e]
-                nxt[w] = nxt.get(w, 0) + count
-        layer = nxt
-        total += sum(nxt.values())
-    return total
-
-
-def check_path_bound(graph: Graph, max_len: int) -> None:
-    """Refuse a bound whose path family would pass MAX_ENUMERATION, before building it."""
-    count = count_paths_upto(graph, max_len, stop=MAX_ENUMERATION)
-    refuse_oversize(count, f"paths of length <= {max_len}")
-
-
-def all_paths_upto(graph: Graph, max_len: int) -> list[Path]:
-    """Every path of length <= max_len, vertex paths first, deterministic order."""
-    check_path_bound(graph, max_len)
-    result: list[Path] = [vertex_path(graph, v) for v in graph.vertices()]
-    layer = list(result)
-    for _ in range(max_len):
-        nxt = []
-        for p in layer:
-            for e in graph.edges_into(p.source_vertex):
-                nxt.append(concat(p, Path(graph, None, (e,))))
-        result.extend(nxt)
-        layer = nxt
-    return result
-
-
-def check_residually_free(
-    t: SelfSimilarTriple, window: Iterable, path_bound: int = 4
-) -> FreenessReport:
-    """Sweep for g != 1 fixing an edge with trivial cocycle.
-
-    Also sweeps the path-level variant and the two-element rigidity property
-    over paths of length <= path_bound. A hit there while the edge sweep is
-    clean is reported as a consistency failure: for a fully swept finite
-    group it contradicts the reduction of path fixing to edge fixing, and for
-    an infinite group it indicates an edge counterexample outside the window.
-    Each window element acts once on each path and only elements sending a
-    path to one image are compared, so the path sweeps cost |W|·|P| actions.
-    """
-    window = _check_window(t, window)
-    group = t.group
-    graph = t.graph
-    # One identity test per element: an undecided one may spend a comparison budget.
-    g_is_ids = [group.is_identity(g) for g in window]
-    undecided: list[str] = []
-    counterexample = None
-
-    for g, g_is_id in zip(window, g_is_ids):
-        if g_is_id.is_equal:
-            continue
-        for e in graph.edges():
-            image, coc = t.step(g, e)
-            if image != e:
-                continue
-            coc_trivial = group.is_identity(coc)
-            # A definite counterexample needs: g definitely != 1 and the
-            # cocycle definitely trivial.
-            if g_is_id.is_distinct and coc_trivial.is_equal:
-                counterexample = (g, e)
-                break
-            if coc_trivial.is_unknown or g_is_id.is_unknown:
-                undecided.append(
-                    f"(g={group.render(g)}, e={graph.edge_labels[e]}) undecided at depth"
-                )
-        if counterexample:
-            break
-
-    failures: list[str] = []
-    if counterexample is None:
-        paths = all_paths_upto(graph, path_bound)
-        # Path-freeness applies to the elements that are definitely not 1.
-        surely_nontrivial = [g_is_id.is_distinct for g_is_id in g_is_ids]
-        for a in paths:
-            # Act once per element; only elements with one image can agree on a.
-            by_image: dict = {}
-            for i, g in enumerate(window):
-                img, coc = t.act_path(g, a)
-                if surely_nontrivial[i] and img == a and group.is_identity(coc).is_equal:
-                    failures.append(
-                        f"path-freeness: g={group.render(g)} fixes {a} with trivial cocycle"
-                    )
-                by_image.setdefault((img.vertex, img.edges), []).append((g, coc))
-            for agreeing in by_image.values():
-                for g1, c1 in agreeing:
-                    for g2, c2 in agreeing:
-                        # eq(g, g) is equal, so an element never pairs with itself.
-                        if g1 is not g2 and group.eq(c1, c2).is_equal and group.eq(g1, g2).is_distinct:
-                            failures.append(
-                                f"rigidity: g1={group.render(g1)}, g2={group.render(g2)} agree on {a}"
-                            )
-
-    if counterexample is not None:
-        kind = "counterexample"
-    elif group.is_finite and len(window) >= len(list(group.elements())) and not undecided:
-        kind = "holds"
-    else:
-        kind = "unknown"
-    return FreenessReport(kind, counterexample, tuple(sorted(set(failures))), tuple(undecided), len(window))

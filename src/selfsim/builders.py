@@ -1,10 +1,11 @@
-"""Builders for the two standard families of self-similar graph actions.
+"""Builders of integer-backed triples, and the builtin examples.
 
 The two-matrix construction takes nonnegative A (no zero rows) and integer B
 with B vanishing wherever A does; the integers then act on the graph with
 adjacency matrix A by adding m*B[i][j] to the edge counter modulo A[i][j],
-the cocycle being the Euclidean quotient. Automaton data gives the classic
-single-vertex picture where generators permute letters and restrict.
+the cocycle being the Euclidean quotient. Automaton data, which gives the
+classic single-vertex picture where generators permute letters and restrict,
+is built in ``automaton``; triples over a Cayley table in ``cayley``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import accumulate
 from .action import SelfSimilarTriple
 from .errors import InvalidMatricesError, Record
 from .graph import Graph, make_graph
-from .groups import AutomatonGroup, FiniteGroup, IntegerGroup
+from .groups import MAX_ENUMERATION, IntegerGroup
 
 
 class KatsuraData(Record):
@@ -43,21 +44,12 @@ class KatsuraData(Record):
                     raise InvalidMatricesError(
                         f"A[{i + 1}][{j + 1}] = 0 forces B[{i + 1}][{j + 1}] = 0"
                     )
-
-
-class AutomatonData(Record):
-    # alphabet and states are label tuples; output[state][letter] is a letter,
-    # restriction[state][letter] a word.
-    __slots__ = ("alphabet", "states", "output", "restriction")
-
-    @staticmethod
-    def make(alphabet, states, output, restriction) -> "AutomatonData":
-        return AutomatonData(
-            tuple(alphabet),
-            tuple(states),
-            tuple(tuple(row) for row in output),
-            tuple(tuple(tuple(w) for w in row) for row in restriction),
-        )
+        # The entries of A count the edges: refuse the graph before building any.
+        edges = sum(map(sum, self.a))
+        if edges > MAX_ENUMERATION:
+            raise InvalidMatricesError(
+                f"A has {edges} edges, more than {MAX_ENUMERATION} (the enumeration limit)"
+            )
 
 
 def katsura_graph(data: KatsuraData) -> Graph:
@@ -162,45 +154,6 @@ def integer_triple_from_generator(
     )
 
 
-def from_automaton(data: AutomatonData, faithful_to_depth: bool = False) -> SelfSimilarTriple:
-    """Single-vertex triple whose group is the automaton group of the data."""
-    group = AutomatonGroup(
-        data.states,
-        len(data.alphabet),
-        data.output,
-        data.restriction,
-        faithful_to_depth=faithful_to_depth,
-    )
-    graph = make_graph(["v"], [(lab, "v", "v") for lab in data.alphabet])
-    return SelfSimilarTriple(
-        graph,
-        group,
-        vertex_act=lambda g, v: v,
-        step=group.step,
-        description=f"automaton on {len(data.alphabet)} letters",
-    )
-
-
-def finite_triple(
-    graph: Graph,
-    group: FiniteGroup,
-    vertex_table: Sequence[Sequence[int]],
-    edge_table: Sequence[Sequence[int]],
-    cocycle_table: Sequence[Sequence[int]],
-    description: str = "finite triple",
-) -> SelfSimilarTriple:
-    """Triple over a finite group given by full (element x vertex/edge) tables."""
-    vt = tuple(tuple(r) for r in vertex_table)
-    steps = tuple(tuple(zip(er, cr)) for er, cr in zip(edge_table, cocycle_table))
-    return SelfSimilarTriple(
-        graph,
-        group,
-        vertex_act=lambda g, v: vt[g][v],
-        step=lambda g, e: steps[g][e],
-        description=description,
-    )
-
-
 # -- builtin examples --------------------------------------------------------
 
 
@@ -220,6 +173,7 @@ def katsura_2_0() -> SelfSimilarTriple:
 
 def z2_swap() -> SelfSimilarTriple:
     """Z/2 swapping two parallel loops with trivial cocycle."""
+    from .cayley import FiniteGroup, finite_triple
     graph = make_graph(["v"], [("e0", "v", "v"), ("e1", "v", "v")])
     group = FiniteGroup(["0", "1"], [[0, 1], [1, 0]])
     return finite_triple(
@@ -234,6 +188,7 @@ def z2_swap() -> SelfSimilarTriple:
 
 def adding_machine() -> SelfSimilarTriple:
     """Binary adding machine automaton: a(0) = 1, a(1) = 0 with restriction a."""
+    from .automaton import AutomatonData, from_automaton
     data = AutomatonData.make(
         alphabet=["0", "1"],
         states=["a"],

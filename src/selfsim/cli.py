@@ -13,7 +13,6 @@ import os
 import re
 import sys
 
-from .action import check_path_bound, check_residually_free, verify_axioms
 from .errors import (
     DepthExceededError,
     FreenessNotVerifiedError,
@@ -32,7 +31,7 @@ from .specfile import (
     parse_semigroup_element,
 )
 
-# Handlers import semigroup and groupoid themselves: a command loads only what it runs.
+# Handlers import sweeps, semigroup and groupoid themselves: a command loads only what it runs.
 
 OK, FAIL, UNKNOWN, INPUT_ERROR = 0, 1, 2, 3
 
@@ -79,6 +78,7 @@ def _germ_context(triple, args, out):
 
 
 def _cmd_validate(triple, args, out):
+    from .sweeps import verify_axioms
     graph_report = validate_graph(triple.graph)
     if graph_report.ok:
         out("graph: ok")
@@ -132,6 +132,7 @@ def _cmd_cover(triple, args, out):
 
 
 def _cmd_residual_free(triple, args, out):
+    from .sweeps import check_residually_free
     window = default_window(triple.group, args.window)
     report = check_residually_free(triple, window, path_bound=args.bound)
     for failure in report.consistency_failures:
@@ -306,6 +307,7 @@ def main(argv=None) -> int:
         # Oversize limits are refused before anything is built.
         check_window_radius(triple.group, args.window)
         if args.command in _PATH_SWEEPS:
+            from .sweeps import check_path_bound
             check_path_bound(triple.graph, args.bound)
         code = handler(triple, args, out)
     except (UndecidedError, DepthExceededError) as err:

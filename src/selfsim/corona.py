@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from math import lcm
 
-from . import periodic
 from .errors import DepthExceededError, Frozen, Record, Value
 from .groups import GroupBackend
+from .periodic import drop, entry, normalize
 from .tri import Tri, DISTINCT, all_of, unknown
 
 
@@ -51,13 +51,13 @@ class PeriodicSeq(CoronaSeq, Frozen):
 
     @staticmethod
     def make(backend: GroupBackend, prefix, cycle) -> "PeriodicSeq":
-        pre, cyc = periodic.normalize(tuple(prefix), tuple(cycle))
+        pre, cyc = normalize(tuple(prefix), tuple(cycle))
         return PeriodicSeq(backend, pre, cyc)
 
     def entry(self, n: int):
         if n < 1:
             raise ValueError("entries are 1-indexed")
-        return periodic.entry(self.prefix, self.cycle, n - 1)
+        return entry(self.prefix, self.cycle, n - 1)
 
     @property
     def depth_limit(self) -> int | None:
@@ -135,7 +135,7 @@ def shift_left(a: CoronaSeq, k: int = 1) -> CoronaSeq:
     if k < 0:
         return shift_right(a, -k)
     if isinstance(a, PeriodicSeq):
-        pre, cyc = periodic.drop(a.prefix, a.cycle, k)
+        pre, cyc = drop(a.prefix, a.cycle, k)
         return PeriodicSeq(a.backend, pre, cyc)
     if k >= len(a.values):
         raise DepthExceededError("cannot shift a bounded sequence past its depth")

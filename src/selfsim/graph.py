@@ -1,36 +1,39 @@
-"""Finite directed graphs, finite paths, and eventually periodic infinite paths.
+"""Finite directed graphs and finite paths.
 
 Conventions follow the categorical composition order: a path a1 a2 ... an
 requires d(ai) = r(ai+1), its range is r(a1) and its source is d(an).
 Graphs are expected to have no sources, i.e. every vertex receives at least
 one edge; ``validate_graph`` reports violations instead of raising.
+Infinite paths live in ``infinite``.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
-from . import periodic
-from .errors import CompositionError, DepthExceededError, Frozen, Record, Value
-from .tri import Tri, DISTINCT, EQUAL, from_bool, unknown
+from .errors import CompositionError, Frozen, Record
 
 
 class Graph(Frozen):
     """Finite directed graph with dense integer ids and string labels."""
 
-    __slots__ = ("vertex_labels", "edge_labels", "range_of", "source_of", "_into")
-    _hidden = ("_into",)
+    __slots__ = ("vertex_labels", "edge_labels", "range_of", "source_of",
+                 "_into", "_vertex_ids", "_edge_ids")
+    _hidden = ("_into", "_vertex_ids", "_edge_ids")
 
     def __init__(self, vertex_labels: tuple[str, ...], edge_labels: tuple[str, ...],
                  range_of: tuple[int, ...], source_of: tuple[int, ...]):  # edge -> vertex maps
         if len(range_of) != len(edge_labels) or len(source_of) != len(edge_labels):
             raise ValueError("range/source maps must cover every edge")
         # Keyed by range id, dangling ids included: validate_graph reports those.
-        into: dict[int, tuple[int, ...]] = {}
+        into: dict[int, list[int]] = {}
         for e, v in enumerate(range_of):
-            into[v] = into.get(v, ()) + (e,)
-        for setter, value in zip(self._setters, (vertex_labels, edge_labels, range_of, source_of, into)):
+            into.setdefault(v, []).append(e)
+        into = {v: tuple(es) for v, es in into.items()}
+        values = (vertex_labels, edge_labels, range_of, source_of, into,
+                  label_ids(vertex_labels), label_ids(edge_labels))
+        for setter, value in zip(self._setters, values):
             setter(self, value)
 
     def _key(self) -> tuple:
@@ -60,15 +63,24 @@ class Graph(Frozen):
         """Edges e with r(e) = v, in id order."""
         return self._into.get(v, ())
 
-    def edges_out_of(self, v: int) -> tuple[int, ...]:
-        """Edges e with d(e) = v."""
-        return tuple(e for e in self.edges() if self.source_of[e] == v)
-
     def vertex_id(self, label: str) -> int:
-        return self.vertex_labels.index(label)
+        """Id of the first vertex with this label; ValueError when there is none."""
+        try:
+            return self._vertex_ids[label]
+        except KeyError:
+            raise ValueError(f"no vertex labelled {label!r}") from None
 
     def edge_id(self, label: str) -> int:
-        return self.edge_labels.index(label)
+        """Id of the first edge with this label; ValueError when there is none."""
+        try:
+            return self._edge_ids[label]
+        except KeyError:
+            raise ValueError(f"no edge labelled {label!r}") from None
+
+
+def label_ids(labels: Sequence[str]) -> dict[str, int]:
+    """label -> id of its first occurrence (what tuple.index gives), in one pass."""
+    return dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))
 
 
 def make_graph(vertices: Sequence[str], edges: Sequence[tuple[str, str, str]]) -> Graph:
@@ -261,180 +273,3 @@ def extensions(b: Path, count: int) -> list[Path]:
                 nxt.append(concat(p, Path(graph, None, (e,))))
         result = nxt
     return result
-
-
-class InfPath:
-    """Right-infinite path; subclasses: PeriodicPath (exact), StreamPath (bounded)."""
-
-    __slots__ = ()
-    graph: Graph
-
-    def letter(self, n: int) -> int:
-        """1-indexed n-th edge."""
-        raise NotImplementedError
-
-    @property
-    def depth_limit(self) -> int | None:
-        """Largest queryable index, or None when unbounded."""
-        raise NotImplementedError
-
-    @property
-    def range_vertex(self) -> int:
-        return self.graph.range_of[self.letter(1)]
-
-    def truncate(self, n: int) -> Path:
-        """The finite prefix of length n (n = 0 gives the range vertex)."""
-        if n < 0:
-            raise ValueError("truncation length must be >= 0")
-        if n == 0:
-            return vertex_path(self.graph, self.range_vertex)
-        return Path(self.graph, None, tuple(self.letter(i) for i in range(1, n + 1)))
-
-    def drop(self, k: int) -> "InfPath":
-        raise NotImplementedError
-
-    def prepend(self, path: Path) -> "InfPath":
-        raise NotImplementedError
-
-
-class PeriodicPath(InfPath, Frozen):
-    """Eventually periodic infinite path in normal form.
-
-    Normal form (minimal prefix, primitive cycle) makes structural equality
-    agree with equality of the underlying infinite words.
-    """
-
-    __slots__ = ("graph", "prefix_edges", "cycle_edges")
-    _hidden = ("graph",)  # compared, not shown
-
-    def __init__(self, graph: Graph, prefix_edges: tuple[int, ...], cycle_edges: tuple[int, ...]):
-        set_graph, set_prefix, set_cycle = self._setters
-        set_graph(self, graph)
-        set_prefix(self, prefix_edges)
-        set_cycle(self, cycle_edges)
-
-    def __eq__(self, other):
-        return (other.__class__ is self.__class__ and self.prefix_edges == other.prefix_edges
-                and self.cycle_edges == other.cycle_edges
-                and (self.graph is other.graph or self.graph == other.graph))
-
-    def __hash__(self):
-        return hash((self.graph, self.prefix_edges, self.cycle_edges))
-
-    def letter(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("letters are 1-indexed")
-        return periodic.entry(self.prefix_edges, self.cycle_edges, n - 1)
-
-    @property
-    def depth_limit(self) -> int | None:
-        return None
-
-    def drop(self, k: int) -> "PeriodicPath":
-        pre, cyc = periodic.drop(self.prefix_edges, self.cycle_edges, k)
-        return PeriodicPath(self.graph, pre, cyc)
-
-    def prepend(self, path: Path) -> "PeriodicPath":
-        if path.source_vertex != self.range_vertex:
-            raise CompositionError("cannot prepend: endpoints do not match")
-        pre, cyc = periodic.normalize(path.edges + self.prefix_edges, self.cycle_edges)
-        return PeriodicPath(self.graph, pre, cyc)
-
-    def __str__(self) -> str:
-        labels = self.graph.edge_labels
-        head = ".".join(labels[e] for e in self.prefix_edges)
-        body = ".".join(labels[e] for e in self.cycle_edges)
-        return f"{head}({body})*"
-
-
-def periodic_path(graph: Graph, prefix: Sequence[int] | Path, cycle: Sequence[int] | Path) -> PeriodicPath:
-    """Validated, normalized eventually periodic path prefix.(cycle)*."""
-    pre = tuple(prefix.edges) if isinstance(prefix, Path) else tuple(prefix)
-    cyc = tuple(cycle.edges) if isinstance(cycle, Path) else tuple(cycle)
-    if not cyc:
-        raise ValueError("cycle must have length >= 1")
-    cyc_path = edge_path(graph, cyc)
-    if cyc_path.source_vertex != cyc_path.range_vertex:
-        raise CompositionError("cycle does not close up")
-    if pre:
-        pre_path = edge_path(graph, pre)
-        if pre_path.source_vertex != cyc_path.range_vertex:
-            raise CompositionError("prefix does not meet the cycle")
-    pre, cyc = periodic.normalize(pre, cyc)
-    return PeriodicPath(graph, pre, cyc)
-
-
-class StreamPath(InfPath, Value):
-    """Infinite path known only through a prefix query up to a declared depth; compared by identity."""
-
-    __slots__ = ("graph", "fetch", "max_depth", "_cache")
-    _hidden = ("_cache",)
-
-    def __init__(self, graph: Graph, fetch: Callable[[int], int], max_depth: int):
-        self.graph = graph
-        self.fetch = fetch  # 1-indexed edge query
-        self.max_depth = max_depth
-        self._cache: dict[int, int] = {}
-
-    def letter(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("letters are 1-indexed")
-        if n > self.max_depth:
-            raise DepthExceededError(f"stream path only declared to depth {self.max_depth}")
-        if n not in self._cache:
-            self._cache[n] = self.fetch(n)
-        return self._cache[n]
-
-    @property
-    def depth_limit(self) -> int | None:
-        return self.max_depth
-
-    def drop(self, k: int) -> "StreamPath":
-        if k > self.max_depth:
-            raise DepthExceededError("cannot drop beyond the declared depth")
-        return StreamPath(self.graph, lambda n, k=k: self.letter(n + k), self.max_depth - k)
-
-    def prepend(self, path: Path) -> "StreamPath":
-        if path.source_vertex != self.range_vertex:
-            raise CompositionError("cannot prepend: endpoints do not match")
-        k = len(path)
-
-        def fetched(n: int) -> int:
-            return path.edges[n - 1] if n <= k else self.letter(n - k)
-
-        return StreamPath(self.graph, fetched, self.max_depth + k)
-
-    def __str__(self) -> str:
-        shown = min(self.max_depth, 12)
-        labels = self.graph.edge_labels
-        head = ".".join(labels[self.letter(i)] for i in range(1, shown + 1))
-        return f"{head}..[{self.max_depth}]"
-
-
-def stream_path(graph: Graph, letters: Sequence[int]) -> StreamPath:
-    """Stream path backed by a concrete list of known letters."""
-    seq = tuple(letters)
-    if not seq:
-        raise ValueError("stream path needs at least one known letter")
-    edge_path(graph, seq)  # validates composability
-    return StreamPath(graph, lambda n: seq[n - 1], len(seq))
-
-
-def inf_path_eq(a: InfPath, b: InfPath, depth: int) -> Tri:
-    """Equality of infinite paths: exact for two periodic paths, else depth-bounded.
-
-    A definite letter mismatch always decides distinctness; only the
-    confirmation of equality is unavailable for streams.
-    """
-    if a.graph != b.graph:
-        return DISTINCT
-    if isinstance(a, PeriodicPath) and isinstance(b, PeriodicPath):
-        return from_bool(a == b)
-    horizon = depth
-    for lim in (a.depth_limit, b.depth_limit):
-        if lim is not None:
-            horizon = min(horizon, lim)
-    for n in range(1, horizon + 1):
-        if a.letter(n) != b.letter(n):
-            return DISTINCT
-    return unknown(horizon)

@@ -11,14 +11,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .action import (
-    FreenessReport,
-    SelfSimilarTriple,
-    act_and_phi_corona,
-    act_inf_path,
-    check_residually_free,
-    phi_corona,
-)
+from .action import SelfSimilarTriple
 from .corona import (
     CoronaSeq,
     LagValue,
@@ -35,16 +28,10 @@ from .errors import (
     UndecidedError,
     Value,
 )
-from .graph import (
-    InfPath,
-    Path,
-    PeriodicPath,
-    PrefixRel,
-    concat,
-    inf_path_eq,
-    prefix_compare,
-)
+from .graph import Path, PrefixRel, concat, prefix_compare
 from .groups import default_window
+from .infinite import InfPath, PeriodicPath, act_and_phi_corona, act_inf_path, inf_path_eq, phi_corona
+from .sweeps import check_residually_free
 from .tri import Tri, DISTINCT, EQUAL, all_of, unknown
 
 

@@ -1,0 +1,291 @@
+"""Infinite paths and the action on them: the orbit half of the triple.
+
+Eventually periodic paths are exact (normal form prefix.(cycle)*); stream
+paths are known only to a declared depth. The induced action g.xi and the
+cocycle sequence Phi(g, xi) come from one walk of the carry orbit along xi,
+which closes on periodic inputs.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Sequence
+
+from .corona import BoundedSeq, CoronaSeq, PeriodicSeq
+from .errors import CompositionError, DepthExceededError, Frozen, Value
+from .graph import Graph, Path, edge_path, vertex_path
+from .periodic import drop, entry, normalize
+from .tri import Tri, DISTINCT, from_bool, unknown
+
+# SelfSimilarTriple (annotations) lives in action, loaded with every triple.
+
+
+class InfPath:
+    """Right-infinite path; subclasses: PeriodicPath (exact), StreamPath (bounded)."""
+
+    __slots__ = ()
+    graph: Graph
+
+    def letter(self, n: int) -> int:
+        """1-indexed n-th edge."""
+        raise NotImplementedError
+
+    @property
+    def depth_limit(self) -> int | None:
+        """Largest queryable index, or None when unbounded."""
+        raise NotImplementedError
+
+    @property
+    def range_vertex(self) -> int:
+        return self.graph.range_of[self.letter(1)]
+
+    def truncate(self, n: int) -> Path:
+        """The finite prefix of length n (n = 0 gives the range vertex)."""
+        if n < 0:
+            raise ValueError("truncation length must be >= 0")
+        if n == 0:
+            return vertex_path(self.graph, self.range_vertex)
+        return Path(self.graph, None, tuple(self.letter(i) for i in range(1, n + 1)))
+
+    def drop(self, k: int) -> "InfPath":
+        raise NotImplementedError
+
+    def prepend(self, path: Path) -> "InfPath":
+        raise NotImplementedError
+
+
+class PeriodicPath(InfPath, Frozen):
+    """Eventually periodic infinite path in normal form.
+
+    Normal form (minimal prefix, primitive cycle) makes structural equality
+    agree with equality of the underlying infinite words.
+    """
+
+    __slots__ = ("graph", "prefix_edges", "cycle_edges")
+    _hidden = ("graph",)  # compared, not shown
+
+    def __init__(self, graph: Graph, prefix_edges: tuple[int, ...], cycle_edges: tuple[int, ...]):
+        set_graph, set_prefix, set_cycle = self._setters
+        set_graph(self, graph)
+        set_prefix(self, prefix_edges)
+        set_cycle(self, cycle_edges)
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__ and self.prefix_edges == other.prefix_edges
+                and self.cycle_edges == other.cycle_edges
+                and (self.graph is other.graph or self.graph == other.graph))
+
+    def __hash__(self):
+        return hash((self.graph, self.prefix_edges, self.cycle_edges))
+
+    def letter(self, n: int) -> int:
+        if n < 1:
+            raise ValueError("letters are 1-indexed")
+        return entry(self.prefix_edges, self.cycle_edges, n - 1)
+
+    @property
+    def depth_limit(self) -> int | None:
+        return None
+
+    def drop(self, k: int) -> "PeriodicPath":
+        pre, cyc = drop(self.prefix_edges, self.cycle_edges, k)
+        return PeriodicPath(self.graph, pre, cyc)
+
+    def prepend(self, path: Path) -> "PeriodicPath":
+        if path.source_vertex != self.range_vertex:
+            raise CompositionError("cannot prepend: endpoints do not match")
+        pre, cyc = normalize(path.edges + self.prefix_edges, self.cycle_edges)
+        return PeriodicPath(self.graph, pre, cyc)
+
+    def __str__(self) -> str:
+        labels = self.graph.edge_labels
+        head = ".".join(labels[e] for e in self.prefix_edges)
+        body = ".".join(labels[e] for e in self.cycle_edges)
+        return f"{head}({body})*"
+
+
+def periodic_path(graph: Graph, prefix: Sequence[int] | Path, cycle: Sequence[int] | Path) -> PeriodicPath:
+    """Validated, normalized eventually periodic path prefix.(cycle)*."""
+    pre = tuple(prefix.edges) if isinstance(prefix, Path) else tuple(prefix)
+    cyc = tuple(cycle.edges) if isinstance(cycle, Path) else tuple(cycle)
+    if not cyc:
+        raise ValueError("cycle must have length >= 1")
+    cyc_path = edge_path(graph, cyc)
+    if cyc_path.source_vertex != cyc_path.range_vertex:
+        raise CompositionError("cycle does not close up")
+    if pre:
+        pre_path = edge_path(graph, pre)
+        if pre_path.source_vertex != cyc_path.range_vertex:
+            raise CompositionError("prefix does not meet the cycle")
+    pre, cyc = normalize(pre, cyc)
+    return PeriodicPath(graph, pre, cyc)
+
+
+class StreamPath(InfPath, Value):
+    """Infinite path known only through a prefix query up to a declared depth; compared by identity."""
+
+    __slots__ = ("graph", "fetch", "max_depth", "_cache")
+    _hidden = ("_cache",)
+
+    def __init__(self, graph: Graph, fetch: Callable[[int], int], max_depth: int):
+        self.graph = graph
+        self.fetch = fetch  # 1-indexed edge query
+        self.max_depth = max_depth
+        self._cache: dict[int, int] = {}
+
+    def letter(self, n: int) -> int:
+        if n < 1:
+            raise ValueError("letters are 1-indexed")
+        if n > self.max_depth:
+            raise DepthExceededError(f"stream path only declared to depth {self.max_depth}")
+        if n not in self._cache:
+            self._cache[n] = self.fetch(n)
+        return self._cache[n]
+
+    @property
+    def depth_limit(self) -> int | None:
+        return self.max_depth
+
+    def drop(self, k: int) -> "StreamPath":
+        if k > self.max_depth:
+            raise DepthExceededError("cannot drop beyond the declared depth")
+        return StreamPath(self.graph, lambda n, k=k: self.letter(n + k), self.max_depth - k)
+
+    def prepend(self, path: Path) -> "StreamPath":
+        if path.source_vertex != self.range_vertex:
+            raise CompositionError("cannot prepend: endpoints do not match")
+        k = len(path)
+
+        def fetched(n: int) -> int:
+            return path.edges[n - 1] if n <= k else self.letter(n - k)
+
+        return StreamPath(self.graph, fetched, self.max_depth + k)
+
+    def __str__(self) -> str:
+        shown = min(self.max_depth, 12)
+        labels = self.graph.edge_labels
+        head = ".".join(labels[self.letter(i)] for i in range(1, shown + 1))
+        return f"{head}..[{self.max_depth}]"
+
+
+def stream_path(graph: Graph, letters: Sequence[int]) -> StreamPath:
+    """Stream path backed by a concrete list of known letters."""
+    seq = tuple(letters)
+    if not seq:
+        raise ValueError("stream path needs at least one known letter")
+    edge_path(graph, seq)  # validates composability
+    return StreamPath(graph, lambda n: seq[n - 1], len(seq))
+
+
+def inf_path_eq(a: InfPath, b: InfPath, depth: int) -> Tri:
+    """Equality of infinite paths: exact for two periodic paths, else depth-bounded.
+
+    A definite letter mismatch always decides distinctness; only the
+    confirmation of equality is unavailable for streams.
+    """
+    if a.graph != b.graph:
+        return DISTINCT
+    if isinstance(a, PeriodicPath) and isinstance(b, PeriodicPath):
+        return from_bool(a == b)
+    horizon = depth
+    for lim in (a.depth_limit, b.depth_limit):
+        if lim is not None:
+            horizon = min(horizon, lim)
+    for n in range(1, horizon + 1):
+        if a.letter(n) != b.letter(n):
+            return DISTINCT
+    return unknown(horizon)
+
+
+def act_infinite(t: SelfSimilarTriple, g, xi: InfPath, n: int) -> Path:
+    """Length-n prefix of g.xi, computed as g acting on the length-n truncation."""
+    return t.act_path(g, xi.truncate(n))[0]
+
+
+def capital_phi(t: SelfSimilarTriple, g, xi: InfPath, n: int):
+    """n-th cocycle value along xi: phi(g, xi|_(n-1)); n >= 1."""
+    if n < 1:
+        raise ValueError("cocycle sequence is 1-indexed")
+    return t.act_path(g, xi.truncate(n - 1))[1]
+
+
+def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
+    """Walk the carry state along xi, detecting closure for periodic inputs.
+
+    Returns ("periodic", images, carries, preperiod, period) when the state
+    (carry value, phase in the cycle) recurs, else ("bounded", images,
+    carries). carries[n] = phi(g, xi|_n), images[n-1] = (g.xi)_n.
+    """
+    images: list[int] = []
+    carries = [g]
+    step = t.step
+    state = g
+    if isinstance(xi, PeriodicPath):
+        prefix, cycle = xi.prefix_edges, xi.cycle_edges
+        p, q = len(prefix), len(cycle)
+        for e in prefix:
+            image, state = step(state, e)
+            images.append(image)
+            carries.append(state)
+        seen: dict = {}
+        phase = 0
+        for n in range(p, depth + p + q + 1):
+            key = (state, phase)
+            if key in seen:
+                return "periodic", images, carries, seen[key], n - seen[key]
+            seen[key] = n
+            image, state = step(state, cycle[phase])
+            images.append(image)
+            carries.append(state)
+            phase = phase + 1 if phase + 1 < q else 0
+        return "bounded", images[:depth], carries[: depth + 1]
+    for n in range(1, min(depth, xi.depth_limit) + 1):
+        image, state = step(state, xi.letter(n))
+        images.append(image)
+        carries.append(state)
+    return "bounded", images, carries
+
+
+def _image_path(t: SelfSimilarTriple, outcome) -> InfPath:
+    """g.xi from an _orbit outcome; undecided when the walk saw no letter."""
+    if outcome[0] == "periodic":
+        _, images, _, start, period = outcome
+        pre, cyc = normalize(tuple(images[:start]), tuple(images[start : start + period]))
+        return PeriodicPath(t.graph, pre, cyc)
+    images = outcome[1]
+    if not images:
+        raise DepthExceededError("no letter of the path is known: its image is undecided")
+    return stream_path(t.graph, images)
+
+
+def _carry_seq(t: SelfSimilarTriple, outcome) -> CoronaSeq:
+    """Phi(g, xi) from an _orbit outcome."""
+    carries = outcome[2]
+    if outcome[0] == "periodic":
+        start, period = outcome[3], outcome[4]
+        # Phi_n = carries[n-1]: shift the detected closure by one index.
+        return PeriodicSeq.make(t.group, tuple(carries[:start]), tuple(carries[start : start + period]))
+    return BoundedSeq(t.group, tuple(carries[:-1]) if len(carries) > 1 else (carries[0],))
+
+
+def act_inf_path(t: SelfSimilarTriple, g, xi: InfPath, depth: int = 64) -> InfPath:
+    """The infinite path g.xi; eventually periodic when the carry orbit closes."""
+    t.group.check(g)
+    return _image_path(t, _orbit(t, g, xi, depth))
+
+
+def phi_corona(t: SelfSimilarTriple, g, xi: InfPath, depth: int = 64) -> CoronaSeq:
+    """The cocycle sequence Phi(g, xi) as a corona representative.
+
+    Eventually periodic whenever the carry orbit closes within the depth
+    bound; otherwise a bounded stream, and downstream equality answers
+    degrade to unknown rather than being silently wrong.
+    """
+    t.group.check(g)
+    return _carry_seq(t, _orbit(t, g, xi, depth))
+
+
+def act_and_phi_corona(t: SelfSimilarTriple, g, xi: InfPath, depth: int = 64) -> tuple[InfPath, CoronaSeq]:
+    """(g.xi, Phi(g, xi)) from one walk of the carry orbit."""
+    t.group.check(g)
+    outcome = _orbit(t, g, xi, depth)
+    return _image_path(t, outcome), _carry_seq(t, outcome)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable
 
-from .action import SelfSimilarTriple, all_paths_upto
+from .action import SelfSimilarTriple
 from .errors import Frozen, NotIdempotentError, Record, SourceConditionError
 from .graph import Path, PrefixRel, concat, prefix_compare
 from .tri import Tri, DISTINCT, from_bool
@@ -246,6 +246,7 @@ def check_e_star_unitary(
     identity or equivariance laws the reduction rests on raises
     SourceConditionError.
     """
+    from .sweeps import all_paths_upto
     window = list(window)
     _check_reduction(t, window)
     group, graph = t.group, t.graph

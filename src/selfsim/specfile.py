@@ -24,20 +24,14 @@ are `alpha,g,beta` or `0`; germs are `alpha,g,beta;xi`; corona sequences are
 from __future__ import annotations
 
 from .action import SelfSimilarTriple
-from .builders import (
-    AutomatonData,
-    KatsuraData,
-    finite_triple,
-    from_automaton,
-    from_katsura,
-    integer_triple_from_generator,
-)
+from .builders import KatsuraData, from_katsura, integer_triple_from_generator
 from .errors import Record, SpecFileError
-from .graph import Graph, InfPath, Path, edge_path, make_graph, periodic_path, vertex_path
-from .groups import AutomatonGroup, FiniteGroup, GroupBackend
+from .graph import Graph, Path, edge_path, make_graph, vertex_path
+from .groups import GroupBackend
 
-# SemigroupElement and CoronaSeq (annotations) live in semigroup and corona,
-# which the parsers that need them import.
+# SemigroupElement, InfPath and CoronaSeq (annotations) live in semigroup,
+# infinite and corona, which the parsers that need them import; automaton
+# and cayley specs are read by loaders in those modules.
 
 
 # -- literal parsing ---------------------------------------------------------
@@ -66,14 +60,18 @@ def parse_path(graph: Graph, text: str) -> Path:
         raise SpecFileError("empty path literal")
     if text.startswith("@"):
         label = text[1:]
-        if label not in graph.vertex_labels:
-            raise SpecFileError(f"unknown vertex label: {label!r}")
-        return vertex_path(graph, graph.vertex_id(label))
+        try:
+            v = graph.vertex_id(label)
+        except ValueError:
+            raise SpecFileError(f"unknown vertex label: {label!r}") from None
+        return vertex_path(graph, v)
     edges = []
     for part in split_top(text, "."):
-        if part not in graph.edge_labels:
-            raise SpecFileError(f"unknown edge label: {part!r}")
-        edges.append(graph.edge_id(part))
+        try:
+            e = graph.edge_id(part)
+        except ValueError:
+            raise SpecFileError(f"unknown edge label: {part!r}") from None
+        edges.append(e)
     return edge_path(graph, edges)
 
 
@@ -96,6 +94,7 @@ def _split_cycle(text: str) -> tuple[str, str] | None:
 
 def parse_inf_path(graph: Graph, text: str) -> InfPath:
     """Eventually periodic literal prefix(cycle)*."""
+    from .infinite import periodic_path
     text = text.strip()
     if not text.endswith(")*"):
         raise SpecFileError(f"infinite path literal must end in ')*': {text!r}")
@@ -217,20 +216,6 @@ def _parse_matrix(text: str, line: int) -> list[list[int]]:
         raise SpecFileError(f"matrix entries must be integers: {text!r}", line) from None
 
 
-def _parse_word(names: tuple[str, ...], text: str, line: int) -> tuple[int, ...]:
-    if text == "1":
-        return ()
-    word = []
-    for part in text.split("."):
-        inv = part.endswith("'")
-        name = part[:-1] if inv else part
-        if name not in names:
-            raise SpecFileError(f"unknown generator {name!r} in word {text!r}", line)
-        sym = names.index(name) + 1
-        word.append(-sym if inv else sym)
-    return tuple(word)
-
-
 class LoadedSpec(Record):
     __slots__ = ("triple", "source")  # SelfSimilarTriple, "explicit" | "katsura" | "automaton"
 
@@ -264,32 +249,8 @@ def _load_builder(section: _Section) -> LoadedSpec:
         a = _parse_matrix(section.require("a"), section.line)
         b = _parse_matrix(section.require("b"), section.line)
         return LoadedSpec(from_katsura(KatsuraData.make(a, b)), "katsura")
-    alphabet = section.require("alphabet").split()
-    rows = section.all("map")
-    states: list[str] = []
-    for value, line in rows:
-        state = value.split()[0]
-        if state not in states:
-            states.append(state)
-    outputs = [[None] * len(alphabet) for _ in states]
-    restrictions = [[None] * len(alphabet) for _ in states]
-    for value, line in rows:
-        parts = value.split()
-        if len(parts) != 4:
-            raise SpecFileError("map rows are 'state letter image restriction'", line)
-        state, letter, image, word = parts
-        if letter not in alphabet or image not in alphabet:
-            raise SpecFileError(f"unknown letter in map row: {value!r}", line)
-        si = states.index(state)
-        li = alphabet.index(letter)
-        outputs[si][li] = alphabet.index(image)
-        restrictions[si][li] = _parse_word(tuple(states), word, line)
-    for si, state in enumerate(states):
-        if any(x is None for x in outputs[si]):
-            raise SpecFileError(f"state {state!r} is missing a map row", section.line)
-    faithful = (section.get("faithful_depth", "false").lower() == "true")
-    data = AutomatonData.make(alphabet, states, outputs, restrictions)
-    return LoadedSpec(from_automaton(data, faithful_to_depth=faithful), "automaton")
+    from .automaton import load_map_section
+    return LoadedSpec(load_map_section(section), "automaton")
 
 
 def _load_explicit(gsec: _Section, grpsec: _Section, asec: _Section) -> LoadedSpec:
@@ -311,13 +272,16 @@ def _load_explicit(gsec: _Section, grpsec: _Section, asec: _Section) -> LoadedSp
     if kind == "integer":
         return LoadedSpec(_integer_from_action(graph, asec), "explicit")
     if kind == "cayley":
-        return LoadedSpec(_cayley_from_action(graph, grpsec, asec), "explicit")
-    if kind == "automaton":
-        return LoadedSpec(_automaton_from_action(graph, grpsec, asec), "explicit")
-    raise SpecFileError(f"unknown group kind {kind!r}", grpsec.line)
+        from .cayley import load_action_sections
+    elif kind == "automaton":
+        from .automaton import load_action_sections
+    else:
+        raise SpecFileError(f"unknown group kind {kind!r}", grpsec.line)
+    return LoadedSpec(load_action_sections(graph, grpsec, asec), "explicit")
 
 
-def _action_rows(asec: _Section, graph: Graph):
+def _action_rows(asec: _Section):
+    """The vertex rows 'g vertex image' and edge rows 'g edge image cocycle', split, with their lines."""
     vrows, erows = [], []
     for value, line in asec.all("vertex"):
         parts = value.split()
@@ -333,19 +297,21 @@ def _action_rows(asec: _Section, graph: Graph):
 
 
 def _resolve_vertex(graph: Graph, label: str, line: int) -> int:
-    if label not in graph.vertex_labels:
-        raise SpecFileError(f"unknown vertex label {label!r}", line)
-    return graph.vertex_id(label)
+    try:
+        return graph.vertex_id(label)
+    except ValueError:
+        raise SpecFileError(f"unknown vertex label {label!r}", line) from None
 
 
 def _resolve_edge(graph: Graph, label: str, line: int) -> int:
-    if label not in graph.edge_labels:
-        raise SpecFileError(f"unknown edge label {label!r}", line)
-    return graph.edge_id(label)
+    try:
+        return graph.edge_id(label)
+    except ValueError:
+        raise SpecFileError(f"unknown edge label {label!r}", line) from None
 
 
 def _integer_from_action(graph: Graph, asec: _Section) -> SelfSimilarTriple:
-    vrows, erows = _action_rows(asec, graph)
+    vrows, erows = _action_rows(asec)
     vperm = list(range(graph.n_vertices))
     for (g, v, w), line in vrows:
         if g != "1":
@@ -368,78 +334,3 @@ def _integer_from_action(graph: Graph, asec: _Section) -> SelfSimilarTriple:
     if sorted(eperm) != list(range(graph.n_edges)) or sorted(vperm) != list(range(graph.n_vertices)):
         raise SpecFileError("generator rows must describe bijections", asec.line)
     return integer_triple_from_generator(graph, vperm, eperm, crow, description="integer triple")
-
-
-def _cayley_from_action(graph: Graph, grpsec: _Section, asec: _Section) -> SelfSimilarTriple:
-    names = grpsec.require("elements").split()
-    rows = grpsec.all("row")
-    if len(rows) != len(names):
-        raise SpecFileError("cayley group needs one 'row' per element", grpsec.line)
-    table = []
-    for value, line in rows:
-        entries = value.split()
-        if len(entries) != len(names) or any(x not in names for x in entries):
-            raise SpecFileError(f"bad cayley row: {value!r}", line)
-        table.append([names.index(x) for x in entries])
-    try:
-        group = FiniteGroup(names, table)
-    except ValueError as err:
-        raise SpecFileError(str(err), grpsec.line) from None
-
-    vrows, erows = _action_rows(asec, graph)
-    vt = [list(range(graph.n_vertices)) for _ in names]
-    et = [[None] * graph.n_edges for _ in names]
-    ct = [[None] * graph.n_edges for _ in names]
-    ident = group.identity()
-    for gi in range(len(names)):
-        if gi == ident:
-            for e in range(graph.n_edges):
-                et[gi][e] = e
-                ct[gi][e] = ident
-    for (g, v, w), line in vrows:
-        if g not in names:
-            raise SpecFileError(f"unknown element {g!r}", line)
-        vt[names.index(g)][_resolve_vertex(graph, v, line)] = _resolve_vertex(graph, w, line)
-    for (g, e, f, k), line in erows:
-        if g not in names or k not in names:
-            raise SpecFileError(f"unknown element in edge row: {g!r} / {k!r}", line)
-        gi = names.index(g)
-        et[gi][_resolve_edge(graph, e, line)] = _resolve_edge(graph, f, line)
-        ct[gi][_resolve_edge(graph, e, line)] = names.index(k)
-    for gi, name in enumerate(names):
-        missing = [graph.edge_labels[e] for e in range(graph.n_edges) if et[gi][e] is None]
-        if missing:
-            raise SpecFileError(
-                f"missing edge action rows for element {name!r}: {', '.join(missing)}", asec.line
-            )
-    return finite_triple(graph, group, vt, et, ct, description="finite triple")
-
-
-def _automaton_from_action(graph: Graph, grpsec: _Section, asec: _Section) -> SelfSimilarTriple:
-    if graph.n_vertices != 1:
-        raise SpecFileError("automaton backend requires a single-vertex graph", grpsec.line)
-    names = tuple(grpsec.require("generators").split())
-    vrows, erows = _action_rows(asec, graph)
-    if vrows:
-        raise SpecFileError("automaton backend takes no vertex rows", asec.line)
-    outputs = [[None] * graph.n_edges for _ in names]
-    restrictions = [[None] * graph.n_edges for _ in names]
-    for (g, e, f, k), line in erows:
-        if g not in names:
-            raise SpecFileError(f"unknown generator {g!r}", line)
-        gi = names.index(g)
-        ei = _resolve_edge(graph, e, line)
-        outputs[gi][ei] = _resolve_edge(graph, f, line)
-        restrictions[gi][ei] = _parse_word(names, k, line)
-    for gi, name in enumerate(names):
-        if any(x is None for x in outputs[gi]):
-            raise SpecFileError(f"missing edge action rows for generator {name!r}", asec.line)
-    faithful = (grpsec.get("faithful_depth", "false").lower() == "true")
-    group = AutomatonGroup(names, graph.n_edges, outputs, restrictions, faithful_to_depth=faithful)
-    return SelfSimilarTriple(
-        graph,
-        group,
-        vertex_act=lambda g, v: v,
-        step=group.step,
-        description="automaton triple",
-    )

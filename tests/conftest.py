@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import selfsim as ss
-from selfsim.action import FreenessReport
+from selfsim.sweeps import FreenessReport
 from selfsim.errors import NotIdempotentError
-from selfsim.groups import invert_word, reduce_word
+from selfsim.automaton import invert_word, reduce_word
 from selfsim.semigroup import UnitaryReport, render
 from selfsim.specfile import load_spec_file, load_spec_text
 from selfsim.tri import DISTINCT, EQUAL, unknown

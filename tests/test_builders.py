@@ -1,6 +1,8 @@
 """Two-matrix and automaton builders, and their cross-checks."""
 
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -51,6 +53,28 @@ def test_katsura_invalid_matrices():
         ss.from_katsura(ss.KatsuraData.make([[2, 0], [1, 1]], [[1, 2], [0, 0]]))  # B != 0 where A = 0
     with pytest.raises(InvalidMatricesError):
         ss.from_katsura(ss.KatsuraData.make([[-1]], [[0]]))
+
+
+def test_oversize_katsura_is_refused_before_building():
+    # The entries of A count the edges; one over MAX_ENUMERATION is refused, at any size.
+    for a in ([[100_001]], [[60_000, 1], [1, 40_000]], [[99_999_999_999]]):
+        data = ss.KatsuraData.make(a, [[1] * len(a)] * len(a))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidMatricesError, match=r"edges, more than 100000 \(the enumeration limit\)"):
+                ss.from_katsura(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"peak {peak} bytes traced before the refusal"
+
+
+def test_katsura_at_the_limit_builds_in_linear_time():
+    start = time.perf_counter()
+    t = ss.from_katsura(ss.KatsuraData.make([[100_000]], [[1]]))
+    elapsed = time.perf_counter() - start
+    assert t.graph.n_edges == 100_000 and t.step(1, 99_999) == (0, 1)
+    assert elapsed < 2.0, f"a 100000-edge Katsura triple took {elapsed:.2f}s"
 
 
 def test_katsura_multi_vertex_axioms():

@@ -239,6 +239,23 @@ def test_over_limit_is_refused_before_building(argv, capsys):
     assert peak < 1_000_000, f"peak {peak} bytes traced before the refusal"
 
 
+def test_oversize_katsura_matrix_is_refused_before_building(tmp_path, capsys):
+    spec = tmp_path / "huge.spec"
+    spec.write_text("[katsura]\na = 99999999999\nb = 1\n")
+    tracemalloc.start()
+    try:
+        code = main(["act", str(spec), "1", "(1,1,0)"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "> act 1 (1,1,0)",
+        "error: A has 99999999999 edges, more than 100000 (the enumeration limit)",
+    ]
+    assert peak < 1_000_000, f"peak {peak} bytes traced before the refusal"
+
+
 def test_negative_corona_literal_needs_no_separator(capsys):
     head = ["model-check", ODOMETER, "e1(e0)*"]
     tail = ["-1,0(0)*", "0", "(e0)*"]

@@ -1,10 +1,12 @@
 """Graph, path, and infinite-path behavior."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 import selfsim as ss
-from selfsim.action import count_paths_upto
+from selfsim.sweeps import count_paths_upto
 from selfsim.errors import CompositionError, DepthExceededError
 
 
@@ -240,3 +242,21 @@ def test_all_paths_refuses_oversize_before_building(graph):
         ss.all_paths_upto(graph, 16)
     with pytest.raises(ValueError, match="paths of length <= 1000000000 "):
         ss.all_paths_upto(graph, 10**9)
+
+
+def test_label_ids_match_the_first_occurrence():
+    g = ss.Graph(("v", "w", "v"), ("e", "f", "e"), (0, 1, 2), (0, 1, 2))
+    assert (g.vertex_id("v"), g.vertex_id("w"), g.edge_id("e"), g.edge_id("f")) == (0, 1, 0, 1)
+    with pytest.raises(ValueError, match="no vertex labelled 'x'"):
+        g.vertex_id("x")
+    with pytest.raises(ValueError, match="no edge labelled 'x'"):
+        g.edge_id("x")
+
+
+def test_graph_with_100000_loops_builds_in_linear_time():
+    rows = [(f"e{i}", "v", "v") for i in range(100_000)]
+    start = time.perf_counter()
+    g = ss.make_graph(["v"], rows)
+    elapsed = time.perf_counter() - start
+    assert len(g.edges_into(0)) == 100_000 and g.edge_id("e99999") == 99_999
+    assert elapsed < 2.0, f"a 100000-edge one-vertex graph took {elapsed:.2f}s"

@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 import selfsim as ss
 from conftest import INVERSE_LETTER_SPEC, TEST_SPECS, fold_step
 from selfsim.errors import BackendMismatchError, NonBijectiveOutputError
-from selfsim.groups import MAX_ENUMERATION, reduce_word, invert_word
+from selfsim.automaton import invert_word, reduce_word
+from selfsim.groups import MAX_ENUMERATION
 from selfsim.specfile import load_spec_file, load_spec_text
 
 

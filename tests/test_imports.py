@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import selfsim
 from conftest import SPECS
 
@@ -46,6 +48,43 @@ def test_act_loads_only_the_path_layers():
     assert not modules & {"selfsim.groupoid", "selfsim.semigroup", "selfsim.corona"}
     bare = _python("-c", "pass")[2]
     assert "dataclasses" not in modules - bare
+
+
+# What every command loads besides selfsim.cli, which runs as __main__: the spec
+# loader and the finite path layers.
+CORE = {"action", "builders", "errors", "graph", "groups", "specfile", "tri"}
+GERMS = CORE | {"corona", "groupoid", "infinite", "periodic", "sweeps"}
+K32 = "katsura_3_2.spec"
+
+# (command, spec, arguments) -> the exact set of selfsim submodules the command loads.
+# -X importtime lists a module when an import statement names it, not when
+# importlib or `from . import name` loads it first, so the library's modules
+# import each other by name (`from .periodic import ...`).
+FOOTPRINTS = [
+    (("act", "odometer.spec", "1", "e0.e0"), CORE),
+    (("phi", "odometer.spec", "1", "e1"), CORE),
+    (("smul", "odometer.spec", "e0,1,e1", "e1.e1,0,e0"), CORE | {"semigroup"}),
+    (("cover", "odometer.spec", "@v", "e0", "e1"), CORE | {"semigroup"}),
+    (("act", K32, "5", "(1,1,0).(1,1,2)"), CORE),
+    (("phi", K32, "5", "(1,1,2)"), CORE),
+    (("smul", K32, "(1,1,0),1,(1,1,2)", "(1,1,2),0,(1,1,0)"), CORE | {"semigroup"}),
+    (("cover", K32, "@1", "(1,1,0)", "(1,1,1)", "(1,1,2)"), CORE | {"semigroup"}),
+    (("validate", "odometer.spec"), CORE | {"sweeps"}),
+    (("residual-free", "odometer.spec"), CORE | {"sweeps"}),
+    (("validate", K32), CORE | {"sweeps"}),
+    (("residual-free", K32), CORE | {"sweeps"}),
+    (("germ-eq", "odometer.spec", "@v,1,@v;(e0)*", "e1,0,e0;(e0)*"), GERMS),
+    (("act", "adding_machine.spec", "a", "0.0"), CORE | {"automaton"}),
+    (("validate", "z2_swap.spec"), CORE | {"cayley", "sweeps"}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", FOOTPRINTS, ids=[" ".join(argv[:2]) for argv, _ in FOOTPRINTS])
+def test_each_command_loads_exactly_its_layers(argv, expected):
+    command, spec, *rest = argv
+    code, stdout, modules = _python("-m", "selfsim.cli", command, str(SPECS / spec), *rest)
+    assert code in (0, 1, 2) and b"error:" not in stdout
+    assert {m.split(".", 1)[1] for m in modules if m.startswith("selfsim.")} == expected
 
 
 def test_import_selfsim_loads_no_submodule():

@@ -1,5 +1,7 @@
 """Spec-file parsing and the literal grammar."""
 
+import time
+
 import pytest
 
 import selfsim as ss
@@ -120,6 +122,69 @@ edge = a y x a
     assert t.graph.edge_labels == ("x", "y")
     img, coc = t.act_path(t.group.generator(0), ss.edge_path(t.graph, [1, 0]))
     assert img.edges == (0, 1)
+
+
+def test_explicit_spec_with_20000_edges_loads_in_linear_time():
+    n = 20_000
+    text = "\n".join([
+        "[graph]", "vertices = v", *(f"edge = e{i} v v" for i in range(n)),
+        "[group]", "kind = integer",
+        "[action]", *(f"edge = 1 e{i} e{(i + 1) % n} {int(i == n - 1)}" for i in range(n)),
+    ])
+    start = time.perf_counter()
+    t = load_spec_text(text).triple
+    elapsed = time.perf_counter() - start
+    assert t.step(1, n - 1) == (0, 1) and t.step(n, 5) == (5, 1)
+    assert parse_path(t.graph, f"e{n - 1}.e0").edges == (n - 1, 0)
+    assert elapsed < 2.0, f"a {n}-edge explicit spec took {elapsed:.2f}s"
+
+
+MAP_SPEC = "[automaton]\nalphabet = 0 1\nmap = a 0 1 1\nmap = a 1 0 a\n"
+ACTION_SPEC = """[graph]
+vertices = v
+edge = x v v
+edge = y v v
+[group]
+kind = automaton
+generators = a
+[action]
+edge = a x y 1
+edge = a y x a
+"""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (MAP_SPEC + "map = a 0 1\n", "line 5: map rows are 'state letter image restriction'"),
+        (MAP_SPEC + "map =\n", "line 5: map rows are 'state letter image restriction'"),
+        (MAP_SPEC + "map = b 2 0 1\n", "line 5: unknown letter in map row: 'b 2 0 1'"),
+        (MAP_SPEC + "map = b 0 1 c\n", "line 5: unknown generator 'c' in word 'c'"),
+        (MAP_SPEC + "map = b 0 1 1\n", "line 1: state 'b' is missing a map row"),
+        (MAP_SPEC.replace("alphabet = 0 1\n", ""), "line 1: missing key 'alphabet' in [automaton]"),
+        (ACTION_SPEC.replace("vertices = v", "vertices = v w"),
+         "line 5: automaton backend requires a single-vertex graph"),
+        (ACTION_SPEC + "vertex = a v v\n", "line 8: automaton backend takes no vertex rows"),
+        (ACTION_SPEC + "edge = b x y 1\n", "line 11: unknown generator 'b'"),
+        (ACTION_SPEC + "edge = a z w 1\n", "line 11: unknown edge label 'z'"),
+        (ACTION_SPEC + "edge = a x y a.c'\n", "line 11: unknown generator 'c' in word \"a.c'\""),
+        (ACTION_SPEC.replace("edge = a y x a\n", ""), "line 8: missing edge action rows for generator 'a'"),
+    ],
+    ids=["map_short_row", "map_empty_row", "map_letter", "map_word", "map_missing_row", "map_no_alphabet",
+         "rows_two_vertices", "rows_vertex_row", "rows_generator", "rows_edge", "rows_word", "rows_missing_row"],
+)
+def test_automaton_spec_errors_keep_their_text_and_line(text, message):
+    with pytest.raises(SpecFileError) as err:
+        load_spec_text(text)
+    assert str(err.value) == message
+
+
+def test_both_automaton_forms_build_the_same_action():
+    by_map = load_spec_text(MAP_SPEC).triple
+    by_rows = load_spec_text(ACTION_SPEC).triple
+    for word in by_map.group.window(3):
+        for letter in (0, 1):
+            assert by_map.step(word, letter) == by_rows.step(word, letter)
 
 
 def test_parse_errors_report_lines():

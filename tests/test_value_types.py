@@ -13,7 +13,7 @@ import random
 import pytest
 
 import selfsim as ss
-from selfsim.action import AxiomReport, FreenessReport, Violation
+from selfsim.sweeps import AxiomReport, FreenessReport, Violation
 from selfsim.graph import GraphReport
 from selfsim.groupoid import HausdorffReport
 from selfsim.semigroup import UnitaryReport
