@@ -8,6 +8,7 @@ forms fill their tables through one builder.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable, Sequence
 
 from .action import SelfSimilarTriple
@@ -32,6 +33,30 @@ def reduce_word(word: Sequence[int]) -> tuple[int, ...]:
 
 def invert_word(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(-sym for sym in reversed(word))
+
+
+class _Memo(dict):
+    """Memo table of pure answers that stops growing before its entries hold
+    more than MAX_ENUMERATION letters; ``held`` counts them. The lock makes a
+    budget check and its insert one step, so threads sharing a backend keep
+    the bound."""
+
+    __slots__ = ("held", "_lock")
+
+    def __init__(self):
+        super().__init__()
+        self.held = 0
+        self._lock = threading.Lock()
+
+    def keep(self, key, value, letters: int) -> None:
+        if self.held + letters <= MAX_ENUMERATION:
+            with self._lock:
+                if self.held + letters <= MAX_ENUMERATION and key not in self:
+                    self[key] = value
+                    self.held += letters
+
+    def __reduce__(self):
+        return _Memo, ()  # a copy or pickle starts empty: the lock cannot travel
 
 
 class AutomatonGroup(GroupBackend):
@@ -60,7 +85,7 @@ class AutomatonGroup(GroupBackend):
         self.faithful_to_depth = faithful_to_depth
         if len(self.outputs) != len(self.generator_names) or len(self.restrictions) != len(self.generator_names):
             raise ValueError("outputs/restrictions must cover every generator")
-        # (image letter, restriction word) of each signed generator at each letter.
+        # (image letter, restriction word reversed) of each signed generator at each letter.
         self._moves: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
         for g, row in enumerate(self.outputs):
             if sorted(row) != list(range(n_letters)):
@@ -70,8 +95,10 @@ class AutomatonGroup(GroupBackend):
             inv = [0] * n_letters
             for x, y in enumerate(row):
                 inv[y] = x
-            self._moves[g + 1] = tuple(zip(row, self.restrictions[g]))
-            self._moves[-g - 1] = tuple((pre, invert_word(self.restrictions[g][pre])) for pre in inv)
+            self._moves[g + 1] = tuple((y, self.restrictions[g][x][::-1]) for x, y in enumerate(row))
+            self._moves[-g - 1] = tuple((pre, invert_word(self.restrictions[g][pre])[::-1]) for pre in inv)
+        self._steps = _Memo()  # (word, letter) -> step(word, letter)
+        self._verdicts = _Memo()  # (a, b) -> eq(a, b)
 
     def identity(self) -> tuple[int, ...]:
         return ()
@@ -98,24 +125,47 @@ class AutomatonGroup(GroupBackend):
         restrictions compose by the cocycle rule. Each restriction is reduced,
         so prepending one cancels only at the junction: the restriction is
         kept reversed on a stack, in time linear in the letters pushed.
+
+        Answers are memoised: the words a query reaches recur, and for a
+        contracting automaton their restrictions fall into a finite nucleus.
+        The memo stops growing once its words and restrictions would hold
+        more than MAX_ENUMERATION letters; later steps are computed afresh.
         """
+        key = (word, letter)
+        known = self._steps.get(key)
+        if known is not None:
+            return known
         img = letter
         stack: list[int] = []
         moves = self._moves
         for sym in reversed(word):
             img, r = moves[sym][img]
-            for s in reversed(r):
-                if stack and stack[-1] == -s:
+            if r and stack and stack[-1] == -r[0]:
+                # r is reduced, so only its first letters can cancel.
+                i = 0
+                while i < len(r) and stack and stack[-1] == -r[i]:
                     stack.pop()
-                else:
-                    stack.append(s)
-        return img, tuple(reversed(stack))
+                    i += 1
+                stack += r[i:]
+            else:
+                stack += r
+        out = img, tuple(reversed(stack))
+        self._steps.keep(key, out, len(word) + len(stack))
+        return out
 
     def eq(self, a, b) -> Tri:
         a = self.check(a)
         b = self.check(b)
         if a == b:
             return EQUAL
+        key = (a, b)
+        known = self._verdicts.get(key)
+        if known is None:
+            known = self._compare(a, b)
+            self._verdicts.keep(key, known, len(a) + len(b))
+        return known
+
+    def _compare(self, a: tuple[int, ...], b: tuple[int, ...]) -> Tri:
         # Breadth-first walk of the restriction pairs, each pair once. Reduced
         # words restrict to words no longer than themselves, so the walk
         # closes; it gives up only when the pairs and their letters pass the budget.

@@ -194,11 +194,12 @@ def edge_path(graph: Graph, edges: Iterable[int]) -> Path:
     seq = tuple(edges)
     if not seq:
         raise ValueError("edge_path needs at least one edge; use vertex_path")
+    n_edges, source_of, range_of = graph.n_edges, graph.source_of, graph.range_of
     for e in seq:
-        if not 0 <= e < graph.n_edges:
+        if not 0 <= e < n_edges:
             raise ValueError(f"no edge {e}")
     for a, b in zip(seq, seq[1:]):
-        if graph.source_of[a] != graph.range_of[b]:
+        if source_of[a] != range_of[b]:
             raise CompositionError(
                 f"edges {graph.edge_labels[a]} and {graph.edge_labels[b]} do not compose"
             )

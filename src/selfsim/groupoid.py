@@ -339,14 +339,15 @@ def _model_conditions(
         reported = steps
     group = t.group
     pending = False
-    for n in range(1, steps + 1):
-        image, coc = t.step(gseq.entry(n + p), zeta.letter(n + q))
+    letters = zip(zeta.drop(q).head(steps), eta.drop(p).head(steps))
+    for n, (zeta_letter, eta_letter) in enumerate(letters, 1):
+        image, coc = t.step(gseq.entry(n + p), zeta_letter)
         carried = group.eq(gseq.entry(n + p + 1), coc)
         if carried.is_distinct:
             return DISTINCT
         if carried.is_unknown:
             pending = True
-        if eta.letter(n + p) != image:
+        if eta_letter != image:
             return DISTINCT
     if periodic_inputs and not pending:
         return EQUAL

@@ -8,7 +8,7 @@ which closes on periodic inputs.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from .corona import BoundedSeq, CoronaSeq, PeriodicSeq
 from .errors import CompositionError, DepthExceededError, Frozen, Value
@@ -38,13 +38,17 @@ class InfPath:
     def range_vertex(self) -> int:
         return self.graph.range_of[self.letter(1)]
 
+    def head(self, n: int) -> tuple[int, ...]:
+        """The first n >= 0 letters as one tuple."""
+        raise NotImplementedError
+
     def truncate(self, n: int) -> Path:
         """The finite prefix of length n (n = 0 gives the range vertex)."""
         if n < 0:
             raise ValueError("truncation length must be >= 0")
         if n == 0:
             return vertex_path(self.graph, self.range_vertex)
-        return Path(self.graph, None, tuple(self.letter(i) for i in range(1, n + 1)))
+        return Path(self.graph, None, self.head(n))
 
     def drop(self, k: int) -> "InfPath":
         raise NotImplementedError
@@ -86,6 +90,13 @@ class PeriodicPath(InfPath, Frozen):
     def depth_limit(self) -> int | None:
         return None
 
+    def head(self, n: int) -> tuple[int, ...]:
+        pre, cyc = self.prefix_edges, self.cycle_edges
+        if n <= len(pre):
+            return pre[:n]
+        cycles = -((len(pre) - n) // len(cyc))  # ceil((n - len(pre)) / len(cyc))
+        return (pre + cyc * cycles)[:n]
+
     def drop(self, k: int) -> "PeriodicPath":
         pre, cyc = drop(self.prefix_edges, self.cycle_edges, k)
         return PeriodicPath(self.graph, pre, cyc)
@@ -121,50 +132,49 @@ def periodic_path(graph: Graph, prefix: Sequence[int] | Path, cycle: Sequence[in
 
 
 class StreamPath(InfPath, Value):
-    """Infinite path known only through a prefix query up to a declared depth; compared by identity."""
+    """Infinite path known only through its first letters, the tuple ``letters``; compared by identity."""
 
-    __slots__ = ("graph", "fetch", "max_depth", "_cache")
-    _hidden = ("_cache",)
+    __slots__ = ("graph", "letters")
 
-    def __init__(self, graph: Graph, fetch: Callable[[int], int], max_depth: int):
+    def __init__(self, graph: Graph, letters: Sequence[int]):
         self.graph = graph
-        self.fetch = fetch  # 1-indexed edge query
-        self.max_depth = max_depth
-        self._cache: dict[int, int] = {}
+        self.letters = tuple(letters)
+
+    def _exceeded(self) -> DepthExceededError:
+        return DepthExceededError(f"stream path only declared to depth {len(self.letters)}")
 
     def letter(self, n: int) -> int:
         if n < 1:
             raise ValueError("letters are 1-indexed")
-        if n > self.max_depth:
-            raise DepthExceededError(f"stream path only declared to depth {self.max_depth}")
-        if n not in self._cache:
-            self._cache[n] = self.fetch(n)
-        return self._cache[n]
+        if n > len(self.letters):
+            raise self._exceeded()
+        return self.letters[n - 1]
 
     @property
-    def depth_limit(self) -> int | None:
-        return self.max_depth
+    def depth_limit(self) -> int:
+        return len(self.letters)
+
+    def head(self, n: int) -> tuple[int, ...]:
+        if n > len(self.letters):
+            raise self._exceeded()
+        return self.letters[:n]
 
     def drop(self, k: int) -> "StreamPath":
-        if k > self.max_depth:
+        if k < 0:
+            raise ValueError("drop length must be >= 0")
+        if k > len(self.letters):
             raise DepthExceededError("cannot drop beyond the declared depth")
-        return StreamPath(self.graph, lambda n, k=k: self.letter(n + k), self.max_depth - k)
+        return StreamPath(self.graph, self.letters[k:])
 
     def prepend(self, path: Path) -> "StreamPath":
         if path.source_vertex != self.range_vertex:
             raise CompositionError("cannot prepend: endpoints do not match")
-        k = len(path)
-
-        def fetched(n: int) -> int:
-            return path.edges[n - 1] if n <= k else self.letter(n - k)
-
-        return StreamPath(self.graph, fetched, self.max_depth + k)
+        return StreamPath(self.graph, path.edges + self.letters)
 
     def __str__(self) -> str:
-        shown = min(self.max_depth, 12)
         labels = self.graph.edge_labels
-        head = ".".join(labels[self.letter(i)] for i in range(1, shown + 1))
-        return f"{head}..[{self.max_depth}]"
+        head = ".".join(labels[e] for e in self.letters[:12])
+        return f"{head}..[{len(self.letters)}]"
 
 
 def stream_path(graph: Graph, letters: Sequence[int]) -> StreamPath:
@@ -173,7 +183,7 @@ def stream_path(graph: Graph, letters: Sequence[int]) -> StreamPath:
     if not seq:
         raise ValueError("stream path needs at least one known letter")
     edge_path(graph, seq)  # validates composability
-    return StreamPath(graph, lambda n: seq[n - 1], len(seq))
+    return StreamPath(graph, seq)
 
 
 def inf_path_eq(a: InfPath, b: InfPath, depth: int) -> Tri:
@@ -182,7 +192,7 @@ def inf_path_eq(a: InfPath, b: InfPath, depth: int) -> Tri:
     A definite letter mismatch always decides distinctness; only the
     confirmation of equality is unavailable for streams.
     """
-    if a.graph != b.graph:
+    if a.graph is not b.graph and a.graph != b.graph:
         return DISTINCT
     if isinstance(a, PeriodicPath) and isinstance(b, PeriodicPath):
         return from_bool(a == b)
@@ -190,9 +200,8 @@ def inf_path_eq(a: InfPath, b: InfPath, depth: int) -> Tri:
     for lim in (a.depth_limit, b.depth_limit):
         if lim is not None:
             horizon = min(horizon, lim)
-    for n in range(1, horizon + 1):
-        if a.letter(n) != b.letter(n):
-            return DISTINCT
+    if horizon > 0 and a.head(horizon) != b.head(horizon):
+        return DISTINCT
     return unknown(horizon)
 
 
@@ -238,8 +247,8 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
             carries.append(state)
             phase = phase + 1 if phase + 1 < q else 0
         return "bounded", images[:depth], carries[: depth + 1]
-    for n in range(1, min(depth, xi.depth_limit) + 1):
-        image, state = step(state, xi.letter(n))
+    for e in xi.head(min(max(depth, 0), xi.depth_limit)):
+        image, state = step(state, e)
         images.append(image)
         carries.append(state)
     return "bounded", images, carries

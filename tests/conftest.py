@@ -78,6 +78,25 @@ def fold_step(group, word, letter):
     return img, rest
 
 
+def stack_step(group, word, letter):
+    """AutomatonGroup.step without its memo: the restriction kept reversed on a stack, one letter at a time."""
+    img = letter
+    stack = []
+    for sym in reversed(word):
+        g = abs(sym) - 1
+        if sym > 0:
+            img, r = group.outputs[g][img], group.restrictions[g][img]
+        else:
+            img = group.outputs[g].index(img)
+            r = invert_word(group.restrictions[g][img])
+        for s in reversed(r):
+            if stack and stack[-1] == -s:
+                stack.pop()
+            else:
+                stack.append(s)
+    return img, tuple(reversed(stack))
+
+
 def labeled_odometer():
     """Odometer with readable edge labels e0/e1, built from generator tables."""
     graph = ss.make_graph(["v"], [("e0", "v", "v"), ("e1", "v", "v")])

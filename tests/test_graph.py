@@ -198,6 +198,68 @@ def test_stream_path_depth(graph):
     assert ss.inf_path_eq(s, ss.periodic_path(graph, [], [1]), 16).is_distinct
 
 
+LOOPS = ss.make_graph(["v"], [("e0", "v", "v"), ("e1", "v", "v")])
+ODOMETER = ss.odometer()
+
+
+@given(
+    st.lists(st.integers(0, 1), min_size=1, max_size=10),
+    st.integers(0, 12),
+    st.lists(st.integers(0, 1), max_size=3),
+    st.lists(st.integers(0, 1), min_size=1, max_size=10),
+    st.integers(0, 14),
+)
+def test_stream_path_follows_its_letter_tuple(letters, k, front, other, depth):
+    seq = tuple(letters)
+    s = ss.stream_path(LOOPS, seq)
+    assert s.letters == seq and s.depth_limit == len(seq)
+    assert s.truncate(0) == ss.vertex_path(LOOPS, 0)
+    for n in range(1, len(seq) + 3):
+        if n <= len(seq):
+            assert s.letter(n) == seq[n - 1] and s.truncate(n).edges == seq[:n]
+        else:
+            with pytest.raises(DepthExceededError):
+                s.letter(n)
+            with pytest.raises(DepthExceededError):
+                s.truncate(n)
+    head = ss.edge_path(LOOPS, front) if front else ss.vertex_path(LOOPS, 0)
+    assert s.prepend(head).letters == tuple(front) + seq
+    if k > len(seq):
+        with pytest.raises(DepthExceededError):
+            s.drop(k)
+    else:
+        rest = s.drop(k)
+        assert rest.letters == seq[k:] and rest.depth_limit == len(seq) - k
+        if not rest.letters:
+            # Nothing is known past the end, not even the range vertex.
+            for query in (lambda: rest.letter(1), lambda: rest.truncate(0), lambda: rest.prepend(head)):
+                with pytest.raises(DepthExceededError):
+                    query()
+    # Distinct exactly when the letters both know, up to the depth, differ.
+    horizon = min(depth, len(seq), len(other))
+    verdict = ss.inf_path_eq(s, ss.stream_path(LOOPS, other), depth)
+    assert verdict.is_distinct == (seq[:horizon] != tuple(other)[:horizon])
+    assert verdict.is_distinct or (verdict.is_unknown and verdict.depth == horizon)
+    xi = ss.periodic_path(LOOPS, [], other)
+    horizon = min(depth, len(seq))
+    expected = horizon > 0 and seq[:horizon] != xi.truncate(horizon).edges
+    assert ss.inf_path_eq(xi, s, depth).is_distinct == expected
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=10), st.integers(-6, 6), st.integers(0, 14))
+def test_act_inf_path_on_a_stream_acts_on_its_letters(letters, g, depth):
+    odo = ODOMETER
+    s = ss.stream_path(odo.graph, letters)
+    known = min(depth, len(letters))
+    if not known:
+        with pytest.raises(DepthExceededError):
+            ss.act_inf_path(odo, g, s, depth)
+        return
+    image = ss.act_inf_path(odo, g, s, depth)
+    assert isinstance(image, ss.StreamPath)
+    assert image.letters == odo.act_path(g, ss.edge_path(odo.graph, letters[:known]))[0].edges
+
+
 def test_drop_and_prepend(graph):
     xi = ss.periodic_path(graph, [1, 0], [0, 1])
     assert xi.drop(2).letter(1) == xi.letter(3)

@@ -13,9 +13,11 @@ from selfsim.errors import (
     NotComposableError,
     SourceConditionError,
 )
+from selfsim.groups import MAX_ENUMERATION
 from selfsim.specfile import load_spec_file, load_spec_text
 from conftest import (
     SPECS,
+    TEST_SPECS,
     TWIN_MACHINE_SPEC,
     random_composable_pair,
     random_germ,
@@ -362,6 +364,28 @@ def test_hausdorff_reports(odo, kat20, swap2):
     assert bad.kind == "not-implied" and bad.freeness.counterexample == (1, 0)
     fin = ss.hausdorff_report(swap2, ss.default_window(swap2.group, 1))
     assert fin.kind == "hausdorff" and fin.freeness.kind == "holds"
+
+
+def test_second_hausdorff_sweep_computes_no_step(monkeypatch):
+    # The doubling automaton's comparisons never close, so each one walks to
+    # the comparison budget; the backend's memo answers the repeat.
+    t = load_spec_file(str(TEST_SPECS / "doubling.spec")).triple
+    group = t.group
+    window = ss.default_window(group, 4)
+    first = ss.hausdorff_report(t, window)
+    sizes = (len(group._steps), group._steps.held, len(group._verdicts), group._verdicts.held)
+    assert group._verdicts.held < MAX_ENUMERATION  # every comparison was kept
+    computed = [0]
+    keep = type(group._steps).keep
+
+    def counting(memo, key, value, letters):
+        computed[0] += 1
+        keep(memo, key, value, letters)
+
+    monkeypatch.setattr(type(group._steps), "keep", counting)  # called on each step or comparison worked out
+    assert ss.hausdorff_report(t, window) == first
+    assert computed[0] == 0
+    assert (len(group._steps), group._steps.held, len(group._verdicts), group._verdicts.held) == sizes
 
 
 def _edge_path_actions(t, monkeypatch):

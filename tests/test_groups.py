@@ -2,14 +2,17 @@
 
 import inspect
 import itertools
+import pickle
 import random
+import sys
+import threading
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 import selfsim as ss
-from conftest import INVERSE_LETTER_SPEC, TEST_SPECS, fold_step
+from conftest import INVERSE_LETTER_SPEC, SPECS, TEST_SPECS, fold_step, stack_step
 from selfsim.errors import BackendMismatchError, NonBijectiveOutputError
 from selfsim.automaton import invert_word, reduce_word
 from selfsim.groups import MAX_ENUMERATION
@@ -207,6 +210,98 @@ def test_step_matches_the_fold(machine_group):
             word = reduce_word([rng.choice(syms) for _ in range(rng.randint(0, 40))])
             for letter in range(group.n_letters):
                 assert group.step(word, letter) == fold_step(group, word, letter), (word, letter)
+
+
+def _signed_word(rng, group, max_len):
+    syms = [s for g in range(len(group.generator_names)) for s in (g + 1, -(g + 1))]
+    return reduce_word([rng.choice(syms) for _ in range(rng.randint(0, max_len))])
+
+
+def _memo_letters(memo):
+    return sum(len(word) + len(rest) for (word, _), (_, rest) in memo.items())
+
+
+@pytest.mark.parametrize("spec", [SPECS / "adding_machine.spec", TEST_SPECS / "grigorchuk.spec",
+                                  TEST_SPECS / "doubling.spec"], ids=lambda p: p.stem)
+def test_memoised_step_matches_the_stack_recursion(spec):
+    group = load_spec_file(str(spec)).triple.group
+    rng = random.Random(67)
+    for _ in range(300):
+        word = _signed_word(rng, group, 50)
+        for letter in range(group.n_letters):
+            expected = stack_step(group, word, letter)
+            # The first call fills the memo, the second reads it.
+            assert group.step(word, letter) == expected, (word, letter)
+            assert group._steps[(word, letter)] == expected
+            assert group.step(word, letter) == expected
+    assert group._steps.held == _memo_letters(group._steps) <= MAX_ENUMERATION
+
+
+def test_step_memo_stops_growing_at_its_letter_budget():
+    group = _test_group("grigorchuk")
+    rng = random.Random(71)
+    words = {_signed_word(rng, group, 400) for _ in range(700)}
+    for word in words:
+        for letter in range(group.n_letters):
+            group.step(word, letter)
+    memo = group._steps
+    assert len(memo) < len(words) * group.n_letters  # the flood filled it
+    assert memo.held == _memo_letters(memo) <= MAX_ENUMERATION
+    for _ in range(50):
+        word = _signed_word(rng, group, 400)
+        for letter in range(group.n_letters):
+            assert group.step(word, letter) == stack_step(group, word, letter)
+    assert memo.held == _memo_letters(memo) <= MAX_ENUMERATION
+    for (word, letter), answer in list(memo.items())[::25]:
+        assert answer == stack_step(group, word, letter)
+
+
+def test_comparison_memo_stops_growing_at_its_letter_budget():
+    group = _test_group("grigorchuk")
+    rng = random.Random(73)
+    for _ in range(120):
+        a, b = _signed_word(rng, group, 1200), _signed_word(rng, group, 1200)
+        assert group.eq(a, b) == group._compare(a, b)  # the memo's answer is the walk's
+    memo = group._verdicts
+    assert 0 < len(memo) < 120
+    assert memo.held == sum(len(a) + len(b) for a, b in memo) <= MAX_ENUMERATION
+
+
+def test_a_pickled_backend_answers_alike_with_an_empty_memo(machine_group):
+    a = machine_group.generator(0)
+    assert machine_group.eq(a * 3, a).is_distinct
+    stepped = machine_group.step(a * 3, 1)
+    clone = pickle.loads(pickle.dumps(machine_group))
+    assert len(clone._steps) == len(clone._verdicts) == clone._steps.held == 0
+    assert clone.eq(a * 3, a).is_distinct and clone.step(a * 3, 1) == stepped
+
+
+def test_threads_sharing_a_backend_keep_the_memo_bound():
+    group = _test_group("grigorchuk")
+    failures = []
+
+    def flood(seed):
+        rng = random.Random(seed)
+        for _ in range(150):
+            word = _signed_word(rng, group, 400)
+            for letter in range(group.n_letters):
+                if group.step(word, letter) != stack_step(group, word, letter):
+                    failures.append((word, letter))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=flood, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+    # A lost update would leave the count apart from the letters held.
+    assert group._steps.held == _memo_letters(group._steps) <= MAX_ENUMERATION
 
 
 def test_power_2048_of_adding_machine_is_not_identity(machine_group):

@@ -28,16 +28,26 @@ PUBLIC_NAMES = sorted("""
 """.split())
 
 
+# The child names every module in sys.modules on its last stderr line at exit,
+# however it was loaded: by an import statement, importlib or `from . import`.
+LIST_MODULES = "import atexit, sys\natexit.register(lambda: print('modules:', *sys.modules, file=sys.stderr))\n"
+
+
 def _python(*args):
-    """Run a fresh interpreter on the checkout's src/; returns (exit code, stdout, modules imported)."""
+    """Run a fresh interpreter on the checkout's src/; returns (exit code, stdout, modules loaded).
+
+    ``args`` is ``-m module arg...`` (run as ``__main__``, as ``python -m`` does) or ``-c code``.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, env=env,
+    option, target, *rest = args
+    if option == "-m":
+        target = f"import runpy\nrunpy.run_module({target!r}, run_name='__main__', alter_sys=True)\n"
+    proc = subprocess.run([sys.executable, "-c", LIST_MODULES + target, *rest], capture_output=True, env=env,
                           cwd=ROOT, timeout=60)
-    # -X importtime writes one "import time: self | cumulative | name" line per module imported.
-    modules = {line.split("|")[2].strip() for line in proc.stderr.decode().splitlines()
-               if line.startswith("import time:") and line.count("|") == 2}
-    return proc.returncode, proc.stdout, modules
+    last = proc.stderr.decode().splitlines()[-1]
+    assert last.startswith("modules: "), proc.stderr
+    return proc.returncode, proc.stdout, set(last.split()[1:])
 
 
 def test_act_loads_only_the_path_layers():
@@ -57,9 +67,6 @@ GERMS = CORE | {"corona", "groupoid", "infinite", "periodic", "sweeps"}
 K32 = "katsura_3_2.spec"
 
 # (command, spec, arguments) -> the exact set of selfsim submodules the command loads.
-# -X importtime lists a module when an import statement names it, not when
-# importlib or `from . import name` loads it first, so the library's modules
-# import each other by name (`from .periodic import ...`).
 FOOTPRINTS = [
     (("act", "odometer.spec", "1", "e0.e0"), CORE),
     (("phi", "odometer.spec", "1", "e1"), CORE),

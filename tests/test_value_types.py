@@ -113,7 +113,7 @@ def test_fixed_reprs_keep_the_dataclass_format():
     assert repr(ss.ZERO) == "Zero()" and repr(Violation("law", "at e0")) == "Violation(law='law', detail='at e0')"
     assert repr(ss.BoundedSeq(Z1, (1, 2))) == f"BoundedSeq(backend={Z1!r}, values=(1, 2))"
     stream = ss.stream_path(G1, [0, 1])
-    assert repr(stream) == f"StreamPath(graph={G1!r}, fetch={stream.fetch!r}, max_depth=2)"
+    assert repr(stream) == f"StreamPath(graph={G1!r}, letters=(0, 1))"
     germ = ss.Germ(path, 0, path, ss.periodic_path(G1, [], [0]))
     assert repr(germ) == f"Germ(alpha={path!r}, g=0, beta={path!r}, xi={germ.xi!r})"
 
