@@ -1,17 +1,16 @@
 """Command-line interface: load a spec file, run checks, evaluate expressions.
 
 Exit codes: 0 success / holds / equal / true; 1 counterexample / distinct /
-false; 2 undecided or depth exceeded; 3 input error, out-of-range flags and
-SELFSIM_* values included. Output is plain text, byte-deterministic for
+false; 2 undecided or depth exceeded; 3 input error, usage errors,
+out-of-range flags and SELFSIM_* values included. Output is plain text, byte-deterministic for
 identical inputs; the first line echoes the command.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
-import re
 import sys
+from types import SimpleNamespace
 
 from .errors import (
     DepthExceededError,
@@ -73,20 +72,21 @@ def _germ_context(triple, args, out):
         triple,
         window=window,
         depth=args.depth,
-        allow_unverified=getattr(args, "allow_unverified", False),
+        allow_unverified=args.allow_unverified,
     )
 
 
 def _cmd_validate(triple, args, out):
     from .sweeps import verify_axioms
+    # The axioms run first: an oversize window is refused before a line is written.
+    window = default_window(triple.group, args.window)
+    axioms = verify_axioms(triple, window)
     graph_report = validate_graph(triple.graph)
     if graph_report.ok:
         out("graph: ok")
     else:
         for problem in graph_report.problems:
             out(f"graph: {problem}")
-    window = default_window(triple.group, args.window)
-    axioms = verify_axioms(triple, window)
     if axioms.ok:
         out(f"axioms: ok (window of {len(window)} elements, {axioms.checked_pairs} pairs)")
     else:
@@ -224,63 +224,174 @@ def _cmd_hausdorff(triple, args, out):
     return FAIL
 
 
+# Every option: (default, value type, metavar, help); a flag has no value type.
+# An option's field is its name without the dashes, "-" read as "_".
+_OPTIONS = {
+    "--help": (None, None, None, "show this help and exit (also -h)"),
+    "--window": (None, int, "R", "window radius (default 4, or SELFSIM_WINDOW)"),
+    "--bound": (4, int, "B", "path length bound (default 4)"),
+    "--depth": (None, int, "D", "depth for infinite computations (default 64, or SELFSIM_DEPTH)"),
+    "--allow-unverified": (False, None, None, "run a germ command past a freeness counterexample"),
+    "--split": (None, str, "P:Q", "witness split p:q"),
+}
+_COMMON = ("--window", "--depth", "--allow-unverified")
+
+# command -> (handler, positionals after the spec, options besides _COMMON, summary);
+# a last positional "alphas" takes one or more values.
 _COMMANDS = {
-    "validate": (_cmd_validate, (), "graph conditions and action/cocycle axioms"),
-    "act": (_cmd_act, ("g", "path"), "image path and cocycle value"),
-    "phi": (_cmd_phi, ("g", "path"), "cocycle value of g along a path"),
-    "smul": (_cmd_smul, ("s", "t"), "semigroup product of two triples"),
-    "cover": (_cmd_cover, ("beta", "alphas"), "do the given idempotents cover e_beta?"),
-    "residual-free": (_cmd_residual_free, (), "freeness sweep over a window"),
-    "e-star-unitary": (_cmd_e_star_unitary, (), "non-idempotent dominating an idempotent?"),
-    "germ-eq": (_cmd_germ_eq, ("u", "v"), "germ equality"),
-    "lag": (_cmd_lag, ("u",), "lag value of a germ"),
-    "model-check": (_cmd_model_check, ("eta", "gseq", "k", "zeta"), "sequence-model membership"),
-    "hausdorff": (_cmd_hausdorff, (), "freeness-based Hausdorffness report"),
+    "validate": (_cmd_validate, (), (), "graph conditions and action/cocycle axioms"),
+    "act": (_cmd_act, ("g", "path"), (), "image path and cocycle value"),
+    "phi": (_cmd_phi, ("g", "path"), (), "cocycle value of g along a path"),
+    "smul": (_cmd_smul, ("s", "t"), (), "semigroup product of two triples"),
+    "cover": (_cmd_cover, ("beta", "alphas"), (), "do the given idempotents cover e_beta?"),
+    "residual-free": (_cmd_residual_free, (), ("--bound",), "freeness sweep over a window"),
+    "e-star-unitary": (_cmd_e_star_unitary, (), ("--bound",), "non-idempotent dominating an idempotent?"),
+    "germ-eq": (_cmd_germ_eq, ("u", "v"), (), "germ equality"),
+    "lag": (_cmd_lag, ("u",), (), "lag value of a germ"),
+    "model-check": (_cmd_model_check, ("eta", "gseq", "k", "zeta"), ("--split",), "sequence-model membership"),
+    "hausdorff": (_cmd_hausdorff, (), (), "freeness-based Hausdorffness report"),
 }
 
 
-# The commands that sweep paths and so take --bound.
-_PATH_SWEEPS = ("residual-free", "e-star-unitary")
+class UsageError(Exception):
+    """An argv outside the command grammar; ``command`` names the command it got to, if any."""
 
-# Each argparse parser reads a token as a positional when it matches its
-# (private) _negative_number_matcher; the default takes only plain negative
-# numbers, so a corona literal such as -1,0(0)* would be read as an unknown
-# option. No option here starts with a digit, so every token that starts
-# with "-" and a digit is a value.
-_NEGATIVE_LEADING = re.compile(r"^-\d")
+    def __init__(self, message: str, command: str | None = None):
+        super().__init__(message)
+        self.command = command
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="selfsim", description="self-similar graph action calculator"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, positionals, summary) in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary)
-        p._negative_number_matcher = _NEGATIVE_LEADING
-        p.add_argument("spec", help="spec file path")
-        for pos in positionals:
-            if pos == "alphas":
-                p.add_argument("alphas", nargs="+", metavar="alpha")
-            else:
-                p.add_argument(pos)
-        p.add_argument("--window", type=int, default=None, help="window radius")
-        if name in _PATH_SWEEPS:
-            p.add_argument("--bound", type=int, default=4, help="path length bound")
-        p.add_argument("--depth", type=int, default=None, help="depth for infinite computations")
-        p.add_argument("--allow-unverified", action="store_true", dest="allow_unverified")
-        if name == "model-check":
-            p.add_argument("--split", default=None, help="witness split p:q")
-    return parser
+def _field(option: str) -> str:
+    return option[2:].replace("-", "_")
+
+
+def _spelled(option: str) -> str:
+    metavar = _OPTIONS[option][2]
+    return f"{option} {metavar}" if metavar else option
+
+
+def _usage(command: str | None = None) -> str:
+    if command is None:
+        return "usage: selfsim <command> <specfile> [args] [options]"
+    _, positionals, extra, _ = _COMMANDS[command]
+    words = ["<alpha>..." if p == "alphas" else f"<{p}>" for p in positionals]
+    words += [f"[{_spelled(name)}]" for name in (*_COMMON, *extra)]
+    return " ".join(["usage: selfsim", command, "<specfile>", *words])
+
+
+def _help(command: str | None = None) -> str:
+    if command is None:
+        rows = [f"  {name:<16}{entry[3]}" for name, entry in _COMMANDS.items()]
+        return "\n".join([
+            _usage(), "", "self-similar graph action calculator", "", "commands:", *rows, "",
+            "selfsim <command> --help lists the arguments and options of one command.",
+        ])
+    extra, summary = _COMMANDS[command][2:]
+    rows = [f"  {_spelled(name):<22}{_OPTIONS[name][3]}" for name in ("--help", *_COMMON, *extra)]
+    return "\n".join([_usage(command), "", summary, "", "options:", *rows])
+
+
+def _classify(token: str, names: tuple):
+    """None for a value; else (option, explicit value or None), the option None when unknown.
+
+    A token is a value when it does not start with "-", is "-" alone, starts
+    with "-" and a digit (a negative integer or corona literal), or contains a
+    space without naming an option. "--name" may be any unique prefix of an
+    option, with "=value" attached.
+    """
+    if token[:1] != "-" or token == "-" or token[1:2].isdecimal():
+        return None
+    if token[1] == "h":  # -h alone is help; argparse versions disagree on what -h... with more means
+        return ("--help", None) if token == "-h" else (None, None)
+    prefix, eq, value = token.partition("=")
+    matches = [name for name in names if name.startswith(prefix)]
+    if len(matches) == 1:
+        return matches[0], value if eq else None
+    return None if " " in token else (None, None)
+
+
+def parse_args(argv: list):
+    """The fields of one command line, or the help text when it asks for help.
+
+    Raises UsageError for an argv outside the grammar of the command table.
+    """
+    if not argv:
+        raise UsageError("a command is required")
+    command, *rest = argv
+    if command == "-h" or (len(command) > 2 and "--help".startswith(command)):
+        return _help()
+    if command not in _COMMANDS:
+        raise UsageError(f"unknown command {command!r} (choose from {', '.join(_COMMANDS)})")
+    _, positionals, extra, _ = _COMMANDS[command]
+    names = ("--help", *_COMMON, *extra)
+    fields = {"command": command}
+    fields.update((_field(name), _OPTIONS[name][0]) for name in names[1:])
+    end = rest.index("--") if "--" in rest else len(rest)
+    blocks = [[]]  # the runs of values between options
+    unknown = []
+    tokens = iter(rest[:end])
+    for token in tokens:
+        kind = _classify(token, names)
+        if kind is None:
+            blocks[-1].append(token)
+            continue
+        blocks.append([])
+        name, value = kind
+        if name is None:
+            unknown.append(token)
+        elif _OPTIONS[name][1] is None:
+            if value is not None:
+                raise UsageError(f"{name} takes no value, got {value!r}", command)
+            if name == "--help":
+                return _help(command)
+            fields[_field(name)] = True
+        else:
+            if value is None:
+                value = next(tokens, None)
+                if value is None or _classify(value, names) is not None:
+                    raise UsageError(f"{name} expects one value", command)
+            try:
+                fields[_field(name)] = _OPTIONS[name][1](value)
+            except ValueError:
+                raise UsageError(f"{name} must be an integer, got {value!r}", command) from None
+    if rest[end:] == ["--"] and not blocks[-1]:
+        unknown.append("--")  # a last "--" straight after an option separates nothing
+    blocks[-1] += rest[end + 1:]
+    # Each run of values fills the next positionals; "alphas" takes all that are left of its run.
+    pending = ["spec", *positionals]
+    for block in blocks:
+        taken, pending = pending[:len(block)], pending[len(block):]
+        fields.update(zip(taken, block))
+        if taken[-1:] == ["alphas"]:
+            fields["alphas"] = block[len(taken) - 1:]
+        else:
+            unknown += block[len(taken):]
+    if pending:
+        missing = ", ".join("alpha" if name == "alphas" else name for name in pending)
+        raise UsageError(f"missing arguments: {missing}", command)
+    if unknown:
+        raise UsageError(f"unrecognised arguments: {' '.join(unknown)}", command)
+    return SimpleNamespace(**fields)
+
+
+def _write(text: str) -> None:
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader left; keep the exit code, and silence the flush at shutdown.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exit_err:
-        return INPUT_ERROR if exit_err.code not in (0, None) else 0
+        args = parse_args(argv)
+    except UsageError as err:
+        print(_usage(err.command), f"selfsim: error: {err}", sep="\n", file=sys.stderr)
+        return INPUT_ERROR
+    if isinstance(args, str):
+        _write(args)
+        return OK
 
     lines: list[str] = []
 
@@ -288,12 +399,10 @@ def main(argv=None) -> int:
         lines.append(text)
 
     echo_args = argv.copy()
-    try:
-        echo_args.remove(args.spec)
-    except ValueError:
-        pass
+    echo_args.remove(args.spec)
     out("> " + " ".join(echo_args))
     handler = _COMMANDS[args.command][0]
+    sweeps_paths = hasattr(args, "bound")
     try:
         if args.window is None:
             args.window = default_window_radius()
@@ -301,12 +410,12 @@ def main(argv=None) -> int:
             args.depth = default_depth()
         _at_least("--window", args.window, 0)
         _at_least("--depth", args.depth, 1)
-        if args.command in _PATH_SWEEPS:
+        if sweeps_paths:
             _at_least("--bound", args.bound, 0)
         triple = load_spec_file(args.spec).triple
         # Oversize limits are refused before anything is built.
         check_window_radius(triple.group, args.window)
-        if args.command in _PATH_SWEEPS:
+        if sweeps_paths:
             from .sweeps import check_path_bound
             check_path_bound(triple.graph, args.bound)
         code = handler(triple, args, out)
@@ -322,11 +431,7 @@ def main(argv=None) -> int:
     except ValueError as err:
         out(f"error: {err}")
         code = INPUT_ERROR
-    try:
-        print("\n".join(lines), flush=True)
-    except BrokenPipeError:
-        # The reader left; keep the exit code, and silence the flush at shutdown.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    _write("\n".join(lines))
     return code
 
 

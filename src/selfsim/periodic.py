@@ -42,7 +42,9 @@ def entry(prefix: Sequence, cycle: Sequence, n: int):
 
 
 def drop(prefix: Sequence, cycle: Sequence, k: int) -> tuple[tuple, tuple]:
-    """Representation of the sequence with its first k entries removed."""
+    """Representation of the sequence with its first k entries removed (k >= 0)."""
+    if k < 0:
+        raise ValueError("drop length must be >= 0")
     pre = tuple(prefix)
     cyc = tuple(cycle)
     if k <= len(pre):

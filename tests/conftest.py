@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import random
+import re
 from math import lcm
 from pathlib import Path
 
@@ -454,3 +458,45 @@ def split_loop_model_check(ctx, eta, gseq, k, zeta, depth=None, split=None):
     if saw_unknown or not all_periodic:
         return unknown(depth)
     return DISTINCT
+
+
+# The argparse parser the CLI used before its table parser: command -> positionals after the spec.
+ARGPARSE_COMMANDS = {
+    "validate": (), "act": ("g", "path"), "phi": ("g", "path"), "smul": ("s", "t"),
+    "cover": ("beta", "alphas"), "residual-free": (), "e-star-unitary": (), "germ-eq": ("u", "v"),
+    "lag": ("u",), "model-check": ("eta", "gseq", "k", "zeta"), "hausdorff": (),
+}
+ARGPARSE_PATH_SWEEPS = ("residual-free", "e-star-unitary")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's former argparse parser, as an oracle for the table parser of selfsim.cli."""
+    parser = argparse.ArgumentParser(prog="selfsim", description="self-similar graph action calculator")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, positionals in ARGPARSE_COMMANDS.items():
+        p = sub.add_parser(name)
+        # Read every token that starts with "-" and a digit as a value, not as an option.
+        p._negative_number_matcher = re.compile(r"^-\d")
+        p.add_argument("spec", help="spec file path")
+        for pos in positionals:
+            if pos == "alphas":
+                p.add_argument("alphas", nargs="+", metavar="alpha")
+            else:
+                p.add_argument(pos)
+        p.add_argument("--window", type=int, default=None, help="window radius")
+        if name in ARGPARSE_PATH_SWEEPS:
+            p.add_argument("--bound", type=int, default=4, help="path length bound")
+        p.add_argument("--depth", type=int, default=None, help="depth for infinite computations")
+        p.add_argument("--allow-unverified", action="store_true", dest="allow_unverified")
+        if name == "model-check":
+            p.add_argument("--split", default=None, help="witness split p:q")
+    return parser
+
+
+def argparse_fields(argv):
+    """The fields the oracle parser reads from argv, or its exit code (0 after help)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit as exit_err:
+            return exit_err.code or 0

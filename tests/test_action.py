@@ -40,6 +40,14 @@ def test_verify_axioms_rejects_bad_window(odo):
         ss.verify_axioms(odo, [0, 1])  # not inverse-closed
 
 
+def test_verify_axioms_refuses_a_window_of_too_many_pairs(odo):
+    # 317 elements make 100489 pairs; 315 make 99225, within the limit.
+    window = ss.default_window(odo.group, 158)
+    with pytest.raises(ValueError, match="more than 100000 pairs in the axiom check of a window of 317"):
+        ss.verify_axioms(odo, window)
+    assert ss.verify_axioms(odo, ss.default_window(odo.group, 2)).checked_pairs == 25
+
+
 def test_act_examples(odo):
     img, coc = odo.act_path(1, edges_of(odo, 0, 0))
     assert (img.edges, coc) == ((1, 0), 0)

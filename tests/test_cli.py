@@ -190,6 +190,21 @@ def test_out_of_range_limit_is_input_error(name, argv, env, message, capsys, mon
     assert lines[1] == f"error: {message}"
 
 
+def test_validate_refuses_a_window_of_too_many_pairs():
+    # Radius 4 on the Grigorchuk automaton is 3201 elements, 10,246,401 pairs.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "selfsim.cli", "validate", str(TEST_SPECS / "grigorchuk.spec")],
+        capture_output=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout.decode().splitlines() == [
+        "> validate",
+        "error: more than 100000 pairs in the axiom check of a window of 3201 elements (the enumeration limit)",
+    ]
+    assert b"Traceback" not in proc.stderr
+
+
 def test_window_limit_spares_finite_groups(capsys):
     # A finite group's window is the whole group, whatever the radius.
     code = main(["residual-free", str(SPECS / "z2_swap.spec"), "--window", "100000000"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import selfsim as ss
+from selfsim import periodic
 from selfsim.sweeps import count_paths_upto
 from selfsim.errors import CompositionError, DepthExceededError
 
@@ -265,6 +266,18 @@ def test_drop_and_prepend(graph):
     assert xi.drop(2).letter(1) == xi.letter(3)
     back = xi.drop(2).prepend(xi.truncate(2))
     assert back == xi
+
+
+@pytest.mark.parametrize("k", [-1, -2, -5])
+def test_periodic_drop_refuses_a_negative_length(k):
+    # drop(-1) once gave e1(e0)*, the same path as drop(1).
+    xi = ss.periodic_path(LOOPS, [0, 1], [0])
+    with pytest.raises(ValueError, match="drop length must be >= 0"):
+        xi.drop(k)
+    with pytest.raises(ValueError, match="drop length must be >= 0"):
+        periodic.drop((0, 1), (0,), k)
+    assert str(xi.drop(0)) == "e0.e1(e0)*" and str(xi.drop(1)) == "e1(e0)*"
+    assert periodic.drop((0, 1), (0,), 1) == ((1,), (0,))
 
 
 def test_edges_into_is_precomputed_with_dangling_ranges():

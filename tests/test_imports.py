@@ -50,14 +50,23 @@ def _python(*args):
     return proc.returncode, proc.stdout, set(last.split()[1:])
 
 
-def test_act_loads_only_the_path_layers():
+# Standard-library modules no command needs: argparse pulls in gettext and locale.
+UNUSED_STDLIB = {"argparse", "gettext", "locale", "dataclasses"}
+
+
+@pytest.fixture(scope="module")
+def bare():
+    """The modules a bare interpreter loads."""
+    return _python("-c", "pass")[2]
+
+
+def test_act_loads_only_the_path_layers(bare):
     code, stdout, modules = _python("-m", "selfsim.cli", "act", str(SPECS / "odometer.spec"), "1", "e0.e0")
     assert code == 0
     assert stdout == (GOLDEN / "act_odometer.txt").read_bytes()
     assert {"selfsim.action", "selfsim.specfile"} <= modules
     assert not modules & {"selfsim.groupoid", "selfsim.semigroup", "selfsim.corona"}
-    bare = _python("-c", "pass")[2]
-    assert "dataclasses" not in modules - bare
+    assert not (modules - bare) & UNUSED_STDLIB
 
 
 # What every command loads besides selfsim.cli, which runs as __main__: the spec
@@ -87,11 +96,12 @@ FOOTPRINTS = [
 
 
 @pytest.mark.parametrize("argv, expected", FOOTPRINTS, ids=[" ".join(argv[:2]) for argv, _ in FOOTPRINTS])
-def test_each_command_loads_exactly_its_layers(argv, expected):
+def test_each_command_loads_exactly_its_layers(argv, expected, bare):
     command, spec, *rest = argv
     code, stdout, modules = _python("-m", "selfsim.cli", command, str(SPECS / spec), *rest)
     assert code in (0, 1, 2) and b"error:" not in stdout
     assert {m.split(".", 1)[1] for m in modules if m.startswith("selfsim.")} == expected
+    assert not (modules - bare) & UNUSED_STDLIB
 
 
 def test_import_selfsim_loads_no_submodule():
