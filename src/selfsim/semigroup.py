@@ -14,7 +14,7 @@ from collections.abc import Iterable
 
 from .action import SelfSimilarTriple
 from .errors import Frozen, NotIdempotentError, Record, SourceConditionError
-from .graph import Path, PrefixRel, concat, prefix_compare
+from .graph import Path, PrefixRel, concat, prefix_compare, vertex_path
 from .tri import Tri, DISTINCT, from_bool
 
 
@@ -209,7 +209,7 @@ class UnitaryReport(Record):
 
 
 def _check_reduction(t: SelfSimilarTriple, window: list) -> None:
-    """Refuse a triple the fixed-path reduction of E*-unitarity does not cover.
+    """Refuse a triple the reduction of E*-unitarity to freeness does not cover.
 
     The reduction needs the identity to fix every vertex and each window
     element to respect r and d on every edge: O(|W|·(|V| + |E|)) lookups.
@@ -234,49 +234,21 @@ def check_e_star_unitary(
 ) -> UnitaryReport:
     """Search for a non-idempotent element dominating a nonzero idempotent.
 
-    For s = (alpha, g, beta) not idempotent, s e_gamma = e_gamma forces
-    alpha = beta, gamma = beta.eps, g eps = eps and phi(g, eps) = 1, and only
-    the vertex d(beta) enters. So the search over every s with paths of
-    length <= path_bound against every e_gamma reduces to: g in the window,
-    each vertex v that g fixes, each path gamma with range v, testing whether
-    g fixes gamma with trivial cocycle. That is at most |W|·|P| path actions,
-    and the first hit, reported as ((v, g, v), e_gamma), is the one the full
-    search meets first. The verdict mirrors the freeness sweep: "holds" only
-    for a fully swept finite group. A triple whose window breaks the
-    identity or equivariance laws the reduction rests on raises
-    SourceConditionError.
+    E*-unitarity and freeness are one question: after _check_reduction this
+    runs the freeness sweep once and renders its certificate (h, f), h != 1
+    fixing the edge f with trivial cocycle, as s = (r(f), h, r(f)) dominating
+    e_f, which holds by the definition of mul whatever the axioms. The
+    verdict is the sweep's. A window breaking the identity or equivariance
+    laws raises SourceConditionError, one without the identity or not
+    closed under inverses ValueError.
     """
-    from .sweeps import all_paths_upto
+    from .sweeps import check_residually_free
     window = list(window)
     _check_reduction(t, window)
-    group, graph = t.group, t.graph
-    paths = all_paths_upto(graph, path_bound)
-    into: dict[int, list[Path]] = {}  # range vertex -> paths, in sweep order
-    for gamma in paths:
-        into.setdefault(gamma.range_vertex, []).append(gamma)
-    undecided = False
-    for g in window:
-        fixed = [v for v in graph.vertices() if t.act_vertex(g, v) == v]
-        if not fixed:
-            continue
-        g_is_id = group.is_identity(g)
-        if g_is_id.is_equal:  # (v, g, v) is idempotent
-            continue
-        if g_is_id.is_unknown:  # undecided whether (v, g, v) is idempotent
-            undecided = True
-            continue
-        for v in fixed:
-            vertex = into[v][0]  # vertex paths come first
-            for gamma in into[v]:
-                image, coc = t.act_path(g, gamma)
-                if image != gamma:
-                    continue
-                trivial = group.is_identity(coc)
-                if trivial.is_equal:
-                    e = Triple(gamma, group.identity(), gamma)
-                    return UnitaryReport("counterexample", (Triple(vertex, g, vertex), e), len(window))
-                if trivial.is_unknown:
-                    undecided = True
-    if group.is_finite and len(window) >= len(list(group.elements())) and not undecided:
-        return UnitaryReport("holds", None, len(window))
-    return UnitaryReport("unknown", None, len(window))
+    report = check_residually_free(t, window, path_bound)
+    witness = None
+    if report.counterexample is not None:
+        h, f = report.counterexample
+        vertex, edge = vertex_path(t.graph, t.graph.range_of[f]), Path(t.graph, None, (f,))
+        witness = (Triple(vertex, h, vertex), Triple(edge, t.group.identity(), edge))
+    return UnitaryReport(report.kind, witness, report.window_size)

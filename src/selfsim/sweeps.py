@@ -8,10 +8,11 @@ in closed form before they are built, so an oversize bound is refused first.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import permutations
 
 from .errors import Record
 from .graph import Graph, Path, concat, vertex_path
-from .groups import MAX_ENUMERATION, refuse_oversize
+from .groups import MAX_ENUMERATION, IntegerGroup, refuse_oversize
 from .tri import Tri
 
 # SelfSimilarTriple (annotations) lives in action, loaded with every triple.
@@ -135,7 +136,8 @@ class FreenessReport(Record):
     "counterexample" (some g != 1 fixes an edge with trivial cocycle), or
     "unknown" (nothing found within the window, but the window is not all
     of the group or some comparison stayed undecided). counterexample is
-    (g, edge id) or None; consistency_failures and undecided are strings.
+    (g, edge id), g perhaps outside the window, or None; consistency_failures
+    and undecided are strings.
     """
 
     __slots__ = ("kind", "counterexample", "consistency_failures", "undecided", "window_size")
@@ -186,28 +188,50 @@ def all_paths_upto(graph: Graph, max_len: int) -> list[Path]:
     return result
 
 
-def check_residually_free(
-    t: SelfSimilarTriple, window: Iterable, path_bound: int = 4
-) -> FreenessReport:
-    """Sweep for g != 1 fixing an edge with trivial cocycle.
+def _certifies(t: SelfSimilarTriple, h, e: int) -> bool:
+    """Is (h, e) a freeness counterexample: h != 1 fixing e with trivial cocycle?"""
+    image, coc = t.step(h, e)
+    return image == e and t.group.is_identity(coc).is_equal and t.group.is_identity(h).is_distinct
 
-    Also sweeps the path-level variant and the two-element rigidity property
-    over paths of length <= path_bound. A hit there while the edge sweep is
-    clean is reported as a consistency failure: for a fully swept finite
-    group it contradicts the reduction of path fixing to edge fixing, and for
-    an infinite group it indicates an edge counterexample outside the window.
-    Each window element acts once on each path and only elements sending a
-    path to one image are compared, so the path sweeps cost |W|·|P| actions.
+
+def _integer_certificates(t: SelfSimilarTriple):
+    """(L, e) for each edge e first on a cycle of sigma_1 of length L and cocycle sum 0.
+
+    For an action of the integers, m fixes e with trivial cocycle exactly
+    when L divides m and the sum is 0: one walk over the cycles, O(|E|)
+    steps, decides every m.
     """
-    window = _check_window(t, window)
-    group = t.group
-    graph = t.graph
-    # One identity test per element: an undecided one may spend a comparison budget.
-    g_is_ids = [group.is_identity(g) for g in window]
-    undecided: list[str] = []
-    counterexample = None
+    seen: set[int] = set()
+    for e in t.graph.edges():
+        f, length, total = e, 0, 0
+        while f not in seen:
+            seen.add(f)
+            f, coc = t.step(1, f)
+            length, total = length + 1, total + coc
+        if length and f == e and total == 0 and _certifies(t, length, e):  # f != e: sigma_1 no bijection
+            yield length, e
 
-    for g, g_is_id in zip(window, g_is_ids):
+
+def _reduce_agreement(t: SelfSimilarTriple, h, image: Path):
+    """The edge certificate of h = g2 g1^-1, where g1 != g2 agree on a path with this image.
+
+    h fixes the image with trivial cocycle, so its last restriction along
+    the image that is not 1 fixes its edge with trivial cocycle: None when
+    that is not certified (h = 1, an undecided comparison, a broken axiom).
+    """
+    last = None
+    for e in image.edges:
+        if not t.group.is_identity(h).is_equal:
+            last = (h, e)
+        h = t.step(h, e)[1]
+    return last if last is not None and _certifies(t, *last) else None
+
+
+def _certificates(t: SelfSimilarTriple, window: list, path_bound: int, undecided: list, failures: list):
+    """Freeness counterexamples (h, e) in search order; notes undecided steps and failures on the way."""
+    group, graph = t.group, t.graph
+    for g in window:
+        g_is_id = group.is_identity(g)
         if g_is_id.is_equal:
             continue
         for e in graph.edges():
@@ -215,42 +239,46 @@ def check_residually_free(
             if image != e:
                 continue
             coc_trivial = group.is_identity(coc)
-            # A definite counterexample needs: g definitely != 1 and the
-            # cocycle definitely trivial.
             if g_is_id.is_distinct and coc_trivial.is_equal:
-                counterexample = (g, e)
-                break
-            if coc_trivial.is_unknown or g_is_id.is_unknown:
-                undecided.append(
-                    f"(g={group.render(g)}, e={graph.edge_labels[e]}) undecided at depth"
-                )
-        if counterexample:
-            break
+                yield g, e
+            elif coc_trivial.is_unknown or g_is_id.is_unknown:
+                undecided.append(f"(g={group.render(g)}, e={graph.edge_labels[e]}) undecided at depth")
+    if isinstance(group, IntegerGroup):
+        yield from _integer_certificates(t)
+    for a in all_paths_upto(graph, path_bound):
+        buckets: dict = {}  # (image, cocycle) -> the window elements leaving a as that value
+        for g in window:
+            buckets.setdefault(t.act_path(g, a), []).append(g)
+        for (image, _), agreeing in buckets.items():
+            for g1, g2 in permutations(agreeing, 2):
+                h = group.mul(g2, group.inv(g1))
+                certificate = _reduce_agreement(t, h, image)
+                if certificate is not None:
+                    yield certificate
+                elif group.is_identity(h).is_distinct:
+                    failures.append(f"rigidity: g1={group.render(g1)}, g2={group.render(g2)} agree on {a}")
 
+
+def check_residually_free(
+    t: SelfSimilarTriple, window: Iterable, path_bound: int = 4
+) -> FreenessReport:
+    """Search for g != 1 fixing an edge with trivial cocycle; report the first found.
+
+    The searches, in order: the window's edge sweep; for an integer triple,
+    the cycles of sigma_1; agreements on paths of length <= path_bound,
+    which only sets how far these are sought. Each window element acts once
+    on each path, bucketed by the value (image, cocycle), as equal values
+    are equal elements: |W|·|P| actions, no pairwise comparison. The
+    identity is in the window, so fixing a path with trivial cocycle is
+    agreeing with 1 there. Agreeing g1 != g2 reduce to a certificate of g2
+    g1^-1, perhaps outside the window; one that does not is a consistency
+    failure. Every certificate is re-checked by one step.
+    """
+    window = _check_window(t, window)
+    group = t.group
+    undecided: list[str] = []
     failures: list[str] = []
-    if counterexample is None:
-        paths = all_paths_upto(graph, path_bound)
-        # Path-freeness applies to the elements that are definitely not 1.
-        surely_nontrivial = [g_is_id.is_distinct for g_is_id in g_is_ids]
-        for a in paths:
-            # Act once per element; only elements with one image can agree on a.
-            by_image: dict = {}
-            for i, g in enumerate(window):
-                img, coc = t.act_path(g, a)
-                if surely_nontrivial[i] and img == a and group.is_identity(coc).is_equal:
-                    failures.append(
-                        f"path-freeness: g={group.render(g)} fixes {a} with trivial cocycle"
-                    )
-                by_image.setdefault((img.vertex, img.edges), []).append((g, coc))
-            for agreeing in by_image.values():
-                for g1, c1 in agreeing:
-                    for g2, c2 in agreeing:
-                        # eq(g, g) is equal, so an element never pairs with itself.
-                        if g1 is not g2 and group.eq(c1, c2).is_equal and group.eq(g1, g2).is_distinct:
-                            failures.append(
-                                f"rigidity: g1={group.render(g1)}, g2={group.render(g2)} agree on {a}"
-                            )
-
+    counterexample = next(_certificates(t, window, path_bound, undecided, failures), None)
     if counterexample is not None:
         kind = "counterexample"
     elif group.is_finite and len(window) >= len(list(group.elements())) and not undecided:

@@ -209,6 +209,26 @@ def spec_triples():
     return [(p.stem, load_spec_file(str(p)).triple) for p in sorted(SPECS.glob("*.spec"))]
 
 
+def all_spec_triples():
+    """(name, triple) for every spec in specs/ and then tests/specs/, each in name order."""
+    return spec_triples() + [(p.stem, load_spec_file(str(p)).triple) for p in sorted(TEST_SPECS.glob("*.spec"))]
+
+
+def assert_certified(t, counterexample):
+    """A freeness counterexample (h, e) must be one by definition: h != 1 fixes e with trivial cocycle."""
+    h, e = counterexample
+    image, coc = t.step(h, e)
+    assert image == e, counterexample
+    assert t.group.is_identity(coc).is_equal and t.group.is_identity(h).is_distinct, counterexample
+
+
+def assert_dominates(t, witness):
+    """An E*-unitarity witness (s, e): s is not idempotent and s e = e."""
+    s, e = witness
+    assert not ss.is_idempotent(t, s), render(t, s)
+    assert ss.element_eq(t, ss.mul(t, s, e), e).is_equal, (render(t, s), render(t, e))
+
+
 def source_vertex_triple():
     return load_spec_text(SOURCE_VERTEX_SPEC).triple
 

@@ -11,7 +11,9 @@ import time
 import pytest
 
 import selfsim as ss
+from selfsim.specfile import load_spec_file
 from conftest import (
+    TEST_SPECS,
     cover_oracle,
     labeled_odometer,
     odometer_oracle,
@@ -241,6 +243,19 @@ def test_criterion_06_freeness_unitarity_bridge(odo):
         "odometer_katsura": "unknown",
         "z2_swap": "holds",
     }
+    # Test specs whose counterexamples lie outside the window: the E* witness
+    # is the freeness certificate (h, f), as s = (r(f), h, r(f)) over e_f.
+    for name, radius, bound in [("c5", 4, 4), ("swap_zero_sum", 4, 4), ("chain40", 1, 1), ("grigorchuk", 2, 2)]:
+        triple = load_spec_file(str(TEST_SPECS / f"{name}.spec")).triple
+        window = ss.default_window(triple.group, radius)
+        free = ss.check_residually_free(triple, window, path_bound=bound)
+        unit = ss.check_e_star_unitary(triple, window, path_bound=bound)
+        assert free.kind == unit.kind == "counterexample", name
+        h, f = free.counterexample
+        s, e = unit.counterexample
+        assert s.g == h and s.alpha == s.beta == ss.vertex_path(triple.graph, triple.graph.range_of[f]), name
+        assert e == ss.unit_idempotent(triple, ss.edge_path(triple.graph, [f])), name
+        kinds[name] = unit.kind
     report(6, f"freeness and E*-unitarity verdicts agree on three test pairs and all {len(kinds)} specs")
 
 

@@ -1,9 +1,18 @@
 """Axioms, the path recursion, infinite-path action, and freeness sweeps."""
 
+import random
+
 import pytest
 
 import selfsim as ss
-from conftest import TWIN_MACHINE_SPEC, odometer_oracle, pairwise_freeness, spec_triples
+from conftest import (
+    TWIN_MACHINE_SPEC,
+    all_spec_triples,
+    assert_certified,
+    odometer_oracle,
+    pairwise_freeness,
+    spec_triples,
+)
 from selfsim.specfile import load_spec_text
 
 
@@ -209,8 +218,9 @@ def test_residually_free_finite_holds(swap2):
 def loops_with_rigidity_failures():
     """One vertex, loops a b c d; the generator cycles a -> b -> c and adds 1 along d.
 
-    Window elements 3k fix a, b and c with cocycle k, so at radius 2 only
-    the rigidity sweep sees anything; radius 3 reaches the counterexample.
+    Window elements 3k fix a, b and c with cocycle 0, so at radius 2 the
+    window's edge sweep sees nothing, and the pairwise oracle only
+    rigidity failures; radius 3 reaches the counterexample.
     """
     graph = ss.make_graph(["v"], [(x, "v", "v") for x in "abcd"])
     return ss.integer_triple_from_generator(graph, [0], [1, 2, 0, 3], [0, 0, 0, 1])
@@ -221,10 +231,17 @@ GATE_TRIPLES = spec_triples() + [("loops", loops_with_rigidity_failures())]
 
 @pytest.mark.parametrize("name,t", GATE_TRIPLES, ids=[name for name, _ in GATE_TRIPLES])
 def test_freeness_gate_matches_pairwise_sweep(name, t):
+    # Past the oracle: a certified counterexample outside the window, where the oracle has none.
     for radius in range(5):
         window = ss.default_window(t.group, radius)
         for bound in range(4):
-            assert ss.check_residually_free(t, window, bound) == pairwise_freeness(t, window, bound), (radius, bound)
+            report = ss.check_residually_free(t, window, bound)
+            expected = pairwise_freeness(t, window, bound)
+            if report.counterexample is not None and report.counterexample[0] not in window:
+                assert expected.counterexample is None, (radius, bound)
+                assert_certified(t, report.counterexample)
+            else:
+                assert report == expected, (radius, bound)
 
 
 def test_freeness_gate_matches_pairwise_sweep_with_undecided_words():
@@ -235,11 +252,67 @@ def test_freeness_gate_matches_pairwise_sweep_with_undecided_words():
             assert ss.check_residually_free(t, window, bound) == pairwise_freeness(t, window, bound), (radius, bound)
 
 
-def test_freeness_gate_reports_consistency_failures():
+def test_freeness_gate_certifies_past_the_window():
     t = loops_with_rigidity_failures()
     report = ss.check_residually_free(t, ss.default_window(t.group, 2), path_bound=2)
-    assert report.kind == "unknown" and report.counterexample is None
-    assert len(report.consistency_failures) == 72
-    assert all(f.startswith("rigidity: ") for f in report.consistency_failures)
+    assert report.kind == "counterexample" and report.counterexample == (3, t.graph.edge_id("a"))
+    assert not report.consistency_failures
+    assert_certified(t, report.counterexample)
     found = ss.check_residually_free(t, ss.default_window(t.group, 3), path_bound=2)
     assert found.counterexample == (3, t.graph.edge_id("a"))
+
+
+def test_freeness_gate_reports_consistency_failures():
+    # Over Z/3, 1 and 2 both fix the loop with cocycle 1: they agree on it, but
+    # phi(2, e) = 1 != phi(1, e) phi(1, e) = 2, so h = 2 - 1 = 1 does not reduce.
+    graph = ss.make_graph(["v"], [("e", "v", "v")])
+    group = ss.FiniteGroup(["0", "1", "2"], [[(a + b) % 3 for b in range(3)] for a in range(3)])
+    t = ss.finite_triple(graph, group, [[0]] * 3, [[0]] * 3, [[0], [1], [1]])
+    assert any(v.law == "cocycle-identity" for v in ss.verify_axioms(t, [0, 1, 2]).violations)
+    report = ss.check_residually_free(t, [0, 1, 2], path_bound=1)
+    assert report.counterexample is None
+    assert report.consistency_failures == ("rigidity: g1=1, g2=2 agree on e", "rigidity: g1=2, g2=1 agree on e")
+    longer = ss.check_residually_free(t, [0, 1, 2], path_bound=2)
+    assert longer.counterexample is None and len(longer.consistency_failures) > 2
+    assert all(f.startswith("rigidity: ") for f in longer.consistency_failures)
+
+
+@pytest.mark.parametrize("name,t", all_spec_triples(), ids=[name for name, _ in all_spec_triples()])
+def test_every_freeness_counterexample_is_certified(name, t):
+    for radius in range(4):
+        if t.group.window_size(radius, stop=500) > 500:
+            break
+        window = ss.default_window(t.group, radius)
+        for bound in range(3):
+            report = ss.check_residually_free(t, window, bound)
+            assert (report.kind == "counterexample") == (report.counterexample is not None)
+            if report.counterexample is not None:
+                assert_certified(t, report.counterexample)
+
+
+def random_integer_triple(rng):
+    """One vertex and up to six loops, cycled by a random permutation with cocycles in {-1, 0, 1}."""
+    n = rng.randint(1, 6)
+    graph = ss.make_graph(["v"], [(f"e{i}", "v", "v") for i in range(n)])
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return ss.integer_triple_from_generator(graph, [0], perm, [rng.choice([-1, 0, 0, 1]) for _ in range(n)])
+
+
+def test_integer_closed_form_matches_the_window_edge_sweep():
+    rng = random.Random("integer-closed-form")
+    found = 0
+    for _ in range(300):
+        t = random_integer_triple(rng)
+        closed = ss.check_residually_free(t, [0], 0).counterexample  # only the closed form can answer
+        # Every cycle has length at most |E|, so this window holds every L.
+        swept = pairwise_freeness(t, ss.default_window(t.group, t.graph.n_edges), 0).counterexample
+        assert (closed is None) == (swept is None)
+        if closed is not None:
+            found += 1
+            m, e = closed
+            assert_certified(t, closed)
+            assert m == min(k for k in range(1, t.graph.n_edges + 1) if t.step(k, e)[0] == e)
+            report = ss.check_residually_free(t, ss.default_window(t.group, m), 0)
+            assert report.counterexample is not None and report.counterexample[0] in range(-m, m + 1)
+    assert 50 <= found <= 250, found

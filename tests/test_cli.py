@@ -360,7 +360,43 @@ def test_chain_sweeps_find_no_false_counterexample(capsys):
     assert capsys.readouterr().out.splitlines()[1:] == [
         "no counterexample in window of 83 elements; unknown beyond window"
     ]
-    assert main(["e-star-unitary", chain, "--window", "1", "--bound", "1"]) == 2
+    # s40 and t agree on letter 1 (image 2, restriction s40), so t.s40' fixes 2
+    # with restriction s40.s40' = 1; t.s40' != 1, as t fixes 0 and s40 does not.
+    assert main(["e-star-unitary", chain, "--window", "1", "--bound", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["counterexample s=(@v, t.s40', @v), e=(2, 1, 2)"]
+    assert main(["residual-free", chain, "--window", "1", "--bound", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["counterexample (g=t.s40', e=2)"]
+
+
+C5 = str(TEST_SPECS / "c5.spec")
+SWAP_ZERO_SUM = str(TEST_SPECS / "swap_zero_sum.spec")
+
+
+@pytest.mark.parametrize("radius", range(6))
+def test_c5_counterexample_at_every_window(radius, capsys):
+    # 5 fixes every loop with cocycle 0: found from the cycle of the generator
+    # below radius 5, and by the window's own edge sweep at radius 5.
+    window = ["--window", str(radius)]
+    assert main(["residual-free", C5, *window]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["counterexample (m=5, e=e0)"]
+    assert main(["e-star-unitary", C5, *window]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["counterexample s=(@v, 5, @v), e=(e0, 0, e0)"]
+    assert main(["hausdorff", C5, *window]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "not implied by the freeness check: counterexample (m=5, e=e0)"
+    ]
+    assert main(["germ-eq", C5, "e0,5,e0;(e0)*", "e0,0,e0;(e0)*", *window]) == 3
+
+
+def test_swap_zero_sum_counterexample(capsys):
+    # 1 swaps a and b with cocycles 1 and -1, so 2 fixes a with cocycle 0.
+    assert main(["validate", SWAP_ZERO_SUM]) == 0
+    capsys.readouterr()
+    assert main(["residual-free", SWAP_ZERO_SUM, "--window", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["counterexample (m=2, e=a)"]
+    assert main(["e-star-unitary", SWAP_ZERO_SUM, "--window", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["counterexample s=(@u, 2, @u), e=(a, 0, a)"]
+    assert main(["germ-eq", SWAP_ZERO_SUM, "a,2,a;(a)*", "a,0,a;(a)*", "--window", "1"]) == 3
 
 
 def test_sweep_on_a_walk_that_never_closes_ends_at_the_budget(capsys):

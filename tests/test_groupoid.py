@@ -403,7 +403,7 @@ def _edge_path_actions(t, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.spec")))
 def test_germ_gate_and_hausdorff_sweep_no_paths(name, monkeypatch):
-    # Both read only the edge sweep's verdict, so no path holding an edge is acted on.
+    # Both run the sweep at path bound 0, so no path holding an edge is acted on.
     t = load_spec_file(str(SPECS / f"{name}.spec")).triple
     calls = _edge_path_actions(t, monkeypatch)
     window = ss.default_window(t.group, 4)
