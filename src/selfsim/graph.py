@@ -140,8 +140,8 @@ class Path(Frozen):
         return (other.__class__ is self.__class__ and self.edges == other.edges and self.vertex == other.vertex
                 and (self.graph is other.graph or self.graph == other.graph))
 
-    def __hash__(self):
-        return hash((self.graph, self.vertex, self.edges))
+    def __hash__(self):  # not the graph's: hashing its tables would cost O(|V| + |E|) a path
+        return hash((self.vertex, self.edges))
 
     def __len__(self) -> int:
         return len(self.edges)

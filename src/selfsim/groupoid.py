@@ -56,7 +56,7 @@ class HausdorffReport(Record):
 
 def hausdorff_report(t: SelfSimilarTriple, window) -> HausdorffReport:
     """Freeness implies a Hausdorff germ groupoid; the converse is not claimed."""
-    fr = check_residually_free(t, window, path_bound=0)  # edge sweep and integer closed form only
+    fr = check_residually_free(t, window, path_bound=1)  # agreements on single edges, as the gate
     if fr.found_counterexample:
         return HausdorffReport("not-implied", fr)
     return HausdorffReport("hausdorff", fr)
@@ -82,7 +82,7 @@ class GermContext:
             window = default_window(triple.group, window_radius)
         self.window = list(window)
         self.depth = self._depth(depth)
-        self.freeness = check_residually_free(triple, self.window, path_bound=0)  # no path agreements
+        self.freeness = check_residually_free(triple, self.window, path_bound=1)  # |W|·(|V|+|E|) actions
         if self.freeness.found_counterexample and not allow_unverified:
             g, e = self.freeness.counterexample
             raise FreenessNotVerifiedError(

@@ -236,11 +236,11 @@ def check_e_star_unitary(
 
     E*-unitarity and freeness are one question: after _check_reduction this
     runs the freeness sweep once and renders its certificate (h, f), h != 1
-    fixing the edge f with trivial cocycle, as s = (r(f), h, r(f)) dominating
-    e_f, which holds by the definition of mul whatever the axioms. The
-    verdict is the sweep's. A window breaking the identity or equivariance
-    laws raises SourceConditionError, one without the identity or not
-    closed under inverses ValueError.
+    fixing f and r(f) with trivial cocycle (by equivariance in the window,
+    checked past it), as s = (r(f), h, r(f)) dominating e_f by the definition
+    of mul. The verdict is the sweep's. A window breaking the identity or
+    equivariance laws raises SourceConditionError, one without the identity
+    or not closed under inverses ValueError.
     """
     from .sweeps import check_residually_free
     window = list(window)

@@ -189,9 +189,10 @@ def all_paths_upto(graph: Graph, max_len: int) -> list[Path]:
 
 
 def _certifies(t: SelfSimilarTriple, h, e: int) -> bool:
-    """Is (h, e) a freeness counterexample: h != 1 fixing e with trivial cocycle?"""
-    image, coc = t.step(h, e)
-    return image == e and t.group.is_identity(coc).is_equal and t.group.is_identity(h).is_distinct
+    """Is (h, e) a freeness counterexample: h != 1 fixing e and r(e) with trivial cocycle?"""
+    (image, coc), r = t.step(h, e), t.graph.range_of[e]  # h may lie past any equivariance check
+    return (image == e and t.act_vertex(h, r) == r and t.group.is_identity(coc).is_equal
+            and t.group.is_identity(h).is_distinct)
 
 
 def _integer_certificates(t: SelfSimilarTriple):
@@ -265,14 +266,13 @@ def check_residually_free(
     """Search for g != 1 fixing an edge with trivial cocycle; report the first found.
 
     The searches, in order: the window's edge sweep; for an integer triple,
-    the cycles of sigma_1; agreements on paths of length <= path_bound,
-    which only sets how far these are sought. Each window element acts once
-    on each path, bucketed by the value (image, cocycle), as equal values
-    are equal elements: |W|·|P| actions, no pairwise comparison. The
-    identity is in the window, so fixing a path with trivial cocycle is
-    agreeing with 1 there. Agreeing g1 != g2 reduce to a certificate of g2
-    g1^-1, perhaps outside the window; one that does not is a consistency
-    failure. Every certificate is re-checked by one step.
+    the cycles of sigma_1; agreements on paths of length <= path_bound. Each
+    window element acts once on each path, bucketed by (image, cocycle), as
+    equal values are equal elements: |W|·|P| actions, no pairwise comparison.
+    With 1 in the window, fixing a path with trivial cocycle is agreeing
+    with 1. Agreeing g1 != g2 reduce to a certificate of g2 g1^-1, perhaps
+    past the window; one that does not is a consistency failure. Each
+    certificate past the window is re-checked by _certifies.
     """
     window = _check_window(t, window)
     group = t.group

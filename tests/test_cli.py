@@ -368,6 +368,21 @@ def test_chain_sweeps_find_no_false_counterexample(capsys):
     assert capsys.readouterr().out.splitlines()[1:] == ["counterexample (g=t.s40', e=2)"]
 
 
+def test_chain_hausdorff_and_germ_gate_see_the_edge_agreement(capsys):
+    # Both search agreements on single edges, so they find the certificate
+    # residual-free finds at --bound 1, and refuse two equal germs that the
+    # sweep at path bound 0 let through as "distinct".
+    chain = str(TEST_SPECS / "chain40.spec")
+    assert main(["hausdorff", chain, "--window", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "not implied by the freeness check: counterexample (g=t.s40', e=2)"
+    ]
+    assert main(["germ-eq", chain, "@v,t.s40',@v;(2)*", "@v,1,@v;(2)*", "--window", "1"]) == 3
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "refused: freeness counterexample (g=t.s40', e=2); pass allow_unverified to proceed"
+    ]
+
+
 C5 = str(TEST_SPECS / "c5.spec")
 SWAP_ZERO_SUM = str(TEST_SPECS / "swap_zero_sum.spec")
 

@@ -389,12 +389,13 @@ def test_second_hausdorff_sweep_computes_no_step(monkeypatch):
 
 
 def _edge_path_actions(t, monkeypatch):
-    """Wrap t.act_path; returns a list that counts the calls on paths holding an edge."""
-    calls = [0]
+    """Wrap t.act_path; returns a list that counts the calls on paths holding one edge, then more."""
+    calls = [0, 0]
     act_path = t.act_path
 
     def counting(g, a):
-        calls[0] += len(a) > 0
+        if len(a) > 0:
+            calls[len(a) > 1] += 1
         return act_path(g, a)
 
     monkeypatch.setattr(t, "act_path", counting)
@@ -403,13 +404,15 @@ def _edge_path_actions(t, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.spec")))
 def test_germ_gate_and_hausdorff_sweep_no_paths(name, monkeypatch):
-    # Both run the sweep at path bound 0, so no path holding an edge is acted on.
+    # Both run the sweep at path bound 1: each window element acts at most once
+    # on each single-edge path per sweep, and no longer path is acted on.
     t = load_spec_file(str(SPECS / f"{name}.spec")).triple
     calls = _edge_path_actions(t, monkeypatch)
     window = ss.default_window(t.group, 4)
     ctx = ss.GermContext(t, window=window, allow_unverified=True)
     report = ss.hausdorff_report(t, window)
-    assert calls[0] == 0
+    assert calls[0] <= 2 * len(window) * t.graph.n_edges
+    assert calls[1] == 0
     assert ctx.freeness.kind == report.freeness.kind == ss.check_residually_free(t, window).kind
 
 

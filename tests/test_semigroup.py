@@ -608,6 +608,17 @@ def test_e_star_unitary_refuses_a_step_breaking_source_equivariance():
         ss.check_e_star_unitary(t, [0, 1], 2)
 
 
+def test_e_star_unitary_certifies_no_element_moving_the_range_past_the_window():
+    # 1 swaps u and w but fixes the loop a at u with cocycle 0: the cycle of a
+    # has length 1 and sum 0, yet (@u, 1, @u) is no triple. The window [0]
+    # checks no equivariance of 1, so the sweep's own check must refuse it.
+    graph = ss.make_graph(["u", "w"], [("a", "u", "u"), ("b", "w", "w")])
+    t = ss.integer_triple_from_generator(graph, [1, 0], [0, 1], [0, 0])
+    assert ss.check_residually_free(t, [0], 2).counterexample is None
+    report = ss.check_e_star_unitary(t, [0], 2)
+    assert (report.kind, report.counterexample) == ("unknown", None)
+
+
 class BlindGroup(ss.FiniteGroup):
     """A finite group that cannot decide whether one element is the identity."""
 
