@@ -11,7 +11,7 @@ from collections.abc import Sequence
 from .action import SelfSimilarTriple
 from .errors import BackendMismatchError, SpecFileError
 from .graph import Graph, label_ids
-from .groups import GroupBackend
+from .groups import GroupBackend, check_window_radius
 from .tri import Tri, from_bool
 
 # _Section (annotations) lives in specfile, which calls the loader below.
@@ -108,6 +108,7 @@ class FiniteGroup(GroupBackend):
         return len(self.names)
 
     def window(self, radius: int) -> list[int]:
+        check_window_radius(self, radius)
         return list(self.elements())
 
     def __str__(self) -> str:

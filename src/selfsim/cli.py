@@ -20,7 +20,7 @@ from .errors import (
     UndecidedError,
 )
 from .graph import validate_graph
-from .groups import IntegerGroup, check_window_radius, default_window
+from .groups import IntegerGroup, default_window
 from .specfile import (
     load_spec_file,
     parse_corona,
@@ -65,15 +65,10 @@ def _counterexample_line(triple, g, edge: int) -> str:
     return f"({gname}={triple.group.render(g)}, e={triple.graph.edge_labels[edge]})"
 
 
-def _germ_context(triple, args, out):
+def _germ_context(triple, args):
     from .groupoid import GermContext
     window = default_window(triple.group, args.window)
-    return GermContext(
-        triple,
-        window=window,
-        depth=args.depth,
-        allow_unverified=args.allow_unverified,
-    )
+    return GermContext(triple, window, args.depth, args.allow_unverified)
 
 
 def _cmd_validate(triple, args, out):
@@ -167,7 +162,7 @@ def _cmd_e_star_unitary(triple, args, out):
 
 
 def _cmd_germ_eq(triple, args, out):
-    ctx = _germ_context(triple, args, out)
+    ctx = _germ_context(triple, args)
     u = ctx.make(*parse_germ_parts(triple, args.u))
     v = ctx.make(*parse_germ_parts(triple, args.v))
     verdict = ctx.germ_eq(u, v, args.depth)
@@ -178,14 +173,14 @@ def _cmd_germ_eq(triple, args, out):
 
 
 def _cmd_lag(triple, args, out):
-    ctx = _germ_context(triple, args, out)
+    ctx = _germ_context(triple, args)
     u = ctx.make(*parse_germ_parts(triple, args.u))
     out(str(ctx.lag(u, args.depth)))
     return OK
 
 
 def _cmd_model_check(triple, args, out):
-    ctx = _germ_context(triple, args, out)
+    ctx = _germ_context(triple, args)
     eta = parse_inf_path(triple.graph, args.eta)
     gseq = parse_corona(triple.group, args.gseq)
     zeta = parse_inf_path(triple.graph, args.zeta)
@@ -402,7 +397,6 @@ def main(argv=None) -> int:
     echo_args.remove(args.spec)
     out("> " + " ".join(echo_args))
     handler = _COMMANDS[args.command][0]
-    sweeps_paths = hasattr(args, "bound")
     try:
         if args.window is None:
             args.window = default_window_radius()
@@ -410,15 +404,10 @@ def main(argv=None) -> int:
             args.depth = default_depth()
         _at_least("--window", args.window, 0)
         _at_least("--depth", args.depth, 1)
-        if sweeps_paths:
+        if hasattr(args, "bound"):
             _at_least("--bound", args.bound, 0)
-        triple = load_spec_file(args.spec).triple
-        # Oversize limits are refused before anything is built.
-        check_window_radius(triple.group, args.window)
-        if sweeps_paths:
-            from .sweeps import check_path_bound
-            check_path_bound(triple.graph, args.bound)
-        code = handler(triple, args, out)
+        # An oversize window or path bound is refused where it is built, before any step.
+        code = handler(load_spec_file(args.spec).triple, args, out)
     except (UndecidedError, DepthExceededError) as err:
         out(f"undecided: {err}")
         code = UNKNOWN

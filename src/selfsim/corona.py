@@ -149,6 +149,8 @@ def corona_eq(a: CoronaSeq, b: CoronaSeq, depth: int = 64) -> Tri:
     preperiods decides every later index); otherwise unknown, since a finite
     window can neither confirm nor refute eventual agreement.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     if isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
         p = max(len(a.prefix), len(b.prefix))
         q = lcm(len(a.cycle), len(b.cycle))

@@ -75,14 +75,11 @@ class GermContext:
         window=None,
         depth: int = 64,
         allow_unverified: bool = False,
-        window_radius: int = 4,
     ):
         self.triple = triple
-        if window is None:
-            window = default_window(triple.group, window_radius)
-        self.window = list(window)
+        self.window = list(default_window(triple.group, 4) if window is None else window)
         self.depth = self._depth(depth)
-        self.freeness = check_residually_free(triple, self.window, path_bound=1)  # |W|·(|V|+|E|) actions
+        self.freeness = check_residually_free(triple, self.window, path_bound=1)  # |W|·|E| path actions
         if self.freeness.found_counterexample and not allow_unverified:
             g, e = self.freeness.counterexample
             raise FreenessNotVerifiedError(

@@ -124,7 +124,9 @@ class IntegerGroup(GroupBackend):
 
 
 def check_window_radius(backend: GroupBackend, radius: int) -> None:
-    """Refuse a radius whose window would pass MAX_ENUMERATION, before building it."""
+    """Refuse a negative radius, or one whose window would pass MAX_ENUMERATION, before building it."""
+    if radius < 0:
+        raise ValueError(f"window radius must be at least 0, got {radius}")
     size = backend.window_size(radius, stop=MAX_ENUMERATION)
     refuse_oversize(size, f"elements in the window of radius {radius}")
 

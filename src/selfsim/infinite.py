@@ -192,6 +192,8 @@ def inf_path_eq(a: InfPath, b: InfPath, depth: int) -> Tri:
     A definite letter mismatch always decides distinctness; only the
     confirmation of equality is unavailable for streams.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     if a.graph is not b.graph and a.graph != b.graph:
         return DISTINCT
     if isinstance(a, PeriodicPath) and isinstance(b, PeriodicPath):
@@ -224,6 +226,8 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
     (carry value, phase in the cycle) recurs, else ("bounded", images,
     carries). carries[n] = phi(g, xi|_n), images[n-1] = (g.xi)_n.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     images: list[int] = []
     carries = [g]
     step = t.step
@@ -247,7 +251,7 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
             carries.append(state)
             phase = phase + 1 if phase + 1 < q else 0
         return "bounded", images[:depth], carries[: depth + 1]
-    for e in xi.head(min(max(depth, 0), xi.depth_limit)):
+    for e in xi.head(min(depth, xi.depth_limit)):
         image, state = step(state, e)
         images.append(image)
         carries.append(state)

@@ -238,11 +238,13 @@ def check_e_star_unitary(
     runs the freeness sweep once and renders its certificate (h, f), h != 1
     fixing f and r(f) with trivial cocycle (by equivariance in the window,
     checked past it), as s = (r(f), h, r(f)) dominating e_f by the definition
-    of mul. The verdict is the sweep's. A window breaking the identity or
-    equivariance laws raises SourceConditionError, one without the identity
-    or not closed under inverses ValueError.
+    of mul. The verdict is the sweep's. An oversize or negative path_bound
+    raises ValueError before any step, a window breaking the identity or
+    equivariance laws SourceConditionError, one without the identity or not
+    closed under inverses ValueError.
     """
-    from .sweeps import check_residually_free
+    from .sweeps import check_path_bound, check_residually_free
+    check_path_bound(t.graph, path_bound)
     window = list(window)
     _check_reduction(t, window)
     report = check_residually_free(t, window, path_bound)

@@ -168,7 +168,9 @@ def count_paths_upto(graph: Graph, max_len: int, stop: int | None = None) -> int
 
 
 def check_path_bound(graph: Graph, max_len: int) -> None:
-    """Refuse a bound whose path family would pass MAX_ENUMERATION, before building it."""
+    """Refuse a negative bound, or one whose path family would pass MAX_ENUMERATION, before building it."""
+    if max_len < 0:
+        raise ValueError(f"path bound must be at least 0, got {max_len}")
     count = count_paths_upto(graph, max_len, stop=MAX_ENUMERATION)
     refuse_oversize(count, f"paths of length <= {max_len}")
 
@@ -246,7 +248,8 @@ def _certificates(t: SelfSimilarTriple, window: list, path_bound: int, undecided
                 undecided.append(f"(g={group.render(g)}, e={graph.edge_labels[e]}) undecided at depth")
     if isinstance(group, IntegerGroup):
         yield from _integer_certificates(t)
-    for a in all_paths_upto(graph, path_bound):
+    # A vertex path's cocycle is the element itself, so its buckets never hold two: skip them.
+    for a in all_paths_upto(graph, path_bound)[graph.n_vertices:]:
         buckets: dict = {}  # (image, cocycle) -> the window elements leaving a as that value
         for g in window:
             buckets.setdefault(t.act_path(g, a), []).append(g)
@@ -266,14 +269,16 @@ def check_residually_free(
     """Search for g != 1 fixing an edge with trivial cocycle; report the first found.
 
     The searches, in order: the window's edge sweep; for an integer triple,
-    the cycles of sigma_1; agreements on paths of length <= path_bound. Each
-    window element acts once on each path, bucketed by (image, cocycle), as
-    equal values are equal elements: |W|·|P| actions, no pairwise comparison.
+    the cycles of sigma_1; agreements on edge paths of length <= path_bound.
+    Each window element acts once on each path, bucketed by (image, cocycle),
+    as equal values are equal elements: |W|·|P| actions, no pairwise comparison.
     With 1 in the window, fixing a path with trivial cocycle is agreeing
     with 1. Agreeing g1 != g2 reduce to a certificate of g2 g1^-1, perhaps
     past the window; one that does not is a consistency failure. Each
-    certificate past the window is re-checked by _certifies.
+    certificate past the window is re-checked by _certifies. An oversize
+    or negative path_bound is refused first, whatever the searches would find.
     """
+    check_path_bound(t.graph, path_bound)
     window = _check_window(t, window)
     group = t.group
     undecided: list[str] = []

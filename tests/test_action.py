@@ -5,6 +5,8 @@ import random
 import pytest
 
 import selfsim as ss
+from selfsim.infinite import act_and_phi_corona
+from selfsim.sweeps import check_path_bound
 from conftest import (
     TWIN_MACHINE_SPEC,
     all_spec_triples,
@@ -316,3 +318,52 @@ def test_integer_closed_form_matches_the_window_edge_sweep():
             report = ss.check_residually_free(t, ss.default_window(t.group, m), 0)
             assert report.counterexample is not None and report.counterexample[0] in range(-m, m + 1)
     assert 50 <= found <= 250, found
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda t: check_path_bound(t.graph, -2),
+        lambda t: ss.all_paths_upto(t.graph, -2),
+        lambda t: ss.check_residually_free(t, [0], path_bound=-2),
+        lambda t: ss.check_e_star_unitary(t, [0], path_bound=-2),
+    ],
+    ids=["check_path_bound", "all_paths_upto", "check_residually_free", "check_e_star_unitary"],
+)
+def test_negative_path_bound_is_refused(refuse, odo):
+    with pytest.raises(ValueError, match="path bound must be at least 0, got -2"):
+        refuse(odo)
+
+
+@pytest.mark.parametrize("sweep", [ss.check_residually_free, ss.check_e_star_unitary],
+                         ids=["residually_free", "e_star_unitary"])
+def test_oversize_path_bound_is_refused_before_any_step(sweep, monkeypatch):
+    # The edge sweep alone finds (1, e) on katsura_2_0: the bound is refused all the same.
+    t = ss.katsura_2_0()
+    steps = []
+    step = t.step
+    monkeypatch.setattr(t, "step", lambda g, e: steps.append((g, e)) or step(g, e))
+    with pytest.raises(ValueError, match="more than 100000 paths of length <= 1000000000"):
+        sweep(t, ss.default_window(t.group, 4), path_bound=10**9)
+    assert steps == []
+    assert sweep(t, ss.default_window(t.group, 4), path_bound=4).counterexample is not None
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda t, xi, seq: ss.inf_path_eq(xi, xi, -4),
+        lambda t, xi, seq: ss.corona_eq(seq, seq, -4),
+        lambda t, xi, seq: ss.lag_eq(ss.LagValue(seq, 0), ss.LagValue(seq, 0), -4),
+        lambda t, xi, seq: ss.act_inf_path(t, 1, xi, -4),
+        lambda t, xi, seq: ss.phi_corona(t, 1, xi, -4),
+        lambda t, xi, seq: act_and_phi_corona(t, 1, xi, -4),
+    ],
+    ids=["inf_path_eq", "corona_eq", "lag_eq", "act_inf_path", "phi_corona", "act_and_phi_corona"],
+)
+def test_negative_depth_is_refused(refuse, odo):
+    xi, seq = ss.stream_path(odo.graph, [1, 0, 1]), ss.BoundedSeq(odo.group, (1, 0))
+    with pytest.raises(ValueError, match="depth must be at least 0, got -4"):
+        refuse(odo, xi, seq)
+    # Depth 0 stays an answer that knows nothing.
+    assert str(ss.inf_path_eq(xi, xi, 0)) == str(ss.corona_eq(seq, seq, 0)) == "unknown@0"

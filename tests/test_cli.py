@@ -451,3 +451,115 @@ def test_closed_stdout_keeps_the_exit_code():
     proc.stderr.close()
     assert proc.wait(timeout=30) == 0
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+# -- contract branches: each pins its message and exit code ----------------------
+
+
+def run_spec(tmp_path, capsys, text, *args, command="validate"):
+    """(exit code, stdout lines) of one command on a spec written from text."""
+    spec = tmp_path / "case.spec"
+    spec.write_text(text, encoding="utf-8")
+    code = main([command, str(spec), *args])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_validate_reports_a_source_vertex(tmp_path, capsys):
+    code, lines = run_spec(tmp_path, capsys, SOURCE_VERTEX_SPEC)
+    assert code == 1
+    assert lines[1] == "graph: vertex b: no incoming edge (source)"
+
+
+# Z/3 fixing its loop: 1 and 2 both leave it with cocycle 1, an agreement
+# that reduces to no certificate because the cocycle identity is broken.
+Z3_RIGID_SPEC = """\
+[graph]
+vertices = v
+edge = e v v
+
+[group]
+kind = cayley
+elements = 0 1 2
+row = 0 1 2
+row = 1 2 0
+row = 2 0 1
+
+[action]
+edge = 1 e e 1
+edge = 2 e e 1
+"""
+
+
+def test_residual_free_prints_each_rigidity_failure(tmp_path, capsys):
+    code, lines = run_spec(tmp_path, capsys, Z3_RIGID_SPEC, command="residual-free")
+    assert code == 0
+    failures = [f"consistency: rigidity: g1={a}, g2={b} agree on {path}"
+                for a, b in (("1", "2"), ("2", "1")) for path in ("e", "e.e", "e.e.e", "e.e.e.e")]
+    assert lines[1:] == failures + ["holds (all 3 elements swept)"]
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["e1(e0)*", "1(0)*", "x", "(e0)*"], "error: lag shift must be an integer: 'x'"),
+        (["e1(e0)*", "1(0)*", "0", "(e0)*", "--split", "1-2"], "error: split must be 'p:q': '1-2'"),
+    ],
+    ids=["shift", "split"],
+)
+def test_model_check_refuses_a_malformed_shift_or_split(args, message, capsys):
+    assert main(["model-check", ODOMETER, *args]) == 3
+    assert capsys.readouterr().out.splitlines()[1:] == [message]
+
+
+CAYLEY_SPEC = """\
+[graph]
+vertices = v
+edge = e v v
+edge = f v v
+
+[group]
+kind = cayley
+elements = 0 1
+row = 0 1
+row = 1 0
+
+[action]
+edge = 1 e f 0
+edge = 1 f e 0
+"""
+INTEGER_SPEC = """\
+[graph]
+vertices = v
+edge = e0 v v
+edge = e1 v v
+
+[group]
+kind = integer
+
+[action]
+edge = 1 e0 e1 0
+edge = 1 e1 e0 1
+"""
+LOADER_ERRORS = [
+    ("cayley_rows", CAYLEY_SPEC.replace("row = 1 0\n", ""), "line 6: cayley group needs one 'row' per element"),
+    ("cayley_row", CAYLEY_SPEC.replace("row = 1 0", "row = 0 2"), "line 10: bad cayley row: '0 2'"),
+    ("cayley_edge_element", CAYLEY_SPEC + "edge = 2 e e 0\n", "line 15: unknown element in edge row: '2' / '0'"),
+    ("cayley_vertex_element", CAYLEY_SPEC + "vertex = 2 v v\n", "line 15: unknown element '2'"),
+    ("cayley_missing_row", CAYLEY_SPEC.replace("edge = 1 f e 0\n", ""),
+     "line 12: missing edge action rows for element '1': f"),
+    ("cayley_associativity",
+     CAYLEY_SPEC.replace("elements = 0 1\nrow = 0 1\nrow = 1 0", "elements = a b c\nrow = a b c\nrow = b a a\nrow = c a a")
+     .replace("edge = 1 e f 0\nedge = 1 f e 0\n", ""),
+     "line 6: Cayley table not associative at (b, b, c)"),
+    ("integer_generator", INTEGER_SPEC + "edge = 2 e0 e0 0\n",
+     "line 12: integer backend takes rows for the generator m = 1 only"),
+    ("integer_cocycle", INTEGER_SPEC.replace("e1 e0 1", "e1 e0 x"), "line 11: cocycle entry must be an integer: 'x'"),
+    ("integer_bijection", INTEGER_SPEC.replace("e1 e0 1", "e1 e1 1"), "line 9: generator rows must describe bijections"),
+]
+
+
+@pytest.mark.parametrize("name,text,message", LOADER_ERRORS, ids=[c[0] for c in LOADER_ERRORS])
+def test_loader_errors_are_input_errors_with_their_line(name, text, message, tmp_path, capsys):
+    code, lines = run_spec(tmp_path, capsys, text)
+    assert code == 3
+    assert lines[1:] == [f"error: {message}"]

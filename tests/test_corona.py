@@ -66,6 +66,14 @@ def test_bounded_stream_is_tri_state(z):
         ss.shift_left(bounded, 9)
 
 
+def test_bounded_sequences_multiply_invert_and_shift(z):
+    a, b = ss.BoundedSeq(z, (1, 2, 3)), ss.BoundedSeq(z, (4, 5))
+    assert ss.corona_mul(a, b).values == (5, 7)
+    assert ss.corona_mul(a, seq(z, (), (1,))).values == (2, 3, 4)
+    assert ss.corona_inv(a).values == (-1, -2, -3)
+    assert ss.shift_left(a, 2).values == (3,)
+
+
 def test_lag_group_law(z):
     a = ss.LagValue(seq(z, (1,), (2,)), 2)
     b = ss.LagValue(seq(z, (), (3,)), -1)

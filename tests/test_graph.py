@@ -199,6 +199,14 @@ def test_stream_path_depth(graph):
     assert ss.inf_path_eq(s, ss.periodic_path(graph, [], [1]), 16).is_distinct
 
 
+def test_streams_differing_at_a_known_letter_or_in_their_graph_are_distinct(graph):
+    a, b = ss.stream_path(graph, [0, 1, 0]), ss.stream_path(graph, [0, 1, 1, 0])
+    assert ss.inf_path_eq(a, b, 16).is_distinct
+    assert str(ss.inf_path_eq(a, b, 2)) == "unknown@2"
+    other = ss.stream_path(ss.make_graph(["v"], [("x", "v", "v"), ("y", "v", "v")]), [0, 1, 0])
+    assert ss.inf_path_eq(a, other, 16).is_distinct
+
+
 LOOPS = ss.make_graph(["v"], [("e0", "v", "v"), ("e1", "v", "v")])
 ODOMETER = ss.odometer()
 

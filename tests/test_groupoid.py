@@ -12,6 +12,7 @@ from selfsim.errors import (
     FreenessNotVerifiedError,
     NotComposableError,
     SourceConditionError,
+    UndecidedError,
 )
 from selfsim.groups import MAX_ENUMERATION
 from selfsim.specfile import load_spec_file, load_spec_text
@@ -160,6 +161,15 @@ def test_compose_integer_addition(ctx, odo, xi0, xi1):
     prod = ctx.compose(w2, u)
     assert prod.g == 2
     assert ctx.germ_eq(prod, ctx.make(vp(odo), 2, vp(odo), xi1)).is_equal
+
+
+def test_compose_refuses_diverging_prefixes_and_undecided_tails(ctx, odo, xi0):
+    u1, u2 = ctx.make(vp(odo), 0, ep(odo, 0), xi0), ctx.make(ep(odo, 1), 0, vp(odo), xi0)
+    with pytest.raises(NotComposableError, match="source and range prefixes diverge"):
+        ctx.compose(u1, u2)
+    stream = ss.stream_path(odo.graph, [0, 0, 0])
+    with pytest.raises(UndecidedError, match="composability undecided at depth 64"):
+        ctx.compose(ctx.unit(vp(odo), stream), ctx.unit(vp(odo), stream))
 
 
 def test_compose_with_inverse_gives_unit(ctx):
@@ -321,6 +331,12 @@ def test_open_set_membership(ctx, odo, xi0, xi1):
     assert ctx.open_set_member(u, ep(odo, 0), 1, ep(odo, 1), ep(odo, 1, 1)).is_distinct
 
 
+def test_open_set_membership_past_a_short_stream_is_unknown(ctx, odo):
+    u = ctx.unit(vp(odo), ss.stream_path(odo.graph, [0, 1]))
+    beta = ep(odo, 0, 1, 0)
+    assert str(ctx.open_set_member(u, beta, 0, beta, depth=8)) == "unknown@8"
+
+
 def test_model_round_trip_multi_vertex():
     # carries stay bounded here (entries of B do not exceed those of A)
     t = ss.from_katsura(ss.KatsuraData.make([[1, 1], [2, 1]], [[1, 1], [1, -1]]))
@@ -388,14 +404,13 @@ def test_second_hausdorff_sweep_computes_no_step(monkeypatch):
     assert (len(group._steps), group._steps.held, len(group._verdicts), group._verdicts.held) == sizes
 
 
-def _edge_path_actions(t, monkeypatch):
-    """Wrap t.act_path; returns a list that counts the calls on paths holding one edge, then more."""
-    calls = [0, 0]
+def _path_actions(t, monkeypatch):
+    """Wrap t.act_path; returns a list that counts the calls on vertex paths, single edges and longer paths."""
+    calls = [0, 0, 0]
     act_path = t.act_path
 
     def counting(g, a):
-        if len(a) > 0:
-            calls[len(a) > 1] += 1
+        calls[min(len(a), 2)] += 1
         return act_path(g, a)
 
     monkeypatch.setattr(t, "act_path", counting)
@@ -405,14 +420,15 @@ def _edge_path_actions(t, monkeypatch):
 @pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.spec")))
 def test_germ_gate_and_hausdorff_sweep_no_paths(name, monkeypatch):
     # Both run the sweep at path bound 1: each window element acts at most once
-    # on each single-edge path per sweep, and no longer path is acted on.
+    # on each single-edge path per sweep, and no vertex path or longer path is acted on.
     t = load_spec_file(str(SPECS / f"{name}.spec")).triple
-    calls = _edge_path_actions(t, monkeypatch)
+    calls = _path_actions(t, monkeypatch)
     window = ss.default_window(t.group, 4)
     ctx = ss.GermContext(t, window=window, allow_unverified=True)
     report = ss.hausdorff_report(t, window)
-    assert calls[0] <= 2 * len(window) * t.graph.n_edges
-    assert calls[1] == 0
+    assert calls[0] == 0
+    assert calls[1] <= 2 * len(window) * t.graph.n_edges
+    assert calls[2] == 0
     assert ctx.freeness.kind == report.freeness.kind == ss.check_residually_free(t, window).kind
 
 

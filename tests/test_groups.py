@@ -15,7 +15,7 @@ import selfsim as ss
 from conftest import INVERSE_LETTER_SPEC, SPECS, TEST_SPECS, fold_step, stack_step
 from selfsim.errors import BackendMismatchError, NonBijectiveOutputError
 from selfsim.automaton import invert_word, reduce_word
-from selfsim.groups import MAX_ENUMERATION
+from selfsim.groups import MAX_ENUMERATION, check_window_radius
 from selfsim.specfile import load_spec_file, load_spec_text
 
 
@@ -381,3 +381,16 @@ def test_comparison_budget_bounds_the_letters_stepped(monkeypatch):
         assert g.is_identity(g.parse(word)).is_unknown
         # Every word stepped belongs to a pair the budget admitted.
         assert 0 < stepped[0] <= g.n_letters * MAX_ENUMERATION
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [ss.IntegerGroup(), ss.adding_machine().group, ss.z2_swap().group],
+    ids=["integer", "automaton", "cayley"],
+)
+def test_negative_window_radius_is_refused(backend):
+    with pytest.raises(ValueError, match="window radius must be at least 0, got -3"):
+        check_window_radius(backend, -3)
+    with pytest.raises(ValueError, match="window radius must be at least 0, got -3"):
+        ss.default_window(backend, -3)
+    assert ss.default_window(backend, 0)[0] == backend.identity()
