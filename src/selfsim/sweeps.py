@@ -50,8 +50,11 @@ def verify_axioms(t: SelfSimilarTriple, window: Iterable) -> AxiomReport:
 
     Laws: sigma_g bijective on vertices and edges, r/d equivariance,
     sigma_(gh) = sigma_g sigma_h, the cocycle identity, phi(1, e) = 1, and
-    sigma_phi(g,e) = sigma_g on vertices. The check is quadratic in the window,
-    so a window of more than MAX_ENUMERATION pairs is refused before any step.
+    sigma_phi(g,e) = sigma_g on vertices. On the radius-1 window of a triple
+    extended from its generators, the verdict holds for the whole group: the
+    extension makes the product laws hold, and the others pass from the
+    generators and their inverses to every product. The check is quadratic in
+    the window, so more than MAX_ENUMERATION pairs are refused before any step.
     """
     window = list(window)
     refuse_oversize(len(window) ** 2, f"pairs in the axiom check of a window of {len(window)} elements")

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import selfsim as ss
+from selfsim.errors import InvalidMatricesError
 from selfsim.infinite import act_and_phi_corona
 from selfsim.sweeps import check_path_bound
 from conftest import (
@@ -49,6 +50,65 @@ def test_verify_axioms_rejects_bad_window(odo):
         ss.verify_axioms(odo, [1, 2])  # no identity
     with pytest.raises(ValueError):
         ss.verify_axioms(odo, [0, 1])  # not inverse-closed
+
+
+def random_generator_triple(rng):
+    """Up to three vertices and five edges, each moved by a random generator: most break a law."""
+    vertices = [f"v{i}" for i in range(rng.randint(1, 3))]
+    edges = [(f"e{i}", rng.choice(vertices), rng.choice(vertices)) for i in range(rng.randint(1, 5))]
+    vperm, eperm = list(range(len(vertices))), list(range(len(edges)))
+    rng.shuffle(vperm)
+    rng.shuffle(eperm)
+    cocycles = [rng.choice([-1, 0, 0, 1]) for _ in edges]
+    return ss.integer_triple_from_generator(ss.make_graph(vertices, edges), vperm, eperm, cocycles)
+
+
+def random_katsura_triple(rng):
+    while True:
+        n = rng.randint(1, 3)
+        a = [[rng.choice([0, 1, 2, 3]) for _ in range(n)] for _ in range(n)]
+        b = [[rng.randint(-3, 3) if x else 0 for x in row] for row in a]
+        try:
+            return ss.from_katsura(ss.KatsuraData.make(a, b))
+        except InvalidMatricesError:
+            continue
+
+
+def random_automaton_triple(rng):
+    """One or two states over two or three letters, restrictions of up to two letters."""
+    k, n = rng.randint(1, 2), rng.randint(2, 3)
+    outputs = [rng.sample(range(n), n) for _ in range(k)]
+    letters = [s for s in range(-k, k + 1) if s]
+    restrictions = [[[rng.choice(letters) for _ in range(rng.randint(0, 2))] for _ in range(n)] for _ in range(k)]
+    data = ss.AutomatonData.make([str(x) for x in range(n)], [f"s{i}" for i in range(k)], outputs, restrictions)
+    return ss.from_automaton(data, faithful_to_depth=rng.random() < 0.5)
+
+
+def axiom_verdict(t, radius):
+    report = ss.verify_axioms(t, ss.default_window(t.group, radius))
+    return report.ok, {v.law for v in report.violations}, len(report.undecided)
+
+
+@pytest.mark.parametrize(
+    "make,count",
+    [(random_generator_triple, 300), (random_katsura_triple, 100), (random_automaton_triple, 100)],
+    ids=["integer_generator", "katsura", "automaton"],
+)
+def test_generating_window_decides_the_axioms(make, count):
+    # Triples extended from generators: the radius-1 window gives the verdict of
+    # every window of radius 2-4 up to 20 elements (all three but for two automaton states).
+    rng = random.Random(f"generating-window-{make.__name__}")
+    broken = compared = 0
+    for _ in range(count):
+        t = make(rng)
+        verdict = axiom_verdict(t, 1)
+        broken += not verdict[0]
+        for radius in (r for r in (2, 3, 4) if t.group.window_size(r) <= 20):
+            compared += 1
+            assert axiom_verdict(t, radius) == verdict, (t.description, radius)
+    assert compared >= count
+    if make is random_generator_triple:
+        assert 100 <= broken <= 250, broken
 
 
 def test_verify_axioms_refuses_a_window_of_too_many_pairs(odo):

@@ -101,7 +101,7 @@ def test_malformed_spec_reports_line(tmp_path, capsys):
 
 def test_env_var_overrides_window(capsys, monkeypatch):
     monkeypatch.setenv("SELFSIM_WINDOW", "2")
-    main(["validate", str(SPECS / "odometer.spec")])
+    main(["residual-free", str(SPECS / "odometer.spec")])
     out = capsys.readouterr().out
     assert "window of 5 elements" in out
 
@@ -160,7 +160,7 @@ OUT_OF_RANGE = [
     ),
     (
         "automaton_window_over_limit",
-        ["validate", str(SPECS / "adding_machine.spec"), "--window", "50000"],
+        ["residual-free", str(SPECS / "adding_machine.spec"), "--window", "50000"],
         {},
         "more than 100000 elements in the window of radius 50000 (the enumeration limit)",
     ),
@@ -172,7 +172,7 @@ OUT_OF_RANGE = [
     ),
     (
         "env_window_over_limit",
-        ["validate", ODOMETER],
+        ["residual-free", ODOMETER],
         {"SELFSIM_WINDOW": "100000000"},
         "more than 100000 elements in the window of radius 100000000 (the enumeration limit)",
     ),
@@ -190,17 +190,18 @@ def test_out_of_range_limit_is_input_error(name, argv, env, message, capsys, mon
     assert lines[1] == f"error: {message}"
 
 
-def test_validate_refuses_a_window_of_too_many_pairs():
-    # Radius 4 on the Grigorchuk automaton is 3201 elements, 10,246,401 pairs.
+def test_validate_answers_on_grigorchuk_from_its_generators():
+    # Radius 4 is 3201 elements, 10,246,401 pairs; validate checks the radius-1 window only.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "selfsim.cli", "validate", str(TEST_SPECS / "grigorchuk.spec")],
         capture_output=True, env=env, timeout=20,
     )
-    assert proc.returncode == 3
+    assert proc.returncode == 0
     assert proc.stdout.decode().splitlines() == [
         "> validate",
-        "error: more than 100000 pairs in the axiom check of a window of 3201 elements (the enumeration limit)",
+        "graph: ok",
+        "axioms: ok (exact over the group: window of 9 elements, 81 pairs)",
     ]
     assert b"Traceback" not in proc.stderr
 
@@ -238,7 +239,7 @@ def test_cover_with_a_long_member_answers_at_once(capsys):
     "argv",
     [
         ["residual-free", ODOMETER, "--window", "100000000"],
-        ["validate", str(SPECS / "adding_machine.spec"), "--window", "100000000"],
+        ["residual-free", str(SPECS / "adding_machine.spec"), "--window", "100000000"],
         ["e-star-unitary", ODOMETER, "--bound", "100000000"],
     ],
     ids=["integer_window", "automaton_window", "bound"],
