@@ -83,6 +83,7 @@ class AutomatonGroup(GroupBackend):
         self.outputs = tuple(tuple(row) for row in outputs)
         self.restrictions = tuple(tuple(reduce_word(w) for w in rows) for rows in restrictions)
         self.faithful_to_depth = faithful_to_depth
+        self._ids = label_ids(self.generator_names)  # name -> index, for parse
         if len(self.outputs) != len(self.generator_names) or len(self.restrictions) != len(self.generator_names):
             raise ValueError("outputs/restrictions must cover every generator")
         # (image letter, restriction word reversed) of each signed generator at each letter.
@@ -202,23 +203,14 @@ class AutomatonGroup(GroupBackend):
         return ".".join(parts)
 
     def parse(self, text: str) -> tuple[int, ...]:
-        if text == "1":
-            return ()
-        word = []
-        for part in text.split("."):
-            inv = part.endswith("'")
-            name = part[:-1] if inv else part
-            if name not in self.generator_names:
-                raise BackendMismatchError(f"unknown generator: {name!r}")
-            sym = self.generator_names.index(name) + 1
-            word.append(-sym if inv else sym)
-        return reduce_word(word)
+        return reduce_word(_parse_word(
+            self._ids, text, lambda name: BackendMismatchError(f"unknown generator: {name!r}")))
 
-    def window_size(self, radius: int, stop: int | None = None) -> int:
+    def window_size(self, radius: int) -> int:
         """Reduced words of length <= radius: 1 + sum_(1<=i<=radius) 2k (2k-1)^(i-1).
 
-        Summing stops once the total passes ``stop``, so a huge radius costs
-        a few steps.
+        Summing stops once the total passes MAX_ENUMERATION, so a huge radius
+        costs a few steps.
         """
         k2 = 2 * len(self.generator_names)
         if k2 <= 2:
@@ -226,7 +218,7 @@ class AutomatonGroup(GroupBackend):
         total, layer = 1, k2
         for _ in range(radius):
             total += layer
-            if stop is not None and total > stop:
+            if total > MAX_ENUMERATION:
                 break
             layer *= k2 - 1
         return total
@@ -285,8 +277,11 @@ def from_automaton(data: AutomatonData, faithful_to_depth: bool = False) -> Self
     return _triple(graph, group, f"automaton on {len(data.alphabet)} letters")
 
 
-def _parse_word(ids: dict[str, int], text: str, line: int) -> tuple[int, ...]:
-    """A spec word `a.b'.a` (or `1`) over generators numbered by ``ids``, unreduced."""
+def _parse_word(ids: dict[str, int], text: str, unknown_name) -> tuple[int, ...]:
+    """A word `a.b'.a` (or `1`) over generators numbered by ``ids``, unreduced.
+
+    ``unknown_name(name)`` is the error raised for a name ``ids`` lacks.
+    """
     if text == "1":
         return ()
     word = []
@@ -294,10 +289,15 @@ def _parse_word(ids: dict[str, int], text: str, line: int) -> tuple[int, ...]:
         inv = part.endswith("'")
         name = part[:-1] if inv else part
         if name not in ids:
-            raise SpecFileError(f"unknown generator {name!r} in word {text!r}", line)
+            raise unknown_name(name)
         sym = ids[name] + 1
         word.append(-sym if inv else sym)
     return tuple(word)
+
+
+def _spec_word(ids: dict[str, int], text: str, line: int) -> tuple[int, ...]:
+    return _parse_word(
+        ids, text, lambda name: SpecFileError(f"unknown generator {name!r} in word {text!r}", line))
 
 
 def _tables(states: Sequence[str], n_letters: int, rows: Iterable[tuple], incomplete):
@@ -338,7 +338,7 @@ def load_map_section(section: _Section) -> SelfSimilarTriple:
             state, letter, image, word = parts
             if letter not in letters or image not in letters:
                 raise SpecFileError(f"unknown letter in map row: {value!r}", line)
-            yield state_ids[state], letters[letter], letters[image], _parse_word(state_ids, word, line)
+            yield state_ids[state], letters[letter], letters[image], _spec_word(state_ids, word, line)
 
     outputs, restrictions = _tables(
         states, len(alphabet), resolved(),
@@ -363,7 +363,7 @@ def load_action_sections(graph: Graph, grpsec: _Section, asec: _Section) -> Self
             if g not in ids:
                 raise SpecFileError(f"unknown generator {g!r}", line)
             letter, image = _resolve_edge(graph, e, line), _resolve_edge(graph, f, line)
-            yield ids[g], letter, image, _parse_word(ids, k, line)
+            yield ids[g], letter, image, _spec_word(ids, k, line)
 
     outputs, restrictions = _tables(
         names, graph.n_edges, resolved(),

@@ -103,7 +103,7 @@ class FiniteGroup(GroupBackend):
     def elements(self) -> range:
         return range(len(self.names))
 
-    def window_size(self, radius: int, stop: int | None = None) -> int:
+    def window_size(self, radius: int) -> int:
         """The order: the window is the whole group, whatever the radius."""
         return len(self.names)
 

@@ -74,7 +74,7 @@ def _germ_context(triple, args):
 def _cmd_validate(triple, args, out):
     from .sweeps import verify_axioms
     # A triple is extended from its generators, so the radius-1 window (the whole group
-    # of a Cayley table) decides the axioms for the whole group; --window is not read.
+    # of a Cayley table) decides the axioms for the whole group.
     window = default_window(triple.group, 1)
     axioms = verify_axioms(triple, window)
     graph_report = validate_graph(triple.graph)
@@ -166,7 +166,7 @@ def _cmd_germ_eq(triple, args, out):
     ctx = _germ_context(triple, args)
     u = ctx.make(*parse_germ_parts(triple, args.u))
     v = ctx.make(*parse_germ_parts(triple, args.v))
-    verdict = ctx.germ_eq(u, v, args.depth)
+    verdict = ctx.germ_eq(u, v)
     out(str(verdict))
     if verdict.is_equal:
         return OK
@@ -176,7 +176,7 @@ def _cmd_germ_eq(triple, args, out):
 def _cmd_lag(triple, args, out):
     ctx = _germ_context(triple, args)
     u = ctx.make(*parse_germ_parts(triple, args.u))
-    out(str(ctx.lag(u, args.depth)))
+    out(str(ctx.lag(u)))
     return OK
 
 
@@ -196,14 +196,14 @@ def _cmd_model_check(triple, args, out):
         except ValueError:
             raise SpecFileError(f"split must be 'p:q': {args.split!r}") from None
         split = (p, q)
-    verdict = ctx.model_check(eta, gseq, k, zeta, depth=args.depth, split=split)
+    verdict = ctx.model_check(eta, gseq, k, zeta, split=split)
     if verdict.is_equal:
         out("passes")
         return OK
     if verdict.is_distinct:
         out("fails")
         return FAIL
-    out(f"undecided at depth {args.depth}")
+    out(f"undecided at depth {ctx.depth}")
     return UNKNOWN
 
 
@@ -230,9 +230,8 @@ _OPTIONS = {
     "--allow-unverified": (False, None, None, "run a germ command past a freeness counterexample"),
     "--split": (None, str, "P:Q", "witness split p:q"),
 }
-_COMMON = ("--window", "--depth", "--allow-unverified")
 
-# command -> (handler, positionals after the spec, options besides _COMMON, summary);
+# command -> (handler, positionals after the spec, the options the handler reads, summary);
 # a last positional "alphas" takes one or more values.
 _COMMANDS = {
     "validate": (_cmd_validate, (), (), "graph conditions and action/cocycle axioms"),
@@ -240,12 +239,14 @@ _COMMANDS = {
     "phi": (_cmd_phi, ("g", "path"), (), "cocycle value of g along a path"),
     "smul": (_cmd_smul, ("s", "t"), (), "semigroup product of two triples"),
     "cover": (_cmd_cover, ("beta", "alphas"), (), "do the given idempotents cover e_beta?"),
-    "residual-free": (_cmd_residual_free, (), ("--bound",), "freeness sweep over a window"),
-    "e-star-unitary": (_cmd_e_star_unitary, (), ("--bound",), "non-idempotent dominating an idempotent?"),
-    "germ-eq": (_cmd_germ_eq, ("u", "v"), (), "germ equality"),
-    "lag": (_cmd_lag, ("u",), (), "lag value of a germ"),
-    "model-check": (_cmd_model_check, ("eta", "gseq", "k", "zeta"), ("--split",), "sequence-model membership"),
-    "hausdorff": (_cmd_hausdorff, (), (), "freeness-based Hausdorffness report"),
+    "residual-free": (_cmd_residual_free, (), ("--window", "--bound"), "freeness sweep over a window"),
+    "e-star-unitary": (_cmd_e_star_unitary, (), ("--window", "--bound"),
+                       "non-idempotent dominating an idempotent?"),
+    "germ-eq": (_cmd_germ_eq, ("u", "v"), ("--window", "--depth", "--allow-unverified"), "germ equality"),
+    "lag": (_cmd_lag, ("u",), ("--window", "--depth", "--allow-unverified"), "lag value of a germ"),
+    "model-check": (_cmd_model_check, ("eta", "gseq", "k", "zeta"),
+                    ("--window", "--depth", "--allow-unverified", "--split"), "sequence-model membership"),
+    "hausdorff": (_cmd_hausdorff, (), ("--window",), "freeness-based Hausdorffness report"),
 }
 
 
@@ -269,9 +270,9 @@ def _spelled(option: str) -> str:
 def _usage(command: str | None = None) -> str:
     if command is None:
         return "usage: selfsim <command> <specfile> [args] [options]"
-    _, positionals, extra, _ = _COMMANDS[command]
+    _, positionals, options, _ = _COMMANDS[command]
     words = ["<alpha>..." if p == "alphas" else f"<{p}>" for p in positionals]
-    words += [f"[{_spelled(name)}]" for name in (*_COMMON, *extra)]
+    words += [f"[{_spelled(name)}]" for name in options]
     return " ".join(["usage: selfsim", command, "<specfile>", *words])
 
 
@@ -282,8 +283,8 @@ def _help(command: str | None = None) -> str:
             _usage(), "", "self-similar graph action calculator", "", "commands:", *rows, "",
             "selfsim <command> --help lists the arguments and options of one command.",
         ])
-    extra, summary = _COMMANDS[command][2:]
-    rows = [f"  {_spelled(name):<22}{_OPTIONS[name][3]}" for name in ("--help", *_COMMON, *extra)]
+    options, summary = _COMMANDS[command][2:]
+    rows = [f"  {_spelled(name):<22}{_OPTIONS[name][3]}" for name in ("--help", *options)]
     return "\n".join([_usage(command), "", summary, "", "options:", *rows])
 
 
@@ -318,8 +319,8 @@ def parse_args(argv: list):
         return _help()
     if command not in _COMMANDS:
         raise UsageError(f"unknown command {command!r} (choose from {', '.join(_COMMANDS)})")
-    _, positionals, extra, _ = _COMMANDS[command]
-    names = ("--help", *_COMMON, *extra)
+    _, positionals, options, _ = _COMMANDS[command]
+    names = ("--help", *options)
     fields = {"command": command}
     fields.update((_field(name), _OPTIONS[name][0]) for name in names[1:])
     end = rest.index("--") if "--" in rest else len(rest)
@@ -399,14 +400,14 @@ def main(argv=None) -> int:
     out("> " + " ".join(echo_args))
     handler = _COMMANDS[args.command][0]
     try:
-        if args.window is None:
+        # A command resolves SELFSIM_* only for the options it takes.
+        if hasattr(args, "window") and args.window is None:
             args.window = default_window_radius()
-        if args.depth is None:
+        if hasattr(args, "depth") and args.depth is None:
             args.depth = default_depth()
-        _at_least("--window", args.window, 0)
-        _at_least("--depth", args.depth, 1)
-        if hasattr(args, "bound"):
-            _at_least("--bound", args.bound, 0)
+        for name, least in (("window", 0), ("depth", 1), ("bound", 0)):
+            if hasattr(args, name):
+                _at_least(f"--{name}", getattr(args, name), least)
         # An oversize window or path bound is refused where it is built, before any step.
         code = handler(load_spec_file(args.spec).triple, args, out)
     except (UndecidedError, DepthExceededError) as err:

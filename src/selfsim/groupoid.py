@@ -66,7 +66,8 @@ class GermContext:
     """Germ operations over one triple, gated on a freeness sweep.
 
     Construction runs the freeness check over the window and refuses to
-    proceed past a known counterexample unless explicitly overridden.
+    proceed past a known counterexample unless explicitly overridden. Every
+    operation answers at the depth given to the constructor.
     """
 
     def __init__(
@@ -78,7 +79,9 @@ class GermContext:
     ):
         self.triple = triple
         self.window = list(default_window(triple.group, 4) if window is None else window)
-        self.depth = self._depth(depth)
+        if depth < 1:
+            raise ValueError(f"depth must be at least 1, got {depth}")
+        self.depth = depth
         self.freeness = check_residually_free(triple, self.window, path_bound=1)  # |W|·|E| path actions
         if self.freeness.found_counterexample and not allow_unverified:
             g, e = self.freeness.counterexample
@@ -86,14 +89,6 @@ class GermContext:
                 f"freeness counterexample (g={triple.group.render(g)},"
                 f" e={triple.graph.edge_labels[e]}); pass allow_unverified to proceed"
             )
-
-    def _depth(self, depth: int | None) -> int:
-        """The depth to work at: None means the context's own; below 1 is refused."""
-        if depth is None:
-            return self.depth
-        if depth < 1:
-            raise ValueError(f"depth must be at least 1, got {depth}")
-        return depth
 
     # -- construction ------------------------------------------------------
 
@@ -117,8 +112,8 @@ class GermContext:
     def source_point(self, u: Germ) -> InfPath:
         return u.xi.prepend(u.beta)
 
-    def range_point(self, u: Germ, depth: int | None = None) -> InfPath:
-        gxi = act_inf_path(self.triple, u.g, u.xi, self._depth(depth))
+    def range_point(self, u: Germ) -> InfPath:
+        gxi = act_inf_path(self.triple, u.g, u.xi, self.depth)
         return gxi.prepend(u.alpha)
 
     def source_prefix(self, u: Germ, n: int) -> Path:
@@ -132,16 +127,15 @@ class GermContext:
 
     # -- equality and representatives --------------------------------------
 
-    def germ_eq(self, u1: Germ, u2: Germ, depth: int | None = None) -> Tri:
+    def germ_eq(self, u1: Germ, u2: Germ) -> Tri:
         """Germ equality via the finite-path criterion, oriented by |beta|."""
-        depth = self._depth(depth)
         if len(u1.beta) > len(u2.beta):
             u1, u2 = u2, u1
         rel = prefix_compare(u1.beta, u2.beta)
         if rel not in (PrefixRel.EQUAL, PrefixRel.A_PROPER):
             return DISTINCT
         gamma = u2.beta.drop(len(u1.beta))
-        tails = inf_path_eq(u1.xi, u2.xi.prepend(gamma), depth)
+        tails = inf_path_eq(u1.xi, u2.xi.prepend(gamma), self.depth)
         if tails.is_distinct:
             return DISTINCT
         img, coc = self.triple.act_path(u1.g, gamma)
@@ -169,14 +163,14 @@ class GermContext:
 
     # -- groupoid structure --------------------------------------------------
 
-    def compose(self, u1: Germ, u2: Germ, depth: int | None = None) -> Germ:
+    def compose(self, u1: Germ, u2: Germ) -> Germ:
         """Product u1 u2, defined when source(u1) = range(u2).
 
         Reparametrizes so the middle paths align; raises when the sources
         provably diverge, and refuses (rather than guessing) when the tails
         cannot be decided at this depth.
         """
-        depth = self._depth(depth)
+        depth = self.depth
         n = max(len(u1.beta), len(u2.alpha))
         r1 = self.reparametrize(u1, n, "beta")
         r2 = self.reparametrize(u2, n, "alpha")
@@ -189,24 +183,23 @@ class GermContext:
             raise UndecidedError(f"composability undecided at depth {depth}")
         return Germ(r1.alpha, self.triple.group.mul(r1.g, r2.g), r2.beta, r2.xi)
 
-    def inverse(self, u: Germ, depth: int | None = None) -> Germ:
-        gxi = act_inf_path(self.triple, u.g, u.xi, self._depth(depth))
+    def inverse(self, u: Germ) -> Germ:
+        gxi = act_inf_path(self.triple, u.g, u.xi, self.depth)
         return Germ(u.beta, self.triple.group.inv(u.g), u.alpha, gxi)
 
     # -- lag and the concrete model ----------------------------------------
 
-    def lag(self, u: Germ, depth: int | None = None) -> LagValue:
+    def lag(self, u: Germ) -> LagValue:
         """(right-shift^|alpha| of the cocycle sequence class, |alpha| - |beta|)."""
-        depth = self._depth(depth)
-        seq = phi_corona(self.triple, u.g, u.xi, depth)
+        seq = phi_corona(self.triple, u.g, u.xi, self.depth)
         return LagValue(shift_right(seq, len(u.alpha)), len(u.alpha) - len(u.beta))
 
-    def f_map(self, u: Germ, depth: int | None = None) -> tuple[InfPath, LagValue, InfPath]:
+    def f_map(self, u: Germ) -> tuple[InfPath, LagValue, InfPath]:
         """(range point, lag, source point): injective on germs.
 
         The range point and the lag share one walk of the carry orbit of (g, xi).
         """
-        gxi, seq = act_and_phi_corona(self.triple, u.g, u.xi, self._depth(depth))
+        gxi, seq = act_and_phi_corona(self.triple, u.g, u.xi, self.depth)
         lag = LagValue(shift_right(seq, len(u.alpha)), len(u.alpha) - len(u.beta))
         return (gxi.prepend(u.alpha), lag, self.source_point(u))
 
@@ -216,7 +209,6 @@ class GermContext:
         gseq: CoronaSeq,
         k: int,
         zeta: InfPath,
-        depth: int | None = None,
         split: tuple[int, int] | None = None,
     ) -> Tri:
         """Membership test for the concrete groupoid model.
@@ -226,7 +218,7 @@ class GermContext:
         and the letter law eta_(n+p) = g_(n+p) zeta_(n+q) hold. Fully decided
         when all three sequences are eventually periodic.
         """
-        depth = self._depth(depth)
+        depth = self.depth
         if split is not None:
             p, q = split
             if p < 0 or q < 0 or p - q != k:
@@ -286,14 +278,12 @@ class GermContext:
         g,
         beta: Path,
         gamma: Path | None = None,
-        depth: int | None = None,
     ) -> Tri:
         """Is u in the basic open set of (alpha, g, beta) restricted to gamma?
 
         Membership means u is germ-equal to [alpha, g, beta; point] at its own
         source point, which must lie in the cylinder of beta.
         """
-        depth = self._depth(depth)
         alpha, g, beta = self.normalize_basic(alpha, g, beta, gamma)
         source = self.source_point(u)
         try:
@@ -301,8 +291,8 @@ class GermContext:
                 return DISTINCT
             candidate = self.make(alpha, g, beta, source.drop(len(beta)))
         except DepthExceededError:
-            return unknown(depth)
-        return self.germ_eq(u, candidate, depth)
+            return unknown(self.depth)
+        return self.germ_eq(u, candidate)
 
 
 def _all_periodic(eta: InfPath, gseq: CoronaSeq, zeta: InfPath) -> bool:

@@ -61,8 +61,8 @@ class GroupBackend:
     def is_finite(self) -> bool:
         return False
 
-    def window_size(self, radius: int, stop: int | None = None) -> int:
-        """len(self.window(radius)), without building it; summing may stop past ``stop``."""
+    def window_size(self, radius: int) -> int:
+        """len(self.window(radius)), without building it; past MAX_ENUMERATION, some size above it."""
         raise BackendMismatchError(f"no default window for {self}")
 
     def window(self, radius: int) -> list:
@@ -107,8 +107,8 @@ class IntegerGroup(GroupBackend):
         except ValueError:
             raise BackendMismatchError(f"not an integer: {text!r}") from None
 
-    def window_size(self, radius: int, stop: int | None = None) -> int:
-        """2 radius + 1, exact at once (``stop`` is there for the common signature)."""
+    def window_size(self, radius: int) -> int:
+        """2 radius + 1, exact at once."""
         return 2 * radius + 1
 
     def window(self, radius: int) -> list[int]:
@@ -127,8 +127,7 @@ def check_window_radius(backend: GroupBackend, radius: int) -> None:
     """Refuse a negative radius, or one whose window would pass MAX_ENUMERATION, before building it."""
     if radius < 0:
         raise ValueError(f"window radius must be at least 0, got {radius}")
-    size = backend.window_size(radius, stop=MAX_ENUMERATION)
-    refuse_oversize(size, f"elements in the window of radius {radius}")
+    refuse_oversize(backend.window_size(radius), f"elements in the window of radius {radius}")
 
 
 def default_window(backend: GroupBackend, radius: int):

@@ -13,6 +13,7 @@ from collections.abc import Sequence
 from .corona import BoundedSeq, CoronaSeq, PeriodicSeq
 from .errors import CompositionError, DepthExceededError, Frozen, Value
 from .graph import Graph, Path, edge_path, vertex_path
+from .groups import MAX_ENUMERATION
 from .periodic import drop, entry, normalize
 from .tri import Tri, DISTINCT, from_bool, unknown
 
@@ -224,7 +225,9 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
 
     Returns ("periodic", images, carries, preperiod, period) when the state
     (carry value, phase in the cycle) recurs, else ("bounded", images,
-    carries). carries[n] = phi(g, xi|_n), images[n-1] = (g.xi)_n.
+    carries). carries[n] = phi(g, xi|_n), images[n-1] = (g.xi)_n. A carry
+    word costs its letters, any other carry 1: once the carries walked cost
+    more than MAX_ENUMERATION, the walk raises DepthExceededError.
     """
     if depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
@@ -234,28 +237,32 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
     state = g
     if isinstance(xi, PeriodicPath):
         prefix, cycle = xi.prefix_edges, xi.cycle_edges
-        p, q = len(prefix), len(cycle)
-        for e in prefix:
-            image, state = step(state, e)
-            images.append(image)
-            carries.append(state)
-        seen: dict = {}
-        phase = 0
-        for n in range(p, depth + p + q + 1):
+        end = depth + len(prefix) + len(cycle) + 1
+    else:
+        # A stream path is all prefix: its known letters, up to the depth.
+        prefix, cycle = xi.head(min(depth, xi.depth_limit)), ()
+        end = len(prefix)
+    p, q = len(prefix), len(cycle)
+    seen: dict = {}
+    phase = spent = 0
+    for n in range(end):
+        if n < p:
+            e = prefix[n]
+        else:
             key = (state, phase)
             if key in seen:
                 return "periodic", images, carries, seen[key], n - seen[key]
             seen[key] = n
-            image, state = step(state, cycle[phase])
-            images.append(image)
-            carries.append(state)
+            e = cycle[phase]
             phase = phase + 1 if phase + 1 < q else 0
-        return "bounded", images[:depth], carries[: depth + 1]
-    for e in xi.head(min(depth, xi.depth_limit)):
         image, state = step(state, e)
+        spent += len(state) if type(state) is tuple else 1
+        if spent > MAX_ENUMERATION:
+            raise DepthExceededError(
+                f"the carry words along the path pass {MAX_ENUMERATION} letters at depth {n + 1}")
         images.append(image)
         carries.append(state)
-    return "bounded", images, carries
+    return "bounded", images[:depth], carries[: depth + 1]
 
 
 def _image_path(t: SelfSimilarTriple, outcome) -> InfPath:

@@ -35,12 +35,13 @@ def _check_window(t: SelfSimilarTriple, window: Sequence) -> list:
     if not window:
         raise ValueError("window must not be empty")
     group = t.group
-    ident = group.identity()  # a literal member is equal at once
-    if ident not in window and not any(group.eq(g, ident).is_equal for g in window):
+    members = set(window)  # a literal member is equal at once
+    ident = group.identity()
+    if ident not in members and not any(group.eq(g, ident).is_equal for g in window):
         raise ValueError("window must contain the identity")
     for g in window:
         ginv = group.inv(g)
-        if ginv not in window and not any(group.eq(ginv, h).is_equal for h in window):
+        if ginv not in members and not any(group.eq(ginv, h).is_equal for h in window):
             raise ValueError("window must be closed under inverses")
     return window
 
@@ -150,15 +151,15 @@ class FreenessReport(Record):
         return self.kind == "counterexample"
 
 
-def count_paths_upto(graph: Graph, max_len: int, stop: int | None = None) -> int:
+def count_paths_upto(graph: Graph, max_len: int) -> int:
     """len(all_paths_upto(graph, max_len)), counted per source vertex layer by layer.
 
-    Counting stops once the total passes ``stop`` or a layer is empty.
+    Counting stops once the total passes MAX_ENUMERATION or a layer is empty.
     """
     layer = {v: 1 for v in graph.vertices()}  # source vertex -> paths ending there
     total = len(layer)
     for _ in range(max_len):
-        if not layer or (stop is not None and total > stop):
+        if not layer or total > MAX_ENUMERATION:
             break
         nxt: dict[int, int] = {}
         for v, count in layer.items():
@@ -174,8 +175,7 @@ def check_path_bound(graph: Graph, max_len: int) -> None:
     """Refuse a negative bound, or one whose path family would pass MAX_ENUMERATION, before building it."""
     if max_len < 0:
         raise ValueError(f"path bound must be at least 0, got {max_len}")
-    count = count_paths_upto(graph, max_len, stop=MAX_ENUMERATION)
-    refuse_oversize(count, f"paths of length <= {max_len}")
+    refuse_oversize(count_paths_upto(graph, max_len), f"paths of length <= {max_len}")
 
 
 def all_paths_upto(graph: Graph, max_len: int) -> list[Path]:

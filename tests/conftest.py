@@ -454,9 +454,9 @@ def _full_depth_conditions(t, eta, gseq, p, q, zeta, depth):
     return unknown(horizon)
 
 
-def split_loop_model_check(ctx, eta, gseq, k, zeta, depth=None, split=None):
+def split_loop_model_check(ctx, eta, gseq, k, zeta, split=None):
     """GermContext.model_check as a loop over every split p = max(k, 0)..p_hi, as an oracle."""
-    depth = ctx.depth if depth is None else depth
+    depth = ctx.depth
     t = ctx.triple
     if split is not None:
         p, q = split
@@ -480,20 +480,30 @@ def split_loop_model_check(ctx, eta, gseq, k, zeta, depth=None, split=None):
     return DISTINCT
 
 
-# The argparse parser the CLI used before its table parser: command -> positionals after the spec.
+# The argparse parser the CLI used before its table parser: command -> (positionals
+# after the spec, the options its handler reads).
+_GERM_OPTIONS = ("--window", "--depth", "--allow-unverified")
 ARGPARSE_COMMANDS = {
-    "validate": (), "act": ("g", "path"), "phi": ("g", "path"), "smul": ("s", "t"),
-    "cover": ("beta", "alphas"), "residual-free": (), "e-star-unitary": (), "germ-eq": ("u", "v"),
-    "lag": ("u",), "model-check": ("eta", "gseq", "k", "zeta"), "hausdorff": (),
+    "validate": ((), ()), "act": (("g", "path"), ()), "phi": (("g", "path"), ()), "smul": (("s", "t"), ()),
+    "cover": (("beta", "alphas"), ()), "residual-free": ((), ("--window", "--bound")),
+    "e-star-unitary": ((), ("--window", "--bound")), "germ-eq": (("u", "v"), _GERM_OPTIONS),
+    "lag": (("u",), _GERM_OPTIONS), "model-check": (("eta", "gseq", "k", "zeta"), (*_GERM_OPTIONS, "--split")),
+    "hausdorff": ((), ("--window",)),
 }
-ARGPARSE_PATH_SWEEPS = ("residual-free", "e-star-unitary")
+ARGPARSE_OPTIONS = {
+    "--window": {"type": int, "default": None, "help": "window radius"},
+    "--bound": {"type": int, "default": 4, "help": "path length bound"},
+    "--depth": {"type": int, "default": None, "help": "depth for infinite computations"},
+    "--allow-unverified": {"action": "store_true", "dest": "allow_unverified"},
+    "--split": {"default": None, "help": "witness split p:q"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's former argparse parser, as an oracle for the table parser of selfsim.cli."""
     parser = argparse.ArgumentParser(prog="selfsim", description="self-similar graph action calculator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, positionals in ARGPARSE_COMMANDS.items():
+    for name, (positionals, options) in ARGPARSE_COMMANDS.items():
         p = sub.add_parser(name)
         # Read every token that starts with "-" and a digit as a value, not as an option.
         p._negative_number_matcher = re.compile(r"^-\d")
@@ -503,13 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument("alphas", nargs="+", metavar="alpha")
             else:
                 p.add_argument(pos)
-        p.add_argument("--window", type=int, default=None, help="window radius")
-        if name in ARGPARSE_PATH_SWEEPS:
-            p.add_argument("--bound", type=int, default=4, help="path length bound")
-        p.add_argument("--depth", type=int, default=None, help="depth for infinite computations")
-        p.add_argument("--allow-unverified", action="store_true", dest="allow_unverified")
-        if name == "model-check":
-            p.add_argument("--split", default=None, help="witness split p:q")
+        for option in options:
+            p.add_argument(option, **ARGPARSE_OPTIONS[option])
     return parser
 
 

@@ -290,7 +290,7 @@ def test_criterion_08_model_round_trip(builtins):
         count = 68 if name != "z2_swap" else 64
         for _ in range(count):
             u = random_germ(rng, ctx, 2)
-            rng_pt, lag, src_pt = ctx.f_map(u, depth=64)
+            rng_pt, lag, src_pt = ctx.f_map(u)
             split = (len(u.alpha), len(u.beta))
             assert ctx.model_check(rng_pt, lag.corona, lag.shift, src_pt, split=split).is_equal
             back = ctx.model_to_germ(rng_pt, lag.corona, lag.shift, src_pt, split)

@@ -1,6 +1,7 @@
 """Axioms, the path recursion, infinite-path action, and freeness sweeps."""
 
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from selfsim.errors import InvalidMatricesError
 from selfsim.infinite import act_and_phi_corona
 from selfsim.sweeps import check_path_bound
 from conftest import (
+    TEST_SPECS,
     TWIN_MACHINE_SPEC,
     all_spec_triples,
     assert_certified,
@@ -16,7 +18,7 @@ from conftest import (
     pairwise_freeness,
     spec_triples,
 )
-from selfsim.specfile import load_spec_text
+from selfsim.specfile import load_spec_file, load_spec_text
 
 
 def edges_of(triple, *ids):
@@ -342,7 +344,7 @@ def test_freeness_gate_reports_consistency_failures():
 @pytest.mark.parametrize("name,t", all_spec_triples(), ids=[name for name, _ in all_spec_triples()])
 def test_every_freeness_counterexample_is_certified(name, t):
     for radius in range(4):
-        if t.group.window_size(radius, stop=500) > 500:
+        if t.group.window_size(radius) > 500:
             break
         window = ss.default_window(t.group, radius)
         for bound in range(3):
@@ -350,6 +352,18 @@ def test_every_freeness_counterexample_is_certified(name, t):
             assert (report.kind == "counterexample") == (report.counterexample is not None)
             if report.counterexample is not None:
                 assert_certified(t, report.counterexample)
+
+
+def test_freeness_sweep_checks_a_large_window_in_linear_time():
+    # 22409 words at radius 5: the identity and inverse checks look members up in a set.
+    t = load_spec_file(str(TEST_SPECS / "grigorchuk.spec")).triple
+    window = ss.default_window(t.group, 5)
+    start = time.perf_counter()
+    report = ss.check_residually_free(t, window, path_bound=1)
+    elapsed = time.perf_counter() - start
+    g, e = report.counterexample
+    assert (t.group.render(g), t.graph.edge_labels[e]) == ("d", "0")
+    assert elapsed < 2.0, f"the sweep over {len(window)} words took {elapsed:.2f}s"
 
 
 def random_integer_triple(rng):

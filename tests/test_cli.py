@@ -142,13 +142,13 @@ OUT_OF_RANGE = [
     ("env_depth_zero", LAG, {"SELFSIM_DEPTH": "0"}, "SELFSIM_DEPTH must be at least 1, got 0"),
     (
         "env_window_malformed",
-        ["validate", ODOMETER],
+        ["residual-free", ODOMETER],
         {"SELFSIM_WINDOW": "4.5"},
         "SELFSIM_WINDOW must be an integer, got '4.5'",
     ),
     (
         "env_window_negative",
-        ["validate", ODOMETER],
+        ["residual-free", ODOMETER],
         {"SELFSIM_WINDOW": "-2"},
         "SELFSIM_WINDOW must be at least 0, got -2",
     ),
@@ -413,6 +413,26 @@ def test_swap_zero_sum_counterexample(capsys):
     assert main(["e-star-unitary", SWAP_ZERO_SUM, "--window", "1"]) == 1
     assert capsys.readouterr().out.splitlines()[1:] == ["counterexample s=(@u, 2, @u), e=(a, 0, a)"]
     assert main(["germ-eq", SWAP_ZERO_SUM, "a,2,a;(a)*", "a,0,a;(a)*", "--window", "1"]) == 3
+
+
+def test_carry_words_past_the_budget_are_undecided(capsys):
+    # The doubling automaton's carry along 0^w doubles in length at every letter.
+    argv = ["lag", str(TEST_SPECS / "doubling.spec"), "@v,a,@v;(0)*"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "> lag @v,a,@v;(0)*",
+        "undecided: the carry words along the path pass 100000 letters at depth 16",
+    ]
+    assert peak < 10_000_000, f"peak {peak} bytes traced"
+    # Within the budget the lag is printed: the carries a^(2^n) for n < 12, 4095 letters in all.
+    assert main(argv + ["--depth", "12"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "(" + ".".join(["a"] * 4095) + "~, 0)"
 
 
 def test_sweep_on_a_walk_that_never_closes_ends_at_the_budget(capsys):

@@ -18,8 +18,8 @@ from selfsim.specfile import load_spec_file
 
 SPEC_NAMES = sorted(p.stem for p in SPECS.glob("*.spec"))
 PATH_SWEEPS = ["residual-free", "e-star-unitary"]  # the commands that take --bound
-COMMANDS = ["validate", "act", "phi", "smul", "cover", *PATH_SWEEPS, "germ-eq", "lag", "model-check",
-            "hausdorff"]
+GERM_COMMANDS = ["germ-eq", "lag", "model-check"]  # the commands that take --depth and --allow-unverified
+COMMANDS = ["validate", "act", "phi", "smul", "cover", *PATH_SWEEPS, *GERM_COMMANDS, "hausdorff"]
 JUNK = ["", "@", "zz", "(", ")*", "e9", "@nowhere", "1,,1", ";"]
 OVER_LIMIT = 10**9
 
@@ -90,14 +90,16 @@ def argvs(draw, commands=COMMANDS):
         "model-check": lambda: [junk_or(inf_path), corona(), pick(["-1", "0", "1", "x"]),
                                 junk_or(inf_path)],
     }.get(command, lambda: [])()
-    flags = [
-        ["--window", str(draw(st.sampled_from([1, 0, 2, 3, -1, OVER_LIMIT])))],
-        ["--depth", str(draw(st.sampled_from([8, 1, 2, 3, 64, 0, -5, OVER_LIMIT])))],
-    ]
+    # Each command gets only the options it takes.
+    flags = []
+    if command in [*PATH_SWEEPS, *GERM_COMMANDS, "hausdorff"]:
+        flags.append(["--window", str(draw(st.sampled_from([1, 0, 2, 3, -1, OVER_LIMIT])))])
+    if command in GERM_COMMANDS:
+        flags.append(["--depth", str(draw(st.sampled_from([8, 1, 2, 3, 64, 0, -5, OVER_LIMIT])))])
+        if draw(st.booleans()):
+            flags.append(["--allow-unverified"])
     if command in PATH_SWEEPS:
         flags.append(["--bound", str(draw(st.sampled_from([1, 2, 3, 0, -1, OVER_LIMIT])))])
-    if draw(st.booleans()):
-        flags.append(["--allow-unverified"])
     if command == "model-check" and draw(st.booleans()):
         flags.append(["--split", pick(["0:0", "1:2", "3", "a:b", "-1:0"])])
     ordered = [token for flag in draw(st.permutations(flags)) for token in flag]

@@ -112,26 +112,32 @@ def test_table_parser_reads_what_argparse_reads(argv):
 
 def test_the_oracle_knows_every_command():
     assert list(ARGPARSE_COMMANDS) == list(cli._COMMANDS)
-    for name, (_, positionals, _, _) in cli._COMMANDS.items():
-        assert ARGPARSE_COMMANDS[name] == positionals
+    for name, (_, positionals, options, _) in cli._COMMANDS.items():
+        assert ARGPARSE_COMMANDS[name] == (positionals, options)
+
+
+MODEL = ["e1(e0)*", "1(0)*", "0", "(e0)*"]  # the four positionals of a model-check
 
 
 @pytest.mark.parametrize("argv, fields", [
     # Options anywhere after the command, as "--opt value" or "--opt=value", by any unique prefix.
-    (["act", "--win", "3", ODOMETER, "--depth=5", "1", "--a", "e0"],
-     {"window": 3, "depth": 5, "allow_unverified": True, "g": "1", "path": "e0"}),
+    (["model-check", "--win", "3", ODOMETER, "--depth=5", "e1(e0)*", "--a", *MODEL[1:], "--sp", "0:0"],
+     {"window": 3, "depth": 5, "allow_unverified": True, "eta": "e1(e0)*", "zeta": "(e0)*", "split": "0:0"}),
     # The last of a repeated option wins.
     (["lag", ODOMETER, "x", "--window", "1", "--w=2"], {"window": 2, "u": "x"}),
     # "--" ends the options; a token that starts with "-" and a digit, or holds a space, is a value.
-    (["smul", ODOMETER, "--", "--window", "e0"], {"s": "--window", "t": "e0"}),
+    (["model-check", ODOMETER, "--", "--window", *MODEL[1:]], {"eta": "--window", "window": None}),
     (["model-check", ODOMETER, "a b", "-1,0(0)*", "-1", "(e0)*", "--split", "-1:0"],
      {"eta": "a b", "gseq": "-1,0(0)*", "k": "-1", "zeta": "(e0)*", "split": "-1:0"}),
-    (["residual-free", ODOMETER], {"window": None, "depth": None, "bound": 4, "allow_unverified": False}),
+    (["model-check", ODOMETER, *MODEL],
+     {"window": None, "depth": None, "allow_unverified": False, "split": None}),
+    (["residual-free", ODOMETER], {"window": None, "bound": 4}),
     # A last "--" ends nothing but is read after a value; straight after an option it is refused below.
-    (["cover", ODOMETER, "@v", "--depth", "2", "e0", "--"], {"beta": "@v", "alphas": ["e0"], "depth": 2}),
+    (["model-check", ODOMETER, "e1(e0)*", "--depth", "2", *MODEL[1:], "--"], {"zeta": "(e0)*", "depth": 2}),
     # Integer flags are read with int().
-    (["validate", ODOMETER, "--window", " 7 "], {"window": 7}),
-], ids=["anywhere", "repeated", "separator", "negative", "defaults", "trailing_separator", "int"])
+    (["model-check", ODOMETER, *MODEL, "--window", " 7 "], {"window": 7}),
+], ids=["anywhere", "repeated", "separator", "negative", "defaults", "bound_default", "trailing_separator",
+        "int"])
 def test_option_grammar(argv, fields):
     parsed = vars(parse_args(argv))
     assert {key: parsed[key] for key in fields} == fields
@@ -147,6 +153,10 @@ def test_option_grammar(argv, fields):
     ["act", ODOMETER, "1", "e0", "--bound", "1"], ["validate", ODOMETER, "--split", "1:2"],
     ["act", ODOMETER, "1", "e0", "--bogus"], ["act", ODOMETER, "1", "e0", "-x"],
     ["validate", ODOMETER, "--window", "1", "--"],
+    # The same forms on a command that takes the options.
+    ["model-check", ODOMETER, *MODEL, "--window"], ["model-check", ODOMETER, *MODEL, "--window", "--depth", "1"],
+    ["model-check", ODOMETER, *MODEL, "--window", "x"], ["model-check", ODOMETER, *MODEL, "--allow-unverified=1"],
+    ["hausdorff", ODOMETER, "--window", "1", "--"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[2:]) or "empty")
 def test_usage_errors_exit_3_with_the_usage_on_stderr(argv):
     code, out, err = _run(argv)
@@ -154,6 +164,21 @@ def test_usage_errors_exit_3_with_the_usage_on_stderr(argv):
     usage, message = err.splitlines()
     assert usage.startswith("usage: selfsim ") and message.startswith("selfsim: error: ")
     assert argparse_fields(argv) == 2
+
+
+@pytest.mark.parametrize("command", list(ARGPARSE_COMMANDS))
+def test_an_option_the_command_does_not_read_is_unrecognised(command):
+    positionals, options = ARGPARSE_COMMANDS[command]
+    usage = _run([command, "--help"])[1].splitlines()[0]
+    for option in OPTIONS:
+        if option in options:
+            assert f"[{option}" in usage
+            continue
+        argv = [command, ODOMETER, *["x"] * len(positionals), option]
+        code, out, err = _run(argv)
+        assert (code, out) == (3, "") and argparse_fields(argv) == 2
+        assert err.splitlines()[1] == f"selfsim: error: unrecognised arguments: {option}"
+        assert option not in usage
 
 
 def test_help_goes_to_stdout_with_exit_0():
@@ -169,7 +194,7 @@ def test_help_goes_to_stdout_with_exit_0():
     )
     assert "--bound" not in out and "--split P:Q" in out
     # An error before the help is reported first, as argparse did.
-    assert _run(["act", ODOMETER, "--window", "x", "--help"])[:2] == (3, "")
+    assert _run(["model-check", ODOMETER, "--window", "x", "--help"])[:2] == (3, "")
 
 
 # Where argparse reads differently on Python 3.10 to 3.13, the table parser reads as pinned here.

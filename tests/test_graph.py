@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import selfsim as ss
 from selfsim import periodic
+from selfsim.groups import MAX_ENUMERATION
 from selfsim.sweeps import count_paths_upto
 from selfsim.errors import CompositionError, DepthExceededError
 
@@ -313,9 +314,9 @@ def test_count_paths_matches_enumeration(rows):
     g = ss.make_graph(vertices, rows)
     for bound in range(7):
         assert count_paths_upto(g, bound) == len(ss.all_paths_upto(g, bound))
-    # A huge bound costs at most a stop's worth of layers, or ends with the paths.
-    total = count_paths_upto(g, 10**9, stop=1000)
-    assert total > 1000 or total == count_paths_upto(g, 10) == 6
+    # A huge bound costs the layers up to the enumeration limit, or ends with the paths.
+    total = count_paths_upto(g, 10**9)
+    assert total > MAX_ENUMERATION or total == count_paths_upto(g, 10) == 6
 
 
 def test_all_paths_refuses_oversize_before_building(graph):

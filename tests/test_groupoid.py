@@ -1,5 +1,6 @@
 """Germ equality, representatives, composition, lag, model, open sets."""
 
+import inspect
 import random
 from math import lcm
 
@@ -57,16 +58,30 @@ def test_context_refuses_unfree_triple(kat20):
     assert ctx.freeness.found_counterexample
 
 
-def test_depth_below_one_is_refused(ctx, odo, xi0):
-    u = ctx.make(vp(odo), 1, vp(odo), xi0)
-    assert str(ctx.lag(u)) == str(ctx.lag(u, ctx.depth))
+def contexts_by_depth(ctx):
+    """depth -> a GermContext like ctx that answers at that depth, each built once."""
+    cache = {ctx.depth: ctx}
+
+    def at(depth):
+        if depth not in cache:
+            cache[depth] = ss.GermContext(ctx.triple, window=ctx.window, depth=depth)
+        return cache[depth]
+
+    return at
+
+
+def test_depth_below_one_is_refused(ctx, odo):
     for depth in (0, -5):
-        with pytest.raises(ValueError):
-            ctx.lag(u, depth)
-        with pytest.raises(ValueError):
-            ctx.germ_eq(u, u, depth)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^depth must be at least 1, got {depth}$"):
             ss.GermContext(odo, window=ctx.window, depth=depth)
+
+
+def test_no_germ_operation_takes_a_depth():
+    # A GermContext answers at the depth given to its constructor, and only there.
+    for name, member in vars(ss.GermContext).items():
+        if callable(member) and not name.startswith("_"):
+            assert "depth" not in inspect.signature(member).parameters, name
+    assert "depth" in inspect.signature(ss.GermContext).parameters
 
 
 def test_make_validates(ctx, odo, xi0):
@@ -332,9 +347,10 @@ def test_open_set_membership(ctx, odo, xi0, xi1):
 
 
 def test_open_set_membership_past_a_short_stream_is_unknown(ctx, odo):
-    u = ctx.unit(vp(odo), ss.stream_path(odo.graph, [0, 1]))
+    shallow = contexts_by_depth(ctx)(8)
+    u = shallow.unit(vp(odo), ss.stream_path(odo.graph, [0, 1]))
     beta = ep(odo, 0, 1, 0)
-    assert str(ctx.open_set_member(u, beta, 0, beta, depth=8)) == "unknown@8"
+    assert str(shallow.open_set_member(u, beta, 0, beta)) == "unknown@8"
 
 
 def test_model_round_trip_multi_vertex():
@@ -437,6 +453,7 @@ def test_germ_eq_on_adding_machine_powers_is_exact_at_every_depth(machine):
     point = ss.periodic_path(machine.graph, [], [0])
     vertex = ss.vertex_path(machine.graph, 0)
     rng = random.Random(11)
+    at = contexts_by_depth(ctx)
 
     def germ(n):
         return ctx.make(vertex, (1,) * n if n >= 0 else (-1,) * -n, vertex, point)
@@ -444,8 +461,8 @@ def test_germ_eq_on_adding_machine_powers_is_exact_at_every_depth(machine):
     for _ in range(12):
         n, m = rng.randint(-200, 200), rng.randint(-200, 200)
         for depth in range(1, 65):
-            assert ctx.germ_eq(germ(n), germ(m), depth).is_distinct == (n != m)
-            assert ctx.germ_eq(germ(n), germ(n), depth).is_equal
+            assert at(depth).germ_eq(germ(n), germ(m)).is_distinct == (n != m)
+            assert at(depth).germ_eq(germ(n), germ(n)).is_equal
 
 
 # -- fast paths against their oracles -------------------------------------------
@@ -554,13 +571,14 @@ def test_model_check_matches_split_loop(oracle_contexts):
     rng = random.Random(41)
     verdicts = set()
     for ctx in oracle_contexts:
+        at = contexts_by_depth(ctx)
         for _ in range(400):
             eta, gseq, k, zeta = random_model_input(rng, ctx)
-            depth = rng.randint(1, 80)
+            c = at(rng.randint(1, 80))
             split = random_split(rng, k) if rng.random() < 0.5 else None
-            fast = outcome(lambda: ctx.model_check(eta, gseq, k, zeta, depth=depth, split=split))
-            slow = outcome(lambda: split_loop_model_check(ctx, eta, gseq, k, zeta, depth=depth, split=split))
-            assert fast == slow, (ctx.triple, str(eta), str(gseq), k, str(zeta), depth, split)
+            fast = outcome(lambda: c.model_check(eta, gseq, k, zeta, split=split))
+            slow = outcome(lambda: split_loop_model_check(c, eta, gseq, k, zeta, split=split))
+            assert fast == slow, (ctx.triple, str(eta), str(gseq), k, str(zeta), c.depth, split)
             periodic = all(isinstance(x, (ss.PeriodicPath, ss.PeriodicSeq)) for x in (eta, gseq, zeta))
             verdicts.add((periodic, fast.verdict))
     # Every verdict is reached on periodic inputs, undecided carries included.
@@ -593,11 +611,11 @@ def test_model_check_walks_preperiods_plus_one_period(oracle_contexts):
             p, q = random_split(rng, k)
             base = max(len(gseq.prefix) - p, len(zeta.prefix_edges) - q, len(eta.prefix_edges) - p, 0)
             calls[0] = 0
-            ctx.model_check(eta, gseq, k, zeta, depth=64, split=(p, q))
+            ctx.model_check(eta, gseq, k, zeta, split=(p, q))
             assert calls[0] <= base + period
             # Without a split only the top split is walked, past every preperiod.
             calls[0] = 0
-            ctx.model_check(eta, gseq, k, zeta, depth=64)
+            ctx.model_check(eta, gseq, k, zeta)
             assert calls[0] <= period
 
 
@@ -609,7 +627,7 @@ def test_model_check_without_split_on_bounded_input_walks_nothing(oracle_context
             eta, lag, zeta = ctx.f_map(random_germ(rng, ctx, 3))
             zeta = as_stream(zeta, rng.randint(1, 40))
             calls[0] = 0
-            assert ctx.model_check(eta, lag.corona, lag.shift, zeta, depth=64) == ss.Tri("unknown", 64)
+            assert ctx.model_check(eta, lag.corona, lag.shift, zeta) == ss.Tri("unknown", 64)
             assert calls[0] == 0
 
 
@@ -651,16 +669,15 @@ def same_lag(a, b) -> bool:
 def test_f_map_matches_separate_calls(bench_contexts):
     rng = random.Random(53)
     for ctx in bench_contexts:
+        at = contexts_by_depth(ctx)
         for _ in range(60):
             u = random_germ(rng, ctx, 3)
             if rng.random() < 0.4:
                 u = ss.Germ(u.alpha, u.g, u.beta, as_stream(u.xi, rng.randint(1, 40)))
-            depth = rng.randint(1, 80)
-            fused = outcome(lambda: ctx.f_map(u, depth))
-            separate = outcome(lambda: (ctx.range_point(u, depth), ctx.lag(u, depth), ctx.source_point(u)))
-            if isinstance(fused, type):
-                assert fused is separate
-                continue
+            c = at(rng.randint(1, 80))
+            # Every germ here has a known letter, so both sides give values to compare.
+            fused = c.f_map(u)
+            separate = (c.range_point(u), c.lag(u), c.source_point(u))
             assert same_inf_path(fused[0], separate[0])
             assert same_lag(fused[1], separate[1])
             assert same_inf_path(fused[2], separate[2])

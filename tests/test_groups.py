@@ -109,6 +109,8 @@ def test_word_ops(machine_group):
     assert machine_group.render(machine_group.mul(a, a)) == "a.a"
     assert machine_group.parse("a.a'") == ()
     assert machine_group.parse("1") == ()
+    with pytest.raises(BackendMismatchError, match=r"^unknown generator: 'x'$"):
+        machine_group.parse("a.x'")
 
 
 def test_word_action_equality(machine_group):
@@ -174,7 +176,7 @@ def test_window_refuses_oversize_before_building():
     group = ss.AutomatonGroup(["a", "b"], 2, [[1, 0], [0, 1]], [[(), ()], [(), ()]])
     # 1 + 4 (3^r - 1) / 2 words: radius 10 gives 118097, past the limit.
     assert group.window_size(9) == 39365 <= MAX_ENUMERATION < group.window_size(10)
-    assert group.window_size(10**9, stop=MAX_ENUMERATION) > MAX_ENUMERATION
+    assert group.window_size(10**9) > MAX_ENUMERATION  # summing stops past the limit
     with pytest.raises(ValueError, match="more than 100000 elements in the window of radius 10 "):
         group.window(10)
     with pytest.raises(ValueError, match="radius 1000000000 "):
