@@ -20,7 +20,7 @@ from .errors import (
     UndecidedError,
 )
 from .graph import validate_graph
-from .groups import IntegerGroup, default_window
+from .groups import DEFAULT_DEPTH, DEFAULT_PATH_BOUND, DEFAULT_RADIUS, at_least, default_window
 from .specfile import (
     load_spec_file,
     parse_corona,
@@ -33,36 +33,6 @@ from .specfile import (
 # Handlers import sweeps, semigroup and groupoid themselves: a command loads only what it runs.
 
 OK, FAIL, UNKNOWN, INPUT_ERROR = 0, 1, 2, 3
-
-
-def _at_least(name: str, value: int, least: int) -> int:
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-    return value
-
-
-def _env_int(name: str, fallback: int, least: int) -> int:
-    text = os.environ.get(name)
-    if text is None:
-        return fallback
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {text!r}") from None
-    return _at_least(name, value, least)
-
-
-def default_depth() -> int:
-    return _env_int("SELFSIM_DEPTH", 64, 1)
-
-
-def default_window_radius() -> int:
-    return _env_int("SELFSIM_WINDOW", 4, 0)
-
-
-def _counterexample_line(triple, g, edge: int) -> str:
-    gname = "m" if isinstance(triple.group, IntegerGroup) else "g"
-    return f"({gname}={triple.group.render(g)}, e={triple.graph.edge_labels[edge]})"
 
 
 def _germ_context(triple, args):
@@ -128,14 +98,13 @@ def _cmd_cover(triple, args, out):
 
 
 def _cmd_residual_free(triple, args, out):
-    from .sweeps import check_residually_free
+    from .sweeps import check_residually_free, render_certificate
     window = default_window(triple.group, args.window)
     report = check_residually_free(triple, window, path_bound=args.bound)
     for failure in report.consistency_failures:
         out(f"consistency: {failure}")
     if report.kind == "counterexample":
-        g, e = report.counterexample
-        out(f"counterexample {_counterexample_line(triple, g, e)}")
+        out(f"counterexample {render_certificate(triple, report.counterexample)}")
         return FAIL
     if report.kind == "holds":
         out(f"holds (all {report.window_size} elements swept)")
@@ -209,26 +178,28 @@ def _cmd_model_check(triple, args, out):
 
 def _cmd_hausdorff(triple, args, out):
     from .groupoid import hausdorff_report
+    from .sweeps import render_certificate
     window = default_window(triple.group, args.window)
     report = hausdorff_report(triple, window)
     if report.kind == "hausdorff":
         scope = "fully verified" if report.freeness.kind == "holds" else "window-verified"
         out(f"hausdorff ({scope}, window of {report.freeness.window_size} elements)")
         return OK
-    g, e = report.freeness.counterexample
-    out(f"not implied by the freeness check: counterexample {_counterexample_line(triple, g, e)}")
+    certificate = render_certificate(triple, report.freeness.counterexample)
+    out(f"not implied by the freeness check: counterexample {certificate}")
     return FAIL
 
 
-# Every option: (default, value type, metavar, help); a flag has no value type.
-# An option's field is its name without the dashes, "-" read as "_".
+# Every option: (default, value type, metavar, help, least value, SELFSIM_* variable); a flag
+# has no value type, and only a limit has a least value. An option's field is its name
+# without the dashes, "-" read as "_"; it parses as None when absent if it has a variable.
 _OPTIONS = {
-    "--help": (None, None, None, "show this help and exit (also -h)"),
-    "--window": (None, int, "R", "window radius (default 4, or SELFSIM_WINDOW)"),
-    "--bound": (4, int, "B", "path length bound (default 4)"),
-    "--depth": (None, int, "D", "depth for infinite computations (default 64, or SELFSIM_DEPTH)"),
-    "--allow-unverified": (False, None, None, "run a germ command past a freeness counterexample"),
-    "--split": (None, str, "P:Q", "witness split p:q"),
+    "--help": (None, None, None, "show this help and exit (also -h)", None, None),
+    "--window": (DEFAULT_RADIUS, int, "R", "window radius", 0, "SELFSIM_WINDOW"),
+    "--bound": (DEFAULT_PATH_BOUND, int, "B", "path length bound", 0, None),
+    "--depth": (DEFAULT_DEPTH, int, "D", "depth for infinite computations", 1, "SELFSIM_DEPTH"),
+    "--allow-unverified": (False, None, None, "run a germ command past a freeness counterexample", None, None),
+    "--split": (None, str, "P:Q", "witness split p:q", None, None),
 }
 
 # command -> (handler, positionals after the spec, the options the handler reads, summary);
@@ -267,6 +238,11 @@ def _spelled(option: str) -> str:
     return f"{option} {metavar}" if metavar else option
 
 
+def _described(option: str) -> str:
+    default, _, _, text, least, variable = _OPTIONS[option]
+    return text if least is None else f"{text} (default {default}{f', or {variable}' if variable else ''})"
+
+
 def _usage(command: str | None = None) -> str:
     if command is None:
         return "usage: selfsim <command> <specfile> [args] [options]"
@@ -284,7 +260,7 @@ def _help(command: str | None = None) -> str:
             "selfsim <command> --help lists the arguments and options of one command.",
         ])
     options, summary = _COMMANDS[command][2:]
-    rows = [f"  {_spelled(name):<22}{_OPTIONS[name][3]}" for name in ("--help", *options)]
+    rows = [f"  {_spelled(name):<22}{_described(name)}" for name in ("--help", *options)]
     return "\n".join([_usage(command), "", summary, "", "options:", *rows])
 
 
@@ -322,7 +298,7 @@ def parse_args(argv: list):
     _, positionals, options, _ = _COMMANDS[command]
     names = ("--help", *options)
     fields = {"command": command}
-    fields.update((_field(name), _OPTIONS[name][0]) for name in names[1:])
+    fields.update((_field(name), None if _OPTIONS[name][5] else _OPTIONS[name][0]) for name in names[1:])
     end = rest.index("--") if "--" in rest else len(rest)
     blocks = [[]]  # the runs of values between options
     unknown = []
@@ -400,21 +376,26 @@ def main(argv=None) -> int:
     out("> " + " ".join(echo_args))
     handler = _COMMANDS[args.command][0]
     try:
-        # A command resolves SELFSIM_* only for the options it takes.
-        if hasattr(args, "window") and args.window is None:
-            args.window = default_window_radius()
-        if hasattr(args, "depth") and args.depth is None:
-            args.depth = default_depth()
-        for name, least in (("window", 0), ("depth", 1), ("bound", 0)):
-            if hasattr(args, name):
-                _at_least(f"--{name}", getattr(args, name), least)
+        # Each limit the command takes: its flag, else its SELFSIM_* variable, else its default.
+        for option in _COMMANDS[args.command][2]:
+            default, _, _, _, least, variable = _OPTIONS[option]
+            name, value = option, getattr(args, _field(option))
+            text = os.environ.get(variable) if value is None and variable else None
+            if text is not None:
+                name = variable
+                try:
+                    value = int(text)
+                except ValueError:
+                    raise ValueError(f"{name} must be an integer, got {text!r}") from None
+            if least is not None:
+                setattr(args, _field(option), at_least(name, default if value is None else value, least))
         # An oversize window or path bound is refused where it is built, before any step.
         code = handler(load_spec_file(args.spec).triple, args, out)
     except (UndecidedError, DepthExceededError) as err:
         out(f"undecided: {err}")
         code = UNKNOWN
     except FreenessNotVerifiedError as err:
-        out(f"refused: {err}")
+        out(f"refused: freeness counterexample {err.certificate}; pass --allow-unverified to proceed")
         code = INPUT_ERROR
     except SelfSimError as err:
         out(f"error: {err}")

@@ -65,8 +65,8 @@ class PeriodicSeq(CoronaSeq, Frozen):
 
     def __str__(self) -> str:
         r = self.backend.render
-        head = ".".join(r(x) for x in self.prefix)
-        body = ".".join(r(x) for x in self.cycle)
+        head = ",".join(r(x) for x in self.prefix)
+        body = ",".join(r(x) for x in self.cycle)
         return f"{head}({body})*"
 
 
@@ -90,7 +90,12 @@ class BoundedSeq(CoronaSeq, Value):
 
     def __str__(self) -> str:
         r = self.backend.render
-        return ".".join(r(x) for x in self.values) + "~"
+        return ",".join(r(x) for x in self.values) + "~"
+
+
+def _known(a: CoronaSeq, b: CoronaSeq) -> int:
+    """The entries known of both, one of them bounded: the depth limit of the shorter bounded one."""
+    return min(x.depth_limit for x in (a, b) if x.depth_limit is not None)
 
 
 def corona_identity(backend: GroupBackend) -> PeriodicSeq:
@@ -108,8 +113,7 @@ def _pointwise(op, a: CoronaSeq, b: CoronaSeq | None = None) -> CoronaSeq:
         q = lcm(len(a.cycle), len(b.cycle))
         entries = [op(a.entry(n), b.entry(n)) for n in range(1, p + q + 1)]
         return PeriodicSeq.make(backend, tuple(entries[:p]), tuple(entries[p:]))
-    horizon = min(x.depth_limit for x in (a, b) if x.depth_limit is not None)
-    return BoundedSeq(backend, tuple(op(a.entry(n), b.entry(n)) for n in range(1, horizon + 1)))
+    return BoundedSeq(backend, tuple(op(a.entry(n), b.entry(n)) for n in range(1, _known(a, b) + 1)))
 
 
 def corona_mul(a: CoronaSeq, b: CoronaSeq) -> CoronaSeq:
@@ -142,24 +146,19 @@ def shift_left(a: CoronaSeq, k: int = 1) -> CoronaSeq:
     return BoundedSeq(a.backend, a.values[k:])
 
 
-def corona_eq(a: CoronaSeq, b: CoronaSeq, depth: int = 64) -> Tri:
+def corona_eq(a: CoronaSeq, b: CoronaSeq) -> Tri:
     """Tail equality: do the sequences agree from some index on?
 
     Exact for two periodic representatives (one combined period past both
-    preperiods decides every later index); otherwise unknown, since a finite
-    window can neither confirm nor refute eventual agreement.
+    preperiods decides every later index); otherwise unknown at the entries
+    known, since a finite window can neither confirm nor refute eventual
+    agreement.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be at least 0, got {depth}")
     if isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
         p = max(len(a.prefix), len(b.prefix))
         q = lcm(len(a.cycle), len(b.cycle))
         return all_of(*(a.backend.eq(a.entry(n), b.entry(n)) for n in range(p + 1, p + q + 1)))
-    horizon = depth
-    for x in (a, b):
-        if x.depth_limit is not None:
-            horizon = min(horizon, x.depth_limit)
-    return unknown(horizon)
+    return unknown(_known(a, b))
 
 
 class LagValue(Record):
@@ -184,7 +183,7 @@ def lag_inv(a: LagValue) -> LagValue:
     return LagValue(shift_right(corona_inv(a.corona), -a.shift), -a.shift)
 
 
-def lag_eq(a: LagValue, b: LagValue, depth: int = 64) -> Tri:
+def lag_eq(a: LagValue, b: LagValue) -> Tri:
     if a.shift != b.shift:
         return DISTINCT
-    return corona_eq(a.corona, b.corona, depth)
+    return corona_eq(a.corona, b.corona)

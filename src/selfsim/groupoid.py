@@ -29,9 +29,9 @@ from .errors import (
     Value,
 )
 from .graph import Path, PrefixRel, concat, prefix_compare
-from .groups import default_window
+from .groups import DEFAULT_DEPTH, DEFAULT_RADIUS, at_least, default_window
 from .infinite import InfPath, PeriodicPath, act_and_phi_corona, act_inf_path, inf_path_eq, phi_corona
-from .sweeps import check_residually_free
+from .sweeps import check_residually_free, render_certificate
 from .tri import Tri, DISTINCT, EQUAL, all_of, unknown
 
 
@@ -55,11 +55,9 @@ class HausdorffReport(Record):
 
 
 def hausdorff_report(t: SelfSimilarTriple, window) -> HausdorffReport:
-    """Freeness implies a Hausdorff germ groupoid; the converse is not claimed."""
-    fr = check_residually_free(t, window, path_bound=1)  # agreements on single edges, as the gate
-    if fr.found_counterexample:
-        return HausdorffReport("not-implied", fr)
-    return HausdorffReport("hausdorff", fr)
+    """Freeness implies a Hausdorff germ groupoid; the converse is not claimed. GermContext gates on it."""
+    fr = check_residually_free(t, window, path_bound=1)  # agreements on single edges: |W|·|E| path actions
+    return HausdorffReport("not-implied" if fr.found_counterexample else "hausdorff", fr)
 
 
 class GermContext:
@@ -74,21 +72,15 @@ class GermContext:
         self,
         triple: SelfSimilarTriple,
         window=None,
-        depth: int = 64,
+        depth: int = DEFAULT_DEPTH,
         allow_unverified: bool = False,
     ):
         self.triple = triple
-        self.window = list(default_window(triple.group, 4) if window is None else window)
-        if depth < 1:
-            raise ValueError(f"depth must be at least 1, got {depth}")
-        self.depth = depth
-        self.freeness = check_residually_free(triple, self.window, path_bound=1)  # |W|·|E| path actions
+        self.window = list(default_window(triple.group, DEFAULT_RADIUS) if window is None else window)
+        self.depth = at_least("depth", depth, 1)
+        self.freeness = hausdorff_report(triple, self.window).freeness
         if self.freeness.found_counterexample and not allow_unverified:
-            g, e = self.freeness.counterexample
-            raise FreenessNotVerifiedError(
-                f"freeness counterexample (g={triple.group.render(g)},"
-                f" e={triple.graph.edge_labels[e]}); pass allow_unverified to proceed"
-            )
+            raise FreenessNotVerifiedError(render_certificate(triple, self.freeness.counterexample))
 
     # -- construction ------------------------------------------------------
 

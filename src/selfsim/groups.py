@@ -20,6 +20,18 @@ from .tri import Tri, from_bool
 # below what exhausts memory.
 MAX_ENUMERATION = 100_000
 
+# The defaults of the three limits a caller may set: the window radius, the
+# path bound of the sweeps, and the depth at which infinite computations
+# answer unknown. Every module and the CLI read them here.
+DEFAULT_RADIUS, DEFAULT_PATH_BOUND, DEFAULT_DEPTH = 4, 4, 64
+
+
+def at_least(name: str, value: int, least: int) -> int:
+    """value when it is least or more; else a ValueError that names the limit."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
 
 def refuse_oversize(count: int, noun: str) -> None:
     """Raise ValueError when an enumeration would pass MAX_ENUMERATION."""
@@ -125,8 +137,7 @@ class IntegerGroup(GroupBackend):
 
 def check_window_radius(backend: GroupBackend, radius: int) -> None:
     """Refuse a negative radius, or one whose window would pass MAX_ENUMERATION, before building it."""
-    if radius < 0:
-        raise ValueError(f"window radius must be at least 0, got {radius}")
+    at_least("window radius", radius, 0)
     refuse_oversize(backend.window_size(radius), f"elements in the window of radius {radius}")
 
 

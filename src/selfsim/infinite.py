@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from .corona import BoundedSeq, CoronaSeq, PeriodicSeq
 from .errors import CompositionError, DepthExceededError, Frozen, Value
 from .graph import Graph, Path, edge_path, vertex_path
-from .groups import MAX_ENUMERATION
+from .groups import DEFAULT_DEPTH, MAX_ENUMERATION, at_least
 from .periodic import drop, entry, normalize
 from .tri import Tri, DISTINCT, from_bool, unknown
 
@@ -193,8 +193,7 @@ def inf_path_eq(a: InfPath, b: InfPath, depth: int) -> Tri:
     A definite letter mismatch always decides distinctness; only the
     confirmation of equality is unavailable for streams.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be at least 0, got {depth}")
+    at_least("depth", depth, 0)
     if a.graph is not b.graph and a.graph != b.graph:
         return DISTINCT
     if isinstance(a, PeriodicPath) and isinstance(b, PeriodicPath):
@@ -229,8 +228,7 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
     word costs its letters, any other carry 1: once the carries walked cost
     more than MAX_ENUMERATION, the walk raises DepthExceededError.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be at least 0, got {depth}")
+    at_least("depth", depth, 0)
     images: list[int] = []
     carries = [g]
     step = t.step
@@ -287,13 +285,13 @@ def _carry_seq(t: SelfSimilarTriple, outcome) -> CoronaSeq:
     return BoundedSeq(t.group, tuple(carries[:-1]) if len(carries) > 1 else (carries[0],))
 
 
-def act_inf_path(t: SelfSimilarTriple, g, xi: InfPath, depth: int = 64) -> InfPath:
+def act_inf_path(t: SelfSimilarTriple, g, xi: InfPath, depth: int = DEFAULT_DEPTH) -> InfPath:
     """The infinite path g.xi; eventually periodic when the carry orbit closes."""
     t.group.check(g)
     return _image_path(t, _orbit(t, g, xi, depth))
 
 
-def phi_corona(t: SelfSimilarTriple, g, xi: InfPath, depth: int = 64) -> CoronaSeq:
+def phi_corona(t: SelfSimilarTriple, g, xi: InfPath, depth: int = DEFAULT_DEPTH) -> CoronaSeq:
     """The cocycle sequence Phi(g, xi) as a corona representative.
 
     Eventually periodic whenever the carry orbit closes within the depth
@@ -304,7 +302,7 @@ def phi_corona(t: SelfSimilarTriple, g, xi: InfPath, depth: int = 64) -> CoronaS
     return _carry_seq(t, _orbit(t, g, xi, depth))
 
 
-def act_and_phi_corona(t: SelfSimilarTriple, g, xi: InfPath, depth: int = 64) -> tuple[InfPath, CoronaSeq]:
+def act_and_phi_corona(t: SelfSimilarTriple, g, xi: InfPath, depth: int = DEFAULT_DEPTH) -> tuple[InfPath, CoronaSeq]:
     """(g.xi, Phi(g, xi)) from one walk of the carry orbit."""
     t.group.check(g)
     outcome = _orbit(t, g, xi, depth)

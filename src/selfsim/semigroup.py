@@ -15,6 +15,7 @@ from collections.abc import Iterable
 from .action import SelfSimilarTriple
 from .errors import Frozen, NotIdempotentError, Record, SourceConditionError
 from .graph import Path, PrefixRel, concat, prefix_compare, vertex_path
+from .groups import DEFAULT_PATH_BOUND
 from .tri import Tri, DISTINCT, from_bool
 
 
@@ -230,7 +231,7 @@ def _check_reduction(t: SelfSimilarTriple, window: list) -> None:
 
 
 def check_e_star_unitary(
-    t: SelfSimilarTriple, window: Iterable, path_bound: int = 4
+    t: SelfSimilarTriple, window: Iterable, path_bound: int = DEFAULT_PATH_BOUND
 ) -> UnitaryReport:
     """Search for a non-idempotent element dominating a nonzero idempotent.
 

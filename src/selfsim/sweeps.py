@@ -12,7 +12,7 @@ from itertools import permutations
 
 from .errors import Record
 from .graph import Graph, Path, concat, vertex_path
-from .groups import MAX_ENUMERATION, IntegerGroup, refuse_oversize
+from .groups import DEFAULT_PATH_BOUND, MAX_ENUMERATION, IntegerGroup, at_least, refuse_oversize
 from .tri import Tri
 
 # SelfSimilarTriple (annotations) lives in action, loaded with every triple.
@@ -35,7 +35,7 @@ def _check_window(t: SelfSimilarTriple, window: Sequence) -> list:
     if not window:
         raise ValueError("window must not be empty")
     group = t.group
-    members = set(window)  # a literal member is equal at once
+    members = {group.check(g) for g in window}  # each an element; a literal member is equal at once
     ident = group.identity()
     if ident not in members and not any(group.eq(g, ident).is_equal for g in window):
         raise ValueError("window must contain the identity")
@@ -133,10 +133,17 @@ def inverse_cocycle_check(t: SelfSimilarTriple, g, a: Path) -> Tri:
     return group.eq(lhs, rhs)
 
 
+def render_certificate(t: SelfSimilarTriple, certificate) -> str:
+    """A freeness certificate (g, e) as "(g=..., e=...)"; an integer is named m."""
+    g, e = certificate
+    name = "m" if isinstance(t.group, IntegerGroup) else "g"
+    return f"({name}={t.group.render(g)}, e={t.graph.edge_labels[e]})"
+
+
 class FreenessReport(Record):
     """Outcome of the freeness sweep over a window of group elements.
 
-    kind is "holds" (finite group fully swept, nothing found),
+    kind is "holds" (every element of a finite group in the window, nothing found),
     "counterexample" (some g != 1 fixes an edge with trivial cocycle), or
     "unknown" (nothing found within the window, but the window is not all
     of the group or some comparison stayed undecided). counterexample is
@@ -173,8 +180,7 @@ def count_paths_upto(graph: Graph, max_len: int) -> int:
 
 def check_path_bound(graph: Graph, max_len: int) -> None:
     """Refuse a negative bound, or one whose path family would pass MAX_ENUMERATION, before building it."""
-    if max_len < 0:
-        raise ValueError(f"path bound must be at least 0, got {max_len}")
+    at_least("path bound", max_len, 0)
     refuse_oversize(count_paths_upto(graph, max_len), f"paths of length <= {max_len}")
 
 
@@ -248,7 +254,7 @@ def _certificates(t: SelfSimilarTriple, window: list, path_bound: int, undecided
             if g_is_id.is_distinct and coc_trivial.is_equal:
                 yield g, e
             elif coc_trivial.is_unknown or g_is_id.is_unknown:
-                undecided.append(f"(g={group.render(g)}, e={graph.edge_labels[e]}) undecided at depth")
+                undecided.append(f"{render_certificate(t, (g, e))} undecided at depth")
     if isinstance(group, IntegerGroup):
         yield from _integer_certificates(t)
     # A vertex path's cocycle is the element itself, so its buckets never hold two: skip them.
@@ -267,7 +273,7 @@ def _certificates(t: SelfSimilarTriple, window: list, path_bound: int, undecided
 
 
 def check_residually_free(
-    t: SelfSimilarTriple, window: Iterable, path_bound: int = 4
+    t: SelfSimilarTriple, window: Iterable, path_bound: int = DEFAULT_PATH_BOUND
 ) -> FreenessReport:
     """Search for g != 1 fixing an edge with trivial cocycle; report the first found.
 
@@ -289,7 +295,7 @@ def check_residually_free(
     counterexample = next(_certificates(t, window, path_bound, undecided, failures), None)
     if counterexample is not None:
         kind = "counterexample"
-    elif group.is_finite and len(window) >= len(list(group.elements())) and not undecided:
+    elif group.is_finite and set(group.elements()) <= set(window) and not undecided:
         kind = "holds"
     else:
         kind = "unknown"

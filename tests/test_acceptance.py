@@ -269,7 +269,7 @@ def test_criterion_07_lag_multiplicative(builtins):
         for _ in range(200):
             u1, u2 = random_composable_pair(rng, ctx, 2, depth=64)
             prod = ctx.compose(u1, u2)
-            verdict = ss.lag_eq(ctx.lag(prod), ss.lag_mul(ctx.lag(u1), ctx.lag(u2)), depth=64)
+            verdict = ss.lag_eq(ctx.lag(prod), ss.lag_mul(ctx.lag(u1), ctx.lag(u2)))
             if verdict.is_unknown:
                 continue
             decided += 1

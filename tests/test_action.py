@@ -427,17 +427,16 @@ def test_oversize_path_bound_is_refused_before_any_step(sweep, monkeypatch):
     "refuse",
     [
         lambda t, xi, seq: ss.inf_path_eq(xi, xi, -4),
-        lambda t, xi, seq: ss.corona_eq(seq, seq, -4),
-        lambda t, xi, seq: ss.lag_eq(ss.LagValue(seq, 0), ss.LagValue(seq, 0), -4),
         lambda t, xi, seq: ss.act_inf_path(t, 1, xi, -4),
         lambda t, xi, seq: ss.phi_corona(t, 1, xi, -4),
         lambda t, xi, seq: act_and_phi_corona(t, 1, xi, -4),
     ],
-    ids=["inf_path_eq", "corona_eq", "lag_eq", "act_inf_path", "phi_corona", "act_and_phi_corona"],
+    ids=["inf_path_eq", "act_inf_path", "phi_corona", "act_and_phi_corona"],
 )
 def test_negative_depth_is_refused(refuse, odo):
     xi, seq = ss.stream_path(odo.graph, [1, 0, 1]), ss.BoundedSeq(odo.group, (1, 0))
     with pytest.raises(ValueError, match="depth must be at least 0, got -4"):
         refuse(odo, xi, seq)
-    # Depth 0 stays an answer that knows nothing.
-    assert str(ss.inf_path_eq(xi, xi, 0)) == str(ss.corona_eq(seq, seq, 0)) == "unknown@0"
+    # Depth 0 stays an answer that knows nothing; a corona answers at the entries known.
+    assert str(ss.inf_path_eq(xi, xi, 0)) == "unknown@0"
+    assert str(ss.corona_eq(seq, seq)) == "unknown@2"

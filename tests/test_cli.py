@@ -1,6 +1,7 @@
 """CLI behavior: golden-file output comparison and the exit-code contract."""
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import selfsim as ss
 from conftest import SOURCE_VERTEX_SPEC, TEST_SPECS
 from selfsim.cli import main
 
@@ -140,6 +142,13 @@ OUT_OF_RANGE = [
         "SELFSIM_DEPTH must be an integer, got 'abc'",
     ),
     ("env_depth_zero", LAG, {"SELFSIM_DEPTH": "0"}, "SELFSIM_DEPTH must be at least 1, got 0"),
+    # Of two bad limits, the first in the command's option order is reported.
+    (
+        "first_bad_limit_in_option_order",
+        LAG + ["--window", "-1"],
+        {"SELFSIM_DEPTH": "abc"},
+        "--window must be at least 0, got -1",
+    ),
     (
         "env_window_malformed",
         ["residual-free", ODOMETER],
@@ -188,6 +197,23 @@ def test_out_of_range_limit_is_input_error(name, argv, env, message, capsys, mon
     assert code == 3
     assert len(lines) == 2 and lines[0].startswith("> ")
     assert lines[1] == f"error: {message}"
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda t, xi: ss.default_window(t.group, -1), "window radius must be at least 0, got -1"),
+        (lambda t, xi: ss.check_residually_free(t, [0], path_bound=-1), "path bound must be at least 0, got -1"),
+        (lambda t, xi: ss.GermContext(t, window=[0], depth=0), "depth must be at least 1, got 0"),
+        (lambda t, xi: ss.inf_path_eq(xi, xi, -1), "depth must be at least 0, got -1"),
+        (lambda t, xi: ss.act_inf_path(t, 1, xi, -1), "depth must be at least 0, got -1"),
+    ],
+    ids=["window_radius", "path_bound", "germ_depth", "inf_path_eq_depth", "orbit_depth"],
+)
+def test_library_floor_messages(call, message, odo):
+    # The same floor as the flags and variables above, named as the library names it.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(odo, ss.stream_path(odo.graph, [0]))
 
 
 def test_validate_answers_on_grigorchuk_from_its_generators():
@@ -380,7 +406,7 @@ def test_chain_hausdorff_and_germ_gate_see_the_edge_agreement(capsys):
     ]
     assert main(["germ-eq", chain, "@v,t.s40',@v;(2)*", "@v,1,@v;(2)*", "--window", "1"]) == 3
     assert capsys.readouterr().out.splitlines()[1:] == [
-        "refused: freeness counterexample (g=t.s40', e=2); pass allow_unverified to proceed"
+        "refused: freeness counterexample (g=t.s40', e=2); pass --allow-unverified to proceed"
     ]
 
 
@@ -432,7 +458,8 @@ def test_carry_words_past_the_budget_are_undecided(capsys):
     assert peak < 10_000_000, f"peak {peak} bytes traced"
     # Within the budget the lag is printed: the carries a^(2^n) for n < 12, 4095 letters in all.
     assert main(argv + ["--depth", "12"]) == 0
-    assert capsys.readouterr().out.splitlines()[1] == "(" + ".".join(["a"] * 4095) + "~, 0)"
+    carries = ",".join(".".join(["a"] * 2**n) for n in range(12))
+    assert capsys.readouterr().out.splitlines()[1] == f"({carries}~, 0)"
 
 
 def test_sweep_on_a_walk_that_never_closes_ends_at_the_budget(capsys):

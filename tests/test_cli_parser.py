@@ -221,3 +221,16 @@ def test_a_second_separator_is_a_value(argv, fields):
 def test_forms_argparse_reads_by_version_are_refused(argv):
     code, out, err = _run(argv)
     assert (code, out) == (3, "") and "selfsim: error: " in err
+
+
+def test_help_shows_each_limit_with_its_default_and_variable():
+    out = _run(["model-check", "--help"])[1]
+    assert out.splitlines()[5:9] == [
+        "  --help                show this help and exit (also -h)",
+        "  --window R            window radius (default 4, or SELFSIM_WINDOW)",
+        "  --depth D             depth for infinite computations (default 64, or SELFSIM_DEPTH)",
+        "  --allow-unverified    run a germ command past a freeness counterexample",
+    ]
+    assert _run(["residual-free", "--help"])[1].splitlines()[-1] == (
+        "  --bound B             path length bound (default 4)"
+    )

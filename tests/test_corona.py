@@ -1,9 +1,13 @@
 """Corona sequences, shifts, and the lag group."""
 
+import inspect
+import random
+
 import pytest
 
 import selfsim as ss
 from selfsim.errors import DepthExceededError
+from selfsim.specfile import parse_corona
 
 
 @pytest.fixture
@@ -115,4 +119,34 @@ def test_corona_word_entries(machine):
     x = ss.PeriodicSeq.make(g, (a,), ((),))
     assert ss.corona_eq(x, ss.corona_identity(g)).is_equal
     y = ss.PeriodicSeq.make(g, (), (a,))
-    assert ss.corona_eq(y, ss.corona_identity(g), depth=8).is_distinct
+    assert ss.corona_eq(y, ss.corona_identity(g)).is_distinct
+
+
+def test_corona_eq_and_lag_eq_take_no_depth():
+    for fn in (ss.corona_eq, ss.lag_eq):
+        assert list(inspect.signature(fn).parameters) == ["a", "b"]
+
+
+def test_bounded_operands_answer_at_the_entries_known(z):
+    short, long = ss.BoundedSeq(z, (1, 2)), ss.BoundedSeq(z, (1, 2, 3, 4, 5))
+    assert str(ss.corona_eq(short, long)) == str(ss.corona_eq(long, short)) == "unknown@2"
+    assert str(ss.corona_eq(long, ss.corona_identity(z))) == "unknown@5"
+    assert str(ss.lag_eq(ss.LagValue(short, 0), ss.LagValue(long, 0))) == "unknown@2"
+
+
+@pytest.mark.parametrize("backend", ["integer", "cayley", "automaton"])
+def test_a_printed_periodic_corona_reads_back(backend, machine):
+    rng = random.Random(14)
+    if backend == "integer":
+        group, draw = ss.IntegerGroup(), lambda: rng.randint(-12, 12)
+    elif backend == "cayley":
+        group = ss.FiniteGroup(["e", "r", "r2"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+        draw = lambda: rng.randrange(3)  # noqa: E731
+    else:
+        group = machine.group
+        draw = lambda: group.power(group.generator(0), rng.randint(-3, 3))  # noqa: E731
+    for _ in range(40):
+        prefix = [draw() for _ in range(rng.randint(0, 3))]
+        cycle = [draw() for _ in range(rng.randint(1, 3))]
+        seq = ss.PeriodicSeq.make(group, prefix, cycle)
+        assert parse_corona(group, str(seq)) == seq

@@ -681,3 +681,15 @@ def test_f_map_matches_separate_calls(bench_contexts):
             assert same_inf_path(fused[0], separate[0])
             assert same_lag(fused[1], separate[1])
             assert same_inf_path(fused[2], separate[2])
+
+
+def test_repeated_window_elements_do_not_cover_the_group():
+    # Z/2 acting trivially on one loop: 1 fixes it with trivial cocycle. The
+    # window [0, 0] has two entries but not the element 1, so no consumer holds.
+    graph = ss.make_graph(["v"], [("e", "v", "v")])
+    t = ss.finite_triple(graph, ss.FiniteGroup(["0", "1"], [[0, 1], [1, 0]]), [[0], [0]], [[0], [0]], [[0], [0]])
+    assert ss.check_residually_free(t, [0, 1]).counterexample == (1, 0)
+    assert ss.check_residually_free(t, [0, 0]).kind == "unknown"
+    assert ss.check_e_star_unitary(t, [0, 0]).kind == "unknown"
+    assert ss.hausdorff_report(t, [0, 0]).freeness.kind == "unknown"
+    assert ss.GermContext(t, window=[0, 0]).freeness.kind == "unknown"

@@ -396,3 +396,12 @@ def test_negative_window_radius_is_refused(backend):
     with pytest.raises(ValueError, match="window radius must be at least 0, got -3"):
         ss.default_window(backend, -3)
     assert ss.default_window(backend, 0)[0] == backend.identity()
+
+
+@pytest.mark.parametrize("sweep", [ss.verify_axioms, ss.check_residually_free],
+                         ids=["verify_axioms", "check_residually_free"])
+@pytest.mark.parametrize("triple,window", [(ss.odometer(), [0, [1]]), (ss.adding_machine(), [(), [1]])],
+                         ids=["integer", "automaton"])
+def test_a_non_element_in_the_window_is_refused(sweep, triple, window):
+    with pytest.raises(BackendMismatchError, match=r"^\[1\] is not an element of "):
+        sweep(triple, window)
