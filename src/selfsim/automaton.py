@@ -8,13 +8,12 @@ forms fill their tables through one builder.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterable, Sequence
 
 from .action import SelfSimilarTriple
 from .errors import BackendMismatchError, NonBijectiveOutputError, Record, SpecFileError
 from .graph import Graph, label_ids, make_graph
-from .groups import MAX_ENUMERATION, GroupBackend, check_window_radius
+from .groups import MAX_ENUMERATION, GroupBackend, _exact, _Memo, check_window_radius
 from .tri import Tri, DISTINCT, EQUAL, unknown
 
 # _Section (annotations) lives in specfile, which calls the loaders below.
@@ -33,30 +32,6 @@ def reduce_word(word: Sequence[int]) -> tuple[int, ...]:
 
 def invert_word(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(-sym for sym in reversed(word))
-
-
-class _Memo(dict):
-    """Memo table of pure answers that stops growing before its entries hold
-    more than MAX_ENUMERATION letters; ``held`` counts them. The lock makes a
-    budget check and its insert one step, so threads sharing a backend keep
-    the bound."""
-
-    __slots__ = ("held", "_lock")
-
-    def __init__(self):
-        super().__init__()
-        self.held = 0
-        self._lock = threading.Lock()
-
-    def keep(self, key, value, letters: int) -> None:
-        if self.held + letters <= MAX_ENUMERATION:
-            with self._lock:
-                if self.held + letters <= MAX_ENUMERATION and key not in self:
-                    self[key] = value
-                    self.held += letters
-
-    def __reduce__(self):
-        return _Memo, ()  # a copy or pickle starts empty: the lock cannot travel
 
 
 class AutomatonGroup(GroupBackend):
@@ -100,6 +75,7 @@ class AutomatonGroup(GroupBackend):
             self._moves[-g - 1] = tuple((pre, invert_word(self.restrictions[g][pre])[::-1]) for pre in inv)
         self._steps = _Memo()  # (word, letter) -> step(word, letter)
         self._verdicts = _Memo()  # (a, b) -> eq(a, b)
+        self._words = _Memo()  # word -> True, for words of exact int letters that check passed
 
     def identity(self) -> tuple[int, ...]:
         return ()
@@ -109,6 +85,17 @@ class AutomatonGroup(GroupBackend):
 
     def inv(self, a) -> tuple[int, ...]:
         return invert_word(self.check(a))
+
+    def check(self, x):
+        """x when it is an element. A word of exact int letters passes the full
+        test once; a float or bool letter equals an int, so it never hits the memo."""
+        exact = _exact(x)
+        if exact and x in self._words:
+            return x
+        GroupBackend.check(self, x)
+        if exact:
+            self._words.keep(x, True, len(x))
+        return x
 
     def contains(self, x) -> bool:
         if not isinstance(x, tuple):

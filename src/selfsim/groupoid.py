@@ -29,8 +29,8 @@ from .errors import (
     Value,
 )
 from .graph import Path, PrefixRel, concat, prefix_compare
-from .groups import DEFAULT_DEPTH, DEFAULT_RADIUS, at_least, default_window
-from .infinite import InfPath, PeriodicPath, act_and_phi_corona, act_inf_path, inf_path_eq, phi_corona
+from .groups import DEFAULT_DEPTH, DEFAULT_RADIUS, _exact, _Memo, at_least, default_window
+from .infinite import InfPath, PeriodicPath, _carry_seq, _image_path, _orbit, inf_path_eq
 from .sweeps import check_residually_free, render_certificate
 from .tri import Tri, DISTINCT, EQUAL, all_of, unknown
 
@@ -65,7 +65,10 @@ class GermContext:
 
     Construction runs the freeness check over the window and refuses to
     proceed past a known counterexample unless explicitly overridden. Every
-    operation answers at the depth given to the constructor.
+    operation answers at the depth given to the constructor, so a carry walk
+    depends only on (g, xi): the walks that closed on a periodic xi are kept
+    in one table, bounded like an automaton backend's memo, and threads may
+    share a context.
     """
 
     def __init__(
@@ -81,6 +84,33 @@ class GermContext:
         self.freeness = hausdorff_report(triple, self.window).freeness
         if self.freeness.found_counterexample and not allow_unverified:
             raise FreenessNotVerifiedError(render_certificate(triple, self.freeness.counterexample))
+        self._walks = _Memo()  # (g, xi.prefix_edges, xi.cycle_edges) -> (g.xi, Phi(g, xi))
+
+    # -- the carry walk ----------------------------------------------------
+
+    def _walk(self, g, xi: InfPath, image: bool = True) -> tuple[InfPath | None, CoronaSeq]:
+        """(g.xi, Phi(g, xi)) from one walk of the carry orbit at the context's depth.
+
+        g is checked on every call. Only exact outcomes are kept: a closed
+        orbit of an int, or a word of ints, on a periodic xi. Streams,
+        unclosed orbits and errors are walked afresh, and then g.xi is built
+        only when ``image`` asks for it (else None).
+        """
+        t = self.triple
+        t.group.check(g)
+        key = _walk_key(g, xi)
+        if key is not None:
+            known = self._walks.get(key)
+            if known is not None:
+                return known
+        outcome = _orbit(t, g, xi, self.depth)
+        if key is None or outcome[0] != "periodic":
+            return (_image_path(t, outcome) if image else None), _carry_seq(t, outcome)
+        gxi, seq = pair = _image_path(t, outcome), _carry_seq(t, outcome)
+        letters = len(key[1]) + len(key[2]) + len(gxi.prefix_edges) + len(gxi.cycle_edges)
+        letters += sum(len(c) if type(c) is tuple else 1 for c in (g, *seq.prefix, *seq.cycle))
+        self._walks.keep(key, pair, letters)
+        return pair
 
     # -- construction ------------------------------------------------------
 
@@ -105,8 +135,7 @@ class GermContext:
         return u.xi.prepend(u.beta)
 
     def range_point(self, u: Germ) -> InfPath:
-        gxi = act_inf_path(self.triple, u.g, u.xi, self.depth)
-        return gxi.prepend(u.alpha)
+        return self._walk(u.g, u.xi)[0].prepend(u.alpha)
 
     def source_prefix(self, u: Germ, n: int) -> Path:
         return self.source_point(u).truncate(n)
@@ -168,7 +197,7 @@ class GermContext:
         r2 = self.reparametrize(u2, n, "alpha")
         if r1.beta != r2.alpha:
             raise NotComposableError("source and range prefixes diverge")
-        tails = inf_path_eq(r1.xi, act_inf_path(self.triple, r2.g, r2.xi, depth), depth)
+        tails = inf_path_eq(r1.xi, self._walk(r2.g, r2.xi)[0], depth)
         if tails.is_distinct:
             raise NotComposableError("source and range tails diverge")
         if tails.is_unknown:
@@ -176,22 +205,18 @@ class GermContext:
         return Germ(r1.alpha, self.triple.group.mul(r1.g, r2.g), r2.beta, r2.xi)
 
     def inverse(self, u: Germ) -> Germ:
-        gxi = act_inf_path(self.triple, u.g, u.xi, self.depth)
-        return Germ(u.beta, self.triple.group.inv(u.g), u.alpha, gxi)
+        return Germ(u.beta, self.triple.group.inv(u.g), u.alpha, self._walk(u.g, u.xi)[0])
 
     # -- lag and the concrete model ----------------------------------------
 
     def lag(self, u: Germ) -> LagValue:
         """(right-shift^|alpha| of the cocycle sequence class, |alpha| - |beta|)."""
-        seq = phi_corona(self.triple, u.g, u.xi, self.depth)
+        seq = self._walk(u.g, u.xi, image=False)[1]
         return LagValue(shift_right(seq, len(u.alpha)), len(u.alpha) - len(u.beta))
 
     def f_map(self, u: Germ) -> tuple[InfPath, LagValue, InfPath]:
-        """(range point, lag, source point): injective on germs.
-
-        The range point and the lag share one walk of the carry orbit of (g, xi).
-        """
-        gxi, seq = act_and_phi_corona(self.triple, u.g, u.xi, self.depth)
+        """(range point, lag, source point): injective on germs."""
+        gxi, seq = self._walk(u.g, u.xi)
         lag = LagValue(shift_right(seq, len(u.alpha)), len(u.alpha) - len(u.beta))
         return (gxi.prepend(u.alpha), lag, self.source_point(u))
 
@@ -285,6 +310,13 @@ class GermContext:
         except DepthExceededError:
             return unknown(self.depth)
         return self.germ_eq(u, candidate)
+
+
+def _walk_key(g, xi: InfPath):
+    """The table key of a walk, or None when the walk is not kept: xi is not periodic, or g not exact."""
+    if isinstance(xi, PeriodicPath) and _exact(g):
+        return g, xi.prefix_edges, xi.cycle_edges
+    return None
 
 
 def _all_periodic(eta: InfPath, gseq: CoronaSeq, zeta: InfPath) -> bool:

@@ -11,14 +11,46 @@ window, so the window guards here name none of them.
 
 from __future__ import annotations
 
+import threading
+
 from .errors import BackendMismatchError
 from .tri import Tri, from_bool
 
-# The most elements a window, or paths a path family, may hold, and the
-# budget of an automaton word comparison. Far above every shipped default (9
+# The most elements a window, or paths a path family, may hold, the budget
+# of an automaton word comparison, and the letters a memo table may hold
+# (an automaton backend's and a GermContext's). Far above every shipped default (9
 # window elements at radius 4, 121 paths to length 4 on three loops), far
 # below what exhausts memory.
 MAX_ENUMERATION = 100_000
+
+
+class _Memo(dict):
+    """Memo table of pure answers that stops growing before its entries hold
+    more than MAX_ENUMERATION letters; ``held`` counts them. The lock makes a
+    budget check and its insert one step, so threads sharing a table keep
+    the bound."""
+
+    __slots__ = ("held", "_lock")
+
+    def __init__(self):
+        super().__init__()
+        self.held = 0
+        self._lock = threading.Lock()
+
+    def keep(self, key, value, letters: int) -> None:
+        if self.held + letters <= MAX_ENUMERATION:
+            with self._lock:
+                if self.held + letters <= MAX_ENUMERATION and key not in self:
+                    self[key] = value
+                    self.held += letters
+
+    def __reduce__(self):
+        return _Memo, ()  # a copy or pickle starts empty: the lock cannot travel
+
+
+def _exact(x) -> bool:
+    """x is an int, or a tuple of ints, exactly: a memo key that no equal bool or float finds."""
+    return type(x) is int or type(x) is tuple and all(type(s) is int for s in x)
 
 # The defaults of the three limits a caller may set: the window radius, the
 # path bound of the sweeps, and the depth at which infinite computations

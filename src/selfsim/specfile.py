@@ -18,7 +18,8 @@ Literals: paths are dot-separated edge labels or `@v` for a vertex; infinite
 paths are `prefix(cycle)*`; group elements are integers, element names, or
 generator words like `a.a.b'` with `1` for the identity; semigroup elements
 are `alpha,g,beta` or `0`; germs are `alpha,g,beta;xi`; corona sequences are
-`g1,g2(g3)*` or a bounded `g1,g2,g3`.
+`g1,g2(g3)*` or a bounded `g1,g2,g3`, which may end in the `~` that a printed
+bounded sequence ends in.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def parse_germ_parts(t: SelfSimilarTriple, text: str) -> tuple[Path, object, Pat
 
 
 def parse_corona(backend: GroupBackend, text: str) -> CoronaSeq:
-    """`g1,g2(g3)*` for a periodic class, or `g1,g2,g3` for a bounded stream."""
+    """`g1,g2(g3)*` for a periodic class, or `g1,g2,g3` (or `g1,g2,g3~`, as printed) for a bounded stream."""
     from .corona import BoundedSeq, PeriodicSeq
     text = text.strip()
 
@@ -156,7 +157,7 @@ def parse_corona(backend: GroupBackend, text: str) -> CoronaSeq:
         if not cycle:
             raise SpecFileError("corona cycle part must be nonempty")
         return PeriodicSeq.make(backend, prefix, cycle)
-    values = entries(text)
+    values = entries(text[:-1] if text.endswith("~") else text)
     if not values:
         raise SpecFileError("empty corona literal")
     return BoundedSeq(backend, values)

@@ -462,6 +462,21 @@ def test_carry_words_past_the_budget_are_undecided(capsys):
     assert capsys.readouterr().out.splitlines()[1] == f"({carries}~, 0)"
 
 
+@pytest.mark.parametrize("spec, germ, printed", [
+    (SPECS / "odometer.spec", "@v,1000,@v;(e1)*", "(1000~, 0)"),
+    (TEST_SPECS / "doubling.spec", "@v,a,@v;(0)*", "(a,a.a,a.a.a.a~, 0)"),
+], ids=["integer", "automaton"])
+def test_a_bounded_lag_feeds_model_check(spec, germ, printed, capsys):
+    # A bounded corona prints with a closing "~", which model-check reads back.
+    assert main(["lag", str(spec), germ, "--depth", "3" if "doubling" in spec.name else "1"]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line == printed
+    corona = line[1:].rsplit(", ", 1)[0]
+    zeta = germ.split(";")[1]
+    assert main(["model-check", str(spec), zeta, corona, "0", zeta]) == 2
+    assert capsys.readouterr().out.splitlines()[1] == "undecided at depth 64"
+
+
 def test_sweep_on_a_walk_that_never_closes_ends_at_the_budget(capsys):
     start = time.perf_counter()
     code = main(["residual-free", str(TEST_SPECS / "doubling.spec"), "--window", "1", "--bound", "0"])

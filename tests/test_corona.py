@@ -150,3 +150,22 @@ def test_a_printed_periodic_corona_reads_back(backend, machine):
         cycle = [draw() for _ in range(rng.randint(1, 3))]
         seq = ss.PeriodicSeq.make(group, prefix, cycle)
         assert parse_corona(group, str(seq)) == seq
+
+
+@pytest.mark.parametrize("backend", ["integer", "cayley", "automaton"])
+def test_a_printed_bounded_corona_reads_back(backend, machine):
+    rng = random.Random(15)
+    if backend == "integer":
+        group, draw = ss.IntegerGroup(), lambda: rng.randint(-12, 12)
+    elif backend == "cayley":
+        group = ss.FiniteGroup(["e", "r", "r2"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+        draw = lambda: rng.randrange(3)  # noqa: E731
+    else:
+        group = machine.group
+        draw = lambda: group.power(group.generator(0), rng.randint(-3, 3))  # noqa: E731
+    for _ in range(40):
+        seq = ss.BoundedSeq(group, tuple(draw() for _ in range(rng.randint(1, 6))))
+        assert str(seq).endswith("~")
+        for text in (str(seq), str(seq)[:-1]):
+            back = parse_corona(group, text)
+            assert isinstance(back, ss.BoundedSeq) and back.values == seq.values

@@ -1,13 +1,19 @@
 """Germ equality, representatives, composition, lag, model, open sets."""
 
+import copy
 import inspect
 import random
+import sys
+import threading
+import time
 from math import lcm
 
 import pytest
 
 import selfsim as ss
+from selfsim import groupoid, groups
 from selfsim.errors import (
+    BackendMismatchError,
     DepthExceededError,
     EmptySetError,
     FreenessNotVerifiedError,
@@ -16,6 +22,7 @@ from selfsim.errors import (
     UndecidedError,
 )
 from selfsim.groups import MAX_ENUMERATION
+from selfsim.infinite import act_and_phi_corona
 from selfsim.specfile import load_spec_file, load_spec_text
 from conftest import (
     SPECS,
@@ -645,6 +652,11 @@ def test_exhausted_stream_is_undecided(ctx, exhausted_stream_germ, operation):
         getattr(ctx, operation)(exhausted_stream_germ)
 
 
+def test_exhausted_stream_lag_needs_no_letter(ctx, exhausted_stream_germ):
+    # Phi starts with the element itself: a bounded corona of alpha's five identities and g.
+    assert str(ctx.lag(exhausted_stream_germ)) == "(0,0,0,0,0,0~, 0)"
+
+
 def test_exhausted_stream_compose_is_undecided(ctx, odo, xi0, exhausted_stream_germ):
     u = exhausted_stream_germ
     left = ctx.unit(u.alpha, xi0)
@@ -693,3 +705,199 @@ def test_repeated_window_elements_do_not_cover_the_group():
     assert ss.check_e_star_unitary(t, [0, 0]).kind == "unknown"
     assert ss.hausdorff_report(t, [0, 0]).freeness.kind == "unknown"
     assert ss.GermContext(t, window=[0, 0]).freeness.kind == "unknown"
+
+
+# -- the walk table ----------------------------------------------------------------
+
+
+def fresh_answers(ctx, u):
+    """(range point, inverse point, lag) of u from a fresh walk of its carry orbit."""
+    gxi, seq = act_and_phi_corona(ctx.triple, u.g, u.xi, ctx.depth)
+    lag = ss.LagValue(ss.shift_right(seq, len(u.alpha)), len(u.alpha) - len(u.beta))
+    return gxi.prepend(u.alpha), gxi, lag
+
+
+def reference_compose(ctx, u1, u2):
+    """compose(u1, u2) with its tails checked against a fresh walk: (alpha, g, beta, xi) or an error type."""
+    n = max(len(u1.beta), len(u2.alpha))
+    r1, r2 = ctx.reparametrize(u1, n, "beta"), ctx.reparametrize(u2, n, "alpha")
+    if r1.beta != r2.alpha:
+        return NotComposableError
+    gxi = act_and_phi_corona(ctx.triple, r2.g, r2.xi, ctx.depth)[0]
+    tails = ss.inf_path_eq(r1.xi, gxi, ctx.depth)
+    if not tails.is_equal:
+        return NotComposableError if tails.is_distinct else UndecidedError
+    return r1.alpha, ctx.triple.group.mul(r1.g, r2.g), r2.beta, r2.xi
+
+
+def composed(ctx, u1, u2):
+    w = outcome(lambda: ctx.compose(u1, u2))
+    return w if isinstance(w, type) else (w.alpha, w.g, w.beta, w.xi)
+
+
+def walk_letters(table):
+    """The letters the entries of a walk table hold, counted as GermContext._walk counts them."""
+    total = 0
+    for (g, pre, cyc), (gxi, seq) in table.items():
+        total += len(pre) + len(cyc) + len(gxi.prefix_edges) + len(gxi.cycle_edges)
+        total += sum(len(c) if type(c) is tuple else 1 for c in (g, *seq.prefix, *seq.cycle))
+    return total
+
+
+def counted_orbits(monkeypatch):
+    """Patch the context's carry walk to record each (g, xi) it walks."""
+    walked = []
+    orbit = groupoid._orbit
+
+    def counting(t, g, xi, depth):
+        walked.append((g, xi))
+        return orbit(t, g, xi, depth)
+
+    monkeypatch.setattr(groupoid, "_orbit", counting)
+    return walked
+
+
+def test_walk_table_answers_as_a_fresh_walk(oracle_contexts, monkeypatch):
+    rng = random.Random(15)
+    walked = counted_orbits(monkeypatch)
+    for base in oracle_contexts:
+        ctx = ss.GermContext(base.triple, window=base.window)  # a cold table
+        germs = []
+        for _ in range(40):
+            u = random_germ(rng, ctx, 2)
+            if rng.random() < 0.25:
+                u = ss.Germ(u.alpha, u.g, u.beta, as_stream(u.xi, rng.randint(1, 40)))
+            germs.append(u)
+        others = [random_germ(rng, ctx, 2) for _ in germs]
+        for rounds in ("cold", "warm"):
+            walked.clear()
+            for u, other in zip(germs, others):
+                range_point, moved, lag = fresh_answers(ctx, u)
+                assert same_inf_path(ctx.range_point(u), range_point)
+                inverse = ctx.inverse(u)
+                assert same_inf_path(inverse.xi, moved) and (inverse.alpha, inverse.beta) == (u.beta, u.alpha)
+                assert same_lag(ctx.lag(u), lag)
+                f_range, f_lag, f_source = ctx.f_map(u)
+                assert same_inf_path(f_range, range_point) and same_lag(f_lag, lag)
+                assert same_inf_path(f_source, ctx.source_point(u))
+                for u1 in (inverse, other):
+                    got, expected = composed(ctx, u1, u), reference_compose(ctx, u1, u)
+                    if isinstance(expected, type):
+                        assert got is expected
+                    else:
+                        assert got[:3] == expected[:3] and same_inf_path(got[3], expected[3])
+            if rounds == "warm":
+                # Only streams and orbits that did not close are walked again.
+                for g, xi in walked:
+                    assert not isinstance(act_and_phi_corona(ctx.triple, g, xi, ctx.depth)[1], ss.PeriodicSeq)
+        assert len(ctx._walks) > 0
+        assert ctx._walks.held == walk_letters(ctx._walks) <= MAX_ENUMERATION
+
+
+def test_walk_table_checks_every_element_and_keys_on_exact_ints(odo, machine, monkeypatch):
+    xi = ss.periodic_path(odo.graph, [1], [0, 1])
+    ctx = ss.GermContext(odo, window=ss.default_window(odo.group, 4))
+    v = vp(odo)
+    u = ctx.make(v, 1, v, xi)
+    checked = []
+    monkeypatch.setattr(odo.group, "check", lambda x: checked.append(x) or ss.IntegerGroup.check(odo.group, x))
+    for rounds in ("cold", "warm"):
+        expected = fresh_answers(ctx, u)[2]
+        checked.clear()
+        assert ctx.lag(u) == expected
+        assert checked == [1]  # the lag checks its element, hit or miss
+        assert (1, xi.prefix_edges, xi.cycle_edges) in ctx._walks
+        for bad in (True, 1.0, "1"):
+            for operation in ("range_point", "inverse", "lag", "f_map"):
+                with pytest.raises(BackendMismatchError):
+                    getattr(ctx, operation)(ss.Germ(v, bad, v, xi))
+    m = ss.GermContext(machine, window=ss.default_window(machine.group, 2))
+    w = vp(machine)
+    zeta = ss.periodic_path(machine.graph, [], [1])
+    m.f_map(m.make(w, (1,), w, zeta))
+    held = dict(m._walks)
+    with pytest.raises(BackendMismatchError):
+        m.f_map(ss.Germ(w, (1.0,), w, zeta))
+    # (True,) is an element equal to (1,), but it is walked afresh and not kept.
+    gxi, lag, _ = m.f_map(ss.Germ(w, (True,), w, zeta))
+    assert type(lag.corona.entry(1)[0]) is bool
+    assert (gxi, lag) == m.f_map(m.make(w, (1,), w, zeta))[:2]
+    assert dict(m._walks) == held
+
+
+def test_walk_table_keeps_its_letter_budget(odo):
+    ctx = ss.GermContext(odo, window=ss.default_window(odo.group, 4))
+    v = vp(odo)
+    xis = [ss.periodic_path(odo.graph, p, c) for p, c in [((), (0,)), ((), (1,)), ((1,), (0, 1)), ((0, 1), (1, 1, 0))]]
+    germs = [ctx.make(v, g, v, xi) for g in range(-30000, 30000, 11) for xi in xis]
+    for u in germs:
+        ctx.lag(u)
+    table = ctx._walks
+    assert 0 < len(table) < len(germs)  # the walks filled it
+    assert table.held == walk_letters(table) <= MAX_ENUMERATION
+    assert table.held > MAX_ENUMERATION - 100
+    # Full, it answers as before: kept walks from the table, the others afresh.
+    for u in germs[::37] + germs[-40:]:
+        range_point, moved, lag = fresh_answers(ctx, u)
+        assert ctx.range_point(u) == range_point and ctx.f_map(u)[1] == lag
+    assert table.held == walk_letters(table) <= MAX_ENUMERATION
+    assert len(copy.deepcopy(ctx)._walks) == 0  # a copy starts empty
+
+
+def test_streams_and_unclosed_orbits_are_not_kept(odo):
+    doubling = load_spec_file(str(TEST_SPECS / "doubling.spec")).triple
+    v = vp(doubling)
+    zero = ss.periodic_path(doubling.graph, [], [0])
+    window = ss.default_window(doubling.group, 1)
+    a = doubling.group.generator(0)
+    shallow = ss.GermContext(doubling, window=window, depth=3)
+    u = shallow.make(v, a, v, zero)
+    assert isinstance(shallow.lag(u).corona, ss.BoundedSeq)  # the orbit did not close by depth 3
+    assert not isinstance(shallow.f_map(u)[0], ss.PeriodicPath)
+    deep = ss.GermContext(doubling, window=window)
+    with pytest.raises(DepthExceededError):
+        deep.lag(deep.make(v, a, v, zero))  # the carry words pass the letter budget
+    assert len(shallow._walks) == len(deep._walks) == 0
+    ctx = ss.GermContext(odo, window=ss.default_window(odo.group, 4))
+    stream = ss.stream_path(odo.graph, [0, 1, 1, 0, 1])
+    for g in (0, 3, -2):
+        u = ctx.make(vp(odo), g, vp(odo), stream)
+        ctx.f_map(u), ctx.lag(u), ctx.inverse(u), ctx.range_point(u)
+    assert len(ctx._walks) == 0
+
+
+@pytest.mark.parametrize("budget", [MAX_ENUMERATION, 600])
+def test_threads_sharing_a_context_keep_the_walk_table_bound(budget, monkeypatch):
+    machine = load_spec_file(str(SPECS / "adding_machine.spec")).triple  # cold backend memos too
+    ctx = ss.GermContext(machine, window=ss.default_window(machine.group, 4))
+    rng = random.Random(16)
+    germs = [random_germ(rng, ctx, 2) for _ in range(80)]
+    expected = [(fresh_answers(ctx, u), ctx.source_point(u)) for u in germs]
+    ctx = ss.GermContext(machine, window=ctx.window)
+    # A small budget makes the threads race for its last letters.
+    monkeypatch.setattr(groups, "MAX_ENUMERATION", budget)
+    failures = []
+    deadline = time.monotonic() + 1.0
+
+    def flood(seed):
+        order = random.Random(seed)
+        while time.monotonic() < deadline:
+            i = order.randrange(len(germs))
+            u, ((range_point, moved, lag), source) = germs[i], expected[i]
+            if ctx.f_map(u) != (range_point, lag, source) or ctx.inverse(u).xi != moved:
+                failures.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=flood, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+    # A lost update would leave the count apart from the letters held.
+    assert 0 < len(ctx._walks) and ctx._walks.held == walk_letters(ctx._walks) <= budget

@@ -44,6 +44,39 @@ def test_check_fast_path_keeps_refusing_non_elements():
             backend.check(bad)
 
 
+@pytest.mark.parametrize("spec", [SPECS / "adding_machine.spec", TEST_SPECS / "grigorchuk.spec"],
+                         ids=lambda p: p.stem)
+def test_word_check_refuses_exactly_the_non_members(spec):
+    group = load_spec_file(str(spec)).triple.group  # a cold word memo
+    k = len(group.generator_names)
+    rng = random.Random(15)
+
+    def letter():
+        s = rng.randint(-k - 1, k + 1)
+        return rng.choice([s, s, s, float(s), s == 1, str(s)])
+
+    fixed = [[1], (1.0,), (0,), (k + 1,), (-k - 1,), (1, -1), (1, 1, -1), (-1, 1), (True,), (1, True),
+             (True, -1), (1, 1.0), ((1,),), "1", 1, None, ()]
+    drawn = [tuple(letter() for _ in range(rng.randint(0, 5))) for _ in range(400)]
+    drawn += [reduce_word(rng.choice([s, -s]) for s in rng.choices(range(1, k + 1), k=rng.randint(1, 5)))
+              for _ in range(100)]
+
+    def refused(x):
+        try:
+            assert group.check(x) is x
+        except BackendMismatchError:
+            return True
+        return False
+
+    group.check((1,))
+    assert (1,) in group._words  # warm before the look-alikes of (1,) are checked
+    for rounds in ("cold", "warm"):
+        for x in fixed + drawn:
+            assert refused(x) is not group.contains(x), (rounds, x)
+    assert all(type(s) is int for word in group._words for s in word)
+    assert group._words.held == sum(len(word) for word in group._words) <= MAX_ENUMERATION
+
+
 def test_cyclic_two():
     g = ss.FiniteGroup(["0", "1"], [[0, 1], [1, 0]])
     assert g.mul(1, 1) == 0
@@ -274,7 +307,7 @@ def test_a_pickled_backend_answers_alike_with_an_empty_memo(machine_group):
     assert machine_group.eq(a * 3, a).is_distinct
     stepped = machine_group.step(a * 3, 1)
     clone = pickle.loads(pickle.dumps(machine_group))
-    assert len(clone._steps) == len(clone._verdicts) == clone._steps.held == 0
+    assert len(clone._steps) == len(clone._verdicts) == len(clone._words) == clone._steps.held == 0
     assert clone.eq(a * 3, a).is_distinct and clone.step(a * 3, 1) == stepped
 
 
