@@ -78,13 +78,23 @@ class GermContext:
         depth: int = DEFAULT_DEPTH,
         allow_unverified: bool = False,
     ):
-        self.triple = triple
+        self._triple = triple
         self.window = list(default_window(triple.group, DEFAULT_RADIUS) if window is None else window)
-        self.depth = at_least("depth", depth, 1)
+        self._depth = at_least("depth", depth, 1)
         self.freeness = hausdorff_report(triple, self.window).freeness
         if self.freeness.found_counterexample and not allow_unverified:
             raise FreenessNotVerifiedError(render_certificate(triple, self.freeness.counterexample))
         self._walks = _Memo()  # (g, xi.prefix_edges, xi.cycle_edges) -> (g.xi, Phi(g, xi))
+
+    @property
+    def triple(self) -> SelfSimilarTriple:
+        """The triple, fixed at construction: the gate and the walk table hold for it alone."""
+        return self._triple
+
+    @property
+    def depth(self) -> int:
+        """The depth every operation answers at, fixed at construction."""
+        return self._depth
 
     # -- the carry walk ----------------------------------------------------
 

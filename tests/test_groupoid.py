@@ -91,6 +91,14 @@ def test_no_germ_operation_takes_a_depth():
     assert "depth" in inspect.signature(ss.GermContext).parameters
 
 
+def test_depth_and_triple_stay_those_given_to_the_constructor(ctx, odo, swap2):
+    # The freeness gate and the walk table hold for them alone.
+    for name, value in (("depth", 1), ("triple", swap2)):
+        with pytest.raises(AttributeError):
+            setattr(ctx, name, value)
+    assert (ctx.depth, ctx.triple) == (64, odo)
+
+
 def test_make_validates(ctx, odo, xi0):
     with pytest.raises(SourceConditionError):
         # mismatched cylinder on a two-vertex graph (trivial action: not free,
