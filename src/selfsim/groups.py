@@ -17,9 +17,9 @@ from .errors import BackendMismatchError
 from .tri import Tri, from_bool
 
 # The most elements a window, or paths a path family, may hold, the budget
-# of an automaton word comparison, and the letters a memo table may hold
-# (an automaton backend's and a GermContext's). Far above every shipped default (9
-# window elements at radius 4, 121 paths to length 4 on three loops), far
+# of an automaton word comparison, and the letters a memo table may hold (an
+# automaton backend's or a GermContext's). Far above every shipped default
+# (9 window elements at radius 4, 121 paths to length 4 on three loops), far
 # below what exhausts memory.
 MAX_ENUMERATION = 100_000
 
