@@ -42,11 +42,8 @@ def _germ_context(triple, args):
 
 
 def _cmd_validate(triple, args, out):
-    from .sweeps import verify_axioms
-    # A triple is extended from its generators, so the radius-1 window (the whole group
-    # of a Cayley table) decides the axioms for the whole group.
-    window = default_window(triple.group, 1)
-    axioms = verify_axioms(triple, window)
+    from .sweeps import generating_axioms
+    window, axioms = generating_axioms(triple)
     graph_report = validate_graph(triple.graph)
     if graph_report.ok:
         out("graph: ok")
@@ -172,7 +169,7 @@ def _cmd_model_check(triple, args, out):
     if verdict.is_distinct:
         out("fails")
         return FAIL
-    out(f"undecided at depth {ctx.depth}")
+    out(f"undecided at depth {verdict.depth}")
     return UNKNOWN
 
 

@@ -2,9 +2,9 @@
 
 A germ [alpha, g, beta; xi] is the equivalence class of the semigroup
 element (alpha, g, beta) acting at the point beta.xi of path space. Germ
-operations are gathered in a context object that first verifies freeness of
-the underlying triple over a window, since the equality criterion and the
-lag are only valid under that hypothesis.
+operations are gathered in a context object that first checks the axioms of
+the underlying triple and its freeness over a window, since the equality
+criterion and the lag are only valid under those hypotheses.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
 from .graph import Path, PrefixRel, concat, prefix_compare
 from .groups import DEFAULT_DEPTH, DEFAULT_RADIUS, _exact, _Memo, at_least, default_window
 from .infinite import InfPath, PeriodicPath, _carry_seq, _image_path, _orbit, inf_path_eq
-from .sweeps import check_residually_free, render_certificate
+from .sweeps import check_residually_free, render_certificate, require_axioms
 from .tri import Tri, DISTINCT, EQUAL, all_of, unknown
 
 
@@ -55,16 +55,21 @@ class HausdorffReport(Record):
 
 
 def hausdorff_report(t: SelfSimilarTriple, window) -> HausdorffReport:
-    """Freeness implies a Hausdorff germ groupoid; the converse is not claimed. GermContext gates on it."""
+    """Freeness implies a Hausdorff germ groupoid; the converse is not claimed. GermContext gates on it.
+
+    The theorem assumes the axioms: a triple breaking one raises SourceConditionError before the sweep.
+    """
+    require_axioms(t)
     fr = check_residually_free(t, window, path_bound=1)  # agreements on single edges: |W|·|E| path actions
     return HausdorffReport("not-implied" if fr.found_counterexample else "hausdorff", fr)
 
 
 class GermContext:
-    """Germ operations over one triple, gated on a freeness sweep.
+    """Germ operations over one triple, gated on the axioms and a freeness sweep.
 
-    Construction runs the freeness check over the window and refuses to
-    proceed past a known counterexample unless explicitly overridden. Every
+    Construction runs hausdorff_report over the window: it refuses a triple
+    that breaks an axiom on its generators, whatever allow_unverified says,
+    and a known freeness counterexample unless allow_unverified. Every
     operation answers at the depth given to the constructor, so a carry walk
     depends only on (g, xi): the walks that closed on a periodic xi are kept
     in one table, bounded like an automaton backend's memo, and threads may

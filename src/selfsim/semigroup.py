@@ -209,45 +209,23 @@ class UnitaryReport(Record):
     __slots__ = ("kind", "counterexample", "window_size")
 
 
-def _check_reduction(t: SelfSimilarTriple, window: list) -> None:
-    """Refuse a triple the reduction of E*-unitarity to freeness does not cover.
-
-    The reduction needs the identity to fix every vertex and each window
-    element to respect r and d on every edge: O(|W|·(|V| + |E|)) lookups.
-    """
-    graph, group = t.graph, t.group
-    ident = group.identity()
-    for v in graph.vertices():
-        if t.act_vertex(ident, v) != v:
-            raise SourceConditionError(f"the identity moves vertex {graph.vertex_labels[v]}")
-    for g in window:
-        for e in graph.edges():
-            image = t.step(g, e)[0]
-            ends = (t.act_vertex(g, graph.range_of[e]), t.act_vertex(g, graph.source_of[e]))
-            if (graph.range_of[image], graph.source_of[image]) != ends:
-                raise SourceConditionError(
-                    f"sigma_{group.render(g)}({graph.edge_labels[e]}) breaks range or source equivariance"
-                )
-
-
 def check_e_star_unitary(
     t: SelfSimilarTriple, window: Iterable, path_bound: int = DEFAULT_PATH_BOUND
 ) -> UnitaryReport:
     """Search for a non-idempotent element dominating a nonzero idempotent.
 
-    E*-unitarity and freeness are one question: after _check_reduction this
-    runs the freeness sweep once and renders its certificate (h, f), h != 1
-    fixing f and r(f) with trivial cocycle (by equivariance in the window,
-    checked past it), as s = (r(f), h, r(f)) dominating e_f by the definition
-    of mul. The verdict is the sweep's. An oversize or negative path_bound
-    raises ValueError before any step, a window breaking the identity or
-    equivariance laws SourceConditionError, one without the identity or not
-    closed under inverses ValueError.
+    E*-unitarity and freeness are one question for a triple that keeps the
+    axioms: this runs the freeness sweep once and renders its certificate
+    (h, f), h != 1 fixing f and r(f) with trivial cocycle, as
+    s = (r(f), h, r(f)) dominating e_f by the definition of mul. The
+    verdict is the sweep's. An oversize or negative path_bound raises
+    ValueError before any step, a triple breaking an axiom on its
+    generators SourceConditionError naming the law, a window without the
+    identity or not closed under inverses ValueError.
     """
-    from .sweeps import check_path_bound, check_residually_free
+    from .sweeps import check_path_bound, check_residually_free, require_axioms
     check_path_bound(t.graph, path_bound)
-    window = list(window)
-    _check_reduction(t, window)
+    require_axioms(t)
     report = check_residually_free(t, window, path_bound)
     witness = None
     if report.counterexample is not None:

@@ -10,9 +10,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from itertools import permutations
 
-from .errors import Record
+from .errors import Record, SourceConditionError
 from .graph import Graph, Path, concat, vertex_path
-from .groups import DEFAULT_PATH_BOUND, MAX_ENUMERATION, IntegerGroup, at_least, refuse_oversize
+from .groups import DEFAULT_PATH_BOUND, MAX_ENUMERATION, IntegerGroup, at_least, default_window, refuse_oversize
 from .tri import Tri
 
 # SelfSimilarTriple (annotations) lives in action, loaded with every triple.
@@ -122,6 +122,19 @@ def verify_axioms(t: SelfSimilarTriple, window: Iterable) -> AxiomReport:
                     f"{detail} at {graph.edge_labels[e]}",
                 )
     return AxiomReport(tuple(bad), tuple(open_), pairs)
+
+
+def generating_axioms(t: SelfSimilarTriple) -> tuple[list, AxiomReport]:
+    """The radius-1 window and verify_axioms over it, which decides the axioms for the whole group."""
+    window = default_window(t.group, 1)
+    return window, verify_axioms(t, window)
+
+
+def require_axioms(t: SelfSimilarTriple) -> None:
+    """Raise SourceConditionError naming the first axiom violation, as validate prints it; undecided laws pass."""
+    violations = generating_axioms(t)[1].violations
+    if violations:
+        raise SourceConditionError(f"{violations[0].law} violated: {violations[0].detail}")
 
 
 def inverse_cocycle_check(t: SelfSimilarTriple, g, a: Path) -> Tri:

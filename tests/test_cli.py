@@ -346,7 +346,30 @@ def test_e_star_unitary_refuses_a_window_breaking_equivariance(tmp_path, capsys)
     code = main(["e-star-unitary", str(spec)])
     lines = capsys.readouterr().out.splitlines()
     assert code == 3
-    assert lines[1:] == ["error: sigma_1(a) breaks range or source equivariance"]
+    assert lines[1:] == ["error: range-equivariance violated: r(sigma_1(a))"]
+
+
+BROKEN = str(SPECS / "broken_cocycle.spec")
+
+
+@pytest.mark.parametrize("args", [
+    ["e-star-unitary"],
+    ["hausdorff"],
+    ["germ-eq", "@v,1,@v;(e0)*", "@v,0,@v;(e0)*"],
+    ["germ-eq", "@v,1,@v;(e0)*", "@v,0,@v;(e0)*", "--allow-unverified"],
+    ["lag", "@v,1,@v;(e0)*"],
+    ["model-check", "(e0)*", "1(0)*", "0", "(e0)*"],
+], ids=["e-star-unitary", "hausdorff", "germ-eq", "germ-eq-allow-unverified", "lag", "model-check"])
+def test_a_theorem_quoting_command_refuses_a_broken_cocycle(args, capsys):
+    # The cocycle identity fails at e0 and e1: no theorem these commands quote applies.
+    assert main([args[0], BROKEN, *args[1:]]) == 3
+    assert capsys.readouterr().out.splitlines()[1:] == ["error: cocycle-identity violated: (g=1, h=1) at e0"]
+
+
+def test_residual_free_still_sweeps_a_broken_cocycle(capsys):
+    # Freeness needs no theorem, so the sweep answers on its own terms.
+    assert main(["residual-free", BROKEN]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["holds (all 2 elements swept)"]
 
 
 MACHINE = str(SPECS / "adding_machine.spec")
@@ -475,6 +498,13 @@ def test_a_bounded_lag_feeds_model_check(spec, germ, printed, capsys):
     zeta = germ.split(";")[1]
     assert main(["model-check", str(spec), zeta, corona, "0", zeta]) == 2
     assert capsys.readouterr().out.splitlines()[1] == "undecided at depth 64"
+
+
+def test_model_check_reports_the_depth_of_its_verdict(capsys):
+    # Three known entries leave no index past split p = 2 to check: undecided at 0, not at --depth.
+    argv = ["model-check", MACHINE, "(1.0)*", "1,1,a~", "2", "(1.0)*", "--split", "2:0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().out.splitlines()[1:] == ["undecided at depth 0"]
 
 
 def test_sweep_on_a_walk_that_never_closes_ends_at_the_budget(capsys):

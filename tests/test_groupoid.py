@@ -455,6 +455,13 @@ def test_germ_gate_and_hausdorff_sweep_no_paths(name, monkeypatch):
     t = load_spec_file(str(SPECS / f"{name}.spec")).triple
     calls = _path_actions(t, monkeypatch)
     window = ss.default_window(t.group, 4)
+    if name == "broken_cocycle":  # the axiom check refuses it before any path action
+        with pytest.raises(SourceConditionError, match="cocycle-identity violated"):
+            ss.GermContext(t, window=window, allow_unverified=True)
+        with pytest.raises(SourceConditionError, match="cocycle-identity violated"):
+            ss.hausdorff_report(t, window)
+        assert calls == [0, 0, 0]
+        return
     ctx = ss.GermContext(t, window=window, allow_unverified=True)
     report = ss.hausdorff_report(t, window)
     assert calls[0] == 0

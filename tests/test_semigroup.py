@@ -465,6 +465,10 @@ def assert_matches_cube(t, got, expected, window, bound):
 
 @pytest.mark.parametrize("name,t", spec_triples(), ids=[name for name, _ in spec_triples()])
 def test_e_star_unitary_matches_cube_on_specs(name, t):
+    if name == "broken_cocycle":  # outside the reduction to freeness: refused before any search
+        with pytest.raises(SourceConditionError, match=r"cocycle-identity violated: \(g=1, h=1\) at e0"):
+            ss.check_e_star_unitary(t, ss.default_window(t.group, 1), 1)
+        return
     seen = set()  # a finite group's window is the whole group at every radius
     for radius, bound in spec_parity_grid(name):
         window = ss.default_window(t.group, radius)
@@ -552,7 +556,7 @@ def test_e_star_unitary_matches_cube_on_random_triples():
         bound = rng.randint(0, 2)
         expected = report_or_error(t, cube_e_star_unitary, window, bound)
         got = report_or_error(t, ss.check_e_star_unitary, window, bound)
-        axioms_ok = ss.verify_axioms(t, window).ok
+        axioms_ok = ss.verify_axioms(t, ss.default_window(t.group, 1)).ok
         if isinstance(expected, Exception):
             assert isinstance(got, SourceConditionError), (expected, got)
             outcomes["cube raised"] += 1
@@ -583,9 +587,9 @@ def two_loop_triple(vertex_table, edge_table, cocycle_table=None, group=None):
 
 
 def test_e_star_unitary_refuses_an_identity_moving_a_vertex():
-    # Both elements swap u and w, and the loops with them.
+    # Both elements swap u and w, and the loops with them: sigma_0 sigma_0 != sigma_0.
     t = two_loop_triple([[1, 0], [1, 0]], [[1, 0], [1, 0]])
-    with pytest.raises(SourceConditionError, match="identity moves vertex u"):
+    with pytest.raises(SourceConditionError, match=r"action-hom-vertices violated: \(g=0, h=0\) at u"):
         ss.check_e_star_unitary(t, [0, 1], 2)
     with pytest.raises(SourceConditionError):  # the cube fails inside unit_idempotent
         cube_e_star_unitary(t, [0, 1], 2)
@@ -594,7 +598,7 @@ def test_e_star_unitary_refuses_an_identity_moving_a_vertex():
 def test_e_star_unitary_refuses_a_step_breaking_range_equivariance():
     # 1 fixes both vertices but sends the loop at u to the loop at w.
     t = two_loop_triple([[0, 1], [0, 1]], [[0, 1], [1, 0]])
-    with pytest.raises(SourceConditionError, match=r"sigma_1\(a\) breaks range or source equivariance"):
+    with pytest.raises(SourceConditionError, match=r"range-equivariance violated: r\(sigma_1\(a\)\)"):
         ss.check_e_star_unitary(t, [0, 1], 2)
     with pytest.raises(CompositionError):  # the cube fails inside concat
         cube_e_star_unitary(t, [0, 1], 2)
@@ -604,19 +608,20 @@ def test_e_star_unitary_refuses_a_step_breaking_source_equivariance():
     # 1 fixes both vertices but swaps x (from u) with y (from w), both into u.
     graph = ss.make_graph(["u", "w"], [("x", "u", "u"), ("y", "u", "w"), ("z", "w", "w")])
     t = ss.finite_triple(graph, cyclic_group(2), [[0, 1], [0, 1]], [[0, 1, 2], [1, 0, 2]], [[0] * 3] * 2)
-    with pytest.raises(SourceConditionError, match=r"sigma_1\(x\) breaks range or source equivariance"):
+    with pytest.raises(SourceConditionError, match=r"source-equivariance violated: d\(sigma_1\(x\)\)"):
         ss.check_e_star_unitary(t, [0, 1], 2)
 
 
 def test_e_star_unitary_certifies_no_element_moving_the_range_past_the_window():
     # 1 swaps u and w but fixes the loop a at u with cocycle 0: the cycle of a
     # has length 1 and sum 0, yet (@u, 1, @u) is no triple. The window [0]
-    # checks no equivariance of 1, so the sweep's own check must refuse it.
+    # checks no equivariance of 1, so the sweep's own check must refuse it;
+    # E*-unitarity checks the axioms on the generators and refuses the triple.
     graph = ss.make_graph(["u", "w"], [("a", "u", "u"), ("b", "w", "w")])
     t = ss.integer_triple_from_generator(graph, [1, 0], [0, 1], [0, 0])
     assert ss.check_residually_free(t, [0], 2).counterexample is None
-    report = ss.check_e_star_unitary(t, [0], 2)
-    assert (report.kind, report.counterexample) == ("unknown", None)
+    with pytest.raises(SourceConditionError, match=r"range-equivariance violated: r\(sigma_1\(a\)\)"):
+        ss.check_e_star_unitary(t, [0], 2)
 
 
 class BlindGroup(ss.FiniteGroup):
@@ -637,18 +642,18 @@ class BlindGroup(ss.FiniteGroup):
     [
         # Whether the element 1, which fixes both vertices, is the identity is undecided.
         two_loop_triple([[0, 1], [0, 1]], [[0, 1], [0, 1]], group=BlindGroup(2, 1)),
-        # 1 fixes a with cocycle 2, which is undecided; 2 fixes no vertex.
-        two_loop_triple(
-            [[0, 1], [0, 1], [1, 0]], [[0, 1], [0, 1], [1, 0]], [[0, 0], [2, 1], [0, 0]], group=BlindGroup(3, 2)
-        ),
+        # 1 fixes both loops with cocycle 2, which cannot be told from the identity.
+        two_loop_triple([[0, 1]] * 3, [[0, 1]] * 3, [[0, 0], [2, 2], [1, 1]], group=BlindGroup(3, 2)),
     ],
     ids=["element", "cocycle"],
 )
 def test_e_star_unitary_undecided_comparison_blocks_holds(t):
     window = list(t.group.elements())
+    assert ss.verify_axioms(t, window).ok
     report = ss.check_e_star_unitary(t, window, 1)
     assert report == cube_e_star_unitary(t, window, 1)
     assert report.kind == "unknown"
+    assert "(g=1, e=a) undecided at depth" in ss.check_residually_free(t, window, 1).undecided
 
 
 def count_path_actions(t, monkeypatch):
@@ -669,13 +674,19 @@ def test_e_star_unitary_costs_one_action_per_element_and_path(name, t, monkeypat
     window = ss.default_window(t.group, 4)
     paths = ss.all_paths_upto(t.graph, 4)
     calls = count_path_actions(t, monkeypatch)
+    if name == "broken_cocycle":  # refused by the axiom check, before any path action
+        with pytest.raises(SourceConditionError, match="cocycle-identity violated"):
+            ss.check_e_star_unitary(t, window, 4)
+        assert calls[0] == 0
+        return
     ss.check_e_star_unitary(t, window, 4)
     assert calls[0] <= len(window) * len(paths)
 
 
 def test_e_star_unitary_holds_when_no_element_fixes_a_vertex():
-    # 1 swaps u and w: no (v, 1, v) exists.
-    t = two_loop_triple([[0, 1], [1, 0]], [[0, 1], [1, 0]])
+    # 1 swaps u and w, and its cocycle 1 swaps them too: no (v, 1, v) exists.
+    t = two_loop_triple([[0, 1], [1, 0]], [[0, 1], [1, 0]], [[0, 0], [1, 1]])
+    assert ss.verify_axioms(t, [0, 1]).ok
     report = ss.check_e_star_unitary(t, [0, 1], 3)
     assert report == cube_e_star_unitary(t, [0, 1], 3)
     assert report.kind == "holds"
