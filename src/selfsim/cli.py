@@ -174,8 +174,7 @@ def _cmd_model_check(triple, args, out):
 
 
 def _cmd_hausdorff(triple, args, out):
-    from .groupoid import hausdorff_report
-    from .sweeps import render_certificate
+    from .sweeps import hausdorff_report, render_certificate
     window = default_window(triple.group, args.window)
     report = hausdorff_report(triple, window)
     if report.kind == "hausdorff":

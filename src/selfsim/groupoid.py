@@ -2,9 +2,9 @@
 
 A germ [alpha, g, beta; xi] is the equivalence class of the semigroup
 element (alpha, g, beta) acting at the point beta.xi of path space. Germ
-operations are gathered in a context object that first checks the axioms of
-the underlying triple and its freeness over a window, since the equality
-criterion and the lag are only valid under those hypotheses.
+equality needs no freeness; the context object that gathers the germ
+operations is gated on sweeps.hausdorff_report: the axioms, and, as a
+policy, no freeness counterexample in a window unless overridden.
 """
 
 from __future__ import annotations
@@ -12,18 +12,12 @@ from __future__ import annotations
 from math import lcm
 
 from .action import SelfSimilarTriple
-from .corona import (
-    CoronaSeq,
-    LagValue,
-    PeriodicSeq,
-    shift_right,
-)
+from .corona import CoronaSeq, LagValue, PeriodicSeq, corona_eq, shift_right
 from .errors import (
     DepthExceededError,
     EmptySetError,
     FreenessNotVerifiedError,
     NotComposableError,
-    Record,
     SourceConditionError,
     UndecidedError,
     Value,
@@ -31,7 +25,7 @@ from .errors import (
 from .graph import Path, PrefixRel, concat, prefix_compare
 from .groups import DEFAULT_DEPTH, DEFAULT_RADIUS, _exact, _Memo, at_least, default_window
 from .infinite import InfPath, PeriodicPath, _carry_seq, _image_path, _orbit, inf_path_eq
-from .sweeps import check_residually_free, render_certificate, require_axioms
+from .sweeps import hausdorff_report, render_certificate
 from .tri import Tri, DISTINCT, EQUAL, all_of, unknown
 
 
@@ -50,27 +44,13 @@ class Germ(Value):
         self.xi = xi
 
 
-class HausdorffReport(Record):
-    __slots__ = ("kind", "freeness")  # "hausdorff" | "not-implied", FreenessReport
-
-
-def hausdorff_report(t: SelfSimilarTriple, window) -> HausdorffReport:
-    """Freeness implies a Hausdorff germ groupoid; the converse is not claimed. GermContext gates on it.
-
-    The theorem assumes the axioms: a triple breaking one raises SourceConditionError before the sweep.
-    """
-    require_axioms(t)
-    fr = check_residually_free(t, window, path_bound=1)  # agreements on single edges: |W|·|E| path actions
-    return HausdorffReport("not-implied" if fr.found_counterexample else "hausdorff", fr)
-
-
 class GermContext:
     """Germ operations over one triple, gated on the axioms and a freeness sweep.
 
     Construction runs hausdorff_report over the window: it refuses a triple
     that breaks an axiom on its generators, whatever allow_unverified says,
-    and a known freeness counterexample unless allow_unverified. Every
-    operation answers at the depth given to the constructor, so a carry walk
+    and, as a policy, a known freeness counterexample unless allow_unverified.
+    Every operation answers at the constructor's depth, so a carry walk
     depends only on (g, xi): the walks that closed on a periodic xi are kept
     in one table, bounded like an automaton backend's memo, and threads may
     share a context.
@@ -164,7 +144,12 @@ class GermContext:
     # -- equality and representatives --------------------------------------
 
     def germ_eq(self, u1: Germ, u2: Germ) -> Tri:
-        """Germ equality via the finite-path criterion, oriented by |beta|."""
+        """Germ equality from its definition, oriented by |beta|; no freeness is assumed.
+
+        Aligned on beta, the elements must agree in image and restriction from some prefix
+        of xi on: at once if equal there, else as both carry walks decide, each raising
+        DepthExceededError past the carry-letter budget.
+        """
         if len(u1.beta) > len(u2.beta):
             u1, u2 = u2, u1
         rel = prefix_compare(u1.beta, u2.beta)
@@ -177,7 +162,10 @@ class GermContext:
         img, coc = self.triple.act_path(u1.g, gamma)
         if u2.alpha != concat(u1.alpha, img):
             return DISTINCT
-        return all_of(tails, self.triple.group.eq(u2.g, coc))
+        if self.triple.group.eq(u2.g, coc).is_equal:
+            return tails
+        (image1, carries1), (image2, carries2) = self._walk(coc, u2.xi), self._walk(u2.g, u2.xi)
+        return all_of(tails, inf_path_eq(image1, image2, self.depth), corona_eq(carries1, carries2))
 
     def reparametrize(self, u: Germ, n: int, side: str = "beta") -> Germ:
         """Equal germ whose alpha (or beta) component has length n >= current.
@@ -230,7 +218,7 @@ class GermContext:
         return LagValue(shift_right(seq, len(u.alpha)), len(u.alpha) - len(u.beta))
 
     def f_map(self, u: Germ) -> tuple[InfPath, LagValue, InfPath]:
-        """(range point, lag, source point): injective on germs."""
+        """(range point, lag, source point): injective, as germs are equal exactly when these agree."""
         gxi, seq = self._walk(u.g, u.xi)
         lag = LagValue(shift_right(seq, len(u.alpha)), len(u.alpha) - len(u.beta))
         return (gxi.prepend(u.alpha), lag, self.source_point(u))
@@ -321,10 +309,9 @@ class GermContext:
         try:
             if source.truncate(len(beta)) != beta:
                 return DISTINCT
-            candidate = self.make(alpha, g, beta, source.drop(len(beta)))
+            return self.germ_eq(u, self.make(alpha, g, beta, source.drop(len(beta))))
         except DepthExceededError:
             return unknown(self.depth)
-        return self.germ_eq(u, candidate)
 
 
 def _walk_key(g, xi: InfPath):

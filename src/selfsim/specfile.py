@@ -25,14 +25,14 @@ bounded sequence ends in.
 from __future__ import annotations
 
 from .action import SelfSimilarTriple
-from .builders import KatsuraData, from_katsura, integer_triple_from_generator
 from .errors import Record, SpecFileError
 from .graph import Graph, Path, edge_path, make_graph, vertex_path
 from .groups import GroupBackend
 
 # SemigroupElement, InfPath and CoronaSeq (annotations) live in semigroup,
 # infinite and corona, which the parsers that need them import; automaton
-# and cayley specs are read by loaders in those modules.
+# and cayley specs are read by loaders in those modules, and Katsura and
+# integer specs by builders, each imported where it runs.
 
 
 # -- literal parsing ---------------------------------------------------------
@@ -247,6 +247,7 @@ def load_spec_file(path: str) -> LoadedSpec:
 
 def _load_builder(section: _Section) -> LoadedSpec:
     if section.name == "katsura":
+        from .builders import KatsuraData, from_katsura
         a = _parse_matrix(section.require("a"), section.line)
         b = _parse_matrix(section.require("b"), section.line)
         return LoadedSpec(from_katsura(KatsuraData.make(a, b)), "katsura")
@@ -312,6 +313,7 @@ def _resolve_edge(graph: Graph, label: str, line: int) -> int:
 
 
 def _integer_from_action(graph: Graph, asec: _Section) -> SelfSimilarTriple:
+    from .builders import integer_triple_from_generator
     vrows, erows = _action_rows(asec)
     vperm = list(range(graph.n_vertices))
     for (g, v, w), line in vrows:

@@ -1,7 +1,8 @@
 """Sweeps over a window of group elements: the axioms, freeness, and path families.
 
 Each sweep takes a triple and a finite, identity-containing, inverse-closed
-window of its group and reports what it examined. Path families are counted
+window of its group and reports what it examined; hausdorff_report reads a
+freeness sweep as the Hausdorffness it implies. Path families are counted
 in closed form before they are built, so an oversize bound is refused first.
 """
 
@@ -313,3 +314,17 @@ def check_residually_free(
     else:
         kind = "unknown"
     return FreenessReport(kind, counterexample, tuple(sorted(set(failures))), tuple(undecided), len(window))
+
+
+class HausdorffReport(Record):
+    __slots__ = ("kind", "freeness")  # "hausdorff" | "not-implied", FreenessReport
+
+
+def hausdorff_report(t: SelfSimilarTriple, window) -> HausdorffReport:
+    """Freeness implies a Hausdorff germ groupoid; the converse is not claimed. GermContext gates on it.
+
+    The theorem assumes the axioms: a triple breaking one raises SourceConditionError before the sweep.
+    """
+    require_axioms(t)
+    fr = check_residually_free(t, window, path_bound=1)  # agreements on single edges: |W|·|E| path actions
+    return HausdorffReport("not-implied" if fr.found_counterexample else "hausdorff", fr)

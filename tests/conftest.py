@@ -333,6 +333,38 @@ def random_composable_pair(rng: random.Random, ctx, max_len=3, depth=64):
     return u1, u2
 
 
+def _restricted(t, u, mu):
+    """(range path, element) of germ u's triple restricted to the cylinder of mu, a prefix of its source point."""
+    image, coc = t.act_path(u.g, mu.drop(len(u.beta)))
+    return ss.concat(u.alpha, image), coc
+
+
+def germ_coincidence_level(t, u1, u2, levels):
+    """The least level n <= levels at which two germs coincide by definition, else None.
+
+    Restricted to the cylinder of beta.gamma, gamma a prefix of xi, the germ
+    [alpha, g, beta; xi] has the triple (alpha.(g gamma), phi(g, gamma),
+    beta.gamma). Two germs are equal iff their source points agree and some
+    prefix of that point gives both one triple. Level n is the prefix of
+    length max|beta| + n, acted on through act_path on finite paths only.
+    The points are compared on their first max|beta| + levels letters, which
+    decides for the short preperiods and cycles random_germ draws. Range
+    paths that part never meet again; an undecided comparison of the
+    elements counts as no coincidence.
+    """
+    top = max(len(u1.beta), len(u2.beta))
+    point, other = (u.xi.prepend(u.beta).truncate(top + levels) for u in (u1, u2))
+    if point != other:
+        return None
+    for n in range(levels + 1):
+        (alpha1, g1), (alpha2, g2) = (_restricted(t, u, point.prefix(top + n)) for u in (u1, u2))
+        if alpha1 != alpha2:
+            return None
+        if t.group.eq(g1, g2).is_equal:
+            return n
+    return None
+
+
 def pairwise_freeness(t, window, path_bound=4):
     """The freeness gate as it swept before grouping by image, as an oracle.
 

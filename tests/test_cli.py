@@ -377,9 +377,11 @@ MACHINE = str(SPECS / "adding_machine.spec")
 
 @pytest.mark.parametrize("depth", range(1, 65))
 def test_germ_eq_on_a_nontrivial_power_is_distinct_at_every_depth(depth, capsys):
+    # a^4 first moves 0^w at the third letter: a shallower walk cannot tell its germ from 1's.
     argv = ["germ-eq", MACHINE, "@v,a.a.a.a,@v;(0)*", "@v,1,@v;(0)*", "--depth", str(depth)]
-    assert main(argv) == 1
-    assert capsys.readouterr().out.splitlines()[1:] == ["distinct"]
+    verdict, code = ("distinct", 1) if depth >= 3 else (f"unknown@{depth}", 2)
+    assert main(argv) == code
+    assert capsys.readouterr().out.splitlines()[1:] == [verdict]
 
 
 def test_germ_eq_on_power_2048_is_distinct(capsys):
@@ -401,6 +403,22 @@ def test_grigorchuk_relations_through_germ_eq(word, n, code, capsys):
             "--window", "0"]
     assert main(argv) == code
     assert capsys.readouterr().out.splitlines()[1:] == [["equal", "distinct"][code]]
+
+
+@pytest.mark.parametrize("radius", range(5))
+def test_germ_eq_on_grigorchuk_decides_equal_germs_of_unequal_elements(radius, capsys):
+    # d fixes the letter 0 with restriction 1, so it acts as 1 on the cylinder of 0: the germs
+    # are equal though d != 1. From radius 1 the window holds d, a freeness counterexample.
+    argv = ["germ-eq", str(TEST_SPECS / "grigorchuk.spec"), "@v,d,@v;(0)*", "@v,1,@v;(0)*",
+            "--window", str(radius)]
+    if radius:
+        assert main(argv) == 3
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "refused: freeness counterexample (g=d, e=0); pass --allow-unverified to proceed"
+        ]
+        argv.append("--allow-unverified")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["equal"]
 
 
 def test_chain_sweeps_find_no_false_counterexample(capsys):
@@ -462,6 +480,17 @@ def test_swap_zero_sum_counterexample(capsys):
     assert main(["e-star-unitary", SWAP_ZERO_SUM, "--window", "1"]) == 1
     assert capsys.readouterr().out.splitlines()[1:] == ["counterexample s=(@u, 2, @u), e=(a, 0, a)"]
     assert main(["germ-eq", SWAP_ZERO_SUM, "a,2,a;(a)*", "a,0,a;(a)*", "--window", "1"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    [str(SPECS / "katsura_2_0.spec"), "@1,1,@1;((1,1,0))*", "@1,0,@1;((1,1,0))*"],
+    [C5, "e0,5,e0;(e0)*", "e0,0,e0;(e0)*", "--window", "1"],
+    [SWAP_ZERO_SUM, "a,2,a;(a)*", "a,0,a;(a)*", "--window", "1"],
+], ids=["katsura_2_0", "c5", "swap_zero_sum"])
+def test_germ_eq_past_a_freeness_counterexample_is_equal(argv, capsys):
+    # m fixes the point's first letter with cocycle 0, so [_, m, _; xi] and [_, 0, _; xi] agree from there on.
+    assert main(["germ-eq", *argv, "--allow-unverified"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["equal"]
 
 
 def test_carry_words_past_the_budget_are_undecided(capsys):

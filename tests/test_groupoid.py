@@ -28,6 +28,8 @@ from conftest import (
     SPECS,
     TEST_SPECS,
     TWIN_MACHINE_SPEC,
+    all_spec_triples,
+    germ_coincidence_level,
     random_composable_pair,
     random_germ,
     random_inf_path,
@@ -368,6 +370,17 @@ def test_open_set_membership_past_a_short_stream_is_unknown(ctx, odo):
     assert str(shallow.open_set_member(u, beta, 0, beta)) == "unknown@8"
 
 
+def test_germ_eq_past_the_carry_budget_raises_and_open_set_membership_is_unknown():
+    # a acts as 1 on doubling, but its carry words double at every letter: no walk decides it.
+    doubling = load_spec_file(str(TEST_SPECS / "doubling.spec")).triple
+    ctx = ss.GermContext(doubling, window=ss.default_window(doubling.group, 1))
+    v = vp(doubling)
+    u = ctx.make(v, doubling.group.generator(0), v, ss.periodic_path(doubling.graph, [], [0]))
+    with pytest.raises(DepthExceededError, match="pass 100000 letters"):
+        ctx.germ_eq(u, ctx.unit(v, u.xi))
+    assert str(ctx.open_set_member(u, v, doubling.group.identity(), v)) == "unknown@64"
+
+
 def test_model_round_trip_multi_vertex():
     # carries stay bounded here (entries of B do not exceed those of A)
     t = ss.from_katsura(ss.KatsuraData.make([[1, 1], [2, 1]], [[1, 1], [1, -1]]))
@@ -482,12 +495,59 @@ def test_germ_eq_on_adding_machine_powers_is_exact_at_every_depth(machine):
 
     for _ in range(12):
         n, m = rng.randint(-200, 200), rng.randint(-200, 200)
+        moved = ((n - m) & (m - n)).bit_length()  # the first letter of 0^w that a^(n-m) moves
         for depth in range(1, 65):
-            assert at(depth).germ_eq(germ(n), germ(m)).is_distinct == (n != m)
+            verdict = at(depth).germ_eq(germ(n), germ(m))
+            if n == m:
+                assert verdict.is_equal
+            else:  # a shallower walk cannot tell the germs apart
+                assert verdict.is_distinct if moved <= depth else verdict.is_unknown
             assert at(depth).germ_eq(germ(n), germ(n)).is_equal
 
 
 # -- fast paths against their oracles -------------------------------------------
+
+
+def test_germ_eq_matches_its_definition_on_every_spec():
+    # Each germ [alpha, g, beta; xi] mostly meets [alpha, g.h, beta; xi] for h in the window,
+    # reparametrized by up to two letters: the two are equal iff h strongly fixes
+    # a prefix of xi. On a non-free triple that prefix may lie past the aligned level, where the
+    # elements differ. Every decided verdict must agree with the definition up to 24 levels.
+    past_aligned = {}
+    for name, t in all_spec_triples():
+        radius = 5 if isinstance(t.group, ss.IntegerGroup) else 1  # c5's counterexample is m = 5
+        window = ss.default_window(t.group, radius)
+        if name == "broken_cocycle":  # no germ groupoid: the axiom check refuses the triple
+            with pytest.raises(SourceConditionError):
+                ss.GermContext(t, window=window, allow_unverified=True)
+            continue
+        ctx = ss.GermContext(t, window=window, allow_unverified=True)
+        group, rng = t.group, random.Random(17)
+        decided = past_aligned[name] = 0
+        for _ in range(80):
+            u = random_germ(rng, ctx, 2)
+            h = rng.choice(window)
+            try:
+                v = ctx.make(u.alpha, group.mul(u.g, h), u.beta, u.xi) if rng.random() < 0.8 else None
+            except SourceConditionError:  # h moves the vertex of the point
+                v = None
+            if v is None:
+                v = random_germ(rng, ctx, 2)
+            v = ctx.reparametrize(v, len(v.beta) + rng.randint(0, 2))
+            try:
+                verdict = ctx.germ_eq(u, v)
+            except DepthExceededError:  # doubling's carry words pass the letter budget
+                continue
+            if verdict.is_unknown:
+                continue
+            decided += 1
+            level = germ_coincidence_level(t, u, v, 24)
+            assert verdict.is_equal == (level is not None), (name, ctx.render(u), ctx.render(v), str(verdict))
+            past_aligned[name] += bool(level)
+        assert decided >= 30, name
+    assert {name for name, count in past_aligned.items() if count} == {
+        "c5", "grigorchuk", "katsura_2_0", "swap_zero_sum"
+    }
 
 
 def unfaithful_machine():

@@ -69,10 +69,12 @@ def test_act_loads_only_the_path_layers(bare):
     assert not (modules - bare) & UNUSED_STDLIB
 
 
-# What every command loads besides selfsim.cli, which runs as __main__: the spec
-# loader and the finite path layers.
+# What every command on a Katsura or integer spec loads besides selfsim.cli, which runs
+# as __main__: the spec loader, builders and the finite path layers. An automaton or
+# Cayley spec loads its backend's module in place of builders.
 CORE = {"action", "builders", "errors", "graph", "groups", "specfile", "tri"}
 GERMS = CORE | {"corona", "groupoid", "infinite", "periodic", "sweeps"}
+LOADER = CORE - {"builders"}
 K32 = "katsura_3_2.spec"
 
 # (command, spec, arguments) -> the exact set of selfsim submodules the command loads.
@@ -89,9 +91,16 @@ FOOTPRINTS = [
     (("residual-free", "odometer.spec"), CORE | {"sweeps"}),
     (("validate", K32), CORE | {"sweeps"}),
     (("residual-free", K32), CORE | {"sweeps"}),
+    (("hausdorff", "odometer.spec"), CORE | {"sweeps"}),
+    (("hausdorff", K32), CORE | {"sweeps"}),
+    (("e-star-unitary", "odometer.spec"), CORE | {"semigroup", "sweeps"}),
     (("germ-eq", "odometer.spec", "@v,1,@v;(e0)*", "e1,0,e0;(e0)*"), GERMS),
-    (("act", "adding_machine.spec", "a", "0.0"), CORE | {"automaton"}),
-    (("validate", "z2_swap.spec"), CORE | {"cayley", "sweeps"}),
+    (("lag", "odometer.spec", "@v,1,@v;(e1)*"), GERMS),
+    (("model-check", "odometer.spec", "e1(e0)*", "1(0)*", "0", "(e0)*"), GERMS),
+    (("act", "adding_machine.spec", "a", "0.0"), LOADER | {"automaton"}),
+    (("validate", "adding_machine.spec"), LOADER | {"automaton", "sweeps"}),
+    (("act", "z2_swap.spec", "1", "e0"), LOADER | {"cayley"}),
+    (("validate", "z2_swap.spec"), LOADER | {"cayley", "sweeps"}),
 ]
 
 

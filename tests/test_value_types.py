@@ -13,9 +13,8 @@ import random
 import pytest
 
 import selfsim as ss
-from selfsim.sweeps import AxiomReport, FreenessReport, Violation
+from selfsim.sweeps import AxiomReport, FreenessReport, HausdorffReport, Violation
 from selfsim.graph import GraphReport
-from selfsim.groupoid import HausdorffReport
 from selfsim.semigroup import UnitaryReport
 from selfsim.specfile import LoadedSpec, _Section
 
