@@ -25,11 +25,11 @@ _EXPORTS = {
              " validate_graph vertex_path",
     "groupoid": "Germ GermContext",
     "groups": "GroupBackend IntegerGroup default_window",
-    "infinite": "InfPath PeriodicPath StreamPath act_inf_path act_infinite capital_phi inf_path_eq"
-                " periodic_path phi_corona stream_path",
+    "infinite": "InfPath PeriodicPath StreamPath act_inf_path inf_path_eq periodic_path phi_corona"
+                " stream_path",
     "semigroup": "ZERO IdempotentOrder Triple Zero check_e_star_unitary element_eq idempotent_order"
                  " is_cover is_idempotent make_triple mul star unit_idempotent",
-    "sweeps": "all_paths_upto check_residually_free hausdorff_report inverse_cocycle_check verify_axioms",
+    "sweeps": "all_paths_upto check_residually_free hausdorff_report verify_axioms",
     "tri": "Tri",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .graph import Graph, Path, vertex_path
-from .groups import GroupBackend
+from .groups import GroupBackend, refuse_oversize
 
 
 class SelfSimilarTriple:
@@ -40,7 +40,8 @@ class SelfSimilarTriple:
         """The pair (g.a, phi(g, a)) via the one-step recursion.
 
         On a vertex path the cocycle is g itself; on longer paths the group
-        element mutates edge by edge as it passes through.
+        element mutates edge by edge as it passes through. A restriction word
+        of more than MAX_ENUMERATION letters is refused with ValueError.
         """
         if a.graph is not self.graph and a.graph != self.graph:
             raise ValueError("path does not belong to this triple's graph")
@@ -53,6 +54,8 @@ class SelfSimilarTriple:
         for e in a.edges:
             image, state = step(state, e)
             images.append(image)
+            if type(state) is tuple:  # a restriction word may double per letter: bound it
+                refuse_oversize(len(state), "letters in the restriction along the path")
         return Path(self.graph, None, tuple(images)), state
 
     def __str__(self) -> str:

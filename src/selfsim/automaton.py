@@ -246,8 +246,12 @@ class AutomatonData(Record):
         )
 
 
+def _fixed_vertex(g, v: int) -> int:
+    return v
+
+
 def _triple(graph: Graph, group: AutomatonGroup, description: str) -> SelfSimilarTriple:
-    return SelfSimilarTriple(graph, group, vertex_act=lambda g, v: v, step=group.step,
+    return SelfSimilarTriple(graph, group, vertex_act=_fixed_vertex, step=group.step,
                              description=description)
 
 

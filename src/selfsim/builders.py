@@ -1,17 +1,17 @@
 """Builders of integer-backed triples, and the builtin examples.
 
-The two-matrix construction takes nonnegative A (no zero rows) and integer B
-with B vanishing wherever A does; the integers then act on the graph with
-adjacency matrix A by adding m*B[i][j] to the edge counter modulo A[i][j],
-the cocycle being the Euclidean quotient. Automaton data, which gives the
-classic single-vertex picture where generators permute letters and restrict,
-is built in ``automaton``; triples over a Cayley table in ``cayley``.
+An integer triple is its generator's tables, extended to every m in closed
+form on the generator's cycles. The two-matrix generator takes nonnegative A
+(no zero rows) and integer B vanishing wherever A does, and adds B[i][j] to
+the edge counter modulo A[i][j] with the Euclidean quotient as cocycle.
+Automaton triples are built in ``automaton``, Cayley ones in ``cayley``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, chain
 
 from .action import SelfSimilarTriple
 from .errors import InvalidMatricesError, Record
@@ -65,40 +65,29 @@ def katsura_graph(data: KatsuraData) -> Graph:
 
 
 def from_katsura(data: KatsuraData) -> SelfSimilarTriple:
-    """Integer action on the two-matrix graph, by the closed division formula.
+    """Integer action on the two-matrix graph: the closed form of its generator.
 
-    For edge (i,j,n): m*B[i][j] + n = k*A[i][j] + n' with 0 <= n' < A[i][j];
-    floored division keeps the remainder in range for negative m as well.
+    The generator fixes every vertex and moves edge (i,j,n) to
+    (i,j,(n+B[i][j]) mod A[i][j]) with cocycle floor((n+B[i][j])/A[i][j]),
+    so m acts by the division m*B[i][j] + n = k*A[i][j] + n' with cocycle k
+    (floored, so n' stays in range for negative m as well).
     """
     data.validate()
-    graph = katsura_graph(data)
-    # cells[e] = (A[i][j], B[i][j], id of edge (i,j,0)) for e = (i,j,n), whose
-    # id is that base plus n: katsura_graph numbers each cell's edges in a run.
-    cells = []
-    for i in range(data.size):
-        for j in range(data.size):
-            base = len(cells)
-            cells.extend([(data.a[i][j], data.b[i][j], base)] * data.a[i][j])
-
-    def step(m: int, e: int) -> tuple[int, int]:
-        a, b, base = cells[e]
-        quot, rem = divmod(m * b + e - base, a)
-        return base + rem, quot
-
-    return SelfSimilarTriple(
-        graph,
-        IntegerGroup(),
-        vertex_act=lambda m, v: v,
-        step=step,
-        description=f"katsura A={list(map(list, data.a))} B={list(map(list, data.b))}",
-    )
+    perm, row = [], []
+    for a, b in zip(chain.from_iterable(data.a), chain.from_iterable(data.b)):
+        base = len(perm)  # katsura_graph numbers the edges (i,j,n) of a cell in a run
+        perm.extend(base + (n + b) % a for n in range(a))
+        row.extend((n + b) // a for n in range(a))
+    description = f"katsura A={list(map(list, data.a))} B={list(map(list, data.b))}"
+    return integer_triple_from_generator(katsura_graph(data), range(data.size), perm, row, description)
 
 
 def _cycles(perm: Sequence[int], weights: Sequence[int]) -> list[tuple]:
-    """For each point x: (the cycle of perm through x, x's place in it, sums).
+    """For each point x the record (cycle, place, length, weight, sums, own).
 
-    sums[j] is the total weight of the first j points of the cycle, so
-    sums[-1] is the weight of the whole cycle.
+    cycle is perm's cycle through x and place x's index in it; sums[j] is
+    the total weight of the cycle's first j points, so weight = sums[length]
+    is the cycle's and own = sums[place] x's.
     """
     if sorted(perm) != list(range(len(perm))):
         raise ValueError("generator tables must be permutations")
@@ -112,8 +101,19 @@ def _cycles(perm: Sequence[int], weights: Sequence[int]) -> list[tuple]:
         sums = (0, *accumulate(weights[x] for x in cycle))
         cycle = tuple(cycle)
         for k, x in enumerate(cycle):
-            where[x] = (cycle, k, sums)
+            where[x] = (cycle, k, len(cycle), sums[-1], sums, sums[k])
     return where
+
+
+def _cycle_vertex(records: list, m: int, v: int) -> int:
+    cycle, k, length, _, _, _ = records[v]
+    return cycle[(k + m) % length]
+
+
+def _cycle_step(records: list, m: int, e: int) -> tuple[int, int]:
+    cycle, k, length, weight, sums, own = records[e]
+    quot, rem = divmod(k + m, length)
+    return cycle[rem], quot * weight + sums[rem] - own
 
 
 def integer_triple_from_generator(
@@ -131,27 +131,12 @@ def integer_triple_from_generator(
     m steps of e's orbit (negated going backwards). With e at place k of a
     cycle of length L and q, r = divmod(k + m, L), the image is the cycle's
     r-th point and phi(m, e) = q*sums[L] + sums[r] - sums[k], sums[j] being
-    the total of phi(1, .) over the first j points of the cycle.
+    the total of phi(1, .) over the first j points of the cycle. Both maps
+    are module functions bound to the cycle records, so the triple pickles.
     """
-    vertex_cycles = _cycles(vertex_perm, [0] * graph.n_vertices)
-    edge_cycles = _cycles(edge_perm, cocycle_row)
-
-    def act_vertex(m: int, v: int) -> int:
-        cycle, k, _ = vertex_cycles[v]
-        return cycle[(k + m) % len(cycle)]
-
-    def step(m: int, e: int) -> tuple[int, int]:
-        cycle, k, sums = edge_cycles[e]
-        quot, rem = divmod(k + m, len(cycle))
-        return cycle[rem], quot * sums[-1] + sums[rem] - sums[k]
-
-    return SelfSimilarTriple(
-        graph,
-        IntegerGroup(),
-        vertex_act=act_vertex,
-        step=step,
-        description=description,
-    )
+    vertex_act = partial(_cycle_vertex, _cycles(vertex_perm, [0] * graph.n_vertices))
+    step = partial(_cycle_step, _cycles(edge_perm, cocycle_row))
+    return SelfSimilarTriple(graph, IntegerGroup(), vertex_act, step, description)
 
 
 # -- builtin examples --------------------------------------------------------

@@ -7,6 +7,7 @@ the loader of an explicit spec with ``kind = cayley``.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import partial
 
 from .action import SelfSimilarTriple
 from .errors import BackendMismatchError, SpecFileError
@@ -126,13 +127,13 @@ def finite_triple(
     """Triple over a finite group given by full (element x vertex/edge) tables."""
     vt = tuple(tuple(r) for r in vertex_table)
     steps = tuple(tuple(zip(er, cr)) for er, cr in zip(edge_table, cocycle_table))
-    return SelfSimilarTriple(
-        graph,
-        group,
-        vertex_act=lambda g, v: vt[g][v],
-        step=lambda g, e: steps[g][e],
-        description=description,
-    )
+    return SelfSimilarTriple(graph, group, vertex_act=partial(_entry, vt), step=partial(_entry, steps),
+                             description=description)
+
+
+def _entry(table: tuple, g: int, x: int):
+    """table[g][x]: a table bound by partial, so the triple pickles."""
+    return table[g][x]
 
 
 def load_action_sections(graph: Graph, grpsec: _Section, asec: _Section) -> SelfSimilarTriple:

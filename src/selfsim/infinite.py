@@ -1,9 +1,10 @@
 """Infinite paths and the action on them: the orbit half of the triple.
 
 Eventually periodic paths are exact (normal form prefix.(cycle)*); stream
-paths are known only to a declared depth. The induced action g.xi and the
-cocycle sequence Phi(g, xi) come from one walk of the carry orbit along xi,
-which closes on periodic inputs.
+paths are known only to a declared depth. By definition (g.xi)|n and
+Phi(g, xi)_(n+1) are the image and cocycle of t.act_path(g, xi.truncate(n));
+act_inf_path and phi_corona give the whole path and the whole sequence from
+one walk of the carry orbit along xi, which closes on periodic inputs.
 """
 
 from __future__ import annotations
@@ -205,18 +206,6 @@ def inf_path_eq(a: InfPath, b: InfPath, depth: int) -> Tri:
     if horizon > 0 and a.head(horizon) != b.head(horizon):
         return DISTINCT
     return unknown(horizon)
-
-
-def act_infinite(t: SelfSimilarTriple, g, xi: InfPath, n: int) -> Path:
-    """Length-n prefix of g.xi, computed as g acting on the length-n truncation."""
-    return t.act_path(g, xi.truncate(n))[0]
-
-
-def capital_phi(t: SelfSimilarTriple, g, xi: InfPath, n: int):
-    """n-th cocycle value along xi: phi(g, xi|_(n-1)); n >= 1."""
-    if n < 1:
-        raise ValueError("cocycle sequence is 1-indexed")
-    return t.act_path(g, xi.truncate(n - 1))[1]
 
 
 def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):

@@ -3,7 +3,8 @@
 Each sweep takes a triple and a finite, identity-containing, inverse-closed
 window of its group and reports what it examined; hausdorff_report reads a
 freeness sweep as the Hausdorffness it implies. Path families are counted
-in closed form before they are built, so an oversize bound is refused first.
+in closed form before they are built, so an oversize bound is refused first,
+and then built from graph.extensions.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from collections.abc import Iterable, Sequence
 from itertools import permutations
 
 from .errors import Record, SourceConditionError
-from .graph import Graph, Path, concat, vertex_path
+from .graph import Graph, Path, extensions, vertex_path
 from .groups import DEFAULT_PATH_BOUND, MAX_ENUMERATION, IntegerGroup, at_least, default_window, refuse_oversize
 from .tri import Tri
 
@@ -138,15 +139,6 @@ def require_axioms(t: SelfSimilarTriple) -> None:
         raise SourceConditionError(f"{violations[0].law} violated: {violations[0].detail}")
 
 
-def inverse_cocycle_check(t: SelfSimilarTriple, g, a: Path) -> Tri:
-    """phi(g^-1, a) == phi(g, g^-1 a)^-1."""
-    group = t.group
-    ginv = group.inv(g)
-    lhs = t.act_path(ginv, a)[1]
-    rhs = group.inv(t.act_path(g, t.act_path(ginv, a)[0])[1])
-    return group.eq(lhs, rhs)
-
-
 def render_certificate(t: SelfSimilarTriple, certificate) -> str:
     """A freeness certificate (g, e) as "(g=..., e=...)"; an integer is named m."""
     g, e = certificate
@@ -199,17 +191,17 @@ def check_path_bound(graph: Graph, max_len: int) -> None:
 
 
 def all_paths_upto(graph: Graph, max_len: int) -> list[Path]:
-    """Every path of length <= max_len, vertex paths first, deterministic order."""
+    """Every path of length <= max_len, layer by layer through extensions(p, 1).
+
+    The order is that of (length, range vertex, edge ids): vertex paths
+    first, then each layer extends the last one's paths in turn.
+    """
     check_path_bound(graph, max_len)
-    result: list[Path] = [vertex_path(graph, v) for v in graph.vertices()]
-    layer = list(result)
+    layer = [vertex_path(graph, v) for v in graph.vertices()]
+    result = list(layer)
     for _ in range(max_len):
-        nxt = []
-        for p in layer:
-            for e in graph.edges_into(p.source_vertex):
-                nxt.append(concat(p, Path(graph, None, (e,))))
-        result.extend(nxt)
-        layer = nxt
+        layer = [q for p in layer for q in extensions(p, 1)]
+        result.extend(layer)
     return result
 
 

@@ -151,6 +151,13 @@ def odometer_oracle(m, edges):
     return image, carry
 
 
+def katsura_division(data, label, m):
+    """(label of m.e, phi(m, e)) for the two-matrix edge e = (i,j,n), by m*B + n = k*A + n' with 0 <= n' < A."""
+    i, j, n = map(int, label[1:-1].split(","))
+    k, rest = divmod(m * data.b[i - 1][j - 1] + n, data.a[i - 1][j - 1])
+    return f"({i},{j},{rest})", k
+
+
 def cover_oracle(t, members, target, slack=2):
     """Brute-force cover definition, for cross-checking is_cover.
 

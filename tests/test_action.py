@@ -179,46 +179,72 @@ def test_action_and_cocycle_laws(odo):
                 assert rc == coc
 
 
+def image_prefix(t, g, xi, n):
+    """(g.xi)|n by definition: the image of the truncation xi|n."""
+    return t.act_path(g, xi.truncate(n))[0]
+
+
+def phi_entry(t, g, xi, n):
+    """Phi(g, xi)_n by definition: the cocycle along the truncation xi|(n-1)."""
+    return t.act_path(g, xi.truncate(n - 1))[1]
+
+
 def test_inverse_cocycle_sweep(odo):
+    # phi(g^-1, a) = phi(g, g^-1 a)^-1 on paths, and entrywise along infinite paths.
+    xis = [ss.periodic_path(odo.graph, [1], [0, 1]), ss.periodic_path(odo.graph, [], [1])]
     for g in ss.default_window(odo.group, 3):
+        ginv = odo.group.inv(g)
         for a in ss.all_paths_upto(odo.graph, 4):
-            assert ss.inverse_cocycle_check(odo, g, a).is_equal
+            image, coc = odo.act_path(ginv, a)
+            assert coc == odo.group.inv(odo.act_path(g, image)[1])
+        for xi in xis:
+            lhs = ss.phi_corona(odo, ginv, xi)
+            rhs = ss.phi_corona(odo, g, ss.act_inf_path(odo, ginv, xi))
+            assert lhs == ss.corona_inv(rhs)  # both periodic: equal as whole sequences
+            for n in range(1, 9):
+                assert lhs.entry(n) == -rhs.entry(n) == phi_entry(odo, ginv, xi, n)
 
 
 def test_act_infinite(odo):
     xi0 = ss.periodic_path(odo.graph, [], [0])
     xi1 = ss.periodic_path(odo.graph, [], [1])
-    assert ss.act_infinite(odo, 1, xi0, 3).edges == (1, 0, 0)
-    assert ss.act_infinite(odo, 1, xi1, 3).edges == (0, 0, 0)
-    assert ss.act_infinite(odo, 0, xi1, 5) == xi1.truncate(5)
+    assert ss.act_inf_path(odo, 1, xi0) == ss.periodic_path(odo.graph, [1], [0])
+    assert ss.act_inf_path(odo, 1, xi1) == ss.periodic_path(odo.graph, [], [0])
+    assert ss.act_inf_path(odo, 0, xi1) == xi1
+    assert image_prefix(odo, 1, xi0, 3).edges == ss.act_inf_path(odo, 1, xi0).truncate(3).edges == (1, 0, 0)
+    assert image_prefix(odo, 1, xi1, 3).edges == (0, 0, 0)
+    assert image_prefix(odo, 0, xi1, 5) == xi1.truncate(5)
 
 
 def test_act_infinite_coherent(odo):
     xi = ss.periodic_path(odo.graph, [1], [0, 1])
     for m in (-2, 1, 3):
-        full = ss.act_infinite(odo, m, xi, 8)
-        for n in range(8):
-            assert ss.act_infinite(odo, m, xi, n) == full.prefix(n)
+        full = ss.act_inf_path(odo, m, xi)
+        for n in range(9):
+            assert image_prefix(odo, m, xi, n) == full.truncate(n) == image_prefix(odo, m, xi, 8).prefix(n)
 
 
 def test_capital_phi_examples(odo):
     xi0 = ss.periodic_path(odo.graph, [], [0])
     xi1 = ss.periodic_path(odo.graph, [], [1])
-    assert ss.capital_phi(odo, 1, xi0, 1) == 1
+    seq0, seq1, trivial = (ss.phi_corona(odo, m, xi) for m, xi in ((1, xi0), (1, xi1), (0, xi1)))
+    assert seq0.entry(1) == phi_entry(odo, 1, xi0, 1) == 1
     for n in range(2, 8):
-        assert ss.capital_phi(odo, 1, xi0, n) == 0
+        assert seq0.entry(n) == phi_entry(odo, 1, xi0, n) == 0
     for n in range(1, 8):
-        assert ss.capital_phi(odo, 1, xi1, n) == 1
-        assert ss.capital_phi(odo, 0, xi1, n) == 0
+        assert seq1.entry(n) == phi_entry(odo, 1, xi1, n) == 1
+        assert trivial.entry(n) == phi_entry(odo, 0, xi1, n) == 0
 
 
 def test_capital_phi_letter_law(odo):
+    # (g.xi)_n = phi(g, xi|(n-1)) . xi_n
     xi = ss.periodic_path(odo.graph, [0, 1], [1, 0])
     for m in (-3, -1, 1, 2):
-        img = ss.act_infinite(odo, m, xi, 64)
+        img, seq = ss.act_inf_path(odo, m, xi), ss.phi_corona(odo, m, xi)
+        assert img.truncate(64) == image_prefix(odo, m, xi, 64)
         for n in range(1, 65):
-            phi_n = ss.capital_phi(odo, m, xi, n)
-            assert img.edges[n - 1] == odo.step(phi_n, xi.letter(n))[0]
+            assert seq.entry(n) == phi_entry(odo, m, xi, n)
+            assert img.letter(n) == odo.step(seq.entry(n), xi.letter(n))[0]
 
 
 def test_capital_phi_shift_law(odo):
@@ -228,19 +254,24 @@ def test_capital_phi_shift_law(odo):
     axi = xi.prepend(alpha)
     for m in (-2, 1, 3):
         restricted = odo.act_path(m, alpha)[1]
+        seq, shifted = ss.phi_corona(odo, restricted, xi), ss.phi_corona(odo, m, axi)
+        assert seq == ss.shift_left(shifted, len(alpha))
         for n in range(1, 10):
-            assert ss.capital_phi(odo, restricted, xi, n) == ss.capital_phi(odo, m, axi, n + len(alpha))
+            assert seq.entry(n) == shifted.entry(n + len(alpha)) == phi_entry(odo, m, axi, n + len(alpha))
 
 
 def test_capital_phi_cocycle_law(odo):
+    # Phi(gh, xi) = Phi(g, h.xi) Phi(h, xi) entrywise
     xi = ss.periodic_path(odo.graph, [1], [0])
     for g in (-2, 1, 2):
         for h in (-1, 1, 3):
             hxi = ss.act_inf_path(odo, h, xi)
+            lhs = ss.phi_corona(odo, g + h, xi)
+            rhs = ss.corona_mul(ss.phi_corona(odo, g, hxi), ss.phi_corona(odo, h, xi))
+            assert lhs == rhs
             for n in range(1, 10):
-                lhs = ss.capital_phi(odo, g + h, xi, n)
-                rhs = ss.capital_phi(odo, g, hxi, n) + ss.capital_phi(odo, h, xi, n)
-                assert lhs == rhs
+                assert lhs.entry(n) == phi_entry(odo, g + h, xi, n) == rhs.entry(n)
+                assert rhs.entry(n) == phi_entry(odo, g, hxi, n) + phi_entry(odo, h, xi, n)
 
 
 def test_phi_corona_representations(odo):

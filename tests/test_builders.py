@@ -8,6 +8,7 @@ import pytest
 
 import selfsim as ss
 from selfsim.errors import InvalidMatricesError
+from conftest import katsura_division
 
 
 def test_katsura_graph_shape(kat32):
@@ -90,18 +91,25 @@ def test_builtins_pass_axioms(odo_katsura, kat32, swap2, machine):
         assert report.ok, t.description
 
 
-def test_closed_form_matches_generator_iteration(odo_katsura):
-    """The division formula agrees with extending the generator by cocycle rules."""
-    graph = odo_katsura.graph
-    iterated = ss.integer_triple_from_generator(
-        graph,
-        [0],
-        [odo_katsura.step(1, e)[0] for e in graph.edges()],
-        [odo_katsura.step(1, e)[1] for e in graph.edges()],
-    )
-    for m in range(-8, 9):
-        for e in graph.edges():
-            assert iterated.step(m, e) == odo_katsura.step(m, e)
+def test_katsura_matches_division_formula():
+    """The generator's closed form agrees with the division formula on random valid pairs."""
+    rng = random.Random("katsura-division")
+    ms = [*range(-50, 51), 10**6, -(10**6), 10**9, -(10**9)]
+    pairs = 0
+    while pairs < 60:
+        size = rng.randint(1, 3)
+        a = [[rng.randint(0, 3) for _ in range(size)] for _ in range(size)]
+        if not all(any(row) for row in a):
+            continue
+        data = ss.KatsuraData.make(a, [[rng.randint(-3, 3) if x else 0 for x in row] for row in a])
+        t = ss.from_katsura(data)
+        labels = t.graph.edge_labels
+        for m in ms:
+            for e, label in enumerate(labels):
+                image, k = t.step(m, e)
+                assert (labels[image], k) == katsura_division(data, label, m), (a, data.b, m, label)
+            assert all(t.act_vertex(m, v) == v for v in t.graph.vertices())
+        pairs += 1
 
 
 def iterated(perm, row, m, x):

@@ -493,6 +493,29 @@ def test_germ_eq_past_a_freeness_counterexample_is_equal(argv, capsys):
     assert capsys.readouterr().out.splitlines()[1:] == ["equal"]
 
 
+def test_a_restriction_past_the_budget_is_refused(capsys):
+    # On the doubling automaton a restricts to a.a at every letter: 30 letters would give a 2^30-letter word.
+    path = ".".join(["0"] * 30)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["act", str(TEST_SPECS / "doubling.spec"), "a", path])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().out.splitlines() == [
+        f"> act a {path}",
+        "error: more than 100000 letters in the restriction along the path (the enumeration limit)",
+    ]
+    assert elapsed < 2.0, f"the refusal took {elapsed:.2f}s"
+    assert peak < 10_000_000, f"peak {peak} bytes traced"
+    # Within the budget the restriction is printed: 16 letters give a^(2^16), 65536 letters.
+    assert main(["phi", str(TEST_SPECS / "doubling.spec"), "a", ".".join(["0"] * 16)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == ".".join(["a"] * 2**16)
+
+
 def test_carry_words_past_the_budget_are_undecided(capsys):
     # The doubling automaton's carry along 0^w doubles in length at every letter.
     argv = ["lag", str(TEST_SPECS / "doubling.spec"), "@v,a,@v;(0)*"]

@@ -1,6 +1,8 @@
 """Graph, path, and infinite-path behavior."""
 
+import random
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -317,6 +319,24 @@ def test_count_paths_matches_enumeration(rows):
     # A huge bound costs the layers up to the enumeration limit, or ends with the paths.
     total = count_paths_upto(g, 10**9)
     assert total > MAX_ENUMERATION or total == count_paths_upto(g, 10) == 6
+
+
+def test_all_paths_upto_order_matches_brute_force():
+    # The order the sweeps' first counterexamples and the bench domains rest on:
+    # every composable edge sequence, sorted by (length, range vertex, edge ids).
+    rng = random.Random("all-paths-order")
+    for _ in range(60):
+        vertices = [f"v{i}" for i in range(rng.randint(1, 3))]
+        rows = [(f"e{i}", rng.choice(vertices), rng.choice(vertices)) for i in range(rng.randint(1, 5))]
+        g = ss.make_graph(vertices, rows)
+        bound = rng.randint(0, 4)
+        brute = [ss.vertex_path(g, v) for v in g.vertices()]
+        for length in range(1, bound + 1):
+            for seq in product(g.edges(), repeat=length):
+                if all(g.source_of[e] == g.range_of[f] for e, f in zip(seq, seq[1:])):
+                    brute.append(ss.edge_path(g, seq))
+        brute.sort(key=lambda p: (len(p), p.range_vertex, p.edges))
+        assert ss.all_paths_upto(g, bound) == brute
 
 
 def test_all_paths_refuses_oversize_before_building(graph):

@@ -2,6 +2,7 @@
 
 import copy
 import inspect
+import pickle
 import random
 import sys
 import threading
@@ -18,6 +19,7 @@ from selfsim.errors import (
     EmptySetError,
     FreenessNotVerifiedError,
     NotComposableError,
+    SelfSimError,
     SourceConditionError,
     UndecidedError,
 )
@@ -917,6 +919,43 @@ def test_walk_table_keeps_its_letter_budget(odo):
         assert ctx.range_point(u) == range_point and ctx.f_map(u)[1] == lag
     assert table.held == walk_letters(table) <= MAX_ENUMERATION
     assert len(copy.deepcopy(ctx)._walks) == 0  # a copy starts empty
+
+
+def _answer(op, *args) -> str:
+    """op(*args) as printed, or the error it raised (a carry walk past its letter budget, say)."""
+    try:
+        return str(op(*args))
+    except SelfSimError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def test_every_spec_triple_and_context_pickles():
+    # Triples and contexts can be sent to a worker process; a copied context starts with an empty walk table.
+    contexts = filled = 0
+    for name, t in all_spec_triples():
+        clone = pickle.loads(pickle.dumps(t))
+        window = ss.default_window(t.group, 1)
+        for a in ss.all_paths_upto(t.graph, 3):
+            for g in window:
+                assert clone.act_path(g, a) == t.act_path(g, a), (name, g, a)
+        if name == "broken_cocycle":
+            continue  # breaks the cocycle identity: no context is built over it
+        ctx = ss.GermContext(t, window=window, allow_unverified=True)
+        rng = random.Random(f"pickle-{name}")
+        germs = [random_germ(rng, ctx) for _ in range(8)]
+        pairs = list(zip(germs, germs[1:] + germs[:1])) + [(u, u) for u in germs]
+
+        def answers(c):
+            return [(_answer(c.germ_eq, u, v), _answer(c.lag, u)) for u, v in pairs]
+
+        expected = answers(ctx)
+        filled += len(ctx._walks) > 0
+        copied = pickle.loads(pickle.dumps(ctx))
+        assert len(copied._walks) == 0 and copied.depth == ctx.depth and copied.window == ctx.window
+        assert answers(copied) == expected, name
+        assert {"equal", "distinct"} <= {eq for eq, _ in expected}, name
+        contexts += 1
+    assert contexts == 11 and filled >= 8
 
 
 def test_streams_and_unclosed_orbits_are_not_kept(odo):
