@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .graph import Graph, Path, vertex_path
+from .graph import Graph, Path, _edge_path, vertex_path
 from .groups import GroupBackend, refuse_oversize
 
 
@@ -46,17 +46,18 @@ class SelfSimilarTriple:
         if a.graph is not self.graph and a.graph != self.graph:
             raise ValueError("path does not belong to this triple's graph")
         self.group.check(g)
-        if a.is_vertex:
+        if a.vertex is not None:
             return vertex_path(self.graph, self.act_vertex(g, a.vertex)), g
         images = []
+        append = images.append
         state = g
         step = self.step
         for e in a.edges:
             image, state = step(state, e)
-            images.append(image)
+            append(image)
             if type(state) is tuple:  # a restriction word may double per letter: bound it
                 refuse_oversize(len(state), "letters in the restriction along the path")
-        return Path(self.graph, None, tuple(images)), state
+        return _edge_path(self.graph, tuple(images)), state
 
     def __str__(self) -> str:
         return self.description

@@ -13,6 +13,7 @@ import enum
 from collections.abc import Iterable, Sequence
 
 from .errors import CompositionError, Frozen, Record
+from .groups import refuse_oversize
 
 
 class Graph(Frozen):
@@ -131,10 +132,9 @@ class Path(Frozen):
     def __init__(self, graph: Graph, vertex: int | None, edges: tuple[int, ...]):
         if (vertex is None) == (not edges):
             raise ValueError("exactly one of vertex / edges must be set")
-        set_graph, set_vertex, set_edges = self._setters
-        set_graph(self, graph)
-        set_vertex(self, vertex)
-        set_edges(self, edges)
+        _set_graph(self, graph)
+        _set_vertex(self, vertex)
+        _set_edges(self, edges)
 
     def __eq__(self, other):
         return (other.__class__ is self.__class__ and self.edges == other.edges and self.vertex == other.vertex
@@ -164,24 +164,39 @@ class Path(Frozen):
 
     def prefix(self, n: int) -> "Path":
         """Truncation to the first n edges (n = 0 gives the range vertex)."""
-        if not 0 <= n <= len(self):
+        if not 0 <= n <= len(self.edges):
             raise ValueError(f"prefix length {n} out of range")
         if n == 0:
             return vertex_path(self.graph, self.range_vertex)
-        return Path(self.graph, None, self.edges[:n])
+        return _edge_path(self.graph, self.edges[:n])
 
     def drop(self, n: int) -> "Path":
         """Remainder after the first n edges (the gamma with self = prefix(n) . gamma)."""
-        if not 0 <= n <= len(self):
+        edges = self.edges
+        if not 0 <= n <= len(edges):
             raise ValueError(f"drop length {n} out of range")
-        if n == len(self):
-            return vertex_path(self.graph, self.source_vertex)
-        return Path(self.graph, None, self.edges[n:])
+        if n == 0:
+            return self
+        if n == len(edges):
+            return vertex_path(self.graph, self.graph.source_of[edges[-1]])
+        return _edge_path(self.graph, edges[n:])
 
     def __str__(self) -> str:
         if self.vertex is not None:
             return "@" + self.graph.vertex_labels[self.vertex]
         return ".".join(self.graph.edge_labels[e] for e in self.edges)
+
+
+_set_graph, _set_vertex, _set_edges = Path._setters
+
+
+def _edge_path(graph: Graph, edges: tuple[int, ...]) -> Path:
+    """Path on a non-empty edge tuple cut or joined from paths of this graph: built unchecked."""
+    path = object.__new__(Path)
+    _set_graph(path, graph)
+    _set_vertex(path, None)
+    _set_edges(path, edges)
+    return path
 
 
 def vertex_path(graph: Graph, v: int) -> Path:
@@ -208,18 +223,20 @@ def edge_path(graph: Graph, edges: Iterable[int]) -> Path:
 
 def concat(a: Path, b: Path) -> Path:
     """Concatenation a.b, defined when d(a) = r(b)."""
-    if a.graph is not b.graph and a.graph != b.graph:
+    graph = a.graph
+    if graph is not b.graph and graph != b.graph:
         raise CompositionError("paths live on different graphs")
-    if a.source_vertex != b.range_vertex:
+    ea, eb = a.edges, b.edges
+    if (graph.source_of[ea[-1]] if ea else a.vertex) != (graph.range_of[eb[0]] if eb else b.vertex):
         raise CompositionError(
-            f"cannot concatenate: d({a}) = {a.graph.vertex_labels[a.source_vertex]}"
-            f" but r({b}) = {b.graph.vertex_labels[b.range_vertex]}"
+            f"cannot concatenate: d({a}) = {graph.vertex_labels[a.source_vertex]}"
+            f" but r({b}) = {graph.vertex_labels[b.range_vertex]}"
         )
-    if a.is_vertex:
+    if not ea:
         return b
-    if b.is_vertex:
+    if not eb:
         return a
-    return Path(a.graph, None, a.edges + b.edges)
+    return _edge_path(graph, ea + eb)
 
 
 class PrefixRel(enum.Enum):
@@ -229,48 +246,70 @@ class PrefixRel(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
+_EQUAL, _A_PROPER, _B_PROPER, _INCOMPARABLE = PrefixRel  # in definition order
+
+
 def prefix_compare(a: Path, b: Path) -> PrefixRel:
     """Compare two paths in the prefix order.
 
-    A vertex path is a prefix of every path it is the range of.
+    A vertex path is a prefix of every path it is the range of; edge paths
+    whose first edges agree share their range.
     """
-    if a.graph is not b.graph and a.graph != b.graph:
-        return PrefixRel.INCOMPARABLE
-    if len(a) <= len(b):
-        shorter, longer, short_is_a = a, b, True
-    else:
-        shorter, longer, short_is_a = b, a, False
-    if shorter.range_vertex != longer.range_vertex:
-        return PrefixRel.INCOMPARABLE
-    if shorter.edges != longer.edges[: len(shorter)]:
-        return PrefixRel.INCOMPARABLE
-    if len(shorter) == len(longer):
-        return PrefixRel.EQUAL
-    return PrefixRel.A_PROPER if short_is_a else PrefixRel.B_PROPER
+    graph = a.graph
+    if graph is not b.graph and graph != b.graph:
+        return _INCOMPARABLE
+    ea, eb = a.edges, b.edges
+    na, nb = len(ea), len(eb)
+    if not na:
+        if a.vertex != (graph.range_of[eb[0]] if nb else b.vertex):
+            return _INCOMPARABLE
+        return _A_PROPER if nb else _EQUAL
+    if not nb:
+        return _B_PROPER if b.vertex == graph.range_of[ea[0]] else _INCOMPARABLE
+    if na <= nb:
+        return (_A_PROPER if na < nb else _EQUAL) if eb[:na] == ea else _INCOMPARABLE
+    return _B_PROPER if ea[:nb] == eb else _INCOMPARABLE
 
 
 def complement(a: Path, b: Path) -> Path:
     """The unique gamma with a.gamma = b; requires a to be a prefix of b."""
     rel = prefix_compare(a, b)
-    if rel not in (PrefixRel.EQUAL, PrefixRel.A_PROPER):
+    if rel is not _EQUAL and rel is not _A_PROPER:
         raise CompositionError(f"{a} is not a prefix of {b}")
-    return b.drop(len(a))
+    return b.drop(len(a.edges))
 
 
 def extensions(b: Path, count: int) -> list[Path]:
     """All paths extending b by exactly ``count`` edges at the source end.
 
     Nonempty for count >= 1 whenever every vertex along the way receives an
-    edge (the no-sources hypothesis).
+    edge (the no-sources hypothesis). A layer of more than MAX_ENUMERATION
+    paths, counted per source vertex, is refused before any path is built.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    result = [b]
     graph = b.graph
+    for size in layer_sizes(graph, {b.source_vertex: 1}, count):
+        refuse_oversize(size, "paths in one layer of extensions")
+    into = graph.edges_into
+    layer = [b]
     for _ in range(count):
-        nxt = []
-        for p in result:
-            for e in graph.edges_into(p.source_vertex):
-                nxt.append(concat(p, Path(graph, None, (e,))))
-        result = nxt
-    return result
+        layer = [_edge_path(graph, p.edges + (e,)) for p in layer for e in into(p.source_vertex)]
+        if not layer:
+            break
+    return layer
+
+
+def layer_sizes(graph: Graph, layer: dict[int, int], count: int):
+    """Sizes of up to ``count`` layers of one-edge extensions of {source vertex: paths}, to an empty layer."""
+    into, source_of = graph.edges_into, graph.source_of
+    for _ in range(count):
+        nxt: dict[int, int] = {}
+        for v, n in layer.items():
+            for e in into(v):
+                w = source_of[e]
+                nxt[w] = nxt.get(w, 0) + n
+        if not nxt:
+            return
+        layer = nxt
+        yield sum(nxt.values())

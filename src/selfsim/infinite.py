@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 from .corona import BoundedSeq, CoronaSeq, PeriodicSeq
 from .errors import CompositionError, DepthExceededError, Frozen, Value
-from .graph import Graph, Path, edge_path, vertex_path
+from .graph import Graph, Path, _edge_path, edge_path, vertex_path
 from .groups import DEFAULT_DEPTH, MAX_ENUMERATION, at_least
 from .periodic import drop, entry, normalize
 from .tri import Tri, DISTINCT, from_bool, unknown
@@ -50,7 +50,7 @@ class InfPath:
             raise ValueError("truncation length must be >= 0")
         if n == 0:
             return vertex_path(self.graph, self.range_vertex)
-        return Path(self.graph, None, self.head(n))
+        return _edge_path(self.graph, self.head(n))
 
     def drop(self, k: int) -> "InfPath":
         raise NotImplementedError

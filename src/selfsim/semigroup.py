@@ -14,7 +14,7 @@ from collections.abc import Iterable
 
 from .action import SelfSimilarTriple
 from .errors import Frozen, NotIdempotentError, Record, SourceConditionError
-from .graph import Path, PrefixRel, concat, prefix_compare, vertex_path
+from .graph import _A_PROPER, _B_PROPER, _EQUAL, _INCOMPARABLE, Path, PrefixRel, concat, prefix_compare, vertex_path
 from .groups import DEFAULT_PATH_BOUND
 from .tri import Tri, DISTINCT, from_bool
 
@@ -83,13 +83,13 @@ def mul(t: SelfSimilarTriple, s: SemigroupElement, u: SemigroupElement) -> Semig
     if isinstance(s, Zero) or isinstance(u, Zero):
         return ZERO
     rel = prefix_compare(s.beta, u.alpha)
-    if rel == PrefixRel.INCOMPARABLE:
+    if rel is _INCOMPARABLE:
         return ZERO
     group = t.group
-    if rel == PrefixRel.B_PROPER:
-        img, coc = t.act_path(group.inv(u.g), s.beta.drop(len(u.alpha)))
+    if rel is _B_PROPER:
+        img, coc = t.act_path(group.inv(u.g), s.beta.drop(len(u.alpha.edges)))
         return Triple(s.alpha, group.mul(s.g, group.inv(coc)), concat(u.beta, img))
-    img, coc = t.act_path(s.g, u.alpha.drop(len(s.beta)))
+    img, coc = t.act_path(s.g, u.alpha.drop(len(s.beta.edges)))
     return Triple(concat(s.alpha, img), group.mul(coc, u.g), u.beta)
 
 
@@ -103,10 +103,10 @@ def element_eq(t: SelfSimilarTriple, s: SemigroupElement, u: SemigroupElement) -
 
 
 def is_idempotent(t: SelfSimilarTriple, s: SemigroupElement) -> bool:
-    """Exact-form test: zero, or (alpha, 1, alpha) with the literal identity."""
+    """Exact-form test: zero, or (alpha, g, alpha) with g the identity up to the backend's ``eq``."""
     if isinstance(s, Zero):
         return True
-    return s.alpha == s.beta and t.group.eq(s.g, t.group.identity()).is_equal
+    return (s.alpha is s.beta or s.alpha == s.beta) and t.group.eq(s.g, t.group.identity()).is_equal
 
 
 def render(t: SelfSimilarTriple, s: SemigroupElement) -> str:
@@ -120,6 +120,11 @@ class IdempotentOrder(enum.Enum):
     LEQ = "leq"
     GEQ = "geq"
     ORTHOGONAL = "orthogonal"
+
+
+# e <= f when f's path is a prefix of e's: the prefix relation of (e's path, f's path), reversed.
+_ORDER_OF = {PrefixRel.EQUAL: IdempotentOrder.EQUAL, PrefixRel.A_PROPER: IdempotentOrder.GEQ,
+             PrefixRel.B_PROPER: IdempotentOrder.LEQ, PrefixRel.INCOMPARABLE: IdempotentOrder.ORTHOGONAL}
 
 
 def idempotent_order(t: SelfSimilarTriple, e: SemigroupElement, f: SemigroupElement) -> IdempotentOrder:
@@ -137,14 +142,7 @@ def idempotent_order(t: SelfSimilarTriple, e: SemigroupElement, f: SemigroupElem
         return IdempotentOrder.LEQ
     if isinstance(f, Zero):
         return IdempotentOrder.GEQ
-    rel = prefix_compare(e.alpha, f.alpha)
-    if rel == PrefixRel.EQUAL:
-        return IdempotentOrder.EQUAL
-    if rel == PrefixRel.B_PROPER:  # f's path is a prefix of e's path
-        return IdempotentOrder.LEQ
-    if rel == PrefixRel.A_PROPER:
-        return IdempotentOrder.GEQ
-    return IdempotentOrder.ORTHOGONAL
+    return _ORDER_OF[prefix_compare(e.alpha, f.alpha)]
 
 
 _MEMBER = None  # trie key marking where a member's path ends; edge keys are ints
@@ -180,10 +178,10 @@ def is_cover(t: SelfSimilarTriple, members: Iterable[SemigroupElement], target: 
         if isinstance(m, Zero):
             continue
         rel = prefix_compare(beta, m.alpha)
-        if rel in (PrefixRel.EQUAL, PrefixRel.B_PROPER):
+        if rel is _EQUAL or rel is _B_PROPER:
             # Member at or above the target: covers it outright.
             return True
-        if rel == PrefixRel.A_PROPER:
+        if rel is _A_PROPER:
             node = below
             for e in m.alpha.edges[len(beta):]:
                 node = node.setdefault(e, {})

@@ -13,7 +13,7 @@ from collections.abc import Iterable, Sequence
 from itertools import permutations
 
 from .errors import Record, SourceConditionError
-from .graph import Graph, Path, extensions, vertex_path
+from .graph import Graph, Path, extensions, layer_sizes, vertex_path
 from .groups import DEFAULT_PATH_BOUND, MAX_ENUMERATION, IntegerGroup, at_least, default_window, refuse_oversize
 from .tri import Tri
 
@@ -165,22 +165,12 @@ class FreenessReport(Record):
 
 
 def count_paths_upto(graph: Graph, max_len: int) -> int:
-    """len(all_paths_upto(graph, max_len)), counted per source vertex layer by layer.
-
-    Counting stops once the total passes MAX_ENUMERATION or a layer is empty.
-    """
-    layer = {v: 1 for v in graph.vertices()}  # source vertex -> paths ending there
-    total = len(layer)
-    for _ in range(max_len):
-        if not layer or total > MAX_ENUMERATION:
+    """len(all_paths_upto(graph, max_len)) counted layer by layer; stops once past MAX_ENUMERATION."""
+    total = graph.n_vertices
+    for size in layer_sizes(graph, dict.fromkeys(graph.vertices(), 1), max_len):
+        if total > MAX_ENUMERATION:
             break
-        nxt: dict[int, int] = {}
-        for v, count in layer.items():
-            for e in graph.edges_into(v):
-                w = graph.source_of[e]
-                nxt[w] = nxt.get(w, 0) + count
-        layer = nxt
-        total += sum(nxt.values())
+        total += size
     return total
 
 

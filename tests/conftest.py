@@ -14,7 +14,8 @@ import pytest
 
 import selfsim as ss
 from selfsim.sweeps import FreenessReport
-from selfsim.errors import NotIdempotentError
+from selfsim.errors import CompositionError, NotIdempotentError
+from selfsim.groups import refuse_oversize
 from selfsim.automaton import invert_word, reduce_word
 from selfsim.semigroup import UnitaryReport, render
 from selfsim.specfile import load_spec_file, load_spec_text
@@ -99,6 +100,104 @@ def stack_step(group, word, letter):
             else:
                 stack.append(s)
     return img, tuple(reversed(stack))
+
+
+# The path algebra, act_path and mul as they were while every path they returned
+# went through the checked Path constructor: oracles for the unchecked builds.
+
+def checked_prefix(p, n):
+    if not 0 <= n <= len(p):
+        raise ValueError(f"prefix length {n} out of range")
+    if n == 0:
+        return ss.vertex_path(p.graph, p.range_vertex)
+    return ss.Path(p.graph, None, p.edges[:n])
+
+
+def checked_drop(p, n):
+    if not 0 <= n <= len(p):
+        raise ValueError(f"drop length {n} out of range")
+    if n == len(p):
+        return ss.vertex_path(p.graph, p.source_vertex)
+    return ss.Path(p.graph, None, p.edges[n:])
+
+
+def checked_concat(a, b):
+    if a.graph is not b.graph and a.graph != b.graph:
+        raise CompositionError("paths live on different graphs")
+    if a.source_vertex != b.range_vertex:
+        raise CompositionError(
+            f"cannot concatenate: d({a}) = {a.graph.vertex_labels[a.source_vertex]}"
+            f" but r({b}) = {b.graph.vertex_labels[b.range_vertex]}"
+        )
+    if a.is_vertex:
+        return b
+    if b.is_vertex:
+        return a
+    return ss.Path(a.graph, None, a.edges + b.edges)
+
+
+def checked_prefix_compare(a, b):
+    if a.graph is not b.graph and a.graph != b.graph:
+        return ss.PrefixRel.INCOMPARABLE
+    if len(a) <= len(b):
+        shorter, longer, short_is_a = a, b, True
+    else:
+        shorter, longer, short_is_a = b, a, False
+    if shorter.range_vertex != longer.range_vertex:
+        return ss.PrefixRel.INCOMPARABLE
+    if shorter.edges != longer.edges[: len(shorter)]:
+        return ss.PrefixRel.INCOMPARABLE
+    if len(shorter) == len(longer):
+        return ss.PrefixRel.EQUAL
+    return ss.PrefixRel.A_PROPER if short_is_a else ss.PrefixRel.B_PROPER
+
+
+def checked_complement(a, b):
+    rel = checked_prefix_compare(a, b)
+    if rel not in (ss.PrefixRel.EQUAL, ss.PrefixRel.A_PROPER):
+        raise CompositionError(f"{a} is not a prefix of {b}")
+    return checked_drop(b, len(a))
+
+
+def checked_extensions(b, count):
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    result = [b]
+    graph = b.graph
+    for _ in range(count):
+        result = [checked_concat(p, ss.Path(graph, None, (e,)))
+                  for p in result for e in graph.edges_into(p.source_vertex)]
+    return result
+
+
+def checked_act_path(t, g, a):
+    if a.graph is not t.graph and a.graph != t.graph:
+        raise ValueError("path does not belong to this triple's graph")
+    t.group.check(g)
+    if a.is_vertex:
+        return ss.vertex_path(t.graph, t.act_vertex(g, a.vertex)), g
+    images = []
+    state = g
+    for e in a.edges:
+        image, state = t.step(state, e)
+        images.append(image)
+        if type(state) is tuple:
+            refuse_oversize(len(state), "letters in the restriction along the path")
+    return ss.Path(t.graph, None, tuple(images)), state
+
+
+def checked_mul(t, s, u):
+    if isinstance(s, ss.Zero) or isinstance(u, ss.Zero):
+        return ss.ZERO
+    rel = checked_prefix_compare(s.beta, u.alpha)
+    if rel == ss.PrefixRel.INCOMPARABLE:
+        return ss.ZERO
+    group = t.group
+    if rel == ss.PrefixRel.B_PROPER:
+        img, coc = checked_act_path(t, group.inv(u.g), checked_drop(s.beta, len(u.alpha)))
+        return ss.Triple(s.alpha, group.mul(s.g, group.inv(coc)), checked_concat(u.beta, img))
+    img, coc = checked_act_path(t, s.g, checked_drop(u.alpha, len(s.beta)))
+    return ss.Triple(checked_concat(s.alpha, img), group.mul(coc, u.g), u.beta)
 
 
 def labeled_odometer():

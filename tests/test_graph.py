@@ -348,6 +348,22 @@ def test_all_paths_refuses_oversize_before_building(graph):
         ss.all_paths_upto(graph, 10**9)
 
 
+def test_extensions_refuse_an_oversize_layer_before_building(graph, monkeypatch):
+    # 2^count extensions of the vertex on two loops: 2^16 = 65536 is under the limit, 2^17 is over.
+    v = ss.vertex_path(graph, 0)
+    paths = ss.extensions(v, 16)
+    assert len(paths) == 65536 and len(set(paths)) == 65536 and all(len(p) == 16 for p in paths)
+    # A family that dies out at a source is empty however long the extension asked for.
+    g = ss.make_graph(["u", "w"], [("p", "u", "w")])
+    assert ss.extensions(ss.vertex_path(g, 0), 10**9) == []
+    built = []
+    monkeypatch.setattr(ss.graph, "_edge_path", lambda *args: built.append(args))
+    for count in (17, 40):
+        with pytest.raises(ValueError, match="more than 100000 paths in one layer of extensions "):
+            ss.extensions(v, count)
+    assert not built
+
+
 def test_label_ids_match_the_first_occurrence():
     g = ss.Graph(("v", "w", "v"), ("e", "f", "e"), (0, 1, 2), (0, 1, 2))
     assert (g.vertex_id("v"), g.vertex_id("w"), g.edge_id("e"), g.edge_id("f")) == (0, 1, 0, 1)

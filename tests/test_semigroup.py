@@ -8,6 +8,7 @@ import pytest
 
 import selfsim as ss
 from conftest import (
+    all_spec_triples,
     assert_dominates,
     cover_oracle,
     cube_e_star_unitary,
@@ -203,6 +204,16 @@ def test_idempotent_order(odo):
     assert ss.idempotent_order(odo, e0, e0) == ss.IdempotentOrder.EQUAL
     with pytest.raises(NotIdempotentError):
         ss.idempotent_order(odo, ss.make_triple(odo, epath(odo, 0), 1, epath(odo, 1)), e0)
+
+
+def test_is_idempotent_asks_the_backend_for_the_identity():
+    # b.c.d = 1 in the Grigorchuk group, though the word is reduced and nonempty.
+    t = dict(all_spec_triples())["grigorchuk"]
+    v, bcd = ss.vertex_path(t.graph, 0), t.group.parse("b.c.d")
+    assert bcd and t.group.eq(bcd, t.group.identity()).is_equal
+    assert ss.is_idempotent(t, ss.Triple(v, bcd, v))
+    assert not ss.is_idempotent(t, ss.Triple(v, t.group.parse("b.c"), v))
+    assert ss.idempotent_order(t, ss.Triple(v, bcd, v), ss.unit_idempotent(t, v)) == ss.IdempotentOrder.EQUAL
 
 
 def test_idempotent_order_consistent_with_mul(odo):
