@@ -13,7 +13,7 @@ from collections.abc import Iterable, Sequence
 from .action import SelfSimilarTriple
 from .errors import BackendMismatchError, NonBijectiveOutputError, Record, SpecFileError
 from .graph import Graph, label_ids, make_graph
-from .groups import MAX_ENUMERATION, GroupBackend, _exact, _Memo, check_window_radius
+from .groups import MAX_ENUMERATION, GroupBackend, _Memo, check_window_radius
 from .tri import Tri, DISTINCT, EQUAL, unknown
 
 # _Section (annotations) lives in specfile, which calls the loaders below.
@@ -75,7 +75,6 @@ class AutomatonGroup(GroupBackend):
             self._moves[-g - 1] = tuple((pre, invert_word(self.restrictions[g][pre])[::-1]) for pre in inv)
         self._steps = _Memo()  # (word, letter) -> step(word, letter)
         self._verdicts = _Memo()  # (a, b) -> eq(a, b)
-        self._words = _Memo()  # word -> True, for words of exact int letters that check passed
 
     def identity(self) -> tuple[int, ...]:
         return ()
@@ -86,22 +85,16 @@ class AutomatonGroup(GroupBackend):
     def inv(self, a) -> tuple[int, ...]:
         return invert_word(self.check(a))
 
-    def check(self, x):
-        """x when it is an element. A word of exact int letters passes the full
-        test once; a float or bool letter equals an int, so it never hits the memo."""
-        exact = _exact(x)
-        if exact and x in self._words:
-            return x
-        GroupBackend.check(self, x)
-        if exact:
-            self._words.keep(x, True, len(x))
-        return x
-
     def contains(self, x) -> bool:
+        """x is a tuple of int letters in +-1..k with no letter beside its inverse: a reduced word."""
         if not isinstance(x, tuple):
             return False
-        k = len(self.generator_names)
-        return all(isinstance(s, int) and s != 0 and abs(s) <= k for s in x) and x == reduce_word(x)
+        k, last = len(self.generator_names), 0
+        for s in x:
+            if not isinstance(s, int) or not 0 < abs(s) <= k or s == -last:
+                return False
+            last = s
+        return True
 
     def generator(self, index: int) -> tuple[int, ...]:
         return (index + 1,)

@@ -291,13 +291,21 @@ def extensions(b: Path, count: int) -> list[Path]:
     graph = b.graph
     for size in layer_sizes(graph, {b.source_vertex: 1}, count):
         refuse_oversize(size, "paths in one layer of extensions")
-    into = graph.edges_into
-    layer = [b]
-    for _ in range(count):
-        layer = [_edge_path(graph, p.edges + (e,)) for p in layer for e in into(p.source_vertex)]
-        if not layer:
-            break
-    return layer
+    if count == 0:
+        return [b]
+    # Depth first, each vertex's edges in edges_into order: the layers' order, and only the last is built.
+    into, source_of, base = graph.edges_into, graph.source_of, len(b.edges)
+    trail, stack, out = list(b.edges), [iter(into(b.source_vertex))], []
+    while stack:
+        e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+        elif len(stack) < count:
+            trail[base + len(stack) - 1:] = (e,)  # the edge at this depth; deeper ones are stale
+            stack.append(iter(into(source_of[e])))
+        else:
+            out.append(_edge_path(graph, (*trail, e)))
+    return out
 
 
 def layer_sizes(graph: Graph, layer: dict[int, int], count: int):

@@ -22,9 +22,9 @@ from .errors import (
     UndecidedError,
     Value,
 )
-from .graph import Path, PrefixRel, concat, prefix_compare
+from .graph import _A_PROPER, _B_PROPER, _EQUAL, Path, concat, prefix_compare
 from .groups import DEFAULT_DEPTH, DEFAULT_RADIUS, _exact, _Memo, at_least, default_window
-from .infinite import InfPath, PeriodicPath, _carry_seq, _image_path, _orbit, inf_path_eq
+from .infinite import InfPath, PeriodicPath, _carry_walk, inf_path_eq
 from .sweeps import hausdorff_report, render_certificate
 from .tri import Tri, DISTINCT, EQUAL, all_of, unknown
 
@@ -84,27 +84,19 @@ class GermContext:
     # -- the carry walk ----------------------------------------------------
 
     def _walk(self, g, xi: InfPath, image: bool = True) -> tuple[InfPath | None, CoronaSeq]:
-        """(g.xi, Phi(g, xi)) from one walk of the carry orbit at the context's depth.
-
-        g is checked on every call. Only exact outcomes are kept: a closed
-        orbit of an int, or a word of ints, on a periodic xi. Streams,
-        unclosed orbits and errors are walked afresh, and then g.xi is built
-        only when ``image`` asks for it (else None).
-        """
-        t = self.triple
-        t.group.check(g)
+        """_carry_walk at the context's depth, checking g on a hit too. Only closed walks
+        of an int, or a word of ints, on a periodic xi are kept; the rest are walked afresh."""
         key = _walk_key(g, xi)
         if key is not None:
             known = self._walks.get(key)
             if known is not None:
+                self.triple.group.check(g)
                 return known
-        outcome = _orbit(t, g, xi, self.depth)
-        if key is None or outcome[0] != "periodic":
-            return (_image_path(t, outcome) if image else None), _carry_seq(t, outcome)
-        gxi, seq = pair = _image_path(t, outcome), _carry_seq(t, outcome)
-        letters = len(key[1]) + len(key[2]) + len(gxi.prefix_edges) + len(gxi.cycle_edges)
-        letters += sum(len(c) if type(c) is tuple else 1 for c in (g, *seq.prefix, *seq.cycle))
-        self._walks.keep(key, pair, letters)
+        gxi, seq = pair = _carry_walk(self.triple, g, xi, self.depth, image)
+        if key is not None and isinstance(seq, PeriodicSeq):
+            letters = len(key[1]) + len(key[2]) + len(gxi.prefix_edges) + len(gxi.cycle_edges)
+            letters += sum(len(c) if type(c) is tuple else 1 for c in (g, *seq.prefix, *seq.cycle))
+            self._walks.keep(key, pair, letters)
         return pair
 
     # -- construction ------------------------------------------------------
@@ -153,7 +145,7 @@ class GermContext:
         if len(u1.beta) > len(u2.beta):
             u1, u2 = u2, u1
         rel = prefix_compare(u1.beta, u2.beta)
-        if rel not in (PrefixRel.EQUAL, PrefixRel.A_PROPER):
+        if rel is not _EQUAL and rel is not _A_PROPER:
             return DISTINCT
         gamma = u2.beta.drop(len(u1.beta))
         tails = inf_path_eq(u1.xi, u2.xi.prepend(gamma), self.depth)
@@ -283,9 +275,9 @@ class GermContext:
         if gamma is None:
             return (alpha, g, beta)
         rel = prefix_compare(gamma, beta)
-        if rel in (PrefixRel.EQUAL, PrefixRel.A_PROPER):
+        if rel is _EQUAL or rel is _A_PROPER:
             return (alpha, g, beta)
-        if rel == PrefixRel.B_PROPER:
+        if rel is _B_PROPER:
             eps = gamma.drop(len(beta))
             img, coc = self.triple.act_path(g, eps)
             return (concat(alpha, img), coc, gamma)

@@ -2,9 +2,10 @@
 
 Eventually periodic paths are exact (normal form prefix.(cycle)*); stream
 paths are known only to a declared depth. By definition (g.xi)|n and
-Phi(g, xi)_(n+1) are the image and cocycle of t.act_path(g, xi.truncate(n));
-act_inf_path and phi_corona give the whole path and the whole sequence from
-one walk of the carry orbit along xi, which closes on periodic inputs.
+Phi(g, xi)_(n+1) are the image and cocycle of t.act_path(g, xi.truncate(n)).
+One walk of the carry orbit along xi, _carry_walk, gives the whole path and
+the whole sequence, closing on periodic inputs: act_inf_path, phi_corona,
+act_and_phi_corona and the germ walks of groupoid all call it.
 """
 
 from __future__ import annotations
@@ -209,13 +210,12 @@ def inf_path_eq(a: InfPath, b: InfPath, depth: int) -> Tri:
 
 
 def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
-    """Walk the carry state along xi, detecting closure for periodic inputs.
+    """(images, carries, closure) along xi: carries[n] = phi(g, xi|_n), images[n-1] = (g.xi)_n.
 
-    Returns ("periodic", images, carries, preperiod, period) when the state
-    (carry value, phase in the cycle) recurs, else ("bounded", images,
-    carries). carries[n] = phi(g, xi|_n), images[n-1] = (g.xi)_n. A carry
-    word costs its letters, any other carry 1: once the carries walked cost
-    more than MAX_ENUMERATION, the walk raises DepthExceededError.
+    closure is (start, end) when the state (carry, phase in the cycle) of step
+    start recurs at step end, else None: the walk stopped at the depth. A carry
+    word costs its letters, any other carry 1; past MAX_ENUMERATION carry
+    letters the walk raises DepthExceededError.
     """
     at_least("depth", depth, 0)
     images: list[int] = []
@@ -238,7 +238,7 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
         else:
             key = (state, phase)
             if key in seen:
-                return "periodic", images, carries, seen[key], n - seen[key]
+                return images, carries, (seen[key], n)
             seen[key] = n
             e = cycle[phase]
             phase = phase + 1 if phase + 1 < q else 0
@@ -249,35 +249,30 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
                 f"the carry words along the path pass {MAX_ENUMERATION} letters at depth {n + 1}")
         images.append(image)
         carries.append(state)
-    return "bounded", images[:depth], carries[: depth + 1]
+    return images[:depth], carries[: depth + 1], None
 
 
-def _image_path(t: SelfSimilarTriple, outcome) -> InfPath:
-    """g.xi from an _orbit outcome; undecided when the walk saw no letter."""
-    if outcome[0] == "periodic":
-        _, images, _, start, period = outcome
-        pre, cyc = normalize(tuple(images[:start]), tuple(images[start : start + period]))
-        return PeriodicPath(t.graph, pre, cyc)
-    images = outcome[1]
-    if not images:
-        raise DepthExceededError("no letter of the path is known: its image is undecided")
-    return stream_path(t.graph, images)
+def _carry_walk(t: SelfSimilarTriple, g, xi: InfPath, depth: int, image: bool = True):
+    """(g.xi, Phi(g, xi)) from one walk of the carry orbit, after checking g.
 
-
-def _carry_seq(t: SelfSimilarTriple, outcome) -> CoronaSeq:
-    """Phi(g, xi) from an _orbit outcome."""
-    carries = outcome[2]
-    if outcome[0] == "periodic":
-        start, period = outcome[3], outcome[4]
+    A closed walk gives both eventually periodic. Otherwise g.xi is a stream,
+    undecided when the walk saw no letter, and None unless ``image`` asks for it.
+    """
+    t.group.check(g)
+    images, carries, closure = _orbit(t, g, xi, depth)
+    if closure is not None:
+        start, end = closure
+        pre, cyc = normalize(tuple(images[:start]), tuple(images[start:end]))
         # Phi_n = carries[n-1]: shift the detected closure by one index.
-        return PeriodicSeq.make(t.group, tuple(carries[:start]), tuple(carries[start : start + period]))
-    return BoundedSeq(t.group, tuple(carries[:-1]) if len(carries) > 1 else (carries[0],))
+        return PeriodicPath(t.graph, pre, cyc), PeriodicSeq.make(t.group, carries[:start], carries[start:end])
+    if image and not images:
+        raise DepthExceededError("no letter of the path is known: its image is undecided")
+    return (stream_path(t.graph, images) if image else None), BoundedSeq(t.group, tuple(carries[:-1] or carries))
 
 
 def act_inf_path(t: SelfSimilarTriple, g, xi: InfPath, depth: int = DEFAULT_DEPTH) -> InfPath:
     """The infinite path g.xi; eventually periodic when the carry orbit closes."""
-    t.group.check(g)
-    return _image_path(t, _orbit(t, g, xi, depth))
+    return _carry_walk(t, g, xi, depth)[0]
 
 
 def phi_corona(t: SelfSimilarTriple, g, xi: InfPath, depth: int = DEFAULT_DEPTH) -> CoronaSeq:
@@ -287,12 +282,9 @@ def phi_corona(t: SelfSimilarTriple, g, xi: InfPath, depth: int = DEFAULT_DEPTH)
     bound; otherwise a bounded stream, and downstream equality answers
     degrade to unknown rather than being silently wrong.
     """
-    t.group.check(g)
-    return _carry_seq(t, _orbit(t, g, xi, depth))
+    return _carry_walk(t, g, xi, depth, image=False)[1]
 
 
 def act_and_phi_corona(t: SelfSimilarTriple, g, xi: InfPath, depth: int = DEFAULT_DEPTH) -> tuple[InfPath, CoronaSeq]:
     """(g.xi, Phi(g, xi)) from one walk of the carry orbit."""
-    t.group.check(g)
-    outcome = _orbit(t, g, xi, depth)
-    return _image_path(t, outcome), _carry_seq(t, outcome)
+    return _carry_walk(t, g, xi, depth)

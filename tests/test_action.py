@@ -1,14 +1,17 @@
 """Axioms, the path recursion, infinite-path action, and freeness sweeps."""
 
+import argparse
 import random
 import time
 
 import pytest
 
 import selfsim as ss
+from selfsim import cli
+from selfsim.automaton import AutomatonGroup
 from selfsim.errors import InvalidMatricesError
 from selfsim.infinite import act_and_phi_corona
-from selfsim.sweeps import check_path_bound
+from selfsim.sweeps import check_path_bound, require_axioms
 from conftest import (
     TEST_SPECS,
     TWIN_MACHINE_SPEC,
@@ -45,6 +48,21 @@ def test_verify_axioms_detects_patched_cocycle(odo):
     )
     report = ss.verify_axioms(broken, ss.default_window(odo.group, 2))
     assert any(v.law == "cocycle-identity" for v in report.violations)
+
+
+def test_laws_the_backend_cannot_decide_are_undecided_not_violated():
+    # a acts as the identity, but the backend is not flagged faithful: a word is never proved equal to 1.
+    group = AutomatonGroup(["a"], 2, [[0, 1]], [[(), ()]])
+    graph = ss.make_graph(["v"], [("0", "v", "v"), ("1", "v", "v")])
+    t = ss.SelfSimilarTriple(graph, group, lambda g, v: v,
+                             lambda g, e: (e, (1, 1)) if g == () else group.step(g, e))
+    report = ss.verify_axioms(t, group.window(1))
+    assert report.violations == () and not report.ok
+    assert {v.law for v in report.undecided} == {"cocycle-at-one", "cocycle-identity"}
+    require_axioms(t)  # undecided laws pass
+    printed = []
+    assert cli._cmd_validate(t, argparse.Namespace(), printed.append) == 2  # exit 2: undecided
+    assert printed[:2] == ["graph: ok", "axioms: cocycle-at-one undecided: phi(1, 0) != 1"]
 
 
 def test_verify_axioms_rejects_bad_window(odo):

@@ -40,6 +40,13 @@ def test_shift_round_trip(z):
             assert shifted.entry(n + k) == a.entry(n)
 
 
+def test_a_negative_shift_shifts_the_other_way(z):
+    a, bounded = seq(z, (3, 1), (2, 5)), ss.BoundedSeq(z, (4, 6, 7))
+    for k in range(3):
+        assert ss.shift_left(a, -k) == ss.shift_right(a, k)
+        assert ss.shift_left(bounded, -k).values == ss.shift_right(bounded, k).values
+
+
 def test_pointwise_mul_and_inv(z):
     a = seq(z, (1,), (2, 3))
     b = seq(z, (0, 4), (5,))

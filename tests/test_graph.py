@@ -202,6 +202,12 @@ def test_stream_path_depth(graph):
     assert ss.inf_path_eq(s, ss.periodic_path(graph, [], [1]), 16).is_distinct
 
 
+def test_a_stream_path_prints_its_first_12_labels_and_its_depth(graph):
+    assert str(ss.stream_path(graph, [0, 1, 0])) == "e0.e1.e0..[3]"
+    letters = [1] * 12 + [0] * 8
+    assert str(ss.stream_path(graph, letters)) == ".".join(["e1"] * 12) + "..[20]"
+
+
 def test_streams_differing_at_a_known_letter_or_in_their_graph_are_distinct(graph):
     a, b = ss.stream_path(graph, [0, 1, 0]), ss.stream_path(graph, [0, 1, 1, 0])
     assert ss.inf_path_eq(a, b, 16).is_distinct
@@ -362,6 +368,16 @@ def test_extensions_refuse_an_oversize_layer_before_building(graph, monkeypatch)
         with pytest.raises(ValueError, match="more than 100000 paths in one layer of extensions "):
             ss.extensions(v, count)
     assert not built
+
+
+def test_extensions_of_a_thin_family_cost_the_letters_returned():
+    # One loop: one path a layer. Building every layer costs count^2 / 2 letters, the last alone count.
+    g = ss.make_graph(["v"], [("e", "v", "v")])
+    start = time.perf_counter()
+    paths = ss.extensions(ss.vertex_path(g, 0), 40_000)
+    elapsed = time.perf_counter() - start
+    assert [p.edges for p in paths] == [(0,) * 40_000]
+    assert elapsed < 0.5, f"one 40000-edge extension took {elapsed:.2f}s"
 
 
 def test_label_ids_match_the_first_occurrence():

@@ -63,8 +63,9 @@ def ep(t, *ids):
 
 
 def test_context_refuses_unfree_triple(kat20):
-    with pytest.raises(FreenessNotVerifiedError):
+    with pytest.raises(FreenessNotVerifiedError) as refused:
         ss.GermContext(kat20)
+    assert str(refused.value) == "freeness counterexample (m=1, e=(1,1,0)); pass allow_unverified to proceed"
     ctx = ss.GermContext(kat20, allow_unverified=True)
     assert ctx.freeness.found_counterexample
 
@@ -824,13 +825,13 @@ def walk_letters(table):
 def counted_orbits(monkeypatch):
     """Patch the context's carry walk to record each (g, xi) it walks."""
     walked = []
-    orbit = groupoid._orbit
+    walk = groupoid._carry_walk
 
-    def counting(t, g, xi, depth):
+    def counting(t, g, xi, depth, image=True):
         walked.append((g, xi))
-        return orbit(t, g, xi, depth)
+        return walk(t, g, xi, depth, image)
 
-    monkeypatch.setattr(groupoid, "_orbit", counting)
+    monkeypatch.setattr(groupoid, "_carry_walk", counting)
     return walked
 
 

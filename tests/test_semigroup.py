@@ -206,6 +206,13 @@ def test_idempotent_order(odo):
         ss.idempotent_order(odo, ss.make_triple(odo, epath(odo, 0), 1, epath(odo, 1)), e0)
 
 
+def test_zero_sits_below_every_idempotent(odo):
+    e0 = ss.unit_idempotent(odo, epath(odo, 0))
+    assert ss.idempotent_order(odo, ss.ZERO, e0) == ss.IdempotentOrder.LEQ
+    assert ss.idempotent_order(odo, e0, ss.ZERO) == ss.IdempotentOrder.GEQ
+    assert ss.idempotent_order(odo, ss.ZERO, ss.ZERO) == ss.IdempotentOrder.EQUAL
+
+
 def test_is_idempotent_asks_the_backend_for_the_identity():
     # b.c.d = 1 in the Grigorchuk group, though the word is reduced and nonempty.
     t = dict(all_spec_triples())["grigorchuk"]
