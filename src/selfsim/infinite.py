@@ -215,7 +215,11 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
     closure is (start, end) when the state (carry, phase in the cycle) of step
     start recurs at step end, else None: the walk stopped at the depth. A carry
     word costs its letters, any other carry 1; past MAX_ENUMERATION carry
-    letters the walk raises DepthExceededError.
+    letters the walk raises DepthExceededError. On a stream, once the carry is
+    the backend's identity and fixes each edge left with trivial restriction,
+    the rest of the walk is the rest of xi under identity carries, taken in one
+    step: the walk costs the letters until the carry is trivial or the orbit
+    closes, and at most the depth.
     """
     at_least("depth", depth, 0)
     images: list[int] = []
@@ -225,15 +229,27 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
     if isinstance(xi, PeriodicPath):
         prefix, cycle = xi.prefix_edges, xi.cycle_edges
         end = depth + len(prefix) + len(cycle) + 1
+        one, watch = None, False
     else:
         # A stream path is all prefix: its known letters, up to the depth.
         prefix, cycle = xi.head(min(depth, xi.depth_limit)), ()
         end = len(prefix)
+        one, watch = t.group.identity(), True
+    kind = type(one)
     p, q = len(prefix), len(cycle)
     seen: dict = {}
     phase = spent = 0
     for n in range(end):
         if n < p:
+            if watch and state == one and type(state) is kind:
+                watch = False  # tried once, so the checks cost at most the steps they save
+                rest = prefix[n:]
+                # The skipped steps cost what the loop would spend: past the budget, walk on.
+                if spent + len(rest) * (len(one) if kind is tuple else 1) <= MAX_ENUMERATION \
+                        and _fixes(step, one, rest):
+                    images.extend(rest)
+                    carries.extend([state] * len(rest))
+                    break
             e = prefix[n]
         else:
             key = (state, phase)
@@ -250,6 +266,19 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
         images.append(image)
         carries.append(state)
     return images[:depth], carries[: depth + 1], None
+
+
+def _fixes(step, one, letters) -> bool:
+    """step(one, e) is (e, one), in value and type, for every e in letters.
+
+    The distinct letters are stepped in the order they first occur, so a step
+    that raises raises as the letter-by-letter walk from one would.
+    """
+    for e in dict.fromkeys(letters):
+        image, carry = step(one, e)
+        if image != e or carry != one or type(image) is not type(e) or type(carry) is not type(one):
+            return False
+    return True
 
 
 def _carry_walk(t: SelfSimilarTriple, g, xi: InfPath, depth: int, image: bool = True):

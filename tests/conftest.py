@@ -14,7 +14,8 @@ import pytest
 
 import selfsim as ss
 from selfsim.sweeps import FreenessReport
-from selfsim.errors import CompositionError, NotIdempotentError
+from selfsim import infinite
+from selfsim.errors import CompositionError, DepthExceededError, NotIdempotentError
 from selfsim.groups import refuse_oversize
 from selfsim.automaton import invert_word, reduce_word
 from selfsim.semigroup import UnitaryReport, render
@@ -560,6 +561,41 @@ def cube_e_star_unitary(t, window, path_bound=4):
     if group.is_finite and len(window) >= len(list(group.elements())) and not undecided:
         return UnitaryReport("holds", None, len(window))
     return UnitaryReport("unknown", None, len(window))
+
+
+def reference_orbit(t, g, xi, depth):
+    """infinite._orbit letter by letter to the depth, with no cut at a trivial carry.
+
+    Reads infinite.MAX_ENUMERATION when called, so a patched budget holds here too.
+    """
+    images = []
+    carries = [g]
+    state = g
+    if isinstance(xi, ss.PeriodicPath):
+        prefix, cycle = xi.prefix_edges, xi.cycle_edges
+        end = depth + len(prefix) + len(cycle) + 1
+    else:
+        prefix, cycle = xi.head(min(depth, xi.depth_limit)), ()
+        end = len(prefix)
+    budget = infinite.MAX_ENUMERATION
+    seen = {}
+    phase = spent = 0
+    for n in range(end):
+        if n < len(prefix):
+            e = prefix[n]
+        else:
+            if (state, phase) in seen:
+                return images, carries, (seen[state, phase], n)
+            seen[state, phase] = n
+            e = cycle[phase]
+            phase = (phase + 1) % len(cycle)
+        image, state = t.step(state, e)
+        spent += len(state) if type(state) is tuple else 1
+        if spent > budget:
+            raise DepthExceededError(f"the carry words along the path pass {budget} letters at depth {n + 1}")
+        images.append(image)
+        carries.append(state)
+    return images[:depth], carries[: depth + 1], None
 
 
 def _full_depth_conditions(t, eta, gseq, p, q, zeta, depth):

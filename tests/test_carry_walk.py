@@ -1,0 +1,305 @@
+"""A trivial carry ends the carry walk: the same answers as the letter-by-letter walk, in fewer steps.
+
+Once the restriction is the backend's identity, and the identity fixes every
+edge left with trivial restriction, the rest of a stream is fixed and every
+later carry is the identity. infinite._orbit takes that rest in one step,
+and groupoid._model_conditions compares the letters left in one comparison;
+these tests compare them with the letter-by-letter oracles of conftest, on
+every spec and on triples whose identity breaks the identity law, and count
+the steps they take.
+"""
+
+import random
+
+import pytest
+
+import selfsim as ss
+from selfsim import groupoid, infinite
+from selfsim.errors import DepthExceededError
+from selfsim.infinite import act_and_phi_corona
+from selfsim.tri import DISTINCT
+from conftest import _full_depth_conditions, all_spec_triples, labeled_odometer, reference_orbit
+
+
+def loops_graph():
+    return ss.make_graph(["v"], [("e0", "v", "v"), ("e1", "v", "v")])
+
+
+def swapping_identity_triple():
+    """A Cayley-table triple over Z/2 whose identity row sends e0 to e1: the identity law fails."""
+    group = ss.FiniteGroup(["1", "s"], [[0, 1], [1, 0]])
+    return ss.finite_triple(loops_graph(), group, [[0], [0]], [[1, 0], [0, 1]], [[0, 0], [0, 0]],
+                            description="swapping identity")
+
+
+def bool_carry_triple():
+    """Integer carries that count down to False, which equals the identity 0 but swaps the
+    edges: only the type of the carry keeps the cut off it."""
+
+    def step(g, e):
+        if g is False:
+            return 1 - e, False
+        return e, (g - 1 if g > 1 else False) if g > 0 else g
+
+    return ss.SelfSimilarTriple(loops_graph(), ss.IntegerGroup(), lambda g, v: v, step, "bool carry")
+
+
+def half_identity_triple():
+    """A Cayley-table triple over Z/2 whose identity fixes e0 with trivial restriction but
+    restricts to the swap at e1: the identity law holds on some edges only."""
+    group = ss.FiniteGroup(["1", "s"], [[0, 1], [1, 0]])
+    return ss.finite_triple(loops_graph(), group, [[0], [0]], [[0, 1], [1, 0]], [[0, 1], [0, 0]],
+                            description="half identity")
+
+
+def countdown_triple(at_one, description):
+    """Integer carries that fix every edge and count down (or up) to 0; the identity steps e to at_one(e)."""
+
+    def step(g, e):
+        if g == 0:
+            return at_one(e)
+        return e, g - 1 if g > 0 else g + 1
+
+    return ss.SelfSimilarTriple(loops_graph(), ss.IntegerGroup(), lambda g, v: v, step, description)
+
+
+WALK_TRIPLES = all_spec_triples() + [
+    ("swapping_identity", swapping_identity_triple()),
+    ("half_identity", half_identity_triple()),
+    ("bool_carry", bool_carry_triple()),
+    # The identity's step equals (e, 0) in value, not in type: in its restriction, or in its image.
+    ("false_restriction", countdown_triple(lambda e: (e, False), "false restriction")),
+    ("bool_image", countdown_triple(lambda e: (bool(e), 0), "bool image")),
+]
+# The triples whose identity breaks the identity law, in value or in type, on every edge.
+NEVER_CUT = {"swapping_identity", "false_restriction", "bool_image"}
+
+
+def outcome(call):
+    """The value of call(), or the type and text of what it raised, as one string."""
+    try:
+        return call()
+    except Exception as err:  # noqa: BLE001 - the exception is the outcome
+        return f"{type(err).__name__}: {err}"
+
+
+def typed(result):
+    """An orbit with the type of each image and carry, so an equal value of another type shows."""
+    if isinstance(result, tuple) and len(result) == 3:
+        images, carries, closure = result
+        return images, carries, closure, [type(x) for x in images], [type(c) for c in carries]
+    return result
+
+
+def plain(result):
+    """A carry walk's (g.xi, Phi) as comparable values: streams and bounded sequences compare by identity."""
+    if not isinstance(result, tuple) or len(result) != 2:
+        return result
+    gxi, seq = result
+    path = gxi if isinstance(gxi, ss.PeriodicPath) else gxi.letters
+    if isinstance(seq, ss.PeriodicSeq):
+        return path, seq, [type(c) for c in seq.prefix + seq.cycle]
+    return path, seq.values, [type(c) for c in seq.values]
+
+
+def random_letters(rng, graph, n):
+    """Up to n composable letters from a random first edge, stopping early at a source."""
+    letters = [rng.randrange(graph.n_edges)]
+    while len(letters) < n:
+        into = graph.edges_into(graph.source_of[letters[-1]])
+        if not into:
+            break
+        letters.append(rng.choice(into))
+    return letters
+
+
+def elements(rng, t):
+    """The identity and up to 24 more of the radius-2 window, and for an automaton backend six longer words."""
+    group = t.group
+    window = ss.default_window(group, 2)
+    out = window[:1] + rng.sample(window[1:], min(24, len(window) - 1))
+    if isinstance(group, ss.AutomatonGroup):
+        k = len(group.generator_names)
+        for _ in range(6):
+            word = group.identity()
+            for _ in range(rng.randint(5, 12)):
+                word = group.mul(word, (rng.choice([1, -1]) * rng.randint(1, k),))
+            out.append(word)
+    return out
+
+
+def inf_paths(rng, t):
+    """Three periodic paths, and five streams: periodic letters, random letters, long and short."""
+    graph = t.graph
+    cycles = [p for p in ss.all_paths_upto(graph, 2) if not p.is_vertex and p.range_vertex == p.source_vertex]
+    out = []
+    for _ in range(3):
+        cycle = rng.choice(cycles)
+        prefix = rng.choice([p for p in ss.all_paths_upto(graph, 2) if p.source_vertex == cycle.range_vertex])
+        out.append(ss.periodic_path(graph, prefix.edges, cycle.edges))
+    for n in (3, 40, 90):
+        xi = rng.choice(out[:3])
+        out.append(ss.stream_path(graph, [xi.letter(i) for i in range(1, n + 1)]))
+    for n in (7, 80):
+        out.append(ss.stream_path(graph, random_letters(rng, graph, n)))
+    return out
+
+
+@pytest.mark.parametrize("name, t", WALK_TRIPLES, ids=[name for name, _ in WALK_TRIPLES])
+def test_the_walk_answers_as_the_letter_by_letter_walk(name, t, monkeypatch):
+    rng = random.Random(f"walk {name}")
+    fixes = infinite._fixes
+    cuts = []
+    monkeypatch.setattr(infinite, "_fixes", lambda *args: cuts.append(fixes(*args)) or cuts[-1])
+    walks = []
+    for g in elements(rng, t):
+        for xi in inf_paths(rng, t):
+            for depth in (1, 5, 64):
+                walks.append((g, xi, depth))
+                expected = typed(outcome(lambda: reference_orbit(t, g, xi, depth)))
+                assert typed(outcome(lambda: infinite._orbit(t, g, xi, depth))) == expected, (name, g, str(xi), depth)
+    walked = [plain(outcome(lambda: infinite._carry_walk(t, g, xi, depth))) for g, xi, depth in walks]
+    monkeypatch.setattr(infinite, "_orbit", reference_orbit)
+    for (g, xi, depth), answer in zip(walks, walked):
+        assert answer == plain(outcome(lambda: infinite._carry_walk(t, g, xi, depth))), (name, g, str(xi), depth)
+    if name in NEVER_CUT:
+        assert cuts and not any(cuts), name
+    else:
+        assert any(cuts), name
+
+
+@pytest.mark.parametrize("name, t", WALK_TRIPLES, ids=[name for name, _ in WALK_TRIPLES])
+def test_the_model_conditions_answer_as_the_full_depth_walk(name, t, monkeypatch):
+    rng = random.Random(f"model {name}")
+    fixes = groupoid._fixes
+    cuts = []
+    monkeypatch.setattr(groupoid, "_fixes", lambda *args: cuts.append(fixes(*args)) or cuts[-1])
+    graph = t.graph
+    verdicts, changed = set(), False
+    for g in elements(rng, t):
+        for zeta in inf_paths(rng, t)[3:]:  # the streams
+            try:
+                images, carries, _ = reference_orbit(t, g, zeta, 64)
+            except DepthExceededError:
+                continue
+            if not images:
+                continue
+            i = rng.randrange(len(images))
+            e = images[i]
+            parallel = [f for f in graph.edges() if f != e and graph.range_of[f] == graph.range_of[e]
+                        and graph.source_of[f] == graph.source_of[e]]
+            if parallel and rng.random() < 0.5:
+                images[i], changed = rng.choice(parallel), True  # a letter of g.zeta changed
+            if rng.random() < 0.3:
+                # A carry sequence that turns trivial too early: the carry condition fails past it.
+                j = rng.randrange(len(carries))
+                carries[j:] = [t.group.identity()] * (len(carries) - j)
+            eta, gseq = ss.stream_path(graph, images), ss.BoundedSeq(t.group, tuple(carries))
+            p = rng.randint(0, 3)
+            q = p if rng.random() < 0.8 else rng.randint(0, 3)
+            for depth in (1, 5, 64):
+                verdict = outcome(lambda: groupoid._model_conditions(t, eta, gseq, p, q, zeta, depth))
+                assert verdict == outcome(lambda: _full_depth_conditions(t, eta, gseq, p, q, zeta, depth)), (
+                    name, g, str(zeta), str(eta), p, q, depth)
+                verdicts.add(str(verdict).split("@")[0])
+    if name in NEVER_CUT:
+        assert not any(cuts), name
+    else:
+        assert any(cuts) and "unknown" in verdicts and ("distinct" in verdicts or not changed), (name, verdicts)
+
+
+def raising_triple(at_e1):
+    """Integer carries that fix every edge and count down to 0; the identity cannot step e0
+    and steps e1 to at_e1."""
+
+    def step(g, e):
+        if g == 0:
+            if e == 0:
+                raise ValueError("the identity cannot step e0")
+            return at_e1
+        return e, g - 1
+
+    return ss.SelfSimilarTriple(loops_graph(), ss.IntegerGroup(), lambda g, v: v, step, "raising")
+
+
+def test_the_identity_law_is_checked_in_the_order_the_letters_come():
+    # The identity restricts to 2 at e1, so the walk along e1.e0 never steps e0 from it.
+    t = raising_triple((1, 2))
+    xi = ss.stream_path(t.graph, [1, 0])
+    assert infinite._orbit(t, 0, xi, 64) == reference_orbit(t, 0, xi, 64) == ([1, 0], [0, 2, 1], None)
+    # The model loop stops at the first letter eta does not repeat, before it steps e0.
+    t = raising_triple((1, 0))
+    eta, gseq, zeta = ss.stream_path(t.graph, [0, 0]), ss.BoundedSeq(t.group, (0, 0, 0)), xi
+    assert groupoid._model_conditions(t, eta, gseq, 0, 0, zeta, 64).is_distinct
+    assert _full_depth_conditions(t, eta, gseq, 0, 0, zeta, 64).is_distinct
+
+
+class SelfDistinctIntegers(ss.IntegerGroup):
+    """Integers whose comparison finds every pair distinct, the identity with itself too."""
+
+    def eq(self, a, b):
+        return DISTINCT
+
+
+def test_the_model_loop_is_cut_only_where_it_would_only_compare_letters():
+    # The identity fixes e0 but restricts to the swap at e1: the carry condition fails at e1.
+    t = half_identity_triple()
+    zeta = ss.stream_path(t.graph, [0, 1, 0])
+    gseq = ss.BoundedSeq(t.group, (0, 0, 0, 0))
+    for p in (0, 1):
+        assert groupoid._model_conditions(t, zeta, gseq, p, p, zeta, 64).is_distinct
+        assert _full_depth_conditions(t, zeta, gseq, p, p, zeta, 64).is_distinct
+    # A backend that finds the identity distinct from itself fails the carry condition at once.
+    odo = labeled_odometer()
+    t = ss.SelfSimilarTriple(odo.graph, SelfDistinctIntegers(), odo.act_vertex, odo.step)
+    zeta = ss.stream_path(t.graph, [0, 1, 0])
+    assert groupoid._model_conditions(t, zeta, gseq, 0, 0, zeta, 64).is_distinct
+    assert _full_depth_conditions(t, zeta, gseq, 0, 0, zeta, 64).is_distinct
+
+
+def test_a_broken_identity_law_keeps_the_letter_by_letter_walk():
+    t = swapping_identity_triple()
+    xi = ss.stream_path(t.graph, [0, 0, 1, 0])
+    images, carries, closure = infinite._orbit(t, 0, xi, 64)
+    assert (images, carries, closure) == ([1, 1, 0, 1], [0] * 5, None)
+
+
+def test_the_letter_budget_ends_the_walk_where_the_letter_by_letter_walk_ends(monkeypatch):
+    monkeypatch.setattr(infinite, "MAX_ENUMERATION", 50)
+    odo = labeled_odometer()
+    letters = [1, 1, 0] + [0] * 60  # the carry 1 is 0 from the third letter on; each int costs 1
+    xi = ss.stream_path(odo.graph, letters)
+    with pytest.raises(DepthExceededError) as walked:
+        infinite._orbit(odo, 1, xi, 64)
+    with pytest.raises(DepthExceededError) as reference:
+        reference_orbit(odo, 1, xi, 64)
+    assert str(walked.value) == str(reference.value) == "the carry words along the path pass 50 letters at depth 51"
+    # Fifty letters spend the budget exactly, and the cut spends it as the walk would.
+    xi = ss.stream_path(odo.graph, letters[:50])
+    assert infinite._orbit(odo, 1, xi, 64) == reference_orbit(odo, 1, xi, 64)
+    # Word carries cost their letters, and the trivial word costs none.
+    machine = ss.adding_machine()
+    xi = ss.stream_path(machine.graph, letters)
+    assert infinite._orbit(machine, (1,), xi, 64) == reference_orbit(machine, (1,), xi, 64)
+
+
+def counted(t):
+    """A copy of t whose step counts its calls."""
+    calls = [0]
+
+    def step(g, e):
+        calls[0] += 1
+        return t.step(g, e)
+
+    return ss.SelfSimilarTriple(t.graph, t.group, t.act_vertex, step, t.description), calls
+
+
+def test_a_trivial_carry_ends_the_walk():
+    t, calls = counted(labeled_odometer())
+    xi = ss.stream_path(t.graph, [0] * 10_000)
+    gxi, seq = act_and_phi_corona(t, 1, xi, depth=10_000)
+    assert calls[0] <= 3
+    assert gxi.letters == (1,) + (0,) * 9_999 and seq.values == (1,) + (0,) * 9_999
+    calls[0] = 0
+    reference_orbit(t, 1, xi, 10_000)
+    assert calls[0] == 10_000  # the letter-by-letter walk steps every letter

@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from math import lcm
 
 import pytest
@@ -30,6 +31,7 @@ from conftest import (
     SPECS,
     TEST_SPECS,
     TWIN_MACHINE_SPEC,
+    _full_depth_conditions,
     all_spec_triples,
     germ_coincidence_level,
     random_composable_pair,
@@ -714,6 +716,101 @@ def test_model_check_without_split_on_bounded_input_walks_nothing(oracle_context
             calls[0] = 0
             assert ctx.model_check(eta, lag.corona, lag.shift, zeta) == ss.Tri("unknown", 64)
             assert calls[0] == 0
+
+
+def stream_model_input(rng, ctx):
+    """(eta, gseq, k, zeta) = F(u) of a germ u on a stream of 20 to 60 letters: all three bounded."""
+    u = random_germ(rng, ctx, 3)
+    eta, lag, zeta = ctx.f_map(ctx.make(u.alpha, u.g, u.beta, as_stream(u.xi, rng.randint(20, 60))))
+    return eta, lag.corona, lag.shift, zeta
+
+
+def trivial_from(gseq, one):
+    """The least index M with every known entry of gseq from M on the identity one, in value and type."""
+    m = len(gseq.values)
+    while m and gseq.values[m - 1] == one and type(gseq.values[m - 1]) is type(one):
+        m -= 1
+    return m + 1
+
+
+def test_model_check_cuts_a_trivial_carry_as_the_full_depth_walk(oracle_contexts):
+    rng = random.Random(59)
+    cut = distinct_after_cut = blurred_then_cut = 0
+    for base_ctx in oracle_contexts:
+        ctx, calls = counting_context(base_ctx)
+        t = ctx.triple
+        graph, group, one = t.graph, t.group, t.group.identity()
+        for _ in range(60):
+            eta, gseq, k, zeta = stream_model_input(rng, ctx)
+            p, q = random_split(rng, k)
+            steps = min(ctx.depth, gseq.depth_limit - p - 1, zeta.depth_limit - q, eta.depth_limit - p)
+            start = max(trivial_from(gseq, one), p + 1)  # eta letters from here on meet identity carries
+            after, blurred = None, False
+            roll = rng.random()
+            if roll < 0.4 and start <= p + steps:
+                # Change a letter of eta that the loop compares after the carry turned trivial.
+                after = rng.randint(start, p + steps)
+                letters = list(eta.letters)
+                e = letters[after - 1]
+                parallel = [f for f in graph.edges() if f != e and graph.range_of[f] == graph.range_of[e]
+                            and graph.source_of[f] == graph.source_of[e]]
+                if not parallel:
+                    continue
+                letters[after - 1] = rng.choice(parallel)
+                eta = ss.stream_path(graph, letters)
+            elif roll < 0.7:
+                # Swap an earlier entry for one the backend cannot tell apart from it, if any.
+                values = list(gseq.values)
+                earlier = [m for m in range(p + 2, min(start, p + steps + 2)) if values[m - 1] != one]
+                twins = [(m, w) for m in earlier for w in ctx.window if group.eq(w, values[m - 1]).is_unknown]
+                if twins:
+                    m, w = rng.choice(twins)
+                    values[m - 1] = w
+                    gseq, blurred = ss.BoundedSeq(group, tuple(values)), True
+            calls[0] = 0
+            fast = outcome(lambda: ctx.model_check(eta, gseq, k, zeta, split=(p, q)))
+            fast_steps, calls[0] = calls[0], 0
+            slow = outcome(lambda: _full_depth_conditions(t, eta, gseq, p, q, zeta, ctx.depth))
+            assert fast == slow == split_loop_model_check(ctx, eta, gseq, k, zeta, split=(p, q)), (
+                t, str(eta), str(gseq), k, str(zeta), (p, q))
+            if after is not None:
+                assert fast.is_distinct
+            took_cut = fast_steps < calls[0]
+            cut += took_cut
+            distinct_after_cut += took_cut and after is not None
+            blurred_then_cut += took_cut and blurred
+    assert cut >= 100 and distinct_after_cut >= 30 and blurred_then_cut >= 3, (cut, distinct_after_cut, blurred_then_cut)
+
+
+def test_a_trivial_carry_ends_the_model_loop(odo):
+    calls = [0]
+
+    def step(g, e):
+        calls[0] += 1
+        return odo.step(g, e)
+
+    t = ss.SelfSimilarTriple(odo.graph, odo.group, odo.act_vertex, step, odo.description)
+    ctx = ss.GermContext(t, window=[0], depth=10_000)
+    u = ctx.make(vp(t), 1, vp(t), ss.stream_path(t.graph, [0] * 10_001))
+    eta, lag, zeta = ctx.f_map(u)
+    calls[0] = 0
+    verdict = ctx.model_check(eta, lag.corona, lag.shift, zeta, split=(0, 0))
+    assert calls[0] <= 3
+    assert verdict == _full_depth_conditions(t, eta, lag.corona, 0, 0, zeta, 10_000) == ss.Tri("unknown", 9_999)
+
+
+def test_a_split_far_past_the_preperiods_builds_no_entry_before_it(odo, xi0):
+    ctx = ss.GermContext(odo, window=[0], depth=10**7)
+    eta, lag, zeta = ctx.f_map(ctx.make(vp(odo), 3, vp(odo), xi0))
+    tracemalloc.start()
+    try:
+        verdicts = [ctx.model_check(eta, lag.corona, lag.shift, zeta, split=(10**7, 10**7)),
+                    ctx.model_check(eta, lag.corona, lag.shift, zeta)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [v.is_equal for v in verdicts] == [True, True]
+    assert peak < 1_000_000, f"peak {peak} bytes traced"
 
 
 @pytest.fixture
