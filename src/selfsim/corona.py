@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import DepthExceededError, Frozen, Record, Value
-from .groups import GroupBackend
+from .groups import MAX_ENUMERATION, GroupBackend, refuse_oversize
 from .periodic import drop, entry, normalize
 from .tri import Tri, DISTINCT, all_of, unknown
 
@@ -111,6 +111,7 @@ def _pointwise(op, a: CoronaSeq, b: CoronaSeq | None = None) -> CoronaSeq:
     if isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
         p = max(len(a.prefix), len(b.prefix))
         q = lcm(len(a.cycle), len(b.cycle))
+        refuse_oversize(p + q, "entries in a joint window")
         entries = [op(a.entry(n), b.entry(n)) for n in range(1, p + q + 1)]
         return PeriodicSeq.make(backend, tuple(entries[:p]), tuple(entries[p:]))
     return BoundedSeq(backend, tuple(op(a.entry(n), b.entry(n)) for n in range(1, _known(a, b) + 1)))
@@ -150,14 +151,17 @@ def corona_eq(a: CoronaSeq, b: CoronaSeq) -> Tri:
     """Tail equality: do the sequences agree from some index on?
 
     Exact for two periodic representatives (one combined period past both
-    preperiods decides every later index); otherwise unknown at the entries
-    known, since a finite window can neither confirm nor refute eventual
-    agreement.
+    preperiods decides every later index) of at most MAX_ENUMERATION entries;
+    a longer period is compared that far, and answers unknown unless an entry
+    differs. Otherwise unknown at the entries known, since a finite window can
+    neither confirm nor refute eventual agreement.
     """
     if isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
         p = max(len(a.prefix), len(b.prefix))
         q = lcm(len(a.cycle), len(b.cycle))
-        return all_of(*(a.backend.eq(a.entry(n), b.entry(n)) for n in range(p + 1, p + q + 1)))
+        checked = min(q, MAX_ENUMERATION)
+        verdict = all_of(*(a.backend.eq(a.entry(n), b.entry(n)) for n in range(p + 1, p + checked + 1)))
+        return verdict if checked == q else all_of(verdict, unknown(p + checked))
     return unknown(_known(a, b))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import lcm
 
 from .action import SelfSimilarTriple
-from .corona import BoundedSeq, CoronaSeq, LagValue, PeriodicSeq, corona_eq, shift_right
+from .corona import CoronaSeq, LagValue, PeriodicSeq, corona_eq, shift_right
 from .errors import (
     DepthExceededError,
     EmptySetError,
@@ -23,8 +23,9 @@ from .errors import (
     Value,
 )
 from .graph import _A_PROPER, _B_PROPER, _EQUAL, Path, concat, prefix_compare
-from .groups import DEFAULT_DEPTH, DEFAULT_RADIUS, _exact, _Memo, at_least, default_window
-from .infinite import InfPath, PeriodicPath, _carry_walk, _fixes, inf_path_eq
+from .groups import DEFAULT_DEPTH, DEFAULT_RADIUS, MAX_ENUMERATION, _exact, _Memo, at_least, default_window
+from .infinite import InfPath, PeriodicPath, _carry_walk, inf_path_eq
+from .periodic import drop
 from .sweeps import hausdorff_report, render_certificate
 from .tri import Tri, DISTINCT, EQUAL, all_of, unknown
 
@@ -317,14 +318,6 @@ def _all_periodic(eta: InfPath, gseq: CoronaSeq, zeta: InfPath) -> bool:
     return isinstance(eta, PeriodicPath) and isinstance(zeta, PeriodicPath) and isinstance(gseq, PeriodicSeq)
 
 
-def _trivial_from(carries, one) -> int:
-    """The least s with every carry from index s on the identity one, in value and type."""
-    kind, s = type(one), len(carries)
-    while s and carries[s - 1] == one and type(carries[s - 1]) is kind:
-        s -= 1
-    return s
-
-
 def _model_conditions(
     t: SelfSimilarTriple, eta: InfPath, gseq: CoronaSeq, p: int, q: int, zeta: InfPath, depth: int
 ) -> Tri:
@@ -332,13 +325,14 @@ def _model_conditions(
 
     For eventually periodic inputs the preperiods plus one combined period
     decide all n; an undecided carry is still reported at the full depth.
-    Bounded inputs cap the window and leave the verdict open. From the n on
-    which every later g_(n+p) of a bounded sequence is the backend's
-    identity, if it fixes the zeta letters left with trivial restriction, the
-    rest of the window is one comparison: the eta letters left against them.
+    Bounded inputs cap the window and leave the verdict open. Condition n
+    reads only (g_(n+p), g_(n+p+1), zeta_(n+q), eta_(n+p)), so each distinct
+    tuple, its carries compared in value and type, is stepped once, in the
+    order of its first n. A window of more than MAX_ENUMERATION conditions is
+    checked that far: distinct where one fails, else unknown.
     """
-    periodic_inputs = _all_periodic(eta, gseq, zeta)
-    if periodic_inputs:
+    decisive = _all_periodic(eta, gseq, zeta)
+    if decisive:
         # Past every preperiod the conditions are periodic in n: one combined
         # period after the preperiods decides every n.
         period = lcm(len(gseq.cycle), len(zeta.cycle_edges), len(eta.cycle_edges))
@@ -353,31 +347,27 @@ def _model_conditions(
         if steps < 1:
             return unknown(0)
         reported = steps
+    if steps > MAX_ENUMERATION:
+        steps = reported = MAX_ENUMERATION
+        decisive = False
+    if isinstance(gseq, PeriodicSeq):
+        pre, cyc = drop(gseq.prefix, gseq.cycle, p)
+        carries = (pre + cyc * (steps // len(cyc) + 1))[: steps + 1]
+    else:
+        carries = gseq.values[p : p + steps + 1]
+    kinds = [type(c) for c in carries]
+    window = zip(carries, carries[1:], zeta.drop(q).head(steps), eta.drop(p).head(steps), kinds, kinds[1:])
     group, step = t.group, t.step
     pending = False
-    trivial = steps
-    if isinstance(gseq, BoundedSeq):
-        # Cut at the first n from which every carry in the window is the identity.
-        one = group.identity()
-        trivial = _trivial_from(gseq.values[p : p + steps + 1], one)
-    zetas, etas = zeta.drop(q).head(steps), eta.drop(p).head(steps)
-    for n, (zeta_letter, eta_letter) in enumerate(zip(zetas, etas)):
-        if n == trivial:
-            # The loop would step each zeta letter up to the first that eta does not repeat.
-            rest, tail = zetas[n:], etas[n:]
-            agree = len(rest) if rest == tail else next(i for i, (z, e) in enumerate(zip(rest, tail)) if z != e)
-            if _fixes(step, one, rest[: agree + 1]) and group.eq(one, one).is_equal:
-                if agree < len(rest):
-                    return DISTINCT
-                break
-        image, coc = step(gseq.entry(n + p + 1), zeta_letter)
-        carried = group.eq(gseq.entry(n + p + 2), coc)
-        if carried.is_distinct:
+    for carry, carried, zeta_letter, eta_letter, _, _ in dict.fromkeys(window):
+        image, coc = step(carry, zeta_letter)
+        verdict = group.eq(carried, coc)
+        if verdict.is_distinct:
             return DISTINCT
-        if carried.is_unknown:
+        if verdict.is_unknown:
             pending = True
         if eta_letter != image:
             return DISTINCT
-    if periodic_inputs and not pending:
+    if decisive and not pending:
         return EQUAL
     return unknown(reported)

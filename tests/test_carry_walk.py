@@ -1,12 +1,14 @@
-"""A trivial carry ends the carry walk: the same answers as the letter-by-letter walk, in fewer steps.
+"""A trivial carry ends the carry walk, and each distinct model condition is checked once:
+the same answers as the letter-by-letter walks, in fewer steps.
 
 Once the restriction is the backend's identity, and the identity fixes every
 edge left with trivial restriction, the rest of a stream is fixed and every
-later carry is the identity. infinite._orbit takes that rest in one step,
-and groupoid._model_conditions compares the letters left in one comparison;
-these tests compare them with the letter-by-letter oracles of conftest, on
-every spec and on triples whose identity breaks the identity law, and count
-the steps they take.
+later carry is the identity: infinite._orbit takes that rest in one step.
+Model condition n reads only (g_(n+p), g_(n+p+1), zeta_(n+q), eta_(n+p)):
+groupoid._model_conditions steps each distinct such tuple once. These tests
+compare both with the letter-by-letter oracles of conftest, on every spec and
+on triples whose identity breaks the identity law or whose step raises, and
+count the steps they take.
 """
 
 import random
@@ -17,7 +19,7 @@ import selfsim as ss
 from selfsim import groupoid, infinite
 from selfsim.errors import DepthExceededError
 from selfsim.infinite import act_and_phi_corona
-from selfsim.tri import DISTINCT
+from selfsim.tri import DISTINCT, from_bool
 from conftest import _full_depth_conditions, all_spec_triples, labeled_odometer, reference_orbit
 
 
@@ -63,6 +65,20 @@ def countdown_triple(at_one, description):
     return ss.SelfSimilarTriple(loops_graph(), ss.IntegerGroup(), lambda g, v: v, step, description)
 
 
+def raising_triple(at_e1):
+    """Integer carries that fix every edge and count down to 0; the identity cannot step e0
+    and steps e1 to at_e1."""
+
+    def step(g, e):
+        if g == 0:
+            if e == 0:
+                raise ValueError("the identity cannot step e0")
+            return at_e1
+        return e, g - 1
+
+    return ss.SelfSimilarTriple(loops_graph(), ss.IntegerGroup(), lambda g, v: v, step, "raising")
+
+
 WALK_TRIPLES = all_spec_triples() + [
     ("swapping_identity", swapping_identity_triple()),
     ("half_identity", half_identity_triple()),
@@ -73,6 +89,8 @@ WALK_TRIPLES = all_spec_triples() + [
 ]
 # The triples whose identity breaks the identity law, in value or in type, on every edge.
 NEVER_CUT = {"swapping_identity", "false_restriction", "bool_image"}
+# The model conditions meet a step that raises too.
+MODEL_TRIPLES = WALK_TRIPLES + [("raising", raising_triple((1, 0)))]
 
 
 def outcome(call):
@@ -168,58 +186,66 @@ def test_the_walk_answers_as_the_letter_by_letter_walk(name, t, monkeypatch):
         assert any(cuts), name
 
 
-@pytest.mark.parametrize("name, t", WALK_TRIPLES, ids=[name for name, _ in WALK_TRIPLES])
-def test_the_model_conditions_answer_as_the_full_depth_walk(name, t, monkeypatch):
+def distinct_conditions(eta, gseq, p, q, zeta, depth):
+    """The distinct (g_(n+p), g_(n+p+1), zeta_(n+q), eta_(n+p)) over the window of bounded inputs, carries typed."""
+    horizon = min(depth, gseq.depth_limit - p - 1, zeta.depth_limit - q, eta.depth_limit - p)
+    return {(gseq.entry(n + p), type(gseq.entry(n + p)), gseq.entry(n + p + 1), type(gseq.entry(n + p + 1)),
+             zeta.letter(n + q), eta.letter(n + p)) for n in range(1, horizon + 1)}
+
+
+@pytest.mark.parametrize("name, t", MODEL_TRIPLES, ids=[name for name, _ in MODEL_TRIPLES])
+def test_the_model_conditions_answer_as_the_full_depth_walk(name, t):
     rng = random.Random(f"model {name}")
-    fixes = groupoid._fixes
-    cuts = []
-    monkeypatch.setattr(groupoid, "_fixes", lambda *args: cuts.append(fixes(*args)) or cuts[-1])
+    counting, calls = counted(t)
     graph = t.graph
-    verdicts, changed = set(), False
+    verdicts, changed, saved = set(), False, False
     for g in elements(rng, t):
-        for zeta in inf_paths(rng, t)[3:]:  # the streams
-            try:
-                images, carries, _ = reference_orbit(t, g, zeta, 64)
-            except DepthExceededError:
-                continue
-            if not images:
-                continue
-            i = rng.randrange(len(images))
-            e = images[i]
-            parallel = [f for f in graph.edges() if f != e and graph.range_of[f] == graph.range_of[e]
-                        and graph.source_of[f] == graph.source_of[e]]
-            if parallel and rng.random() < 0.5:
-                images[i], changed = rng.choice(parallel), True  # a letter of g.zeta changed
-            if rng.random() < 0.3:
-                # A carry sequence that turns trivial too early: the carry condition fails past it.
-                j = rng.randrange(len(carries))
-                carries[j:] = [t.group.identity()] * (len(carries) - j)
-            eta, gseq = ss.stream_path(graph, images), ss.BoundedSeq(t.group, tuple(carries))
-            p = rng.randint(0, 3)
-            q = p if rng.random() < 0.8 else rng.randint(0, 3)
-            for depth in (1, 5, 64):
-                verdict = outcome(lambda: groupoid._model_conditions(t, eta, gseq, p, q, zeta, depth))
-                assert verdict == outcome(lambda: _full_depth_conditions(t, eta, gseq, p, q, zeta, depth)), (
-                    name, g, str(zeta), str(eta), p, q, depth)
-                verdicts.add(str(verdict).split("@")[0])
-    if name in NEVER_CUT:
-        assert not any(cuts), name
-    else:
-        assert any(cuts) and "unknown" in verdicts and ("distinct" in verdicts or not changed), (name, verdicts)
-
-
-def raising_triple(at_e1):
-    """Integer carries that fix every edge and count down to 0; the identity cannot step e0
-    and steps e1 to at_e1."""
-
-    def step(g, e):
-        if g == 0:
-            if e == 0:
-                raise ValueError("the identity cannot step e0")
-            return at_e1
-        return e, g - 1
-
-    return ss.SelfSimilarTriple(loops_graph(), ss.IntegerGroup(), lambda g, v: v, step, "raising")
+        paths = inf_paths(rng, t)
+        for zeta in paths:
+            if isinstance(zeta, ss.PeriodicPath):
+                walked = outcome(lambda: infinite._carry_walk(t, g, zeta, 64))
+                if not (isinstance(walked, tuple) and isinstance(walked[1], ss.PeriodicSeq)):
+                    continue
+                eta, gseq = walked  # all three periodic: the window is decisive
+                p = rng.randint(0, 3)
+                cases = [(eta, gseq, p, p), (eta, gseq, p, rng.randint(0, 3))]
+                if rng.random() < 0.5:
+                    cases.append((rng.choice(paths[:3]), gseq, p, p))  # another eta
+            else:
+                try:
+                    images, carries, _ = reference_orbit(t, g, zeta, 64)
+                except (DepthExceededError, ValueError):
+                    continue
+                if not images:
+                    continue
+                i = rng.randrange(len(images))
+                e = images[i]
+                parallel = [f for f in graph.edges() if f != e and graph.range_of[f] == graph.range_of[e]
+                            and graph.source_of[f] == graph.source_of[e]]
+                if parallel and rng.random() < 0.5:
+                    images[i], changed = rng.choice(parallel), True  # a letter of g.zeta changed
+                if rng.random() < 0.3:
+                    # A carry sequence that turns trivial too early: the carry condition fails past it.
+                    j = rng.randrange(len(carries))
+                    carries[j:] = [t.group.identity()] * (len(carries) - j)
+                eta, gseq = ss.stream_path(graph, images), ss.BoundedSeq(t.group, tuple(carries))
+                p = rng.randint(0, 3)
+                cases = [(eta, gseq, p, p if rng.random() < 0.8 else rng.randint(0, 3))]
+            for eta, gseq, p, q in cases:
+                for depth in (1, 5, 64):
+                    calls[0] = 0
+                    verdict = outcome(lambda: groupoid._model_conditions(counting, eta, gseq, p, q, zeta, depth))
+                    stepped = calls[0]
+                    calls[0] = 0
+                    assert verdict == outcome(lambda: _full_depth_conditions(counting, eta, gseq, p, q, zeta, depth)), (
+                        name, g, str(zeta), str(eta), p, q, depth)
+                    if isinstance(gseq, ss.BoundedSeq):
+                        assert stepped <= len(distinct_conditions(eta, gseq, p, q, zeta, depth)), (name, g, str(zeta))
+                    saved = saved or stepped < calls[0]
+                    verdicts.add(str(verdict).split("@")[0])
+    # Repeated conditions are stepped once; false_restriction's False carry is refused at its first comparison.
+    assert saved or name == "false_restriction", name
+    assert "unknown" in verdicts and ("distinct" in verdicts or not changed), (name, verdicts)
 
 
 def test_the_identity_law_is_checked_in_the_order_the_letters_come():
@@ -227,7 +253,7 @@ def test_the_identity_law_is_checked_in_the_order_the_letters_come():
     t = raising_triple((1, 2))
     xi = ss.stream_path(t.graph, [1, 0])
     assert infinite._orbit(t, 0, xi, 64) == reference_orbit(t, 0, xi, 64) == ([1, 0], [0, 2, 1], None)
-    # The model loop stops at the first letter eta does not repeat, before it steps e0.
+    # The model pass stops at the first failing condition, before it steps e0.
     t = raising_triple((1, 0))
     eta, gseq, zeta = ss.stream_path(t.graph, [0, 0]), ss.BoundedSeq(t.group, (0, 0, 0)), xi
     assert groupoid._model_conditions(t, eta, gseq, 0, 0, zeta, 64).is_distinct
@@ -241,7 +267,14 @@ class SelfDistinctIntegers(ss.IntegerGroup):
         return DISTINCT
 
 
-def test_the_model_loop_is_cut_only_where_it_would_only_compare_letters():
+class LenientIntegers(ss.IntegerGroup):
+    """Integers whose comparison takes any values, bools too."""
+
+    def eq(self, a, b):
+        return from_bool(a == b)
+
+
+def test_the_model_pass_fails_where_the_full_depth_walk_fails():
     # The identity fixes e0 but restricts to the swap at e1: the carry condition fails at e1.
     t = half_identity_triple()
     zeta = ss.stream_path(t.graph, [0, 1, 0])
@@ -255,6 +288,13 @@ def test_the_model_loop_is_cut_only_where_it_would_only_compare_letters():
     zeta = ss.stream_path(t.graph, [0, 1, 0])
     assert groupoid._model_conditions(t, zeta, gseq, 0, 0, zeta, 64).is_distinct
     assert _full_depth_conditions(t, zeta, gseq, 0, 0, zeta, 64).is_distinct
+    # The carry False equals 0 in value only: it swaps e0, so its condition is not a repeat of 0's.
+    bool_carry = bool_carry_triple()
+    t = ss.SelfSimilarTriple(bool_carry.graph, LenientIntegers(), bool_carry.act_vertex, bool_carry.step)
+    zeta, eta = ss.stream_path(t.graph, [0, 0, 0]), ss.stream_path(t.graph, [0, 0, 0])
+    gseq = ss.BoundedSeq(t.group, (0, 0, False, False))
+    assert groupoid._model_conditions(t, eta, gseq, 0, 0, zeta, 64).is_distinct
+    assert _full_depth_conditions(t, eta, gseq, 0, 0, zeta, 64).is_distinct
 
 
 def test_a_broken_identity_law_keeps_the_letter_by_letter_walk():
@@ -303,3 +343,15 @@ def test_a_trivial_carry_ends_the_walk():
     calls[0] = 0
     reference_orbit(t, 1, xi, 10_000)
     assert calls[0] == 10_000  # the letter-by-letter walk steps every letter
+
+
+def test_each_distinct_model_condition_is_stepped_once():
+    t, calls = counted(labeled_odometer())
+    zeta = ss.stream_path(t.graph, [0] * 10_000)
+    eta = ss.stream_path(t.graph, [1] + [0] * 9_999)
+    gseq = ss.BoundedSeq(t.group, (1,) + (0,) * 10_000)
+    verdict = groupoid._model_conditions(t, eta, gseq, 0, 0, zeta, 10_000)
+    assert str(verdict) == "unknown@10000" and calls[0] <= 2  # (1, 0, e0, e1), then (0, 0, e0, e0)
+    calls[0] = 0
+    assert _full_depth_conditions(t, eta, gseq, 0, 0, zeta, 10_000) == verdict
+    assert calls[0] == 10_000  # the letter-by-letter walk steps every condition

@@ -12,7 +12,9 @@ import pytest
 
 import selfsim as ss
 from conftest import SOURCE_VERTEX_SPEC, TEST_SPECS
+from selfsim import groupoid
 from selfsim.cli import main
+from selfsim.specfile import load_spec_file
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -559,6 +561,33 @@ def test_model_check_reports_the_depth_of_its_verdict(capsys):
     assert capsys.readouterr().out.splitlines()[1:] == ["undecided at depth 0"]
 
 
+def test_model_check_on_a_joint_period_of_ten_million_letters_fails_in_little_memory(capsys):
+    # Cycles of 211, 227 and 223 letters: a window of 10,681,031 conditions, checked up to the limit.
+    eta = "(" + ".".join(["e1"] + ["e0"] * 210) + ")*"
+    gseq = "(" + ",".join(["1"] + ["0"] * 226) + ")*"
+    zeta = "(" + ".".join(["e1"] + ["e0"] * 222) + ")*"
+    tracemalloc.start()
+    try:
+        code = main(["model-check", ODOMETER, eta, gseq, "0", zeta])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["fails"]
+    assert peak < 20_000_000, f"peak {peak} bytes traced"
+
+
+def test_model_check_past_the_condition_limit_is_undecided(capsys, monkeypatch):
+    # The window is the 60 letters of the preperiod and one of the period: 61 conditions, all holding.
+    path = ".".join(["e0"] * 60) + "(e1)*"
+    argv = ["model-check", ODOMETER, path, "(0)*", "0", path, "--split", "0:0"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["passes"]
+    monkeypatch.setattr(groupoid, "MAX_ENUMERATION", 50)
+    assert main(argv) == 2
+    assert capsys.readouterr().out.splitlines()[1:] == ["undecided at depth 50"]
+
+
 def test_sweep_on_a_walk_that_never_closes_ends_at_the_budget(capsys):
     start = time.perf_counter()
     code = main(["residual-free", str(TEST_SPECS / "doubling.spec"), "--window", "1", "--bound", "0"])
@@ -708,3 +737,69 @@ def test_loader_errors_are_input_errors_with_their_line(name, text, message, tmp
     code, lines = run_spec(tmp_path, capsys, text)
     assert code == 3
     assert lines[1:] == [f"error: {message}"]
+
+
+KATSURA_SPEC = "[katsura]\na = 2\nb = 1\n"
+SPEC_ERRORS = [
+    ("duplicate_key", INTEGER_SPEC.replace("kind = integer", "kind = integer\nkind = integer"),
+     "line 6: duplicate key 'kind' in [group]"),
+    ("duplicate_section", INTEGER_SPEC + "[group]\nkind = integer\n", "line 12: duplicate section [group]"),
+    ("no_equals", KATSURA_SPEC.replace("a = 2", "a 2"), "line 2: expected 'key = value'"),
+    ("matrix_entry", KATSURA_SPEC.replace("a = 2", "a = 2 x"), "line 1: matrix entries must be integers: '2 x'"),
+    ("two_builders", KATSURA_SPEC + "[automaton]\nalphabet = 0 1\nmap = a 0 1 1\n",
+     "at most one builder section allowed"),
+    ("no_edge_rows", INTEGER_SPEC.replace("edge = e0 v v\nedge = e1 v v\n", ""),
+     "line 1: graph needs at least one edge row"),
+    ("unknown_kind", INTEGER_SPEC.replace("kind = integer", "kind = free"), "line 6: unknown group kind 'free'"),
+    ("short_vertex_row", INTEGER_SPEC + "vertex = 1 v\n", "line 12: vertex rows are 'g vertex image'"),
+    ("unknown_vertex", INTEGER_SPEC + "vertex = 1 v x\n", "line 12: unknown vertex label 'x'"),
+    ("integer_vertex_generator", INTEGER_SPEC + "vertex = 2 v v\n",
+     "line 12: integer backend takes rows for the generator m = 1 only"),
+    ("katsura_sizes", "[katsura]\na = 2 0 ; 0 3\nb = 1\n", "matrices must be square and of equal size"),
+    ("duplicate_vertex", INTEGER_SPEC.replace("vertices = v", "vertices = v v"), "line 1: duplicate vertex label"),
+]
+
+
+@pytest.mark.parametrize("name,text,message", SPEC_ERRORS, ids=[c[0] for c in SPEC_ERRORS])
+def test_spec_errors_are_input_errors(name, text, message, tmp_path, capsys):
+    code, lines = run_spec(tmp_path, capsys, text)
+    assert code == 3
+    assert lines[1:] == [f"error: {message}"]
+
+
+# Two vertices 1 and 2, with edges (i,j,0) from j to i: (1,2,0) alone does not close, nor meet (1,1,0).
+TWO_VERTEX_KATSURA_SPEC = "[katsura]\na = 1 1 ; 1 1\nb = 1 0 ; 0 1\n"
+LITERAL_ERRORS = [
+    ("empty_path", [ODOMETER, "1", ""], "act", "empty path literal"),
+    ("path_composition", [str(TEST_SPECS / "swap_zero_sum.spec"), "1", "a.b"], "act",
+     "edges a and b do not compose"),
+    ("germ", [ODOMETER, "@v,1;(e0)*"], "lag", "germ literal must be 'alpha,g,beta;xi': '@v,1;(e0)*'"),
+    ("infinite_path", [ODOMETER, "((e0)*", "(0)*", "0", "(e0)*"], "model-check",
+     "malformed infinite path literal: '((e0)*'"),
+    ("corona", [ODOMETER, "(e0)*", "1,(0))*", "0", "(e0)*"], "model-check", "malformed corona literal: '1,(0))*'"),
+    ("empty_corona", [ODOMETER, "(e0)*", "", "0", "(e0)*"], "model-check", "empty corona literal"),
+    ("open_cycle", [None, "((1,2,0))*", "(0)*", "0", "((1,1,0))*", "--allow-unverified"], "model-check",
+     "cycle does not close up"),
+    ("prefix_off_cycle", [None, "(1,2,0)((1,1,0))*", "(0)*", "0", "((1,1,0))*", "--allow-unverified"], "model-check",
+     "prefix does not meet the cycle"),
+]
+
+
+@pytest.mark.parametrize("name,args,command,message", LITERAL_ERRORS, ids=[c[0] for c in LITERAL_ERRORS])
+def test_literal_errors_are_input_errors(name, args, command, message, tmp_path, capsys):
+    if args[0] is None:
+        args = [tmp_path / "katsura.spec", *args[1:]]
+        args[0].write_text(TWO_VERTEX_KATSURA_SPEC, encoding="utf-8")
+    assert main([command, str(args[0]), *args[1:]]) == 3
+    assert capsys.readouterr().out.splitlines()[1:] == [f"error: {message}"]
+
+
+def test_a_cayley_vertex_row_swaps_the_vertices(tmp_path, capsys):
+    # The swap 1 exchanges u and w and their loops e and f; its restriction, the swap again, acts alike on vertices.
+    spec = CAYLEY_SPEC.replace("vertices = v\nedge = e v v\nedge = f v v", "vertices = u w\nedge = e u u\nedge = f w w")
+    spec = spec.replace("edge = 1 e f 0\nedge = 1 f e 0", "vertex = 1 u w\nvertex = 1 w u\nedge = 1 e f 1\nedge = 1 f e 1")
+    code, lines = run_spec(tmp_path, capsys, spec)
+    assert code == 0
+    assert lines[1:] == ["graph: ok", "axioms: ok (exact over the group: window of 2 elements, 4 pairs)"]
+    triple = load_spec_file(str(tmp_path / "case.spec")).triple
+    assert [triple.act_vertex(1, v) for v in (0, 1)] == [1, 0]

@@ -4,11 +4,19 @@ Arguments are assembled from the literal grammar of the spec they run on
 (paths, infinite paths, semigroup elements, germs, corona sequences) with
 some malformed pieces mixed in, and from flags with legal, negative and
 over-limit values. Legal windows and bounds stay at 3 or below so each call
-is cheap.
+is cheap. An example with an over-limit value runs under a cap on the
+address space of the process, so a regression that allocates in proportion
+to a limit of 10**9 fails that example with MemoryError instead of taking the
+whole test run down.
 """
 
 import contextlib
 import io
+
+try:
+    import resource
+except ImportError:  # not on every platform: the examples then run uncapped
+    resource = None
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -22,6 +30,7 @@ GERM_COMMANDS = ["germ-eq", "lag", "model-check"]  # the commands that take --de
 COMMANDS = ["validate", "act", "phi", "smul", "cover", *PATH_SWEEPS, *GERM_COMMANDS, "hausdorff"]
 JUNK = ["", "@", "zz", "(", ")*", "e9", "@nowhere", "1,,1", ";"]
 OVER_LIMIT = 10**9
+HEADROOM = 512 << 20  # bytes of address space an over-limit example may add, far above a legal run's needs
 
 
 def _elements(triple):
@@ -106,9 +115,34 @@ def argvs(draw, commands=COMMANDS):
     return [command, str(SPECS / f"{name}.spec"), *args, *ordered]
 
 
+def _address_space():
+    """The bytes of address space this process maps, or None where /proc does not say."""
+    try:
+        with open("/proc/self/statm") as statm:
+            return int(statm.read().split()[0]) * resource.getpagesize()
+    except (OSError, ValueError):
+        return None
+
+
+@contextlib.contextmanager
+def _memory_cap(argv):
+    """Cap the address space at HEADROOM past what is mapped now while an over-limit argv runs."""
+    used = _address_space() if str(OVER_LIMIT) in argv and hasattr(resource, "RLIMIT_AS") else None
+    if used is None:
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = used + HEADROOM if soft == resource.RLIM_INFINITY else min(used + HEADROOM, soft)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with _memory_cap(argv), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue()
 

@@ -47,6 +47,36 @@ def test_a_negative_shift_shifts_the_other_way(z):
         assert ss.shift_left(bounded, -k).values == ss.shift_right(bounded, k).values
 
 
+class CountingIntegers(ss.IntegerGroup):
+    """Integers that count their products."""
+
+    def __init__(self):
+        self.products = 0
+
+    def mul(self, a, b):
+        self.products += 1
+        return super().mul(a, b)
+
+
+def test_a_joint_window_past_the_limit_is_refused_before_any_entry():
+    z = CountingIntegers()
+    a, b = seq(z, (), (1,) + (0,) * 1008), seq(z, (), (1,) + (0,) * 1012)  # primitive cycles of 1009 and 1013
+    with pytest.raises(ValueError, match="more than 100000 entries in a joint window"):
+        ss.corona_mul(a, b)
+    assert z.products == 0
+    small = ss.corona_mul(a, seq(z, (2,), (3,)))
+    assert z.products == 1010 and small.entry(1) == 3 and small.entry(1010) == 4
+
+
+def test_a_long_joint_period_is_compared_up_to_the_limit(z, monkeypatch):
+    a, b = seq(z, (), (0,) * 5 + (1,)), seq(z, (), (0,) * 6 + (1,))  # they first differ at entry 6
+    assert ss.corona_eq(a, b).is_distinct
+    monkeypatch.setattr(ss.corona, "MAX_ENUMERATION", 5)
+    assert str(ss.corona_eq(a, b)) == "unknown@5"
+    assert ss.corona_eq(a, seq(z, (), (1,) + (0,) * 6)).is_distinct  # a difference within the limit decides
+    assert ss.corona_eq(seq(z, (), (0, 1)), seq(z, (1,), (1, 0))).is_equal  # a joint period within the limit
+
+
 def test_pointwise_mul_and_inv(z):
     a = seq(z, (1,), (2, 3))
     b = seq(z, (0, 4), (5,))
