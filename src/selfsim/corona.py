@@ -160,8 +160,8 @@ def corona_eq(a: CoronaSeq, b: CoronaSeq) -> Tri:
         p = max(len(a.prefix), len(b.prefix))
         q = lcm(len(a.cycle), len(b.cycle))
         checked = min(q, MAX_ENUMERATION)
-        verdict = all_of(*(a.backend.eq(a.entry(n), b.entry(n)) for n in range(p + 1, p + checked + 1)))
-        return verdict if checked == q else all_of(verdict, unknown(p + checked))
+        verdict = all_of(a.backend.eq(a.entry(n), b.entry(n)) for n in range(p + 1, p + checked + 1))
+        return verdict if checked == q else all_of((verdict, unknown(p + checked)))
     return unknown(_known(a, b))
 
 

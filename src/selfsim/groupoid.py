@@ -158,7 +158,7 @@ class GermContext:
         if self.triple.group.eq(u2.g, coc).is_equal:
             return tails
         (image1, carries1), (image2, carries2) = self._walk(coc, u2.xi), self._walk(u2.g, u2.xi)
-        return all_of(tails, inf_path_eq(image1, image2, self.depth), corona_eq(carries1, carries2))
+        return all_of((tails, inf_path_eq(image1, image2, self.depth), corona_eq(carries1, carries2)))
 
     def reparametrize(self, u: Germ, n: int, side: str = "beta") -> Germ:
         """Equal germ whose alpha (or beta) component has length n >= current.
@@ -355,11 +355,14 @@ def _model_conditions(
         carries = (pre + cyc * (steps // len(cyc) + 1))[: steps + 1]
     else:
         carries = gseq.values[p : p + steps + 1]
-    kinds = [type(c) for c in carries]
-    window = zip(carries, carries[1:], zeta.drop(q).head(steps), eta.drop(p).head(steps), kinds, kinds[1:])
+    window = zip(carries, carries[1:], zeta.drop(q).head(steps), eta.drop(p).head(steps))
     group, step = t.group, t.step
-    pending = False
-    for carry, carried, zeta_letter, eta_letter, _, _ in dict.fromkeys(window):
+    pending, seen = False, set()
+    for carry, carried, zeta_letter, eta_letter in window:
+        key = (carry, carried, zeta_letter, eta_letter, type(carry), type(carried))
+        if key in seen:
+            continue
+        seen.add(key)
         image, coc = step(carry, zeta_letter)
         verdict = group.eq(carried, coc)
         if verdict.is_distinct:

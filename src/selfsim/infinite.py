@@ -212,53 +212,44 @@ def inf_path_eq(a: InfPath, b: InfPath, depth: int) -> Tri:
 def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
     """(images, carries, closure) along xi: carries[n] = phi(g, xi|_n), images[n-1] = (g.xi)_n.
 
-    closure is (start, end) when the state (carry, phase in the cycle) of step
-    start recurs at step end, else None: the walk stopped at the depth. A carry
-    word costs its letters, any other carry 1; past MAX_ENUMERATION carry
-    letters the walk raises DepthExceededError. On a stream, once the carry is
-    the backend's identity and fixes each edge left with trivial restriction,
-    the rest of the walk is the rest of xi under identity carries, taken in one
-    step: the walk costs the letters until the carry is trivial or the orbit
-    closes, and at most the depth.
+    closure is (start, end) when the state (carry, cycle phase) of step start
+    recurs at step end, else None. A carry word costs its letters, any other
+    carry 1; past MAX_ENUMERATION carry letters the walk raises
+    DepthExceededError. Along the known letters (a stream's, a periodic prefix)
+    each distinct (carry, letter), the carry compared in value and type, is
+    stepped once; its row of steps is looked up when the carry object changes.
     """
     at_least("depth", depth, 0)
     images: list[int] = []
     carries = [g]
-    step = t.step
-    state = g
+    step, state = t.step, g
     if isinstance(xi, PeriodicPath):
         prefix, cycle = xi.prefix_edges, xi.cycle_edges
         end = depth + len(prefix) + len(cycle) + 1
-        one, watch = None, False
     else:
         # A stream path is all prefix: its known letters, up to the depth.
         prefix, cycle = xi.head(min(depth, xi.depth_limit)), ()
         end = len(prefix)
-        one, watch = t.group.identity(), True
-    kind = type(one)
     p, q = len(prefix), len(cycle)
-    seen: dict = {}
+    rows: dict = {}  # (carry, type) -> {letter: step(carry, letter)}, for the known letters
+    row, carry = None, rows  # rows is never a carry
+    seen: dict = {}  # (carry, phase) -> n, for the cycle letters
     phase = spent = 0
     for n in range(end):
         if n < p:
-            if watch and state == one and type(state) is kind:
-                watch = False  # tried once, so the checks cost at most the steps they save
-                rest = prefix[n:]
-                # The skipped steps cost what the loop would spend: past the budget, walk on.
-                if spent + len(rest) * (len(one) if kind is tuple else 1) <= MAX_ENUMERATION \
-                        and _fixes(step, one, rest):
-                    images.extend(rest)
-                    carries.extend([state] * len(rest))
-                    break
             e = prefix[n]
+            if state is not carry:
+                carry, row = state, rows.setdefault((state, type(state)), {})
+            if e not in row:
+                row[e] = step(state, e)
+            image, state = row[e]
         else:
             key = (state, phase)
             if key in seen:
                 return images, carries, (seen[key], n)
             seen[key] = n
-            e = cycle[phase]
+            image, state = step(state, cycle[phase])
             phase = phase + 1 if phase + 1 < q else 0
-        image, state = step(state, e)
         spent += len(state) if type(state) is tuple else 1
         if spent > MAX_ENUMERATION:
             raise DepthExceededError(
@@ -266,19 +257,6 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
         images.append(image)
         carries.append(state)
     return images[:depth], carries[: depth + 1], None
-
-
-def _fixes(step, one, letters) -> bool:
-    """step(one, e) is (e, one), in value and type, for every e in letters.
-
-    The distinct letters are stepped in the order they first occur, so a step
-    that raises raises as the letter-by-letter walk from one would.
-    """
-    for e in dict.fromkeys(letters):
-        image, carry = step(one, e)
-        if image != e or carry != one or type(image) is not type(e) or type(carry) is not type(one):
-            return False
-    return True
 
 
 def _carry_walk(t: SelfSimilarTriple, g, xi: InfPath, depth: int, image: bool = True):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .errors import Frozen
 
 
@@ -57,8 +59,8 @@ def from_bool(value: bool) -> Tri:
     return EQUAL if value else DISTINCT
 
 
-def all_of(*parts: Tri) -> Tri:
-    """Conjunction: distinct dominates, then unknown, else equal."""
+def all_of(parts: Iterable[Tri]) -> Tri:
+    """Conjunction: the first distinct part (read no further), then the first unknown, else equal."""
     pending: Tri | None = None
     for part in parts:
         if part.is_distinct:

@@ -1,14 +1,15 @@
-"""A trivial carry ends the carry walk, and each distinct model condition is checked once:
-the same answers as the letter-by-letter walks, in fewer steps.
+"""The carry walk steps each distinct (carry, letter) once, and the model pass each distinct
+condition once: the same answers as the letter-by-letter walks, in fewer steps.
 
-Once the restriction is the backend's identity, and the identity fixes every
-edge left with trivial restriction, the rest of a stream is fixed and every
-later carry is the identity: infinite._orbit takes that rest in one step.
-Model condition n reads only (g_(n+p), g_(n+p+1), zeta_(n+q), eta_(n+p)):
-groupoid._model_conditions steps each distinct such tuple once. These tests
-compare both with the letter-by-letter oracles of conftest, on every spec and
-on triples whose identity breaks the identity law or whose step raises, and
-count the steps they take.
+A step of the carry walk reads only (carry, letter): along a stream's letters and
+a periodic path's prefix, infinite._orbit steps each distinct pair, the carry
+compared in value and type, once and reads every repeat back, so a carry that
+turns trivial costs a few steps however long the stream. Model condition n reads
+only (g_(n+p), g_(n+p+1), zeta_(n+q), eta_(n+p)): groupoid._model_conditions
+steps each distinct such tuple once. These tests compare both with the
+letter-by-letter oracles of conftest, on every spec and on triples whose
+identity breaks the identity law or whose step raises, and count the steps
+they take.
 """
 
 import random
@@ -36,7 +37,7 @@ def swapping_identity_triple():
 
 def bool_carry_triple():
     """Integer carries that count down to False, which equals the identity 0 but swaps the
-    edges: only the type of the carry keeps the cut off it."""
+    edges: only the type of the carry keeps its steps apart from those of 0."""
 
     def step(g, e):
         if g is False:
@@ -87,8 +88,6 @@ WALK_TRIPLES = all_spec_triples() + [
     ("false_restriction", countdown_triple(lambda e: (e, False), "false restriction")),
     ("bool_image", countdown_triple(lambda e: (bool(e), 0), "bool image")),
 ]
-# The triples whose identity breaks the identity law, in value or in type, on every edge.
-NEVER_CUT = {"swapping_identity", "false_restriction", "bool_image"}
 # The model conditions meet a step that raises too.
 MODEL_TRIPLES = WALK_TRIPLES + [("raising", raising_triple((1, 0)))]
 
@@ -163,27 +162,33 @@ def inf_paths(rng, t):
     return out
 
 
+def known_steps(xi, depth, stepped):
+    """The most steps a walk may take: each distinct (carry, type, letter) of its known letters, every cycle step."""
+    known = len(xi.prefix_edges) if isinstance(xi, ss.PeriodicPath) else min(depth, xi.depth_limit)
+    return len({(c, type(c), e) for c, e in stepped[:known]}) + len(stepped[known:])
+
+
 @pytest.mark.parametrize("name, t", WALK_TRIPLES, ids=[name for name, _ in WALK_TRIPLES])
 def test_the_walk_answers_as_the_letter_by_letter_walk(name, t, monkeypatch):
     rng = random.Random(f"walk {name}")
-    fixes = infinite._fixes
-    cuts = []
-    monkeypatch.setattr(infinite, "_fixes", lambda *args: cuts.append(fixes(*args)) or cuts[-1])
-    walks = []
+    t, stepped = recorded(t)
+    walks, saved = [], False
     for g in elements(rng, t):
         for xi in inf_paths(rng, t):
             for depth in (1, 5, 64):
                 walks.append((g, xi, depth))
+                stepped.clear()
                 expected = typed(outcome(lambda: reference_orbit(t, g, xi, depth)))
+                bound, oracle = known_steps(xi, depth, stepped), len(stepped)
+                stepped.clear()
                 assert typed(outcome(lambda: infinite._orbit(t, g, xi, depth))) == expected, (name, g, str(xi), depth)
+                assert len(stepped) <= bound, (name, g, str(xi), depth)
+                saved = saved or len(stepped) < oracle
+    assert saved, name  # some known letter repeats a step on every triple
     walked = [plain(outcome(lambda: infinite._carry_walk(t, g, xi, depth))) for g, xi, depth in walks]
     monkeypatch.setattr(infinite, "_orbit", reference_orbit)
     for (g, xi, depth), answer in zip(walks, walked):
         assert answer == plain(outcome(lambda: infinite._carry_walk(t, g, xi, depth))), (name, g, str(xi), depth)
-    if name in NEVER_CUT:
-        assert cuts and not any(cuts), name
-    else:
-        assert any(cuts), name
 
 
 def distinct_conditions(eta, gseq, p, q, zeta, depth):
@@ -196,7 +201,7 @@ def distinct_conditions(eta, gseq, p, q, zeta, depth):
 @pytest.mark.parametrize("name, t", MODEL_TRIPLES, ids=[name for name, _ in MODEL_TRIPLES])
 def test_the_model_conditions_answer_as_the_full_depth_walk(name, t):
     rng = random.Random(f"model {name}")
-    counting, calls = counted(t)
+    counting, steps = recorded(t)
     graph = t.graph
     verdicts, changed, saved = set(), False, False
     for g in elements(rng, t):
@@ -233,15 +238,15 @@ def test_the_model_conditions_answer_as_the_full_depth_walk(name, t):
                 cases = [(eta, gseq, p, p if rng.random() < 0.8 else rng.randint(0, 3))]
             for eta, gseq, p, q in cases:
                 for depth in (1, 5, 64):
-                    calls[0] = 0
+                    steps.clear()
                     verdict = outcome(lambda: groupoid._model_conditions(counting, eta, gseq, p, q, zeta, depth))
-                    stepped = calls[0]
-                    calls[0] = 0
+                    taken = len(steps)
+                    steps.clear()
                     assert verdict == outcome(lambda: _full_depth_conditions(counting, eta, gseq, p, q, zeta, depth)), (
                         name, g, str(zeta), str(eta), p, q, depth)
                     if isinstance(gseq, ss.BoundedSeq):
-                        assert stepped <= len(distinct_conditions(eta, gseq, p, q, zeta, depth)), (name, g, str(zeta))
-                    saved = saved or stepped < calls[0]
+                        assert taken <= len(distinct_conditions(eta, gseq, p, q, zeta, depth)), (name, g, str(zeta))
+                    saved = saved or taken < len(steps)
                     verdicts.add(str(verdict).split("@")[0])
     # Repeated conditions are stepped once; false_restriction's False carry is refused at its first comparison.
     assert saved or name == "false_restriction", name
@@ -304,6 +309,16 @@ def test_a_broken_identity_law_keeps_the_letter_by_letter_walk():
     assert (images, carries, closure) == ([1, 1, 0, 1], [0] * 5, None)
 
 
+def test_a_carry_equal_in_value_only_is_stepped_apart():
+    # False equals 0 but swaps the edge: along e0 the carry alternates between the two.
+    t = ss.SelfSimilarTriple(loops_graph(), ss.IntegerGroup(), lambda g, v: v,
+                             lambda g, e: (1 - e, 0) if g is False else (e, False), "alternating")
+    xi = ss.stream_path(t.graph, [0] * 6)
+    walked = infinite._orbit(t, 0, xi, 64)
+    assert typed(walked) == typed(reference_orbit(t, 0, xi, 64))
+    assert walked[0] == [0, 1, 0, 1, 0, 1]
+
+
 def test_the_letter_budget_ends_the_walk_where_the_letter_by_letter_walk_ends(monkeypatch):
     monkeypatch.setattr(infinite, "MAX_ENUMERATION", 50)
     odo = labeled_odometer()
@@ -314,7 +329,7 @@ def test_the_letter_budget_ends_the_walk_where_the_letter_by_letter_walk_ends(mo
     with pytest.raises(DepthExceededError) as reference:
         reference_orbit(odo, 1, xi, 64)
     assert str(walked.value) == str(reference.value) == "the carry words along the path pass 50 letters at depth 51"
-    # Fifty letters spend the budget exactly, and the cut spends it as the walk would.
+    # Fifty letters spend the budget exactly, and a step read back spends it as the walk would.
     xi = ss.stream_path(odo.graph, letters[:50])
     assert infinite._orbit(odo, 1, xi, 64) == reference_orbit(odo, 1, xi, 64)
     # Word carries cost their letters, and the trivial word costs none.
@@ -323,35 +338,55 @@ def test_the_letter_budget_ends_the_walk_where_the_letter_by_letter_walk_ends(mo
     assert infinite._orbit(machine, (1,), xi, 64) == reference_orbit(machine, (1,), xi, 64)
 
 
-def counted(t):
-    """A copy of t whose step counts its calls."""
-    calls = [0]
+def recorded(t):
+    """A copy of t whose step records the (carry, letter) of each call."""
+    stepped = []
 
     def step(g, e):
-        calls[0] += 1
+        stepped.append((g, e))
         return t.step(g, e)
 
-    return ss.SelfSimilarTriple(t.graph, t.group, t.act_vertex, step, t.description), calls
+    return ss.SelfSimilarTriple(t.graph, t.group, t.act_vertex, step, t.description), stepped
 
 
 def test_a_trivial_carry_ends_the_walk():
-    t, calls = counted(labeled_odometer())
+    t, stepped = recorded(labeled_odometer())
     xi = ss.stream_path(t.graph, [0] * 10_000)
     gxi, seq = act_and_phi_corona(t, 1, xi, depth=10_000)
-    assert calls[0] <= 3
+    assert len(stepped) <= 3
     assert gxi.letters == (1,) + (0,) * 9_999 and seq.values == (1,) + (0,) * 9_999
-    calls[0] = 0
+    stepped.clear()
     reference_orbit(t, 1, xi, 10_000)
-    assert calls[0] == 10_000  # the letter-by-letter walk steps every letter
+    assert len(stepped) == 10_000  # the letter-by-letter walk steps every letter
 
 
 def test_each_distinct_model_condition_is_stepped_once():
-    t, calls = counted(labeled_odometer())
+    t, stepped = recorded(labeled_odometer())
     zeta = ss.stream_path(t.graph, [0] * 10_000)
     eta = ss.stream_path(t.graph, [1] + [0] * 9_999)
     gseq = ss.BoundedSeq(t.group, (1,) + (0,) * 10_000)
     verdict = groupoid._model_conditions(t, eta, gseq, 0, 0, zeta, 10_000)
-    assert str(verdict) == "unknown@10000" and calls[0] <= 2  # (1, 0, e0, e1), then (0, 0, e0, e0)
-    calls[0] = 0
+    assert str(verdict) == "unknown@10000" and len(stepped) <= 2  # (1, 0, e0, e1), then (0, 0, e0, e0)
+    stepped.clear()
     assert _full_depth_conditions(t, eta, gseq, 0, 0, zeta, 10_000) == verdict
-    assert calls[0] == 10_000  # the letter-by-letter walk steps every condition
+    assert len(stepped) == 10_000  # the letter-by-letter walk steps every condition
+
+
+class HashCounted(int):
+    """Integers that count the hashes taken of them."""
+
+    hashes = 0
+
+    def __hash__(self):
+        HashCounted.hashes += 1
+        return int.__hash__(self)
+
+
+def test_the_model_pass_stops_at_its_first_failing_condition():
+    t = labeled_odometer()
+    zeta = ss.stream_path(t.graph, [0] * 100_000)
+    eta = ss.stream_path(t.graph, [0] * 100_000)  # the carry 1 sends e0 to e1: condition 1 fails
+    gseq = ss.BoundedSeq(t.group, (HashCounted(1),) + (HashCounted(0),) * 100_000)
+    HashCounted.hashes = 0
+    assert groupoid._model_conditions(t, eta, gseq, 0, 0, zeta, 100_000).is_distinct
+    assert HashCounted.hashes <= 4  # the two carries of condition 1, looked up and added once each

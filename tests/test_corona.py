@@ -2,12 +2,15 @@
 
 import inspect
 import random
+from math import lcm
 
 import pytest
 
 import selfsim as ss
 from selfsim.errors import DepthExceededError
-from selfsim.specfile import parse_corona
+from selfsim.specfile import load_spec_text, parse_corona
+from selfsim.tri import DISTINCT, EQUAL
+from conftest import TWIN_MACHINE_SPEC
 
 
 @pytest.fixture
@@ -48,14 +51,18 @@ def test_a_negative_shift_shifts_the_other_way(z):
 
 
 class CountingIntegers(ss.IntegerGroup):
-    """Integers that count their products."""
+    """Integers that count their products and comparisons."""
 
     def __init__(self):
-        self.products = 0
+        self.products = self.comparisons = 0
 
     def mul(self, a, b):
         self.products += 1
         return super().mul(a, b)
+
+    def eq(self, a, b):
+        self.comparisons += 1
+        return super().eq(a, b)
 
 
 def test_a_joint_window_past_the_limit_is_refused_before_any_entry():
@@ -75,6 +82,48 @@ def test_a_long_joint_period_is_compared_up_to_the_limit(z, monkeypatch):
     assert str(ss.corona_eq(a, b)) == "unknown@5"
     assert ss.corona_eq(a, seq(z, (), (1,) + (0,) * 6)).is_distinct  # a difference within the limit decides
     assert ss.corona_eq(seq(z, (), (0, 1)), seq(z, (1,), (1, 0))).is_equal  # a joint period within the limit
+
+
+def test_a_difference_at_the_first_entry_ends_the_comparison():
+    z = CountingIntegers()
+    a, b = seq(z, (), (1,) + (0,) * 1008), seq(z, (), (2,) + (0,) * 1012)  # primitive cycles of 1009 and 1013
+    assert ss.corona_eq(a, b).is_distinct
+    assert z.comparisons == 1
+
+
+def eager_corona_eq(a, b):
+    """corona_eq of two periodic sequences with every entry of the joint window compared first."""
+    p = max(len(a.prefix), len(b.prefix))
+    verdicts = [a.backend.eq(a.entry(n), b.entry(n)) for n in range(p + 1, p + lcm(len(a.cycle), len(b.cycle)) + 1)]
+    if any(v.is_distinct for v in verdicts):
+        return DISTINCT
+    return next((v for v in verdicts if v.is_unknown), EQUAL)
+
+
+@pytest.mark.parametrize("backend", ["integer", "cayley", "twin_machine"])
+def test_the_comparison_answers_as_the_eager_conjunction(backend):
+    rng = random.Random(f"corona_eq {backend}")
+    if backend == "integer":
+        group, pool = ss.IntegerGroup(), [0, 1, -1, 2]
+    elif backend == "cayley":
+        group, pool = ss.FiniteGroup(["e", "r", "r2"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]]), [0, 1, 2]
+    else:
+        # Two copies of the adding machine: a word of a against the same word of b is undecided at some depth.
+        group = load_spec_text(TWIN_MACHINE_SPEC).triple.group
+        pool = [(), (1,), (2,), (1, 1), (2, 2), (1, -2), (-2,), (1, 1, 1, 1), (2, 1, 1, 2)]
+    draw = lambda n: [rng.choice(pool) for _ in range(n)]  # noqa: E731
+    verdicts = set()
+    for _ in range(300):
+        a = ss.PeriodicSeq.make(group, draw(rng.randint(0, 3)), draw(rng.randint(1, 4)))
+        cycle = list(a.cycle) if rng.random() < 0.5 else draw(rng.randint(1, 4))
+        if rng.random() < 0.5:
+            cycle[rng.randrange(len(cycle))] = rng.choice(pool)  # a tail that may differ in one entry
+        b = ss.PeriodicSeq.make(group, draw(rng.randint(0, 3)), cycle)
+        verdict = ss.corona_eq(a, b)
+        assert verdict == eager_corona_eq(a, b), (str(a), str(b))
+        verdicts.add(str(verdict))
+    unknowns = {v for v in verdicts if v.startswith("unknown")}
+    assert {"equal", "distinct"} <= verdicts and (len(unknowns) >= 2) == (backend == "twin_machine"), verdicts
 
 
 def test_pointwise_mul_and_inv(z):
