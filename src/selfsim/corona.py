@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .errors import DepthExceededError, Frozen, Record, Value
+from .errors import DepthExceededError, Frozen, Record
 from .groups import MAX_ENUMERATION, GroupBackend, refuse_oversize
 from .periodic import drop, entry, normalize
 from .tri import Tri, DISTINCT, all_of, unknown
@@ -70,12 +70,15 @@ class PeriodicSeq(CoronaSeq, Frozen):
         return f"{head}({body})*"
 
 
-class BoundedSeq(CoronaSeq, Value):
+class BoundedSeq(CoronaSeq, Frozen):
+    """The entries 1..len(values) of a sequence, the rest unknown; compared by identity."""
+
     __slots__ = ("backend", "values")
 
     def __init__(self, backend: GroupBackend, values: tuple):
-        self.backend = backend
-        self.values = values  # entries 1..len(values)
+        set_backend, set_values = self._setters
+        set_backend(self, backend)
+        set_values(self, values)
 
     def entry(self, n: int):
         if n < 1:

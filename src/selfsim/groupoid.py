@@ -9,6 +9,7 @@ policy, no freeness counterexample in a window unless overridden.
 
 from __future__ import annotations
 
+from itertools import chain, cycle, islice, pairwise
 from math import lcm
 
 from .action import SelfSimilarTriple
@@ -52,9 +53,9 @@ class GermContext:
     that breaks an axiom on its generators, whatever allow_unverified says,
     and, as a policy, a known freeness counterexample unless allow_unverified.
     Every operation answers at the constructor's depth, so a carry walk
-    depends only on (g, xi): the walks that closed on a periodic xi are kept
-    in one table, bounded like an automaton backend's memo, and threads may
-    share a context.
+    depends only on g and the letters of xi it reads: the walks of an exact
+    element are kept in one table, bounded like an automaton backend's memo,
+    and threads may share a context.
     """
 
     def __init__(
@@ -70,7 +71,7 @@ class GermContext:
         self.freeness = hausdorff_report(triple, self.window).freeness
         if self.freeness.found_counterexample and not allow_unverified:
             raise FreenessNotVerifiedError(render_certificate(triple, self.freeness.counterexample))
-        self._walks = _Memo()  # (g, xi.prefix_edges, xi.cycle_edges) -> (g.xi, Phi(g, xi))
+        self._walks = _Memo()  # _walk_key(g, xi, depth) -> (g.xi, Phi(g, xi))
 
     @property
     def triple(self) -> SelfSimilarTriple:
@@ -85,18 +86,24 @@ class GermContext:
     # -- the carry walk ----------------------------------------------------
 
     def _walk(self, g, xi: InfPath, image: bool = True) -> tuple[InfPath | None, CoronaSeq]:
-        """_carry_walk at the context's depth, checking g on a hit too. Only closed walks
-        of an int, or a word of ints, on a periodic xi are kept; the rest are walked afresh."""
-        key = _walk_key(g, xi)
+        """_carry_walk at the context's depth, checking g on a hit too. Every walk of an
+        int, or a word of ints, that reads a letter is kept, closed or not, while the
+        table's letter budget lasts. A walk that raised is not kept, nor one that read
+        no letter: its image is undecided, None or DepthExceededError as ``image`` asks."""
+        key = _walk_key(g, xi, self.depth)
         if key is not None:
             known = self._walks.get(key)
             if known is not None:
                 self.triple.group.check(g)
                 return known
         gxi, seq = pair = _carry_walk(self.triple, g, xi, self.depth, image)
-        if key is not None and isinstance(seq, PeriodicSeq):
-            letters = len(key[1]) + len(key[2]) + len(gxi.prefix_edges) + len(gxi.cycle_edges)
-            letters += sum(len(c) if type(c) is tuple else 1 for c in (g, *seq.prefix, *seq.cycle))
+        if key is not None:
+            if isinstance(gxi, PeriodicPath):
+                path, carries = gxi.prefix_edges + gxi.cycle_edges, seq.prefix + seq.cycle
+            else:
+                path, carries = gxi.letters, seq.values
+            letters = sum(map(len, key[1:])) + len(path)
+            letters += sum(len(c) if type(c) is tuple else 1 for c in (g, *carries))
             self._walks.keep(key, pair, letters)
         return pair
 
@@ -307,11 +314,29 @@ class GermContext:
             return unknown(self.depth)
 
 
-def _walk_key(g, xi: InfPath):
-    """The table key of a walk, or None when the walk is not kept: xi is not periodic, or g not exact."""
-    if isinstance(xi, PeriodicPath) and _exact(g):
+def _walk_key(g, xi: InfPath, depth: int):
+    """The table key of a walk: g and the letters the walk reads, a periodic xi's prefix
+    and cycle or a stream's first depth letters. None when the walk is not kept: g is
+    not exact, or no letter of xi is known."""
+    if not _exact(g):
+        return None
+    if isinstance(xi, PeriodicPath):
         return g, xi.prefix_edges, xi.cycle_edges
-    return None
+    letters = xi.letters[:depth]
+    return (g, letters) if letters else None
+
+
+def _entries(prefix: tuple, cyc: tuple, k: int):
+    """The entries of prefix.(cyc)* from the 0-based index k on, one at a time."""
+    pre, cyc = drop(prefix, cyc, k)
+    return chain(pre, cycle(cyc))
+
+
+def _letters(xi: InfPath, k: int, n: int):
+    """The letters k+1 .. k+n of xi: one at a time on a periodic xi, a slice of a stream's."""
+    if isinstance(xi, PeriodicPath):
+        return _entries(xi.prefix_edges, xi.cycle_edges, k)
+    return xi.letters[k : k + n]
 
 
 def _all_periodic(eta: InfPath, gseq: CoronaSeq, zeta: InfPath) -> bool:
@@ -328,8 +353,9 @@ def _model_conditions(
     Bounded inputs cap the window and leave the verdict open. Condition n
     reads only (g_(n+p), g_(n+p+1), zeta_(n+q), eta_(n+p)), so each distinct
     tuple, its carries compared in value and type, is stepped once, in the
-    order of its first n. A window of more than MAX_ENUMERATION conditions is
-    checked that far: distinct where one fails, else unknown.
+    order of its first n; the window is read one condition at a time, so a
+    failure at condition n costs n. A window of more than MAX_ENUMERATION
+    conditions is checked that far: distinct where one fails, else unknown.
     """
     decisive = _all_periodic(eta, gseq, zeta)
     if decisive:
@@ -351,14 +377,13 @@ def _model_conditions(
         steps = reported = MAX_ENUMERATION
         decisive = False
     if isinstance(gseq, PeriodicSeq):
-        pre, cyc = drop(gseq.prefix, gseq.cycle, p)
-        carries = (pre + cyc * (steps // len(cyc) + 1))[: steps + 1]
+        carries = _entries(gseq.prefix, gseq.cycle, p)
     else:
         carries = gseq.values[p : p + steps + 1]
-    window = zip(carries, carries[1:], zeta.drop(q).head(steps), eta.drop(p).head(steps))
+    window = islice(zip(pairwise(carries), _letters(zeta, q, steps), _letters(eta, p, steps)), steps)
     group, step = t.group, t.step
     pending, seen = False, set()
-    for carry, carried, zeta_letter, eta_letter in window:
+    for (carry, carried), zeta_letter, eta_letter in window:
         key = (carry, carried, zeta_letter, eta_letter, type(carry), type(carried))
         if key in seen:
             continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .corona import BoundedSeq, CoronaSeq, PeriodicSeq
-from .errors import CompositionError, DepthExceededError, Frozen, Value
+from .errors import CompositionError, DepthExceededError, Frozen
 from .graph import Graph, Path, _edge_path, edge_path, vertex_path
 from .groups import DEFAULT_DEPTH, MAX_ENUMERATION, at_least
 from .periodic import drop, entry, normalize
@@ -134,14 +134,15 @@ def periodic_path(graph: Graph, prefix: Sequence[int] | Path, cycle: Sequence[in
     return PeriodicPath(graph, pre, cyc)
 
 
-class StreamPath(InfPath, Value):
+class StreamPath(InfPath, Frozen):
     """Infinite path known only through its first letters, the tuple ``letters``; compared by identity."""
 
     __slots__ = ("graph", "letters")
 
     def __init__(self, graph: Graph, letters: Sequence[int]):
-        self.graph = graph
-        self.letters = tuple(letters)
+        set_graph, set_letters = self._setters
+        set_graph(self, graph)
+        set_letters(self, tuple(letters))
 
     def _exceeded(self) -> DepthExceededError:
         return DepthExceededError(f"stream path only declared to depth {len(self.letters)}")
@@ -262,8 +263,9 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
 def _carry_walk(t: SelfSimilarTriple, g, xi: InfPath, depth: int, image: bool = True):
     """(g.xi, Phi(g, xi)) from one walk of the carry orbit, after checking g.
 
-    A closed walk gives both eventually periodic. Otherwise g.xi is a stream,
-    undecided when the walk saw no letter, and None unless ``image`` asks for it.
+    A closed walk gives both eventually periodic. Otherwise g.xi is a stream of
+    the images, whose letters compose as the path's do; with no letter seen it is
+    undecided: None, or DepthExceededError when ``image`` asks for it.
     """
     t.group.check(g)
     images, carries, closure = _orbit(t, g, xi, depth)
@@ -274,7 +276,7 @@ def _carry_walk(t: SelfSimilarTriple, g, xi: InfPath, depth: int, image: bool = 
         return PeriodicPath(t.graph, pre, cyc), PeriodicSeq.make(t.group, carries[:start], carries[start:end])
     if image and not images:
         raise DepthExceededError("no letter of the path is known: its image is undecided")
-    return (stream_path(t.graph, images) if image else None), BoundedSeq(t.group, tuple(carries[:-1] or carries))
+    return (StreamPath(t.graph, images) if images else None), BoundedSeq(t.group, tuple(carries[:-1] or carries))
 
 
 def act_inf_path(t: SelfSimilarTriple, g, xi: InfPath, depth: int = DEFAULT_DEPTH) -> InfPath:

@@ -191,6 +191,30 @@ def test_the_walk_answers_as_the_letter_by_letter_walk(name, t, monkeypatch):
         assert answer == plain(outcome(lambda: infinite._carry_walk(t, g, xi, depth))), (name, g, str(xi), depth)
 
 
+def test_an_unchecked_stream_image_composes():
+    # The walk builds its stream image without re-validating it: the letters must compose.
+    unclosed = 0
+    # Every spec graph but one has one vertex, where any letters compose: add two vertices
+    # that only one cell of edges joins.
+    katsura = ss.from_katsura(ss.KatsuraData.make([[2, 1], [0, 3]], [[1, 0], [0, 2]]))
+    for name, t in all_spec_triples() + [("katsura_two_vertices", katsura)]:
+        rng = random.Random(f"image {name}")
+        streams = 0
+        for g in elements(rng, t):
+            for xi in inf_paths(rng, t):
+                for depth in (1, 5, 64):
+                    try:
+                        gxi = act_and_phi_corona(t, g, xi, depth)[0]
+                    except DepthExceededError:
+                        continue
+                    if isinstance(gxi, ss.StreamPath):
+                        assert ss.edge_path(t.graph, gxi.letters).edges == gxi.letters, (name, g, str(xi), depth)
+                        streams += isinstance(xi, ss.StreamPath)
+                        unclosed += isinstance(xi, ss.PeriodicPath)
+        assert streams, name
+    assert unclosed >= 100, unclosed  # periodic walks that did not close by the depth
+
+
 def distinct_conditions(eta, gseq, p, q, zeta, depth):
     """The distinct (g_(n+p), g_(n+p+1), zeta_(n+q), eta_(n+p)) over the window of bounded inputs, carries typed."""
     horizon = min(depth, gseq.depth_limit - p - 1, zeta.depth_limit - q, eta.depth_limit - p)

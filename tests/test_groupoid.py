@@ -813,6 +813,23 @@ def test_a_split_far_past_the_preperiods_builds_no_entry_before_it(odo, xi0):
     assert peak < 1_000_000, f"peak {peak} bytes traced"
 
 
+def test_a_long_window_failing_at_its_first_condition_builds_no_window(odo):
+    # Cycles of 211, 227 and 223 letters: a window of 10,681,031 conditions, checked up to the
+    # limit; condition 1 fails, and no window of the limit's length is built before it.
+    eta = ss.periodic_path(odo.graph, [], [1] + [0] * 210)
+    gseq = ss.PeriodicSeq.make(odo.group, (), (1,) + (0,) * 226)
+    zeta = ss.periodic_path(odo.graph, [], [1] + [0] * 222)
+    ctx = ss.GermContext(odo, window=[0])
+    tracemalloc.start()
+    try:
+        verdict = ctx.model_check(eta, gseq, 0, zeta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.is_distinct
+    assert peak < 500_000, f"peak {peak} bytes traced"
+
+
 @pytest.fixture
 def exhausted_stream_germ(ctx, odo):
     """A stream germ reparametrized over all five of its known letters."""
@@ -911,11 +928,18 @@ def composed(ctx, u1, u2):
 
 
 def walk_letters(table):
-    """The letters the entries of a walk table hold, counted as GermContext._walk counts them."""
+    """The letters the entries of a walk table hold, counted as GermContext._walk counts them.
+
+    A key is (g, prefix, cycle) for a periodic path, (g, letters) for a stream.
+    """
     total = 0
-    for (g, pre, cyc), (gxi, seq) in table.items():
-        total += len(pre) + len(cyc) + len(gxi.prefix_edges) + len(gxi.cycle_edges)
-        total += sum(len(c) if type(c) is tuple else 1 for c in (g, *seq.prefix, *seq.cycle))
+    for (g, *read), (gxi, seq) in table.items():
+        if isinstance(gxi, ss.PeriodicPath):
+            image, carries = gxi.prefix_edges + gxi.cycle_edges, seq.prefix + seq.cycle
+        else:
+            image, carries = gxi.letters, seq.values
+        total += sum(len(letters) for letters in read) + len(image)
+        total += sum(len(c) if type(c) is tuple else 1 for c in (g, *carries))
     return total
 
 
@@ -962,9 +986,10 @@ def test_walk_table_answers_as_a_fresh_walk(oracle_contexts, monkeypatch):
                     else:
                         assert got[:3] == expected[:3] and same_inf_path(got[3], expected[3])
             if rounds == "warm":
-                # Only streams and orbits that did not close are walked again.
+                # Streams and orbits that did not close are read back too: only walks that
+                # raised (an exhausted stream's, say) are walked again.
                 for g, xi in walked:
-                    assert not isinstance(act_and_phi_corona(ctx.triple, g, xi, ctx.depth)[1], ss.PeriodicSeq)
+                    assert outcome(lambda: act_and_phi_corona(ctx.triple, g, xi, ctx.depth)) is DepthExceededError
         assert len(ctx._walks) > 0
         assert ctx._walks.held == walk_letters(ctx._walks) <= MAX_ENUMERATION
 
@@ -1056,7 +1081,13 @@ def test_every_spec_triple_and_context_pickles():
     assert contexts == 11 and filled >= 8
 
 
-def test_streams_and_unclosed_orbits_are_not_kept(odo):
+def same_walk(a, b) -> bool:
+    """Two (g.xi, Phi(g, xi)) pairs agree: streams and bounded sequences by their letters and entries."""
+    (gxi_a, seq_a), (gxi_b, seq_b) = a, b
+    return same_inf_path(gxi_a, gxi_b) and same_lag(ss.LagValue(seq_a, 0), ss.LagValue(seq_b, 0))
+
+
+def test_streams_and_unclosed_orbits_are_kept(odo):
     doubling = load_spec_file(str(TEST_SPECS / "doubling.spec")).triple
     v = vp(doubling)
     zero = ss.periodic_path(doubling.graph, [], [0])
@@ -1064,17 +1095,54 @@ def test_streams_and_unclosed_orbits_are_not_kept(odo):
     a = doubling.group.generator(0)
     shallow = ss.GermContext(doubling, window=window, depth=3)
     u = shallow.make(v, a, v, zero)
-    assert isinstance(shallow.lag(u).corona, ss.BoundedSeq)  # the orbit did not close by depth 3
-    assert not isinstance(shallow.f_map(u)[0], ss.PeriodicPath)
+    fresh = act_and_phi_corona(doubling, a, zero, 3)
+    assert isinstance(fresh[1], ss.BoundedSeq)  # the orbit does not close by depth 3
+    for rounds in ("cold", "warm"):
+        assert same_lag(shallow.lag(u), ss.LagValue(fresh[1], 0))
+        assert same_inf_path(shallow.f_map(u)[0], fresh[0])
+    assert same_walk(shallow._walks[(a, (), (0,))], fresh)
     deep = ss.GermContext(doubling, window=window)
     with pytest.raises(DepthExceededError):
         deep.lag(deep.make(v, a, v, zero))  # the carry words pass the letter budget
-    assert len(shallow._walks) == len(deep._walks) == 0
+    assert len(shallow._walks) == 1 and len(deep._walks) == 0
     ctx = ss.GermContext(odo, window=ss.default_window(odo.group, 4))
-    stream = ss.stream_path(odo.graph, [0, 1, 1, 0, 1])
+    letters = (0, 1, 1, 0, 1)
+    stream = ss.stream_path(odo.graph, letters)
     for g in (0, 3, -2):
         u = ctx.make(vp(odo), g, vp(odo), stream)
-        ctx.f_map(u), ctx.lag(u), ctx.inverse(u), ctx.range_point(u)
+        fresh = act_and_phi_corona(odo, g, stream, ctx.depth)
+        for rounds in ("cold", "warm"):
+            # The lag comes first: its walk builds and keeps the image too.
+            assert same_lag(ctx.lag(u), ss.LagValue(fresh[1], 0))
+            assert same_walk(ctx._walks[(g, letters)], fresh)
+            assert same_inf_path(ctx.inverse(u).xi, fresh[0]) and same_inf_path(ctx.range_point(u), fresh[0])
+            assert same_inf_path(ctx.f_map(u)[0], fresh[0])
+        # An image read from one kept walk is one object, so two reads compare equal.
+        assert ctx.inverse(u).xi is ctx.inverse(u).xi
+    assert len(ctx._walks) == 3
+    assert ctx._walks.held == walk_letters(ctx._walks)
+
+
+def test_a_stream_walk_is_keyed_by_the_letters_it_reads(odo):
+    ctx = ss.GermContext(odo, window=[0, 1, -1])
+    rng = random.Random(24)
+    letters = [rng.randrange(2) for _ in range(10**5)]
+    u = ctx.make(vp(odo), 1, vp(odo), ss.stream_path(odo.graph, letters))
+    gxi = ctx.inverse(u).xi
+    ((g, read),) = ctx._walks
+    assert g == 1 and read == tuple(letters[: ctx.depth])
+    # A stream that differs only past the depth reads the same letters: its walk is read back.
+    other = ctx.make(vp(odo), 1, vp(odo), ss.stream_path(odo.graph, letters[: ctx.depth] + [1 - letters[-1]]))
+    assert ctx.inverse(other).xi is gxi and len(ctx._walks) == 1
+
+
+def test_an_exhausted_stream_is_not_kept(odo, exhausted_stream_germ):
+    ctx = ss.GermContext(odo, window=ss.default_window(odo.group, 4))
+    u = exhausted_stream_germ
+    for rounds in ("cold", "warm"):
+        assert str(ctx.lag(u)) == "(0,0,0,0,0,0~, 0)"
+        with pytest.raises(DepthExceededError):
+            ctx.inverse(u)
     assert len(ctx._walks) == 0
 
 
@@ -1084,6 +1152,9 @@ def test_threads_sharing_a_context_keep_the_walk_table_bound(budget, monkeypatch
     ctx = ss.GermContext(machine, window=ss.default_window(machine.group, 4))
     rng = random.Random(16)
     germs = [random_germ(rng, ctx, 2) for _ in range(80)]
+    # A quarter on streams, whose walks the table keeps too.
+    germs = [ss.Germ(u.alpha, u.g, u.beta, as_stream(u.xi, rng.randint(1, 40))) if i % 4 == 0 else u
+             for i, u in enumerate(germs)]
     expected = [(fresh_answers(ctx, u), ctx.source_point(u)) for u in germs]
     ctx = ss.GermContext(machine, window=ctx.window)
     # A small budget makes the threads race for its last letters.
@@ -1096,7 +1167,9 @@ def test_threads_sharing_a_context_keep_the_walk_table_bound(budget, monkeypatch
         while time.monotonic() < deadline:
             i = order.randrange(len(germs))
             u, ((range_point, moved, lag), source) = germs[i], expected[i]
-            if ctx.f_map(u) != (range_point, lag, source) or ctx.inverse(u).xi != moved:
+            f_range, f_lag, f_source = ctx.f_map(u)
+            if not (same_inf_path(f_range, range_point) and same_lag(f_lag, lag)
+                    and same_inf_path(f_source, source) and same_inf_path(ctx.inverse(u).xi, moved)):
                 failures.append(i)
 
     interval = sys.getswitchinterval()
@@ -1113,3 +1186,4 @@ def test_threads_sharing_a_context_keep_the_walk_table_bound(budget, monkeypatch
     assert not failures
     # A lost update would leave the count apart from the letters held.
     assert 0 < len(ctx._walks) and ctx._walks.held == walk_letters(ctx._walks) <= budget
+    assert budget < MAX_ENUMERATION or any(len(key) == 2 for key in ctx._walks)  # stream walks were kept

@@ -126,6 +126,20 @@ def test_identity_types_compare_by_identity():
         assert a == a and a != b and len({a, b}) == 2
 
 
+def test_identity_values_are_read_only():
+    # A GermContext hands one kept stream walk to every caller, so its values cannot change.
+    for value in (ss.stream_path(G1, [0, 1]), ss.BoundedSeq(Z1, (1, 2))):
+        for name in (*type(value).__slots__, "unknown_field"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+        for name in type(value).__slots__:
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        entries = type(value).__slots__[-1]  # the letters or the values
+        for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value)):
+            assert clone != value and getattr(clone, entries) == getattr(value, entries)
+
+
 def test_frozen_values_survive_pickle():
     values = [ss.edge_path(G1, [0, 1]), ss.periodic_path(G1, [1], [0]), ss.Tri("unknown", 2),
               ss.Triple(ss.edge_path(G1, [0]), 1, ss.vertex_path(G1, 0)), G1, ss.ZERO,
