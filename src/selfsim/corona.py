@@ -14,7 +14,7 @@ from math import lcm
 
 from .errors import DepthExceededError, Frozen, Record
 from .groups import MAX_ENUMERATION, GroupBackend, refuse_oversize
-from .periodic import drop, entry, normalize
+from .periodic import absorb, drop, entry, normalize
 from .tri import Tri, DISTINCT, all_of, unknown
 
 
@@ -134,7 +134,7 @@ def shift_right(a: CoronaSeq, k: int = 1) -> CoronaSeq:
         return shift_left(a, -k)
     pad = (a.backend.identity(),) * k
     if isinstance(a, PeriodicSeq):
-        return PeriodicSeq.make(a.backend, pad + a.prefix, a.cycle)
+        return PeriodicSeq(a.backend, *absorb(pad + a.prefix, a.cycle))
     return BoundedSeq(a.backend, pad + a.values)
 
 

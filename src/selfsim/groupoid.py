@@ -351,11 +351,10 @@ def _model_conditions(
     For eventually periodic inputs the preperiods plus one combined period
     decide all n; an undecided carry is still reported at the full depth.
     Bounded inputs cap the window and leave the verdict open. Condition n
-    reads only (g_(n+p), g_(n+p+1), zeta_(n+q), eta_(n+p)), so each distinct
-    tuple, its carries compared in value and type, is stepped once, in the
-    order of its first n; the window is read one condition at a time, so a
-    failure at condition n costs n. A window of more than MAX_ENUMERATION
-    conditions is checked that far: distinct where one fails, else unknown.
+    reads (g_(n+p), g_(n+p+1), zeta_(n+q), eta_(n+p)); the window is read and
+    stepped one condition at a time, in order, so a failure at condition n
+    costs n. A window of more than MAX_ENUMERATION conditions is checked that
+    far: distinct where one fails, else unknown.
     """
     decisive = _all_periodic(eta, gseq, zeta)
     if decisive:
@@ -382,12 +381,8 @@ def _model_conditions(
         carries = gseq.values[p : p + steps + 1]
     window = islice(zip(pairwise(carries), _letters(zeta, q, steps), _letters(eta, p, steps)), steps)
     group, step = t.group, t.step
-    pending, seen = False, set()
+    pending = False
     for (carry, carried), zeta_letter, eta_letter in window:
-        key = (carry, carried, zeta_letter, eta_letter, type(carry), type(carried))
-        if key in seen:
-            continue
-        seen.add(key)
         image, coc = step(carry, zeta_letter)
         verdict = group.eq(carried, coc)
         if verdict.is_distinct:

@@ -4,8 +4,9 @@ Eventually periodic paths are exact (normal form prefix.(cycle)*); stream
 paths are known only to a declared depth. By definition (g.xi)|n and
 Phi(g, xi)_(n+1) are the image and cocycle of t.act_path(g, xi.truncate(n)).
 One walk of the carry orbit along xi, _carry_walk, gives the whole path and
-the whole sequence, closing on periodic inputs: act_inf_path, phi_corona,
-act_and_phi_corona and the germ walks of groupoid all call it.
+the whole sequence, closing on periodic inputs: act_inf_path, phi_corona and
+the germ walks of groupoid all call it. It steps one letter at a time, as the
+paper defines g.xi and Phi(g, xi); the GermContext walk table keeps its walks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .corona import BoundedSeq, CoronaSeq, PeriodicSeq
 from .errors import CompositionError, DepthExceededError, Frozen
 from .graph import Graph, Path, _edge_path, edge_path, vertex_path
 from .groups import DEFAULT_DEPTH, MAX_ENUMERATION, at_least
-from .periodic import drop, entry, normalize
+from .periodic import absorb, drop, entry, normalize
 from .tri import Tri, DISTINCT, from_bool, unknown
 
 # SelfSimilarTriple (annotations) lives in action, loaded with every triple.
@@ -107,8 +108,7 @@ class PeriodicPath(InfPath, Frozen):
     def prepend(self, path: Path) -> "PeriodicPath":
         if path.source_vertex != self.range_vertex:
             raise CompositionError("cannot prepend: endpoints do not match")
-        pre, cyc = normalize(path.edges + self.prefix_edges, self.cycle_edges)
-        return PeriodicPath(self.graph, pre, cyc)
+        return PeriodicPath(self.graph, *absorb(path.edges + self.prefix_edges, self.cycle_edges))
 
     def __str__(self) -> str:
         labels = self.graph.edge_labels
@@ -213,12 +213,11 @@ def inf_path_eq(a: InfPath, b: InfPath, depth: int) -> Tri:
 def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
     """(images, carries, closure) along xi: carries[n] = phi(g, xi|_n), images[n-1] = (g.xi)_n.
 
-    closure is (start, end) when the state (carry, cycle phase) of step start
-    recurs at step end, else None. A carry word costs its letters, any other
-    carry 1; past MAX_ENUMERATION carry letters the walk raises
-    DepthExceededError. Along the known letters (a stream's, a periodic prefix)
-    each distinct (carry, letter), the carry compared in value and type, is
-    stepped once; its row of steps is looked up when the carry object changes.
+    Every known letter (a stream's, a periodic prefix's) is stepped in turn, then
+    the cycle until closure is (start, end): the state (carry, cycle phase) of
+    step start recurs at step end; else closure is None. A carry word costs its
+    letters, any other carry 1; past MAX_ENUMERATION carry letters the walk
+    raises DepthExceededError.
     """
     at_least("depth", depth, 0)
     images: list[int] = []
@@ -232,18 +231,11 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
         prefix, cycle = xi.head(min(depth, xi.depth_limit)), ()
         end = len(prefix)
     p, q = len(prefix), len(cycle)
-    rows: dict = {}  # (carry, type) -> {letter: step(carry, letter)}, for the known letters
-    row, carry = None, rows  # rows is never a carry
     seen: dict = {}  # (carry, phase) -> n, for the cycle letters
     phase = spent = 0
     for n in range(end):
         if n < p:
-            e = prefix[n]
-            if state is not carry:
-                carry, row = state, rows.setdefault((state, type(state)), {})
-            if e not in row:
-                row[e] = step(state, e)
-            image, state = row[e]
+            image, state = step(state, prefix[n])
         else:
             key = (state, phase)
             if key in seen:
@@ -292,8 +284,3 @@ def phi_corona(t: SelfSimilarTriple, g, xi: InfPath, depth: int = DEFAULT_DEPTH)
     degrade to unknown rather than being silently wrong.
     """
     return _carry_walk(t, g, xi, depth, image=False)[1]
-
-
-def act_and_phi_corona(t: SelfSimilarTriple, g, xi: InfPath, depth: int = DEFAULT_DEPTH) -> tuple[InfPath, CoronaSeq]:
-    """(g.xi, Phi(g, xi)) from one walk of the carry orbit."""
-    return _carry_walk(t, g, xi, depth)

@@ -24,14 +24,18 @@ def normalize(prefix: Sequence, cycle: Sequence) -> tuple[tuple, tuple]:
     """Return the normal form of the eventually periodic sequence (prefix, cycle)."""
     if not cycle:
         raise ValueError("cycle must be nonempty")
-    pre = list(prefix)
-    cyc = list(primitive_root(cycle))
-    # Absorb matching tail symbols into the cycle: p + (c)* == p' + (rot c)*
-    # whenever p ends with the cycle's last symbol.
-    while pre and pre[-1] == cyc[-1]:
-        pre.pop()
-        cyc.insert(0, cyc.pop())
-    return tuple(pre), tuple(cyc)
+    return absorb(prefix, primitive_root(cycle))
+
+
+def absorb(prefix: Sequence, cycle: Sequence) -> tuple[tuple, tuple]:
+    """The normal form of (prefix, cycle) for a primitive cycle: p + (c)* == p' + (rot c)*
+    whenever p ends with the cycle's last symbol, so that tail of p moves into the cycle."""
+    pre, cyc = tuple(prefix), tuple(cycle)
+    k = 0
+    while k < len(pre) and pre[-1 - k] == cyc[-1 - k % len(cyc)]:
+        k += 1
+    r = len(cyc) - k % len(cyc)
+    return pre[: len(pre) - k], cyc[r:] + cyc[:r]
 
 
 def entry(prefix: Sequence, cycle: Sequence, n: int):
@@ -41,13 +45,12 @@ def entry(prefix: Sequence, cycle: Sequence, n: int):
     return cycle[(n - len(prefix)) % len(cycle)]
 
 
-def drop(prefix: Sequence, cycle: Sequence, k: int) -> tuple[tuple, tuple]:
-    """Representation of the sequence with its first k entries removed (k >= 0)."""
+def drop(prefix: tuple, cycle: tuple, k: int) -> tuple[tuple, tuple]:
+    """The normal form (prefix, cycle) with its first k >= 0 entries removed, as a suffix
+    of a minimal prefix is minimal and a rotated primitive cycle is primitive."""
     if k < 0:
         raise ValueError("drop length must be >= 0")
-    pre = tuple(prefix)
-    cyc = tuple(cycle)
-    if k <= len(pre):
-        return normalize(pre[k:], cyc)
-    shift = (k - len(pre)) % len(cyc)
-    return normalize((), cyc[shift:] + cyc[:shift])
+    if k <= len(prefix):
+        return prefix[k:], cycle
+    shift = (k - len(prefix)) % len(cycle)
+    return (), cycle[shift:] + cycle[:shift]

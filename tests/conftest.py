@@ -564,7 +564,7 @@ def cube_e_star_unitary(t, window, path_bound=4):
 
 
 def reference_orbit(t, g, xi, depth):
-    """infinite._orbit letter by letter to the depth, with no cut at a trivial carry.
+    """infinite._orbit letter by letter to the depth, written out as an oracle.
 
     Reads infinite.MAX_ENUMERATION when called, so a patched budget holds here too.
     """

@@ -10,7 +10,6 @@ import selfsim as ss
 from selfsim import cli
 from selfsim.automaton import AutomatonGroup
 from selfsim.errors import InvalidMatricesError
-from selfsim.infinite import act_and_phi_corona
 from selfsim.sweeps import check_path_bound, require_axioms
 from conftest import (
     TEST_SPECS,
@@ -478,9 +477,8 @@ def test_oversize_path_bound_is_refused_before_any_step(sweep, monkeypatch):
         lambda t, xi, seq: ss.inf_path_eq(xi, xi, -4),
         lambda t, xi, seq: ss.act_inf_path(t, 1, xi, -4),
         lambda t, xi, seq: ss.phi_corona(t, 1, xi, -4),
-        lambda t, xi, seq: act_and_phi_corona(t, 1, xi, -4),
     ],
-    ids=["inf_path_eq", "act_inf_path", "phi_corona", "act_and_phi_corona"],
+    ids=["inf_path_eq", "act_inf_path", "phi_corona"],
 )
 def test_negative_depth_is_refused(refuse, odo):
     xi, seq = ss.stream_path(odo.graph, [1, 0, 1]), ss.BoundedSeq(odo.group, (1, 0))

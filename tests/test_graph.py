@@ -297,6 +297,37 @@ def test_periodic_drop_refuses_a_negative_length(k):
     assert periodic.drop((0, 1), (0,), 1) == ((1,), (0,))
 
 
+def reference_normalize(prefix, cycle):
+    """The normal form by its definition: the primitive cycle, then the prefix's last symbol
+    moved into the cycle while it equals the cycle's last one."""
+    pre, cyc = list(prefix), list(periodic.primitive_root(cycle))
+    while pre and pre[-1] == cyc[-1]:
+        pre.pop()
+        cyc.insert(0, cyc.pop())
+    return tuple(pre), tuple(cyc)
+
+
+def test_a_normal_form_stays_normal_without_normalizing_again():
+    # drop cuts a normal form, and prepend and shift_right put symbols before one: each
+    # answers the normal form of the raw sequence while only absorbing the new prefix.
+    rng = random.Random(61)
+    for _ in range(400):
+        pre = tuple(rng.randrange(2) for _ in range(rng.randrange(6)))
+        cyc = tuple(rng.randrange(2) for _ in range(rng.randint(1, 4))) * rng.randint(1, 3)
+        nf = periodic.normalize(pre, cyc)
+        assert nf == reference_normalize(pre, cyc)
+        for k in range(len(pre) + 2 * len(cyc) + 1):
+            assert periodic.drop(*nf, k) == reference_normalize((pre + cyc * (k + 1))[k:], cyc), (pre, cyc, k)
+        head = tuple(rng.randrange(2) for _ in range(rng.randrange(5)))
+        # e0 and e1 are loops on one vertex: any letters compose.
+        path = ss.edge_path(LOOPS, head) if head else ss.vertex_path(LOOPS, 0)
+        xi = ss.periodic_path(LOOPS, pre, cyc).prepend(path)
+        assert (xi.prefix_edges, xi.cycle_edges) == reference_normalize(head + pre, cyc), (head, pre, cyc)
+        seq = ss.PeriodicSeq.make(ss.IntegerGroup(), pre, cyc)
+        pad = rng.randrange(4)
+        assert ss.shift_right(seq, pad) == ss.PeriodicSeq(seq.backend, *reference_normalize((0,) * pad + pre, cyc))
+
+
 def test_edges_into_is_precomputed_with_dangling_ranges():
     # Edge f's range 5 is not a vertex; the graph keeps it, validate reports it.
     g = ss.Graph(("v", "w"), ("e", "f", "h"), (0, 5, 0), (1, 0, 0))
