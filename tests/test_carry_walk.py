@@ -364,28 +364,34 @@ def timed(call):
     return result, time.perf_counter() - start
 
 
-def test_the_longest_walk_and_model_window_finish_in_time():
-    # The odometer's carry 1 turns 0 at the first e0 and stays 0: every letter and condition is
-    # still stepped, as far as the letter budget lets a walk, and a model window, go.
+def test_a_trivial_carry_ends_the_walk():
+    # The odometer's carry 1 turns 0 at the first e0 and stays 0: every letter is still
+    # stepped, as far as the letter budget lets a walk go, and the walk finishes in time.
     n = MAX_ENUMERATION  # each int carry costs one letter of the budget
     t, stepped = recorded(labeled_odometer())
     xi = ss.stream_path(t.graph, [0] * n)
     (gxi, seq), took = timed(lambda: infinite._carry_walk(t, 1, xi, n))
     assert gxi.letters == (1,) + (0,) * (n - 1) and seq.values == (1,) + (0,) * (n - 1)
     assert len(stepped) == n and took < 2.0, took
+    walked = typed_steps(stepped)
     stepped.clear()
+    reference_orbit(t, 1, xi, n)
+    assert typed_steps(stepped) == walked  # the letter-by-letter walk steps every letter too
+
+
+def test_each_distinct_model_condition_is_stepped_once():
+    # Past the carry's turn to 0 every condition repeats (0, 0, e0, e0); each is stepped once,
+    # in order, over the largest window the letter budget allows, and the pass finishes in time.
+    n = MAX_ENUMERATION
+    t, stepped = recorded(labeled_odometer())
+    zeta = ss.stream_path(t.graph, [0] * n)
     eta = ss.stream_path(t.graph, [1] + [0] * (n - 1))
     gseq = ss.BoundedSeq(t.group, (1,) + (0,) * n)
-    verdict, took = timed(lambda: groupoid._model_conditions(t, eta, gseq, 0, 0, xi, n))
+    verdict, took = timed(lambda: groupoid._model_conditions(t, eta, gseq, 0, 0, zeta, n))
     assert str(verdict) == f"unknown@{n}" and len(stepped) == n and took < 2.0, took
-    assert _full_depth_conditions(t, eta, gseq, 0, 0, xi, n) == verdict
-    # Through a context: F(u) of the germ at a stream one letter longer than the depth.
-    ctx = ss.GermContext(t, window=[0], depth=n)
-    vertex = ss.vertex_path(t.graph, 0)
-    eta, lag, zeta = ctx.f_map(ctx.make(vertex, 1, vertex, ss.stream_path(t.graph, [0] * (n + 1))))
-    verdict, took = timed(lambda: ctx.model_check(eta, lag.corona, lag.shift, zeta, split=(0, 0)))
-    assert verdict == _full_depth_conditions(t, eta, lag.corona, 0, 0, zeta, n) == ss.Tri("unknown", n - 1)
-    assert took < 2.0, took
+    stepped.clear()
+    assert _full_depth_conditions(t, eta, gseq, 0, 0, zeta, n) == verdict
+    assert len(stepped) == n  # the full-depth walk steps every condition too
 
 
 class HashCounted(int):

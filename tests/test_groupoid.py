@@ -785,6 +785,28 @@ def test_model_check_cuts_a_trivial_carry_as_the_full_depth_walk(oracle_contexts
     assert past_trivial >= 100 and changed_past >= 30 and blurred_earlier >= 3, (past_trivial, changed_past, blurred_earlier)
 
 
+def test_a_trivial_carry_ends_the_model_loop(odo):
+    """Once the carry turns trivial the model loop still steps every condition to the
+    largest depth, answers as the full-depth walk, and finishes in time."""
+    calls = [0]
+
+    def step(g, e):
+        calls[0] += 1
+        return odo.step(g, e)
+
+    n = MAX_ENUMERATION
+    t = ss.SelfSimilarTriple(odo.graph, odo.group, odo.act_vertex, step, odo.description)
+    ctx = ss.GermContext(t, window=[0], depth=n)
+    u = ctx.make(vp(t), 1, vp(t), ss.stream_path(t.graph, [0] * (n + 1)))
+    eta, lag, zeta = ctx.f_map(u)
+    calls[0] = 0
+    start = time.perf_counter()
+    verdict = ctx.model_check(eta, lag.corona, lag.shift, zeta, split=(0, 0))
+    took = time.perf_counter() - start
+    assert calls[0] == n - 1 and took < 2.0, (calls[0], took)
+    assert verdict == _full_depth_conditions(t, eta, lag.corona, 0, 0, zeta, n) == ss.Tri("unknown", n - 1)
+
+
 def test_a_split_far_past_the_preperiods_builds_no_entry_before_it(odo, xi0):
     ctx = ss.GermContext(odo, window=[0], depth=10**7)
     eta, lag, zeta = ctx.f_map(ctx.make(vp(odo), 3, vp(odo), xi0))
