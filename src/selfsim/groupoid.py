@@ -9,8 +9,8 @@ policy, no freeness counterexample in a window unless overridden.
 
 from __future__ import annotations
 
-from itertools import chain, cycle, islice, pairwise
 from math import lcm
+from operator import is_
 
 from .action import SelfSimilarTriple
 from .corona import CoronaSeq, LagValue, PeriodicSeq, corona_eq, shift_right
@@ -233,18 +233,17 @@ class GermContext:
     ) -> Tri:
         """Membership test for the concrete groupoid model.
 
-        Verifies, for a witness split k = p - q (supplied, or searched), that
-        for all n >= 1 the carry recursion g_(n+p+1) = phi(g_(n+p), zeta_(n+q))
-        and the letter law eta_(n+p) = g_(n+p) zeta_(n+q) hold. Fully decided
+        A split k = p - q (supplied, or searched) holds when, for all n >= 1, the
+        carry recursion g_(n+p+1) = phi(g_(n+p), zeta_(n+q)) and the letter law
+        eta_(n+p) = g_(n+p) zeta_(n+q) hold: when eta from p is g_(p+1).(zeta from q)
+        and gseq from p + 2 is the rest of Phi(g_(p+1), zeta from q). Fully decided
         when all three sequences are eventually periodic.
         """
         depth = self.depth
         if split is not None:
-            p, q = split
-            if p < 0 or q < 0 or p - q != k:
-                raise ValueError("split must be nonnegative with p - q = k")
-            return _model_conditions(self.triple, eta, gseq, p, q, zeta, depth)
-        if not _all_periodic(eta, gseq, zeta):
+            p, q = _split(split, k)
+            return self._split_holds(eta, gseq, p, q, zeta)
+        if not (isinstance(eta, PeriodicPath) and isinstance(zeta, PeriodicPath) and isinstance(gseq, PeriodicSeq)):
             # Bounded inputs never decide a split, so no split search can either.
             return unknown(depth)
         # The conditions for split p + 1 are those for split p from n = 2 on,
@@ -252,22 +251,49 @@ class GermContext:
         # past every preperiod the splits repeat. The top split of the range
         # p = max(k, 0) .. p_hi decides the whole range.
         period = lcm(len(eta.cycle_edges), len(zeta.cycle_edges), len(gseq.cycle))
-        p_hi = max(
-            depth,
-            len(eta.prefix_edges) + len(zeta.prefix_edges) + len(gseq.prefix) + period + abs(k) + 1,
-        )
-        verdict = _model_conditions(self.triple, eta, gseq, p_hi, p_hi - k, zeta, depth)
+        p_hi = max(depth, len(eta.prefix_edges) + len(zeta.prefix_edges) + len(gseq.prefix) + period + abs(k) + 1)
+        verdict = self._split_holds(eta, gseq, p_hi, p_hi - k, zeta)
         return unknown(depth) if verdict.is_unknown else verdict
 
-    def model_to_germ(
-        self, eta: InfPath, gseq: CoronaSeq, k: int, zeta: InfPath, split: tuple[int, int]
-    ) -> Germ:
+    def _split_holds(self, eta: InfPath, gseq: CoronaSeq, p: int, q: int, zeta: InfPath) -> Tri:
+        """The conditions n = 1 .. the horizon of one split, condition n reading (g_(n+p),
+        g_(n+p+1), zeta_(n+q), eta_(n+p)): the preperiods plus one period decide periodic inputs,
+        bounded ones cap the horizon, and past MAX_ENUMERATION a split is distinct or unknown.
+        Those that the walk of g_(p+1) along zeta from q (read from the table) meets, from the first
+        on, cost no step; the rest, or all where the walk raises, are stepped from gseq's entries."""
+        decisive = isinstance(eta, PeriodicPath) and isinstance(zeta, PeriodicPath) and isinstance(gseq, PeriodicSeq)
+        if decisive:
+            period = lcm(len(gseq.cycle), len(zeta.cycle_edges), len(eta.cycle_edges))
+            horizon = max(len(gseq.prefix) - p, len(zeta.prefix_edges) - q, len(eta.prefix_edges) - p, 0) + period
+            reported = max(self.depth, horizon)
+        else:
+            limits = ((gseq.depth_limit, p + 1), (zeta.depth_limit, q), (eta.depth_limit, p))
+            horizon = min(self.depth, *(lim - offset for lim, offset in limits if lim is not None))
+            if horizon < 1:
+                return unknown(0)
+            reported = horizon
+        if horizon > MAX_ENUMERATION:
+            horizon = reported = MAX_ENUMERATION
+            decisive = False
+        t, pending = self.triple, False
+        try:
+            gxi, phi = self._walk(gseq.entry(p + 1), zeta.drop(q) if q else zeta)
+        except Exception:  # noqa: BLE001 - the steps below meet what raised in its turn
+            met = 0
+        else:
+            met = _met(gxi, phi, eta, gseq, p, horizon)
+        for n in range(met + 1, horizon + 1):
+            image, coc = t.step(gseq.entry(n + p), zeta.letter(n + q))
+            verdict = t.group.eq(gseq.entry(n + p + 1), coc)
+            if verdict.is_distinct or eta.letter(n + p) != image:
+                return DISTINCT
+            pending = pending or verdict.is_unknown
+        return EQUAL if decisive and not pending else unknown(reported)
+
+    def model_to_germ(self, eta: InfPath, gseq: CoronaSeq, k: int, zeta: InfPath, split: tuple[int, int]) -> Germ:
         """Proof-recipe pullback: g = g_(p+1), alpha = eta|_p, beta = zeta|_q."""
-        p, q = split
-        g = gseq.entry(p + 1)
-        alpha = eta.truncate(p)
-        beta = zeta.truncate(q)
-        return self.make(alpha, g, beta, zeta.drop(q))
+        p, q = _split(split, k)
+        return self.make(eta.truncate(p), gseq.entry(p + 1), zeta.truncate(q), zeta.drop(q))
 
     # -- basic open sets -----------------------------------------------------
 
@@ -326,71 +352,33 @@ def _walk_key(g, xi: InfPath, depth: int):
     return (g, letters) if letters else None
 
 
-def _entries(prefix: tuple, cyc: tuple, k: int):
-    """The entries of prefix.(cyc)* from the 0-based index k on, one at a time."""
-    pre, cyc = drop(prefix, cyc, k)
-    return chain(pre, cycle(cyc))
+def _split(split: tuple[int, int], k: int) -> tuple[int, int]:
+    p, q = split
+    if p < 0 or q < 0 or p - q != k:
+        raise ValueError("split must be nonnegative with p - q = k")
+    return p, q
 
 
-def _letters(xi: InfPath, k: int, n: int):
-    """The letters k+1 .. k+n of xi: one at a time on a periodic xi, a slice of a stream's."""
-    if isinstance(xi, PeriodicPath):
-        return _entries(xi.prefix_edges, xi.cycle_edges, k)
-    return xi.letters[k : k + n]
+def _same(a: tuple, b: tuple) -> bool:
+    """The same entries, or equal ones of the same types: a carry equal in value only may step otherwise."""
+    return len(a) == len(b) and all(map(is_, a, b)) or a == b and list(map(type, a)) == list(map(type, b))
 
 
-def _all_periodic(eta: InfPath, gseq: CoronaSeq, zeta: InfPath) -> bool:
-    return isinstance(eta, PeriodicPath) and isinstance(zeta, PeriodicPath) and isinstance(gseq, PeriodicSeq)
-
-
-def _model_conditions(
-    t: SelfSimilarTriple, eta: InfPath, gseq: CoronaSeq, p: int, q: int, zeta: InfPath, depth: int
-) -> Tri:
-    """Check the two model conditions for one split, over a decisive window.
-
-    For eventually periodic inputs the preperiods plus one combined period
-    decide all n; an undecided carry is still reported at the full depth.
-    Bounded inputs cap the window and leave the verdict open. Condition n
-    reads (g_(n+p), g_(n+p+1), zeta_(n+q), eta_(n+p)); the window is read and
-    stepped one condition at a time, in order, so a failure at condition n
-    costs n. A window of more than MAX_ENUMERATION conditions is checked that
-    far: distinct where one fails, else unknown.
-    """
-    decisive = _all_periodic(eta, gseq, zeta)
-    if decisive:
-        # Past every preperiod the conditions are periodic in n: one combined
-        # period after the preperiods decides every n.
-        period = lcm(len(gseq.cycle), len(zeta.cycle_edges), len(eta.cycle_edges))
-        base = max(len(gseq.prefix) - p, len(zeta.prefix_edges) - q, len(eta.prefix_edges) - p, 0)
-        steps = base + period
-        reported = max(depth, steps)
-    else:
-        steps = depth
-        for lim, offset in ((gseq.depth_limit, p + 1), (zeta.depth_limit, q), (eta.depth_limit, p)):
-            if lim is not None:
-                steps = min(steps, lim - offset)
-        if steps < 1:
-            return unknown(0)
-        reported = steps
-    if steps > MAX_ENUMERATION:
-        steps = reported = MAX_ENUMERATION
-        decisive = False
-    if isinstance(gseq, PeriodicSeq):
-        carries = _entries(gseq.prefix, gseq.cycle, p)
-    else:
-        carries = gseq.values[p : p + steps + 1]
-    window = islice(zip(pairwise(carries), _letters(zeta, q, steps), _letters(eta, p, steps)), steps)
-    group, step = t.group, t.step
-    pending = False
-    for (carry, carried), zeta_letter, eta_letter in window:
-        image, coc = step(carry, zeta_letter)
-        verdict = group.eq(carried, coc)
-        if verdict.is_distinct:
-            return DISTINCT
-        if verdict.is_unknown:
-            pending = True
-        if eta_letter != image:
-            return DISTINCT
-    if decisive and not pending:
-        return EQUAL
-    return unknown(reported)
+def _met(gxi: InfPath, phi: CoronaSeq, eta: InfPath, gseq: CoronaSeq, p: int, horizon: int) -> int:
+    """How many of conditions 1 .. horizon the walk (gxi, phi) meets from the first on, as far as it
+    knows them: its image letter is eta's, its carry gseq's entry of the same type. Periodic sides meet
+    all or none, as normal forms; bounded ones are compared as tuples; mixed ones meet none."""
+    if isinstance(phi, PeriodicSeq) and isinstance(eta, PeriodicPath) and isinstance(gseq, PeriodicSeq):
+        # gseq's entry p + 1 is the walk's first carry: compare the carries from there.
+        (pre, cyc), images = drop(gseq.prefix, gseq.cycle, p), drop(eta.prefix_edges, eta.cycle_edges, p)
+        met = images == (gxi.prefix_edges, gxi.cycle_edges) and _same(phi.prefix, pre) and _same(phi.cycle, cyc)
+        return horizon if met else 0
+    if isinstance(phi, PeriodicSeq) or isinstance(eta, PeriodicPath) or isinstance(gseq, PeriodicSeq):
+        return 0
+    n = min(horizon, phi.depth_limit - 1, gxi.depth_limit)
+    images, letters = gxi.letters[:n], eta.letters[p : p + n]
+    carries, entries = phi.values[1 : n + 1], gseq.values[p + 1 : p + n + 1]
+    if images == letters and _same(carries, entries):
+        return n
+    differ = zip(images, letters, carries, entries)
+    return next(m for m, (a, b, c, d) in enumerate(differ) if a != b or c != d or type(c) is not type(d))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .corona import BoundedSeq, CoronaSeq, PeriodicSeq
-from .errors import CompositionError, DepthExceededError, Frozen
+from .errors import BackendMismatchError, CompositionError, DepthExceededError, Frozen
 from .graph import Graph, Path, _edge_path, edge_path, vertex_path
 from .groups import DEFAULT_DEPTH, MAX_ENUMERATION, at_least
 from .periodic import absorb, drop, entry, normalize
@@ -255,12 +255,21 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
 def _carry_walk(t: SelfSimilarTriple, g, xi: InfPath, depth: int, image: bool = True):
     """(g.xi, Phi(g, xi)) from one walk of the carry orbit, after checking g.
 
-    A closed walk gives both eventually periodic. Otherwise g.xi is a stream of
-    the images, whose letters compose as the path's do; with no letter seen it is
-    undecided: None, or DepthExceededError when ``image`` asks for it.
+    Each carry reached must compare equal to itself, as the model check skips group.eq between
+    values spelled alike: a value outside the group is refused as g is. Closure and the normal
+    form compare carries by ==, which tells 0 from False only within one type: carries of several
+    types walk the first letters as a stream. A closed walk gives both eventually periodic.
+    Otherwise g.xi is a stream of the images, whose letters compose as the path's do; with no
+    letter seen it is undecided: None, or DepthExceededError when ``image`` asks for it.
     """
     t.group.check(g)
     images, carries, closure = _orbit(t, g, xi, depth)
+    kinds = set(map(type, carries))
+    if closure is not None and len(kinds) > 1:
+        images, carries, closure = _orbit(t, g, StreamPath(xi.graph, xi.head(depth)), depth)
+    for carry in set(carries) if len(kinds) == 1 else [c for _, c in dict.fromkeys(zip(map(type, carries), carries))]:
+        if not t.group.eq(carry, carry).is_equal:
+            raise BackendMismatchError(f"the carry {carry!r} does not compare equal to itself")
     if closure is not None:
         start, end = closure
         pre, cyc = normalize(tuple(images[:start]), tuple(images[start:end]))

@@ -561,6 +561,15 @@ def test_model_check_reports_the_depth_of_its_verdict(capsys):
     assert capsys.readouterr().out.splitlines()[1:] == ["undecided at depth 0"]
 
 
+@pytest.mark.parametrize("split, code, printed", [(["--split", "0:0"], 1, "fails"), ([], 0, "passes")],
+                         ids=["split_0_0", "searched"])
+def test_model_check_compares_from_the_first_condition(split, code, printed, capsys):
+    # Phi(1, (e0)*) = 1,(0)*: the entry 5 breaks the carry law at split 0:0, though the tails agree;
+    # a later split holds.
+    assert main(["model-check", ODOMETER, "e1(e0)*", "1,5(0)*", "0", "(e0)*", *split]) == code
+    assert capsys.readouterr().out.splitlines()[1:] == [printed]
+
+
 def test_model_check_on_a_joint_period_of_ten_million_letters_fails_in_little_memory(capsys):
     # Cycles of 211, 227 and 223 letters: a window of 10,681,031 conditions, checked up to the limit.
     eta = "(" + ".".join(["e1"] + ["e0"] * 210) + ")*"

@@ -312,6 +312,18 @@ def test_model_check_of_f_map_and_pullback(ctx):
         assert ctx.germ_eq(u, back).is_equal
 
 
+def test_model_check_and_pullback_refuse_a_split_off_the_shift(ctx, odo, xi0):
+    u = ctx.make(ep(odo, 0), 1, ep(odo, 1), xi0)
+    eta, lag, zeta = ctx.f_map(u)
+    message = "^split must be nonnegative with p - q = k$"
+    # (1, 1) has p - q = 0, not the shift 5; (-1, -1) is negative.
+    for k, split in ((5, (1, 1)), (0, (-1, -1))):
+        with pytest.raises(ValueError, match=message):
+            ctx.model_check(eta, lag.corona, k, zeta, split=split)
+        with pytest.raises(ValueError, match=message):
+            ctx.model_to_germ(eta, lag.corona, k, zeta, split)
+
+
 def test_model_check_detects_mutation(ctx, odo, xi0):
     u = ctx.make(ep(odo, 0), 1, ep(odo, 1), xi0)
     rng_pt, lag, src_pt = ctx.f_map(u)
@@ -698,8 +710,15 @@ def test_model_check_walks_preperiods_plus_one_period(oracle_contexts):
             p, q = random_split(rng, k)
             base = max(len(gseq.prefix) - p, len(zeta.prefix_edges) - q, len(eta.prefix_edges) - p, 0)
             calls[0] = 0
+            walked = outcome(lambda: _carry_walk(ctx.triple, gseq.entry(p + 1), zeta.drop(q), ctx.depth))
+            walk, calls[0] = calls[0], 0
+            # The walk of g_(p+1) along zeta from q, then at most the window, stepped.
             ctx.model_check(eta, gseq, k, zeta, split=(p, q))
-            assert calls[0] <= base + period
+            assert calls[0] <= walk + base + period
+            # A kept walk is read from the table: at most the window is stepped.
+            calls[0] = 0
+            ctx.model_check(eta, gseq, k, zeta, split=(p, q))
+            assert calls[0] <= base + period + (walk if isinstance(walked, type) else 0)
             # Without a split only the top split is walked, past every preperiod.
             calls[0] = 0
             ctx.model_check(eta, gseq, k, zeta)
@@ -716,6 +735,60 @@ def test_model_check_without_split_on_bounded_input_walks_nothing(oracle_context
             calls[0] = 0
             assert ctx.model_check(eta, lag.corona, lag.shift, zeta) == ss.Tri("unknown", 64)
             assert calls[0] == 0
+
+
+def test_model_check_of_f_map_reads_the_kept_walk(oracle_contexts):
+    # F(u) at the split (|alpha|, |beta|) is read back from the walk that f_map kept:
+    # no step, the first time or again, on periodic and on stream germs.
+    rng = random.Random(61)
+    for base_ctx in oracle_contexts:
+        ctx, calls = counting_context(base_ctx)
+        read = {"periodic": 0, "stream": 0}
+        for _ in range(40):
+            u = random_germ(rng, ctx, 3)
+            kind = "stream" if rng.random() < 0.5 else "periodic"
+            if kind == "stream":
+                u = ctx.make(u.alpha, u.g, u.beta, as_stream(u.xi, rng.randint(20, 60)))
+            try:
+                eta, lag, zeta = ctx.f_map(u)
+            except DepthExceededError:  # a walk past the letter budget is not kept
+                continue
+            split = (len(u.alpha), len(u.beta))
+            for _ in range(2):
+                calls[0] = 0
+                verdict = ctx.model_check(eta, lag.corona, lag.shift, zeta, split=split)
+                assert calls[0] == 0, (ctx.triple, ctx.render(u))
+            assert verdict == split_loop_model_check(ctx, eta, lag.corona, lag.shift, zeta, split=split)
+            read[kind] += 1
+        assert min(read.values()) >= 10, (ctx.triple, read)
+
+
+def test_carries_spelled_otherwise_are_stepped_from_where_they_differ():
+    # On the twin machine a and b act alike but compare unknown. Along 1^n the walk of a
+    # carries a; gseq carries a for m conditions, then b: from there every condition is
+    # stepped from gseq's own entries, each once, and the verdict is the full-depth walk's.
+    twin = load_spec_text(TWIN_MACHINE_SPEC).triple
+    calls = [0]
+
+    def step(g, e):
+        calls[0] += 1
+        return twin.step(g, e)
+
+    n, m = 20_000, 100
+    t = ss.SelfSimilarTriple(twin.graph, twin.group, twin.act_vertex, step, twin.description)
+    ctx = ss.GermContext(t, window=ss.default_window(t.group, 1), depth=n)
+    a, b = (1,), (2,)
+    zeta, eta = ss.stream_path(t.graph, [1] * n), ss.stream_path(t.graph, [0] * n)
+    gseq = ss.BoundedSeq(t.group, (a,) * (m + 1) + (b,) * (n - m))
+    for walk in (n, 0):  # the first call walks n letters; the second reads the kept walk
+        calls[0] = 0
+        start = time.perf_counter()
+        verdict = ctx.model_check(eta, gseq, 0, zeta, split=(0, 0))
+        took = time.perf_counter() - start
+        assert calls[0] == walk + n - m and took < 2.0, (calls[0], took)
+    calls[0] = 0
+    assert verdict == _full_depth_conditions(t, eta, gseq, 0, 0, zeta, n) == ss.Tri("unknown", n)
+    assert calls[0] == n
 
 
 def stream_model_input(rng, ctx):
@@ -773,8 +846,14 @@ def test_model_check_cuts_a_trivial_carry_as_the_full_depth_walk(oracle_contexts
             fast = outcome(lambda: ctx.model_check(eta, gseq, k, zeta, split=(p, q)))
             fast_steps, calls[0] = calls[0], 0
             slow = outcome(lambda: _full_depth_conditions(t, eta, gseq, p, q, zeta, ctx.depth))
-            # No condition is skipped: the pass steps every condition the full-depth walk steps.
-            assert fast_steps == calls[0], (t, str(eta), str(gseq), k, str(zeta), (p, q))
+            slow_steps, calls[0] = calls[0], 0
+            # The walk of g_(p+1) reads at most zeta's known letters from q; the conditions it
+            # does not meet are stepped as the full-depth walk steps them.
+            assert fast_steps <= min(ctx.depth, zeta.depth_limit - q) + slow_steps, (
+                t, str(eta), str(gseq), k, str(zeta), (p, q))
+            # Again, the walk is read from the table.
+            assert outcome(lambda: ctx.model_check(eta, gseq, k, zeta, split=(p, q))) == fast
+            assert calls[0] <= slow_steps, (t, str(eta), str(gseq), k, str(zeta), (p, q))
             assert fast == slow == split_loop_model_check(ctx, eta, gseq, k, zeta, split=(p, q)), (
                 t, str(eta), str(gseq), k, str(zeta), (p, q))
             if after is not None:
@@ -803,7 +882,7 @@ def test_a_trivial_carry_ends_the_model_loop(odo):
     start = time.perf_counter()
     verdict = ctx.model_check(eta, lag.corona, lag.shift, zeta, split=(0, 0))
     took = time.perf_counter() - start
-    assert calls[0] == n - 1 and took < 2.0, (calls[0], took)
+    assert calls[0] <= n and took < 2.0, (calls[0], took)  # the walk is too long to keep
     assert verdict == _full_depth_conditions(t, eta, lag.corona, 0, 0, zeta, n) == ss.Tri("unknown", n - 1)
 
 
@@ -1013,7 +1092,10 @@ def test_walk_table_checks_every_element_and_keys_on_exact_ints(odo, machine, mo
         expected = fresh_answers(ctx, u)[2]
         checked.clear()
         assert ctx.lag(u) == expected
-        assert checked == [1]  # the lag checks its element, hit or miss
+        assert checked[0] == 1  # the lag checks its element, hit or miss
+        # Only a miss walks, and the walk compares each carry it reaches with itself.
+        walked = set(expected.corona.prefix + expected.corona.cycle) if rounds == "cold" else set()
+        assert sorted(checked[1:]) == sorted(list(walked) * 2)
         assert (1, xi.prefix_edges, xi.cycle_edges) in ctx._walks
         for bad in (True, 1.0, "1"):
             for operation in ("range_point", "inverse", "lag", "f_map"):
