@@ -23,7 +23,7 @@ from .errors import (
     UndecidedError,
     Value,
 )
-from .graph import _A_PROPER, _B_PROPER, _EQUAL, Path, concat, prefix_compare
+from .graph import _A_PROPER, _B_PROPER, _EQUAL, _INCOMPARABLE, Path, concat, prefix_compare
 from .groups import DEFAULT_DEPTH, DEFAULT_RADIUS, MAX_ENUMERATION, _exact, _Memo, at_least, default_window
 from .infinite import InfPath, PeriodicPath, _carry_walk, inf_path_eq
 from .periodic import drop
@@ -109,11 +109,14 @@ class GermContext:
 
     # -- construction ------------------------------------------------------
 
-    def make(self, alpha: Path, g, beta: Path, xi: InfPath) -> Germ:
-        t = self.triple
-        t.group.check(g)
-        if alpha.source_vertex != t.act_vertex(g, beta.source_vertex):
+    def _check(self, alpha: Path, g, beta: Path) -> None:
+        """The checks of (alpha, g, beta) that make and open_set_member share, in this order."""
+        self.triple.group.check(g)
+        if alpha.source_vertex != self.triple.act_vertex(g, beta.source_vertex):
             raise SourceConditionError("d(alpha) != g d(beta)")
+
+    def make(self, alpha: Path, g, beta: Path, xi: InfPath) -> Germ:
+        self._check(alpha, g, beta)
         if beta.source_vertex != xi.range_vertex:
             raise SourceConditionError("d(beta) != r(xi): point is not in the cylinder of beta")
         return Germ(alpha, g, beta, xi)
@@ -159,12 +162,18 @@ class GermContext:
         tails = inf_path_eq(u1.xi, u2.xi.prepend(gamma), self.depth)
         if tails.is_distinct:
             return DISTINCT
-        img, coc = self.triple.act_path(u1.g, gamma)
-        if u2.alpha != concat(u1.alpha, img):
+        return self._aligned(u1.alpha, u1.g, gamma, u2.alpha, u2.g, u2.xi, 0, tails)
+
+    def _aligned(self, alpha1: Path, g1, gamma: Path, alpha2: Path, g2, xi: InfPath, k: int, tails: Tri) -> Tri:
+        """The rest of germ_eq, aligned on beta.gamma: (alpha1, g1) along gamma against (alpha2, g2), at xi
+        past its first k letters, which only the carry walks read. tails is the points' verdict."""
+        img, coc = self.triple.act_path(g1, gamma)
+        if alpha2 != concat(alpha1, img):
             return DISTINCT
-        if self.triple.group.eq(u2.g, coc).is_equal:
+        if self.triple.group.eq(g2, coc).is_equal:
             return tails
-        (image1, carries1), (image2, carries2) = self._walk(coc, u2.xi), self._walk(u2.g, u2.xi)
+        xi = xi.drop(k) if k else xi
+        (image1, carries1), (image2, carries2) = self._walk(coc, xi), self._walk(g2, xi)
         return all_of((tails, inf_path_eq(image1, image2, self.depth), corona_eq(carries1, carries2)))
 
     def reparametrize(self, u: Germ, n: int, side: str = "beta") -> Germ:
@@ -317,27 +326,28 @@ class GermContext:
             return (concat(alpha, img), coc, gamma)
         raise EmptySetError(f"cylinder {gamma} does not meet the domain cylinder {beta}")
 
-    def open_set_member(
-        self,
-        u: Germ,
-        alpha: Path,
-        g,
-        beta: Path,
-        gamma: Path | None = None,
-    ) -> Tri:
+    def open_set_member(self, u: Germ, alpha: Path, g, beta: Path, gamma: Path | None = None) -> Tri:
         """Is u in the basic open set of (alpha, g, beta) restricted to gamma?
 
-        Membership means u is germ-equal to [alpha, g, beta; point] at its own
-        source point, which must lie in the cylinder of beta.
+        u's source point must lie in the cylinder of beta, tested on u's own paths; then, once
+        (alpha, g, beta) passes make's checks, one aligned comparison with u, oriented as germ_eq
+        orients, decides, its tails equal by construction. Undecided answers carry germ_eq's depth.
         """
         alpha, g, beta = self.normalize_basic(alpha, g, beta, gamma)
-        source = self.source_point(u)
+        n, m = len(beta), len(u.beta)
         try:
-            if source.truncate(len(beta)) != beta:
+            if (n > m and u.xi.head(n - m) != beta.edges[m:]) or prefix_compare(beta, u.beta) is _INCOMPARABLE:
                 return DISTINCT
-            return self.germ_eq(u, self.make(alpha, g, beta, source.drop(len(beta))))
+            self._check(alpha, g, beta)
+            if u.xi.depth_limit == n - m:  # no letter known past beta: d(beta) = r(point) is undecided
+                return unknown(self.depth)
+            sides = (u.alpha, u.g, beta.drop(m), alpha, g) if m <= n else (alpha, g, u.beta.drop(n), u.alpha, u.g)
+            verdict = self._aligned(*sides, u.xi, max(n - m, 0), EQUAL)
         except DepthExceededError:
             return unknown(self.depth)
+        if verdict.is_unknown and not isinstance(u.xi, PeriodicPath):  # germ_eq's depth: letters past the shorter beta
+            return unknown(min(self.depth, u.xi.depth_limit + max(m - n, 0)))
+        return verdict
 
 
 def _walk_key(g, xi: InfPath, depth: int):

@@ -654,6 +654,19 @@ def split_loop_model_check(ctx, eta, gseq, k, zeta, split=None):
     return DISTINCT
 
 
+def reference_open_set_member(ctx, u, alpha, g, beta, gamma=None):
+    """GermContext.open_set_member through the public germ operations, as an oracle: the
+    germ at u's source point is built by make and compared with u by germ_eq."""
+    alpha, g, beta = ctx.normalize_basic(alpha, g, beta, gamma)
+    source = ctx.source_point(u)
+    try:
+        if source.truncate(len(beta)) != beta:
+            return DISTINCT
+        return ctx.germ_eq(u, ctx.make(alpha, g, beta, source.drop(len(beta))))
+    except DepthExceededError:
+        return unknown(ctx.depth)
+
+
 # The argparse parser the CLI used before its table parser: command -> (positionals
 # after the spec, the options its handler reads).
 _GERM_OPTIONS = ("--window", "--depth", "--allow-unverified")

@@ -37,6 +37,7 @@ from conftest import (
     random_composable_pair,
     random_germ,
     random_inf_path,
+    reference_open_set_member,
     split_loop_model_check,
 )
 
@@ -396,6 +397,46 @@ def test_germ_eq_past_the_carry_budget_raises_and_open_set_membership_is_unknown
     with pytest.raises(DepthExceededError, match="pass 100000 letters"):
         ctx.germ_eq(u, ctx.unit(v, u.xi))
     assert str(ctx.open_set_member(u, v, doubling.group.identity(), v)) == "unknown@64"
+
+
+def test_a_stream_member_whose_elements_agree_is_equal(ctx, odo):
+    # Its source point is u's own, so the tails need no comparison; germ_eq cannot confirm two streams.
+    u = ctx.make(ep(odo, 0), 1, ep(odo, 1), ss.stream_path(odo.graph, [0, 1] * 20))
+    reparametrized = ctx.reparametrize(u, 3, "beta")
+    for germ in (u, reparametrized):
+        assert str(ctx.open_set_member(germ, ep(odo, 0), 1, ep(odo, 1))) == "equal"
+        assert str(reference_open_set_member(ctx, germ, ep(odo, 0), 1, ep(odo, 1))) == "unknown@40"
+
+
+def test_an_exhausted_stream_is_answered_from_its_own_paths(ctx, odo, exhausted_stream_germ):
+    # No letter is known past u.beta; the oracle reads one for the source point and raises.
+    u = exhausted_stream_germ
+    cases = (((vp(odo), 3, vp(odo)), "equal"), ((u.alpha, u.g, u.beta), "unknown@64"),
+             ((vp(odo), 3, ep(odo, 1)), "distinct"))
+    for (alpha, g, beta), expected in cases:
+        assert str(ctx.open_set_member(u, alpha, g, beta)) == expected
+        with pytest.raises(DepthExceededError):
+            reference_open_set_member(ctx, u, alpha, g, beta)
+
+
+def test_open_set_membership_tests_the_cylinder_before_the_element():
+    t = ss.from_katsura(ss.KatsuraData.make([[1, 1], [2, 1]], [[1, 1], [1, -1]]))
+    ctx = ss.GermContext(t, window=ss.default_window(t.group, 3))
+    graph = t.graph
+    v1, v2 = ss.vertex_path(graph, 0), ss.vertex_path(graph, 1)
+    inside, outside = ss.edge_path(graph, [graph.edge_id("(1,1,0)")]), ss.edge_path(graph, [graph.edge_id("(1,2,0)")])
+    u = ctx.make(v1, 0, v1, ss.periodic_path(graph, [], [graph.edge_id("(1,1,0)")]))
+    assert ctx.open_set_member(u, inside, 0, inside).is_equal
+    # Outside the cylinder neither g nor d(alpha) = g d(beta) is checked.
+    for alpha, g in ((v2, 0), (v1, "x"), (v2, "x")):
+        assert ctx.open_set_member(u, alpha, g, outside).is_distinct
+    with pytest.raises(SourceConditionError, match=r"^d\(alpha\) != g d\(beta\)$"):
+        ctx.open_set_member(u, v2, 0, inside)
+    with pytest.raises(BackendMismatchError):
+        ctx.open_set_member(u, v2, "x", inside)
+    # An empty set is refused before any of them.
+    with pytest.raises(EmptySetError):
+        ctx.open_set_member(u, v2, "x", inside, outside)
 
 
 def test_model_round_trip_multi_vertex():
@@ -972,6 +1013,111 @@ def test_f_map_matches_separate_calls(bench_contexts):
             assert same_inf_path(fused[0], separate[0])
             assert same_lag(fused[1], separate[1])
             assert same_inf_path(fused[2], separate[2])
+
+
+@pytest.fixture(scope="module")
+def open_set_triples(oracle_contexts, kat20):
+    """(triple, window, depths) for the open-set parity test: the oracle contexts, katsura_2_0
+    past its freeness gate, a two-vertex Katsura triple (so that d(alpha) can miss g d(beta)),
+    and doubling, whose walks of a nontrivial carry all end at the letter budget."""
+    doubling = load_spec_file(str(TEST_SPECS / "doubling.spec")).triple
+    two_vertex = ss.from_katsura(ss.KatsuraData.make([[1, 1], [2, 1]], [[1, 1], [1, -1]]))
+    rows = [(c.triple, c.window, (1, 8, 64)) for c in oracle_contexts]
+    rows.append((kat20, ss.default_window(kat20.group, 4), (1, 8, 64)))
+    rows.append((two_vertex, ss.default_window(two_vertex.group, 3), (1, 8, 64)))
+    rows.append((doubling, ss.default_window(doubling.group, 1), (64,)))
+    return rows
+
+
+def answer(call) -> str:
+    """The verdict of call() as printed, or the type and message of what it raised."""
+    try:
+        return str(call())
+    except Exception as err:  # noqa: BLE001 - the exception is the answer
+        return f"{type(err).__name__}: {err}"
+
+
+GAMMA_KINDS = ("absent", "at beta", "above beta", "below along the point", "below", "apart")
+
+
+def random_open_set_case(rng, ctx):
+    """(u, alpha, g, beta, gamma, kind of gamma) around a random germ w.
+
+    u is w reparametrized over 0-3 letters, one in three stream-backed; (alpha, g, beta)
+    is w's own triple reparametrized over 0-4 letters of w's periodic point, so |beta| falls
+    below, at or above |u.beta| and may pass what a stream knows. One case in three then
+    changes g (to a window element or a value outside the group), alpha or beta.
+    """
+    t = ctx.triple
+    w = random_germ(rng, ctx, 2)
+    u = ctx.reparametrize(w, len(w.beta) + rng.randint(0, 3))
+    if rng.random() < 0.35:
+        u = ss.Germ(u.alpha, u.g, u.beta, as_stream(u.xi, rng.choice((1, 2, 5, 8, 40))))
+    s = ctx.reparametrize(w, len(w.beta) + rng.randint(0, 4))
+    alpha, g, beta, point = s.alpha, s.g, s.beta, s.xi
+    paths = ss.all_paths_upto(t.graph, 2)
+    roll = rng.random()
+    if roll < 0.1:
+        g = rng.choice(ctx.window)
+    elif roll < 0.14:
+        g = "x"
+    elif roll < 0.28:
+        alpha = rng.choice(paths)
+    elif roll < 0.36:
+        beta = rng.choice(paths)
+        point = None
+    kind = rng.choice(GAMMA_KINDS)
+    if kind == "at beta":
+        gamma = beta
+    elif kind == "above beta":
+        gamma = beta.prefix(rng.randint(0, len(beta)))
+    elif kind == "below along the point" and point is not None:
+        gamma = ss.concat(beta, point.truncate(rng.randint(1, 3)))
+    elif kind in ("below", "below along the point"):
+        kind, gamma = "below", rng.choice(ss.extensions(beta, rng.randint(1, 2)))
+    elif kind == "apart":
+        apart = [p for p in paths if ss.prefix_compare(p, beta) is ss.PrefixRel.INCOMPARABLE]
+        gamma = rng.choice(apart) if apart else None
+        kind = kind if apart else "absent"
+    else:
+        gamma = None
+    return u, alpha, g, beta, gamma, kind
+
+
+def test_open_set_member_matches_make_and_germ_eq(open_set_triples):
+    """Every answer, depth and error as the germ at u's source point compared by germ_eq,
+    and the same walks kept. The one change: a stream member whose elements agree is equal
+    (its source point is u's own), where germ_eq cannot confirm two stream tails."""
+    rng = random.Random(27)
+    answers, members, kinds, declared = set(), set(), set(), 0
+    for triple, window, depths in open_set_triples:
+        for depth in depths:
+            fast, slow = (ss.GermContext(triple, window, depth, allow_unverified=True) for _ in range(2))
+            for _ in range(60):
+                u, alpha, g, beta, gamma, kind = random_open_set_case(rng, fast)
+                got = answer(lambda: fast.open_set_member(u, alpha, g, beta, gamma))
+                expected = answer(lambda: reference_open_set_member(slow, u, alpha, g, beta, gamma))
+                stream = isinstance(u.xi, ss.StreamPath)
+                if got != expected:
+                    assert stream and expected.startswith("unknown@") and got == "equal", (
+                        triple, depth, fast.render(u), str(alpha), g, str(beta), str(gamma), got, expected)
+                    declared += 1
+                answers.add((stream, got.split("@")[0].split(":")[0]))
+                kinds.add(kind)
+                if got == "equal":
+                    n = len(fast.normalize_basic(alpha, g, beta, gamma)[2])
+                    members.add((stream, (n > len(u.beta)) - (n < len(u.beta)), n == 0))
+            # u first on ties, as germ_eq orients: every walk reads the key germ_eq's would.
+            assert set(fast._walks) == set(slow._walks)
+    assert declared > 0
+    assert {(False, v) for v in ("equal", "distinct", "unknown")} <= answers
+    assert {(True, v) for v in ("equal", "distinct", "unknown")} <= answers
+    errors = {"EmptySetError", "BackendMismatchError", "SourceConditionError"}
+    assert {(stream, e) for stream in (False, True) for e in errors} <= answers
+    assert {(False, rel) for rel in (-1, 0, 1)} <= {(stream, rel) for stream, rel, _ in members}
+    assert {(True, rel) for rel in (-1, 0, 1)} <= {(stream, rel) for stream, rel, _ in members}
+    assert any(vertex for _, _, vertex in members)
+    assert kinds == set(GAMMA_KINDS)
 
 
 def test_repeated_window_elements_do_not_cover_the_group():
