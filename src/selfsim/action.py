@@ -1,25 +1,27 @@
 """Self-similar actions on graphs: the triple (G, E, sigma, phi).
 
 The triple packages a group action by graph automorphisms together with an
-edge cocycle, and extends both to finite paths by the one-step recursion.
-The action on infinite paths lives in ``infinite``, the sweeps over a
-window of elements in ``sweeps``.
+edge cocycle, and extends both to finite paths by the one-step recursion,
+one backend walk per path. The action on infinite paths lives in
+``infinite``, the sweeps over a window of elements in ``sweeps``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 
 from .graph import Graph, Path, _edge_path, vertex_path
 from .groups import GroupBackend, refuse_oversize
 
 
 class SelfSimilarTriple:
-    """Action + cocycle data; all evaluation goes through two callables.
+    """Action + cocycle data; all evaluation goes through three callables.
 
     act_vertex(g, v) -> g.v, and step(g, e) -> (g.e, phi(g, e)): the pair
     an element leaves an edge as, action and cocycle in one evaluation (the
-    wreath recursion). Both are pure.
+    wreath recursion). walk(g, edges) -> (image edges, carry) runs the steps
+    of a path in one call, by ``step_walk`` when none is given. All are pure.
     """
 
     def __init__(
@@ -29,15 +31,17 @@ class SelfSimilarTriple:
         vertex_act: Callable,
         step: Callable,
         description: str = "triple",
+        walk: Callable | None = None,
     ):
         self.graph = graph
         self.group = group
         self.act_vertex = vertex_act
         self.step = step
+        self.walk = partial(step_walk, step) if walk is None else walk
         self.description = description
 
     def act_path(self, g, a: Path) -> tuple[Path, object]:
-        """The pair (g.a, phi(g, a)) via the one-step recursion.
+        """The pair (g.a, phi(g, a)) via the one-step recursion, one walk call per path.
 
         On a vertex path the cocycle is g itself; on longer paths the group
         element mutates edge by edge as it passes through. A restriction word
@@ -48,16 +52,19 @@ class SelfSimilarTriple:
         self.group.check(g)
         if a.vertex is not None:
             return vertex_path(self.graph, self.act_vertex(g, a.vertex)), g
-        images = []
-        append = images.append
-        state = g
-        step = self.step
-        for e in a.edges:
-            image, state = step(state, e)
-            append(image)
-            if type(state) is tuple:  # a restriction word may double per letter: bound it
-                refuse_oversize(len(state), "letters in the restriction along the path")
-        return _edge_path(self.graph, tuple(images)), state
+        images, carry = self.walk(g, a.edges)
+        return _edge_path(self.graph, images), carry
 
     def __str__(self) -> str:
         return self.description
+
+
+def step_walk(step: Callable, g, edges) -> tuple[tuple, object]:
+    """(image edges, carry) of g along edges by one step per edge, each restriction word bounded."""
+    images = []
+    for e in edges:
+        image, g = step(g, e)
+        images.append(image)
+        if type(g) is tuple:
+            refuse_oversize(len(g), "letters in the restriction along the path")
+    return tuple(images), g

@@ -13,7 +13,7 @@ from collections.abc import Iterable, Sequence
 from .action import SelfSimilarTriple
 from .errors import BackendMismatchError, NonBijectiveOutputError, Record, SpecFileError
 from .graph import Graph, label_ids, make_graph
-from .groups import MAX_ENUMERATION, GroupBackend, _Memo, check_window_radius
+from .groups import MAX_ENUMERATION, GroupBackend, _Memo, check_window_radius, refuse_oversize
 from .tri import Tri, DISTINCT, EQUAL, unknown
 
 # _Section (annotations) lives in specfile, which calls the loaders below.
@@ -134,6 +134,16 @@ class AutomatonGroup(GroupBackend):
         self._steps.keep(key, out, len(word) + len(stack))
         return out
 
+    def walk(self, word, letters) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """step along letters, read from the memo where it holds the step: (image letters, restriction)."""
+        images = []
+        known = self._steps.get
+        for letter in letters:
+            letter, word = known((word, letter)) or self.step(word, letter)
+            images.append(letter)
+            refuse_oversize(len(word), "letters in the restriction along the path")
+        return tuple(images), word
+
     def eq(self, a, b) -> Tri:
         a = self.check(a)
         b = self.check(b)
@@ -245,7 +255,7 @@ def _fixed_vertex(g, v: int) -> int:
 
 def _triple(graph: Graph, group: AutomatonGroup, description: str) -> SelfSimilarTriple:
     return SelfSimilarTriple(graph, group, vertex_act=_fixed_vertex, step=group.step,
-                             description=description)
+                             description=description, walk=group.walk)
 
 
 def from_automaton(data: AutomatonData, faithful_to_depth: bool = False) -> SelfSimilarTriple:

@@ -116,6 +116,17 @@ def _cycle_step(records: list, m: int, e: int) -> tuple[int, int]:
     return cycle[rem], quot * weight + sums[rem] - own
 
 
+def _cycle_walk(records: list, m: int, edges) -> tuple[tuple, int]:
+    """_cycle_step along edges in one loop: (image edges, carry)."""
+    images = []
+    for e in edges:
+        cycle, k, length, weight, sums, own = records[e]
+        quot, rem = divmod(k + m, length)
+        images.append(cycle[rem])
+        m = quot * weight + sums[rem] - own
+    return tuple(images), m
+
+
 def integer_triple_from_generator(
     graph: Graph,
     vertex_perm: Sequence[int],
@@ -131,12 +142,13 @@ def integer_triple_from_generator(
     m steps of e's orbit (negated going backwards). With e at place k of a
     cycle of length L and q, r = divmod(k + m, L), the image is the cycle's
     r-th point and phi(m, e) = q*sums[L] + sums[r] - sums[k], sums[j] being
-    the total of phi(1, .) over the first j points of the cycle. Both maps
+    the total of phi(1, .) over the first j points of the cycle. The maps
     are module functions bound to the cycle records, so the triple pickles.
     """
     vertex_act = partial(_cycle_vertex, _cycles(vertex_perm, [0] * graph.n_vertices))
-    step = partial(_cycle_step, _cycles(edge_perm, cocycle_row))
-    return SelfSimilarTriple(graph, IntegerGroup(), vertex_act, step, description)
+    records = _cycles(edge_perm, cocycle_row)
+    return SelfSimilarTriple(graph, IntegerGroup(), vertex_act, partial(_cycle_step, records), description,
+                             walk=partial(_cycle_walk, records))
 
 
 # -- builtin examples --------------------------------------------------------

@@ -128,12 +128,21 @@ def finite_triple(
     vt = tuple(tuple(r) for r in vertex_table)
     steps = tuple(tuple(zip(er, cr)) for er, cr in zip(edge_table, cocycle_table))
     return SelfSimilarTriple(graph, group, vertex_act=partial(_entry, vt), step=partial(_entry, steps),
-                             description=description)
+                             description=description, walk=partial(_table_walk, steps))
 
 
 def _entry(table: tuple, g: int, x: int):
     """table[g][x]: a table bound by partial, so the triple pickles."""
     return table[g][x]
+
+
+def _table_walk(steps: tuple, g: int, edges) -> tuple[tuple, int]:
+    """The (image, cocycle) entries of steps along edges in one loop: (image edges, carry)."""
+    images = []
+    for e in edges:
+        image, g = steps[g][e]
+        images.append(image)
+    return tuple(images), g
 
 
 def load_action_sections(graph: Graph, grpsec: _Section, asec: _Section) -> SelfSimilarTriple:

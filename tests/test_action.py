@@ -463,8 +463,9 @@ def test_oversize_path_bound_is_refused_before_any_step(sweep, monkeypatch):
     # The edge sweep alone finds (1, e) on katsura_2_0: the bound is refused all the same.
     t = ss.katsura_2_0()
     steps = []
-    step = t.step
+    step, walk = t.step, t.walk
     monkeypatch.setattr(t, "step", lambda g, e: steps.append((g, e)) or step(g, e))
+    monkeypatch.setattr(t, "walk", lambda g, edges: steps.append((g, edges)) or walk(g, edges))  # act_path
     with pytest.raises(ValueError, match="more than 100000 paths of length <= 1000000000"):
         sweep(t, ss.default_window(t.group, 4), path_bound=10**9)
     assert steps == []

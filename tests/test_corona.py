@@ -126,6 +126,22 @@ def test_the_comparison_answers_as_the_eager_conjunction(backend):
     assert {"equal", "distinct"} <= verdicts and (len(unknowns) >= 2) == (backend == "twin_machine"), verdicts
 
 
+def test_entries_equal_in_value_only_are_kept_as_given(z):
+    # A carry equal in value only may step otherwise, so no entry merges into one of another type.
+    false_cycle = seq(z, (0,), (False,))
+    assert false_cycle.prefix == (0,) and type(false_cycle.prefix[0]) is int
+    assert false_cycle.cycle == (False,) and type(false_cycle.cycle[0]) is bool
+    assert [type(false_cycle.entry(n)) for n in (1, 2, 3)] == [int, bool, bool]
+    pre, cyc = ss.periodic.normalize((1,), (True, 1))
+    assert pre == () and cyc == (1, True) and list(map(type, cyc)) == [int, bool]
+    assert ss.periodic.primitive_root((True, 1, True, 1)) == (True, 1)
+    assert list(map(type, ss.periodic.primitive_root((True, 1, True, 1)))) == [bool, int]
+    assert list(map(type, ss.periodic.absorb((1, True), (True,))[1])) == [bool]
+    assert ss.periodic.absorb((1, True), (True,)) == ((1,), (True,))
+    # Entries of one type still merge.
+    assert ss.periodic.normalize((1,), (0, 1, 0, 1)) == ((), (1, 0))
+
+
 def test_pointwise_mul_and_inv(z):
     a = seq(z, (1,), (2, 3))
     b = seq(z, (0, 4), (5,))
