@@ -51,8 +51,10 @@ class PeriodicSeq(CoronaSeq, Frozen):
 
     @staticmethod
     def make(backend: GroupBackend, prefix, cycle) -> "PeriodicSeq":
-        pre, cyc = normalize(tuple(prefix), tuple(cycle))
-        return PeriodicSeq(backend, pre, cyc)
+        """The normal form of (prefix, cycle), every entry first passed through backend.check: values
+        enter here. PeriodicSeq(...) takes values already checked, and neither checks nor normalizes."""
+        prefix, cycle = tuple(map(backend.check, prefix)), tuple(map(backend.check, cycle))
+        return PeriodicSeq(backend, *normalize(prefix, cycle))
 
     def entry(self, n: int):
         if n < 1:
@@ -79,6 +81,11 @@ class BoundedSeq(CoronaSeq, Frozen):
         set_backend, set_values = self._setters
         set_backend(self, backend)
         set_values(self, values)
+
+    @staticmethod
+    def make(backend: GroupBackend, values) -> "BoundedSeq":
+        """The sequence once backend.check passes every entry; BoundedSeq(...) checks nothing."""
+        return BoundedSeq(backend, tuple(map(backend.check, values)))
 
     def entry(self, n: int):
         if n < 1:
@@ -109,14 +116,14 @@ def _pointwise(op, a: CoronaSeq, b: CoronaSeq | None = None) -> CoronaSeq:
     backend = a.backend
     if b is None:
         if isinstance(a, PeriodicSeq):
-            return PeriodicSeq.make(backend, tuple(op(x) for x in a.prefix), tuple(op(x) for x in a.cycle))
+            return PeriodicSeq(backend, *normalize(tuple(map(op, a.prefix)), tuple(map(op, a.cycle))))
         return BoundedSeq(backend, tuple(op(x) for x in a.values))
     if isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
         p = max(len(a.prefix), len(b.prefix))
         q = lcm(len(a.cycle), len(b.cycle))
         refuse_oversize(p + q, "entries in a joint window")
         entries = [op(a.entry(n), b.entry(n)) for n in range(1, p + q + 1)]
-        return PeriodicSeq.make(backend, tuple(entries[:p]), tuple(entries[p:]))
+        return PeriodicSeq(backend, *normalize(tuple(entries[:p]), tuple(entries[p:])))
     return BoundedSeq(backend, tuple(op(a.entry(n), b.entry(n)) for n in range(1, _known(a, b) + 1)))
 
 

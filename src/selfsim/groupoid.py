@@ -10,7 +10,6 @@ policy, no freeness counterexample in a window unless overridden.
 from __future__ import annotations
 
 from math import lcm
-from operator import is_
 
 from .action import SelfSimilarTriple
 from .corona import CoronaSeq, LagValue, PeriodicSeq, corona_eq, shift_right
@@ -24,7 +23,7 @@ from .errors import (
     Value,
 )
 from .graph import _A_PROPER, _B_PROPER, _EQUAL, _INCOMPARABLE, Path, concat, prefix_compare
-from .groups import DEFAULT_DEPTH, DEFAULT_RADIUS, MAX_ENUMERATION, _exact, _Memo, at_least, default_window
+from .groups import DEFAULT_DEPTH, DEFAULT_RADIUS, MAX_ENUMERATION, _Memo, at_least, default_window
 from .infinite import InfPath, PeriodicPath, _carry_walk, inf_path_eq
 from .periodic import drop
 from .sweeps import hausdorff_report, render_certificate
@@ -71,7 +70,7 @@ class GermContext:
         self.freeness = hausdorff_report(triple, self.window).freeness
         if self.freeness.found_counterexample and not allow_unverified:
             raise FreenessNotVerifiedError(render_certificate(triple, self.freeness.counterexample))
-        self._walks = _Memo()  # _walk_key(g, xi, depth) -> (g.xi, Phi(g, xi))
+        self._walks = _Memo()  # (g, letters of xi read) -> (g.xi, Phi(g, xi)), see _walk
 
     @property
     def triple(self) -> SelfSimilarTriple:
@@ -86,18 +85,18 @@ class GermContext:
     # -- the carry walk ----------------------------------------------------
 
     def _walk(self, g, xi: InfPath, image: bool = True) -> tuple[InfPath | None, CoronaSeq]:
-        """_carry_walk at the context's depth, checking g on a hit too. Every walk of an
-        int, or a word of ints, that reads a letter is kept, closed or not, while the
-        table's letter budget lasts. A walk that raised is not kept, nor one that read
-        no letter: its image is undecided, None or DepthExceededError as ``image`` asks."""
-        key = _walk_key(g, xi, self.depth)
-        if key is not None:
-            known = self._walks.get(key)
-            if known is not None:
-                self.triple.group.check(g)
-                return known
+        """_carry_walk at the context's depth, after checking g, so one kept walk serves every
+        value equal to g. The table keys a walk on g and the letters it reads, a periodic xi's
+        prefix and cycle or a stream's first depth letters, and keeps every walk that reads a
+        letter, closed or not, while its letter budget lasts. A walk that raised is not kept, nor
+        one that read no letter: its image is undecided, None or DepthExceededError as ``image`` asks."""
+        g = self.triple.group.check(g)
+        key = (g, xi.prefix_edges, xi.cycle_edges) if isinstance(xi, PeriodicPath) else (g, xi.letters[: self.depth])
+        known = self._walks.get(key) if key[-1] else None
+        if known is not None:
+            return known
         gxi, seq = pair = _carry_walk(self.triple, g, xi, self.depth, image)
-        if key is not None:
+        if key[-1]:
             if isinstance(gxi, PeriodicPath):
                 path, carries = gxi.prefix_edges + gxi.cycle_edges, seq.prefix + seq.cycle
             else:
@@ -350,18 +349,6 @@ class GermContext:
         return verdict
 
 
-def _walk_key(g, xi: InfPath, depth: int):
-    """The table key of a walk: g and the letters the walk reads, a periodic xi's prefix
-    and cycle or a stream's first depth letters. None when the walk is not kept: g is
-    not exact, or no letter of xi is known."""
-    if not _exact(g):
-        return None
-    if isinstance(xi, PeriodicPath):
-        return g, xi.prefix_edges, xi.cycle_edges
-    letters = xi.letters[:depth]
-    return (g, letters) if letters else None
-
-
 def _split(split: tuple[int, int], k: int) -> tuple[int, int]:
     p, q = split
     if p < 0 or q < 0 or p - q != k:
@@ -369,26 +356,21 @@ def _split(split: tuple[int, int], k: int) -> tuple[int, int]:
     return p, q
 
 
-def _same(a: tuple, b: tuple) -> bool:
-    """The same entries, or equal ones of the same types: a carry equal in value only may step otherwise."""
-    return len(a) == len(b) and all(map(is_, a, b)) or a == b and list(map(type, a)) == list(map(type, b))
-
-
 def _met(gxi: InfPath, phi: CoronaSeq, eta: InfPath, gseq: CoronaSeq, p: int, horizon: int) -> int:
     """How many of conditions 1 .. horizon the walk (gxi, phi) meets from the first on, as far as it
-    knows them: its image letter is eta's, its carry gseq's entry of the same type. Periodic sides meet
-    all or none, as normal forms; bounded ones are compared as tuples; mixed ones meet none."""
+    knows them: its image letter is eta's, its carry gseq's entry (checked values, compared by ==). Periodic
+    sides meet all or none, as normal forms; bounded ones are compared as tuples; mixed ones meet none."""
     if isinstance(phi, PeriodicSeq) and isinstance(eta, PeriodicPath) and isinstance(gseq, PeriodicSeq):
         # gseq's entry p + 1 is the walk's first carry: compare the carries from there.
         (pre, cyc), images = drop(gseq.prefix, gseq.cycle, p), drop(eta.prefix_edges, eta.cycle_edges, p)
-        met = images == (gxi.prefix_edges, gxi.cycle_edges) and _same(phi.prefix, pre) and _same(phi.cycle, cyc)
+        met = images == (gxi.prefix_edges, gxi.cycle_edges) and (phi.prefix, phi.cycle) == (pre, cyc)
         return horizon if met else 0
     if isinstance(phi, PeriodicSeq) or isinstance(eta, PeriodicPath) or isinstance(gseq, PeriodicSeq):
         return 0
     n = min(horizon, phi.depth_limit - 1, gxi.depth_limit)
     images, letters = gxi.letters[:n], eta.letters[p : p + n]
     carries, entries = phi.values[1 : n + 1], gseq.values[p + 1 : p + n + 1]
-    if images == letters and _same(carries, entries):
+    if images == letters and carries == entries:
         return n
     differ = zip(images, letters, carries, entries)
-    return next(m for m, (a, b, c, d) in enumerate(differ) if a != b or c != d or type(c) is not type(d))
+    return next(m for m, (a, b, c, d) in enumerate(differ) if a != b or c != d)

@@ -48,10 +48,6 @@ class _Memo(dict):
         return _Memo, ()  # a copy or pickle starts empty: the lock cannot travel
 
 
-def _exact(x) -> bool:
-    """x is an int, or a tuple of ints, exactly: a memo key that no equal bool or float finds."""
-    return type(x) is int or type(x) is tuple and all(type(s) is int for s in x)
-
 # The defaults of the three limits a caller may set: the window radius, the
 # path bound of the sweeps, and the depth at which infinite computations
 # answer unknown. Every module and the CLI read them here.
@@ -72,6 +68,9 @@ def refuse_oversize(count: int, noun: str) -> None:
 
 
 class GroupBackend:
+    """The contract every backend keeps: a value that passes ``check`` is hashable, and
+    ``a == b`` implies ``eq(a, b)`` is equal, so the library compares checked values by ==."""
+
     def identity(self):
         raise NotImplementedError
 

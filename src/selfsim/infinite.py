@@ -255,26 +255,22 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
 def _carry_walk(t: SelfSimilarTriple, g, xi: InfPath, depth: int, image: bool = True):
     """(g.xi, Phi(g, xi)) from one walk of the carry orbit, after checking g.
 
-    Each carry reached must compare equal to itself, as the model check skips group.eq between
-    values spelled alike: a value outside the group is refused as g is. Closure and the normal
-    form compare carries by ==, which tells 0 from False only within one type: carries of several
-    types walk the first letters as a stream. A closed walk gives both eventually periodic.
-    Otherwise g.xi is a stream of the images, whose letters compose as the path's do; with no
-    letter seen it is undecided: None, or DepthExceededError when ``image`` asks for it.
+    Each carry reached is checked as g is, so closure and the normal form may compare carries
+    by == (the backend contract), and each distinct one must compare equal to itself, as the
+    model check skips group.eq between equal values. A closed walk gives both eventually
+    periodic. Otherwise g.xi is a stream of the images, whose letters compose as the path's do;
+    with no letter seen it is undecided: None, or DepthExceededError when ``image`` asks for it.
     """
     t.group.check(g)
     images, carries, closure = _orbit(t, g, xi, depth)
-    kinds = set(map(type, carries))
-    if closure is not None and len(kinds) > 1:
-        images, carries, closure = _orbit(t, g, StreamPath(xi.graph, xi.head(depth)), depth)
-    for carry in set(carries) if len(kinds) == 1 else [c for _, c in dict.fromkeys(zip(map(type, carries), carries))]:
+    for carry in set(map(t.group.check, carries)):
         if not t.group.eq(carry, carry).is_equal:
             raise BackendMismatchError(f"the carry {carry!r} does not compare equal to itself")
     if closure is not None:
         start, end = closure
         pre, cyc = normalize(tuple(images[:start]), tuple(images[start:end]))
         # Phi_n = carries[n-1]: shift the detected closure by one index.
-        return PeriodicPath(t.graph, pre, cyc), PeriodicSeq.make(t.group, carries[:start], carries[start:end])
+        return PeriodicPath(t.graph, pre, cyc), PeriodicSeq(t.group, *normalize(carries[:start], carries[start:end]))
     if image and not images:
         raise DepthExceededError("no letter of the path is known: its image is undecided")
     return (StreamPath(t.graph, images) if images else None), BoundedSeq(t.group, tuple(carries[:-1] or carries))

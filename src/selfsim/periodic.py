@@ -12,11 +12,11 @@ from collections.abc import Sequence
 
 
 def primitive_root(cycle: Sequence) -> tuple:
-    """The shortest root whose powers give cycle back entry for entry, in value and in type."""
+    """The shortest root whose powers give cycle back, compared by ==."""
     cyc = tuple(cycle)
     n = len(cyc)
     for d in range(1, n + 1):
-        if n % d == 0 and cyc == cyc[:d] * (n // d) and list(map(type, cyc)) == list(map(type, cyc[:d])) * (n // d):
+        if n % d == 0 and cyc == cyc[:d] * (n // d):
             return cyc[:d]
     return cyc
 
@@ -30,10 +30,10 @@ def normalize(prefix: Sequence, cycle: Sequence) -> tuple[tuple, tuple]:
 
 def absorb(prefix: Sequence, cycle: Sequence) -> tuple[tuple, tuple]:
     """The normal form of (prefix, cycle) for a primitive cycle: p + (c)* == p' + (rot c)* whenever
-    p ends with the cycle's last symbol, in value and type, so that tail of p moves into the cycle."""
+    p ends with the cycle's last symbol (compared by ==), so that tail of p moves into the cycle."""
     pre, cyc = tuple(prefix), tuple(cycle)
     n, k = len(cyc), 0
-    while k < len(pre) and ((x := pre[-1 - k]) is (y := cyc[-1 - k % n]) or x == y and type(x) is type(y)):
+    while k < len(pre) and pre[-1 - k] == cyc[-1 - k % n]:
         k += 1
     r = n - k % n
     return pre[: len(pre) - k], cyc[r:] + cyc[:r]

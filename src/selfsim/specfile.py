@@ -160,7 +160,7 @@ def parse_corona(backend: GroupBackend, text: str) -> CoronaSeq:
     values = entries(text[:-1] if text.endswith("~") else text)
     if not values:
         raise SpecFileError("empty corona literal")
-    return BoundedSeq(backend, values)
+    return BoundedSeq.make(backend, values)
 
 
 # -- spec files --------------------------------------------------------------

@@ -36,7 +36,7 @@ def swapping_identity_triple():
 
 def bool_carry_triple():
     """Integer carries that count down to False, which equals the identity 0 but swaps the
-    edges: only the type of the carry keeps its steps apart from those of 0."""
+    edges: no map on G x E, so the walk refuses the carry False."""
 
     def step(g, e):
         if g is False:
@@ -259,7 +259,11 @@ def test_the_model_conditions_answer_as_the_full_depth_walk(name, t):
                     # A carry sequence that turns trivial too early: the carry condition fails past it.
                     j = rng.randrange(len(carries))
                     carries[j:] = [t.group.identity()] * (len(carries) - j)
-                eta, gseq = ss.stream_path(graph, images), ss.BoundedSeq(t.group, tuple(carries))
+                gseq = outcome(lambda: ss.BoundedSeq.make(t.group, carries))
+                if isinstance(gseq, str):  # a carry outside the group is refused where it enters
+                    assert gseq == "BackendMismatchError: False is not an element of integers", name
+                    continue
+                eta = ss.stream_path(graph, images)
                 p = rng.randint(0, 3)
                 cases = [(eta, gseq, p, p if rng.random() < 0.8 else rng.randint(0, 3))]
             for eta, gseq, p, q in cases:
@@ -286,7 +290,10 @@ def test_the_model_conditions_answer_as_the_full_depth_walk(name, t):
                     assert outcome(lambda: ctx.model_check(eta, gseq, p - q, zeta, split=(p, q))) == verdict
                     assert typed_steps(steps) in (taken, taken[len(walk):]), (name, g, str(zeta), str(eta), p, q, depth)
                     verdicts.add(str(verdict).split("@")[0])
-    assert "unknown" in verdicts and ("distinct" in verdicts or not changed), (name, verdicts)
+    if name == "false_restriction":  # every condition meets the carry False, which the integers refuse
+        assert verdicts == {"BackendMismatchError: False is not an element of integers"}, verdicts
+    else:
+        assert "unknown" in verdicts and ("distinct" in verdicts or not changed), (name, verdicts)
 
 
 def test_the_identity_law_is_checked_in_the_order_the_letters_come():
@@ -309,7 +316,7 @@ class SelfDistinctIntegers(ss.IntegerGroup):
 
 
 class LenientIntegers(ss.IntegerGroup):
-    """Integers whose comparison takes any values, bools too."""
+    """Integers whose comparison takes any values, bools too; check still refuses bools."""
 
     def eq(self, a, b):
         return from_bool(a == b)
@@ -329,27 +336,26 @@ def test_the_model_pass_fails_where_the_full_depth_walk_fails():
     zeta = ss.stream_path(t.graph, [0, 1, 0])
     assert model_check(t, zeta, gseq, 0, 0, zeta, 64).is_distinct
     assert _full_depth_conditions(t, zeta, gseq, 0, 0, zeta, 64).is_distinct
-    # The carry False equals 0 in value only: it swaps e0, so its condition is not a repeat of 0's.
+    # The carry False equals 0 in value only, and swaps e0: the step is no map on G x E. Even where
+    # the backend's eq takes bools, its check refuses False, in gseq and in the walk that reaches it.
     bool_carry = bool_carry_triple()
     t = ss.SelfSimilarTriple(bool_carry.graph, LenientIntegers(), bool_carry.act_vertex, bool_carry.step)
-    zeta, eta = ss.stream_path(t.graph, [0, 0, 0]), ss.stream_path(t.graph, [0, 0, 0])
-    gseq = ss.BoundedSeq(t.group, (0, 0, False, False))
-    assert model_check(t, eta, gseq, 0, 0, zeta, 64).is_distinct
-    assert _full_depth_conditions(t, eta, gseq, 0, 0, zeta, 64).is_distinct
+    with pytest.raises(BackendMismatchError, match="^False is not an element of integers$"):
+        ss.BoundedSeq.make(t.group, (0, 0, False, False))
+    with pytest.raises(BackendMismatchError, match="^False is not an element of integers$"):
+        infinite._carry_walk(t, 1, ss.stream_path(t.graph, [0, 0, 0]), 64)
 
 
-def test_an_entry_equal_in_value_only_is_stepped_as_written():
-    # gseq holds False where the walk of 0 carries 0: equal in value, but False swaps e0. The walk
-    # does not meet that condition, and the next one, stepped from False, fails as the full-depth
-    # walk fails: on streams, and on a periodic gseq (built as written, since its normal form
-    # would merge the 0 into the cycle).
+def test_an_entry_equal_in_value_only_is_refused_where_it_enters():
+    # A gseq holding False where the walk of 0 carries 0 (equal in value, but False swaps e0) is
+    # refused by the checked constructors, on streams and periodic alike, before any condition
+    # is compared by ==.
     bool_carry = bool_carry_triple()
     t = ss.SelfSimilarTriple(bool_carry.graph, LenientIntegers(), bool_carry.act_vertex, bool_carry.step)
-    streams = ss.stream_path(t.graph, [0] * 6), ss.BoundedSeq(t.group, (0, 0, False, False, False))
-    periodic = ss.periodic_path(t.graph, [], [0]), ss.PeriodicSeq(t.group, (0,), (False,))
-    for zeta, gseq in (streams, periodic):
-        assert model_check(t, zeta, gseq, 0, 0, zeta, 64).is_distinct
-        assert _full_depth_conditions(t, zeta, gseq, 0, 0, zeta, 64).is_distinct
+    for make in (lambda: ss.BoundedSeq.make(t.group, (0, 0, False, False, False)),
+                 lambda: ss.PeriodicSeq.make(t.group, (0,), (False,))):
+        with pytest.raises(BackendMismatchError, match="^False is not an element of integers$"):
+            make()
 
 
 def test_a_broken_identity_law_keeps_the_letter_by_letter_walk():
@@ -372,17 +378,17 @@ def test_a_carry_equal_in_value_only_is_stepped_apart():
 def test_a_walk_through_carries_of_several_types_does_not_close():
     # Along (e0)* the carry alternates between 0 and False, and so does the image. A closure
     # that compares carries by == finds the state of 0 again at the second letter and would
-    # claim g.xi = (e0)*: the walk goes on to the depth as a stream instead.
+    # claim g.xi = (e0)*: the walk checks every carry it reaches, and refuses False instead.
     t = ss.SelfSimilarTriple(loops_graph(), LenientIntegers(), lambda g, v: v,
                              lambda g, e: (1 - e, 0) if g is False else (e, False), "alternating")
-    gxi, seq = infinite._carry_walk(t, 0, ss.periodic_path(t.graph, [], [0]), 6)
-    assert gxi.letters == (0, 1, 0, 1, 0, 1)
-    assert [(c, type(c)) for c in seq.values] == [(0, int), (False, bool)] * 3
+    for xi in (ss.periodic_path(t.graph, [], [0]), ss.stream_path(t.graph, [0] * 6)):
+        with pytest.raises(BackendMismatchError, match="^False is not an element of integers$"):
+            infinite._carry_walk(t, 0, xi, 6)
 
 
 def test_a_walk_refuses_a_carry_outside_the_group():
-    # Each carry the walk reaches is compared with itself, as g is checked: the integers refuse
-    # the carry False, and a backend that finds 0 distinct from itself refuses 0.
+    # Each carry the walk reaches is checked as g is, then compared with itself: the integers
+    # refuse the carry False, and a backend that finds 0 distinct from itself refuses 0.
     xi = ss.stream_path(loops_graph(), [0, 0, 0])
     with pytest.raises(BackendMismatchError, match="^False is not an element of integers$"):
         infinite._carry_walk(bool_carry_triple(), 1, xi, 64)

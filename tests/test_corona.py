@@ -2,12 +2,13 @@
 
 import inspect
 import random
+import re
 from math import lcm
 
 import pytest
 
 import selfsim as ss
-from selfsim.errors import DepthExceededError
+from selfsim.errors import BackendMismatchError, DepthExceededError
 from selfsim.specfile import load_spec_text, parse_corona
 from selfsim.tri import DISTINCT, EQUAL
 from conftest import TWIN_MACHINE_SPEC
@@ -126,20 +127,44 @@ def test_the_comparison_answers_as_the_eager_conjunction(backend):
     assert {"equal", "distinct"} <= verdicts and (len(unknowns) >= 2) == (backend == "twin_machine"), verdicts
 
 
-def test_entries_equal_in_value_only_are_kept_as_given(z):
-    # A carry equal in value only may step otherwise, so no entry merges into one of another type.
-    false_cycle = seq(z, (0,), (False,))
-    assert false_cycle.prefix == (0,) and type(false_cycle.prefix[0]) is int
-    assert false_cycle.cycle == (False,) and type(false_cycle.cycle[0]) is bool
-    assert [type(false_cycle.entry(n)) for n in (1, 2, 3)] == [int, bool, bool]
-    pre, cyc = ss.periodic.normalize((1,), (True, 1))
-    assert pre == () and cyc == (1, True) and list(map(type, cyc)) == [int, bool]
-    assert ss.periodic.primitive_root((True, 1, True, 1)) == (True, 1)
-    assert list(map(type, ss.periodic.primitive_root((True, 1, True, 1)))) == [bool, int]
-    assert list(map(type, ss.periodic.absorb((1, True), (True,))[1])) == [bool]
-    assert ss.periodic.absorb((1, True), (True,)) == ((1,), (True,))
-    # Entries of one type still merge.
+def test_entries_equal_in_value_only_are_refused_or_merged(z):
+    # The backend contract: values are checked where they enter, and then compared by == alone.
+    # Built unchecked, (False)* compared equal to, and hashed like, (0)*; only corona_eq refused it.
+    for prefix in ((), (0,)):
+        with pytest.raises(BackendMismatchError, match="^False is not an element of integers$"):
+            seq(z, prefix, (False,))
+    # The normal form of unchecked values merges entries equal in value, whatever their types.
+    assert ss.periodic.normalize((1,), (True, 1)) == ((), (1,))
+    assert ss.periodic.primitive_root((True, 1, True, 1)) == (True,)
+    assert ss.periodic.absorb((1, True), (True,)) == ((), (True,))
     assert ss.periodic.normalize((1,), (0, 1, 0, 1)) == ((), (1, 0))
+
+
+CHECKED_BACKENDS = [
+    ("integers", ss.IntegerGroup(), "5", 1.0),
+    ("cayley", ss.FiniteGroup(["1", "s"], [[0, 1], [1, 0]]), "s", 2),
+    ("automaton", ss.adding_machine().group, "a", (1, -1)),
+]
+
+
+@pytest.mark.parametrize("name, group, text, bad", CHECKED_BACKENDS, ids=[c[0] for c in CHECKED_BACKENDS])
+def test_the_checked_constructors_refuse_a_non_element(name, group, text, bad, monkeypatch):
+    refused = f"^{re.escape(repr(bad))} is not an element of {re.escape(str(group))}$"
+    good = group.parse(text)
+    for make in (lambda: ss.PeriodicSeq.make(group, (bad,), (good,)), lambda: ss.PeriodicSeq.make(group, (), (bad,)),
+                 lambda: ss.BoundedSeq.make(group, (good, bad))):
+        with pytest.raises(BackendMismatchError, match=refused):
+            make()
+    assert ss.BoundedSeq.make(group, [good]).values == (good,)
+    assert ss.PeriodicSeq.make(group, [good], [good, good]) == ss.PeriodicSeq(group, (), (good,))
+
+    # parse_corona builds through both: a parse that lets the non-element through is still refused.
+    parse = group.parse
+    monkeypatch.setattr(group, "parse", lambda literal: bad if literal == "bad" else parse(literal))
+    for literal in (f"{text},bad({text})*", f"bad({text})*", f"{text},bad", f"{text},bad~"):
+        with pytest.raises(BackendMismatchError, match=refused):
+            parse_corona(group, literal)
+    assert parse_corona(group, f"{text},{text}~").values == (good, good)
 
 
 def test_pointwise_mul_and_inv(z):

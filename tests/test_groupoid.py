@@ -4,6 +4,7 @@ import copy
 import inspect
 import pickle
 import random
+import re
 import sys
 import threading
 import time
@@ -24,7 +25,7 @@ from selfsim.errors import (
     SourceConditionError,
     UndecidedError,
 )
-from selfsim.groups import MAX_ENUMERATION
+from selfsim.groups import MAX_ENUMERATION, _Memo
 from selfsim.infinite import _carry_walk
 from selfsim.specfile import load_spec_file, load_spec_text
 from conftest import (
@@ -1227,7 +1228,7 @@ def test_walk_table_answers_as_a_fresh_walk(oracle_contexts, monkeypatch):
         assert ctx._walks.held == walk_letters(ctx._walks) <= MAX_ENUMERATION
 
 
-def test_walk_table_checks_every_element_and_keys_on_exact_ints(odo, machine, monkeypatch):
+def test_walk_table_checks_every_element_before_reading_it(odo, monkeypatch):
     xi = ss.periodic_path(odo.graph, [1], [0, 1])
     ctx = ss.GermContext(odo, window=ss.default_window(odo.group, 4))
     v = vp(odo)
@@ -1238,27 +1239,34 @@ def test_walk_table_checks_every_element_and_keys_on_exact_ints(odo, machine, mo
         expected = fresh_answers(ctx, u)[2]
         checked.clear()
         assert ctx.lag(u) == expected
-        assert checked[0] == 1  # the lag checks its element, hit or miss
-        # Only a miss walks, and the walk compares each carry it reaches with itself.
-        walked = set(expected.corona.prefix + expected.corona.cycle) if rounds == "cold" else set()
-        assert sorted(checked[1:]) == sorted(list(walked) * 2)
+        if rounds == "cold":
+            # The element before the table, then the walk: g, every carry it reaches (1, 1, 0, 0, 0:
+            # the state of step 2 recurs at step 4), and each distinct carry compared with itself.
+            assert checked[:7] == [1, 1, 1, 1, 0, 0, 0] and sorted(checked[7:]) == [0, 0, 1, 1]
+        else:
+            assert checked == [1]  # a hit checks the element alone
         assert (1, xi.prefix_edges, xi.cycle_edges) in ctx._walks
-        for bad in (True, 1.0, "1"):
-            for operation in ("range_point", "inverse", "lag", "f_map"):
-                with pytest.raises(BackendMismatchError):
-                    getattr(ctx, operation)(ss.Germ(v, bad, v, xi))
-    m = ss.GermContext(machine, window=ss.default_window(machine.group, 2))
-    w = vp(machine)
-    zeta = ss.periodic_path(machine.graph, [], [1])
-    m.f_map(m.make(w, (1,), w, zeta))
-    held = dict(m._walks)
-    with pytest.raises(BackendMismatchError):
-        m.f_map(ss.Germ(w, (1.0,), w, zeta))
-    # (True,) is an element equal to (1,), but it is walked afresh and not kept.
-    gxi, lag, _ = m.f_map(ss.Germ(w, (True,), w, zeta))
-    assert type(lag.corona.entry(1)[0]) is bool
-    assert (gxi, lag) == m.f_map(m.make(w, (1,), w, zeta))[:2]
-    assert dict(m._walks) == held
+    # A refused element neither reads nor writes the table, which holds the walk of the equal 1.
+    reads, writes = [], []
+
+    class Watched(_Memo):
+        __slots__ = ()
+
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+        def keep(self, key, value, letters):
+            writes.append(key)
+            super().keep(key, value, letters)
+
+    ctx._walks, held = Watched(), dict(ctx._walks)
+    ctx._walks.update(held)
+    for bad in (True, 1.0, "1", [1]):
+        for operation in ("range_point", "inverse", "lag", "f_map"):
+            with pytest.raises(BackendMismatchError, match=f"^{re.escape(repr(bad))} is not an element of integers$"):
+                getattr(ctx, operation)(ss.Germ(v, bad, v, xi))
+    assert reads == writes == [] and dict(ctx._walks) == held
 
 
 def test_walk_table_keeps_its_letter_budget(odo):

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import pickle
 import random
+import re
 import sys
 import threading
 import time
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import selfsim as ss
-from conftest import INVERSE_LETTER_SPEC, SPECS, TEST_SPECS, fold_step, stack_step
+from conftest import INVERSE_LETTER_SPEC, SPECS, TEST_SPECS, all_spec_triples, fold_step, stack_step
 from selfsim.errors import BackendMismatchError, NonBijectiveOutputError
 from selfsim.automaton import invert_word, reduce_word
 from selfsim.groups import MAX_ENUMERATION, check_window_radius
+from selfsim.infinite import _carry_walk
 from selfsim.specfile import load_spec_file, load_spec_text
 
 
@@ -42,6 +44,47 @@ def test_check_fast_path_keeps_refusing_non_elements():
                          (c3, Wide(3)), (c3, "0")]:
         with pytest.raises(BackendMismatchError):
             backend.check(bad)
+
+
+CONTRACT_BACKENDS = [("integers", ss.IntegerGroup())] + [
+    (name, t.group) for name, t in all_spec_triples() if not isinstance(t.group, ss.IntegerGroup)]
+
+
+@pytest.mark.parametrize("name, group", CONTRACT_BACKENDS, ids=[name for name, _ in CONTRACT_BACKENDS])
+def test_every_backend_keeps_the_equality_contract(name, group):
+    # A checked value hashes, and a == b implies eq(a, b) is equal: the library compares checked
+    # values by == alone. Words are paired with their spelling by bool letters, equal to them.
+    window = ss.default_window(group, 2)
+    words = isinstance(group, ss.AutomatonGroup)
+    spelled = [tuple(True if s == 1 else s for s in x) for x in window] if words else []
+    buckets = {}
+    for x in window + spelled:
+        buckets.setdefault(group.check(x), []).append(x)
+    assert len(buckets) == len(window)
+    for bucket in buckets.values():
+        assert all(group.eq(a, b).is_equal for a, b in itertools.product(bucket, repeat=2)), bucket
+    if not words:  # integers and Cayley groups keep it as "iff"
+        assert all(group.eq(a, b).is_equal is (a == b) for a, b in itertools.product(window, repeat=2))
+    refused = [True, 1.0, "1", (1, -1)] + ([len(group.names)] if isinstance(group, ss.FiniteGroup) else [])
+    for x in refused:
+        with pytest.raises(BackendMismatchError, match="^" + re.escape(f"{x!r} is not an element of {group}") + "$"):
+            group.check(x)
+
+
+def test_a_word_of_bool_letters_acts_as_its_word_of_ints():
+    # (True,) is an element, equal to (1,): it renders, walks and hits the walk table as (1,) does.
+    machine = ss.adding_machine()
+    group = machine.group
+    assert group.check((True,)) == (1,) and group.render((True,)) == group.render((1,)) == "a"
+    xi = ss.periodic_path(machine.graph, [], [1])
+    assert _carry_walk(machine, (True,), xi, 64) == _carry_walk(machine, (1,), xi, 64)
+    ctx = ss.GermContext(machine, window=ss.default_window(group, 2))
+    w = ss.vertex_path(machine.graph, 0)
+    answer = ctx.f_map(ctx.make(w, (1,), w, xi))[:2]
+    held = dict(ctx._walks)
+    gxi, lag, _ = ctx.f_map(ctx.make(w, (True,), w, xi))
+    assert (gxi, lag) == answer and dict(ctx._walks) == held
+    assert type(lag.corona.entry(1)[0]) is int  # read from the table: a fresh walk would carry True
 
 
 @pytest.mark.parametrize("spec", [SPECS / "adding_machine.spec", TEST_SPECS / "grigorchuk.spec"],
