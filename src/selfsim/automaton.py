@@ -214,20 +214,13 @@ class AutomatonGroup(GroupBackend):
         return total
 
     def window(self, radius: int) -> list[tuple[int, ...]]:
-        """All reduced words of length <= radius, identity first."""
+        """All reduced words of length <= radius: by length, then letter by letter in the order 1, 1', 2, 2', ..."""
         check_window_radius(self, radius)
-        out = [()]
-        frontier: list[tuple[int, ...]] = [()]
+        out, frontier = [()], [()]
         syms = [s for g in range(len(self.generator_names)) for s in (g + 1, -(g + 1))]
         for _ in range(radius):
-            nxt = []
-            for w in frontier:
-                for s in syms:
-                    r = reduce_word(w + (s,))
-                    if len(r) == len(w) + 1:
-                        nxt.append(r)
-            out.extend(nxt)
-            frontier = nxt
+            frontier = [w + (s,) for w in frontier for s in syms if not w or w[-1] != -s]
+            out.extend(frontier)
         return out
 
     def __str__(self) -> str:

@@ -98,8 +98,6 @@ def _cmd_residual_free(triple, args, out):
     from .sweeps import check_residually_free, render_certificate
     window = default_window(triple.group, args.window)
     report = check_residually_free(triple, window, path_bound=args.bound)
-    for failure in report.consistency_failures:
-        out(f"consistency: {failure}")
     if report.kind == "counterexample":
         out(f"counterexample {render_certificate(triple, report.counterexample)}")
         return FAIL

@@ -216,14 +216,9 @@ def check_e_star_unitary(
     axioms: this runs the freeness sweep once and renders its certificate
     (h, f), h != 1 fixing f and r(f) with trivial cocycle, as
     s = (r(f), h, r(f)) dominating e_f by the definition of mul. The
-    verdict is the sweep's. An oversize or negative path_bound raises
-    ValueError before any step, a triple breaking an axiom on its
-    generators SourceConditionError naming the law, a window without the
-    identity or not closed under inverses ValueError.
+    verdict and the refusals are the sweep's.
     """
-    from .sweeps import check_path_bound, check_residually_free, require_axioms
-    check_path_bound(t.graph, path_bound)
-    require_axioms(t)
+    from .sweeps import check_residually_free
     report = check_residually_free(t, window, path_bound)
     witness = None
     if report.counterexample is not None:

@@ -4,7 +4,7 @@ Each sweep takes a triple and a finite, identity-containing, inverse-closed
 window of its group and reports what it examined; hausdorff_report reads a
 freeness sweep as the Hausdorffness it implies. Path families are counted
 in closed form before they are built, so an oversize bound is refused first,
-and then built from graph.extensions.
+and then built one edge at a time along graph.edges_into.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from collections.abc import Iterable, Sequence
 from itertools import permutations
 
 from .errors import Record, SourceConditionError
-from .graph import Graph, Path, extensions, layer_sizes, vertex_path
+from .graph import Graph, Path, _edge_path, layer_sizes, vertex_path
 from .groups import DEFAULT_PATH_BOUND, MAX_ENUMERATION, IntegerGroup, at_least, default_window, refuse_oversize
 from .tri import Tri
 
@@ -153,8 +153,8 @@ class FreenessReport(Record):
     "counterexample" (some g != 1 fixes an edge with trivial cocycle), or
     "unknown" (nothing found within the window, but the window is not all
     of the group or some comparison stayed undecided). counterexample is
-    (g, edge id), g perhaps outside the window, or None; consistency_failures
-    and undecided are strings.
+    (g, edge id), g perhaps outside the window, or None; undecided holds strings.
+    consistency_failures is always (), kept only for the benchmark's sweep check.
     """
 
     __slots__ = ("kind", "counterexample", "consistency_failures", "undecided", "window_size")
@@ -181,16 +181,17 @@ def check_path_bound(graph: Graph, max_len: int) -> None:
 
 
 def all_paths_upto(graph: Graph, max_len: int) -> list[Path]:
-    """Every path of length <= max_len, layer by layer through extensions(p, 1).
+    """Every path of length <= max_len, layer by layer, one edge added at each path's source.
 
     The order is that of (length, range vertex, edge ids): vertex paths
     first, then each layer extends the last one's paths in turn.
     """
     check_path_bound(graph, max_len)
+    into = graph.edges_into
     layer = [vertex_path(graph, v) for v in graph.vertices()]
     result = list(layer)
     for _ in range(max_len):
-        layer = [q for p in layer for q in extensions(p, 1)]
+        layer = [_edge_path(graph, p.edges + (e,)) for p in layer for e in into(p.source_vertex)]
         result.extend(layer)
     return result
 
@@ -235,8 +236,8 @@ def _reduce_agreement(t: SelfSimilarTriple, h, image: Path):
     return last if last is not None and _certifies(t, *last) else None
 
 
-def _certificates(t: SelfSimilarTriple, window: list, path_bound: int, undecided: list, failures: list):
-    """Freeness counterexamples (h, e) in search order; notes undecided steps and failures on the way."""
+def _certificates(t: SelfSimilarTriple, window: list, path_bound: int, undecided: list):
+    """Freeness counterexamples (h, e) in search order; notes undecided steps and agreements on the way."""
     group, graph = t.group, t.graph
     for g in window:
         g_is_id = group.is_identity(g)
@@ -265,7 +266,7 @@ def _certificates(t: SelfSimilarTriple, window: list, path_bound: int, undecided
                 if certificate is not None:
                     yield certificate
                 elif group.is_identity(h).is_distinct:
-                    failures.append(f"rigidity: g1={group.render(g1)}, g2={group.render(g2)} agree on {a}")
+                    undecided.append(f"(g1={group.render(g1)}, g2={group.render(g2)}) agree on {a}, no certificate")
 
 
 def check_residually_free(
@@ -278,24 +279,26 @@ def check_residually_free(
     Each window element acts once on each path, bucketed by (image, cocycle),
     as equal values are equal elements: |W|·|P| actions, no pairwise comparison.
     With 1 in the window, fixing a path with trivial cocycle is agreeing
-    with 1. Agreeing g1 != g2 reduce to a certificate of g2 g1^-1, perhaps
-    past the window; one that does not is a consistency failure. Each
-    certificate past the window is re-checked by _certifies. An oversize
-    or negative path_bound is refused first, whatever the searches would find.
+    with 1. Under the axioms, agreeing g1 != g2 reduce to a certificate of
+    g2 g1^-1, perhaps past the window and re-checked by _certifies; one that
+    does not is noted undecided. Refused first, in this order: an oversize or
+    negative path_bound, a triple breaking an axiom on its generators
+    (SourceConditionError naming the law), a window without the identity or
+    not closed under inverses (ValueError).
     """
     check_path_bound(t.graph, path_bound)
+    require_axioms(t)
     window = _check_window(t, window)
     group = t.group
     undecided: list[str] = []
-    failures: list[str] = []
-    counterexample = next(_certificates(t, window, path_bound, undecided, failures), None)
+    counterexample = next(_certificates(t, window, path_bound, undecided), None)
     if counterexample is not None:
         kind = "counterexample"
     elif group.is_finite and set(group.elements()) <= set(window) and not undecided:
         kind = "holds"
     else:
         kind = "unknown"
-    return FreenessReport(kind, counterexample, tuple(sorted(set(failures))), tuple(undecided), len(window))
+    return FreenessReport(kind, counterexample, (), tuple(undecided), len(window))
 
 
 class HausdorffReport(Record):
@@ -305,8 +308,7 @@ class HausdorffReport(Record):
 def hausdorff_report(t: SelfSimilarTriple, window) -> HausdorffReport:
     """Freeness implies a Hausdorff germ groupoid; the converse is not claimed. GermContext gates on it.
 
-    The theorem assumes the axioms: a triple breaking one raises SourceConditionError before the sweep.
+    The theorem assumes the axioms: the sweep raises SourceConditionError on a triple breaking one.
     """
-    require_axioms(t)
     fr = check_residually_free(t, window, path_bound=1)  # agreements on single edges: |W|·|E| path actions
     return HausdorffReport("not-implied" if fr.found_counterexample else "hausdorff", fr)

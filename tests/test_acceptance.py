@@ -228,22 +228,21 @@ def test_criterion_06_freeness_unitarity_bridge(odo):
     assert free_swap.kind == "holds" and unit_swap.kind == "holds"
 
     # At window 4 and bound 4 the two sweeps agree on every shipped spec that
-    # keeps the axioms; on broken_cocycle the reduction does not hold, and
-    # E*-unitarity is refused while freeness still answers.
+    # keeps the axioms; both refuse broken_cocycle, which breaks one.
     kinds = {}
     for name, triple in spec_triples():
         window = ss.default_window(triple.group, 4)
+        if name == "broken_cocycle":
+            for sweep in (ss.check_residually_free, ss.check_e_star_unitary):
+                with pytest.raises(SourceConditionError, match=r"cocycle-identity violated: \(g=1, h=1\) at e0"):
+                    sweep(triple, window, path_bound=4)
+            continue
         free = ss.check_residually_free(triple, window, path_bound=4)
         kinds[name] = free.kind
-        if name == "broken_cocycle":
-            with pytest.raises(SourceConditionError, match=r"cocycle-identity violated: \(g=1, h=1\) at e0"):
-                ss.check_e_star_unitary(triple, window, path_bound=4)
-            continue
         unit = ss.check_e_star_unitary(triple, window, path_bound=4)
         assert free.kind == unit.kind, name
     assert kinds == {
         "adding_machine": "unknown",
-        "broken_cocycle": "holds",
         "katsura_2_0": "counterexample",
         "katsura_3_2": "unknown",
         "odometer": "unknown",

@@ -9,7 +9,7 @@ import pytest
 import selfsim as ss
 from selfsim import cli
 from selfsim.automaton import AutomatonGroup
-from selfsim.errors import InvalidMatricesError
+from selfsim.errors import InvalidMatricesError, SourceConditionError
 from selfsim.sweeps import check_path_bound, require_axioms
 from conftest import (
     TEST_SPECS,
@@ -338,6 +338,7 @@ def loops_with_rigidity_failures():
     return ss.integer_triple_from_generator(graph, [0], [1, 2, 0, 3], [0, 0, 0, 1])
 
 
+BROKEN_COCYCLE = r"cocycle-identity violated: \(g=1, h=1\) at e0"
 GATE_TRIPLES = spec_triples() + [("loops", loops_with_rigidity_failures())]
 
 
@@ -347,6 +348,10 @@ def test_freeness_gate_matches_pairwise_sweep(name, t):
     for radius in range(5):
         window = ss.default_window(t.group, radius)
         for bound in range(4):
+            if name == "broken_cocycle":
+                with pytest.raises(SourceConditionError, match=BROKEN_COCYCLE):
+                    ss.check_residually_free(t, window, bound)
+                continue
             report = ss.check_residually_free(t, window, bound)
             expected = pairwise_freeness(t, window, bound)
             if report.counterexample is not None and report.counterexample[0] not in window:
@@ -374,19 +379,46 @@ def test_freeness_gate_certifies_past_the_window():
     assert found.counterexample == (3, t.graph.edge_id("a"))
 
 
-def test_freeness_gate_reports_consistency_failures():
-    # Over Z/3, 1 and 2 both fix the loop with cocycle 1: they agree on it, but
-    # phi(2, e) = 1 != phi(1, e) phi(1, e) = 2, so h = 2 - 1 = 1 does not reduce.
+def test_freeness_gate_refuses_a_broken_cocycle_identity():
+    # Over Z/3, 1 and 2 both fix the loop with cocycle 1, but
+    # phi(2, e) = 1 != phi(1, e) phi(1, e) = 2: the sweep refuses before it looks.
     graph = ss.make_graph(["v"], [("e", "v", "v")])
     group = ss.FiniteGroup(["0", "1", "2"], [[(a + b) % 3 for b in range(3)] for a in range(3)])
     t = ss.finite_triple(graph, group, [[0]] * 3, [[0]] * 3, [[0], [1], [1]])
-    assert any(v.law == "cocycle-identity" for v in ss.verify_axioms(t, [0, 1, 2]).violations)
-    report = ss.check_residually_free(t, [0, 1, 2], path_bound=1)
-    assert report.counterexample is None
-    assert report.consistency_failures == ("rigidity: g1=1, g2=2 agree on e", "rigidity: g1=2, g2=1 agree on e")
-    longer = ss.check_residually_free(t, [0, 1, 2], path_bound=2)
-    assert longer.counterexample is None and len(longer.consistency_failures) > 2
-    assert all(f.startswith("rigidity: ") for f in longer.consistency_failures)
+    for bound in (1, 2):
+        with pytest.raises(SourceConditionError, match=r"^cocycle-identity violated: \(g=1, h=1\) at e$"):
+            ss.check_residually_free(t, [0, 1, 2], path_bound=bound)
+
+
+def test_an_agreement_without_a_certificate_is_noted_undecided():
+    # A hand-built Z action on one loop, fixed by every m, with cocycle f(m) = m
+    # but f(+-3) = +-1. The generators keep the axioms, so the gate passes;
+    # 1 and 3 agree on a, yet h = 2 fixes a with cocycle 2 and certifies nothing.
+    graph = ss.make_graph(["v"], [("a", "v", "v")])
+    t = ss.SelfSimilarTriple(graph, ss.IntegerGroup(), lambda m, v: v,
+                             lambda m, e: (e, m // 3 if abs(m) == 3 else m))
+    require_axioms(t)
+    report = ss.check_residually_free(t, ss.default_window(t.group, 4), path_bound=1)
+    assert (report.kind, report.counterexample, report.consistency_failures) == ("unknown", None, ())
+    assert sorted(report.undecided) == sorted(
+        f"(g1={g1}, g2={g2}) agree on a, no certificate" for g1, g2 in ((1, 3), (3, 1), (-1, -3), (-3, -1))
+    )
+
+
+AXIOM_TRIPLES = [(name, t) for name, t in all_spec_triples() if name != "broken_cocycle"]
+
+
+@pytest.mark.parametrize("name,t", AXIOM_TRIPLES, ids=[name for name, _ in AXIOM_TRIPLES])
+def test_no_sweep_of_a_triple_keeping_the_axioms_reports_a_consistency_failure(name, t):
+    for radius in range(4):
+        if t.group.window_size(radius) > 500:
+            break
+        window = ss.default_window(t.group, radius)
+        for bound in range(4):
+            report = ss.check_residually_free(t, window, bound)
+            # Under the axioms every agreement of two window elements reduces to a certificate.
+            assert report.consistency_failures == (), (radius, bound)
+            assert not any(note.endswith("no certificate") for note in report.undecided), (radius, bound)
 
 
 @pytest.mark.parametrize("name,t", all_spec_triples(), ids=[name for name, _ in all_spec_triples()])
@@ -396,6 +428,10 @@ def test_every_freeness_counterexample_is_certified(name, t):
             break
         window = ss.default_window(t.group, radius)
         for bound in range(3):
+            if name == "broken_cocycle":
+                with pytest.raises(SourceConditionError, match=BROKEN_COCYCLE):
+                    ss.check_residually_free(t, window, bound)
+                continue
             report = ss.check_residually_free(t, window, bound)
             assert (report.kind == "counterexample") == (report.counterexample is not None)
             if report.counterexample is not None:

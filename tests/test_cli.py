@@ -355,23 +355,18 @@ BROKEN = str(SPECS / "broken_cocycle.spec")
 
 
 @pytest.mark.parametrize("args", [
+    ["residual-free"],
     ["e-star-unitary"],
     ["hausdorff"],
     ["germ-eq", "@v,1,@v;(e0)*", "@v,0,@v;(e0)*"],
     ["germ-eq", "@v,1,@v;(e0)*", "@v,0,@v;(e0)*", "--allow-unverified"],
     ["lag", "@v,1,@v;(e0)*"],
     ["model-check", "(e0)*", "1(0)*", "0", "(e0)*"],
-], ids=["e-star-unitary", "hausdorff", "germ-eq", "germ-eq-allow-unverified", "lag", "model-check"])
+], ids=["residual-free", "e-star-unitary", "hausdorff", "germ-eq", "germ-eq-allow-unverified", "lag", "model-check"])
 def test_a_theorem_quoting_command_refuses_a_broken_cocycle(args, capsys):
     # The cocycle identity fails at e0 and e1: no theorem these commands quote applies.
     assert main([args[0], BROKEN, *args[1:]]) == 3
     assert capsys.readouterr().out.splitlines()[1:] == ["error: cocycle-identity violated: (g=1, h=1) at e0"]
-
-
-def test_residual_free_still_sweeps_a_broken_cocycle(capsys):
-    # Freeness needs no theorem, so the sweep answers on its own terms.
-    assert main(["residual-free", BROKEN]) == 0
-    assert capsys.readouterr().out.splitlines()[1:] == ["holds (all 2 elements swept)"]
 
 
 MACHINE = str(SPECS / "adding_machine.spec")
@@ -653,9 +648,9 @@ def test_validate_reports_a_source_vertex(tmp_path, capsys):
     assert lines[1] == "graph: vertex b: no incoming edge (source)"
 
 
-# Z/3 fixing its loop: 1 and 2 both leave it with cocycle 1, an agreement
-# that reduces to no certificate because the cocycle identity is broken.
-Z3_RIGID_SPEC = """\
+# Z/3 fixing its loop: 1 and 2 both leave it with cocycle 1, so the cocycle
+# identity breaks at (1, 1).
+Z3_BROKEN_SPEC = """\
 [graph]
 vertices = v
 edge = e v v
@@ -673,12 +668,10 @@ edge = 2 e e 1
 """
 
 
-def test_residual_free_prints_each_rigidity_failure(tmp_path, capsys):
-    code, lines = run_spec(tmp_path, capsys, Z3_RIGID_SPEC, command="residual-free")
-    assert code == 0
-    failures = [f"consistency: rigidity: g1={a}, g2={b} agree on {path}"
-                for a, b in (("1", "2"), ("2", "1")) for path in ("e", "e.e", "e.e.e", "e.e.e.e")]
-    assert lines[1:] == failures + ["holds (all 3 elements swept)"]
+def test_residual_free_refuses_a_z3_table_breaking_the_cocycle_identity(tmp_path, capsys):
+    code, lines = run_spec(tmp_path, capsys, Z3_BROKEN_SPEC, command="residual-free")
+    assert code == 3
+    assert lines[1:] == ["error: cocycle-identity violated: (g=1, h=1) at e"]
 
 
 @pytest.mark.parametrize(

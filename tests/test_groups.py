@@ -239,15 +239,36 @@ def test_default_window_shape(odo, swap2, machine):
     assert () in words and (1,) in words and (-1,) in words and (1, 1) in words
 
 
+def _free_generator_group(k):
+    return ss.AutomatonGroup([f"s{i}" for i in range(k)], 2, [[1, 0]] * k, [[(), ()]] * k)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_window_size_closed_form_matches_window(k):
-    names = [f"s{i}" for i in range(k)]
-    group = ss.AutomatonGroup(names, 2, [[1, 0]] * k, [[(), ()]] * k)
+    group = _free_generator_group(k)
     for radius in range(6):
         assert group.window_size(radius) == len(group.window(radius))
     integers = ss.IntegerGroup()
     for radius in range(6):
         assert integers.window_size(radius) == len(integers.window(radius))
+
+
+@pytest.mark.parametrize("make,top", [
+    (lambda: _free_generator_group(1), 4),
+    (lambda: _free_generator_group(2), 4),
+    (lambda: _free_generator_group(3), 4),
+    (lambda: load_spec_file(str(TEST_SPECS / "grigorchuk.spec")).triple.group, 3),
+], ids=["k1", "k2", "k3", "grigorchuk"])
+def test_window_lists_reduced_words_by_length_then_letter(make, top):
+    # The sweeps' first counterexamples rest on this order: every signed word
+    # that free reduction leaves as it is, by length, then letter by letter in
+    # the order 1, 1', 2, 2', ...
+    group = make()
+    k = len(group.generator_names)
+    letters = [s for g in range(1, k + 1) for s in (g, -g)]
+    for radius in range(top + 1):
+        brute = [w for n in range(radius + 1) for w in itertools.product(letters, repeat=n) if reduce_word(w) == w]
+        assert group.window(radius) == brute, radius
 
 
 def test_window_refuses_oversize_before_building():

@@ -633,13 +633,13 @@ def test_e_star_unitary_refuses_a_step_breaking_source_equivariance():
 def test_e_star_unitary_certifies_no_element_moving_the_range_past_the_window():
     # 1 swaps u and w but fixes the loop a at u with cocycle 0: the cycle of a
     # has length 1 and sum 0, yet (@u, 1, @u) is no triple. The window [0]
-    # checks no equivariance of 1, so the sweep's own check must refuse it;
-    # E*-unitarity checks the axioms on the generators and refuses the triple.
+    # checks no equivariance of 1, so both sweeps check the axioms on the
+    # generators and refuse the triple.
     graph = ss.make_graph(["u", "w"], [("a", "u", "u"), ("b", "w", "w")])
     t = ss.integer_triple_from_generator(graph, [1, 0], [0, 1], [0, 0])
-    assert ss.check_residually_free(t, [0], 2).counterexample is None
-    with pytest.raises(SourceConditionError, match=r"range-equivariance violated: r\(sigma_1\(a\)\)"):
-        ss.check_e_star_unitary(t, [0], 2)
+    for sweep in (ss.check_residually_free, ss.check_e_star_unitary):
+        with pytest.raises(SourceConditionError, match=r"range-equivariance violated: r\(sigma_1\(a\)\)"):
+            sweep(t, [0], 2)
 
 
 class BlindGroup(ss.FiniteGroup):
