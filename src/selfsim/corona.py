@@ -136,9 +136,9 @@ def corona_inv(a: CoronaSeq) -> CoronaSeq:
 
 
 def shift_right(a: CoronaSeq, k: int = 1) -> CoronaSeq:
-    """Right shift: prepend k identities (k >= 0)."""
-    if k < 0:
-        return shift_left(a, -k)
+    """Right shift: prepend k identities (k >= 0); a itself when k = 0."""
+    if k <= 0:
+        return shift_left(a, -k) if k else a
     pad = (a.backend.identity(),) * k
     if isinstance(a, PeriodicSeq):
         return PeriodicSeq(a.backend, *absorb(pad + a.prefix, a.cycle))
@@ -146,15 +146,14 @@ def shift_right(a: CoronaSeq, k: int = 1) -> CoronaSeq:
 
 
 def shift_left(a: CoronaSeq, k: int = 1) -> CoronaSeq:
-    """Left shift: drop the first k entries (k >= 0)."""
+    """Left shift: drop the first k entries (k >= 0); a itself when k = 0 (a bounded a must hold an entry)."""
     if k < 0:
         return shift_right(a, -k)
     if isinstance(a, PeriodicSeq):
-        pre, cyc = drop(a.prefix, a.cycle, k)
-        return PeriodicSeq(a.backend, pre, cyc)
+        return PeriodicSeq(a.backend, *drop(a.prefix, a.cycle, k)) if k else a
     if k >= len(a.values):
         raise DepthExceededError("cannot shift a bounded sequence past its depth")
-    return BoundedSeq(a.backend, a.values[k:])
+    return BoundedSeq(a.backend, a.values[k:]) if k else a
 
 
 def corona_eq(a: CoronaSeq, b: CoronaSeq) -> Tri:
@@ -179,6 +178,11 @@ class LagValue(Record):
     """Element of the lag group: corona part and integer shift."""
 
     __slots__ = ("corona", "shift")  # CoronaSeq, int
+
+    def __init__(self, corona: CoronaSeq, shift: int):
+        set_corona, set_shift = self._setters
+        set_corona(self, corona)
+        set_shift(self, shift)
 
     def __str__(self) -> str:
         return f"({self.corona}, {self.shift})"

@@ -42,7 +42,7 @@ class Frozen(Value):
 class Record(Frozen):
     """Frozen value built, compared and hashed by its ``__slots__`` in order.
 
-    For report types; the hot path types write these methods out instead.
+    For report types and LagValue, which writes out only ``__init__``; other hot path types write all out.
     """
 
     __slots__ = ()

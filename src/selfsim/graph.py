@@ -17,11 +17,11 @@ from .groups import refuse_oversize
 
 
 class Graph(Frozen):
-    """Finite directed graph with dense integer ids and string labels."""
+    """Finite directed graph with dense integer ids and string labels, holding its vertex paths."""
 
     __slots__ = ("vertex_labels", "edge_labels", "range_of", "source_of",
-                 "_into", "_vertex_ids", "_edge_ids")
-    _hidden = ("_into", "_vertex_ids", "_edge_ids")
+                 "_into", "_vertex_ids", "_edge_ids", "_vertex_paths")
+    _hidden = ("_into", "_vertex_ids", "_edge_ids", "_vertex_paths")
 
     def __init__(self, vertex_labels: tuple[str, ...], edge_labels: tuple[str, ...],
                  range_of: tuple[int, ...], source_of: tuple[int, ...]):  # edge -> vertex maps
@@ -33,7 +33,7 @@ class Graph(Frozen):
             into.setdefault(v, []).append(e)
         into = {v: tuple(es) for v, es in into.items()}
         values = (vertex_labels, edge_labels, range_of, source_of, into,
-                  label_ids(vertex_labels), label_ids(edge_labels))
+                  label_ids(vertex_labels), label_ids(edge_labels), {})
         for setter, value in zip(self._setters, values):
             setter(self, value)
 
@@ -200,9 +200,11 @@ def _edge_path(graph: Graph, edges: tuple[int, ...]) -> Path:
 
 
 def vertex_path(graph: Graph, v: int) -> Path:
-    if not 0 <= v < graph.n_vertices:
+    """The graph's own vertex path at v, built and checked on first use, then returned on every call."""
+    path = graph._vertex_paths.get(v)
+    if path is None and not 0 <= v < graph.n_vertices:
         raise ValueError(f"no vertex {v}")
-    return Path(graph, v, ())
+    return path if path is not None else graph._vertex_paths.setdefault(v, Path(graph, v, ()))
 
 
 def edge_path(graph: Graph, edges: Iterable[int]) -> Path:

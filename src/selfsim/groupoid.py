@@ -9,7 +9,9 @@ policy, no freeness counterexample in a window unless overridden.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import lcm
+from operator import is_, is_not
 
 from .action import SelfSimilarTriple
 from .corona import CoronaSeq, LagValue, PeriodicSeq, corona_eq, shift_right
@@ -267,8 +269,8 @@ class GermContext:
         """The conditions n = 1 .. the horizon of one split, condition n reading (g_(n+p),
         g_(n+p+1), zeta_(n+q), eta_(n+p)): the preperiods plus one period decide periodic inputs,
         bounded ones cap the horizon, and past MAX_ENUMERATION a split is distinct or unknown.
-        Those that the walk of g_(p+1) along zeta from q (read from the table) meets, from the first
-        on, cost no step; the rest, or all where the walk raises, are stepped from gseq's entries."""
+        Those the walk of g_(p+1) along zeta from q (from the table) meets from the first cost no step
+        (all at p = 0 on its own image and carries); the rest, all if it raises, are stepped, checked first."""
         decisive = isinstance(eta, PeriodicPath) and isinstance(zeta, PeriodicPath) and isinstance(gseq, PeriodicSeq)
         if decisive:
             period = lcm(len(gseq.cycle), len(zeta.cycle_edges), len(eta.cycle_edges))
@@ -288,13 +290,15 @@ class GermContext:
             gxi, phi = self._walk(gseq.entry(p + 1), zeta.drop(q) if q else zeta)
         except Exception:  # noqa: BLE001 - the steps below meet what raised in its turn
             met = 0
+            t.group.check(gseq.entry(p + 1))
         else:
-            met = _met(gxi, phi, eta, gseq, p, horizon)
+            met = horizon if not p and eta is gxi and gseq is phi else _met(gxi, phi, eta, gseq, p, horizon, t.group)
         for n in range(met + 1, horizon + 1):
             image, coc = t.step(gseq.entry(n + p), zeta.letter(n + q))
             verdict = t.group.eq(gseq.entry(n + p + 1), coc)
             if verdict.is_distinct or eta.letter(n + p) != image:
                 return DISTINCT
+            t.group.check(gseq.entry(n + p + 1))  # before the next step steps it
             pending = pending or verdict.is_unknown
         return EQUAL if decisive and not pending else unknown(reported)
 
@@ -356,21 +360,26 @@ def _split(split: tuple[int, int], k: int) -> tuple[int, int]:
     return p, q
 
 
-def _met(gxi: InfPath, phi: CoronaSeq, eta: InfPath, gseq: CoronaSeq, p: int, horizon: int) -> int:
+def _met(gxi: InfPath, phi: CoronaSeq, eta: InfPath, gseq: CoronaSeq, p: int, horizon: int, group) -> int:
     """How many of conditions 1 .. horizon the walk (gxi, phi) meets from the first on, as far as it
-    knows them: its image letter is eta's, its carry gseq's entry (checked values, compared by ==). Periodic
-    sides meet all or none, as normal forms; bounded ones are compared as tuples; mixed ones meet none."""
+    knows them: its image letter is eta's, its carry gseq's entry by ==, an entry not the carry object
+    itself passing group.check. Periodic sides meet all or none, as normal forms; bounded, as tuples."""
     if isinstance(phi, PeriodicSeq) and isinstance(eta, PeriodicPath) and isinstance(gseq, PeriodicSeq):
         # gseq's entry p + 1 is the walk's first carry: compare the carries from there.
         (pre, cyc), images = drop(gseq.prefix, gseq.cycle, p), drop(eta.prefix_edges, eta.cycle_edges, p)
-        met = images == (gxi.prefix_edges, gxi.cycle_edges) and (phi.prefix, phi.cycle) == (pre, cyc)
-        return horizon if met else 0
-    if isinstance(phi, PeriodicSeq) or isinstance(eta, PeriodicPath) or isinstance(gseq, PeriodicSeq):
-        return 0
-    n = min(horizon, phi.depth_limit - 1, gxi.depth_limit)
-    images, letters = gxi.letters[:n], eta.letters[p : p + n]
-    carries, entries = phi.values[1 : n + 1], gseq.values[p + 1 : p + n + 1]
-    if images == letters and carries == entries:
-        return n
-    differ = zip(images, letters, carries, entries)
-    return next(m for m, (a, b, c, d) in enumerate(differ) if a != b or c != d)
+        if images != (gxi.prefix_edges, gxi.cycle_edges) or (phi.prefix, phi.cycle) != (pre, cyc):
+            return 0
+        n, carries, entries = horizon, phi.prefix + phi.cycle, pre + cyc
+    elif isinstance(phi, PeriodicSeq) or isinstance(eta, PeriodicPath) or isinstance(gseq, PeriodicSeq):
+        return 0  # mixed sides meet none
+    else:
+        n = min(horizon, phi.depth_limit - 1, gxi.depth_limit)
+        images, letters = gxi.letters[:n], eta.letters[p : p + n]
+        carries, entries = phi.values[1 : n + 1], gseq.values[p + 1 : p + n + 1]
+        if images != letters or carries != entries:
+            differ = zip(images, letters, carries, entries)
+            n = next(m for m, (a, b, c, d) in enumerate(differ) if a != b or c != d)
+    if not all(map(is_, entries, carries)):  # the walk checked its own carries
+        for entry in compress(entries[:n], map(is_not, entries, carries)):
+            group.check(entry)
+    return n

@@ -38,10 +38,6 @@ class InfPath:
         """Largest queryable index, or None when unbounded."""
         raise NotImplementedError
 
-    @property
-    def range_vertex(self) -> int:
-        return self.graph.range_of[self.letter(1)]
-
     def head(self, n: int) -> tuple[int, ...]:
         """The first n >= 0 letters as one tuple."""
         raise NotImplementedError
@@ -103,11 +99,18 @@ class PeriodicPath(InfPath, Frozen):
 
     def drop(self, k: int) -> "PeriodicPath":
         pre, cyc = drop(self.prefix_edges, self.cycle_edges, k)
-        return PeriodicPath(self.graph, pre, cyc)
+        return PeriodicPath(self.graph, pre, cyc) if k else self
+
+    @property
+    def range_vertex(self) -> int:
+        return self.graph.range_of[(self.prefix_edges or self.cycle_edges)[0]]
 
     def prepend(self, path: Path) -> "PeriodicPath":
+        """path.self, once d(path) = r(self); self itself for a vertex path."""
         if path.source_vertex != self.range_vertex:
             raise CompositionError("cannot prepend: endpoints do not match")
+        if not path.edges:
+            return self
         return PeriodicPath(self.graph, *absorb(path.edges + self.prefix_edges, self.cycle_edges))
 
     def __str__(self) -> str:
@@ -158,6 +161,12 @@ class StreamPath(InfPath, Frozen):
     def depth_limit(self) -> int:
         return len(self.letters)
 
+    @property
+    def range_vertex(self) -> int:
+        if not self.letters:
+            raise self._exceeded()
+        return self.graph.range_of[self.letters[0]]
+
     def head(self, n: int) -> tuple[int, ...]:
         if n > len(self.letters):
             raise self._exceeded()
@@ -168,12 +177,13 @@ class StreamPath(InfPath, Frozen):
             raise ValueError("drop length must be >= 0")
         if k > len(self.letters):
             raise DepthExceededError("cannot drop beyond the declared depth")
-        return StreamPath(self.graph, self.letters[k:])
+        return StreamPath(self.graph, self.letters[k:]) if k else self
 
     def prepend(self, path: Path) -> "StreamPath":
+        """path.self, once d(path) = r(self); self itself for a vertex path."""
         if path.source_vertex != self.range_vertex:
             raise CompositionError("cannot prepend: endpoints do not match")
-        return StreamPath(self.graph, path.edges + self.letters)
+        return StreamPath(self.graph, path.edges + self.letters) if path.edges else self
 
     def __str__(self) -> str:
         labels = self.graph.edge_labels

@@ -358,6 +358,18 @@ def test_an_entry_equal_in_value_only_is_refused_where_it_enters():
             make()
 
 
+def test_each_stepped_entry_is_checked_though_the_comparison_takes_it():
+    # The gseq 0, False, (0)* is no normal form, so the walk of 0 along (e0)* meets none of its
+    # conditions and they are stepped. The lenient eq takes False as the carry 0 of condition 1;
+    # check refuses it before condition 2 steps it.
+    odo = labeled_odometer()
+    t = ss.SelfSimilarTriple(odo.graph, LenientIntegers(), odo.act_vertex, odo.step)
+    zeta = ss.periodic_path(t.graph, [], [0])
+    with pytest.raises(BackendMismatchError, match="^False is not an element of integers$"):
+        model_check(t, zeta, ss.PeriodicSeq(t.group, (0, False), (0,)), 0, 0, zeta, 64)
+    assert model_check(t, zeta, ss.PeriodicSeq(t.group, (0, 0), (0,)), 0, 0, zeta, 64).is_equal
+
+
 def test_a_broken_identity_law_keeps_the_letter_by_letter_walk():
     t = swapping_identity_triple()
     xi = ss.stream_path(t.graph, [0, 0, 1, 0])

@@ -1,6 +1,7 @@
 """Corona sequences, shifts, and the lag group."""
 
 import inspect
+import pickle
 import random
 import re
 from math import lcm
@@ -49,6 +50,37 @@ def test_a_negative_shift_shifts_the_other_way(z):
     for k in range(3):
         assert ss.shift_left(a, -k) == ss.shift_right(a, k)
         assert ss.shift_left(bounded, -k).values == ss.shift_right(bounded, k).values
+
+
+def test_a_shift_by_zero_returns_the_sequence_itself(z, machine):
+    words = machine.group
+    a, b = words.generator(0), words.inv(words.generator(0))
+    for x in (seq(z, (3, 1), (2, 5)), seq(z, (), (0,)), ss.PeriodicSeq.make(words, (a,), (b, a)),
+              ss.BoundedSeq(z, (4, 6, 7)), ss.BoundedSeq(z, (4,)), ss.BoundedSeq(words, (a, b))):
+        for shift in (ss.shift_right, ss.shift_left):
+            assert shift(x, 0) is x and shift(x, -0) is x
+        if isinstance(x, ss.PeriodicSeq):  # what the shifts built before: the same normal form
+            assert x == ss.PeriodicSeq(x.backend, *ss.periodic.absorb(x.prefix, x.cycle))
+            assert x == ss.PeriodicSeq(x.backend, *ss.periodic.drop(x.prefix, x.cycle, 0))
+    empty = ss.BoundedSeq(z, ())
+    assert ss.shift_right(empty, 0) is empty
+    with pytest.raises(DepthExceededError, match="^cannot shift a bounded sequence past its depth$"):
+        ss.shift_left(empty, 0)
+    # A bare-built sequence that is not in normal form comes back as built.
+    loose = ss.PeriodicSeq(z, (0,), (0,))
+    assert ss.shift_right(loose, 0) is loose and ss.shift_right(loose, 1) == seq(z, (), (0,))
+
+
+def test_a_lag_value_compares_hashes_prints_and_pickles_by_its_fields(z):
+    a = ss.LagValue(seq(z, (1,), (2,)), 2)
+    assert a == ss.LagValue(seq(z, (1,), (2,)), 2) and hash(a) == hash(ss.LagValue(seq(z, (1,), (2,)), 2))
+    assert a != ss.LagValue(seq(z, (1,), (2,)), 1) and a != ss.LagValue(seq(z, (), (2,)), 2)
+    assert a != (a.corona, a.shift)
+    assert repr(a) == "LagValue(corona=PeriodicSeq(prefix=(1,), cycle=(2,)), shift=2)" and str(a) == "(1(2)*, 2)"
+    z_back, back = pickle.loads(pickle.dumps((z, a)))  # with its backend, which compares by identity
+    assert back == ss.LagValue(seq(z_back, (1,), (2,)), 2) and repr(back) == repr(a)
+    with pytest.raises(AttributeError, match="^field 'shift' of LagValue is read-only$"):
+        a.shift = 3
 
 
 class CountingIntegers(ss.IntegerGroup):

@@ -1,5 +1,7 @@
 """Graph, path, and infinite-path behavior."""
 
+import copy
+import pickle
 import random
 import time
 from itertools import product
@@ -12,6 +14,7 @@ from selfsim import periodic
 from selfsim.groups import MAX_ENUMERATION
 from selfsim.sweeps import count_paths_upto
 from selfsim.errors import CompositionError, DepthExceededError
+from conftest import all_spec_triples
 
 
 @pytest.fixture
@@ -283,6 +286,67 @@ def test_drop_and_prepend(graph):
     assert xi.drop(2).letter(1) == xi.letter(3)
     back = xi.drop(2).prepend(xi.truncate(2))
     assert back == xi
+
+
+# Two vertices a, b: the loop x at a, y from b to a (r(y) = a, d(y) = b), the loop z at b.
+TWO = ss.make_graph(["a", "b"], [("x", "a", "a"), ("y", "a", "b"), ("z", "b", "b")])
+
+
+def test_prepending_a_vertex_path_returns_the_point_itself():
+    for xi in (ss.periodic_path(TWO, [1], [2]), ss.periodic_path(TWO, [], [0]), ss.stream_path(TWO, [1, 2, 2])):
+        v = ss.vertex_path(TWO, xi.range_vertex)
+        assert xi.prepend(v) is xi and xi.drop(0) is xi
+        if isinstance(xi, ss.PeriodicPath):  # what absorb gave before: the same normal form
+            assert xi.prepend(v) == ss.PeriodicPath(TWO, *periodic.absorb(xi.prefix_edges, xi.cycle_edges))
+        else:
+            assert xi.prepend(v).letters == xi.letters
+        # The endpoint check still runs first: the other vertex, and an edge ending there, are refused.
+        for wrong in (ss.vertex_path(TWO, 1 - xi.range_vertex), ss.edge_path(TWO, [2] if xi.range_vertex == 0 else [1])):
+            with pytest.raises(CompositionError, match="^cannot prepend: endpoints do not match$"):
+                xi.prepend(wrong)
+    # An edge path still builds the normal form; a vertex path returns a bare-built point as it was built.
+    loose = ss.PeriodicPath(TWO, (0,), (0,))
+    assert loose.prepend(ss.vertex_path(TWO, 0)) is loose
+    assert loose.prepend(ss.edge_path(TWO, [0])) == ss.periodic_path(TWO, [], [0])
+
+
+def test_the_range_vertex_is_read_from_the_letters():
+    for xi in (ss.periodic_path(TWO, [1], [2]), ss.periodic_path(TWO, [], [2]), ss.stream_path(TWO, [0, 1, 2])):
+        assert xi.range_vertex == TWO.range_of[xi.letter(1)] == xi.truncate(1).range_vertex
+    with pytest.raises(DepthExceededError, match="^stream path only declared to depth 0$"):
+        ss.StreamPath(TWO, ()).range_vertex
+
+
+def test_vertex_paths_are_shared_per_graph():
+    for name, t in all_spec_triples():
+        g = t.graph
+        for v in g.vertices():
+            shared = ss.vertex_path(g, v)
+            built = ss.Path(g, v, ())
+            assert shared == built and hash(shared) == hash(built) and shared.graph is g, name
+            assert ss.vertex_path(g, v) is shared
+        for v in (-1, -2, g.n_vertices, g.n_vertices + 3):
+            for _ in range(2):  # a refusal keeps nothing
+                with pytest.raises(ValueError, match=f"^no vertex {v}$"):
+                    ss.vertex_path(g, v)
+    # Every vertex path an operation returns is the shared one.
+    t = ss.odometer()
+    g, shared = t.graph, ss.vertex_path(t.graph, 0)
+    path = ss.edge_path(g, [0, 1])
+    xi = ss.periodic_path(g, [1], [0])
+    assert path.prefix(0) is path.drop(2) is xi.truncate(0) is ss.stream_path(g, [1, 0]).truncate(0) is shared
+    assert t.act_path(1, shared)[0] is shared
+
+
+def test_a_graph_copy_carries_its_own_vertex_paths():
+    g = ss.Graph(TWO.vertex_labels, TWO.edge_labels, TWO.range_of, TWO.source_of)
+    before = ss.vertex_path(g, 1)  # built before the copies, vertex 0 after
+    for copied in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert copied == g and "_vertex_paths" not in repr(copied)
+        for v in g.vertices():
+            path = ss.vertex_path(copied, v)
+            assert path == ss.vertex_path(g, v) and path.graph is copied and ss.vertex_path(copied, v) is path
+    assert ss.vertex_path(g, 1) is before
 
 
 @pytest.mark.parametrize("k", [-1, -2, -5])

@@ -344,6 +344,54 @@ def test_model_check_search_finds_split(ctx, odo, xi0):
     assert ctx.model_check(rng_pt, lag.corona, lag.shift, src_pt).is_equal
 
 
+def test_model_check_refuses_a_bare_built_entry_outside_the_group(ctx, odo, xi0):
+    # False equals 0 in value only. Built with the bare constructors, a gseq holding it once passed:
+    # where the kept walk met it (unknown@8 on a stream, equal on a periodic gseq), or where the walk of
+    # a refused entry p + 1 fell back to steps that did not check it (equal).
+    z, g = ss.IntegerGroup(), odo.graph
+    zeta = ss.stream_path(g, [0] * 8)
+    cases = [
+        (zeta, ss.BoundedSeq(z, (0, 0, False) + (0,) * 6), zeta),
+        (ss.periodic_path(g, [1], [0]), ss.PeriodicSeq(z, (1,), (False,)), xi0),
+        (xi0, ss.PeriodicSeq(z, (False,), (0,)), xi0),
+    ]
+    for eta, gseq, zeta in cases:
+        with pytest.raises(BackendMismatchError, match="^False is not an element of integers$"):
+            ctx.model_check(eta, gseq, 0, zeta, split=(0, 0))
+    # In a periodic gseq's prefix: the walk of 1 along e1.e0(e0)* carries 1, 1, (0)*.
+    zeta = ss.periodic_path(g, [1, 0], [0])
+    eta, lag, _ = ctx.f_map(ctx.make(vp(odo), 1, vp(odo), zeta))
+    assert (lag.corona.prefix, lag.corona.cycle) == ((1, 1), (0,))
+    with pytest.raises(BackendMismatchError, match="^True is not an element of integers$"):
+        ctx.model_check(eta, ss.PeriodicSeq(z, (1, True), (0,)), 0, zeta, split=(0, 0))
+    # An entry equal to the walk's carry but not the same object passes the check and is met.
+    eta, lag, zeta = ctx.f_map(ctx.make(vp(odo), 1000, vp(odo), xi0))
+
+    def copied(entries):
+        return tuple(int(str(x)) for x in entries)
+
+    fresh = ss.PeriodicSeq(odo.group, copied(lag.corona.prefix), copied(lag.corona.cycle))
+    assert fresh == lag.corona and fresh.prefix[0] is not lag.corona.prefix[0]
+    assert ctx.model_check(eta, fresh, 0, zeta, split=(0, 0)).is_equal
+
+
+def test_model_check_of_kept_walk_checks_no_entry_it_meets(odo, monkeypatch):
+    # The model check of f_map's own answer meets the kept walk's carries themselves: the entry
+    # p + 1 that starts the walk is checked, and no other.
+    ctx = ss.GermContext(odo, window=ss.default_window(odo.group, 1))
+    checked = []
+    check = odo.group.check
+    monkeypatch.setattr(odo.group, "check", lambda x: checked.append(x) or check(x))
+    rng = random.Random(7)
+    for _ in range(20):
+        u = random_germ(rng, ctx, 2)
+        for xi in (u.xi, ss.stream_path(odo.graph, u.xi.head(20))):
+            eta, lag, zeta = ctx.f_map(ss.Germ(u.alpha, u.g, u.beta, xi))
+            checked.clear()
+            verdict = ctx.model_check(eta, lag.corona, lag.shift, zeta, split=(len(u.alpha), len(u.beta)))
+            assert not verdict.is_distinct and checked == [u.g]
+
+
 def test_f_injectivity_random(ctx):
     rng = random.Random(31)
     germs = [random_germ(rng, ctx, 2) for _ in range(60)]
