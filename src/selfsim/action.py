@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import partial
 
+from . import groups
 from .graph import Graph, Path, _edge_path, vertex_path
 from .groups import GroupBackend, refuse_oversize
 
@@ -65,6 +66,6 @@ def step_walk(step: Callable, g, edges) -> tuple[tuple, object]:
     for e in edges:
         image, g = step(g, e)
         images.append(image)
-        if type(g) is tuple:
+        if type(g) is tuple and len(g) > groups.MAX_ENUMERATION:
             refuse_oversize(len(g), "letters in the restriction along the path")
     return tuple(images), g

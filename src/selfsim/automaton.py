@@ -9,7 +9,9 @@ forms fill their tables through one builder.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from operator import neg
 
+from . import groups
 from .action import SelfSimilarTriple
 from .errors import BackendMismatchError, NonBijectiveOutputError, Record, SpecFileError
 from .graph import Graph, label_ids, make_graph
@@ -31,7 +33,7 @@ def reduce_word(word: Sequence[int]) -> tuple[int, ...]:
 
 
 def invert_word(word: Sequence[int]) -> tuple[int, ...]:
-    return tuple(-sym for sym in reversed(word))
+    return tuple(map(neg, reversed(word)))
 
 
 class AutomatonGroup(GroupBackend):
@@ -44,6 +46,8 @@ class AutomatonGroup(GroupBackend):
     everywhere certifies equality only when the backend is flagged faithful
     (words that act alike are equal).
     """
+
+    _fields = ("generator_names", "n_letters", "outputs", "restrictions", "faithful_to_depth")  # not the memos
 
     def __init__(
         self,
@@ -80,21 +84,27 @@ class AutomatonGroup(GroupBackend):
         return ()
 
     def mul(self, a, b) -> tuple[int, ...]:
-        return reduce_word(tuple(self.check(a)) + tuple(self.check(b)))
+        a, b, i = self.check(a), self.check(b), 0
+        while i < len(a) and i < len(b) and a[-1 - i] == -b[i]:
+            i += 1
+        return a[: len(a) - i] + b[i:]  # reduce_word(a + b): reduced words cancel only where they meet
 
     def inv(self, a) -> tuple[int, ...]:
-        return invert_word(self.check(a))
+        return tuple(map(neg, reversed(self.check(a))))
+
+    def check(self, x):  # one pass over a word of int letters; at the first that fails, contains decides
+        letters, last = self._moves, 0  # keyed by the letters +-1..k
+        for s in x if type(x) is tuple else (None,):  # anything but a tuple fails at once
+            if type(s) is not int or s not in letters or s == -last:
+                return GroupBackend.check(self, x)
+            last = s
+        return x
 
     def contains(self, x) -> bool:
         """x is a tuple of int letters in +-1..k with no letter beside its inverse: a reduced word."""
-        if not isinstance(x, tuple):
-            return False
-        k, last = len(self.generator_names), 0
-        for s in x:
-            if not isinstance(s, int) or not 0 < abs(s) <= k or s == -last:
-                return False
-            last = s
-        return True
+        k = len(self.generator_names)
+        return (isinstance(x, tuple) and all(isinstance(s, int) and 0 < abs(s) <= k for s in x)
+                and all(s != -last for last, s in zip(x, x[1:])))
 
     def generator(self, index: int) -> tuple[int, ...]:
         return (index + 1,)
@@ -141,7 +151,8 @@ class AutomatonGroup(GroupBackend):
         for letter in letters:
             letter, word = known((word, letter)) or self.step(word, letter)
             images.append(letter)
-            refuse_oversize(len(word), "letters in the restriction along the path")
+            if len(word) > groups.MAX_ENUMERATION:
+                refuse_oversize(len(word), "letters in the restriction along the path")
         return tuple(images), word
 
     def eq(self, a, b) -> Tri:

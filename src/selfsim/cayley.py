@@ -13,7 +13,7 @@ from .action import SelfSimilarTriple
 from .errors import BackendMismatchError, SpecFileError
 from .graph import Graph, label_ids
 from .groups import GroupBackend, check_window_radius
-from .tri import Tri, from_bool
+from .tri import DISTINCT, EQUAL, Tri, from_bool
 
 # _Section (annotations) lives in specfile, which calls the loader below.
 
@@ -24,6 +24,8 @@ class FiniteGroup(GroupBackend):
     The table is validated at construction: identity, inverses, and full
     associativity (cube over the order, fine at desk scale).
     """
+
+    _fields = ("names", "table")
 
     def __init__(self, names: Sequence[str], table: Sequence[Sequence[int]]):
         self.names = tuple(names)
@@ -78,12 +80,16 @@ class FiniteGroup(GroupBackend):
         return x if type(x) is int and 0 <= x < len(self.names) else GroupBackend.check(self, x)
 
     def mul(self, a: int, b: int) -> int:
+        if type(a) is int and type(b) is int and 0 <= a < len(self.names) and 0 <= b < len(self.names):
+            return self.table[a][b]
         return self.table[self.check(a)][self.check(b)]
 
     def inv(self, a: int) -> int:
-        return self._inverse[self.check(a)]
+        return self._inverse[a if type(a) is int and 0 <= a < len(self.names) else self.check(a)]
 
     def eq(self, a, b) -> Tri:
+        if type(a) is int and type(b) is int and 0 <= a < len(self.names) and 0 <= b < len(self.names):
+            return EQUAL if a == b else DISTINCT
         return from_bool(self.check(a) == self.check(b))
 
     def contains(self, x) -> bool:

@@ -44,7 +44,7 @@ class PeriodicSeq(CoronaSeq, Frozen):
 
     def __eq__(self, other):
         return (other.__class__ is self.__class__ and self.prefix == other.prefix and self.cycle == other.cycle
-                and self.backend == other.backend)
+                and (self.backend is other.backend or self.backend == other.backend))
 
     def __hash__(self):
         return hash((self.backend, self.prefix, self.cycle))

@@ -92,12 +92,12 @@ class GermContext:
         prefix and cycle or a stream's first depth letters, and keeps every walk that reads a
         letter, closed or not, while its letter budget lasts. A walk that raised is not kept, nor
         one that read no letter: its image is undecided, None or DepthExceededError as ``image`` asks."""
-        g = self.triple.group.check(g)
-        key = (g, xi.prefix_edges, xi.cycle_edges) if isinstance(xi, PeriodicPath) else (g, xi.letters[: self.depth])
+        g = self._triple.group.check(g)
+        key = (g, xi.prefix_edges, xi.cycle_edges) if isinstance(xi, PeriodicPath) else (g, xi.letters[: self._depth])
         known = self._walks.get(key) if key[-1] else None
         if known is not None:
             return known
-        gxi, seq = pair = _carry_walk(self.triple, g, xi, self.depth, image)
+        gxi, seq = pair = _carry_walk(self._triple, g, xi, self._depth, image)
         if key[-1]:
             if isinstance(gxi, PeriodicPath):
                 path, carries = gxi.prefix_edges + gxi.cycle_edges, seq.prefix + seq.cycle
@@ -112,8 +112,8 @@ class GermContext:
 
     def _check(self, alpha: Path, g, beta: Path) -> None:
         """The checks of (alpha, g, beta) that make and open_set_member share, in this order."""
-        self.triple.group.check(g)
-        if alpha.source_vertex != self.triple.act_vertex(g, beta.source_vertex):
+        self._triple.group.check(g)
+        if alpha.source_vertex != self._triple.act_vertex(g, beta.source_vertex):
             raise SourceConditionError("d(alpha) != g d(beta)")
 
     def make(self, alpha: Path, g, beta: Path, xi: InfPath) -> Germ:
@@ -123,10 +123,10 @@ class GermContext:
         return Germ(alpha, g, beta, xi)
 
     def unit(self, beta: Path, xi: InfPath) -> Germ:
-        return self.make(beta, self.triple.group.identity(), beta, xi)
+        return self.make(beta, self._triple.group.identity(), beta, xi)
 
     def render(self, u: Germ) -> str:
-        return f"[{u.alpha}, {self.triple.group.render(u.g)}, {u.beta}; {u.xi}]"
+        return f"[{u.alpha}, {self._triple.group.render(u.g)}, {u.beta}; {u.xi}]"
 
     # -- source and range --------------------------------------------------
 
@@ -141,8 +141,8 @@ class GermContext:
 
     def range_prefix(self, u: Germ, n: int) -> Path:
         """Length-n prefix of alpha.(g xi), computed through the path action."""
-        k = max(n - len(u.alpha), 0)
-        g_img = self.triple.act_path(u.g, u.xi.truncate(k))[0]
+        k = max(n - len(u.alpha.edges), 0)
+        g_img = self._triple.act_path(u.g, u.xi.truncate(k))[0]
         return concat(u.alpha, g_img).prefix(n)
 
     # -- equality and representatives --------------------------------------
@@ -154,13 +154,13 @@ class GermContext:
         of xi on: at once if equal there, else as both carry walks decide, each raising
         DepthExceededError past the carry-letter budget.
         """
-        if len(u1.beta) > len(u2.beta):
+        if len(u1.beta.edges) > len(u2.beta.edges):
             u1, u2 = u2, u1
         rel = prefix_compare(u1.beta, u2.beta)
         if rel is not _EQUAL and rel is not _A_PROPER:
             return DISTINCT
-        gamma = u2.beta.drop(len(u1.beta))
-        tails = inf_path_eq(u1.xi, u2.xi.prepend(gamma), self.depth)
+        gamma = u2.beta.drop(len(u1.beta.edges))
+        tails = inf_path_eq(u1.xi, u2.xi.prepend(gamma), self._depth)
         if tails.is_distinct:
             return DISTINCT
         return self._aligned(u1.alpha, u1.g, gamma, u2.alpha, u2.g, u2.xi, 0, tails)
@@ -168,14 +168,14 @@ class GermContext:
     def _aligned(self, alpha1: Path, g1, gamma: Path, alpha2: Path, g2, xi: InfPath, k: int, tails: Tri) -> Tri:
         """The rest of germ_eq, aligned on beta.gamma: (alpha1, g1) along gamma against (alpha2, g2), at xi
         past its first k letters, which only the carry walks read. tails is the points' verdict."""
-        img, coc = self.triple.act_path(g1, gamma)
+        img, coc = self._triple.act_path(g1, gamma)
         if alpha2 != concat(alpha1, img):
             return DISTINCT
-        if self.triple.group.eq(g2, coc).is_equal:
+        if self._triple.group.eq(g2, coc).is_equal:
             return tails
         xi = xi.drop(k) if k else xi
         (image1, carries1), (image2, carries2) = self._walk(coc, xi), self._walk(g2, xi)
-        return all_of((tails, inf_path_eq(image1, image2, self.depth), corona_eq(carries1, carries2)))
+        return all_of((tails, inf_path_eq(image1, image2, self._depth), corona_eq(carries1, carries2)))
 
     def reparametrize(self, u: Germ, n: int, side: str = "beta") -> Germ:
         """Equal germ whose alpha (or beta) component has length n >= current.
@@ -185,14 +185,14 @@ class GermContext:
         """
         if side not in ("alpha", "beta"):
             raise ValueError("side must be 'alpha' or 'beta'")
-        current = len(u.alpha) if side == "alpha" else len(u.beta)
+        current = len(u.alpha.edges) if side == "alpha" else len(u.beta.edges)
         k = n - current
         if k < 0:
             raise ValueError(f"cannot shorten {side} from {current} to {n}")
         if k == 0:
             return u
         gamma = u.xi.truncate(k)
-        img, coc = self.triple.act_path(u.g, gamma)
+        img, coc = self._triple.act_path(u.g, gamma)
         return Germ(concat(u.alpha, img), coc, concat(u.beta, gamma), u.xi.drop(k))
 
     # -- groupoid structure --------------------------------------------------
@@ -204,8 +204,8 @@ class GermContext:
         provably diverge, and refuses (rather than guessing) when the tails
         cannot be decided at this depth.
         """
-        depth = self.depth
-        n = max(len(u1.beta), len(u2.alpha))
+        depth = self._depth
+        n = max(len(u1.beta.edges), len(u2.alpha.edges))
         r1 = self.reparametrize(u1, n, "beta")
         r2 = self.reparametrize(u2, n, "alpha")
         if r1.beta != r2.alpha:
@@ -215,22 +215,22 @@ class GermContext:
             raise NotComposableError("source and range tails diverge")
         if tails.is_unknown:
             raise UndecidedError(f"composability undecided at depth {depth}")
-        return Germ(r1.alpha, self.triple.group.mul(r1.g, r2.g), r2.beta, r2.xi)
+        return Germ(r1.alpha, self._triple.group.mul(r1.g, r2.g), r2.beta, r2.xi)
 
     def inverse(self, u: Germ) -> Germ:
-        return Germ(u.beta, self.triple.group.inv(u.g), u.alpha, self._walk(u.g, u.xi)[0])
+        return Germ(u.beta, self._triple.group.inv(u.g), u.alpha, self._walk(u.g, u.xi)[0])
 
     # -- lag and the concrete model ----------------------------------------
 
     def lag(self, u: Germ) -> LagValue:
         """(right-shift^|alpha| of the cocycle sequence class, |alpha| - |beta|)."""
         seq = self._walk(u.g, u.xi, image=False)[1]
-        return LagValue(shift_right(seq, len(u.alpha)), len(u.alpha) - len(u.beta))
+        return LagValue(shift_right(seq, len(u.alpha.edges)), len(u.alpha.edges) - len(u.beta.edges))
 
     def f_map(self, u: Germ) -> tuple[InfPath, LagValue, InfPath]:
         """(range point, lag, source point): injective, as germs are equal exactly when these agree."""
         gxi, seq = self._walk(u.g, u.xi)
-        lag = LagValue(shift_right(seq, len(u.alpha)), len(u.alpha) - len(u.beta))
+        lag = LagValue(shift_right(seq, len(u.alpha.edges)), len(u.alpha.edges) - len(u.beta.edges))
         return (gxi.prepend(u.alpha), lag, self.source_point(u))
 
     def model_check(
@@ -249,7 +249,7 @@ class GermContext:
         and gseq from p + 2 is the rest of Phi(g_(p+1), zeta from q). Fully decided
         when all three sequences are eventually periodic.
         """
-        depth = self.depth
+        depth = self._depth
         if split is not None:
             p, q = _split(split, k)
             return self._split_holds(eta, gseq, p, q, zeta)
@@ -275,17 +275,17 @@ class GermContext:
         if decisive:
             period = lcm(len(gseq.cycle), len(zeta.cycle_edges), len(eta.cycle_edges))
             horizon = max(len(gseq.prefix) - p, len(zeta.prefix_edges) - q, len(eta.prefix_edges) - p, 0) + period
-            reported = max(self.depth, horizon)
+            reported = max(self._depth, horizon)
         else:
             limits = ((gseq.depth_limit, p + 1), (zeta.depth_limit, q), (eta.depth_limit, p))
-            horizon = min(self.depth, *(lim - offset for lim, offset in limits if lim is not None))
+            horizon = min(self._depth, *(lim - offset for lim, offset in limits if lim is not None))
             if horizon < 1:
                 return unknown(0)
             reported = horizon
         if horizon > MAX_ENUMERATION:
             horizon = reported = MAX_ENUMERATION
             decisive = False
-        t, pending = self.triple, False
+        t, pending = self._triple, False
         try:
             gxi, phi = self._walk(gseq.entry(p + 1), zeta.drop(q) if q else zeta)
         except Exception:  # noqa: BLE001 - the steps below meet what raised in its turn
@@ -324,8 +324,8 @@ class GermContext:
         if rel is _EQUAL or rel is _A_PROPER:
             return (alpha, g, beta)
         if rel is _B_PROPER:
-            eps = gamma.drop(len(beta))
-            img, coc = self.triple.act_path(g, eps)
+            eps = gamma.drop(len(beta.edges))
+            img, coc = self._triple.act_path(g, eps)
             return (concat(alpha, img), coc, gamma)
         raise EmptySetError(f"cylinder {gamma} does not meet the domain cylinder {beta}")
 
@@ -337,19 +337,19 @@ class GermContext:
         orients, decides, its tails equal by construction. Undecided answers carry germ_eq's depth.
         """
         alpha, g, beta = self.normalize_basic(alpha, g, beta, gamma)
-        n, m = len(beta), len(u.beta)
+        n, m = len(beta.edges), len(u.beta.edges)
         try:
             if (n > m and u.xi.head(n - m) != beta.edges[m:]) or prefix_compare(beta, u.beta) is _INCOMPARABLE:
                 return DISTINCT
             self._check(alpha, g, beta)
             if u.xi.depth_limit == n - m:  # no letter known past beta: d(beta) = r(point) is undecided
-                return unknown(self.depth)
+                return unknown(self._depth)
             sides = (u.alpha, u.g, beta.drop(m), alpha, g) if m <= n else (alpha, g, u.beta.drop(n), u.alpha, u.g)
             verdict = self._aligned(*sides, u.xi, max(n - m, 0), EQUAL)
         except DepthExceededError:
-            return unknown(self.depth)
+            return unknown(self._depth)
         if verdict.is_unknown and not isinstance(u.xi, PeriodicPath):  # germ_eq's depth: letters past the shorter beta
-            return unknown(min(self.depth, u.xi.depth_limit + max(m - n, 0)))
+            return unknown(min(self._depth, u.xi.depth_limit + max(m - n, 0)))
         return verdict
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 
 from .errors import BackendMismatchError
-from .tri import Tri, from_bool
+from .tri import DISTINCT, EQUAL, Tri, from_bool
 
 # The most elements a window, or paths a path family, may hold, the budget
 # of an automaton word comparison, and the letters a memo table may hold (an
@@ -68,8 +68,19 @@ def refuse_oversize(count: int, noun: str) -> None:
 
 
 class GroupBackend:
-    """The contract every backend keeps: a value that passes ``check`` is hashable, and
-    ``a == b`` implies ``eq(a, b)`` is equal, so the library compares checked values by ==."""
+    """The contract every backend keeps: a value that passes ``check`` is hashable, and ``a == b`` implies
+    ``eq(a, b)`` is equal, so the library compares checked values by ==. Exact elements take one inline test in
+    ``mul``/``inv``/``eq``, anything else ``check``: a subclass that narrows its elements overrides those too.
+    Reduced words cancel only at a product's junction. Backends compare and hash by their data."""
+
+    _fields = None  # the attributes a backend compares and hashes by; None compares by identity
+
+    def __eq__(self, other):
+        return self is other or (self._fields is not None and other.__class__ is self.__class__
+                                 and all(getattr(self, f) == getattr(other, f) for f in self._fields))
+
+    def __hash__(self):
+        return object.__hash__(self) if self._fields is None else hash(tuple(getattr(self, f) for f in self._fields))
 
     def identity(self):
         raise NotImplementedError
@@ -123,6 +134,8 @@ class GroupBackend:
 class IntegerGroup(GroupBackend):
     """The integers under addition; identity 0."""
 
+    _fields = ()  # no data: every instance of a class is the same group
+
     def identity(self) -> int:
         return 0
 
@@ -130,12 +143,14 @@ class IntegerGroup(GroupBackend):
         return x if type(x) is int else GroupBackend.check(self, x)  # bool takes the full test
 
     def mul(self, a: int, b: int) -> int:
-        return self.check(a) + self.check(b)
+        return a + b if type(a) is int and type(b) is int else self.check(a) + self.check(b)
 
     def inv(self, a: int) -> int:
-        return -self.check(a)
+        return -a if type(a) is int else -self.check(a)
 
     def eq(self, a, b) -> Tri:
+        if type(a) is int and type(b) is int:
+            return EQUAL if a == b else DISTINCT
         return from_bool(self.check(a) == self.check(b))
 
     def contains(self, x) -> bool:

@@ -1,5 +1,6 @@
 """Corona sequences, shifts, and the lag group."""
 
+import copy
 import inspect
 import pickle
 import random
@@ -12,7 +13,7 @@ import selfsim as ss
 from selfsim.errors import BackendMismatchError, DepthExceededError
 from selfsim.specfile import load_spec_text, parse_corona
 from selfsim.tri import DISTINCT, EQUAL
-from conftest import TWIN_MACHINE_SPEC
+from conftest import TWIN_MACHINE_SPEC, all_spec_triples
 
 
 @pytest.fixture
@@ -77,8 +78,9 @@ def test_a_lag_value_compares_hashes_prints_and_pickles_by_its_fields(z):
     assert a != ss.LagValue(seq(z, (1,), (2,)), 1) and a != ss.LagValue(seq(z, (), (2,)), 2)
     assert a != (a.corona, a.shift)
     assert repr(a) == "LagValue(corona=PeriodicSeq(prefix=(1,), cycle=(2,)), shift=2)" and str(a) == "(1(2)*, 2)"
-    z_back, back = pickle.loads(pickle.dumps((z, a)))  # with its backend, which compares by identity
+    z_back, back = pickle.loads(pickle.dumps((z, a)))  # with its backend, which compares by its data
     assert back == ss.LagValue(seq(z_back, (1,), (2,)), 2) and repr(back) == repr(a)
+    assert back == a and hash(back) == hash(a) and z_back == z
     with pytest.raises(AttributeError, match="^field 'shift' of LagValue is read-only$"):
         a.shift = 3
 
@@ -328,3 +330,41 @@ def test_a_printed_bounded_corona_reads_back(backend, machine):
         for text in (str(seq), str(seq)[:-1]):
             back = parse_corona(group, text)
             assert isinstance(back, ss.BoundedSeq) and back.values == seq.values
+
+
+SPEC_BACKENDS = [(name, t.group) for name, t in all_spec_triples()]
+
+
+@pytest.mark.parametrize("name, group", SPEC_BACKENDS, ids=[name for name, _ in SPEC_BACKENDS])
+def test_a_copied_or_pickled_corona_or_lag_value_equals_its_original(name, group):
+    # Backends compare and hash by their data, so a value from a worker process compares with a local one.
+    # (A BoundedSeq compares by identity.)
+    window = ss.default_window(group, 1)
+    periodic = ss.PeriodicSeq.make(group, window[-1:], window[:2])
+    values = [group, periodic, ss.LagValue(periodic, 2), ss.LagValue(ss.corona_identity(group), -1)]
+    for value in values:
+        for back in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert back == value and value == back and hash(back) == hash(value), (name, value)
+    assert ss.lag_eq(pickle.loads(pickle.dumps(values[2])), values[2]).is_equal
+
+
+def test_backends_with_different_data_compare_unequal():
+    c2 = ss.FiniteGroup(["e", "s"], [[0, 1], [1, 0]])
+    c3 = ss.FiniteGroup(["0", "1", "2"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    relabelled = ss.FiniteGroup(["s", "e"], [[1, 0], [0, 1]])
+    assert c2 == ss.FiniteGroup(["e", "s"], [[0, 1], [1, 0]]) and c2 != c3 and c2 != relabelled
+    assert ss.IntegerGroup() == ss.IntegerGroup() and hash(ss.IntegerGroup()) == hash(ss.IntegerGroup())
+    assert CountingIntegers() != ss.IntegerGroup() and ss.IntegerGroup() != CountingIntegers()
+    assert ss.IntegerGroup() != c2 and c2 != ss.IntegerGroup()
+
+    def machine(outputs=((1, 0),), restrictions=(((), (1,)),), faithful=True, names=("a",)):
+        return ss.AutomatonGroup(names, 2, outputs, restrictions, faithful_to_depth=faithful)
+
+    a = machine()
+    a.eq((1,), (1, 1))  # filled memo tables take no part
+    assert a == machine() and hash(a) == hash(machine())
+    for other in (machine(faithful=False), machine(names=("b",)), machine(restrictions=(((1,), ()),)),
+                  machine(outputs=((0, 1),), restrictions=(((), ()),)), ss.IntegerGroup(), c2):
+        assert a != other and other != a
+    seq_a, seq_b = ss.PeriodicSeq.make(a, (), ((1,),)), ss.PeriodicSeq.make(machine(faithful=False), (), ((1,),))
+    assert seq_a != seq_b and seq_a == ss.PeriodicSeq.make(machine(), (), ((1,),))

@@ -1281,18 +1281,21 @@ def test_walk_table_checks_every_element_before_reading_it(odo, monkeypatch):
     ctx = ss.GermContext(odo, window=ss.default_window(odo.group, 4))
     v = vp(odo)
     u = ctx.make(v, 1, v, xi)
-    checked = []
+    checked, compared = [], []
     monkeypatch.setattr(odo.group, "check", lambda x: checked.append(x) or ss.IntegerGroup.check(odo.group, x))
+    monkeypatch.setattr(odo.group, "eq", lambda a, b: compared.append((a, b)) or ss.IntegerGroup.eq(odo.group, a, b))
     for rounds in ("cold", "warm"):
         expected = fresh_answers(ctx, u)[2]
         checked.clear()
+        compared.clear()
         assert ctx.lag(u) == expected
         if rounds == "cold":
             # The element before the table, then the walk: g, every carry it reaches (1, 1, 0, 0, 0:
-            # the state of step 2 recurs at step 4), and each distinct carry compared with itself.
-            assert checked[:7] == [1, 1, 1, 1, 0, 0, 0] and sorted(checked[7:]) == [0, 0, 1, 1]
+            # the state of step 2 recurs at step 4). Each distinct carry is then compared with itself
+            # once; eq takes exact ints without check.
+            assert checked == [1, 1, 1, 1, 0, 0, 0] and sorted(compared) == [(0, 0), (1, 1)]
         else:
-            assert checked == [1]  # a hit checks the element alone
+            assert checked == [1] and compared == []  # a hit checks the element alone
         assert (1, xi.prefix_edges, xi.cycle_edges) in ctx._walks
     # A refused element neither reads nor writes the table, which holds the walk of the equal 1.
     reads, writes = [], []

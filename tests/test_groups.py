@@ -1,7 +1,9 @@
 """Group backend behavior: exact backends, Cayley validation, word equality."""
 
+import functools
 import inspect
 import itertools
+import operator
 import pickle
 import random
 import re
@@ -15,10 +17,13 @@ from hypothesis import given, strategies as st
 import selfsim as ss
 from conftest import INVERSE_LETTER_SPEC, SPECS, TEST_SPECS, all_spec_triples, fold_step, stack_step
 from selfsim.errors import BackendMismatchError, NonBijectiveOutputError
+from selfsim import groups
+from selfsim.action import step_walk
 from selfsim.automaton import invert_word, reduce_word
 from selfsim.groups import MAX_ENUMERATION, check_window_radius
 from selfsim.infinite import _carry_walk
 from selfsim.specfile import load_spec_file, load_spec_text
+from selfsim.tri import DISTINCT, EQUAL
 
 
 def test_integer_ops():
@@ -504,3 +509,123 @@ def test_negative_window_radius_is_refused(backend):
 def test_a_non_element_in_the_window_is_refused(sweep, triple, window):
     with pytest.raises(BackendMismatchError, match=r"^\[1\] is not an element of "):
         sweep(triple, window)
+
+
+# -- the fast paths of mul, inv and eq ------------------------------------------
+
+
+class Wide(int):
+    """An int subclass: a letter or element the backends accept by contains alone."""
+
+
+def _random_cayley(rng):
+    """Z/n1 x Z/n2 under a random relabelling of its elements."""
+    n1, n2 = rng.randint(1, 3), rng.randint(1, 3)
+    pairs = [(a, b) for a in range(n1) for b in range(n2)]
+    rng.shuffle(pairs)
+    ids = {p: i for i, p in enumerate(pairs)}
+    table = [[ids[((a + c) % n1, (b + d) % n2)] for (c, d) in pairs] for (a, b) in pairs]
+    return ss.FiniteGroup([f"x{i}" for i in range(len(pairs))], table)
+
+
+def _random_automaton(rng):
+    """An automaton group of 1-3 states on 2-3 letters, restrictions of up to two letters."""
+    k, n = rng.randint(1, 3), rng.randint(2, 3)
+    outputs = [rng.sample(range(n), n) for _ in range(k)]
+    restrictions = [[[rng.choice([s, -s]) for s in rng.choices(range(1, k + 1), k=rng.randint(0, 2))]
+                     for _ in range(n)] for _ in range(k)]
+    return ss.AutomatonGroup([f"s{i}" for i in range(k)], n, outputs, restrictions)
+
+
+def _fast_path_backends():
+    rng = random.Random(34)
+    automata = [(name, t.group) for name, t in all_spec_triples() if isinstance(t.group, ss.AutomatonGroup)]
+    return ([("integers", ss.IntegerGroup())] + [(f"cayley{i}", _random_cayley(rng)) for i in range(6)]
+            + automata + [(f"automaton{i}", _random_automaton(rng)) for i in range(6)])
+
+
+FAST_PATH_BACKENDS = _fast_path_backends()
+
+
+def _drawn_elements(rng, group, count):
+    """Elements of group, some spelled by an int subclass (a Wide int or letter) or, in words, by True."""
+    if isinstance(group, ss.AutomatonGroup):
+        k = len(group.generator_names)
+        words = [reduce_word(rng.choice([s, -s]) for s in rng.choices(range(1, k + 1), k=rng.randint(0, 6)))
+                 for _ in range(count)]
+        return [tuple(rng.choice([s, Wide(s), True if s == 1 else s]) for s in w) for w in words]
+    if isinstance(group, ss.FiniteGroup):
+        return [rng.choice([x, Wide(x)]) for x in rng.choices(group.elements(), k=count)]
+    return [rng.choice([x, Wide(x)]) for x in (rng.randint(-9, 9) for _ in range(count))]
+
+
+@pytest.mark.parametrize("name, group", FAST_PATH_BACKENDS, ids=[name for name, _ in FAST_PATH_BACKENDS])
+def test_the_fast_paths_answer_as_the_checked_operations(name, group):
+    rng = random.Random(name)
+    elements = _drawn_elements(rng, group, 60)
+    for a, b in zip(elements, elements[1:] + elements[:1]):
+        product, inverse = group.mul(a, b), group.inv(a)
+        if isinstance(group, ss.AutomatonGroup):
+            # The very letters free reduction keeps, each the same object.
+            want = reduce_word(a + b)
+            assert type(product) is tuple and len(product) == len(want) and all(map(operator.is_, product, want))
+            assert inverse == invert_word(a) and type(inverse) is tuple
+        elif isinstance(group, ss.FiniteGroup):
+            assert product == group.table[a][b] and inverse == group._inverse[a]
+        else:
+            assert product == a + b and inverse == -a
+        if not isinstance(group, ss.AutomatonGroup):  # words may compare unknown
+            assert group.eq(a, b) is (EQUAL if a == b else DISTINCT)
+        assert group.eq(a, a) is EQUAL and group.contains(product) and group.contains(inverse)
+
+
+def _non_elements(group):
+    common = [True, 1.0, "1", [1], None]
+    if isinstance(group, ss.AutomatonGroup):
+        k = len(group.generator_names)
+        return common + [(1, -1), (0,), (k + 1,), (-k - 1,), (Wide(k + 1),), (1.0,), (1, 1.0), ("1",), ([1],)]
+    if isinstance(group, ss.FiniteGroup):
+        order = len(group.names)
+        return common + [-1, order, Wide(order), Wide(-1), (1, -1)]
+    return common + [(1, -1), False]
+
+
+@pytest.mark.parametrize("name, group", FAST_PATH_BACKENDS, ids=[name for name, _ in FAST_PATH_BACKENDS])
+def test_every_operation_refuses_a_non_element_as_check_does(name, group):
+    good = group.identity()
+    for bad in _non_elements(group):
+        with pytest.raises(BackendMismatchError) as refused:
+            group.check(bad)
+        message = f"^{re.escape(str(refused.value))}$"
+        assert str(refused.value) == f"{bad!r} is not an element of {group}"
+        for operation in (lambda: group.mul(bad, good), lambda: group.mul(good, bad), lambda: group.inv(bad),
+                          lambda: group.eq(bad, good), lambda: group.eq(good, bad), lambda: group.mul(bad, bad)):
+            with pytest.raises(BackendMismatchError, match=message):
+                operation()
+
+
+def _doubling_group():
+    """A fresh backend, empty memo, on which a restricts to a.a at every letter: 2^n letters along n."""
+    return load_spec_file(str(TEST_SPECS / "doubling.spec")).triple.group
+
+
+@pytest.mark.parametrize("budget", [8, 100, MAX_ENUMERATION])
+def test_both_walks_refuse_an_oversize_restriction_at_the_same_letter(budget, monkeypatch):
+    monkeypatch.setattr(groups, "MAX_ENUMERATION", budget)
+    letters = budget.bit_length()  # the first restriction past the budget: 2^letters letters
+    for walker in ("walk", "step_walk"):
+        group, read = _doubling_group(), []
+
+        def path():
+            for _ in range(letters + 3):
+                read.append(0)
+                yield 0
+
+        walk = group.walk if walker == "walk" else functools.partial(step_walk, group.step)
+        with pytest.raises(ValueError, match=f"^more than {budget} letters in the restriction along the path "
+                                             r"\(the enumeration limit\)$"):
+            walk((1,), path())
+        assert len(read) == letters, walker
+        group = _doubling_group()
+        images, carry = walk((1,), [0] * (letters - 1))
+        assert images == (0,) * (letters - 1) and carry == (1,) * 2 ** (letters - 1)
