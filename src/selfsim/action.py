@@ -12,7 +12,7 @@ from collections.abc import Callable
 from functools import partial
 
 from . import groups
-from .graph import Graph, Path, _edge_path, vertex_path
+from .graph import Graph, Path, _edge_path, concat, vertex_path
 from .groups import GroupBackend, refuse_oversize
 
 
@@ -23,6 +23,7 @@ class SelfSimilarTriple:
     an element leaves an edge as, action and cocycle in one evaluation (the
     wreath recursion). walk(g, edges) -> (image edges, carry) runs the steps
     of a path in one call, by ``step_walk`` when none is given. All are pure.
+    act_path(g, b) walks a path, act_behind(alpha, g, b) walks it behind alpha.
     """
 
     def __init__(
@@ -55,6 +56,24 @@ class SelfSimilarTriple:
             return vertex_path(self.graph, self.act_vertex(g, a.vertex)), g
         images, carry = self.walk(g, a.edges)
         return _edge_path(self.graph, images), carry
+
+    def act_behind(self, alpha: Path, g, b: Path, start: int = 0) -> tuple[Path, object]:
+        """(alpha.(g.c), phi(g, c)) for c = b.drop(start): drop's, act_path's and concat's checks in
+        that order, one walk along b past start, one path built; concat raises where they do not meet."""
+        graph = self.graph
+        if not 0 <= start <= len(b.edges):
+            raise ValueError(f"drop length {start} out of range")
+        if b.graph is not graph and b.graph != graph:
+            raise ValueError("path does not belong to this triple's graph")
+        self.group.check(g)
+        if start == len(b.edges):  # the vertex case: alpha.(g.d(b)), carry g
+            return concat(alpha, vertex_path(graph, self.act_vertex(g, b.source_vertex))), g
+        images, carry = self.walk(g, b.edges[start:] if start else b.edges)
+        if alpha.graph is graph:
+            ea = alpha.edges
+            if (graph.source_of[ea[-1]] if ea else alpha.vertex) == graph.range_of[images[0]]:
+                return _edge_path(graph, ea + images), carry
+        return concat(alpha, _edge_path(graph, images)), carry  # joined across an equal graph, or refused
 
     def __str__(self) -> str:
         return self.description

@@ -15,7 +15,7 @@ from . import groups
 from .action import SelfSimilarTriple
 from .errors import BackendMismatchError, NonBijectiveOutputError, Record, SpecFileError
 from .graph import Graph, label_ids, make_graph
-from .groups import MAX_ENUMERATION, GroupBackend, _Memo, check_window_radius, refuse_oversize
+from .groups import GroupBackend, _Memo, check_window_radius, refuse_oversize
 from .tri import Tri, DISTINCT, EQUAL, unknown
 
 # _Section (annotations) lives in specfile, which calls the loaders below.
@@ -172,7 +172,7 @@ class AutomatonGroup(GroupBackend):
         # words restrict to words no longer than themselves, so the walk
         # closes; it gives up only when the pairs and their letters pass the budget.
         seen = {(a, b)}
-        spent = 1 + len(a) + len(b)
+        spent, limit = 1 + len(a) + len(b), groups.MAX_ENUMERATION
         frontier = [(a, b)]
         levels = 0
         while frontier:
@@ -186,7 +186,7 @@ class AutomatonGroup(GroupBackend):
                     if ru != rv and (ru, rv) not in seen:
                         seen.add((ru, rv))
                         spent += 1 + len(ru) + len(rv)
-                        if spent > MAX_ENUMERATION:
+                        if spent > limit:
                             return unknown(levels)
                         nxt.append((ru, rv))
             frontier = nxt
@@ -216,10 +216,10 @@ class AutomatonGroup(GroupBackend):
         k2 = 2 * len(self.generator_names)
         if k2 <= 2:
             return 1 + k2 * radius
-        total, layer = 1, k2
+        total, layer, limit = 1, k2, groups.MAX_ENUMERATION
         for _ in range(radius):
             total += layer
-            if total > MAX_ENUMERATION:
+            if total > limit:
                 break
             layer *= k2 - 1
         return total

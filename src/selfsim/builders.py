@@ -16,7 +16,8 @@ from itertools import accumulate, chain
 from .action import SelfSimilarTriple
 from .errors import InvalidMatricesError, Record
 from .graph import Graph, make_graph
-from .groups import MAX_ENUMERATION, IntegerGroup
+from . import groups
+from .groups import IntegerGroup
 
 
 class KatsuraData(Record):
@@ -45,11 +46,9 @@ class KatsuraData(Record):
                         f"A[{i + 1}][{j + 1}] = 0 forces B[{i + 1}][{j + 1}] = 0"
                     )
         # The entries of A count the edges: refuse the graph before building any.
-        edges = sum(map(sum, self.a))
-        if edges > MAX_ENUMERATION:
-            raise InvalidMatricesError(
-                f"A has {edges} edges, more than {MAX_ENUMERATION} (the enumeration limit)"
-            )
+        edges, limit = sum(map(sum, self.a)), groups.MAX_ENUMERATION
+        if edges > limit:
+            raise InvalidMatricesError(f"A has {edges} edges, more than {limit} (the enumeration limit)")
 
 
 def katsura_graph(data: KatsuraData) -> Graph:

@@ -361,10 +361,7 @@ def main(argv=None) -> int:
         return OK
 
     lines: list[str] = []
-
-    def out(text: str):
-        lines.append(text)
-
+    out = lines.append
     echo_args = argv.copy()
     echo_args.remove(args.spec)
     out("> " + " ".join(echo_args))
@@ -391,10 +388,7 @@ def main(argv=None) -> int:
     except FreenessNotVerifiedError as err:
         out(f"refused: freeness counterexample {err.certificate}; pass --allow-unverified to proceed")
         code = INPUT_ERROR
-    except SelfSimError as err:
-        out(f"error: {err}")
-        code = INPUT_ERROR
-    except ValueError as err:
+    except (SelfSimError, ValueError) as err:
         out(f"error: {err}")
         code = INPUT_ERROR
     _write("\n".join(lines))

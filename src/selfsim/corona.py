@@ -13,7 +13,8 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import DepthExceededError, Frozen, Record
-from .groups import MAX_ENUMERATION, GroupBackend, refuse_oversize
+from . import groups
+from .groups import GroupBackend, refuse_oversize
 from .periodic import absorb, drop, entry, normalize
 from .tri import Tri, DISTINCT, all_of, unknown
 
@@ -168,7 +169,7 @@ def corona_eq(a: CoronaSeq, b: CoronaSeq) -> Tri:
     if isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
         p = max(len(a.prefix), len(b.prefix))
         q = lcm(len(a.cycle), len(b.cycle))
-        checked = min(q, MAX_ENUMERATION)
+        checked = min(q, groups.MAX_ENUMERATION)
         verdict = all_of(a.backend.eq(a.entry(n), b.entry(n)) for n in range(p + 1, p + checked + 1))
         return verdict if checked == q else all_of((verdict, unknown(p + checked)))
     return unknown(_known(a, b))

@@ -25,7 +25,8 @@ from .errors import (
     Value,
 )
 from .graph import _A_PROPER, _B_PROPER, _EQUAL, _INCOMPARABLE, Path, concat, prefix_compare
-from .groups import DEFAULT_DEPTH, DEFAULT_RADIUS, MAX_ENUMERATION, _Memo, at_least, default_window
+from . import groups
+from .groups import DEFAULT_DEPTH, DEFAULT_RADIUS, _Memo, at_least, default_window
 from .infinite import InfPath, PeriodicPath, _carry_walk, inf_path_eq
 from .periodic import drop
 from .sweeps import hausdorff_report, render_certificate
@@ -142,8 +143,7 @@ class GermContext:
     def range_prefix(self, u: Germ, n: int) -> Path:
         """Length-n prefix of alpha.(g xi), computed through the path action."""
         k = max(n - len(u.alpha.edges), 0)
-        g_img = self._triple.act_path(u.g, u.xi.truncate(k))[0]
-        return concat(u.alpha, g_img).prefix(n)
+        return self._triple.act_behind(u.alpha, u.g, u.xi.truncate(k))[0].prefix(n)
 
     # -- equality and representatives --------------------------------------
 
@@ -168,8 +168,8 @@ class GermContext:
     def _aligned(self, alpha1: Path, g1, gamma: Path, alpha2: Path, g2, xi: InfPath, k: int, tails: Tri) -> Tri:
         """The rest of germ_eq, aligned on beta.gamma: (alpha1, g1) along gamma against (alpha2, g2), at xi
         past its first k letters, which only the carry walks read. tails is the points' verdict."""
-        img, coc = self._triple.act_path(g1, gamma)
-        if alpha2 != concat(alpha1, img):
+        path, coc = self._triple.act_behind(alpha1, g1, gamma)
+        if alpha2 != path:
             return DISTINCT
         if self._triple.group.eq(g2, coc).is_equal:
             return tails
@@ -192,8 +192,7 @@ class GermContext:
         if k == 0:
             return u
         gamma = u.xi.truncate(k)
-        img, coc = self._triple.act_path(u.g, gamma)
-        return Germ(concat(u.alpha, img), coc, concat(u.beta, gamma), u.xi.drop(k))
+        return Germ(*self._triple.act_behind(u.alpha, u.g, gamma), concat(u.beta, gamma), u.xi.drop(k))
 
     # -- groupoid structure --------------------------------------------------
 
@@ -282,8 +281,8 @@ class GermContext:
             if horizon < 1:
                 return unknown(0)
             reported = horizon
-        if horizon > MAX_ENUMERATION:
-            horizon = reported = MAX_ENUMERATION
+        if horizon > (limit := groups.MAX_ENUMERATION):
+            horizon = reported = limit
             decisive = False
         t, pending = self._triple, False
         try:
@@ -324,9 +323,7 @@ class GermContext:
         if rel is _EQUAL or rel is _A_PROPER:
             return (alpha, g, beta)
         if rel is _B_PROPER:
-            eps = gamma.drop(len(beta.edges))
-            img, coc = self._triple.act_path(g, eps)
-            return (concat(alpha, img), coc, gamma)
+            return (*self._triple.act_behind(alpha, g, gamma, len(beta.edges)), gamma)
         raise EmptySetError(f"cylinder {gamma} does not meet the domain cylinder {beta}")
 
     def open_set_member(self, u: Germ, alpha: Path, g, beta: Path, gamma: Path | None = None) -> Tri:

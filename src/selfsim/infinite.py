@@ -16,7 +16,8 @@ from collections.abc import Sequence
 from .corona import BoundedSeq, CoronaSeq, PeriodicSeq
 from .errors import BackendMismatchError, CompositionError, DepthExceededError, Frozen
 from .graph import Graph, Path, _edge_path, edge_path, vertex_path
-from .groups import DEFAULT_DEPTH, MAX_ENUMERATION, at_least
+from . import groups
+from .groups import DEFAULT_DEPTH, at_least
 from .periodic import absorb, drop, entry, normalize
 from .tri import Tri, DISTINCT, from_bool, unknown
 
@@ -242,7 +243,7 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
         end = len(prefix)
     p, q = len(prefix), len(cycle)
     seen: dict = {}  # (carry, phase) -> n, for the cycle letters
-    phase = spent = 0
+    phase, spent, limit = 0, 0, groups.MAX_ENUMERATION
     for n in range(end):
         if n < p:
             image, state = step(state, prefix[n])
@@ -254,9 +255,8 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
             image, state = step(state, cycle[phase])
             phase = phase + 1 if phase + 1 < q else 0
         spent += len(state) if type(state) is tuple else 1
-        if spent > MAX_ENUMERATION:
-            raise DepthExceededError(
-                f"the carry words along the path pass {MAX_ENUMERATION} letters at depth {n + 1}")
+        if spent > limit:
+            raise DepthExceededError(f"the carry words along the path pass {limit} letters at depth {n + 1}")
         images.append(image)
         carries.append(state)
     return images[:depth], carries[: depth + 1], None

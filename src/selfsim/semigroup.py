@@ -13,8 +13,8 @@ import enum
 from collections.abc import Iterable
 
 from .action import SelfSimilarTriple
-from .errors import Frozen, NotIdempotentError, Record, SourceConditionError
-from .graph import _A_PROPER, _B_PROPER, _EQUAL, _INCOMPARABLE, Path, PrefixRel, concat, prefix_compare, vertex_path
+from .errors import CompositionError, Frozen, NotIdempotentError, Record, SourceConditionError
+from .graph import _A_PROPER, _B_PROPER, _EQUAL, _INCOMPARABLE, Path, PrefixRel, prefix_compare, vertex_path
 from .groups import DEFAULT_PATH_BOUND
 from .tri import Tri, DISTINCT, from_bool
 
@@ -87,10 +87,14 @@ def mul(t: SelfSimilarTriple, s: SemigroupElement, u: SemigroupElement) -> Semig
         return ZERO
     group = t.group
     if rel is _B_PROPER:
-        img, coc = t.act_path(group.inv(u.g), s.beta.drop(len(u.alpha.edges)))
-        return Triple(s.alpha, group.mul(s.g, group.inv(coc)), concat(u.beta, img))
-    img, coc = t.act_path(s.g, u.alpha.drop(len(s.beta.edges)))
-    return Triple(concat(s.alpha, img), group.mul(coc, u.g), u.beta)
+        try:
+            beta, coc = t.act_behind(u.beta, group.inv(u.g), s.beta, len(u.alpha.edges))
+        except CompositionError:  # the product checks s.g before the paths are joined
+            group.check(s.g)
+            raise
+        return Triple(s.alpha, group.mul(s.g, group.inv(coc)), beta)
+    alpha, coc = t.act_behind(s.alpha, s.g, u.alpha, len(s.beta.edges))
+    return Triple(alpha, group.mul(coc, u.g), u.beta)
 
 
 def element_eq(t: SelfSimilarTriple, s: SemigroupElement, u: SemigroupElement) -> Tri:
@@ -103,10 +107,11 @@ def element_eq(t: SelfSimilarTriple, s: SemigroupElement, u: SemigroupElement) -
 
 
 def is_idempotent(t: SelfSimilarTriple, s: SemigroupElement) -> bool:
-    """Exact-form test: zero, or (alpha, g, alpha) with g the identity up to the backend's ``eq``."""
+    """Exact-form test: zero, or (alpha, g, alpha) with g the identity itself or equal to it by the backend's ``eq``."""
     if isinstance(s, Zero):
         return True
-    return (s.alpha is s.beta or s.alpha == s.beta) and t.group.eq(s.g, t.group.identity()).is_equal
+    one = t.group.identity()
+    return (s.alpha is s.beta or s.alpha == s.beta) and (s.g is one or t.group.eq(s.g, one).is_equal)
 
 
 def render(t: SelfSimilarTriple, s: SemigroupElement) -> str:
@@ -183,10 +188,10 @@ def is_cover(t: SelfSimilarTriple, members: Iterable[SemigroupElement], target: 
             return True
         if rel is _A_PROPER:
             node = below
-            for e in m.alpha.edges[len(beta):]:
+            for e in m.alpha.edges[len(beta.edges):]:
                 node = node.setdefault(e, {})
             node[_MEMBER] = True
-    graph = beta.graph
+    into, source_of = beta.graph._into, beta.graph.source_of  # edges_into(v) is into.get(v, ())
     stack = [(below, beta.source_vertex)]
     while stack:
         node, v = stack.pop()
@@ -194,11 +199,11 @@ def is_cover(t: SelfSimilarTriple, members: Iterable[SemigroupElement], target: 
             continue
         if not node:  # no member below beta at all
             return False
-        for e in graph.edges_into(v):
+        for e in into.get(v, ()):
             child = node.get(e)
             if child is None:
                 return False
-            stack.append((child, graph.source_of[e]))
+            stack.append((child, source_of[e]))
     return True
 
 

@@ -69,18 +69,15 @@ def parse_path(graph: Graph, text: str) -> Path:
     edges = []
     for part in split_top(text, "."):
         try:
-            e = graph.edge_id(part)
+            edges.append(graph.edge_id(part))
         except ValueError:
             raise SpecFileError(f"unknown edge label: {part!r}") from None
-        edges.append(e)
     return edge_path(graph, edges)
 
 
 def _split_cycle(text: str) -> tuple[str, str] | None:
     """(prefix, cycle) of a literal `prefix(cycle)*` ending in ')*', or None when malformed."""
-    body = text[:-2]
-    depth = 0
-    start = None
+    body, depth, start = text[:-2], 0, None
     for i, ch in enumerate(body):
         if ch == "(":
             if depth == 0:
@@ -126,10 +123,8 @@ def parse_semigroup_element(t: SelfSimilarTriple, text: str) -> SemigroupElement
 
 def parse_germ_parts(t: SelfSimilarTriple, text: str) -> tuple[Path, object, Path, InfPath]:
     halves = split_top(text.strip(), ";")
-    if len(halves) != 2:
-        raise SpecFileError(f"germ literal must be 'alpha,g,beta;xi': {text!r}")
     head = split_top(halves[0], ",")
-    if len(head) != 3:
+    if len(halves) != 2 or len(head) != 3:
         raise SpecFileError(f"germ literal must be 'alpha,g,beta;xi': {text!r}")
     alpha = parse_path(t.graph, head[0])
     g = t.group.parse(head[1].strip())
@@ -198,8 +193,7 @@ def _tokenize_sections(text: str) -> dict[str, _Section]:
             name = line[1:-1].strip()
             if name in sections:
                 raise SpecFileError(f"duplicate section [{name}]", lineno)
-            current = _Section(name, lineno, [])
-            sections[name] = current
+            current = sections[name] = _Section(name, lineno, [])
             continue
         if current is None:
             raise SpecFileError("content before any [section]", lineno)

@@ -14,7 +14,8 @@ from itertools import permutations
 
 from .errors import Record, SourceConditionError
 from .graph import Graph, Path, _edge_path, layer_sizes, vertex_path
-from .groups import DEFAULT_PATH_BOUND, MAX_ENUMERATION, IntegerGroup, at_least, default_window, refuse_oversize
+from . import groups
+from .groups import DEFAULT_PATH_BOUND, IntegerGroup, at_least, default_window, refuse_oversize
 from .tri import Tri
 
 # SelfSimilarTriple (annotations) lives in action, loaded with every triple.
@@ -166,9 +167,9 @@ class FreenessReport(Record):
 
 def count_paths_upto(graph: Graph, max_len: int) -> int:
     """len(all_paths_upto(graph, max_len)) counted layer by layer; stops once past MAX_ENUMERATION."""
-    total = graph.n_vertices
+    total, limit = graph.n_vertices, groups.MAX_ENUMERATION
     for size in layer_sizes(graph, dict.fromkeys(graph.vertices(), 1), max_len):
-        if total > MAX_ENUMERATION:
+        if total > limit:
             break
         total += size
     return total

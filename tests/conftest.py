@@ -14,7 +14,7 @@ import pytest
 
 import selfsim as ss
 from selfsim.sweeps import FreenessReport
-from selfsim import infinite
+from selfsim import groups
 from selfsim.errors import CompositionError, DepthExceededError, NotIdempotentError
 from selfsim.groups import refuse_oversize
 from selfsim.automaton import invert_word, reduce_word
@@ -566,7 +566,7 @@ def cube_e_star_unitary(t, window, path_bound=4):
 def reference_orbit(t, g, xi, depth):
     """infinite._orbit letter by letter to the depth, written out as an oracle.
 
-    Reads infinite.MAX_ENUMERATION when called, so a patched budget holds here too.
+    Reads groups.MAX_ENUMERATION when called, so a patched budget holds here too.
     """
     images = []
     carries = [g]
@@ -577,7 +577,7 @@ def reference_orbit(t, g, xi, depth):
     else:
         prefix, cycle = xi.head(min(depth, xi.depth_limit)), ()
         end = len(prefix)
-    budget = infinite.MAX_ENUMERATION
+    budget = groups.MAX_ENUMERATION
     seen = {}
     phase = spent = 0
     for n in range(end):

@@ -411,7 +411,7 @@ def test_a_walk_refuses_a_carry_outside_the_group():
 
 
 def test_the_letter_budget_ends_the_walk_where_the_letter_by_letter_walk_ends(monkeypatch):
-    monkeypatch.setattr(infinite, "MAX_ENUMERATION", 50)
+    monkeypatch.setattr(ss.groups, "MAX_ENUMERATION", 50)
     odo = labeled_odometer()
     letters = [1, 1, 0] + [0] * 60  # the carry 1 is 0 from the third letter on; each int costs 1
     xi = ss.stream_path(odo.graph, letters)

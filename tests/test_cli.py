@@ -12,7 +12,6 @@ import pytest
 
 import selfsim as ss
 from conftest import SOURCE_VERTEX_SPEC, TEST_SPECS
-from selfsim import groupoid
 from selfsim.cli import main
 from selfsim.specfile import load_spec_file
 
@@ -587,7 +586,7 @@ def test_model_check_past_the_condition_limit_is_undecided(capsys, monkeypatch):
     argv = ["model-check", ODOMETER, path, "(0)*", "0", path, "--split", "0:0"]
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines()[1:] == ["passes"]
-    monkeypatch.setattr(groupoid, "MAX_ENUMERATION", 50)
+    monkeypatch.setattr(ss.groups, "MAX_ENUMERATION", 50)
     assert main(argv) == 2
     assert capsys.readouterr().out.splitlines()[1:] == ["undecided at depth 50"]
 

@@ -113,7 +113,7 @@ def test_a_joint_window_past_the_limit_is_refused_before_any_entry():
 def test_a_long_joint_period_is_compared_up_to_the_limit(z, monkeypatch):
     a, b = seq(z, (), (0,) * 5 + (1,)), seq(z, (), (0,) * 6 + (1,))  # they first differ at entry 6
     assert ss.corona_eq(a, b).is_distinct
-    monkeypatch.setattr(ss.corona, "MAX_ENUMERATION", 5)
+    monkeypatch.setattr(ss.groups, "MAX_ENUMERATION", 5)
     assert str(ss.corona_eq(a, b)) == "unknown@5"
     assert ss.corona_eq(a, seq(z, (), (1,) + (0,) * 6)).is_distinct  # a difference within the limit decides
     assert ss.corona_eq(seq(z, (), (0, 1)), seq(z, (1,), (1, 0))).is_equal  # a joint period within the limit

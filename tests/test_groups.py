@@ -629,3 +629,48 @@ def test_both_walks_refuse_an_oversize_restriction_at_the_same_letter(budget, mo
         group = _doubling_group()
         images, carry = walk((1,), [0] * (letters - 1))
         assert images == (0,) * (letters - 1) and carry == (1,) * 2 ** (letters - 1)
+
+
+def test_every_budget_reads_the_one_enumeration_limit(monkeypatch):
+    """Each budget reads groups.MAX_ENUMERATION when it runs: patching that one binding moves the
+    word comparison, the carry walk, corona_eq's window, the model-check horizon, the Katsura
+    edge count, the path family and the window size together."""
+    from selfsim.builders import KatsuraData
+    from selfsim.sweeps import check_path_bound, count_paths_upto
+
+    def grigorchuk():
+        return load_spec_file(str(TEST_SPECS / "grigorchuk.spec")).triple  # a fresh verdict memo
+
+    odo = dict(all_spec_triples())["odometer"]
+    stream = ss.stream_path(odo.graph, [1, 1] + [0] * 60)  # the carry 1 is 0 from the third letter on
+    z = ss.IntegerGroup()
+    a, b = (ss.PeriodicSeq.make(z, (), (0,) * n + (1,)) for n in (5, 6))  # they first differ at entry 6
+    eta = ss.periodic_path(odo.graph, [0] * 60, [1])
+    ctx = ss.GermContext(odo, window=[0, 1, -1])
+    gseq = ss.PeriodicSeq.make(z, (), (0,))
+    t = grigorchuk()
+    bcd = t.group.parse("b.c.d")
+    assert t.group.eq(bcd, ()) == EQUAL
+    assert _carry_walk(odo, 1, stream, 64)[1].values[-1] == 0
+    assert ss.corona_eq(a, b) == DISTINCT
+    assert ctx.model_check(eta, gseq, 0, eta, split=(0, 0)) == EQUAL  # 61 conditions
+    KatsuraData.make([[50]], [[1]]).validate()
+    check_path_bound(odo.graph, 5)  # 63 paths
+    assert count_paths_upto(odo.graph, 10**6) == 2**17 - 1  # counted until past the limit
+    assert t.group.window_size(10**9) == 156865  # 4 generators: 1 + 8 + 56 + ... summed past the limit
+    monkeypatch.setattr(groups, "MAX_ENUMERATION", 4)  # the pair (b.c.d, 1) alone costs 4 letters
+    assert grigorchuk().group.eq(bcd, ()).is_unknown
+    monkeypatch.setattr(groups, "MAX_ENUMERATION", 50)
+    with pytest.raises(ss.errors.DepthExceededError, match="^the carry words along the path pass 50 letters "
+                                                           "at depth 51$"):
+        _carry_walk(odo, 1, stream, 64)
+    monkeypatch.setattr(groups, "MAX_ENUMERATION", 5)
+    assert str(ss.corona_eq(a, b)) == "unknown@5"
+    monkeypatch.setattr(groups, "MAX_ENUMERATION", 50)
+    assert str(ss.GermContext(odo, window=[0, 1, -1]).model_check(eta, gseq, 0, eta, split=(0, 0))) == "unknown@50"
+    with pytest.raises(ss.errors.InvalidMatricesError, match=r"^A has 51 edges, more than 50 \(the enumeration"):
+        KatsuraData.make([[51]], [[1]]).validate()
+    with pytest.raises(ValueError, match=r"^more than 50 paths of length <= 5 \(the enumeration limit\)$"):
+        check_path_bound(odo.graph, 5)
+    assert count_paths_upto(odo.graph, 10**6) == 63
+    assert t.group.window_size(10**9) == 65

@@ -20,6 +20,7 @@ from selfsim.cayley import FiniteGroup, finite_triple
 from selfsim.groups import MAX_ENUMERATION
 from conftest import (
     all_spec_triples,
+    random_germ,
     checked_act_path,
     checked_complement,
     checked_concat,
@@ -29,7 +30,8 @@ from conftest import (
     checked_prefix,
     checked_prefix_compare,
 )
-from selfsim.errors import BackendMismatchError, CompositionError
+from selfsim.errors import BackendMismatchError, CompositionError, EmptySetError
+from selfsim.tri import DISTINCT, all_of
 
 TRIPLES = dict(all_spec_triples())
 ACTION_SPECS = ("odometer", "katsura_3_2", "adding_machine", "grigorchuk", "z2_swap")
@@ -62,9 +64,10 @@ def assert_built_alike(got, expected):
 
 
 def outcome(f, *args):
+    """(True, value), or (False, (exception type, message)) for anything raised."""
     try:
         return True, f(*args)
-    except (ValueError, CompositionError) as err:
+    except Exception as err:  # noqa: BLE001 - the exception itself is compared
         return False, (type(err), str(err))
 
 
@@ -159,6 +162,271 @@ def test_act_path_and_mul_match_the_checked_builds(name):
             assert_built_alike(got.beta, expected.beta)
             assert got.g == expected.g and got == expected
     assert nonzero >= 200, nonzero
+
+
+def corrupt(rng, t, s, others):
+    """A bare Triple like s with one part broken: an unchecked g, a path of another graph
+    (or of an equal twin graph, which is no fault), or an alpha that may break d(alpha) = g d(beta)."""
+    roll = rng.randrange(4)
+    if roll == 0:
+        return ss.Triple(s.alpha, rng.choice(bad_elements(t.group)), s.beta)
+    if roll == 3:
+        return ss.Triple(random_path(rng, t.graph, 3), s.g, s.beta)
+    graph = rng.choice(others)
+    if rng.randrange(2):
+        return ss.Triple(random_path(rng, graph, 3), s.g, s.beta)
+    return ss.Triple(s.alpha, s.g, random_path(rng, graph, 3))
+
+
+def assert_same_product(t, x, y):
+    """mul against checked_mul: the same refusal, zero, or a product built alike; mul's outcome."""
+    (ok, got), (oracle_ok, expected) = outcome(ss.mul, t, x, y), outcome(checked_mul, t, x, y)
+    assert ok == oracle_ok and (ok or got == expected), (x, y, got, expected)
+    if ok and isinstance(expected, ss.Zero):
+        assert got is ss.ZERO
+    elif ok:
+        assert_built_alike(got.alpha, expected.alpha)
+        assert_built_alike(got.beta, expected.beta)
+        assert got.g == expected.g
+    return ok, got
+
+
+def multi_vertex_katsura(rng):
+    while True:
+        t = random_katsura(rng)
+        if t.graph.n_vertices == 2:
+            return t
+
+
+@pytest.mark.parametrize("name", [*ACTION_SPECS, "swap_zero_sum", "katsura", "doubling"])
+def test_mul_refuses_as_the_checked_build(name):
+    """Products of bare Triples with an unchecked g, a path of another graph, or a broken
+    d(alpha) = g d(beta), one operand broken or both, refuse as the act_path + concat build does."""
+    rng = random.Random(f"mul-refusal-{name}")
+    t = multi_vertex_katsura(rng) if name == "katsura" else TRIPLES[name]
+    twin = ss.Graph(t.graph.vertex_labels, t.graph.edge_labels, t.graph.range_of, t.graph.source_of)
+    others = [TRIPLES["c5"].graph, twin]  # a graph of five loops, unequal to each graph here
+    window = t.group.window(1 if name == "doubling" else 2)
+    paths = ss.all_paths_upto(t.graph, 3)
+    seen = {"raised": set(), "nonzero": 0}
+    kinds = ("is not an element of", "paths live on different graphs", "cannot concatenate")
+
+    def element(beta, g):
+        alphas = [p for p in paths if p.source_vertex == t.act_vertex(g, beta.source_vertex)]
+        return ss.make_triple(t, rng.choice(alphas), g, beta)
+
+    for _ in range(400):
+        s = element(random_path(rng, t.graph, 3), rng.choice(window))
+        gamma = ss.concat(s.beta, random_path(rng, t.graph, 3, s.beta.source_vertex)) if rng.randrange(2) \
+            else s.beta.prefix(rng.randint(0, len(s.beta)))
+        h = rng.choice(window)
+        u = ss.make_triple(t, gamma, h, rng.choice(
+            [p for p in paths if t.act_vertex(h, p.source_vertex) == gamma.source_vertex]))
+        broken = [(corrupt(rng, t, s, others), u), (s, corrupt(rng, t, u, others)),
+                  (corrupt(rng, t, s, others), corrupt(rng, t, u, others))]
+        for x, y in broken:
+            for a, b in ((x, y), (y, x)):
+                ok, got = assert_same_product(t, a, b)
+                if not ok:
+                    seen["raised"].update(kind for kind in kinds if kind in got[1])
+                elif got is not ss.ZERO:
+                    seen["nonzero"] += 1
+    # Every kind of refusal was met: a non-element, a foreign path, and on two vertices a break of d(alpha) = g d(beta).
+    assert seen["raised"] == set(kinds[:2] if t.graph.n_vertices == 1 else kinds), seen
+    assert seen["nonzero"] >= 100, seen
+
+
+def test_a_product_refuses_its_left_element_before_joining_paths_that_do_not_meet():
+    # s = (e, False, e) on the integers has no element to multiply by; u's paths do not meet
+    # (d(delta) != h^-1 d(gamma)). The product refuses s.g first, as the act_path + concat build did.
+    t = TRIPLES["swap_zero_sum"]
+    e = ss.edge_path(t.graph, [0])
+    v, w = (ss.vertex_path(t.graph, x) for x in range(2))
+    s = ss.Triple(e, False, e)
+    u = ss.Triple(ss.vertex_path(t.graph, e.range_vertex), 0, w if e.range_vertex == 0 else v)
+    assert outcome(ss.mul, t, s, u) == outcome(checked_mul, t, s, u) == (
+        False, (BackendMismatchError, "False is not an element of integers"))
+    ok, (kind, _) = outcome(ss.mul, t, ss.Triple(e, 0, e), u)
+    assert not ok and kind is CompositionError
+
+
+def test_act_behind_is_concat_of_act_path():
+    """act_behind(alpha, g, b, start) against concat(alpha, act_path(g, b.drop(start))) from the
+    checked builds: its path built alike, its carry equal, or the same refusal, in the same order."""
+    rng = random.Random("act-behind")
+    cases = [(n, TRIPLES[n]) for n in (*ACTION_SPECS, "swap_zero_sum", "doubling")]
+    cases += [(f"katsura{i}", multi_vertex_katsura(rng)) for i in range(4)]
+    kinds = ("drop length", "does not belong", "is not an element of", "letters in the restriction",
+             "paths live on different graphs", "cannot concatenate")
+    seen = set()
+    for name, t in cases:
+        twin = ss.Graph(t.graph.vertex_labels, t.graph.edge_labels, t.graph.range_of, t.graph.source_of)
+        others = [TRIPLES["c5"].graph, twin]
+        # On doubling, (1,) restricts to 2^n letters along n edges: paths of 20 reach the walk's refusal.
+        window, length = ([(), (1,), (-1,)], 20) if name == "doubling" else (elements(rng, t.group), 6)
+        for _ in range(150):
+            b = random_path(rng, rng.choice(others) if rng.randrange(12) == 0 else t.graph, length)
+            alpha = random_path(rng, rng.choice(others) if rng.randrange(12) == 0 else t.graph, 3)
+            g = rng.choice(bad_elements(t.group)) if rng.randrange(12) == 0 else rng.choice(window)
+            start = rng.randint(-1, len(b) + 1)
+
+            def oracle():
+                image, carry = checked_act_path(t, g, checked_drop(b, start))
+                return checked_concat(alpha, image), carry
+
+            (ok, got), (oracle_ok, expected) = outcome(t.act_behind, alpha, g, b, start), outcome(oracle)
+            assert ok == oracle_ok, (name, alpha, g, b, start, got, expected)
+            if ok:
+                assert_built_alike(got[0], expected[0])
+                assert got[1] == expected[1] and type(got[1]) is type(expected[1])
+            else:
+                assert got == expected, (name, alpha, g, b, start)
+                seen.update(kind for kind in kinds if kind in got[1])
+    assert seen == set(kinds)
+
+
+# -- the germ sites against act_path + concat ---------------------------------------
+
+
+class OldSites(ss.GermContext):
+    """The four germ operations that join a prefix to a walked path, as act_path + concat
+    wrote them, over conftest's checked builds."""
+
+    def range_prefix(self, u, n):
+        k = max(n - len(u.alpha), 0)
+        return checked_concat(u.alpha, checked_act_path(self.triple, u.g, u.xi.truncate(k))[0]).prefix(n)
+
+    def _aligned(self, alpha1, g1, gamma, alpha2, g2, xi, k, tails):
+        img, coc = checked_act_path(self.triple, g1, gamma)
+        if alpha2 != checked_concat(alpha1, img):
+            return DISTINCT
+        if self.triple.group.eq(g2, coc).is_equal:
+            return tails
+        xi = xi.drop(k) if k else xi
+        (image1, carries1), (image2, carries2) = self._walk(coc, xi), self._walk(g2, xi)
+        return all_of((tails, ss.inf_path_eq(image1, image2, self.depth), ss.corona_eq(carries1, carries2)))
+
+    def reparametrize(self, u, n, side="beta"):
+        if side not in ("alpha", "beta"):
+            raise ValueError("side must be 'alpha' or 'beta'")
+        current = len(u.alpha) if side == "alpha" else len(u.beta)
+        k = n - current
+        if k < 0:
+            raise ValueError(f"cannot shorten {side} from {current} to {n}")
+        if k == 0:
+            return u
+        gamma = u.xi.truncate(k)
+        img, coc = checked_act_path(self.triple, u.g, gamma)
+        return ss.Germ(checked_concat(u.alpha, img), coc, checked_concat(u.beta, gamma), u.xi.drop(k))
+
+    def normalize_basic(self, alpha, g, beta, gamma=None):
+        if gamma is None:
+            return (alpha, g, beta)
+        rel = checked_prefix_compare(gamma, beta)
+        if rel in (ss.PrefixRel.EQUAL, ss.PrefixRel.A_PROPER):
+            return (alpha, g, beta)
+        if rel is ss.PrefixRel.B_PROPER:
+            img, coc = checked_act_path(self.triple, g, checked_drop(gamma, len(beta)))
+            return (checked_concat(alpha, img), coc, gamma)
+        raise EmptySetError(f"cylinder {gamma} does not meet the domain cylinder {beta}")
+
+
+def assert_same_site_outcome(site, old_site, *args):
+    """The same value (paths built alike, germs field by field) or the same refusal."""
+    (ok, got), (oracle_ok, expected) = outcome(site, *args), outcome(old_site, *args)
+    assert ok == oracle_ok and (ok or got == expected), (site.__name__, args, got, expected)
+    if not ok:
+        return got[1]
+    if isinstance(got, ss.Germ):
+        got, expected = (got.alpha, got.g, got.beta), (expected.alpha, expected.g, expected.beta)
+    if isinstance(got, tuple):
+        assert_built_alike(got[0], expected[0])
+        assert_built_alike(got[2], expected[2])
+        assert got[1] == expected[1]
+    elif isinstance(got, ss.Path):
+        assert_built_alike(got, expected)
+    else:
+        assert got == expected, (site.__name__, args)
+    return None
+
+
+def acting_cayley(rng):
+    """Z/n, n in 2..4, fixing both vertices of a graph with a loop at each, turning each
+    (range, source) class of c edges by g where c divides n; the cocycle of a class is g or 1
+    throughout. The laws hold for any such choice, so GermContext accepts it."""
+    n = rng.randint(2, 4)
+    group = FiniteGroup([f"g{i}" for i in range(n)], [[(a + b) % n for b in range(n)] for a in range(n)])
+    edges = [("lv", "v", "v"), ("lw", "w", "w")]
+    edges += [(f"e{i}", rng.choice("vw"), rng.choice("vw")) for i in range(rng.randint(1, 5))]
+    graph = ss.make_graph(["v", "w"], edges)
+    classes = {}
+    for e in graph.edges():
+        classes.setdefault((graph.range_of[e], graph.source_of[e]), []).append(e)
+    edge_table, cocycle_table = [[0] * graph.n_edges for _ in range(n)], [[0] * graph.n_edges for _ in range(n)]
+    for members in classes.values():
+        turns, carries = n % len(members) == 0, rng.randrange(2)
+        for g in range(n):
+            for i, e in enumerate(members):
+                edge_table[g][e] = members[(i + g) % len(members)] if turns else e
+                cocycle_table[g][e] = g if carries else 0
+    return finite_triple(graph, group, [[0, 1]] * n, edge_table, cocycle_table)
+
+
+def site_contexts(rng):
+    triples = [TRIPLES[name] for name in ("katsura_3_2", "swap_zero_sum", "z2_swap", "adding_machine", "grigorchuk")]
+    triples += [multi_vertex_katsura(rng) for _ in range(3)] + [acting_cayley(rng) for _ in range(3)]
+    triples += [random_automaton(rng) for _ in range(3)]
+    for t in triples:
+        window = ss.default_window(t.group, 2)
+        yield ss.GermContext(t, window, allow_unverified=True), OldSites(t, window, allow_unverified=True)
+
+
+def broken_germ(rng, ctx, u, others):
+    """u as a bare Germ with an unchecked g, an alpha of another graph, or any alpha of its graph."""
+    t, roll = ctx.triple, rng.randrange(3)
+    if roll == 0:
+        return ss.Germ(u.alpha, rng.choice(bad_elements(t.group)), u.beta, u.xi)
+    alpha = random_path(rng, rng.choice(others) if roll == 1 else t.graph, 3)
+    return ss.Germ(alpha, u.g, u.beta, u.xi)
+
+
+def test_germ_sites_answer_as_act_path_and_concat():
+    """range_prefix, reparametrize, normalize_basic and the aligned comparison of germ_eq and
+    open_set_member on random germs of Katsura, Cayley and automaton contexts, some of them
+    bare Germs with a broken part, against the act_path + concat formulas they replace."""
+    rng = random.Random("germ-sites")
+    refusals = set()
+    for ctx, old in site_contexts(rng):
+        t = ctx.triple
+        twin = ss.Graph(t.graph.vertex_labels, t.graph.edge_labels, t.graph.range_of, t.graph.source_of)
+        others = [TRIPLES["c5"].graph, twin]
+        for _ in range(40):
+            u = u0 = random_germ(rng, ctx, 2)
+            if rng.randrange(3) == 0:
+                u = broken_germ(rng, ctx, u0, others)
+            for n in range(len(u.alpha) + 4):
+                refusals.add(assert_same_site_outcome(ctx.range_prefix, old.range_prefix, u, n))
+            side = rng.choice(("alpha", "beta", "gamma"))
+            current = len(u.beta if side != "alpha" else u.alpha)
+            for n in range(current - 1, current + 4):
+                refusals.add(assert_same_site_outcome(ctx.reparametrize, old.reparametrize, u, n, side))
+            gamma = rng.choice([None, u.beta.prefix(rng.randint(0, len(u.beta))), random_path(rng, t.graph, 3),
+                                ss.concat(u.beta, random_path(rng, t.graph, 3, u.beta.source_vertex))])
+            refusals.add(assert_same_site_outcome(ctx.normalize_basic, old.normalize_basic,
+                                                  u.alpha, u.g, u.beta, gamma))
+            v = random_germ(rng, ctx, 2)
+            if rng.randrange(2):  # an equal germ, or one at the same source point with another element
+                v = ctx.reparametrize(ss.Germ(v.alpha, v.g, u0.beta, u0.xi) if v.beta == u0.beta else u0,
+                                      len(u0.beta) + rng.randint(0, 2))
+            if rng.randrange(3) == 0:
+                v = broken_germ(rng, ctx, v, others)
+            refusals.add(assert_same_site_outcome(ctx.germ_eq, old.germ_eq, u, v))
+            refusals.add(assert_same_site_outcome(ctx.germ_eq, old.germ_eq, v, u))
+            refusals.add(assert_same_site_outcome(ctx.open_set_member, old.open_set_member, u, v.alpha, v.g, v.beta,
+                                                  gamma))
+    refusals.discard(None)
+    for kind in ("is not an element of", "paths live on different graphs", "cannot concatenate", "cannot shorten"):
+        assert any(kind in message for message in refusals), kind
 
 
 # -- the fused walks against the step loop -----------------------------------------

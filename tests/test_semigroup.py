@@ -8,6 +8,7 @@ import pytest
 
 import selfsim as ss
 from conftest import (
+    TWIN_MACHINE_SPEC,
     all_spec_triples,
     assert_dominates,
     cover_oracle,
@@ -17,8 +18,9 @@ from conftest import (
     source_vertex_triple,
     spec_triples,
 )
-from selfsim.errors import CompositionError, NotIdempotentError, SourceConditionError
+from selfsim.errors import BackendMismatchError, CompositionError, NotIdempotentError, SourceConditionError
 from selfsim.semigroup import render
+from selfsim.specfile import load_spec_text
 from selfsim.tri import unknown
 
 
@@ -221,6 +223,60 @@ def test_is_idempotent_asks_the_backend_for_the_identity():
     assert ss.is_idempotent(t, ss.Triple(v, bcd, v))
     assert not ss.is_idempotent(t, ss.Triple(v, t.group.parse("b.c"), v))
     assert ss.idempotent_order(t, ss.Triple(v, bcd, v), ss.unit_idempotent(t, v)) == ss.IdempotentOrder.EQUAL
+
+
+class CountingIntegers(ss.IntegerGroup):
+    """Integers that count their comparisons."""
+
+    comparisons = 0
+
+    def eq(self, a, b):
+        self.comparisons += 1
+        return super().eq(a, b)
+
+
+class Zero_(int):
+    """An int subclass: equal to 0, never the identity object itself."""
+
+
+def test_the_identity_object_is_idempotent_at_once_and_other_values_ask_eq(odo):
+    z = CountingIntegers()
+    t = ss.SelfSimilarTriple(odo.graph, z, odo.act_vertex, odo.step, walk=odo.walk)
+    a = epath(t, 0, 1)
+    assert ss.is_idempotent(t, ss.Triple(a, 0, a)) and z.comparisons == 0
+    a0, a1 = epath(t, 0, 1, 0), epath(t, 0, 1, 1)
+    assert ss.is_cover(t, [ss.Triple(a0, 0, a0), ss.Triple(a1, 0, a1)], ss.Triple(a, 0, a))
+    assert z.comparisons == 0
+    assert not ss.is_idempotent(t, ss.Triple(a, 1, a)) and z.comparisons == 1
+    assert ss.is_idempotent(t, ss.Triple(a, Zero_(0), a)) and z.comparisons == 2  # equal, not identical
+    assert not ss.is_idempotent(t, ss.Triple(a, 0, epath(t, 0, 0))) and z.comparisons == 2
+    # False == 0 but is no integer: it goes to eq, which refuses it, wherever an idempotent is asked for.
+    bad, e = ss.Triple(a, False, a), ss.unit_idempotent(odo, a)
+    for call in (lambda: ss.is_cover(odo, [e], bad), lambda: ss.is_cover(odo, [bad], e),
+                 lambda: ss.idempotent_order(odo, bad, e), lambda: ss.idempotent_order(odo, e, bad)):
+        with pytest.raises(BackendMismatchError, match="^False is not an element of integers$"):
+            call()
+
+
+def test_a_word_is_idempotent_as_far_as_eq_decides_it():
+    # Two copies of the adding machine: a.b' acts as the identity, a reduced word all the same.
+    faithful = load_spec_text(TWIN_MACHINE_SPEC + "faithful_depth = true\n").triple
+    unfaithful = load_spec_text(TWIN_MACHINE_SPEC).triple
+    for t, proved in ((faithful, True), (unfaithful, False)):
+        v = vpath(t)
+        word = t.group.parse("a.b'")
+        assert word != t.group.identity() and t.group.eq(word, ()).is_equal == proved
+        assert t.group.eq(word, ()).is_unknown != proved
+        s, unit = ss.Triple(v, word, v), ss.unit_idempotent(t, v)
+        assert ss.is_idempotent(t, s) == proved
+        if proved:
+            assert ss.is_cover(t, [s], unit) and ss.is_cover(t, [unit], s)
+            assert ss.idempotent_order(t, s, unit) == ss.IdempotentOrder.EQUAL
+            continue
+        for call in (lambda: ss.is_cover(t, [s], unit), lambda: ss.is_cover(t, [unit], s),
+                     lambda: ss.idempotent_order(t, s, unit), lambda: ss.idempotent_order(t, unit, s)):
+            with pytest.raises(NotIdempotentError):
+                call()
 
 
 def test_idempotent_order_consistent_with_mul(odo):
