@@ -3,12 +3,12 @@
 The backend, the single-vertex triple it acts on, and the loader of both
 automaton spec forms: an ``[automaton]`` section of ``map`` rows, and an
 explicit spec with ``kind = automaton`` and ``[action]`` edge rows. Both
-forms fill their tables through one builder.
+forms fill their tables through the spec reader's one table builder.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from operator import neg
 
 from . import groups
@@ -298,29 +298,13 @@ def _spec_word(ids: dict[str, int], text: str, line: int) -> tuple[int, ...]:
         ids, text, lambda name: SpecFileError(f"unknown generator {name!r} in word {text!r}", line))
 
 
-def _tables(states: Sequence[str], n_letters: int, rows: Iterable[tuple], incomplete):
-    """(outputs, restrictions) from rows (state id, letter id, image id, restriction word).
-
-    Rows are read in order, so a row's own errors come before the next row's;
-    ``incomplete(state)`` is the error for a state lacking a row at some letter.
-    """
-    outputs = [[None] * n_letters for _ in states]
-    restrictions = [[None] * n_letters for _ in states]
-    for state, letter, image, word in rows:
-        outputs[state][letter] = image
-        restrictions[state][letter] = word
-    for state, row in zip(states, outputs):
-        if None in row:
-            raise incomplete(state)
-    return outputs, restrictions
-
-
 def _faithful(section: _Section) -> bool:
     return section.get("faithful_depth", "false").lower() == "true"
 
 
 def load_map_section(section: _Section) -> SelfSimilarTriple:
     """``[automaton]``: alphabet = letters; map = state letter image restriction; faithful_depth."""
+    from .specfile import _edge_tables
     alphabet = section.require("alphabet").split()
     rows = section.all("map")
     # States in order of first appearance; a row too short to name one fails below.
@@ -338,16 +322,16 @@ def load_map_section(section: _Section) -> SelfSimilarTriple:
                 raise SpecFileError(f"unknown letter in map row: {value!r}", line)
             yield state_ids[state], letters[letter], letters[image], _spec_word(state_ids, word, line)
 
-    outputs, restrictions = _tables(
-        states, len(alphabet), resolved(),
-        lambda state: SpecFileError(f"state {state!r} is missing a map row", section.line))
+    outputs, restrictions = _edge_tables(
+        states, alphabet, resolved(),
+        lambda state, _: SpecFileError(f"state {state!r} is missing a map row", section.line))
     data = AutomatonData.make(alphabet, states, outputs, restrictions)
     return from_automaton(data, faithful_to_depth=_faithful(section))
 
 
 def load_action_sections(graph: Graph, grpsec: _Section, asec: _Section) -> SelfSimilarTriple:
     """``kind = automaton``: generators = names; [action] edge = generator letter image restriction."""
-    from .specfile import _action_rows, _resolve_edge
+    from .specfile import _action_rows, _edge_tables, _resolve
     if graph.n_vertices != 1:
         raise SpecFileError("automaton backend requires a single-vertex graph", grpsec.line)
     names = tuple(grpsec.require("generators").split())
@@ -360,11 +344,10 @@ def load_action_sections(graph: Graph, grpsec: _Section, asec: _Section) -> Self
         for (g, e, f, k), line in erows:
             if g not in ids:
                 raise SpecFileError(f"unknown generator {g!r}", line)
-            letter, image = _resolve_edge(graph, e, line), _resolve_edge(graph, f, line)
-            yield ids[g], letter, image, _spec_word(ids, k, line)
+            yield ids[g], _resolve(graph, "edge", e, line), _resolve(graph, "edge", f, line), _spec_word(ids, k, line)
 
-    outputs, restrictions = _tables(
-        names, graph.n_edges, resolved(),
-        lambda name: SpecFileError(f"missing edge action rows for generator {name!r}", asec.line))
+    outputs, restrictions = _edge_tables(
+        names, graph.edge_labels, resolved(),
+        lambda name, _: SpecFileError(f"missing edge action rows for generator {name!r}", asec.line))
     group = AutomatonGroup(names, graph.n_edges, outputs, restrictions, faithful_to_depth=_faithful(grpsec))
     return _triple(graph, group, "automaton triple")

@@ -4,7 +4,9 @@ An integer triple is its generator's tables, extended to every m in closed
 form on the generator's cycles. The two-matrix generator takes nonnegative A
 (no zero rows) and integer B vanishing wherever A does, and adds B[i][j] to
 the edge counter modulo A[i][j] with the Euclidean quotient as cocycle.
-Automaton triples are built in ``automaton``, Cayley ones in ``cayley``.
+An explicit spec with ``kind = integer`` gives the generator's tables in its
+``[action]`` rows. Automaton triples are built in ``automaton``, Cayley ones
+in ``cayley``.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ from functools import partial
 from itertools import accumulate, chain
 
 from .action import SelfSimilarTriple
-from .errors import InvalidMatricesError, Record
+from .errors import InvalidMatricesError, Record, SpecFileError
 from .graph import Graph, make_graph
 from . import groups
 from .groups import IntegerGroup
+
+# _Section (annotations) lives in specfile, which calls the loader of integer specs.
 
 
 class KatsuraData(Record):
@@ -148,6 +152,35 @@ def integer_triple_from_generator(
     records = _cycles(edge_perm, cocycle_row)
     return SelfSimilarTriple(graph, IntegerGroup(), vertex_act, partial(_cycle_step, records), description,
                              walk=partial(_cycle_walk, records))
+
+
+def load_action_sections(graph: Graph, grpsec: _Section, asec: _Section) -> SelfSimilarTriple:
+    """``kind = integer``: [action] rows for the generator m = 1, which must describe bijections."""
+    from .specfile import _action_rows, _edge_tables, _resolve
+    vrows, erows = _action_rows(asec)
+    vperm = list(range(graph.n_vertices))
+    for (g, v, w), line in vrows:
+        if g != "1":
+            raise SpecFileError("integer backend takes rows for the generator m = 1 only", line)
+        vperm[_resolve(graph, "vertex", v, line)] = _resolve(graph, "vertex", w, line)
+
+    def resolved():
+        for (g, e, f, k), line in erows:
+            if g != "1":
+                raise SpecFileError("integer backend takes rows for the generator m = 1 only", line)
+            edge, image = _resolve(graph, "edge", e, line), _resolve(graph, "edge", f, line)
+            try:
+                cocycle = int(k)
+            except ValueError:
+                raise SpecFileError(f"cocycle entry must be an integer: {k!r}", line) from None
+            yield 0, edge, image, cocycle
+
+    (eperm,), (crow,) = _edge_tables(
+        ("1",), graph.edge_labels, resolved(),
+        lambda _, missing: SpecFileError(f"missing edge action rows for: {', '.join(missing)}", asec.line))
+    if sorted(eperm) != list(range(graph.n_edges)) or sorted(vperm) != list(range(graph.n_vertices)):
+        raise SpecFileError("generator rows must describe bijections", asec.line)
+    return integer_triple_from_generator(graph, vperm, eperm, crow, description="integer triple")
 
 
 # -- builtin examples --------------------------------------------------------

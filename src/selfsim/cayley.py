@@ -8,12 +8,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import partial
+from itertools import chain
 
 from .action import SelfSimilarTriple
 from .errors import BackendMismatchError, SpecFileError
 from .graph import Graph, label_ids
 from .groups import GroupBackend, check_window_radius
-from .tri import DISTINCT, EQUAL, Tri, from_bool
+from .tri import Tri, from_bool
 
 # _Section (annotations) lives in specfile, which calls the loader below.
 
@@ -80,16 +81,12 @@ class FiniteGroup(GroupBackend):
         return x if type(x) is int and 0 <= x < len(self.names) else GroupBackend.check(self, x)
 
     def mul(self, a: int, b: int) -> int:
-        if type(a) is int and type(b) is int and 0 <= a < len(self.names) and 0 <= b < len(self.names):
-            return self.table[a][b]
         return self.table[self.check(a)][self.check(b)]
 
     def inv(self, a: int) -> int:
-        return self._inverse[a if type(a) is int and 0 <= a < len(self.names) else self.check(a)]
+        return self._inverse[self.check(a)]
 
     def eq(self, a, b) -> Tri:
-        if type(a) is int and type(b) is int and 0 <= a < len(self.names) and 0 <= b < len(self.names):
-            return EQUAL if a == b else DISTINCT
         return from_bool(self.check(a) == self.check(b))
 
     def contains(self, x) -> bool:
@@ -153,7 +150,7 @@ def _table_walk(steps: tuple, g: int, edges) -> tuple[tuple, int]:
 
 def load_action_sections(graph: Graph, grpsec: _Section, asec: _Section) -> SelfSimilarTriple:
     """``kind = cayley``: elements = names; row = ... per element; [action] rows for every element."""
-    from .specfile import _action_rows, _resolve_edge, _resolve_vertex
+    from .specfile import _action_rows, _edge_tables, _resolve
     names = grpsec.require("elements").split()
     rows = grpsec.all("row")
     if len(rows) != len(names):
@@ -172,28 +169,21 @@ def load_action_sections(graph: Graph, grpsec: _Section, asec: _Section) -> Self
 
     vrows, erows = _action_rows(asec)
     vt = [list(range(graph.n_vertices)) for _ in names]
-    et = [[None] * graph.n_edges for _ in names]
-    ct = [[None] * graph.n_edges for _ in names]
-    ident = group.identity()
-    for gi in range(len(names)):
-        if gi == ident:
-            for e in range(graph.n_edges):
-                et[gi][e] = e
-                ct[gi][e] = ident
     for (g, v, w), line in vrows:
         if g not in ids:
             raise SpecFileError(f"unknown element {g!r}", line)
-        vt[ids[g]][_resolve_vertex(graph, v, line)] = _resolve_vertex(graph, w, line)
-    for (g, e, f, k), line in erows:
-        if g not in ids or k not in ids:
-            raise SpecFileError(f"unknown element in edge row: {g!r} / {k!r}", line)
-        gi = ids[g]
-        et[gi][_resolve_edge(graph, e, line)] = _resolve_edge(graph, f, line)
-        ct[gi][_resolve_edge(graph, e, line)] = ids[k]
-    for gi, name in enumerate(names):
-        missing = [graph.edge_labels[e] for e in range(graph.n_edges) if et[gi][e] is None]
-        if missing:
-            raise SpecFileError(
-                f"missing edge action rows for element {name!r}: {', '.join(missing)}", asec.line
-            )
+        vt[ids[g]][_resolve(graph, "vertex", v, line)] = _resolve(graph, "vertex", w, line)
+
+    def resolved():
+        for (g, e, f, k), line in erows:
+            if g not in ids or k not in ids:
+                raise SpecFileError(f"unknown element in edge row: {g!r} / {k!r}", line)
+            image = _resolve(graph, "edge", f, line)  # the image label first: a row's first error stays
+            yield ids[g], _resolve(graph, "edge", e, line), image, ids[k]
+
+    ident = group.identity()  # fixes every edge with trivial cocycle unless its own rows say otherwise
+    et, ct = _edge_tables(
+        names, graph.edge_labels, chain(((ident, e, e, ident) for e in range(graph.n_edges)), resolved()),
+        lambda name, missing: SpecFileError(
+            f"missing edge action rows for element {name!r}: {', '.join(missing)}", asec.line))
     return finite_triple(graph, group, vt, et, ct, description="finite triple")

@@ -163,12 +163,12 @@ class GermContext:
         tails = inf_path_eq(u1.xi, u2.xi.prepend(gamma), self._depth)
         if tails.is_distinct:
             return DISTINCT
-        return self._aligned(u1.alpha, u1.g, gamma, u2.alpha, u2.g, u2.xi, 0, tails)
+        return self._aligned(u1.alpha, u1.g, gamma, 0, u2.alpha, u2.g, u2.xi, 0, tails)
 
-    def _aligned(self, alpha1: Path, g1, gamma: Path, alpha2: Path, g2, xi: InfPath, k: int, tails: Tri) -> Tri:
-        """The rest of germ_eq, aligned on beta.gamma: (alpha1, g1) along gamma against (alpha2, g2), at xi
-        past its first k letters, which only the carry walks read. tails is the points' verdict."""
-        path, coc = self._triple.act_behind(alpha1, g1, gamma)
+    def _aligned(self, alpha1: Path, g1, b: Path, start: int, alpha2: Path, g2, xi: InfPath, k: int, tails: Tri) -> Tri:
+        """The rest of germ_eq, aligned on beta.gamma: (alpha1, g1) along gamma, b past start edges, against
+        (alpha2, g2), at xi past its first k letters, which only the carry walks read. tails: the points' verdict."""
+        path, coc = self._triple.act_behind(alpha1, g1, b, start)
         if alpha2 != path:
             return DISTINCT
         if self._triple.group.eq(g2, coc).is_equal:
@@ -341,7 +341,7 @@ class GermContext:
             self._check(alpha, g, beta)
             if u.xi.depth_limit == n - m:  # no letter known past beta: d(beta) = r(point) is undecided
                 return unknown(self._depth)
-            sides = (u.alpha, u.g, beta.drop(m), alpha, g) if m <= n else (alpha, g, u.beta.drop(n), u.alpha, u.g)
+            sides = (u.alpha, u.g, beta, m, alpha, g) if m <= n else (alpha, g, u.beta, n, u.alpha, u.g)
             verdict = self._aligned(*sides, u.xi, max(n - m, 0), EQUAL)
         except DepthExceededError:
             return unknown(self._depth)

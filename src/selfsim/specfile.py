@@ -24,15 +24,18 @@ bounded sequence ends in.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
+
 from .action import SelfSimilarTriple
 from .errors import Record, SpecFileError
 from .graph import Graph, Path, edge_path, make_graph, vertex_path
 from .groups import GroupBackend
 
 # SemigroupElement, InfPath and CoronaSeq (annotations) live in semigroup,
-# infinite and corona, which the parsers that need them import; automaton
-# and cayley specs are read by loaders in those modules, and Katsura and
-# integer specs by builders, each imported where it runs.
+# infinite and corona, which the parsers that need them import. Each kind of
+# spec is read by a loader beside its backend (Katsura and integer specs by
+# builders), imported where it runs; explicit [action] rows of every kind
+# fill their tables through _edge_tables.
 
 
 # -- literal parsing ---------------------------------------------------------
@@ -266,8 +269,8 @@ def _load_explicit(gsec: _Section, grpsec: _Section, asec: _Section) -> LoadedSp
 
     kind = grpsec.require("kind")
     if kind == "integer":
-        return LoadedSpec(_integer_from_action(graph, asec), "explicit")
-    if kind == "cayley":
+        from .builders import load_action_sections
+    elif kind == "cayley":
         from .cayley import load_action_sections
     elif kind == "automaton":
         from .automaton import load_action_sections
@@ -276,58 +279,37 @@ def _load_explicit(gsec: _Section, grpsec: _Section, asec: _Section) -> LoadedSp
     return LoadedSpec(load_action_sections(graph, grpsec, asec), "explicit")
 
 
-def _action_rows(asec: _Section):
+def _action_rows(asec: _Section) -> list[list]:
     """The vertex rows 'g vertex image' and edge rows 'g edge image cocycle', split, with their lines."""
-    vrows, erows = [], []
-    for value, line in asec.all("vertex"):
-        parts = value.split()
-        if len(parts) != 3:
-            raise SpecFileError("vertex rows are 'g vertex image'", line)
-        vrows.append((parts, line))
-    for value, line in asec.all("edge"):
-        parts = value.split()
-        if len(parts) != 4:
-            raise SpecFileError("edge rows are 'g edge image cocycle'", line)
-        erows.append((parts, line))
-    return vrows, erows
+    split = []
+    for key, width, shape in (("vertex", 3, "g vertex image"), ("edge", 4, "g edge image cocycle")):
+        split.append([(value.split(), line) for value, line in asec.all(key)])
+        for parts, line in split[-1]:
+            if len(parts) != width:
+                raise SpecFileError(f"{key} rows are '{shape}'", line)
+    return split
 
 
-def _resolve_vertex(graph: Graph, label: str, line: int) -> int:
+def _resolve(graph: Graph, kind: str, label: str, line: int) -> int:
+    """The id of a vertex or edge label (kind "vertex" or "edge") in a row at line."""
     try:
-        return graph.vertex_id(label)
+        return (graph.vertex_id if kind == "vertex" else graph.edge_id)(label)
     except ValueError:
-        raise SpecFileError(f"unknown vertex label {label!r}", line) from None
+        raise SpecFileError(f"unknown {kind} label {label!r}", line) from None
 
 
-def _resolve_edge(graph: Graph, label: str, line: int) -> int:
-    try:
-        return graph.edge_id(label)
-    except ValueError:
-        raise SpecFileError(f"unknown edge label {label!r}", line) from None
+def _edge_tables(names: Sequence[str], labels: Sequence[str], rows: Iterable[tuple], incomplete):
+    """(images, cocycles), each indexed [element][edge], from rows (element id, edge id, image id, cocycle).
 
-
-def _integer_from_action(graph: Graph, asec: _Section) -> SelfSimilarTriple:
-    from .builders import integer_triple_from_generator
-    vrows, erows = _action_rows(asec)
-    vperm = list(range(graph.n_vertices))
-    for (g, v, w), line in vrows:
-        if g != "1":
-            raise SpecFileError("integer backend takes rows for the generator m = 1 only", line)
-        vperm[_resolve_vertex(graph, v, line)] = _resolve_vertex(graph, w, line)
-    eperm = [None] * graph.n_edges
-    crow = [None] * graph.n_edges
-    for (g, e, f, k), line in erows:
-        if g != "1":
-            raise SpecFileError("integer backend takes rows for the generator m = 1 only", line)
-        ei = _resolve_edge(graph, e, line)
-        eperm[ei] = _resolve_edge(graph, f, line)
-        try:
-            crow[ei] = int(k)
-        except ValueError:
-            raise SpecFileError(f"cocycle entry must be an integer: {k!r}", line) from None
-    missing = [graph.edge_labels[i] for i, x in enumerate(eperm) if x is None]
-    if missing:
-        raise SpecFileError(f"missing edge action rows for: {', '.join(missing)}", asec.line)
-    if sorted(eperm) != list(range(graph.n_edges)) or sorted(vperm) != list(range(graph.n_vertices)):
-        raise SpecFileError("generator rows must describe bijections", asec.line)
-    return integer_triple_from_generator(graph, vperm, eperm, crow, description="integer triple")
+    Rows are read lazily in file order, so a row's own errors come before the next row's, and a
+    later row for an edge replaces an earlier one. ``incomplete(name, missing)`` is the error for
+    the first element lacking a row, given the labels of the edges it lacks.
+    """
+    images = [[None] * len(labels) for _ in names]
+    cocycles = [[None] * len(labels) for _ in names]
+    for g, e, image, cocycle in rows:
+        images[g][e], cocycles[g][e] = image, cocycle
+    for name, row in zip(names, images):
+        if None in row:
+            raise incomplete(name, [label for label, x in zip(labels, row) if x is None])
+    return images, cocycles

@@ -715,6 +715,8 @@ kind = integer
 edge = 1 e0 e1 0
 edge = 1 e1 e0 1
 """
+AUTOMATON_ROWS_SPEC = "[graph]\nvertices = v\nedge = x v v\nedge = y v v\n[group]\nkind = automaton\ngenerators = a\n" \
+    "[action]\nedge = a x y 1\nedge = a y x a\n"
 LOADER_ERRORS = [
     ("cayley_rows", CAYLEY_SPEC.replace("row = 1 0\n", ""), "line 6: cayley group needs one 'row' per element"),
     ("cayley_row", CAYLEY_SPEC.replace("row = 1 0", "row = 0 2"), "line 10: bad cayley row: '0 2'"),
@@ -730,6 +732,14 @@ LOADER_ERRORS = [
      "line 12: integer backend takes rows for the generator m = 1 only"),
     ("integer_cocycle", INTEGER_SPEC.replace("e1 e0 1", "e1 e0 x"), "line 11: cocycle entry must be an integer: 'x'"),
     ("integer_bijection", INTEGER_SPEC.replace("e1 e0 1", "e1 e1 1"), "line 9: generator rows must describe bijections"),
+    # Within a row, Cayley resolves the image label before the edge label; integer and automaton rows the edge
+    # label first, and the image label before the cocycle. A bad label comes before a missing row.
+    ("cayley_image_first", CAYLEY_SPEC + "edge = 0 BADE BADF 0\n", "line 15: unknown edge label 'BADF'"),
+    ("integer_edge_first", INTEGER_SPEC + "edge = 1 BADE BADF 0\n", "line 12: unknown edge label 'BADE'"),
+    ("integer_image_first", INTEGER_SPEC + "edge = 1 e0 BADF x\n", "line 12: unknown edge label 'BADF'"),
+    ("automaton_edge_first", AUTOMATON_ROWS_SPEC + "edge = a BADE BADF 1\n", "line 11: unknown edge label 'BADE'"),
+    ("cayley_label_before_missing_row", CAYLEY_SPEC.replace("edge = 1 f e 0\n", "edge = 0 e BADF 0\n"),
+     "line 14: unknown edge label 'BADF'"),
 ]
 
 

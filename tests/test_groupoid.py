@@ -28,6 +28,7 @@ from selfsim.errors import (
 from selfsim.groups import MAX_ENUMERATION, _Memo
 from selfsim.infinite import _carry_walk
 from selfsim.specfile import load_spec_file, load_spec_text
+from selfsim.tri import DISTINCT, EQUAL, unknown
 from conftest import (
     SPECS,
     TEST_SPECS,
@@ -1167,6 +1168,58 @@ def test_open_set_member_matches_make_and_germ_eq(open_set_triples):
     assert {(True, rel) for rel in (-1, 0, 1)} <= {(stream, rel) for stream, rel, _ in members}
     assert any(vertex for _, _, vertex in members)
     assert kinds == set(GAMMA_KINDS)
+
+
+def drop_then_walk_open_set_member(ctx, u, alpha, g, beta, gamma=None):
+    """open_set_member as written when its aligned comparison walked a dropped copy of the
+    longer beta from its first edge, in place of that beta past the shorter one's length."""
+    alpha, g, beta = ctx.normalize_basic(alpha, g, beta, gamma)
+    n, m = len(beta.edges), len(u.beta.edges)
+    try:
+        if n > m and u.xi.head(n - m) != beta.edges[m:]:
+            return DISTINCT
+        if ss.prefix_compare(beta, u.beta) is ss.PrefixRel.INCOMPARABLE:
+            return DISTINCT
+        ctx._check(alpha, g, beta)
+        if u.xi.depth_limit == n - m:
+            return unknown(ctx.depth)
+        if m <= n:
+            verdict = ctx._aligned(u.alpha, u.g, beta.drop(m), 0, alpha, g, u.xi, n - m, EQUAL)
+        else:
+            verdict = ctx._aligned(alpha, g, u.beta.drop(n), 0, u.alpha, u.g, u.xi, 0, EQUAL)
+    except DepthExceededError:
+        return unknown(ctx.depth)
+    if verdict.is_unknown and not isinstance(u.xi, ss.PeriodicPath):
+        return unknown(min(ctx.depth, u.xi.depth_limit + max(m - n, 0)))
+    return verdict
+
+
+def test_open_set_member_answers_as_the_drop_then_walk_formula(bench_contexts):
+    rng = random.Random(82)
+    answers = set()
+    for ctx in bench_contexts:
+        slow = ss.GermContext(ctx.triple, window=ctx.window)
+        for _ in range(150):
+            u, alpha, g, beta, gamma, _ = random_open_set_case(rng, ctx)
+            got = answer(lambda: ctx.open_set_member(u, alpha, g, beta, gamma))
+            expected = answer(lambda: drop_then_walk_open_set_member(slow, u, alpha, g, beta, gamma))
+            assert got == expected, (ctx.triple, ctx.render(u), str(alpha), g, str(beta), str(gamma))
+            answers.add((got.split("@")[0].split(":")[0], (len(beta) > len(u.beta)) - (len(beta) < len(u.beta))))
+    assert {(v, rel) for v in ("equal", "distinct") for rel in (-1, 0, 1)} <= answers
+    assert any(v == "unknown" for v, _ in answers)
+
+
+def test_open_set_member_builds_no_dropped_path(bench_contexts, monkeypatch):
+    rng = random.Random(83)
+    cases = [(ctx, random_open_set_case(rng, ctx)[:5]) for ctx in bench_contexts for _ in range(60)]
+
+    def refuse(path, n):
+        raise AssertionError("Path.drop called")
+
+    monkeypatch.setattr(ss.Path, "drop", refuse)
+    answers = [answer(lambda: ctx.open_set_member(*case)) for ctx, case in cases]
+    assert not any("Path.drop" in a for a in answers)
+    assert {"equal", "distinct"} <= set(answers)
 
 
 def test_repeated_window_elements_do_not_cover_the_group():

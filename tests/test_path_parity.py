@@ -296,8 +296,8 @@ class OldSites(ss.GermContext):
         k = max(n - len(u.alpha), 0)
         return checked_concat(u.alpha, checked_act_path(self.triple, u.g, u.xi.truncate(k))[0]).prefix(n)
 
-    def _aligned(self, alpha1, g1, gamma, alpha2, g2, xi, k, tails):
-        img, coc = checked_act_path(self.triple, g1, gamma)
+    def _aligned(self, alpha1, g1, b, start, alpha2, g2, xi, k, tails):
+        img, coc = checked_act_path(self.triple, g1, checked_drop(b, start))
         if alpha2 != checked_concat(alpha1, img):
             return DISTINCT
         if self.triple.group.eq(g2, coc).is_equal:

@@ -187,6 +187,43 @@ def test_both_automaton_forms_build_the_same_action():
             assert by_map.step(word, letter) == by_rows.step(word, letter)
 
 
+# A later [action] row for an edge replaces an earlier one, in every kind of explicit spec.
+
+
+def test_a_later_integer_row_replaces_an_earlier_one():
+    assert load_spec_text(ODOMETER).triple.step(1, 0) == (1, 0)
+    assert load_spec_text(ODOMETER + "edge = 1 e0 e1 7\n").triple.step(1, 0) == (1, 7)
+
+
+CAYLEY = """[graph]
+vertices = v
+edge = e0 v v
+edge = e1 v v
+[group]
+kind = cayley
+elements = 0 1
+row = 0 1
+row = 1 0
+[action]
+edge = 1 e0 e1 0
+edge = 1 e1 e0 0
+"""
+
+
+def test_a_later_cayley_row_replaces_an_earlier_one_and_the_identity_default():
+    t = load_spec_text(CAYLEY + "edge = 1 e0 e1 1\n").triple
+    assert [t.step(1, e) for e in (0, 1)] == [(1, 1), (0, 0)]
+    assert [t.step(0, e) for e in (0, 1)] == [(0, 0), (1, 0)]  # the identity fixes every edge by default
+    t = load_spec_text(CAYLEY + "edge = 0 e0 e1 1\n").triple
+    assert [t.step(0, e) for e in (0, 1)] == [(1, 1), (1, 0)]
+
+
+def test_a_later_automaton_row_replaces_an_earlier_one():
+    for spec, rows in ((ACTION_SPEC, "edge = a x x a\nedge = a y y 1\n"), (MAP_SPEC, "map = a 0 0 a\nmap = a 1 1 1\n")):
+        assert [load_spec_text(spec).triple.step((1,), x) for x in (0, 1)] == [(1, ()), (0, (1,))]
+        assert [load_spec_text(spec + rows).triple.step((1,), x) for x in (0, 1)] == [(0, (1,)), (1, ())]
+
+
 def test_parse_errors_report_lines():
     with pytest.raises(SpecFileError):
         load_spec_text("vertices = v\n")  # content before section
