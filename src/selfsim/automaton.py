@@ -299,7 +299,11 @@ def _spec_word(ids: dict[str, int], text: str, line: int) -> tuple[int, ...]:
 
 
 def _faithful(section: _Section) -> bool:
-    return section.get("faithful_depth", "false").lower() == "true"
+    """faithful_depth: true or false, in any case; false when absent."""
+    value = section.get("faithful_depth", "false")
+    if value.lower() not in ("true", "false"):
+        raise SpecFileError(f"faithful_depth must be true or false, got {value!r}", section.all("faithful_depth")[0][1])
+    return value.lower() == "true"
 
 
 def load_map_section(section: _Section) -> SelfSimilarTriple:

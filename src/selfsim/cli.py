@@ -12,13 +12,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import (
-    DepthExceededError,
-    FreenessNotVerifiedError,
-    SelfSimError,
-    SpecFileError,
-    UndecidedError,
-)
+from .errors import DepthExceededError, SelfSimError, SpecFileError, UndecidedError
 from .graph import validate_graph
 from .groups import DEFAULT_DEPTH, DEFAULT_PATH_BOUND, DEFAULT_RADIUS, at_least, default_window
 from .specfile import (
@@ -35,10 +29,20 @@ from .specfile import (
 OK, FAIL, UNKNOWN, INPUT_ERROR = 0, 1, 2, 3
 
 
+class _Refused(Exception):
+    """A germ command refused by the freeness policy; the message is the certificate."""
+
+
 def _germ_context(triple, args):
+    """The germ context, behind a policy of the CLI alone: unless --allow-unverified, a freeness
+    counterexample from the edge sweep over the window refuses the command, though no answer needs freeness."""
     from .groupoid import GermContext
+    from .sweeps import check_residually_free, render_certificate
     window = default_window(triple.group, args.window)
-    return GermContext(triple, window, args.depth, args.allow_unverified)
+    report = check_residually_free(triple, window, path_bound=1)
+    if report.found_counterexample and not args.allow_unverified:
+        raise _Refused(render_certificate(triple, report.counterexample))
+    return GermContext(triple, window, args.depth)
 
 
 def _cmd_validate(triple, args, out):
@@ -385,8 +389,8 @@ def main(argv=None) -> int:
     except (UndecidedError, DepthExceededError) as err:
         out(f"undecided: {err}")
         code = UNKNOWN
-    except FreenessNotVerifiedError as err:
-        out(f"refused: freeness counterexample {err.certificate}; pass --allow-unverified to proceed")
+    except _Refused as err:
+        out(f"refused: freeness counterexample {err}; pass --allow-unverified to proceed")
         code = INPUT_ERROR
     except (SelfSimError, ValueError) as err:
         out(f"error: {err}")

@@ -107,17 +107,6 @@ class NonBijectiveOutputError(SelfSimError):
     """An automaton state's output map is not a permutation of the alphabet."""
 
 
-class FreenessNotVerifiedError(SelfSimError):
-    """Germ-level operations refused over a triple with a known freeness counterexample."""
-
-    def __init__(self, certificate: str):
-        super().__init__(certificate)
-        self.certificate = certificate  # as sweeps.render_certificate renders it
-
-    def __str__(self) -> str:
-        return f"freeness counterexample {self.certificate}; pass allow_unverified to proceed"
-
-
 class SpecFileError(SelfSimError):
     """Problem parsing or resolving a spec file."""
 

@@ -2,9 +2,8 @@
 
 A germ [alpha, g, beta; xi] is the equivalence class of the semigroup
 element (alpha, g, beta) acting at the point beta.xi of path space. Germ
-equality needs no freeness; the context object that gathers the germ
-operations is gated on sweeps.hausdorff_report: the axioms, and, as a
-policy, no freeness counterexample in a window unless overridden.
+equality needs no freeness, so the context object that gathers the germ
+operations checks only the axioms the groupoid is built on.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .corona import CoronaSeq, LagValue, PeriodicSeq, corona_eq, shift_right
 from .errors import (
     DepthExceededError,
     EmptySetError,
-    FreenessNotVerifiedError,
     NotComposableError,
     SourceConditionError,
     UndecidedError,
@@ -26,10 +24,10 @@ from .errors import (
 )
 from .graph import _A_PROPER, _B_PROPER, _EQUAL, _INCOMPARABLE, Path, concat, prefix_compare
 from . import groups
-from .groups import DEFAULT_DEPTH, DEFAULT_RADIUS, _Memo, at_least, default_window
+from .groups import DEFAULT_DEPTH, _Memo, at_least
 from .infinite import InfPath, PeriodicPath, _carry_walk, inf_path_eq
 from .periodic import drop
-from .sweeps import hausdorff_report, render_certificate
+from .sweeps import require_axioms
 from .tri import Tri, DISTINCT, EQUAL, all_of, unknown
 
 
@@ -49,35 +47,27 @@ class Germ(Value):
 
 
 class GermContext:
-    """Germ operations over one triple, gated on the axioms and a freeness sweep.
+    """Germ operations over one triple, which must keep the axioms on its generators.
 
-    Construction runs hausdorff_report over the window: it refuses a triple
-    that breaks an axiom on its generators, whatever allow_unverified says,
-    and, as a policy, a known freeness counterexample unless allow_unverified.
-    Every operation answers at the constructor's depth, so a carry walk
-    depends only on g and the letters of xi it reads: the walks of an exact
-    element are kept in one table, bounded like an automaton backend's memo,
-    and threads may share a context.
+    Construction refuses a triple that breaks an axiom (sweeps.require_axioms)
+    and nothing else: each operation decides from the definition, with no
+    freeness. ``window`` is kept as given, for callers that draw elements from
+    it; no operation reads it. Every operation answers at the constructor's
+    depth, so a carry walk depends only on g and the letters of xi it reads:
+    the walks of an exact element are kept in one table, bounded like an
+    automaton backend's memo, and threads may share a context.
     """
 
-    def __init__(
-        self,
-        triple: SelfSimilarTriple,
-        window=None,
-        depth: int = DEFAULT_DEPTH,
-        allow_unverified: bool = False,
-    ):
+    def __init__(self, triple: SelfSimilarTriple, window=None, depth: int = DEFAULT_DEPTH):
         self._triple = triple
-        self.window = list(default_window(triple.group, DEFAULT_RADIUS) if window is None else window)
+        self.window = window
         self._depth = at_least("depth", depth, 1)
-        self.freeness = hausdorff_report(triple, self.window).freeness
-        if self.freeness.found_counterexample and not allow_unverified:
-            raise FreenessNotVerifiedError(render_certificate(triple, self.freeness.counterexample))
+        require_axioms(triple)
         self._walks = _Memo()  # (g, letters of xi read) -> (g.xi, Phi(g, xi)), see _walk
 
     @property
     def triple(self) -> SelfSimilarTriple:
-        """The triple, fixed at construction: the gate and the walk table hold for it alone."""
+        """The triple, fixed at construction: the axiom check and the walk table hold for it alone."""
         return self._triple
 
     @property

@@ -13,6 +13,9 @@ or a single builder section generates everything:
 
     [katsura]  a = 2 0 ; 0 3           [automaton]  alphabet = 0 1
                b = 1 0 ; 0 2                        map = a 0 1 1
+                                                    faithful_depth = true | false
+
+A key that no loader of its section reads is refused with its line.
 
 Literals: paths are dot-separated edge labels or `@v` for a vertex; infinite
 paths are `prefix(cycle)*`; group elements are integers, element names, or
@@ -165,15 +168,15 @@ def parse_corona(backend: GroupBackend, text: str) -> CoronaSeq:
 
 
 class _Section(Record):
-    __slots__ = ("name", "line", "rows")  # rows: list of (key, value, line)
+    __slots__ = ("name", "line", "rows", "read")  # rows: list of (key, value, line); read: set of keys asked for
 
     def get(self, key: str, default: str | None = None) -> str | None:
-        found = [v for k, v, _ in self.rows if k == key]
+        found = self.all(key)
         if not found:
             return default
         if len(found) > 1:
             raise SpecFileError(f"duplicate key {key!r} in [{self.name}]", self.line)
-        return found[0]
+        return found[0][0]
 
     def require(self, key: str) -> str:
         value = self.get(key)
@@ -182,6 +185,7 @@ class _Section(Record):
         return value
 
     def all(self, key: str) -> list[tuple[str, int]]:
+        self.read.add(key)
         return [(v, ln) for k, v, ln in self.rows if k == key]
 
 
@@ -196,7 +200,7 @@ def _tokenize_sections(text: str) -> dict[str, _Section]:
             name = line[1:-1].strip()
             if name in sections:
                 raise SpecFileError(f"duplicate section [{name}]", lineno)
-            current = sections[name] = _Section(name, lineno, [])
+            current = sections[name] = _Section(name, lineno, [], set())
             continue
         if current is None:
             raise SpecFileError("content before any [section]", lineno)
@@ -227,10 +231,16 @@ def load_spec_text(text: str) -> LoadedSpec:
     if len(builders) > 1:
         raise SpecFileError("at most one builder section allowed")
     if builders:
-        return _load_builder(sections[builders[0]])
-    if set(explicit) != {"graph", "group", "action"}:
+        loaded = _load_builder(sections[builders[0]])
+    elif set(explicit) != {"graph", "group", "action"}:
         raise SpecFileError("explicit specs need [graph], [group] and [action] sections")
-    return _load_explicit(sections["graph"], sections["group"], sections["action"])
+    else:
+        loaded = _load_explicit(sections["graph"], sections["group"], sections["action"])
+    for section in sections.values():  # a key no loader asked for would be silently ignored
+        for key, _, line in section.rows:
+            if key not in section.read:
+                raise SpecFileError(f"unknown key {key!r} in [{section.name}]", line)
+    return loaded
 
 
 def load_spec_file(path: str) -> LoadedSpec:

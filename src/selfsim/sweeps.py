@@ -307,7 +307,7 @@ class HausdorffReport(Record):
 
 
 def hausdorff_report(t: SelfSimilarTriple, window) -> HausdorffReport:
-    """Freeness implies a Hausdorff germ groupoid; the converse is not claimed. GermContext gates on it.
+    """Freeness implies a Hausdorff germ groupoid; the converse is not claimed.
 
     The theorem assumes the axioms: the sweep raises SourceConditionError on a triple breaking one.
     """

@@ -410,12 +410,14 @@ def random_inf_path(rng: random.Random, triple, max_prefix=2, max_cycle=2):
     return ss.periodic_path(triple.graph, prefix.edges, cycle.edges)
 
 
-def random_germ(rng: random.Random, ctx, max_len=3):
+def random_germ(rng: random.Random, ctx, max_len=3, window=None):
+    """A seeded germ of ctx, its element drawn from window (ctx.window when None)."""
     t = ctx.triple
     paths = ss.all_paths_upto(t.graph, max_len)
+    window = ctx.window if window is None else window
     while True:
         beta = rng.choice(paths)
-        g = rng.choice(ctx.window)
+        g = rng.choice(window)
         alphas = [p for p in paths if p.source_vertex == t.act_vertex(g, beta.source_vertex)]
         if not alphas:
             continue
@@ -470,6 +472,29 @@ def germ_coincidence_level(t, u1, u2, levels):
         if t.group.eq(g1, g2).is_equal:
             return n
     return None
+
+
+def lag_by_truncations(t, u, n):
+    """(the first n entries of the lag's sequence, its shift) of germ u through act_path, as an oracle.
+
+    The lag of [alpha, g, beta; xi] is (Phi(g, xi) right-shifted |alpha| times,
+    |alpha| - |beta|): |alpha| identities, then phi(g, gamma) for gamma the
+    prefixes of xi in turn, from the vertex path, whose cocycle is g itself.
+    """
+    pad = [t.group.identity()] * len(u.alpha)
+    carries = [t.act_path(u.g, u.xi.truncate(m))[1] for m in range(max(n - len(pad), 0))]
+    return (pad + carries)[:n], len(u.alpha) - len(u.beta)
+
+
+def model_round_trip(ctx, u, extra=0):
+    """(f_map(u), model_check's verdict on it, the germ model_to_germ pulls back), at the split
+    (|alpha| + extra, |beta| + extra): the pulled-back germ absorbs extra letters of xi, so it
+    coincides with u by the definition (germ_coincidence_level) at a level <= extra.
+    """
+    eta, lag, zeta = image = ctx.f_map(u)
+    split = (len(u.alpha) + extra, len(u.beta) + extra)
+    verdict = ctx.model_check(eta, lag.corona, lag.shift, zeta, split=split)
+    return image, verdict, ctx.model_to_germ(eta, lag.corona, lag.shift, zeta, split)
 
 
 def pairwise_freeness(t, window, path_bound=4):

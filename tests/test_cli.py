@@ -717,6 +717,7 @@ edge = 1 e1 e0 1
 """
 AUTOMATON_ROWS_SPEC = "[graph]\nvertices = v\nedge = x v v\nedge = y v v\n[group]\nkind = automaton\ngenerators = a\n" \
     "[action]\nedge = a x y 1\nedge = a y x a\n"
+AUTOMATON_MAP_SPEC = "[automaton]\nalphabet = 0 1\nmap = a 0 1 1\nmap = a 1 0 a\nfaithful_depth = true\n"
 LOADER_ERRORS = [
     ("cayley_rows", CAYLEY_SPEC.replace("row = 1 0\n", ""), "line 6: cayley group needs one 'row' per element"),
     ("cayley_row", CAYLEY_SPEC.replace("row = 1 0", "row = 0 2"), "line 10: bad cayley row: '0 2'"),
@@ -740,6 +741,17 @@ LOADER_ERRORS = [
     ("automaton_edge_first", AUTOMATON_ROWS_SPEC + "edge = a BADE BADF 1\n", "line 11: unknown edge label 'BADE'"),
     ("cayley_label_before_missing_row", CAYLEY_SPEC.replace("edge = 1 f e 0\n", "edge = 0 e BADF 0\n"),
      "line 14: unknown edge label 'BADF'"),
+    # faithful_depth is true or false, in any case; a key that no loader of its section reads is refused.
+    ("faithful_depth_value", AUTOMATON_MAP_SPEC.replace("= true", "= yes"),
+     "line 5: faithful_depth must be true or false, got 'yes'"),
+    ("faithful_depth_rows_value", AUTOMATON_ROWS_SPEC.replace("= a\n", "= a\nfaithful_depth = ture\n"),
+     "line 8: faithful_depth must be true or false, got 'ture'"),
+    ("unknown_key", AUTOMATON_MAP_SPEC + "bogus = 1\n", "line 6: unknown key 'bogus' in [automaton]"),
+    ("misspelt_key", AUTOMATON_MAP_SPEC.replace("faithful_depth", "faithfull_depth"),
+     "line 5: unknown key 'faithfull_depth' in [automaton]"),
+    ("katsura_unknown_key", "[katsura]\na = 2\nb = 1\nc = 3\n", "line 4: unknown key 'c' in [katsura]"),
+    ("integer_generators", INTEGER_SPEC.replace("kind = integer", "kind = integer\ngenerators = a"),
+     "line 8: unknown key 'generators' in [group]"),
 ]
 
 

@@ -10,16 +10,17 @@ import threading
 import time
 import tracemalloc
 from math import lcm
+from pathlib import Path
 
 import pytest
 
 import selfsim as ss
 from selfsim import groupoid, groups
+from selfsim.cli import main
 from selfsim.errors import (
     BackendMismatchError,
     DepthExceededError,
     EmptySetError,
-    FreenessNotVerifiedError,
     NotComposableError,
     SelfSimError,
     SourceConditionError,
@@ -27,7 +28,7 @@ from selfsim.errors import (
 )
 from selfsim.groups import MAX_ENUMERATION, _Memo
 from selfsim.infinite import _carry_walk
-from selfsim.specfile import load_spec_file, load_spec_text
+from selfsim.specfile import load_spec_file, load_spec_text, parse_germ_parts
 from selfsim.tri import DISTINCT, EQUAL, unknown
 from conftest import (
     SPECS,
@@ -36,6 +37,8 @@ from conftest import (
     _full_depth_conditions,
     all_spec_triples,
     germ_coincidence_level,
+    lag_by_truncations,
+    model_round_trip,
     random_composable_pair,
     random_germ,
     random_inf_path,
@@ -67,12 +70,12 @@ def ep(t, *ids):
     return ss.edge_path(t.graph, ids)
 
 
-def test_context_refuses_unfree_triple(kat20):
-    with pytest.raises(FreenessNotVerifiedError) as refused:
-        ss.GermContext(kat20)
-    assert str(refused.value) == "freeness counterexample (m=1, e=(1,1,0)); pass allow_unverified to proceed"
-    ctx = ss.GermContext(kat20, allow_unverified=True)
-    assert ctx.freeness.found_counterexample
+def test_context_answers_on_an_unfree_triple(kat20):
+    # m = 1 fixes (1,1,0) with cocycle 0, a freeness counterexample, so its germ at ((1,1,0))* is the unit's.
+    ctx = ss.GermContext(kat20)
+    assert ctx.window is None
+    one, unit = (ctx.make(*parse_germ_parts(kat20, f"@1,{m},@1;((1,1,0))*")) for m in (1, 0))
+    assert ctx.germ_eq(one, unit).is_equal
 
 
 def contexts_by_depth(ctx):
@@ -111,11 +114,10 @@ def test_depth_and_triple_stay_those_given_to_the_constructor(ctx, odo, swap2):
 
 def test_make_validates(ctx, odo, xi0):
     with pytest.raises(SourceConditionError):
-        # mismatched cylinder on a two-vertex graph (trivial action: not free,
-        # so the context needs the explicit override)
+        # mismatched cylinder on a two-vertex graph (trivial action: not free)
         g = ss.make_graph(["u", "w"], [("a", "u", "w"), ("b", "w", "u")])
         t2 = ss.integer_triple_from_generator(g, [0, 1], [0, 1], [0, 0])
-        ctx2 = ss.GermContext(t2, window=[0, 1, -1], allow_unverified=True)
+        ctx2 = ss.GermContext(t2, window=[0, 1, -1])
         ctx2.make(ss.vertex_path(g, 0), 0, ss.vertex_path(g, 0), ss.periodic_path(g, [], [1, 0]))
     u = ctx.make(vp(odo), 1, vp(odo), xi0)
     assert u.alpha == vp(odo)
@@ -571,24 +573,25 @@ def _path_actions(t, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.spec")))
 def test_germ_gate_and_hausdorff_sweep_no_paths(name, monkeypatch):
-    # Both run the sweep at path bound 1: each window element acts at most once
-    # on each single-edge path per sweep, and no vertex path or longer path is acted on.
+    # The context's gate checks only the axioms. The sweep runs at path bound 1: each window element
+    # acts at most once on each single-edge path, and no vertex path or longer path is acted on.
     t = load_spec_file(str(SPECS / f"{name}.spec")).triple
     calls = _path_actions(t, monkeypatch)
     window = ss.default_window(t.group, 4)
     if name == "broken_cocycle":  # the axiom check refuses it before any path action
         with pytest.raises(SourceConditionError, match="cocycle-identity violated"):
-            ss.GermContext(t, window=window, allow_unverified=True)
+            ss.GermContext(t, window=window)
         with pytest.raises(SourceConditionError, match="cocycle-identity violated"):
             ss.hausdorff_report(t, window)
         assert calls == [0, 0, 0]
         return
-    ctx = ss.GermContext(t, window=window, allow_unverified=True)
+    ss.GermContext(t, window=window)
+    assert calls == [0, 0, 0]
     report = ss.hausdorff_report(t, window)
     assert calls[0] == 0
-    assert calls[1] <= 2 * len(window) * t.graph.n_edges
+    assert calls[1] <= len(window) * t.graph.n_edges
     assert calls[2] == 0
-    assert ctx.freeness.kind == report.freeness.kind == ss.check_residually_free(t, window).kind
+    assert report.freeness.kind == ss.check_residually_free(t, window).kind
 
 
 def test_germ_eq_on_adding_machine_powers_is_exact_at_every_depth(machine):
@@ -627,9 +630,9 @@ def test_germ_eq_matches_its_definition_on_every_spec():
         window = ss.default_window(t.group, radius)
         if name == "broken_cocycle":  # no germ groupoid: the axiom check refuses the triple
             with pytest.raises(SourceConditionError):
-                ss.GermContext(t, window=window, allow_unverified=True)
+                ss.GermContext(t, window=window)
             continue
-        ctx = ss.GermContext(t, window=window, allow_unverified=True)
+        ctx = ss.GermContext(t, window=window)
         group, rng = t.group, random.Random(17)
         decided = past_aligned[name] = 0
         for _ in range(80):
@@ -656,6 +659,60 @@ def test_germ_eq_matches_its_definition_on_every_spec():
     assert {name for name, count in past_aligned.items() if count} == {
         "c5", "grigorchuk", "katsura_2_0", "swap_zero_sum"
     }
+
+
+NON_FREE = ("c5", "grigorchuk", "katsura_2_0", "swap_zero_sum")
+
+
+@pytest.mark.parametrize("name", NON_FREE)
+def test_default_context_answers_as_the_definitions_on_a_non_free_triple(name):
+    # No window and no override: the context checks the axioms alone, and its germ_eq, lag and
+    # model round trip each agree with their definition on germs drawn from a window of the test's own.
+    t = dict(all_spec_triples())[name]
+    ctx = ss.GermContext(t)
+    window = ss.default_window(t.group, 5 if isinstance(t.group, ss.IntegerGroup) else 1)
+    group, rng = t.group, random.Random(f"default-{name}")
+    decided = unfree = 0
+    for _ in range(40):
+        u, h = random_germ(rng, ctx, 2, window), rng.choice(window)
+        try:
+            v = ctx.make(u.alpha, group.mul(u.g, h), u.beta, u.xi)
+        except SourceConditionError:  # h moves the vertex of the point
+            v, h = random_germ(rng, ctx, 2, window), group.identity()
+        v = ctx.reparametrize(v, len(v.beta) + rng.randint(0, 2))
+        verdict = ctx.germ_eq(u, v)
+        if not verdict.is_unknown:
+            decided += 1
+            level = germ_coincidence_level(t, u, v, 24)
+            assert verdict.is_equal == (level is not None), (ctx.render(u), ctx.render(v))
+            unfree += verdict.is_equal and group.is_identity(h).is_distinct  # h strongly fixes a prefix of xi
+        lag = ctx.lag(u)
+        known = 24 if lag.corona.depth_limit is None else min(24, lag.corona.depth_limit)
+        entries, shift = lag_by_truncations(t, u, known)
+        assert lag.shift == shift
+        for n, expected in enumerate(entries, 1):
+            assert group.eq(lag.corona.entry(n), expected).is_equal, (ctx.render(u), n)
+        extra = rng.randint(0, 3)
+        (eta, lag, zeta), passes, back = model_round_trip(ctx, u, extra)
+        split = (len(u.alpha) + extra, len(u.beta) + extra)
+        assert passes.is_equal and split_loop_model_check(ctx, eta, lag.corona, lag.shift, zeta, split).is_equal
+        assert germ_coincidence_level(t, u, back, 24) is not None, (ctx.render(u), ctx.render(back))
+        assert ctx.germ_eq(u, back).is_equal
+    assert decided >= 30 and unfree, (decided, unfree)
+
+
+def test_default_context_answers_on_chain40_where_the_cli_refuses_katsura_2_0(capsys):
+    # The CLI refuses a freeness counterexample as its own policy; the library context does not.
+    chain = load_spec_file(str(TEST_SPECS / "chain40.spec")).triple
+    ctx = ss.GermContext(chain)
+    fixed, unit = (ctx.make(*parse_germ_parts(chain, f"@v,{g},@v;(2)*")) for g in ("t.s40'", "1"))
+    assert ctx.germ_eq(fixed, unit).is_equal
+    argv = ["germ-eq", str(SPECS / "katsura_2_0.spec"), "@1,1,@1;((1,1,0))*", "@1,1,@1;((1,1,0))*"]
+    assert main(argv) == 3
+    golden = (Path(__file__).resolve().parent / "golden" / "germ_refused_k20.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+    with pytest.raises(SourceConditionError, match=r"^cocycle-identity violated: \(g=1, h=1\) at e0$"):
+        ss.GermContext(load_spec_file(str(SPECS / "broken_cocycle.spec")).triple)
 
 
 def unfaithful_machine():
@@ -1142,7 +1199,7 @@ def test_open_set_member_matches_make_and_germ_eq(open_set_triples):
     answers, members, kinds, declared = set(), set(), set(), 0
     for triple, window, depths in open_set_triples:
         for depth in depths:
-            fast, slow = (ss.GermContext(triple, window, depth, allow_unverified=True) for _ in range(2))
+            fast, slow = (ss.GermContext(triple, window, depth) for _ in range(2))
             for _ in range(60):
                 u, alpha, g, beta, gamma, kind = random_open_set_case(rng, fast)
                 got = answer(lambda: fast.open_set_member(u, alpha, g, beta, gamma))
@@ -1231,7 +1288,6 @@ def test_repeated_window_elements_do_not_cover_the_group():
     assert ss.check_residually_free(t, [0, 0]).kind == "unknown"
     assert ss.check_e_star_unitary(t, [0, 0]).kind == "unknown"
     assert ss.hausdorff_report(t, [0, 0]).freeness.kind == "unknown"
-    assert ss.GermContext(t, window=[0, 0]).freeness.kind == "unknown"
 
 
 # -- the walk table ----------------------------------------------------------------
@@ -1411,7 +1467,7 @@ def test_every_spec_triple_and_context_pickles():
                 assert clone.act_path(g, a) == t.act_path(g, a), (name, g, a)
         if name == "broken_cocycle":
             continue  # breaks the cocycle identity: no context is built over it
-        ctx = ss.GermContext(t, window=window, allow_unverified=True)
+        ctx = ss.GermContext(t, window=window)
         rng = random.Random(f"pickle-{name}")
         germs = [random_germ(rng, ctx) for _ in range(8)]
         pairs = list(zip(germs, germs[1:] + germs[:1])) + [(u, u) for u in germs]

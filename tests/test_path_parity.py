@@ -378,7 +378,7 @@ def site_contexts(rng):
     triples += [random_automaton(rng) for _ in range(3)]
     for t in triples:
         window = ss.default_window(t.group, 2)
-        yield ss.GermContext(t, window, allow_unverified=True), OldSites(t, window, allow_unverified=True)
+        yield ss.GermContext(t, window), OldSites(t, window)
 
 
 def broken_germ(rng, ctx, u, others):

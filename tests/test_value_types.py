@@ -59,7 +59,7 @@ REPORTS = {
     ss.KatsuraData: ("a", "b"),
     ss.AutomatonData: ("alphabet", "states", "output", "restriction"),
     LoadedSpec: ("triple", "source"),
-    _Section: ("name", "line", "rows"),
+    _Section: ("name", "line", "rows", "read"),
     ss.Zero: (),
 }
 CASES = {cls: spec for cls, spec in HOT.items()}
