@@ -189,14 +189,15 @@ class GermContext:
     def compose(self, u1: Germ, u2: Germ) -> Germ:
         """Product u1 u2, defined when source(u1) = range(u2).
 
-        Reparametrizes so the middle paths align; raises when the sources
+        Reparametrizes the germ whose middle path is shorter, and neither when
+        they are as long, so the middle paths align; raises when the sources
         provably diverge, and refuses (rather than guessing) when the tails
         cannot be decided at this depth.
         """
         depth = self._depth
-        n = max(len(u1.beta.edges), len(u2.alpha.edges))
-        r1 = self.reparametrize(u1, n, "beta")
-        r2 = self.reparametrize(u2, n, "alpha")
+        m, n = len(u1.beta.edges), len(u2.alpha.edges)
+        r1 = self.reparametrize(u1, n, "beta") if m < n else u1
+        r2 = self.reparametrize(u2, m, "alpha") if n < m else u2
         if r1.beta != r2.alpha:
             raise NotComposableError("source and range prefixes diverge")
         tails = inf_path_eq(r1.xi, self._walk(r2.g, r2.xi)[0], depth)
@@ -214,13 +215,15 @@ class GermContext:
     def lag(self, u: Germ) -> LagValue:
         """(right-shift^|alpha| of the cocycle sequence class, |alpha| - |beta|)."""
         seq = self._walk(u.g, u.xi, image=False)[1]
-        return LagValue(shift_right(seq, len(u.alpha.edges)), len(u.alpha.edges) - len(u.beta.edges))
+        a = len(u.alpha.edges)
+        return LagValue(shift_right(seq, a), a - len(u.beta.edges))
 
     def f_map(self, u: Germ) -> tuple[InfPath, LagValue, InfPath]:
         """(range point, lag, source point): injective, as germs are equal exactly when these agree."""
         gxi, seq = self._walk(u.g, u.xi)
-        lag = LagValue(shift_right(seq, len(u.alpha.edges)), len(u.alpha.edges) - len(u.beta.edges))
-        return (gxi.prepend(u.alpha), lag, self.source_point(u))
+        a = len(u.alpha.edges)
+        lag = LagValue(shift_right(seq, a), a - len(u.beta.edges))
+        return (gxi.prepend(u.alpha), lag, u.xi.prepend(u.beta))
 
     def model_check(
         self,
@@ -266,8 +269,10 @@ class GermContext:
             horizon = max(len(gseq.prefix) - p, len(zeta.prefix_edges) - q, len(eta.prefix_edges) - p, 0) + period
             reported = max(self._depth, horizon)
         else:
-            limits = ((gseq.depth_limit, p + 1), (zeta.depth_limit, q), (eta.depth_limit, p))
-            horizon = min(self._depth, *(lim - offset for lim, offset in limits if lim is not None))
+            horizon = self._depth
+            for lim, offset in ((gseq.depth_limit, p + 1), (zeta.depth_limit, q), (eta.depth_limit, p)):
+                if lim is not None and lim - offset < horizon:
+                    horizon = lim - offset
             if horizon < 1:
                 return unknown(0)
             reported = horizon

@@ -226,9 +226,11 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
 
     Every known letter (a stream's, a periodic prefix's) is stepped in turn, then
     the cycle until closure is (start, end): the state (carry, cycle phase) of
-    step start recurs at step end; else closure is None. A carry word costs its
-    letters, any other carry 1; past MAX_ENUMERATION carry letters the walk
-    raises DepthExceededError.
+    step start recurs at step end; else closure is None. Over a finite group G
+    the state takes at most |G|.q values on a cycle of q letters, so the walk goes
+    on to p + |G|.q letters, up to MAX_ENUMERATION, and closes there. A carry
+    word costs its letters, any other carry 1; past MAX_ENUMERATION carry
+    letters the walk raises DepthExceededError.
     """
     at_least("depth", depth, 0)
     images: list[int] = []
@@ -237,6 +239,8 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
     if isinstance(xi, PeriodicPath):
         prefix, cycle = xi.prefix_edges, xi.cycle_edges
         end = depth + len(prefix) + len(cycle) + 1
+        if t.group.is_finite:
+            end = max(end, min(len(prefix) + len(t.group.elements()) * len(cycle) + 1, groups.MAX_ENUMERATION))
     else:
         # A stream path is all prefix: its known letters, up to the depth.
         prefix, cycle = xi.head(min(depth, xi.depth_limit)), ()

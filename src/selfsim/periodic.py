@@ -30,8 +30,11 @@ def normalize(prefix: Sequence, cycle: Sequence) -> tuple[tuple, tuple]:
 
 def absorb(prefix: Sequence, cycle: Sequence) -> tuple[tuple, tuple]:
     """The normal form of (prefix, cycle) for a primitive cycle: p + (c)* == p' + (rot c)* whenever
-    p ends with the cycle's last symbol (compared by ==), so that tail of p moves into the cycle."""
+    p ends with the cycle's last symbol (compared by ==), so that tail of p moves into the cycle.
+    A prefix that ends otherwise, as a normal form's does, is already minimal."""
     pre, cyc = tuple(prefix), tuple(cycle)
+    if pre and pre[-1] != cyc[-1]:
+        return pre, cyc
     n, k = len(cyc), 0
     while k < len(pre) and pre[-1 - k] == cyc[-1 - k % n]:
         k += 1

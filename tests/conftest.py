@@ -589,7 +589,8 @@ def cube_e_star_unitary(t, window, path_bound=4):
 
 
 def reference_orbit(t, g, xi, depth):
-    """infinite._orbit letter by letter to the depth, written out as an oracle.
+    """infinite._orbit letter by letter to the depth, written out as an oracle; over a finite
+    group, on to p + |G|.q letters (up to the budget), where (carry, phase) must have recurred.
 
     Reads groups.MAX_ENUMERATION when called, so a patched budget holds here too.
     """
@@ -599,6 +600,8 @@ def reference_orbit(t, g, xi, depth):
     if isinstance(xi, ss.PeriodicPath):
         prefix, cycle = xi.prefix_edges, xi.cycle_edges
         end = depth + len(prefix) + len(cycle) + 1
+        if t.group.is_finite:
+            end = max(end, min(len(prefix) + len(list(t.group.elements())) * len(cycle) + 1, groups.MAX_ENUMERATION))
     else:
         prefix, cycle = xi.head(min(depth, xi.depth_limit)), ()
         end = len(prefix)

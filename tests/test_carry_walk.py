@@ -20,7 +20,8 @@ from selfsim import infinite
 from selfsim.errors import BackendMismatchError, DepthExceededError
 from selfsim.groups import MAX_ENUMERATION, _Memo
 from selfsim.tri import DISTINCT, from_bool
-from conftest import _full_depth_conditions, all_spec_triples, labeled_odometer, reference_orbit
+from selfsim.specfile import load_spec_file
+from conftest import TEST_SPECS, _full_depth_conditions, all_spec_triples, labeled_odometer, reference_orbit
 
 
 def loops_graph():
@@ -497,3 +498,56 @@ def test_the_model_pass_stops_at_its_first_failing_condition():
     HashCounted.hashes = 0
     assert model_check(t, eta, gseq, 0, 0, zeta, 100_000).is_distinct
     assert HashCounted.hashes <= 4  # no more than condition 1's carries: the window is read lazily
+
+
+def multiplying_cayley(rng):
+    """Z/n, n in 2..7, fixing the loops at one vertex, each loop e multiplying the carry by its
+    own c_e: phi(g, e) = c_e.g, which keeps the laws for any choice of the c_e."""
+    n, loops = rng.randint(2, 7), rng.randint(1, 3)
+    group = ss.FiniteGroup([f"g{i}" for i in range(n)], [[(a + b) % n for b in range(n)] for a in range(n)])
+    graph = ss.make_graph(["v"], [(f"e{i}", "v", "v") for i in range(loops)])
+    c = [rng.randrange(n) for _ in range(loops)]
+    return ss.finite_triple(graph, group, [[0]] * n, [list(range(loops))] * n,
+                            [[c[e] * g % n for e in range(loops)] for g in range(n)])
+
+
+def test_a_walk_over_a_finite_group_closes_within_p_plus_order_times_q():
+    # (carry, phase) takes at most |G|.q values on a cycle of q letters, so a periodic walk over
+    # a finite group closes by step p + |G|.q, whatever the depth: the walk answers as the
+    # letter-by-letter walk run to that bound, on every Cayley spec and random valid Cayley triples.
+    rng = random.Random("finite orbits")
+    triples = [t for _, t in all_spec_triples() if t.group.is_finite]
+    for _ in range(8):
+        t = multiplying_cayley(rng)
+        ss.sweeps.require_axioms(t)
+        triples.append(t)
+    past_the_depth = 0
+    for t in triples:
+        order = len(t.group.elements())
+        cycles = [p for p in ss.all_paths_upto(t.graph, 4) if not p.is_vertex and p.range_vertex == p.source_vertex]
+        for g in t.group.elements():
+            for _ in range(6):
+                cycle = rng.choice(cycles)
+                prefix = rng.choice([p for p in ss.all_paths_upto(t.graph, 3) if p.source_vertex == cycle.range_vertex])
+                xi = ss.periodic_path(t.graph, prefix.edges, cycle.edges)
+                p, q = len(xi.prefix_edges), len(xi.cycle_edges)
+                expected = reference_orbit(t, g, xi, p + order * q)
+                assert expected[2] is not None and expected[2][1] <= p + order * q, (t.description, g, str(xi))
+                for depth in (1, 64):
+                    assert infinite._orbit(t, g, xi, depth) == expected, (t.description, g, str(xi), depth)
+                past_the_depth += expected[2][1] > 1 + p + q  # where a depth-1 walk used to stop
+    assert past_the_depth >= 20, past_the_depth
+
+
+def test_a_finite_group_walk_past_the_enumeration_limit_stays_bounded(monkeypatch):
+    # Along (e1^29.e0)* the carry 1 of Z/5 recurs after 120 letters: exact at the default
+    # depth, bounded at that depth once the limit cuts the walk at 100 letters.
+    t = load_spec_file(str(TEST_SPECS / "z5_doubling.spec")).triple
+    zeta = ss.periodic_path(t.graph, [], [1] * 29 + [0])
+    assert infinite._orbit(t, 1, zeta, 64)[2] == (0, 120)
+    gxi, seq = infinite._carry_walk(t, 1, zeta, 64)
+    assert gxi == zeta and str(seq) == "(" + ",".join(c for c in "1243" for _ in range(30)) + ")*"
+    monkeypatch.setattr(ss.groups, "MAX_ENUMERATION", 100)
+    assert infinite._orbit(t, 1, zeta, 64) == reference_orbit(t, 1, zeta, 64)
+    gxi, seq = infinite._carry_walk(t, 1, zeta, 64)
+    assert isinstance(gxi, ss.StreamPath) and len(seq.values) == 64

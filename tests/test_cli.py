@@ -533,6 +533,18 @@ def test_carry_words_past_the_budget_are_undecided(capsys):
     assert capsys.readouterr().out.splitlines()[1] == f"({carries}~, 0)"
 
 
+def test_a_finite_group_walk_answers_exactly_at_the_default_depth(capsys):
+    # Along (e1^29.e0)* the carry of Z/5 recurs only after 120 letters, past the 95 that
+    # depth 64 reads; over a finite group the walk goes on to |G|.q = 150 letters.
+    zeta = "(" + ".".join(["e1"] * 29 + ["e0"]) + ")*"
+    z5 = str(TEST_SPECS / "z5_doubling.spec")
+    assert main(["germ-eq", z5, f"@v,1,@v;{zeta}", f"@v,4,@v;{zeta}"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["distinct"]
+    assert main(["lag", z5, f"@v,1,@v;{zeta}"]) == 0
+    carries = ",".join(c for c in "1243" for _ in range(30))
+    assert capsys.readouterr().out.splitlines()[1:] == [f"(({carries})*, 0)"]
+
+
 @pytest.mark.parametrize("spec, germ, printed", [
     (SPECS / "odometer.spec", "@v,1000,@v;(e1)*", "(1000~, 0)"),
     (TEST_SPECS / "doubling.spec", "@v,a,@v;(0)*", "(a,a.a,a.a.a.a~, 0)"),

@@ -374,12 +374,16 @@ def reference_normalize(prefix, cycle):
 def test_a_normal_form_stays_normal_without_normalizing_again():
     # drop cuts a normal form, and prepend and shift_right put symbols before one: each
     # answers the normal form of the raw sequence while only absorbing the new prefix.
+    # absorb answers at once for a prefix that ends off the cycle's last symbol, as a
+    # normal form's does; prepend and shift_right equal the value built afresh.
     rng = random.Random(61)
     for _ in range(400):
         pre = tuple(rng.randrange(2) for _ in range(rng.randrange(6)))
         cyc = tuple(rng.randrange(2) for _ in range(rng.randint(1, 4))) * rng.randint(1, 3)
         nf = periodic.normalize(pre, cyc)
         assert nf == reference_normalize(pre, cyc)
+        assert periodic.absorb(pre, periodic.primitive_root(cyc)) == nf
+        assert periodic.absorb(*nf) == nf
         for k in range(len(pre) + 2 * len(cyc) + 1):
             assert periodic.drop(*nf, k) == reference_normalize((pre + cyc * (k + 1))[k:], cyc), (pre, cyc, k)
         head = tuple(rng.randrange(2) for _ in range(rng.randrange(5)))
@@ -387,9 +391,11 @@ def test_a_normal_form_stays_normal_without_normalizing_again():
         path = ss.edge_path(LOOPS, head) if head else ss.vertex_path(LOOPS, 0)
         xi = ss.periodic_path(LOOPS, pre, cyc).prepend(path)
         assert (xi.prefix_edges, xi.cycle_edges) == reference_normalize(head + pre, cyc), (head, pre, cyc)
+        assert xi == ss.periodic_path(LOOPS, head + pre, cyc)
         seq = ss.PeriodicSeq.make(ss.IntegerGroup(), pre, cyc)
         pad = rng.randrange(4)
         assert ss.shift_right(seq, pad) == ss.PeriodicSeq(seq.backend, *reference_normalize((0,) * pad + pre, cyc))
+        assert ss.shift_right(seq, pad) == ss.PeriodicSeq.make(seq.backend, (0,) * pad + pre, cyc)
 
 
 def test_edges_into_is_precomputed_with_dangling_ranges():

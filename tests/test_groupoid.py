@@ -246,6 +246,53 @@ def test_compose_associative_sampled(ctx):
         count += 1
 
 
+def test_compose_reparametrizes_only_the_shorter_middle(oracle_contexts, monkeypatch):
+    # Composing as given answers as composing the germs reparametrized on both sides to the
+    # longer middle path, errors and their texts included, on pairs made composable and then
+    # one middle lengthened, on pairs drawn apart, and on either made stream-backed. Only the
+    # shorter side is reparametrized: an aligned pair, u with its inverse among them, not at all.
+    calls = []
+    reparametrize = ss.GermContext.reparametrize
+    monkeypatch.setattr(ss.GermContext, "reparametrize", lambda c, *args: calls.append(args) or reparametrize(c, *args))
+    rng = random.Random(71)
+    errors = set()
+    for ctx in oracle_contexts:
+        for _ in range(40):
+            u1, u2 = random_composable_pair(rng, ctx, 2)
+            if rng.random() < 0.3:
+                u1 = random_germ(rng, ctx, 2)
+            side = rng.choice(("beta", "alpha"))
+            if side == "beta":
+                u1 = ctx.reparametrize(u1, len(u1.beta.edges) + rng.randint(1, 3), side)
+            else:
+                u2 = ctx.reparametrize(u2, len(u2.alpha.edges) + rng.randint(1, 3), side)
+            if rng.random() < 0.25:
+                u = rng.choice((u1, u2))
+                streamed = ss.Germ(u.alpha, u.g, u.beta, as_stream(u.xi, rng.randint(1, 6)))
+                u1, u2 = (streamed, u2) if u is u1 else (u1, streamed)
+            n = max(len(u1.beta.edges), len(u2.alpha.edges))
+            expected = composed_or_raised(
+                lambda: ctx.compose(ctx.reparametrize(u1, n, "beta"), ctx.reparametrize(u2, n, "alpha")))
+            calls.clear()
+            assert composed_or_raised(lambda: ctx.compose(u1, u2)) == expected
+            assert len(calls) == (len(u1.beta.edges) != len(u2.alpha.edges))
+            errors.add(expected[0] if isinstance(expected[0], str) else "composed")
+            u = random_germ(rng, ctx, 2)
+            calls.clear()
+            ctx.compose(u, ctx.inverse(u))
+            assert calls == []
+    assert errors == {"composed", "NotComposableError", "UndecidedError", "DepthExceededError"}, errors
+
+
+def composed_or_raised(call):
+    """The germ call() composes, as its parts with a stream tail's letters, or what it raised, type and text."""
+    try:
+        w = call()
+    except SelfSimError as err:
+        return type(err).__name__, str(err)
+    return w.alpha, w.g, w.beta, w.xi if isinstance(w.xi, ss.PeriodicPath) else w.xi.letters
+
+
 def test_lag_examples(ctx, odo, xi0, xi1):
     u = ctx.make(vp(odo), 1, vp(odo), xi0)
     lag = ctx.lag(u)
@@ -1482,7 +1529,7 @@ def test_every_spec_triple_and_context_pickles():
         assert answers(copied) == expected, name
         assert {"equal", "distinct"} <= {eq for eq, _ in expected}, name
         contexts += 1
-    assert contexts == 11 and filled >= 8
+    assert contexts == 12 and filled >= 8
 
 
 def same_walk(a, b) -> bool:
