@@ -12,6 +12,7 @@ from collections.abc import Callable
 from functools import partial
 
 from . import groups
+from .errors import SourceConditionError
 from .graph import Graph, Path, _edge_path, concat, vertex_path
 from .groups import GroupBackend, refuse_oversize
 
@@ -74,6 +75,16 @@ class SelfSimilarTriple:
             if (graph.source_of[ea[-1]] if ea else alpha.vertex) == graph.range_of[images[0]]:
                 return _edge_path(graph, ea + images), carry
         return concat(alpha, _edge_path(graph, images)), carry  # joined across an equal graph, or refused
+
+    def check_element(self, alpha: Path, g, beta: Path) -> None:
+        """Raise unless (alpha, g, beta) is a semigroup element: g checked, both paths on this graph
+        (or an equal one), d(alpha) = g d(beta), in that order; make_triple and GermContext share it."""
+        self.group.check(g)
+        graph = self.graph
+        if (alpha.graph is not graph and alpha.graph != graph) or (beta.graph is not graph and beta.graph != graph):
+            raise SourceConditionError("paths do not belong to the triple's graph")
+        if alpha.source_vertex != self.act_vertex(g, beta.source_vertex):
+            raise SourceConditionError(f"d({alpha}) != g d({beta}) for g = {self.group.render(g)}")
 
     def __str__(self) -> str:
         return self.description

@@ -101,14 +101,11 @@ class GermContext:
 
     # -- construction ------------------------------------------------------
 
-    def _check(self, alpha: Path, g, beta: Path) -> None:
-        """The checks of (alpha, g, beta) that make and open_set_member share, in this order."""
-        self._triple.group.check(g)
-        if alpha.source_vertex != self._triple.act_vertex(g, beta.source_vertex):
-            raise SourceConditionError("d(alpha) != g d(beta)")
-
     def make(self, alpha: Path, g, beta: Path, xi: InfPath) -> Germ:
-        self._check(alpha, g, beta)
+        t = self._triple
+        t.check_element(alpha, g, beta)
+        if xi.graph is not t.graph and xi.graph != t.graph:
+            raise SourceConditionError("xi does not belong to the triple's graph")
         if beta.source_vertex != xi.range_vertex:
             raise SourceConditionError("d(beta) != r(xi): point is not in the cylinder of beta")
         return Germ(alpha, g, beta, xi)
@@ -325,7 +322,7 @@ class GermContext:
         """Is u in the basic open set of (alpha, g, beta) restricted to gamma?
 
         u's source point must lie in the cylinder of beta, tested on u's own paths; then, once
-        (alpha, g, beta) passes make's checks, one aligned comparison with u, oriented as germ_eq
+        (alpha, g, beta) is an element (check_element), one aligned comparison with u, oriented as germ_eq
         orients, decides, its tails equal by construction. Undecided answers carry germ_eq's depth.
         """
         alpha, g, beta = self.normalize_basic(alpha, g, beta, gamma)
@@ -333,7 +330,7 @@ class GermContext:
         try:
             if (n > m and u.xi.head(n - m) != beta.edges[m:]) or prefix_compare(beta, u.beta) is _INCOMPARABLE:
                 return DISTINCT
-            self._check(alpha, g, beta)
+            self._triple.check_element(alpha, g, beta)
             if u.xi.depth_limit == n - m:  # no letter known past beta: d(beta) = r(point) is undecided
                 return unknown(self._depth)
             sides = (u.alpha, u.g, beta, m, alpha, g) if m <= n else (alpha, g, u.beta, n, u.alpha, u.g)

@@ -107,7 +107,9 @@ class PeriodicPath(InfPath, Frozen):
         return self.graph.range_of[(self.prefix_edges or self.cycle_edges)[0]]
 
     def prepend(self, path: Path) -> "PeriodicPath":
-        """path.self, once d(path) = r(self); self itself for a vertex path."""
+        """path.self, once path lies on this graph and d(path) = r(self); self itself for a vertex path."""
+        if path.graph is not self.graph and path.graph != self.graph:
+            raise CompositionError("paths live on different graphs")
         if path.source_vertex != self.range_vertex:
             raise CompositionError("cannot prepend: endpoints do not match")
         if not path.edges:
@@ -181,7 +183,9 @@ class StreamPath(InfPath, Frozen):
         return StreamPath(self.graph, self.letters[k:]) if k else self
 
     def prepend(self, path: Path) -> "StreamPath":
-        """path.self, once d(path) = r(self); self itself for a vertex path."""
+        """path.self, once path lies on this graph and d(path) = r(self); self itself for a vertex path."""
+        if path.graph is not self.graph and path.graph != self.graph:
+            raise CompositionError("paths live on different graphs")
         if path.source_vertex != self.range_vertex:
             raise CompositionError("cannot prepend: endpoints do not match")
         return StreamPath(self.graph, path.edges + self.letters) if path.edges else self

@@ -13,7 +13,7 @@ import enum
 from collections.abc import Iterable
 
 from .action import SelfSimilarTriple
-from .errors import CompositionError, Frozen, NotIdempotentError, Record, SourceConditionError
+from .errors import CompositionError, Frozen, NotIdempotentError, Record
 from .graph import _A_PROPER, _B_PROPER, _EQUAL, _INCOMPARABLE, Path, PrefixRel, prefix_compare, vertex_path
 from .groups import DEFAULT_PATH_BOUND
 from .tri import Tri, DISTINCT, from_bool
@@ -50,14 +50,8 @@ SemigroupElement = Triple | Zero
 
 
 def make_triple(t: SelfSimilarTriple, alpha: Path, g, beta: Path) -> Triple:
-    """Validated triple; raises unless d(alpha) = g d(beta)."""
-    t.group.check(g)
-    if alpha.graph != t.graph or beta.graph != t.graph:
-        raise SourceConditionError("paths do not belong to the triple's graph")
-    if alpha.source_vertex != t.act_vertex(g, beta.source_vertex):
-        raise SourceConditionError(
-            f"d({alpha}) != g d({beta}) for g = {t.group.render(g)}"
-        )
+    """Validated triple; raises unless it is an element (SelfSimilarTriple.check_element)."""
+    t.check_element(alpha, g, beta)
     return Triple(alpha, g, beta)
 
 

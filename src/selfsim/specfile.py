@@ -121,10 +121,7 @@ def parse_semigroup_element(t: SelfSimilarTriple, text: str) -> SemigroupElement
     parts = split_top(text, ",")
     if len(parts) != 3:
         raise SpecFileError(f"semigroup element must be 'alpha,g,beta' or '0': {text!r}")
-    alpha = parse_path(t.graph, parts[0])
-    g = t.group.parse(parts[1].strip())
-    beta = parse_path(t.graph, parts[2])
-    return make_triple(t, alpha, g, beta)
+    return make_triple(t, *_element_parts(t, parts))
 
 
 def parse_germ_parts(t: SelfSimilarTriple, text: str) -> tuple[Path, object, Path, InfPath]:
@@ -132,11 +129,12 @@ def parse_germ_parts(t: SelfSimilarTriple, text: str) -> tuple[Path, object, Pat
     head = split_top(halves[0], ",")
     if len(halves) != 2 or len(head) != 3:
         raise SpecFileError(f"germ literal must be 'alpha,g,beta;xi': {text!r}")
-    alpha = parse_path(t.graph, head[0])
-    g = t.group.parse(head[1].strip())
-    beta = parse_path(t.graph, head[2])
-    xi = parse_inf_path(t.graph, halves[1])
-    return alpha, g, beta, xi
+    return (*_element_parts(t, head), parse_inf_path(t.graph, halves[1]))
+
+
+def _element_parts(t: SelfSimilarTriple, parts: list[str]) -> tuple[Path, object, Path]:
+    """alpha, g and beta read in that order from the three parts of an element or germ literal."""
+    return parse_path(t.graph, parts[0]), t.group.parse(parts[1].strip()), parse_path(t.graph, parts[2])
 
 
 def parse_corona(backend: GroupBackend, text: str) -> CoronaSeq:

@@ -529,7 +529,7 @@ def test_open_set_membership_tests_the_cylinder_before_the_element():
     # Outside the cylinder neither g nor d(alpha) = g d(beta) is checked.
     for alpha, g in ((v2, 0), (v1, "x"), (v2, "x")):
         assert ctx.open_set_member(u, alpha, g, outside).is_distinct
-    with pytest.raises(SourceConditionError, match=r"^d\(alpha\) != g d\(beta\)$"):
+    with pytest.raises(SourceConditionError, match=r"^d\(@2\) != g d\(\(1,1,0\)\) for g = 0$"):
         ctx.open_set_member(u, v2, 0, inside)
     with pytest.raises(BackendMismatchError):
         ctx.open_set_member(u, v2, "x", inside)
@@ -1284,7 +1284,7 @@ def drop_then_walk_open_set_member(ctx, u, alpha, g, beta, gamma=None):
             return DISTINCT
         if ss.prefix_compare(beta, u.beta) is ss.PrefixRel.INCOMPARABLE:
             return DISTINCT
-        ctx._check(alpha, g, beta)
+        ctx.triple.check_element(alpha, g, beta)
         if u.xi.depth_limit == n - m:
             return unknown(ctx.depth)
         if m <= n:
@@ -1506,7 +1506,8 @@ def _answer(op, *args) -> str:
 def test_every_spec_triple_and_context_pickles():
     # Triples and contexts can be sent to a worker process; a copied context starts with an empty walk table.
     contexts = filled = 0
-    for name, t in all_spec_triples():
+    triples = all_spec_triples()
+    for name, t in triples:
         clone = pickle.loads(pickle.dumps(t))
         window = ss.default_window(t.group, 1)
         for a in ss.all_paths_upto(t.graph, 3):
@@ -1529,7 +1530,7 @@ def test_every_spec_triple_and_context_pickles():
         assert answers(copied) == expected, name
         assert {"equal", "distinct"} <= {eq for eq, _ in expected}, name
         contexts += 1
-    assert contexts == 12 and filled >= 8
+    assert contexts == len([name for name, _ in triples if name != "broken_cocycle"]) and filled >= 8
 
 
 def same_walk(a, b) -> bool:

@@ -30,7 +30,7 @@ from conftest import (
     checked_prefix,
     checked_prefix_compare,
 )
-from selfsim.errors import BackendMismatchError, CompositionError, EmptySetError
+from selfsim.errors import BackendMismatchError, CompositionError, EmptySetError, SourceConditionError
 from selfsim.tri import DISTINCT, all_of
 
 TRIPLES = dict(all_spec_triples())
@@ -427,6 +427,71 @@ def test_germ_sites_answer_as_act_path_and_concat():
     refusals.discard(None)
     for kind in ("is not an element of", "paths live on different graphs", "cannot concatenate", "cannot shorten"):
         assert any(kind in message for message in refusals), kind
+
+
+# -- one element rule for make_triple and the germ sites -----------------------------
+
+
+def element_rule(t, alpha, g, beta):
+    """None, or the (type, message) the (alpha, g, beta) rule refuses with, written out in its order:
+    g's check, both paths on t's graph or an equal one, then d(alpha) = g d(beta)."""
+    try:
+        t.group.check(g)
+    except Exception as err:  # noqa: BLE001 - the exception itself is compared
+        return type(err), str(err)
+    if alpha.graph != t.graph or beta.graph != t.graph:
+        return SourceConditionError, "paths do not belong to the triple's graph"
+    if alpha.source_vertex != t.act_vertex(g, beta.source_vertex):
+        return SourceConditionError, f"d({alpha}) != g d({beta}) for g = {t.group.render(g)}"
+    return None
+
+
+def point_at(rng, graph, v):
+    """A stream point of graph with range v, of up to 4 letters; None when no edge enters v."""
+    letters = []
+    for _ in range(4):
+        into = graph.edges_into(v)
+        if not into:
+            break
+        letters.append(rng.choice(into))
+        v = graph.source_of[letters[-1]]
+    return ss.stream_path(graph, letters) if letters else None
+
+
+def test_make_triple_and_the_germ_sites_keep_one_element_rule():
+    """make_triple, GermContext.make with xi in the cylinder of beta, and open_set_member at a
+    germ in that cylinder accept and refuse (alpha, g, beta) alike, as the rule says: paths of the
+    triple's graph, an equal twin or another spec's graph, and elements of the window or refused."""
+    rng = random.Random("element-rule")
+    triples = [t for name, t in TRIPLES.items() if name != "broken_cocycle"]  # the others keep the axioms
+    triples += [multi_vertex_katsura(rng) for _ in range(4)]
+    seen = set()
+    for t in triples:
+        graph, ctx = t.graph, ss.GermContext(t)
+        twin = ss.Graph(graph.vertex_labels, graph.edge_labels, graph.range_of, graph.source_of)
+        foreign = [u.graph for u in TRIPLES.values() if u.graph != graph]
+        window, bad = elements(rng, t.group), bad_elements(t.group)
+        for _ in range(60):
+            alpha, beta = (random_path(rng, rng.choice([graph, graph, twin, rng.choice(foreign)]), 3) for _ in "ab")
+            g = rng.choice(bad) if rng.randrange(6) == 0 else rng.choice(window)
+            expected = element_rule(t, alpha, g, beta)
+            ok, got = outcome(ss.make_triple, t, alpha, g, beta)
+            assert (None if ok else got) == expected, (t.description, alpha, g, beta)
+            xi = point_at(rng, beta.graph, beta.source_vertex)
+            if xi is None:
+                continue
+            ok, got = outcome(ctx.make, alpha, g, beta, xi)
+            assert (None if ok else got) == expected, (t.description, alpha, g, beta, xi)
+            if beta.graph is graph:
+                ok, got = outcome(ctx.open_set_member, ctx.unit(beta, xi), alpha, g, beta)
+                assert (None if ok else got) == expected, (t.description, alpha, g, beta, xi)
+                assert not ok or isinstance(got, ss.Tri)
+            seen.add((expected and (expected[0], "!=" in expected[1]), beta.graph is graph))
+    # Accepted, refused for a path's graph and for d(alpha) != g d(beta), with beta of t's graph and of
+    # another (an equal twin where accepted); a g the backend refuses, among them.
+    kinds = (None, (SourceConditionError, False), (SourceConditionError, True))
+    assert {(kind, own) for kind in kinds for own in (False, True)} <= seen
+    assert (BackendMismatchError, False) in {kind for kind, _ in seen}
 
 
 # -- the fused walks against the step loop -----------------------------------------

@@ -8,8 +8,8 @@ import selfsim as ss
 from selfsim.errors import BackendMismatchError, CompositionError, SourceConditionError, SpecFileError
 from selfsim.graph import Path, edge_path, extensions, vertex_path
 from selfsim.semigroup import make_triple
-from selfsim.specfile import load_spec_text
-from conftest import labeled_odometer
+from selfsim.specfile import load_spec_file, load_spec_text
+from conftest import SPECS, labeled_odometer
 
 
 class Windowless(ss.GroupBackend):
@@ -50,6 +50,27 @@ def act_on_a_foreign_path():
 def triple_of_a_foreign_path():
     odo, other = two_graphs()
     make_triple(odo, edge_path(other, [0]), 0, vertex_path(odo.graph, 0))
+
+
+def odometer_and_katsura_3_2():
+    """Two one-vertex specs, two loops and three: every endpoint test between their paths passes."""
+    return (load_spec_file(str(SPECS / f"{name}.spec")).triple for name in ("odometer", "katsura_3_2"))
+
+
+def germ_with_a_foreign(part):
+    """GermContext.make on the odometer with alpha, beta or xi taken from katsura_3_2's graph,
+    the others its own; the foreign alpha or beta is the edge (1,1,2), which no odometer path has."""
+    odo, k32 = odometer_and_katsura_3_2()
+    own, foreign = edge_path(odo.graph, [0]), edge_path(k32.graph, [2])
+    alpha, beta = (foreign, own) if part == "alpha" else (own, foreign) if part == "beta" else (own, own)
+    xi = ss.periodic_path(k32.graph if part == "xi" else odo.graph, (), (0,))
+    ss.GermContext(odo).make(alpha, 0, beta, xi)
+
+
+def prepend_a_foreign_path(kind):
+    odo, k32 = odometer_and_katsura_3_2()
+    point = ss.periodic_path(odo.graph, (), (0,)) if kind == "periodic" else ss.stream_path(odo.graph, (0,))
+    point.prepend(edge_path(k32.graph, [2]))
 
 
 def loops():
@@ -113,6 +134,16 @@ REFUSALS = [
     ("act_path_foreign", act_on_a_foreign_path, ValueError, "path does not belong to this triple's graph"),
     ("make_triple_foreign", triple_of_a_foreign_path,
      SourceConditionError, "paths do not belong to the triple's graph"),
+    ("germ_foreign_alpha", lambda: germ_with_a_foreign("alpha"),
+     SourceConditionError, "paths do not belong to the triple's graph"),
+    ("germ_foreign_beta", lambda: germ_with_a_foreign("beta"),
+     SourceConditionError, "paths do not belong to the triple's graph"),
+    ("germ_foreign_xi", lambda: germ_with_a_foreign("xi"),
+     SourceConditionError, "xi does not belong to the triple's graph"),
+    ("periodic_prepend_foreign", lambda: prepend_a_foreign_path("periodic"),
+     CompositionError, "paths live on different graphs"),
+    ("stream_prepend_foreign", lambda: prepend_a_foreign_path("stream"),
+     CompositionError, "paths live on different graphs"),
     # groupoid
     ("reparametrize_side", reparametrize_sideways, ValueError, "side must be 'alpha' or 'beta'"),
     # specfile
@@ -139,3 +170,17 @@ def test_validate_graph_names_a_dangling_source():
     # Only the raw constructor builds an edge whose source id is no vertex.
     report = ss.validate_graph(ss.Graph(("v",), ("e",), (0,), (1,)))
     assert not report.ok and report.problems == ("edge e: source is not a vertex",)
+
+
+def test_a_germ_and_a_prepend_on_an_equal_twin_graph_are_accepted():
+    # A twin graph equal to the triple's, built apart from it, passes every graph test.
+    odo = labeled_odometer()
+    twin = ss.make_graph(["v"], [("e0", "v", "v"), ("e1", "v", "v")])
+    assert twin is not odo.graph and twin == odo.graph
+    ctx = ss.GermContext(odo)
+    own = ctx.make(edge_path(odo.graph, [1]), 0, edge_path(odo.graph, [1]), ss.periodic_path(odo.graph, (), (0,)))
+    alike = ctx.make(edge_path(twin, [1]), 0, edge_path(twin, [1]), ss.periodic_path(twin, (), (0,)))
+    assert ctx.germ_eq(own, alike).is_equal and ctx.render(alike) == ctx.render(own) == "[e1, 0, e1; (e0)*]"
+    for point, printed in ((ss.periodic_path(odo.graph, (), (0,)), "e1(e0)*"),
+                           (ss.stream_path(odo.graph, (0, 1)), "e1.e0.e1..[3]")):
+        assert str(point.prepend(edge_path(twin, [1]))) == printed
