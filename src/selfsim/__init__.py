@@ -21,8 +21,7 @@ _EXPORTS = {
     "cayley": "FiniteGroup finite_triple",
     "corona": "BoundedSeq CoronaSeq LagValue PeriodicSeq corona_eq corona_identity corona_inv"
               " corona_mul lag_eq lag_identity lag_inv lag_mul shift_left shift_right",
-    "graph": "Graph Path PrefixRel concat complement edge_path extensions make_graph prefix_compare"
-             " validate_graph vertex_path",
+    "graph": "Graph Path PrefixRel concat edge_path make_graph prefix_compare validate_graph vertex_path",
     "groupoid": "Germ GermContext",
     "groups": "GroupBackend IntegerGroup default_window",
     "infinite": "InfPath PeriodicPath StreamPath act_inf_path inf_path_eq periodic_path phi_corona"

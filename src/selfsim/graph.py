@@ -13,7 +13,6 @@ import enum
 from collections.abc import Iterable, Sequence
 
 from .errors import CompositionError, Frozen, Record
-from .groups import refuse_oversize
 
 
 class Graph(Frozen):
@@ -271,55 +270,3 @@ def prefix_compare(a: Path, b: Path) -> PrefixRel:
     if na <= nb:
         return (_A_PROPER if na < nb else _EQUAL) if eb[:na] == ea else _INCOMPARABLE
     return _B_PROPER if ea[:nb] == eb else _INCOMPARABLE
-
-
-def complement(a: Path, b: Path) -> Path:
-    """The unique gamma with a.gamma = b; requires a to be a prefix of b."""
-    rel = prefix_compare(a, b)
-    if rel is not _EQUAL and rel is not _A_PROPER:
-        raise CompositionError(f"{a} is not a prefix of {b}")
-    return b.drop(len(a.edges))
-
-
-def extensions(b: Path, count: int) -> list[Path]:
-    """All paths extending b by exactly ``count`` edges at the source end.
-
-    Nonempty for count >= 1 whenever every vertex along the way receives an
-    edge (the no-sources hypothesis). A layer of more than MAX_ENUMERATION
-    paths, counted per source vertex, is refused before any path is built.
-    """
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    graph = b.graph
-    for size in layer_sizes(graph, {b.source_vertex: 1}, count):
-        refuse_oversize(size, "paths in one layer of extensions")
-    if count == 0:
-        return [b]
-    # Depth first, each vertex's edges in edges_into order: the layers' order, and only the last is built.
-    into, source_of, base = graph.edges_into, graph.source_of, len(b.edges)
-    trail, stack, out = list(b.edges), [iter(into(b.source_vertex))], []
-    while stack:
-        e = next(stack[-1], None)
-        if e is None:
-            stack.pop()
-        elif len(stack) < count:
-            trail[base + len(stack) - 1:] = (e,)  # the edge at this depth; deeper ones are stale
-            stack.append(iter(into(source_of[e])))
-        else:
-            out.append(_edge_path(graph, (*trail, e)))
-    return out
-
-
-def layer_sizes(graph: Graph, layer: dict[int, int], count: int):
-    """Sizes of up to ``count`` layers of one-edge extensions of {source vertex: paths}, to an empty layer."""
-    into, source_of = graph.edges_into, graph.source_of
-    for _ in range(count):
-        nxt: dict[int, int] = {}
-        for v, n in layer.items():
-            for e in into(v):
-                w = source_of[e]
-                nxt[w] = nxt.get(w, 0) + n
-        if not nxt:
-            return
-        layer = nxt
-        yield sum(nxt.values())

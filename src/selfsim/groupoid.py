@@ -78,11 +78,14 @@ class GermContext:
     # -- the carry walk ----------------------------------------------------
 
     def _walk(self, g, xi: InfPath, image: bool = True) -> tuple[InfPath | None, CoronaSeq]:
-        """_carry_walk at the context's depth, after checking g, so one kept walk serves every
-        value equal to g. The table keys a walk on g and the letters it reads, a periodic xi's
-        prefix and cycle or a stream's first depth letters, and keeps every walk that reads a
-        letter, closed or not, while its letter budget lasts. A walk that raised is not kept, nor
-        one that read no letter: its image is undecided, None or DepthExceededError as ``image`` asks."""
+        """_carry_walk at the context's depth, after checking xi's graph and g, so no foreign xi reads
+        the table and one kept walk serves every value equal to g. The table keys a walk on g and the
+        letters it reads, a periodic xi's prefix and cycle or a stream's first depth letters, and keeps
+        every walk that reads a letter, closed or not, while its letter budget lasts. A walk that raised is
+        not kept, nor one that read no letter: its image is undecided, None or DepthExceededError as
+        ``image`` asks."""
+        if xi.graph is not (graph := self._triple.graph) and xi.graph != graph:
+            raise ValueError("path does not belong to this triple's graph")
         g = self._triple.group.check(g)
         key = (g, xi.prefix_edges, xi.cycle_edges) if isinstance(xi, PeriodicPath) else (g, xi.letters[: self._depth])
         known = self._walks.get(key) if key[-1] else None

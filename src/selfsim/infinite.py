@@ -271,7 +271,7 @@ def _orbit(t: SelfSimilarTriple, g, xi: InfPath, depth: int):
 
 
 def _carry_walk(t: SelfSimilarTriple, g, xi: InfPath, depth: int, image: bool = True):
-    """(g.xi, Phi(g, xi)) from one walk of the carry orbit, after checking g.
+    """(g.xi, Phi(g, xi)) from one walk of the carry orbit, after checking xi's graph, as act_path does, and g.
 
     Each carry reached is checked as g is, so closure and the normal form may compare carries
     by == (the backend contract), and each distinct one must compare equal to itself, as the
@@ -279,6 +279,8 @@ def _carry_walk(t: SelfSimilarTriple, g, xi: InfPath, depth: int, image: bool = 
     periodic. Otherwise g.xi is a stream of the images, whose letters compose as the path's do;
     with no letter seen it is undecided: None, or DepthExceededError when ``image`` asks for it.
     """
+    if xi.graph is not t.graph and xi.graph != t.graph:
+        raise ValueError("path does not belong to this triple's graph")
     t.group.check(g)
     images, carries, closure = _orbit(t, g, xi, depth)
     for carry in set(map(t.group.check, carries)):
@@ -295,15 +297,16 @@ def _carry_walk(t: SelfSimilarTriple, g, xi: InfPath, depth: int, image: bool = 
 
 
 def act_inf_path(t: SelfSimilarTriple, g, xi: InfPath, depth: int = DEFAULT_DEPTH) -> InfPath:
-    """The infinite path g.xi; eventually periodic when the carry orbit closes."""
+    """The infinite path g.xi; eventually periodic when the carry orbit closes. A xi on a graph
+    neither the triple's nor equal to it is refused with act_path's ValueError."""
     return _carry_walk(t, g, xi, depth)[0]
 
 
 def phi_corona(t: SelfSimilarTriple, g, xi: InfPath, depth: int = DEFAULT_DEPTH) -> CoronaSeq:
     """The cocycle sequence Phi(g, xi) as a corona representative.
 
-    Eventually periodic whenever the carry orbit closes within the depth
-    bound; otherwise a bounded stream, and downstream equality answers
-    degrade to unknown rather than being silently wrong.
+    Eventually periodic whenever the carry orbit closes within the depth bound; otherwise a bounded
+    stream, and downstream equality answers degrade to unknown rather than being silently wrong.
+    A xi on a graph other than the triple's is refused as act_inf_path refuses it.
     """
     return _carry_walk(t, g, xi, depth, image=False)[1]

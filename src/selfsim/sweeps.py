@@ -2,9 +2,9 @@
 
 Each sweep takes a triple and a finite, identity-containing, inverse-closed
 window of its group and reports what it examined; hausdorff_report reads a
-freeness sweep as the Hausdorffness it implies. Path families are counted
-in closed form before they are built, so an oversize bound is refused first,
-and then built one edge at a time along graph.edges_into.
+freeness sweep as the Hausdorffness it implies. Path families are counted,
+refused and built here alone: counted layer by layer, so an oversize bound is
+refused first, then built one edge at a time along graph.edges_into.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from collections.abc import Iterable, Sequence
 from itertools import permutations
 
 from .errors import Record, SourceConditionError
-from .graph import Graph, Path, _edge_path, layer_sizes, vertex_path
+from .graph import Graph, Path, _edge_path, vertex_path
 from . import groups
 from .groups import DEFAULT_PATH_BOUND, IntegerGroup, at_least, default_window, refuse_oversize
 from .tri import Tri
@@ -166,12 +166,20 @@ class FreenessReport(Record):
 
 
 def count_paths_upto(graph: Graph, max_len: int) -> int:
-    """len(all_paths_upto(graph, max_len)) counted layer by layer; stops once past MAX_ENUMERATION."""
-    total, limit = graph.n_vertices, groups.MAX_ENUMERATION
-    for size in layer_sizes(graph, dict.fromkeys(graph.vertices(), 1), max_len):
-        if total > limit:
+    """len(all_paths_upto(graph, max_len)), each layer counted per source vertex from the last;
+    stops at an empty layer or once past MAX_ENUMERATION."""
+    into, source_of, limit = graph.edges_into, graph.source_of, groups.MAX_ENUMERATION
+    layer, total = dict.fromkeys(graph.vertices(), 1), graph.n_vertices
+    for _ in range(max_len):
+        if not layer or total > limit:
             break
-        total += size
+        nxt: dict[int, int] = {}
+        for v, n in layer.items():
+            for e in into(v):
+                w = source_of[e]
+                nxt[w] = nxt.get(w, 0) + n
+        layer = nxt
+        total += sum(nxt.values())
     return total
 
 

@@ -153,13 +153,6 @@ def checked_prefix_compare(a, b):
     return ss.PrefixRel.A_PROPER if short_is_a else ss.PrefixRel.B_PROPER
 
 
-def checked_complement(a, b):
-    rel = checked_prefix_compare(a, b)
-    if rel not in (ss.PrefixRel.EQUAL, ss.PrefixRel.A_PROPER):
-        raise CompositionError(f"{a} is not a prefix of {b}")
-    return checked_drop(b, len(a))
-
-
 def checked_extensions(b, count):
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -269,7 +262,7 @@ def cover_oracle(t, members, target, slack=2):
     # Never below 0: members shorter than the target still leave e_beta to check.
     horizon = max(max(lengths, default=0) - len(beta), 0) + slack
     for k in range(horizon + 1):
-        for delta in ss.extensions(beta, k):
+        for delta in checked_extensions(beta, k):
             e_delta = ss.unit_idempotent(t, delta)
             if not any(
                 not isinstance(ss.mul(t, e_delta, m), ss.Zero)
@@ -307,7 +300,7 @@ def enumeration_cover(t, members, target):
     horizon = max(len(p) for p in relative) - len(beta)
     return all(
         any(ss.prefix_compare(p, delta) in (ss.PrefixRel.EQUAL, ss.PrefixRel.A_PROPER) for p in relative)
-        for delta in ss.extensions(beta, horizon)
+        for delta in checked_extensions(beta, horizon)
     )
 
 

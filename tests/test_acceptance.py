@@ -15,6 +15,7 @@ from selfsim.errors import SourceConditionError
 from selfsim.specfile import load_spec_file
 from conftest import (
     TEST_SPECS,
+    checked_extensions,
     cover_oracle,
     labeled_odometer,
     odometer_oracle,
@@ -182,9 +183,7 @@ def test_criterion_05_cover_checker_vs_oracle():
     for t in _cover_test_graphs():
         for target_path in ss.all_paths_upto(t.graph, 2):
             target = ss.unit_idempotent(t, target_path)
-            near = [p for p in ss.extensions(target_path, 1)] + [
-                p for p in ss.extensions(target_path, 2)
-            ]
+            near = checked_extensions(target_path, 1) + checked_extensions(target_path, 2)
             # every subset of the short extension family
             for r in range(len(near) + 1):
                 for chosen in itertools.combinations(near, min(r, 6)):
@@ -309,9 +308,9 @@ def test_criterion_08_model_round_trip(builtins):
 def _all_short_inf_paths(graph):
     seen = {}
     for plen in range(0, 3):
-        for prefix in ss.extensions(ss.vertex_path(graph, 0), plen):
+        for prefix in checked_extensions(ss.vertex_path(graph, 0), plen):
             for clen in range(1, 4 - plen):
-                for cycle in ss.extensions(ss.vertex_path(graph, prefix.source_vertex), clen):
+                for cycle in checked_extensions(ss.vertex_path(graph, prefix.source_vertex), clen):
                     if cycle.range_vertex != cycle.source_vertex:
                         continue
                     xi = ss.periodic_path(graph, prefix.edges, cycle.edges)

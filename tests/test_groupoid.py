@@ -36,6 +36,7 @@ from conftest import (
     TWIN_MACHINE_SPEC,
     _full_depth_conditions,
     all_spec_triples,
+    checked_extensions,
     germ_coincidence_level,
     lag_by_truncations,
     model_round_trip,
@@ -1228,7 +1229,7 @@ def random_open_set_case(rng, ctx):
     elif kind == "below along the point" and point is not None:
         gamma = ss.concat(beta, point.truncate(rng.randint(1, 3)))
     elif kind in ("below", "below along the point"):
-        kind, gamma = "below", rng.choice(ss.extensions(beta, rng.randint(1, 2)))
+        kind, gamma = "below", rng.choice(checked_extensions(beta, rng.randint(1, 2)))
     elif kind == "apart":
         apart = [p for p in paths if ss.prefix_compare(p, beta) is ss.PrefixRel.INCOMPARABLE]
         gamma = rng.choice(apart) if apart else None
@@ -1473,6 +1474,11 @@ def test_walk_table_checks_every_element_before_reading_it(odo, monkeypatch):
         for operation in ("range_point", "inverse", "lag", "f_map"):
             with pytest.raises(BackendMismatchError, match=f"^{re.escape(repr(bad))} is not an element of integers$"):
                 getattr(ctx, operation)(ss.Germ(v, bad, v, xi))
+    # Nor does a bare germ whose xi lies on another graph, though its key (1, (1,), (0, 1)) is held.
+    foreign = ss.periodic_path(load_spec_file(str(SPECS / "katsura_3_2.spec")).triple.graph, [1], [0, 1])
+    for operation in ("range_point", "inverse", "lag", "f_map"):
+        with pytest.raises(ValueError, match="^path does not belong to this triple's graph$"):
+            getattr(ctx, operation)(ss.Germ(v, 1, v, foreign))
     assert reads == writes == [] and dict(ctx._walks) == held
 
 

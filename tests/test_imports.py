@@ -18,13 +18,13 @@ PUBLIC_NAMES = sorted("""
     AutomatonData AutomatonGroup BoundedSeq CoronaSeq FiniteGroup Germ GermContext Graph GroupBackend
     IdempotentOrder InfPath IntegerGroup KatsuraData LagValue Path PeriodicPath PeriodicSeq PrefixRel
     SelfSimilarTriple StreamPath Tri Triple ZERO Zero act_inf_path action adding_machine all_paths_upto
-    builders check_e_star_unitary check_residually_free complement concat corona corona_eq
-    corona_identity corona_inv corona_mul default_window edge_path element_eq errors extensions
-    finite_triple from_automaton from_katsura graph groupoid groups hausdorff_report idempotent_order
-    inf_path_eq integer_triple_from_generator is_cover is_idempotent katsura_2_0 katsura_3_2 lag_eq
-    lag_identity lag_inv lag_mul make_graph make_triple mul odometer periodic periodic_path phi_corona
-    prefix_compare semigroup shift_left shift_right star stream_path tri unit_idempotent validate_graph
-    verify_axioms vertex_path z2_swap
+    builders check_e_star_unitary check_residually_free concat corona corona_eq corona_identity
+    corona_inv corona_mul default_window edge_path element_eq errors finite_triple from_automaton
+    from_katsura graph groupoid groups hausdorff_report idempotent_order inf_path_eq
+    integer_triple_from_generator is_cover is_idempotent katsura_2_0 katsura_3_2 lag_eq lag_identity
+    lag_inv lag_mul make_graph make_triple mul odometer periodic periodic_path phi_corona prefix_compare
+    semigroup shift_left shift_right star stream_path tri unit_idempotent validate_graph verify_axioms
+    vertex_path z2_swap
 """.split())
 
 
@@ -119,8 +119,15 @@ def test_import_selfsim_loads_no_submodule():
     assert "selfsim" in modules and not [m for m in modules if m.startswith("selfsim.")]
 
 
+def test_the_path_calculus_loads_only_its_errors():
+    # Paths are counted in sweeps, so the path calculus reads no enumeration budget from groups.
+    code, stdout, modules = _python("-c", "import selfsim.graph")
+    assert code == 0
+    assert {m for m in modules if m.startswith("selfsim.")} == {"selfsim.graph", "selfsim.errors"}
+
+
 def test_namespace_keeps_every_public_name():
-    assert len(PUBLIC_NAMES) == 80 and sorted(selfsim.__all__) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 78 and sorted(selfsim.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(selfsim, name) is not None
     assert selfsim.Path is selfsim.graph.Path and selfsim.ZERO is selfsim.semigroup.ZERO

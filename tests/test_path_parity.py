@@ -1,10 +1,10 @@
 """The unchecked path builds and the fused walks agree with the checked ones they replace.
 
-Path.prefix, Path.drop, concat, complement, extensions, prefix_compare,
-act_path and mul are compared with the versions in conftest, whose every
-path goes through the checked Path constructor and whose act_path steps one
-edge at a time, on seeded random paths of every spec graph and of random
-Katsura, Cayley and automaton triples.
+Path.prefix, Path.drop, concat, prefix_compare, act_path and mul are
+compared with the versions in conftest, whose every path goes through the
+checked Path constructor and whose act_path steps one edge at a time, on
+seeded random paths of every spec graph and of random Katsura, Cayley and
+automaton triples.
 """
 
 import pickle
@@ -22,10 +22,8 @@ from conftest import (
     all_spec_triples,
     random_germ,
     checked_act_path,
-    checked_complement,
     checked_concat,
     checked_drop,
-    checked_extensions,
     checked_mul,
     checked_prefix,
     checked_prefix_compare,
@@ -113,13 +111,10 @@ def test_path_algebra_matches_the_checked_builds(name):
         b = second_operand(rng, a, others)
         for x, y in ((a, b), (b, a)):
             assert_same_outcome(ss.prefix_compare, checked_prefix_compare, x, y)
-            assert_same_outcome(ss.complement, checked_complement, x, y)
             assert_same_outcome(ss.concat, checked_concat, x, y)
         for n in range(-1, len(a) + 2):
             assert_same_outcome(a.prefix, lambda k: checked_prefix(a, k), n)
             assert_same_outcome(a.drop, lambda k: checked_drop(a, k), n)
-        for count in (0, 1, 2, 3):
-            assert_same_outcome(ss.extensions, checked_extensions, a, count)
 
 
 @pytest.mark.parametrize("name", ACTION_SPECS)

@@ -1,12 +1,13 @@
 """Library refusals: each bad input raises its own exception type with its own message."""
 
 import re
+from functools import partial
 
 import pytest
 
 import selfsim as ss
 from selfsim.errors import BackendMismatchError, CompositionError, SourceConditionError, SpecFileError
-from selfsim.graph import Path, edge_path, extensions, vertex_path
+from selfsim.graph import Path, edge_path, vertex_path
 from selfsim.semigroup import make_triple
 from selfsim.specfile import load_spec_file, load_spec_text
 from conftest import SPECS, labeled_odometer
@@ -73,6 +74,15 @@ def prepend_a_foreign_path(kind):
     point.prepend(edge_path(k32.graph, [2]))
 
 
+def carry_walk_of_a_foreign(function, point):
+    """act_inf_path or phi_corona of 1 on the odometer, at a point of katsura_3_2's graph: the cycle
+    (1,1,2), whose id no odometer edge has, the cycle (1,1,1), whose id 1 is e1's, or a stream."""
+    odo, k32 = odometer_and_katsura_3_2()
+    xi = {"cycle_2": ss.periodic_path(k32.graph, (), (2,)), "cycle_1": ss.periodic_path(k32.graph, (), (1,)),
+          "stream": ss.stream_path(k32.graph, (1, 1, 2))}[point]
+    getattr(ss, function)(odo, 1, xi)
+
+
 def loops():
     return labeled_odometer().graph
 
@@ -99,7 +109,6 @@ REFUSALS = [
     ("edge_path_empty", lambda: edge_path(loops(), []),
      ValueError, "edge_path needs at least one edge; use vertex_path"),
     ("edge_path_no_edge", lambda: edge_path(loops(), [0, 2]), ValueError, "no edge 2"),
-    ("extensions_negative", lambda: extensions(vertex_path(loops(), 0), -1), ValueError, "count must be >= 0"),
     # infinite
     ("truncate_negative", lambda: periodic().truncate(-1), ValueError, "truncation length must be >= 0"),
     ("periodic_letter_0", lambda: periodic().letter(0), ValueError, "letters are 1-indexed"),
@@ -144,6 +153,9 @@ REFUSALS = [
      CompositionError, "paths live on different graphs"),
     ("stream_prepend_foreign", lambda: prepend_a_foreign_path("stream"),
      CompositionError, "paths live on different graphs"),
+    *((f"{function}_foreign_{point}", partial(carry_walk_of_a_foreign, function, point),
+       ValueError, "path does not belong to this triple's graph")
+      for function in ("act_inf_path", "phi_corona") for point in ("cycle_2", "cycle_1", "stream")),
     # groupoid
     ("reparametrize_side", reparametrize_sideways, ValueError, "side must be 'alpha' or 'beta'"),
     # specfile
@@ -184,3 +196,12 @@ def test_a_germ_and_a_prepend_on_an_equal_twin_graph_are_accepted():
     for point, printed in ((ss.periodic_path(odo.graph, (), (0,)), "e1(e0)*"),
                            (ss.stream_path(odo.graph, (0, 1)), "e1.e0.e1..[3]")):
         assert str(point.prepend(edge_path(twin, [1]))) == printed
+    # A point on the twin is walked as the same point on the triple's own graph (streams compare
+    # by identity, so the answers are compared by their fields), a bare germ's included.
+    for own, alike in ((ss.periodic_path(odo.graph, (), (1,)), ss.periodic_path(twin, (), (1,))),
+                       (ss.stream_path(odo.graph, (1, 1, 0)), ss.stream_path(twin, (1, 1, 0)))):
+        for function in (ss.act_inf_path, ss.phi_corona):
+            assert repr(function(odo, 1, alike)) == repr(function(odo, 1, own))
+        bare = ss.Germ(vertex_path(twin, 0), 1, vertex_path(twin, 0), alike)
+        v = vertex_path(odo.graph, 0)
+        assert repr(ss.GermContext(odo).lag(bare)) == repr(ctx.lag(ctx.make(v, 1, v, own)))
