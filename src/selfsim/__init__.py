@@ -26,8 +26,8 @@ _EXPORTS = {
     "groups": "GroupBackend IntegerGroup default_window",
     "infinite": "InfPath PeriodicPath StreamPath act_inf_path inf_path_eq periodic_path phi_corona"
                 " stream_path",
-    "semigroup": "ZERO IdempotentOrder Triple Zero check_e_star_unitary element_eq idempotent_order"
-                 " is_cover is_idempotent make_triple mul star unit_idempotent",
+    "semigroup": "ZERO Triple Zero check_e_star_unitary element_eq is_cover is_idempotent make_triple mul"
+                 " star unit_idempotent",
     "sweeps": "all_paths_upto check_residually_free hausdorff_report verify_axioms",
     "tri": "Tri",
 }

@@ -13,7 +13,7 @@ from functools import partial
 
 from . import groups
 from .errors import SourceConditionError
-from .graph import Graph, Path, _edge_path, concat, vertex_path
+from .graph import Graph, Path, _edge_path, _same_graph, concat, vertex_path
 from .groups import GroupBackend, refuse_oversize
 
 
@@ -50,7 +50,7 @@ class SelfSimilarTriple:
         element mutates edge by edge as it passes through. A restriction word
         of more than MAX_ENUMERATION letters is refused with ValueError.
         """
-        if a.graph is not self.graph and a.graph != self.graph:
+        if not _same_graph(a.graph, self.graph):
             raise ValueError("path does not belong to this triple's graph")
         self.group.check(g)
         if a.vertex is not None:
@@ -64,7 +64,7 @@ class SelfSimilarTriple:
         graph = self.graph
         if not 0 <= start <= len(b.edges):
             raise ValueError(f"drop length {start} out of range")
-        if b.graph is not graph and b.graph != graph:
+        if not _same_graph(b.graph, graph):
             raise ValueError("path does not belong to this triple's graph")
         self.group.check(g)
         if start == len(b.edges):  # the vertex case: alpha.(g.d(b)), carry g
@@ -80,8 +80,7 @@ class SelfSimilarTriple:
         """Raise unless (alpha, g, beta) is a semigroup element: g checked, both paths on this graph
         (or an equal one), d(alpha) = g d(beta), in that order; make_triple and GermContext share it."""
         self.group.check(g)
-        graph = self.graph
-        if (alpha.graph is not graph and alpha.graph != graph) or (beta.graph is not graph and beta.graph != graph):
+        if not (_same_graph(alpha.graph, self.graph) and _same_graph(beta.graph, self.graph)):
             raise SourceConditionError("paths do not belong to the triple's graph")
         if alpha.source_vertex != self.act_vertex(g, beta.source_vertex):
             raise SourceConditionError(f"d({alpha}) != g d({beta}) for g = {self.group.render(g)}")

@@ -78,6 +78,11 @@ class Graph(Frozen):
             raise ValueError(f"no edge labelled {label!r}") from None
 
 
+def _same_graph(a: Graph, b: Graph) -> bool:
+    """The one graph-membership rule: a path lies on b when its graph is b or equal to it (identity first)."""
+    return a is b or a == b
+
+
 def label_ids(labels: Sequence[str]) -> dict[str, int]:
     """label -> id of its first occurrence (what tuple.index gives), in one pass."""
     return dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))
@@ -137,7 +142,7 @@ class Path(Frozen):
 
     def __eq__(self, other):
         return (other.__class__ is self.__class__ and self.edges == other.edges and self.vertex == other.vertex
-                and (self.graph is other.graph or self.graph == other.graph))
+                and _same_graph(self.graph, other.graph))
 
     def __hash__(self):  # not the graph's: hashing its tables would cost O(|V| + |E|) a path
         return hash((self.vertex, self.edges))
@@ -225,7 +230,7 @@ def edge_path(graph: Graph, edges: Iterable[int]) -> Path:
 def concat(a: Path, b: Path) -> Path:
     """Concatenation a.b, defined when d(a) = r(b)."""
     graph = a.graph
-    if graph is not b.graph and graph != b.graph:
+    if not _same_graph(graph, b.graph):
         raise CompositionError("paths live on different graphs")
     ea, eb = a.edges, b.edges
     if (graph.source_of[ea[-1]] if ea else a.vertex) != (graph.range_of[eb[0]] if eb else b.vertex):
@@ -257,7 +262,7 @@ def prefix_compare(a: Path, b: Path) -> PrefixRel:
     whose first edges agree share their range.
     """
     graph = a.graph
-    if graph is not b.graph and graph != b.graph:
+    if not _same_graph(graph, b.graph):
         return _INCOMPARABLE
     ea, eb = a.edges, b.edges
     na, nb = len(ea), len(eb)

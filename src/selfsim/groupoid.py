@@ -22,7 +22,7 @@ from .errors import (
     UndecidedError,
     Value,
 )
-from .graph import _A_PROPER, _B_PROPER, _EQUAL, _INCOMPARABLE, Path, concat, prefix_compare
+from .graph import _A_PROPER, _B_PROPER, _EQUAL, _INCOMPARABLE, Path, _same_graph, concat, prefix_compare
 from . import groups
 from .groups import DEFAULT_DEPTH, _Memo, at_least
 from .infinite import InfPath, PeriodicPath, _carry_walk, inf_path_eq
@@ -84,7 +84,7 @@ class GermContext:
         every walk that reads a letter, closed or not, while its letter budget lasts. A walk that raised is
         not kept, nor one that read no letter: its image is undecided, None or DepthExceededError as
         ``image`` asks."""
-        if xi.graph is not (graph := self._triple.graph) and xi.graph != graph:
+        if not _same_graph(xi.graph, self._triple.graph):
             raise ValueError("path does not belong to this triple's graph")
         g = self._triple.group.check(g)
         key = (g, xi.prefix_edges, xi.cycle_edges) if isinstance(xi, PeriodicPath) else (g, xi.letters[: self._depth])
@@ -107,7 +107,7 @@ class GermContext:
     def make(self, alpha: Path, g, beta: Path, xi: InfPath) -> Germ:
         t = self._triple
         t.check_element(alpha, g, beta)
-        if xi.graph is not t.graph and xi.graph != t.graph:
+        if not _same_graph(xi.graph, t.graph):
             raise SourceConditionError("xi does not belong to the triple's graph")
         if beta.source_vertex != xi.range_vertex:
             raise SourceConditionError("d(beta) != r(xi): point is not in the cylinder of beta")
@@ -239,8 +239,12 @@ class GermContext:
         carry recursion g_(n+p+1) = phi(g_(n+p), zeta_(n+q)) and the letter law
         eta_(n+p) = g_(n+p) zeta_(n+q) hold: when eta from p is g_(p+1).(zeta from q)
         and gseq from p + 2 is the rest of Phi(g_(p+1), zeta from q). Fully decided
-        when all three sequences are eventually periodic.
+        when all three sequences are eventually periodic. An eta or zeta on another
+        graph is refused first, as _walk refuses it.
         """
+        graph = self._triple.graph
+        if not (_same_graph(eta.graph, graph) and _same_graph(zeta.graph, graph)):
+            raise ValueError("path does not belong to this triple's graph")
         depth = self._depth
         if split is not None:
             p, q = _split(split, k)
@@ -282,7 +286,8 @@ class GermContext:
         t, pending = self._triple, False
         try:
             gxi, phi = self._walk(gseq.entry(p + 1), zeta.drop(q) if q else zeta)
-        except Exception:  # noqa: BLE001 - the steps below meet what raised in its turn
+        except Exception:  # noqa: BLE001 - not only the budget: the walk re-raises whatever a backend's step
+            # raises, and a condition before that step may fail first, so the steps below meet it in its turn
             met = 0
             t.group.check(gseq.entry(p + 1))
         else:
@@ -310,8 +315,11 @@ class GermContext:
 
         The set is unchanged when gamma is at or above beta; when beta.eps =
         gamma the element absorbs eps; incomparable data denotes the empty
-        set. Idempotent by construction.
+        set. Idempotent by construction. A beta or gamma on another graph is refused.
         """
+        graph = self._triple.graph
+        if not (_same_graph(beta.graph, graph) and (gamma is None or _same_graph(gamma.graph, graph))):
+            raise SourceConditionError("paths do not belong to the triple's graph")
         if gamma is None:
             return (alpha, g, beta)
         rel = prefix_compare(gamma, beta)

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 
 from .corona import BoundedSeq, CoronaSeq, PeriodicSeq
 from .errors import BackendMismatchError, CompositionError, DepthExceededError, Frozen
-from .graph import Graph, Path, _edge_path, edge_path, vertex_path
+from .graph import Graph, Path, _edge_path, _same_graph, edge_path, vertex_path
 from . import groups
 from .groups import DEFAULT_DEPTH, at_least
 from .periodic import absorb, drop, entry, normalize
@@ -55,6 +55,15 @@ class InfPath:
         raise NotImplementedError
 
     def prepend(self, path: Path) -> "InfPath":
+        """path.self, once path lies on this graph and d(path) = r(self); self itself for a vertex path."""
+        if not _same_graph(path.graph, self.graph):
+            raise CompositionError("paths live on different graphs")
+        if path.source_vertex != self.range_vertex:
+            raise CompositionError("cannot prepend: endpoints do not match")
+        return self._prepended(path.edges) if path.edges else self
+
+    def _prepended(self, edges: tuple[int, ...]) -> "InfPath":
+        """The path edges.self, the edges checked to lie on this graph and to meet r(self)."""
         raise NotImplementedError
 
 
@@ -76,8 +85,7 @@ class PeriodicPath(InfPath, Frozen):
 
     def __eq__(self, other):
         return (other.__class__ is self.__class__ and self.prefix_edges == other.prefix_edges
-                and self.cycle_edges == other.cycle_edges
-                and (self.graph is other.graph or self.graph == other.graph))
+                and self.cycle_edges == other.cycle_edges and _same_graph(self.graph, other.graph))
 
     def __hash__(self):
         return hash((self.graph, self.prefix_edges, self.cycle_edges))
@@ -106,15 +114,8 @@ class PeriodicPath(InfPath, Frozen):
     def range_vertex(self) -> int:
         return self.graph.range_of[(self.prefix_edges or self.cycle_edges)[0]]
 
-    def prepend(self, path: Path) -> "PeriodicPath":
-        """path.self, once path lies on this graph and d(path) = r(self); self itself for a vertex path."""
-        if path.graph is not self.graph and path.graph != self.graph:
-            raise CompositionError("paths live on different graphs")
-        if path.source_vertex != self.range_vertex:
-            raise CompositionError("cannot prepend: endpoints do not match")
-        if not path.edges:
-            return self
-        return PeriodicPath(self.graph, *absorb(path.edges + self.prefix_edges, self.cycle_edges))
+    def _prepended(self, edges: tuple[int, ...]) -> "PeriodicPath":
+        return PeriodicPath(self.graph, *absorb(edges + self.prefix_edges, self.cycle_edges))
 
     def __str__(self) -> str:
         labels = self.graph.edge_labels
@@ -124,7 +125,9 @@ class PeriodicPath(InfPath, Frozen):
 
 
 def periodic_path(graph: Graph, prefix: Sequence[int] | Path, cycle: Sequence[int] | Path) -> PeriodicPath:
-    """Validated, normalized eventually periodic path prefix.(cycle)*."""
+    """Validated, normalized eventually periodic path prefix.(cycle)*; a Path part must lie on graph."""
+    if not all(_same_graph(part.graph, graph) for part in (prefix, cycle) if isinstance(part, Path)):
+        raise CompositionError("paths live on different graphs")
     pre = tuple(prefix.edges) if isinstance(prefix, Path) else tuple(prefix)
     cyc = tuple(cycle.edges) if isinstance(cycle, Path) else tuple(cycle)
     if not cyc:
@@ -182,13 +185,8 @@ class StreamPath(InfPath, Frozen):
             raise DepthExceededError("cannot drop beyond the declared depth")
         return StreamPath(self.graph, self.letters[k:]) if k else self
 
-    def prepend(self, path: Path) -> "StreamPath":
-        """path.self, once path lies on this graph and d(path) = r(self); self itself for a vertex path."""
-        if path.graph is not self.graph and path.graph != self.graph:
-            raise CompositionError("paths live on different graphs")
-        if path.source_vertex != self.range_vertex:
-            raise CompositionError("cannot prepend: endpoints do not match")
-        return StreamPath(self.graph, path.edges + self.letters) if path.edges else self
+    def _prepended(self, edges: tuple[int, ...]) -> "StreamPath":
+        return StreamPath(self.graph, edges + self.letters)
 
     def __str__(self) -> str:
         labels = self.graph.edge_labels
@@ -212,7 +210,7 @@ def inf_path_eq(a: InfPath, b: InfPath, depth: int) -> Tri:
     confirmation of equality is unavailable for streams.
     """
     at_least("depth", depth, 0)
-    if a.graph is not b.graph and a.graph != b.graph:
+    if not _same_graph(a.graph, b.graph):
         return DISTINCT
     if isinstance(a, PeriodicPath) and isinstance(b, PeriodicPath):
         return from_bool(a == b)
@@ -279,7 +277,7 @@ def _carry_walk(t: SelfSimilarTriple, g, xi: InfPath, depth: int, image: bool = 
     periodic. Otherwise g.xi is a stream of the images, whose letters compose as the path's do;
     with no letter seen it is undecided: None, or DepthExceededError when ``image`` asks for it.
     """
-    if xi.graph is not t.graph and xi.graph != t.graph:
+    if not _same_graph(xi.graph, t.graph):
         raise ValueError("path does not belong to this triple's graph")
     t.group.check(g)
     images, carries, closure = _orbit(t, g, xi, depth)

@@ -9,12 +9,11 @@ which is what makes the finite cover check below complete.
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Iterable
 
 from .action import SelfSimilarTriple
 from .errors import CompositionError, Frozen, NotIdempotentError, Record
-from .graph import _A_PROPER, _B_PROPER, _EQUAL, _INCOMPARABLE, Path, PrefixRel, prefix_compare, vertex_path
+from .graph import _A_PROPER, _B_PROPER, _EQUAL, _INCOMPARABLE, Path, prefix_compare, vertex_path
 from .groups import DEFAULT_PATH_BOUND
 from .tri import Tri, DISTINCT, from_bool
 
@@ -112,36 +111,6 @@ def render(t: SelfSimilarTriple, s: SemigroupElement) -> str:
     if isinstance(s, Zero):
         return "0"
     return f"({s.alpha}, {t.group.render(s.g)}, {s.beta})"
-
-
-class IdempotentOrder(enum.Enum):
-    EQUAL = "equal"
-    LEQ = "leq"
-    GEQ = "geq"
-    ORTHOGONAL = "orthogonal"
-
-
-# e <= f when f's path is a prefix of e's: the prefix relation of (e's path, f's path), reversed.
-_ORDER_OF = {PrefixRel.EQUAL: IdempotentOrder.EQUAL, PrefixRel.A_PROPER: IdempotentOrder.GEQ,
-             PrefixRel.B_PROPER: IdempotentOrder.LEQ, PrefixRel.INCOMPARABLE: IdempotentOrder.ORTHOGONAL}
-
-
-def idempotent_order(t: SelfSimilarTriple, e: SemigroupElement, f: SemigroupElement) -> IdempotentOrder:
-    """Order relation between idempotents: e <= f iff f's path is a prefix of e's.
-
-    Intersecting idempotents are always comparable, so the answer is one of
-    equal / below / above / orthogonal; zero sits below everything.
-    """
-    for x in (e, f):
-        if not is_idempotent(t, x):
-            raise NotIdempotentError(f"{render(t, x)} is not an idempotent")
-    if isinstance(e, Zero) and isinstance(f, Zero):
-        return IdempotentOrder.EQUAL
-    if isinstance(e, Zero):
-        return IdempotentOrder.LEQ
-    if isinstance(f, Zero):
-        return IdempotentOrder.GEQ
-    return _ORDER_OF[prefix_compare(e.alpha, f.alpha)]
 
 
 _MEMBER = None  # trie key marking where a member's path ends; edge keys are ints

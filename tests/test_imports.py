@@ -1,6 +1,7 @@
 """Import footprint: a CLI command loads only the layers it runs, and the package namespace is lazy."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,11 +17,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # The public names of the package.
 PUBLIC_NAMES = sorted("""
     AutomatonData AutomatonGroup BoundedSeq CoronaSeq FiniteGroup Germ GermContext Graph GroupBackend
-    IdempotentOrder InfPath IntegerGroup KatsuraData LagValue Path PeriodicPath PeriodicSeq PrefixRel
+    InfPath IntegerGroup KatsuraData LagValue Path PeriodicPath PeriodicSeq PrefixRel
     SelfSimilarTriple StreamPath Tri Triple ZERO Zero act_inf_path action adding_machine all_paths_upto
     builders check_e_star_unitary check_residually_free concat corona corona_eq corona_identity
     corona_inv corona_mul default_window edge_path element_eq errors finite_triple from_automaton
-    from_katsura graph groupoid groups hausdorff_report idempotent_order inf_path_eq
+    from_katsura graph groupoid groups hausdorff_report inf_path_eq
     integer_triple_from_generator is_cover is_idempotent katsura_2_0 katsura_3_2 lag_eq lag_identity
     lag_inv lag_mul make_graph make_triple mul odometer periodic periodic_path phi_corona prefix_compare
     semigroup shift_left shift_right star stream_path tri unit_idempotent validate_graph verify_axioms
@@ -127,7 +128,7 @@ def test_the_path_calculus_loads_only_its_errors():
 
 
 def test_namespace_keeps_every_public_name():
-    assert len(PUBLIC_NAMES) == 78 and sorted(selfsim.__all__) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 76 and sorted(selfsim.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(selfsim, name) is not None
     assert selfsim.Path is selfsim.graph.Path and selfsim.ZERO is selfsim.semigroup.ZERO
@@ -136,3 +137,13 @@ def test_namespace_keeps_every_public_name():
     assert set(PUBLIC_NAMES) <= set(namespace)
     assert selfsim.__version__ == "0.1.0" and "Path" in dir(selfsim)
     assert not hasattr(selfsim, "no_such_name")
+
+
+def test_the_graph_membership_test_is_written_only_in_same_graph():
+    # graph._same_graph holds the identity-then-equality test of a path's graph: a negated copy
+    # of it (x.graph is not g, x.graph != g, or graph is not / != x.graph) anywhere fails here.
+    copy = re.compile(r"\.graph\)? (is not|!=) |\bgraph (is not|!=) [\w.]*\.graph\b")
+    sources = sorted((ROOT / "src" / "selfsim").glob("*.py"))
+    found = [f"{source.name}:{n}" for source in sources
+             for n, line in enumerate(source.read_text().splitlines(), 1) if copy.search(line)]
+    assert len(sources) > 10 and found == []

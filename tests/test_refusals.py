@@ -74,6 +74,13 @@ def prepend_a_foreign_path(kind):
     point.prepend(edge_path(k32.graph, [2]))
 
 
+def periodic_path_of_a_foreign_path():
+    """periodic_path on the odometer's graph from katsura_3_2's path (1,1,0), whose id 0 is e0's."""
+    odo, k32 = odometer_and_katsura_3_2()
+    path = edge_path(k32.graph, [0])
+    ss.periodic_path(odo.graph, path, path)
+
+
 def carry_walk_of_a_foreign(function, point):
     """act_inf_path or phi_corona of 1 on the odometer, at a point of katsura_3_2's graph: the cycle
     (1,1,2), whose id no odometer edge has, the cycle (1,1,1), whose id 1 is e1's, or a stream."""
@@ -153,6 +160,7 @@ REFUSALS = [
      CompositionError, "paths live on different graphs"),
     ("stream_prepend_foreign", lambda: prepend_a_foreign_path("stream"),
      CompositionError, "paths live on different graphs"),
+    ("periodic_path_foreign", periodic_path_of_a_foreign_path, CompositionError, "paths live on different graphs"),
     *((f"{function}_foreign_{point}", partial(carry_walk_of_a_foreign, function, point),
        ValueError, "path does not belong to this triple's graph")
       for function in ("act_inf_path", "phi_corona") for point in ("cycle_2", "cycle_1", "stream")),

@@ -9,11 +9,13 @@ import pytest
 import selfsim as ss
 from conftest import (
     TWIN_MACHINE_SPEC,
+    IdempotentOrder,
     all_spec_triples,
     assert_dominates,
     cover_oracle,
     cube_e_star_unitary,
     enumeration_cover,
+    idempotent_order,
     random_cover_case,
     source_vertex_triple,
     spec_triples,
@@ -200,19 +202,19 @@ def test_idempotent_order(odo):
     e0 = ss.unit_idempotent(odo, epath(odo, 0))
     e1 = ss.unit_idempotent(odo, epath(odo, 1))
     e01 = ss.unit_idempotent(odo, epath(odo, 0, 1))
-    assert ss.idempotent_order(odo, e01, e0) == ss.IdempotentOrder.LEQ
-    assert ss.idempotent_order(odo, e0, e01) == ss.IdempotentOrder.GEQ
-    assert ss.idempotent_order(odo, e0, e1) == ss.IdempotentOrder.ORTHOGONAL
-    assert ss.idempotent_order(odo, e0, e0) == ss.IdempotentOrder.EQUAL
+    assert idempotent_order(odo, e01, e0) == IdempotentOrder.LEQ
+    assert idempotent_order(odo, e0, e01) == IdempotentOrder.GEQ
+    assert idempotent_order(odo, e0, e1) == IdempotentOrder.ORTHOGONAL
+    assert idempotent_order(odo, e0, e0) == IdempotentOrder.EQUAL
     with pytest.raises(NotIdempotentError):
-        ss.idempotent_order(odo, ss.make_triple(odo, epath(odo, 0), 1, epath(odo, 1)), e0)
+        idempotent_order(odo, ss.make_triple(odo, epath(odo, 0), 1, epath(odo, 1)), e0)
 
 
 def test_zero_sits_below_every_idempotent(odo):
     e0 = ss.unit_idempotent(odo, epath(odo, 0))
-    assert ss.idempotent_order(odo, ss.ZERO, e0) == ss.IdempotentOrder.LEQ
-    assert ss.idempotent_order(odo, e0, ss.ZERO) == ss.IdempotentOrder.GEQ
-    assert ss.idempotent_order(odo, ss.ZERO, ss.ZERO) == ss.IdempotentOrder.EQUAL
+    assert idempotent_order(odo, ss.ZERO, e0) == IdempotentOrder.LEQ
+    assert idempotent_order(odo, e0, ss.ZERO) == IdempotentOrder.GEQ
+    assert idempotent_order(odo, ss.ZERO, ss.ZERO) == IdempotentOrder.EQUAL
 
 
 def test_is_idempotent_asks_the_backend_for_the_identity():
@@ -222,7 +224,7 @@ def test_is_idempotent_asks_the_backend_for_the_identity():
     assert bcd and t.group.eq(bcd, t.group.identity()).is_equal
     assert ss.is_idempotent(t, ss.Triple(v, bcd, v))
     assert not ss.is_idempotent(t, ss.Triple(v, t.group.parse("b.c"), v))
-    assert ss.idempotent_order(t, ss.Triple(v, bcd, v), ss.unit_idempotent(t, v)) == ss.IdempotentOrder.EQUAL
+    assert idempotent_order(t, ss.Triple(v, bcd, v), ss.unit_idempotent(t, v)) == IdempotentOrder.EQUAL
 
 
 class CountingIntegers(ss.IntegerGroup):
@@ -253,7 +255,7 @@ def test_the_identity_object_is_idempotent_at_once_and_other_values_ask_eq(odo):
     # False == 0 but is no integer: it goes to eq, which refuses it, wherever an idempotent is asked for.
     bad, e = ss.Triple(a, False, a), ss.unit_idempotent(odo, a)
     for call in (lambda: ss.is_cover(odo, [e], bad), lambda: ss.is_cover(odo, [bad], e),
-                 lambda: ss.idempotent_order(odo, bad, e), lambda: ss.idempotent_order(odo, e, bad)):
+                 lambda: idempotent_order(odo, bad, e), lambda: idempotent_order(odo, e, bad)):
         with pytest.raises(BackendMismatchError, match="^False is not an element of integers$"):
             call()
 
@@ -271,10 +273,10 @@ def test_a_word_is_idempotent_as_far_as_eq_decides_it():
         assert ss.is_idempotent(t, s) == proved
         if proved:
             assert ss.is_cover(t, [s], unit) and ss.is_cover(t, [unit], s)
-            assert ss.idempotent_order(t, s, unit) == ss.IdempotentOrder.EQUAL
+            assert idempotent_order(t, s, unit) == IdempotentOrder.EQUAL
             continue
         for call in (lambda: ss.is_cover(t, [s], unit), lambda: ss.is_cover(t, [unit], s),
-                     lambda: ss.idempotent_order(t, s, unit), lambda: ss.idempotent_order(t, unit, s)):
+                     lambda: idempotent_order(t, s, unit), lambda: idempotent_order(t, unit, s)):
             with pytest.raises(NotIdempotentError):
                 call()
 
@@ -284,11 +286,11 @@ def test_idempotent_order_consistent_with_mul(odo):
     for a in paths:
         for b in paths:
             e, f = ss.unit_idempotent(odo, a), ss.unit_idempotent(odo, b)
-            rel = ss.idempotent_order(odo, e, f)
+            rel = idempotent_order(odo, e, f)
             prod = ss.mul(odo, e, f)
-            if rel == ss.IdempotentOrder.ORTHOGONAL:
+            if rel == IdempotentOrder.ORTHOGONAL:
                 assert prod == ss.ZERO
-            elif rel in (ss.IdempotentOrder.LEQ, ss.IdempotentOrder.EQUAL):
+            elif rel in (IdempotentOrder.LEQ, IdempotentOrder.EQUAL):
                 assert ss.element_eq(odo, prod, e).is_equal
             else:
                 assert ss.element_eq(odo, prod, f).is_equal
