@@ -16,11 +16,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "action": "SelfSimilarTriple",
     "automaton": "AutomatonData AutomatonGroup from_automaton",
-    "builders": "KatsuraData adding_machine from_katsura integer_triple_from_generator katsura_2_0"
-                " katsura_3_2 odometer z2_swap",
+    "builders": "KatsuraData from_katsura integer_triple_from_generator",
     "cayley": "FiniteGroup finite_triple",
-    "corona": "BoundedSeq CoronaSeq LagValue PeriodicSeq corona_eq corona_identity corona_inv"
-              " corona_mul lag_eq lag_identity lag_inv lag_mul shift_left shift_right",
+    "corona": "BoundedSeq CoronaSeq LagValue PeriodicSeq corona_eq corona_mul lag_eq lag_mul shift_left shift_right",
     "graph": "Graph Path PrefixRel concat edge_path make_graph prefix_compare validate_graph vertex_path",
     "groupoid": "Germ GermContext",
     "groups": "GroupBackend IntegerGroup default_window",

@@ -106,9 +106,6 @@ class AutomatonGroup(GroupBackend):
         return (isinstance(x, tuple) and all(isinstance(s, int) and 0 < abs(s) <= k for s in x)
                 and all(s != -last for last, s in zip(x, x[1:])))
 
-    def generator(self, index: int) -> tuple[int, ...]:
-        return (index + 1,)
-
     def step(self, word, letter: int) -> tuple[int, tuple[int, ...]]:
         """Act on one letter: returns (image letter, restriction word).
 

@@ -1,4 +1,4 @@
-"""Builders of integer-backed triples, and the builtin examples.
+"""Builders of integer-backed triples.
 
 An integer triple is its generator's tables, extended to every m in closed
 form on the generator's cycles. The two-matrix generator takes nonnegative A
@@ -6,7 +6,7 @@ form on the generator's cycles. The two-matrix generator takes nonnegative A
 the edge counter modulo A[i][j] with the Euclidean quotient as cocycle.
 An explicit spec with ``kind = integer`` gives the generator's tables in its
 ``[action]`` rows. Automaton triples are built in ``automaton``, Cayley ones
-in ``cayley``.
+in ``cayley``; the examples are spec files in ``specs/``.
 """
 
 from __future__ import annotations
@@ -181,47 +181,3 @@ def load_action_sections(graph: Graph, grpsec: _Section, asec: _Section) -> Self
     if sorted(eperm) != list(range(graph.n_edges)) or sorted(vperm) != list(range(graph.n_vertices)):
         raise SpecFileError("generator rows must describe bijections", asec.line)
     return integer_triple_from_generator(graph, vperm, eperm, crow, description="integer triple")
-
-
-# -- builtin examples --------------------------------------------------------
-
-
-def odometer() -> SelfSimilarTriple:
-    """Binary odometer: one vertex, two loops, integers adding with carry."""
-    return from_katsura(KatsuraData.make([[2]], [[1]]))
-
-
-def katsura_3_2() -> SelfSimilarTriple:
-    return from_katsura(KatsuraData.make([[3]], [[2]]))
-
-
-def katsura_2_0() -> SelfSimilarTriple:
-    """Degenerate pair: the action and cocycle are trivial, freeness fails."""
-    return from_katsura(KatsuraData.make([[2]], [[0]]))
-
-
-def z2_swap() -> SelfSimilarTriple:
-    """Z/2 swapping two parallel loops with trivial cocycle."""
-    from .cayley import FiniteGroup, finite_triple
-    graph = make_graph(["v"], [("e0", "v", "v"), ("e1", "v", "v")])
-    group = FiniteGroup(["0", "1"], [[0, 1], [1, 0]])
-    return finite_triple(
-        graph,
-        group,
-        vertex_table=[[0], [0]],
-        edge_table=[[0, 1], [1, 0]],
-        cocycle_table=[[0, 0], [0, 0]],
-        description="z2 edge swap",
-    )
-
-
-def adding_machine() -> SelfSimilarTriple:
-    """Binary adding machine automaton: a(0) = 1, a(1) = 0 with restriction a."""
-    from .automaton import AutomatonData, from_automaton
-    data = AutomatonData.make(
-        alphabet=["0", "1"],
-        states=["a"],
-        output=[[1, 0]],
-        restriction=[[(), (1,)]],
-    )
-    return from_automaton(data, faithful_to_depth=True)

@@ -5,7 +5,8 @@ A corona element is represented either by an eventually periodic sequence
 (answers degrade to unknown). Two representatives are corona-equal when the
 sequences agree from some index on. The lag group pairs a corona element
 with an integer shift, multiplying semidirectly through the right-shift
-automorphism.
+automorphism. The module holds what the germ groupoid computes: products,
+shifts and equality.
 """
 
 from __future__ import annotations
@@ -109,31 +110,16 @@ def _known(a: CoronaSeq, b: CoronaSeq) -> int:
     return min(x.depth_limit for x in (a, b) if x.depth_limit is not None)
 
 
-def corona_identity(backend: GroupBackend) -> PeriodicSeq:
-    return PeriodicSeq(backend, (), (backend.identity(),))
-
-
-def _pointwise(op, a: CoronaSeq, b: CoronaSeq | None = None) -> CoronaSeq:
-    backend = a.backend
-    if b is None:
-        if isinstance(a, PeriodicSeq):
-            return PeriodicSeq(backend, *normalize(tuple(map(op, a.prefix)), tuple(map(op, a.cycle))))
-        return BoundedSeq(backend, tuple(op(x) for x in a.values))
+def corona_mul(a: CoronaSeq, b: CoronaSeq) -> CoronaSeq:
+    """The pointwise product: periodic when both are, over one joint window; else bounded where both are known."""
+    backend, mul = a.backend, a.backend.mul
     if isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
         p = max(len(a.prefix), len(b.prefix))
         q = lcm(len(a.cycle), len(b.cycle))
         refuse_oversize(p + q, "entries in a joint window")
-        entries = [op(a.entry(n), b.entry(n)) for n in range(1, p + q + 1)]
+        entries = [mul(a.entry(n), b.entry(n)) for n in range(1, p + q + 1)]
         return PeriodicSeq(backend, *normalize(tuple(entries[:p]), tuple(entries[p:])))
-    return BoundedSeq(backend, tuple(op(a.entry(n), b.entry(n)) for n in range(1, _known(a, b) + 1)))
-
-
-def corona_mul(a: CoronaSeq, b: CoronaSeq) -> CoronaSeq:
-    return _pointwise(a.backend.mul, a, b)
-
-
-def corona_inv(a: CoronaSeq) -> CoronaSeq:
-    return _pointwise(a.backend.inv, a)
+    return BoundedSeq(backend, tuple(mul(a.entry(n), b.entry(n)) for n in range(1, _known(a, b) + 1)))
 
 
 def shift_right(a: CoronaSeq, k: int = 1) -> CoronaSeq:
@@ -189,17 +175,9 @@ class LagValue(Record):
         return f"({self.corona}, {self.shift})"
 
 
-def lag_identity(backend: GroupBackend) -> LagValue:
-    return LagValue(corona_identity(backend), 0)
-
-
 def lag_mul(a: LagValue, b: LagValue) -> LagValue:
     """Semidirect product law: (x, m)(y, n) = (x . rho^m(y), m + n)."""
     return LagValue(corona_mul(a.corona, shift_right(b.corona, a.shift)), a.shift + b.shift)
-
-
-def lag_inv(a: LagValue) -> LagValue:
-    return LagValue(shift_right(corona_inv(a.corona), -a.shift), -a.shift)
 
 
 def lag_eq(a: LagValue, b: LagValue) -> Tri:

@@ -121,8 +121,14 @@ class GermContext:
 
     # -- source and range --------------------------------------------------
 
+    def _own(self, u: Germ) -> Germ:
+        """u, once its beta and xi lie on the triple's graph: the check of the methods that do not walk xi first."""
+        if not (_same_graph(u.beta.graph, self._triple.graph) and _same_graph(u.xi.graph, self._triple.graph)):
+            raise ValueError("path does not belong to this triple's graph")
+        return u
+
     def source_point(self, u: Germ) -> InfPath:
-        return u.xi.prepend(u.beta)
+        return self._own(u).xi.prepend(u.beta)
 
     def range_point(self, u: Germ) -> InfPath:
         return self._walk(u.g, u.xi)[0].prepend(u.alpha)
@@ -180,7 +186,7 @@ class GermContext:
         if k < 0:
             raise ValueError(f"cannot shorten {side} from {current} to {n}")
         if k == 0:
-            return u
+            return self._own(u)
         gamma = u.xi.truncate(k)
         return Germ(*self._triple.act_behind(u.alpha, u.g, gamma), concat(u.beta, gamma), u.xi.drop(k))
 
@@ -332,12 +338,12 @@ class GermContext:
     def open_set_member(self, u: Germ, alpha: Path, g, beta: Path, gamma: Path | None = None) -> Tri:
         """Is u in the basic open set of (alpha, g, beta) restricted to gamma?
 
-        u's source point must lie in the cylinder of beta, tested on u's own paths; then, once
+        u's paths must lie on the triple's graph and its source point in the cylinder of beta; then, once
         (alpha, g, beta) is an element (check_element), one aligned comparison with u, oriented as germ_eq
         orients, decides, its tails equal by construction. Undecided answers carry germ_eq's depth.
         """
         alpha, g, beta = self.normalize_basic(alpha, g, beta, gamma)
-        n, m = len(beta.edges), len(u.beta.edges)
+        n, m = len(beta.edges), len(self._own(u).beta.edges)
         try:
             if (n > m and u.xi.head(n - m) != beta.edges[m:]) or prefix_compare(beta, u.beta) is _INCOMPARABLE:
                 return DISTINCT

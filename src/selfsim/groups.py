@@ -123,13 +123,6 @@ class GroupBackend:
         """Identity-containing, inverse-closed test window of the given radius."""
         raise BackendMismatchError(f"no default window for {self}")
 
-    def power(self, x, n: int):
-        out = self.identity()
-        step = x if n >= 0 else self.inv(x)
-        for _ in range(abs(n)):
-            out = self.mul(out, step)
-        return out
-
 
 class IntegerGroup(GroupBackend):
     """The integers under addition; identity 0."""

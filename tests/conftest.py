@@ -18,6 +18,7 @@ from selfsim.sweeps import FreenessReport
 from selfsim import groups
 from selfsim.errors import CompositionError, DepthExceededError, NotIdempotentError
 from selfsim.groups import refuse_oversize
+from selfsim.periodic import normalize
 from selfsim.automaton import invert_word, reduce_word
 from selfsim.semigroup import UnitaryReport, render
 from selfsim.specfile import load_spec_file, load_spec_text
@@ -227,6 +228,42 @@ def idempotent_order(t, e, f):
     return _ORDER_OF[ss.prefix_compare(e.alpha, f.alpha)]
 
 
+# Group and corona helpers the package shipped while only tests read them: reference twins.
+
+def generator(group, index):
+    """The one-letter word of an automaton group's generator number index (from 0)."""
+    return (index + 1,)
+
+
+def power(group, x, n):
+    """x^n by n products (of x's inverse for n < 0)."""
+    out = group.identity()
+    step = x if n >= 0 else group.inv(x)
+    for _ in range(abs(n)):
+        out = group.mul(out, step)
+    return out
+
+
+def corona_identity(backend):
+    return ss.PeriodicSeq(backend, (), (backend.identity(),))
+
+
+def corona_inv(a):
+    """The pointwise inverse, in a's representation."""
+    inv = a.backend.inv
+    if isinstance(a, ss.PeriodicSeq):
+        return ss.PeriodicSeq(a.backend, *normalize(tuple(map(inv, a.prefix)), tuple(map(inv, a.cycle))))
+    return ss.BoundedSeq(a.backend, tuple(map(inv, a.values)))
+
+
+def lag_identity(backend):
+    return ss.LagValue(corona_identity(backend), 0)
+
+
+def lag_inv(a):
+    return ss.LagValue(ss.shift_right(corona_inv(a.corona), -a.shift), -a.shift)
+
+
 def labeled_odometer():
     """Odometer with readable edge labels e0/e1, built from generator tables."""
     graph = ss.make_graph(["v"], [("e0", "v", "v"), ("e1", "v", "v")])
@@ -238,29 +275,34 @@ def odo():
     return labeled_odometer()
 
 
+def example(name):
+    """The triple of specs/<name>.spec, the one definition of each shipped example."""
+    return load_spec_file(str(SPECS / f"{name}.spec")).triple
+
+
 @pytest.fixture(scope="session")
 def odo_katsura():
-    return ss.odometer()
+    return example("odometer_katsura")
 
 
 @pytest.fixture(scope="session")
 def kat32():
-    return ss.katsura_3_2()
+    return example("katsura_3_2")
 
 
 @pytest.fixture(scope="session")
 def kat20():
-    return ss.katsura_2_0()
+    return example("katsura_2_0")
 
 
 @pytest.fixture(scope="session")
 def swap2():
-    return ss.z2_swap()
+    return example("z2_swap")
 
 
 @pytest.fixture(scope="session")
 def machine():
-    return ss.adding_machine()
+    return example("adding_machine")
 
 
 def bits_value(edges):

@@ -17,8 +17,11 @@ from conftest import (
     TEST_SPECS,
     checked_extensions,
     cover_oracle,
+    example,
+    generator,
     labeled_odometer,
     odometer_oracle,
+    power,
     random_composable_pair,
     random_germ,
     spec_triples,
@@ -33,9 +36,9 @@ def report(number: int, text: str):
 @pytest.fixture(scope="module")
 def builtins():
     return {
-        "odometer": ss.odometer(),
-        "katsura_3_2": ss.katsura_3_2(),
-        "z2_swap": ss.z2_swap(),
+        "odometer": example("odometer_katsura"),
+        "katsura_3_2": example("katsura_3_2"),
+        "z2_swap": example("z2_swap"),
     }
 
 
@@ -211,7 +214,7 @@ def test_criterion_05_cover_checker_vs_oracle():
 
 
 def test_criterion_06_freeness_unitarity_bridge(odo):
-    k20 = ss.katsura_2_0()
+    k20 = example("katsura_2_0")
     free_k20 = ss.check_residually_free(k20, ss.default_window(k20.group, 4), path_bound=4)
     unit_k20 = ss.check_e_star_unitary(k20, ss.default_window(k20.group, 4), path_bound=4)
     assert free_k20.kind == "counterexample" and unit_k20.kind == "counterexample"
@@ -221,7 +224,7 @@ def test_criterion_06_freeness_unitarity_bridge(odo):
     assert free_odo.kind == "unknown" and free_odo.counterexample is None
     assert unit_odo.kind == "unknown" and unit_odo.counterexample is None
 
-    swap = ss.z2_swap()
+    swap = example("z2_swap")
     free_swap = ss.check_residually_free(swap, ss.default_window(swap.group, 1))
     unit_swap = ss.check_e_star_unitary(swap, ss.default_window(swap.group, 1), path_bound=3)
     assert free_swap.kind == "holds" and unit_swap.kind == "holds"
@@ -342,20 +345,20 @@ def test_criterion_09_f_injectivity_exhaustive(odo):
 
 
 def test_criterion_10_cross_constructor(builtins):
-    machine = ss.adding_machine()
+    machine = example("adding_machine")
     katsura = builtins["odometer"]
-    a = machine.group.generator(0)
+    a = generator(machine.group, 0)
     mismatches = 0
     cases = 0
     for m in (-3, -2, -1, 1, 2, 3):
-        word = machine.group.power(a, m)
+        word = power(machine.group, a, m)
         for path in ss.all_paths_upto(katsura.graph, 10):
             if path.is_vertex:
                 continue
             img_k, coc_k = katsura.act_path(m, path)
             img_a, coc_a = machine.act_path(word, ss.edge_path(machine.graph, path.edges))
             cases += 1
-            if img_a.edges != img_k.edges or coc_a != machine.group.power(a, coc_k):
+            if img_a.edges != img_k.edges or coc_a != power(machine.group, a, coc_k):
                 mismatches += 1
     assert mismatches == 0
     report(10, f"adding machine matches the two-matrix odometer on {cases} path actions")

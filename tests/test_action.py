@@ -16,6 +16,9 @@ from conftest import (
     TWIN_MACHINE_SPEC,
     all_spec_triples,
     assert_certified,
+    corona_identity,
+    corona_inv,
+    example,
     odometer_oracle,
     pairwise_freeness,
     spec_triples,
@@ -217,7 +220,7 @@ def test_inverse_cocycle_sweep(odo):
         for xi in xis:
             lhs = ss.phi_corona(odo, ginv, xi)
             rhs = ss.phi_corona(odo, g, ss.act_inf_path(odo, ginv, xi))
-            assert lhs == ss.corona_inv(rhs)  # both periodic: equal as whole sequences
+            assert lhs == corona_inv(rhs)  # both periodic: equal as whole sequences
             for n in range(1, 9):
                 assert lhs.entry(n) == -rhs.entry(n) == phi_entry(odo, ginv, xi, n)
 
@@ -298,8 +301,8 @@ def test_phi_corona_representations(odo):
     seq1 = ss.phi_corona(odo, 1, xi1)
     assert isinstance(seq0, ss.PeriodicSeq) and seq0.cycle == (0,)
     assert isinstance(seq1, ss.PeriodicSeq) and seq1.cycle == (1,) and seq1.prefix == ()
-    assert ss.corona_eq(seq0, ss.corona_identity(odo.group)).is_equal
-    assert ss.corona_eq(seq1, ss.corona_identity(odo.group)).is_distinct
+    assert ss.corona_eq(seq0, corona_identity(odo.group)).is_equal
+    assert ss.corona_eq(seq1, corona_identity(odo.group)).is_distinct
 
 
 def test_act_inf_path_stream_degrades(odo):
@@ -497,7 +500,7 @@ def test_negative_path_bound_is_refused(refuse, odo):
                          ids=["residually_free", "e_star_unitary"])
 def test_oversize_path_bound_is_refused_before_any_step(sweep, monkeypatch):
     # The edge sweep alone finds (1, e) on katsura_2_0: the bound is refused all the same.
-    t = ss.katsura_2_0()
+    t = example("katsura_2_0")
     steps = []
     step, walk = t.step, t.walk
     monkeypatch.setattr(t, "step", lambda g, e: steps.append((g, e)) or step(g, e))

@@ -8,7 +8,7 @@ import pytest
 
 import selfsim as ss
 from selfsim.errors import InvalidMatricesError
-from conftest import katsura_division
+from conftest import generator, katsura_division, power
 
 
 def test_katsura_graph_shape(kat32):
@@ -156,7 +156,7 @@ def test_integer_generator_tables_must_be_permutations():
 
 
 def test_adding_machine_action(machine):
-    a = machine.group.generator(0)
+    a = generator(machine.group, 0)
     path = ss.edge_path(machine.graph, [0, 0])
     img, rest = machine.act_path(a, path)
     assert img.edges == (1, 0)
@@ -165,16 +165,16 @@ def test_adding_machine_action(machine):
 
 def test_adding_machine_matches_katsura(odo_katsura, machine):
     """Cross-constructor check under the generator <-> 1 correspondence."""
-    a = machine.group.generator(0)
+    a = generator(machine.group, 0)
     for m in range(-3, 4):
-        word = machine.group.power(a, m)
+        word = power(machine.group, a, m)
         for path in ss.all_paths_upto(odo_katsura.graph, 6):
             if path.is_vertex:
                 continue
             img_k, coc_k = odo_katsura.act_path(m, path)
             img_a, coc_a = machine.act_path(word, ss.edge_path(machine.graph, path.edges))
             assert img_a.edges == img_k.edges
-            assert coc_a == machine.group.power(a, coc_k)
+            assert coc_a == power(machine.group, a, coc_k)
 
 
 def test_swap_automaton_with_trivial_restrictions():
@@ -185,7 +185,7 @@ def test_swap_automaton_with_trivial_restrictions():
         restriction=[[(), ()]],
     )
     t = ss.from_automaton(data)
-    assert t.step(t.group.generator(0), 0) == (1, ())
+    assert t.step(generator(t.group, 0), 0) == (1, ())
     report = ss.verify_axioms(t, ss.default_window(t.group, 2))
     assert report.ok
 

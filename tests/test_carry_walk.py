@@ -21,7 +21,8 @@ from selfsim.errors import BackendMismatchError, DepthExceededError
 from selfsim.groups import MAX_ENUMERATION, _Memo
 from selfsim.tri import DISTINCT, from_bool
 from selfsim.specfile import load_spec_file
-from conftest import TEST_SPECS, _full_depth_conditions, all_spec_triples, labeled_odometer, reference_orbit
+from conftest import (TEST_SPECS, _full_depth_conditions, all_spec_triples, example, labeled_odometer,
+                      reference_orbit)
 
 
 def loops_graph():
@@ -425,7 +426,7 @@ def test_the_letter_budget_ends_the_walk_where_the_letter_by_letter_walk_ends(mo
     xi = ss.stream_path(odo.graph, letters[:50])
     assert infinite._orbit(odo, 1, xi, 64) == reference_orbit(odo, 1, xi, 64)
     # Word carries cost their letters, and the trivial word costs none.
-    machine = ss.adding_machine()
+    machine = example("adding_machine")
     xi = ss.stream_path(machine.graph, letters)
     assert infinite._orbit(machine, (1,), xi, 64) == reference_orbit(machine, (1,), xi, 64)
 

@@ -13,7 +13,8 @@ import selfsim as ss
 from selfsim.errors import BackendMismatchError, DepthExceededError
 from selfsim.specfile import load_spec_text, parse_corona
 from selfsim.tri import DISTINCT, EQUAL
-from conftest import TWIN_MACHINE_SPEC, all_spec_triples
+from conftest import (TWIN_MACHINE_SPEC, all_spec_triples, corona_identity, corona_inv, example, generator, lag_identity,
+                      lag_inv, power)
 
 
 @pytest.fixture
@@ -27,12 +28,12 @@ def seq(z, prefix, cycle):
 
 def test_finitely_supported_difference_is_trivial(z):
     a = seq(z, (5,), (0,))
-    assert ss.corona_eq(a, ss.corona_identity(z)).is_equal
+    assert ss.corona_eq(a, corona_identity(z)).is_equal
 
 
 def test_all_ones_distinct_from_identity(z):
     ones = seq(z, (), (1,))
-    assert ss.corona_eq(ones, ss.corona_identity(z)).is_distinct
+    assert ss.corona_eq(ones, corona_identity(z)).is_distinct
 
 
 def test_shift_round_trip(z):
@@ -55,7 +56,7 @@ def test_a_negative_shift_shifts_the_other_way(z):
 
 def test_a_shift_by_zero_returns_the_sequence_itself(z, machine):
     words = machine.group
-    a, b = words.generator(0), words.inv(words.generator(0))
+    a, b = generator(words, 0), words.inv(generator(words, 0))
     for x in (seq(z, (3, 1), (2, 5)), seq(z, (), (0,)), ss.PeriodicSeq.make(words, (a,), (b, a)),
               ss.BoundedSeq(z, (4, 6, 7)), ss.BoundedSeq(z, (4,)), ss.BoundedSeq(words, (a, b))):
         for shift in (ss.shift_right, ss.shift_left):
@@ -177,7 +178,7 @@ def test_entries_equal_in_value_only_are_refused_or_merged(z):
 CHECKED_BACKENDS = [
     ("integers", ss.IntegerGroup(), "5", 1.0),
     ("cayley", ss.FiniteGroup(["1", "s"], [[0, 1], [1, 0]]), "s", 2),
-    ("automaton", ss.adding_machine().group, "a", (1, -1)),
+    ("automaton", example("adding_machine").group, "a", (1, -1)),
 ]
 
 
@@ -207,7 +208,7 @@ def test_pointwise_mul_and_inv(z):
     prod = ss.corona_mul(a, b)
     for n in range(1, 16):
         assert prod.entry(n) == a.entry(n) + b.entry(n)
-    inv = ss.corona_inv(a)
+    inv = corona_inv(a)
     for n in range(1, 16):
         assert inv.entry(n) == -a.entry(n)
 
@@ -224,7 +225,7 @@ def test_eq_periodic_alignment(z):
 
 def test_bounded_stream_is_tri_state(z):
     bounded = ss.BoundedSeq(z, (1, 0, 0, 0))
-    assert ss.corona_eq(bounded, ss.corona_identity(z)).is_unknown
+    assert ss.corona_eq(bounded, corona_identity(z)).is_unknown
     with pytest.raises(DepthExceededError):
         bounded.entry(5)
     with pytest.raises(DepthExceededError):
@@ -235,7 +236,7 @@ def test_bounded_sequences_multiply_invert_and_shift(z):
     a, b = ss.BoundedSeq(z, (1, 2, 3)), ss.BoundedSeq(z, (4, 5))
     assert ss.corona_mul(a, b).values == (5, 7)
     assert ss.corona_mul(a, seq(z, (), (1,))).values == (2, 3, 4)
-    assert ss.corona_inv(a).values == (-1, -2, -3)
+    assert corona_inv(a).values == (-1, -2, -3)
     assert ss.shift_left(a, 2).values == (3,)
 
 
@@ -251,10 +252,10 @@ def test_lag_group_law(z):
 
 def test_lag_inverse_and_identity(z):
     a = ss.LagValue(seq(z, (4,), (2, 7)), 3)
-    prod = ss.lag_mul(a, ss.lag_inv(a))
-    assert ss.lag_eq(prod, ss.lag_identity(z)).is_equal
-    prod = ss.lag_mul(ss.lag_inv(a), a)
-    assert ss.lag_eq(prod, ss.lag_identity(z)).is_equal
+    prod = ss.lag_mul(a, lag_inv(a))
+    assert ss.lag_eq(prod, lag_identity(z)).is_equal
+    prod = ss.lag_mul(lag_inv(a), a)
+    assert ss.lag_eq(prod, lag_identity(z)).is_equal
 
 
 def test_lag_associativity_sampled(z):
@@ -276,11 +277,11 @@ def test_lag_associativity_sampled(z):
 
 def test_corona_word_entries(machine):
     g = machine.group
-    a = g.generator(0)
+    a = generator(g, 0)
     x = ss.PeriodicSeq.make(g, (a,), ((),))
-    assert ss.corona_eq(x, ss.corona_identity(g)).is_equal
+    assert ss.corona_eq(x, corona_identity(g)).is_equal
     y = ss.PeriodicSeq.make(g, (), (a,))
-    assert ss.corona_eq(y, ss.corona_identity(g)).is_distinct
+    assert ss.corona_eq(y, corona_identity(g)).is_distinct
 
 
 def test_corona_eq_and_lag_eq_take_no_depth():
@@ -291,7 +292,7 @@ def test_corona_eq_and_lag_eq_take_no_depth():
 def test_bounded_operands_answer_at_the_entries_known(z):
     short, long = ss.BoundedSeq(z, (1, 2)), ss.BoundedSeq(z, (1, 2, 3, 4, 5))
     assert str(ss.corona_eq(short, long)) == str(ss.corona_eq(long, short)) == "unknown@2"
-    assert str(ss.corona_eq(long, ss.corona_identity(z))) == "unknown@5"
+    assert str(ss.corona_eq(long, corona_identity(z))) == "unknown@5"
     assert str(ss.lag_eq(ss.LagValue(short, 0), ss.LagValue(long, 0))) == "unknown@2"
 
 
@@ -305,7 +306,7 @@ def test_a_printed_periodic_corona_reads_back(backend, machine):
         draw = lambda: rng.randrange(3)  # noqa: E731
     else:
         group = machine.group
-        draw = lambda: group.power(group.generator(0), rng.randint(-3, 3))  # noqa: E731
+        draw = lambda: power(group, generator(group, 0), rng.randint(-3, 3))  # noqa: E731
     for _ in range(40):
         prefix = [draw() for _ in range(rng.randint(0, 3))]
         cycle = [draw() for _ in range(rng.randint(1, 3))]
@@ -323,7 +324,7 @@ def test_a_printed_bounded_corona_reads_back(backend, machine):
         draw = lambda: rng.randrange(3)  # noqa: E731
     else:
         group = machine.group
-        draw = lambda: group.power(group.generator(0), rng.randint(-3, 3))  # noqa: E731
+        draw = lambda: power(group, generator(group, 0), rng.randint(-3, 3))  # noqa: E731
     for _ in range(40):
         seq = ss.BoundedSeq(group, tuple(draw() for _ in range(rng.randint(1, 6))))
         assert str(seq).endswith("~")
@@ -341,7 +342,7 @@ def test_a_copied_or_pickled_corona_or_lag_value_equals_its_original(name, group
     # (A BoundedSeq compares by identity.)
     window = ss.default_window(group, 1)
     periodic = ss.PeriodicSeq.make(group, window[-1:], window[:2])
-    values = [group, periodic, ss.LagValue(periodic, 2), ss.LagValue(ss.corona_identity(group), -1)]
+    values = [group, periodic, ss.LagValue(periodic, 2), ss.LagValue(corona_identity(group), -1)]
     for value in values:
         for back in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
             assert back == value and value == back and hash(back) == hash(value), (name, value)

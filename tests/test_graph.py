@@ -14,7 +14,7 @@ from selfsim import periodic
 from selfsim.groups import MAX_ENUMERATION
 from selfsim.sweeps import count_paths_upto
 from selfsim.errors import CompositionError, DepthExceededError
-from conftest import all_spec_triples
+from conftest import all_spec_triples, example
 
 
 @pytest.fixture
@@ -155,7 +155,7 @@ def test_streams_differing_at_a_known_letter_or_in_their_graph_are_distinct(grap
 
 
 LOOPS = ss.make_graph(["v"], [("e0", "v", "v"), ("e1", "v", "v")])
-ODOMETER = ss.odometer()
+ODOMETER = example("odometer_katsura")
 
 
 @given(
@@ -265,7 +265,7 @@ def test_vertex_paths_are_shared_per_graph():
                 with pytest.raises(ValueError, match=f"^no vertex {v}$"):
                     ss.vertex_path(g, v)
     # Every vertex path an operation returns is the shared one.
-    t = ss.odometer()
+    t = example("odometer_katsura")
     g, shared = t.graph, ss.vertex_path(t.graph, 0)
     path = ss.edge_path(g, [0, 1])
     xi = ss.periodic_path(g, [1], [0])

@@ -1,9 +1,10 @@
 """The graph-membership rule: every public callable refuses a path of another graph.
 
 Every callable in ``selfsim.__all__`` (public methods and constructors of its classes
-included) with a parameter annotated ``Path`` or ``InfPath`` is found with ``inspect``.
-Handed a path of another spec's graph at that parameter, it must raise its own refusal;
-handed a path of an equal twin graph, it must answer as it does on the triple's own graph.
+included) with a parameter annotated ``Path``, ``InfPath`` or ``Germ`` is found with ``inspect``.
+Handed a path of another spec's graph at that parameter, or a bare germ whose paths lie there,
+it must raise its own refusal; handed the same on an equal twin graph, it must answer as it
+does on the triple's own graph.
 The exemptions the README names are rows of their own, each with the answer it gives and
 why. A callable in neither table fails the test, so a new one gets the rule by test.
 """
@@ -15,7 +16,7 @@ import pytest
 
 import selfsim as ss
 from conftest import SPECS
-from selfsim.errors import CompositionError, SourceConditionError
+from selfsim.errors import CompositionError, NotComposableError, SourceConditionError
 from selfsim.specfile import load_spec_file, parse_corona, parse_inf_path
 from selfsim.tri import DISTINCT
 
@@ -48,6 +49,11 @@ def zeros(graph=OWN):
 def germ():
     """[e1, 0, e1; (e0)*], in the open set of (e1, 0, e1) and of its restriction to e1.e0."""
     return CTX.make(e1(), 0, e1(), zeros())
+
+
+def bare(graph=OWN):
+    """germ()'s data on graph, through the bare constructor, which checks nothing."""
+    return ss.Germ(e1(graph), 0, e1(graph), zeros(graph))
 
 
 # 'callable:parameter' -> (the call with a path of ``graph`` at that parameter, the refusal).
@@ -88,6 +94,21 @@ REFUSED = {
     "GermContext.open_set_member:beta": (lambda graph: CTX.open_set_member(germ(), e1(), 0, e1(graph)), OFF_ELEMENT),
     "GermContext.open_set_member:gamma": (
         lambda graph: CTX.open_set_member(germ(), e1(), 0, e1(), ss.edge_path(graph, [1, 0])), OFF_ELEMENT),
+    # A bare germ of another graph: the walk of xi refuses it, or GermContext._own where no walk comes first;
+    # compose finds its prefixes apart before it walks.
+    "GermContext.open_set_member:u": (lambda graph: CTX.open_set_member(bare(graph), e1(), 0, e1()), OFF_TRIPLE),
+    "GermContext.source_point:u": (lambda graph: CTX.source_point(bare(graph)), OFF_TRIPLE),
+    "GermContext.source_prefix:u": (lambda graph: CTX.source_prefix(bare(graph), 2), OFF_TRIPLE),
+    "GermContext.range_point:u": (lambda graph: CTX.range_point(bare(graph)), OFF_TRIPLE),
+    "GermContext.range_prefix:u": (lambda graph: CTX.range_prefix(bare(graph), 2), OFF_TRIPLE),
+    "GermContext.reparametrize:u": (lambda graph: CTX.reparametrize(bare(graph), 1), OFF_TRIPLE),  # absorbs nothing
+    "GermContext.inverse:u": (lambda graph: CTX.inverse(bare(graph)), OFF_TRIPLE),
+    "GermContext.lag:u": (lambda graph: CTX.lag(bare(graph)), OFF_TRIPLE),
+    "GermContext.f_map:u": (lambda graph: CTX.f_map(bare(graph)), OFF_TRIPLE),
+    "GermContext.compose:u1": (lambda graph: CTX.compose(bare(graph), germ()),
+                               (NotComposableError, "source and range prefixes diverge")),
+    "GermContext.compose:u2": (lambda graph: CTX.compose(germ(), bare(graph)),
+                               (NotComposableError, "source and range prefixes diverge")),
 }
 
 # 'callable:parameter' -> (the call, its answer on the foreign graph, why it is no refusal).
@@ -113,6 +134,12 @@ EXEMPT = {
     "GermContext.open_set_member:alpha": (
         lambda graph: CTX.open_set_member(germ(), e1(graph), 0, ss.edge_path(OWN, [0])), DISTINCT,
         "alpha is read only once u lies in the cylinder of beta; outside it the answer is distinct"),
+    "GermContext.germ_eq:u1": (lambda graph: CTX.germ_eq(bare(graph), germ()), DISTINCT,
+                               "a relation: germs of two graphs are distinct"),
+    "GermContext.germ_eq:u2": (lambda graph: CTX.germ_eq(germ(), bare(graph)), DISTINCT,
+                               "a relation: germs of two graphs are distinct"),
+    "GermContext.render:u": (lambda graph: CTX.render(bare(graph)), "[(1,1,1), 0, (1,1,1); ((1,1,0))*]",
+                             "a rendering: u's paths print with their own graph's labels, and nothing is computed"),
     "GermContext.normalize_basic:alpha": (
         lambda graph: CTX.normalize_basic(e1(graph), 0, e1())[0].graph, FOREIGN,
         "alpha is folded only when gamma lies below beta, where act_behind refuses it; else it is passed on"),
@@ -120,7 +147,7 @@ EXEMPT = {
 
 
 def path_parameters() -> set[str]:
-    """'callable:parameter' for each parameter annotated Path or InfPath of a callable in
+    """'callable:parameter' for each parameter annotated Path, InfPath or Germ of a callable in
     selfsim.__all__, the public methods and the constructor of each class included."""
     found = set()
     for name in ss.__all__:
@@ -133,7 +160,7 @@ def path_parameters() -> set[str]:
         for qualified, function in callables:
             for parameter in inspect.signature(function).parameters.values():
                 annotation = parameter.annotation
-                if re.search(r"\b(Path|InfPath)\b", annotation if isinstance(annotation, str) else str(annotation)):
+                if re.search(r"\b(Path|InfPath|Germ)\b", annotation if isinstance(annotation, str) else str(annotation)):
                     found.add(f"{qualified}:{parameter.name}")
     return found
 
@@ -141,7 +168,7 @@ def path_parameters() -> set[str]:
 def test_every_path_parameter_is_refused_or_a_named_exemption():
     assert not REFUSED.keys() & EXEMPT.keys()
     assert path_parameters() == REFUSED.keys() | EXEMPT.keys()
-    assert len({key.split(":")[0] for key in path_parameters()}) == 22
+    assert len({key.split(":")[0] for key in path_parameters()}) == 33
 
 
 @pytest.mark.parametrize("key", sorted(REFUSED))

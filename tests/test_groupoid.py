@@ -37,6 +37,8 @@ from conftest import (
     _full_depth_conditions,
     all_spec_triples,
     checked_extensions,
+    corona_identity,
+    generator,
     germ_coincidence_level,
     lag_by_truncations,
     model_round_trip,
@@ -298,13 +300,13 @@ def test_lag_examples(ctx, odo, xi0, xi1):
     u = ctx.make(vp(odo), 1, vp(odo), xi0)
     lag = ctx.lag(u)
     assert lag.shift == 0
-    assert ss.corona_eq(lag.corona, ss.corona_identity(odo.group)).is_equal
+    assert ss.corona_eq(lag.corona, corona_identity(odo.group)).is_equal
     ones = ctx.lag(ctx.make(vp(odo), 1, vp(odo), xi1))
     assert ss.corona_eq(ones.corona, ss.PeriodicSeq.make(odo.group, (), (1,))).is_equal
     unit = ctx.unit(ep(odo, 0, 1), xi0.prepend(ep(odo, 0)))
     lag_u = ctx.lag(unit)
     assert lag_u.shift == 0
-    assert ss.corona_eq(lag_u.corona, ss.corona_identity(odo.group)).is_equal
+    assert ss.corona_eq(lag_u.corona, corona_identity(odo.group)).is_equal
     shifted = ctx.lag(ctx.make(ep(odo, 0, 1), 0, vp(odo), xi1))
     assert shifted.shift == 2
 
@@ -332,7 +334,7 @@ def test_f_map_unit(ctx, odo, xi0):
     rng_pt, lag, src_pt = ctx.f_map(unit)
     assert rng_pt == src_pt
     assert lag.shift == 0
-    assert ss.corona_eq(lag.corona, ss.corona_identity(odo.group)).is_equal
+    assert ss.corona_eq(lag.corona, corona_identity(odo.group)).is_equal
 
 
 def test_f_map_example(ctx, odo, xi0):
@@ -493,7 +495,7 @@ def test_germ_eq_past_the_carry_budget_raises_and_open_set_membership_is_unknown
     doubling = load_spec_file(str(TEST_SPECS / "doubling.spec")).triple
     ctx = ss.GermContext(doubling, window=ss.default_window(doubling.group, 1))
     v = vp(doubling)
-    u = ctx.make(v, doubling.group.generator(0), v, ss.periodic_path(doubling.graph, [], [0]))
+    u = ctx.make(v, generator(doubling.group, 0), v, ss.periodic_path(doubling.graph, [], [0]))
     with pytest.raises(DepthExceededError, match="pass 100000 letters"):
         ctx.germ_eq(u, ctx.unit(v, u.xi))
     assert str(ctx.open_set_member(u, v, doubling.group.identity(), v)) == "unknown@64"
@@ -1550,7 +1552,7 @@ def test_streams_and_unclosed_orbits_are_kept(odo):
     v = vp(doubling)
     zero = ss.periodic_path(doubling.graph, [], [0])
     window = ss.default_window(doubling.group, 1)
-    a = doubling.group.generator(0)
+    a = generator(doubling.group, 0)
     shallow = ss.GermContext(doubling, window=window, depth=3)
     u = shallow.make(v, a, v, zero)
     fresh = _carry_walk(doubling, a, zero, 3)

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import selfsim as ss
-from conftest import INVERSE_LETTER_SPEC, SPECS, TEST_SPECS, all_spec_triples, fold_step, stack_step
+from conftest import (INVERSE_LETTER_SPEC, SPECS, TEST_SPECS, all_spec_triples, example, fold_step, generator,
+                      stack_step)
 from selfsim.errors import BackendMismatchError, NonBijectiveOutputError
 from selfsim import groups
 from selfsim.action import step_walk
@@ -78,7 +79,7 @@ def test_every_backend_keeps_the_equality_contract(name, group):
 
 def test_a_word_of_bool_letters_acts_as_its_word_of_ints():
     # (True,) is an element, equal to (1,): it renders, walks and hits the walk table as (1,) does.
-    machine = ss.adding_machine()
+    machine = example("adding_machine")
     group = machine.group
     assert group.check((True,)) == (1,) and group.render((True,)) == group.render((1,)) == "a"
     xi = ss.periodic_path(machine.graph, [], [1])
@@ -186,7 +187,7 @@ def machine_group(machine):
 
 
 def test_word_ops(machine_group):
-    a = machine_group.generator(0)
+    a = generator(machine_group, 0)
     assert machine_group.mul(a, machine_group.inv(a)) == ()
     assert machine_group.eq(machine_group.mul(a, machine_group.inv(a)), ()).is_equal
     assert machine_group.render(machine_group.mul(a, a)) == "a.a"
@@ -198,7 +199,7 @@ def test_word_ops(machine_group):
 
 def test_word_action_equality(machine_group):
     g = machine_group
-    a = g.generator(0)
+    a = generator(g, 0)
     # a * a^-1 reduces to the identity word; a vs a.a act differently at depth 1
     assert g.eq(a, g.mul(g.mul(a, a), g.inv(a))).is_equal
     assert g.eq(a, g.mul(a, a)).is_distinct
@@ -208,10 +209,10 @@ def test_word_equality_unknown_without_faithful_flag():
     # Trivial automaton: the generator acts as the identity everywhere, but
     # the word stays distinct from the empty word without the faithful flag.
     g = ss.AutomatonGroup(["t"], 2, [[0, 1]], [[(), ()]], faithful_to_depth=False)
-    verdict = g.eq(g.generator(0), ())
+    verdict = g.eq(generator(g, 0), ())
     assert verdict.is_unknown
     faithful = ss.AutomatonGroup(["t"], 2, [[0, 1]], [[(), ()]], faithful_to_depth=True)
-    assert faithful.eq(faithful.generator(0), ()).is_equal
+    assert faithful.eq(generator(faithful, 0), ()).is_equal
 
 
 def test_non_bijective_output_rejected():
@@ -374,7 +375,7 @@ def test_comparison_memo_stops_growing_at_its_letter_budget():
 
 
 def test_a_pickled_backend_answers_alike_with_an_empty_memo(machine_group):
-    a = machine_group.generator(0)
+    a = generator(machine_group, 0)
     assert machine_group.eq(a * 3, a).is_distinct
     stepped = machine_group.step(a * 3, 1)
     clone = pickle.loads(pickle.dumps(machine_group))
@@ -411,7 +412,7 @@ def test_threads_sharing_a_backend_keep_the_memo_bound():
 
 
 def test_power_2048_of_adding_machine_is_not_identity(machine_group):
-    a = machine_group.generator(0)
+    a = generator(machine_group, 0)
     # a * 2048 repeats the one-letter word: the reduced word a^2048.
     assert machine_group.eq(a * 2048, ()).is_distinct
     assert machine_group.is_identity(a * 2048).is_distinct
@@ -459,7 +460,7 @@ def test_chain_is_decided_below_the_old_depth():
 
 def test_non_faithful_closure_reports_levels_compared():
     g = ss.AutomatonGroup(["t"], 2, [[0, 1]], [[(), ()]])
-    assert str(g.eq(g.generator(0), ())) == "unknown@1"
+    assert str(g.eq(generator(g, 0), ())) == "unknown@1"
 
 
 def test_comparison_budget_ends_a_walk_that_never_closes():
@@ -491,7 +492,7 @@ def test_comparison_budget_bounds_the_letters_stepped(monkeypatch):
 
 @pytest.mark.parametrize(
     "backend",
-    [ss.IntegerGroup(), ss.adding_machine().group, ss.z2_swap().group],
+    [ss.IntegerGroup(), example("adding_machine").group, example("z2_swap").group],
     ids=["integer", "automaton", "cayley"],
 )
 def test_negative_window_radius_is_refused(backend):
@@ -504,7 +505,8 @@ def test_negative_window_radius_is_refused(backend):
 
 @pytest.mark.parametrize("sweep", [ss.verify_axioms, ss.check_residually_free],
                          ids=["verify_axioms", "check_residually_free"])
-@pytest.mark.parametrize("triple,window", [(ss.odometer(), [0, [1]]), (ss.adding_machine(), [(), [1]])],
+@pytest.mark.parametrize("triple,window",
+                         [(example("odometer_katsura"), [0, [1]]), (example("adding_machine"), [(), [1]])],
                          ids=["integer", "automaton"])
 def test_a_non_element_in_the_window_is_refused(sweep, triple, window):
     with pytest.raises(BackendMismatchError, match=r"^\[1\] is not an element of "):

@@ -18,14 +18,14 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 PUBLIC_NAMES = sorted("""
     AutomatonData AutomatonGroup BoundedSeq CoronaSeq FiniteGroup Germ GermContext Graph GroupBackend
     InfPath IntegerGroup KatsuraData LagValue Path PeriodicPath PeriodicSeq PrefixRel
-    SelfSimilarTriple StreamPath Tri Triple ZERO Zero act_inf_path action adding_machine all_paths_upto
-    builders check_e_star_unitary check_residually_free concat corona corona_eq corona_identity
-    corona_inv corona_mul default_window edge_path element_eq errors finite_triple from_automaton
+    SelfSimilarTriple StreamPath Tri Triple ZERO Zero act_inf_path action all_paths_upto
+    builders check_e_star_unitary check_residually_free concat corona corona_eq
+    corona_mul default_window edge_path element_eq errors finite_triple from_automaton
     from_katsura graph groupoid groups hausdorff_report inf_path_eq
-    integer_triple_from_generator is_cover is_idempotent katsura_2_0 katsura_3_2 lag_eq lag_identity
-    lag_inv lag_mul make_graph make_triple mul odometer periodic periodic_path phi_corona prefix_compare
+    integer_triple_from_generator is_cover is_idempotent lag_eq
+    lag_mul make_graph make_triple mul periodic periodic_path phi_corona prefix_compare
     semigroup shift_left shift_right star stream_path tri unit_idempotent validate_graph verify_axioms
-    vertex_path z2_swap
+    vertex_path
 """.split())
 
 
@@ -128,7 +128,7 @@ def test_the_path_calculus_loads_only_its_errors():
 
 
 def test_namespace_keeps_every_public_name():
-    assert len(PUBLIC_NAMES) == 76 and sorted(selfsim.__all__) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 67 and sorted(selfsim.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(selfsim, name) is not None
     assert selfsim.Path is selfsim.graph.Path and selfsim.ZERO is selfsim.semigroup.ZERO
@@ -147,3 +147,12 @@ def test_the_graph_membership_test_is_written_only_in_same_graph():
     found = [f"{source.name}:{n}" for source in sources
              for n, line in enumerate(source.read_text().splitlines(), 1) if copy.search(line)]
     assert len(sources) > 10 and found == []
+
+
+def test_the_examples_are_defined_only_by_their_spec_files():
+    # builders builds integer triples from tables; the example triples are specs in specs/.
+    source = (ROOT / "src" / "selfsim" / "builders.py").read_text()
+    assert not re.search(r"\bfrom \.(automaton|cayley) import|\bimport .*\b(automaton|cayley)\b", source)
+    for name in ("odometer_katsura", "katsura_3_2", "katsura_2_0", "z2_swap", "adding_machine"):
+        assert (SPECS / f"{name}.spec").is_file()
+        assert not hasattr(selfsim.builders, name.removesuffix("_katsura"))

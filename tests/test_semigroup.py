@@ -15,6 +15,7 @@ from conftest import (
     cover_oracle,
     cube_e_star_unitary,
     enumeration_cover,
+    example,
     idempotent_order,
     random_cover_case,
     source_vertex_triple,
@@ -111,9 +112,9 @@ def product_or_error(thunk):
 
 
 MIRROR_TRIPLES = {
-    "odometer": ss.odometer,
-    "katsura_3_2": ss.katsura_3_2,
-    "adding_machine": ss.adding_machine,
+    "odometer": lambda: example("odometer_katsura"),
+    "katsura_3_2": lambda: example("katsura_3_2"),
+    "adding_machine": lambda: example("adding_machine"),
     # Nonabelian: the adding machine a and the letter swap b.
     "two_state_automaton": lambda: ss.from_automaton(
         ss.AutomatonData.make(["0", "1"], ["a", "b"], [[1, 0], [1, 0]], [[(), (1,)], [(), ()]])

@@ -5,6 +5,7 @@ import time
 import pytest
 
 import selfsim as ss
+from conftest import generator
 from selfsim.errors import SpecFileError
 from selfsim.specfile import (
     load_spec_text,
@@ -59,7 +60,7 @@ def test_load_multirow_katsura():
 def test_load_automaton_builder():
     text = "[automaton]\nalphabet = 0 1\nmap = a 0 1 1\nmap = a 1 0 a\nfaithful_depth = true\n"
     t = load_spec_text(text).triple
-    a = t.group.generator(0)
+    a = generator(t.group, 0)
     assert t.step(a, 0)[0] == 1
     assert t.step(a, 1)[1] == a
 
@@ -74,7 +75,7 @@ map = b 0 1 1
 map = b 1 0 1
 """
     t = load_spec_text(text).triple
-    a, b = t.group.generator(0), t.group.generator(1)
+    a, b = generator(t.group, 0), generator(t.group, 1)
     assert t.step(a, 1) == (0, a)
     assert t.step(b, 1) == (0, ())
     assert ss.verify_axioms(t, ss.default_window(t.group, 2)).violations == ()
@@ -120,7 +121,7 @@ edge = a y x a
 """
     t = load_spec_text(text).triple
     assert t.graph.edge_labels == ("x", "y")
-    img, coc = t.act_path(t.group.generator(0), ss.edge_path(t.graph, [1, 0]))
+    img, coc = t.act_path(generator(t.group, 0), ss.edge_path(t.graph, [1, 0]))
     assert img.edges == (0, 1)
 
 
