@@ -1,9 +1,8 @@
 """Automaton groups: reduced words over the states of an invertible automaton.
 
-The backend, the single-vertex triple it acts on, and the loader of both
-automaton spec forms: an ``[automaton]`` section of ``map`` rows, and an
-explicit spec with ``kind = automaton`` and ``[action]`` edge rows. Both
-forms fill their tables through the spec reader's one table builder.
+The backend, the single-vertex triple it acts on, and the loader of the
+``[automaton]`` spec section of ``map`` rows, which fills its tables through
+the spec reader's one table builder.
 """
 
 from __future__ import annotations
@@ -14,11 +13,11 @@ from operator import neg
 from . import groups
 from .action import SelfSimilarTriple
 from .errors import BackendMismatchError, NonBijectiveOutputError, Record, SpecFileError
-from .graph import Graph, label_ids, make_graph
+from .graph import label_ids, make_graph
 from .groups import GroupBackend, _Memo, check_window_radius, refuse_oversize
 from .tri import Tri, DISTINCT, EQUAL, unknown
 
-# _Section (annotations) lives in specfile, which calls the loaders below.
+# _Section (annotations) lives in specfile, which calls the loader below.
 
 
 def reduce_word(word: Sequence[int]) -> tuple[int, ...]:
@@ -254,11 +253,6 @@ def _fixed_vertex(g, v: int) -> int:
     return v
 
 
-def _triple(graph: Graph, group: AutomatonGroup, description: str) -> SelfSimilarTriple:
-    return SelfSimilarTriple(graph, group, vertex_act=_fixed_vertex, step=group.step,
-                             description=description, walk=group.walk)
-
-
 def from_automaton(data: AutomatonData, faithful_to_depth: bool = False) -> SelfSimilarTriple:
     """Single-vertex triple whose group is the automaton group of the data."""
     group = AutomatonGroup(
@@ -269,7 +263,8 @@ def from_automaton(data: AutomatonData, faithful_to_depth: bool = False) -> Self
         faithful_to_depth=faithful_to_depth,
     )
     graph = make_graph(["v"], [(lab, "v", "v") for lab in data.alphabet])
-    return _triple(graph, group, f"automaton on {len(data.alphabet)} letters")
+    return SelfSimilarTriple(graph, group, vertex_act=_fixed_vertex, step=group.step,
+                             description=f"automaton on {len(data.alphabet)} letters", walk=group.walk)
 
 
 def _parse_word(ids: dict[str, int], text: str, unknown_name) -> tuple[int, ...]:
@@ -290,21 +285,9 @@ def _parse_word(ids: dict[str, int], text: str, unknown_name) -> tuple[int, ...]
     return tuple(word)
 
 
-def _spec_word(ids: dict[str, int], text: str, line: int) -> tuple[int, ...]:
-    return _parse_word(
-        ids, text, lambda name: SpecFileError(f"unknown generator {name!r} in word {text!r}", line))
-
-
-def _faithful(section: _Section) -> bool:
-    """faithful_depth: true or false, in any case; false when absent."""
-    value = section.get("faithful_depth", "false")
-    if value.lower() not in ("true", "false"):
-        raise SpecFileError(f"faithful_depth must be true or false, got {value!r}", section.all("faithful_depth")[0][1])
-    return value.lower() == "true"
-
-
 def load_map_section(section: _Section) -> SelfSimilarTriple:
-    """``[automaton]``: alphabet = letters; map = state letter image restriction; faithful_depth."""
+    """``[automaton]``: alphabet = letters; map = state letter image restriction; faithful_depth,
+    true or false in any case, false when absent."""
     from .specfile import _edge_tables
     alphabet = section.require("alphabet").split()
     rows = section.all("map")
@@ -321,34 +304,16 @@ def load_map_section(section: _Section) -> SelfSimilarTriple:
             state, letter, image, word = parts
             if letter not in letters or image not in letters:
                 raise SpecFileError(f"unknown letter in map row: {value!r}", line)
-            yield state_ids[state], letters[letter], letters[image], _spec_word(state_ids, word, line)
+            yield state_ids[state], letters[letter], letters[image], _parse_word(
+                state_ids, word, lambda name: SpecFileError(f"unknown generator {name!r} in word {word!r}", line))
 
     outputs, restrictions = _edge_tables(
         states, alphabet, resolved(),
         lambda state, _: SpecFileError(f"state {state!r} is missing a map row", section.line))
+    faithful = section.get("faithful_depth", "false")
+    if faithful.lower() not in ("true", "false"):
+        raise SpecFileError(f"faithful_depth must be true or false, got {faithful!r}",
+                            section.all("faithful_depth")[0][1])
     data = AutomatonData.make(alphabet, states, outputs, restrictions)
-    return from_automaton(data, faithful_to_depth=_faithful(section))
+    return from_automaton(data, faithful_to_depth=faithful.lower() == "true")
 
-
-def load_action_sections(graph: Graph, grpsec: _Section, asec: _Section) -> SelfSimilarTriple:
-    """``kind = automaton``: generators = names; [action] edge = generator letter image restriction."""
-    from .specfile import _action_rows, _edge_tables, _resolve
-    if graph.n_vertices != 1:
-        raise SpecFileError("automaton backend requires a single-vertex graph", grpsec.line)
-    names = tuple(grpsec.require("generators").split())
-    vrows, erows = _action_rows(asec)
-    if vrows:
-        raise SpecFileError("automaton backend takes no vertex rows", asec.line)
-    ids = label_ids(names)
-
-    def resolved():
-        for (g, e, f, k), line in erows:
-            if g not in ids:
-                raise SpecFileError(f"unknown generator {g!r}", line)
-            yield ids[g], _resolve(graph, "edge", e, line), _resolve(graph, "edge", f, line), _spec_word(ids, k, line)
-
-    outputs, restrictions = _edge_tables(
-        names, graph.edge_labels, resolved(),
-        lambda name, _: SpecFileError(f"missing edge action rows for generator {name!r}", asec.line))
-    group = AutomatonGroup(names, graph.n_edges, outputs, restrictions, faithful_to_depth=_faithful(grpsec))
-    return _triple(graph, group, "automaton triple")

@@ -205,6 +205,7 @@ class GermContext:
         r1 = self.reparametrize(u1, n, "beta") if m < n else u1
         r2 = self.reparametrize(u2, m, "alpha") if n < m else u2
         if r1.beta != r2.alpha:
+            self._own(u1), self._own(u2)  # a germ of another graph is refused as such
             raise NotComposableError("source and range prefixes diverge")
         tails = inf_path_eq(r1.xi, self._walk(r2.g, r2.xi)[0], depth)
         if tails.is_distinct:

@@ -3,10 +3,9 @@
 A spec file is sectioned key-value text. Either three explicit sections
 describe the triple:
 
-    [graph]    vertices = v w          [group]   kind = integer | cayley | automaton
+    [graph]    vertices = v w          [group]   kind = integer | cayley
                edge = e0 v w                     elements = ... / row = ... (cayley)
-                                                 generators = ...           (automaton)
-    [action]   vertex = g v w          rows for the generator (integer/automaton)
+    [action]   vertex = g v w          rows for the generator (integer)
                edge = g e f k          or for every element (cayley)
 
 or a single builder section generates everything:
@@ -37,8 +36,8 @@ from .groups import GroupBackend
 # SemigroupElement, InfPath and CoronaSeq (annotations) live in semigroup,
 # infinite and corona, which the parsers that need them import. Each kind of
 # spec is read by a loader beside its backend (Katsura and integer specs by
-# builders), imported where it runs; explicit [action] rows of every kind
-# fill their tables through _edge_tables.
+# builders), imported where it runs; explicit [action] rows of both kinds and
+# [automaton] map rows fill their tables through _edge_tables.
 
 
 # -- literal parsing ---------------------------------------------------------
@@ -280,8 +279,6 @@ def _load_explicit(gsec: _Section, grpsec: _Section, asec: _Section) -> LoadedSp
         from .builders import load_action_sections
     elif kind == "cayley":
         from .cayley import load_action_sections
-    elif kind == "automaton":
-        from .automaton import load_action_sections
     else:
         raise SpecFileError(f"unknown group kind {kind!r}", grpsec.line)
     return LoadedSpec(load_action_sections(graph, grpsec, asec), "explicit")

@@ -489,6 +489,28 @@ def test_germ_eq_past_a_freeness_counterexample_is_equal(argv, capsys):
     assert capsys.readouterr().out.splitlines()[1:] == ["equal"]
 
 
+@pytest.mark.parametrize("flag, checks", [([], 2), (["--allow-unverified"], 1)], ids=["gated", "allow-unverified"])
+def test_allow_unverified_skips_the_freeness_sweep(flag, checks, monkeypatch, capsys):
+    # The sweep checks the axioms before it searches, and GermContext checks them again; with the
+    # flag the sweep could refuse nothing more, so it does not run and the axioms are checked once.
+    import selfsim.groupoid
+    import selfsim.sweeps
+
+    calls = []
+    check = selfsim.sweeps.require_axioms
+
+    def counted(t):
+        calls.append(t)
+        check(t)
+
+    monkeypatch.setattr(selfsim.sweeps, "require_axioms", counted)
+    monkeypatch.setattr(selfsim.groupoid, "require_axioms", counted)
+    argv = [str(TEST_SPECS / "grigorchuk.spec"), "@v,d,@v;(0)*", "@v,1,@v;(0)*", "--window", "0", *flag]
+    assert main(["germ-eq", *argv]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["equal"]
+    assert len(calls) == checks
+
+
 def test_a_restriction_past_the_budget_is_refused(capsys):
     # On the doubling automaton a restricts to a.a at every letter: 30 letters would give a 2^30-letter word.
     path = ".".join(["0"] * 30)
@@ -727,8 +749,6 @@ kind = integer
 edge = 1 e0 e1 0
 edge = 1 e1 e0 1
 """
-AUTOMATON_ROWS_SPEC = "[graph]\nvertices = v\nedge = x v v\nedge = y v v\n[group]\nkind = automaton\ngenerators = a\n" \
-    "[action]\nedge = a x y 1\nedge = a y x a\n"
 AUTOMATON_MAP_SPEC = "[automaton]\nalphabet = 0 1\nmap = a 0 1 1\nmap = a 1 0 a\nfaithful_depth = true\n"
 LOADER_ERRORS = [
     ("cayley_rows", CAYLEY_SPEC.replace("row = 1 0\n", ""), "line 6: cayley group needs one 'row' per element"),
@@ -745,25 +765,26 @@ LOADER_ERRORS = [
      "line 12: integer backend takes rows for the generator m = 1 only"),
     ("integer_cocycle", INTEGER_SPEC.replace("e1 e0 1", "e1 e0 x"), "line 11: cocycle entry must be an integer: 'x'"),
     ("integer_bijection", INTEGER_SPEC.replace("e1 e0 1", "e1 e1 1"), "line 9: generator rows must describe bijections"),
-    # Within a row, Cayley resolves the image label before the edge label; integer and automaton rows the edge
-    # label first, and the image label before the cocycle. A bad label comes before a missing row.
+    ("automaton_bijection", AUTOMATON_MAP_SPEC.replace("a 1 0 a", "a 1 1 a"), "state a does not permute the alphabet"),
+    # Within a row, Cayley resolves the image label before the edge label; integer rows the edge label
+    # first, and the image label before the cocycle. A bad label comes before a missing row.
     ("cayley_image_first", CAYLEY_SPEC + "edge = 0 BADE BADF 0\n", "line 15: unknown edge label 'BADF'"),
     ("integer_edge_first", INTEGER_SPEC + "edge = 1 BADE BADF 0\n", "line 12: unknown edge label 'BADE'"),
     ("integer_image_first", INTEGER_SPEC + "edge = 1 e0 BADF x\n", "line 12: unknown edge label 'BADF'"),
-    ("automaton_edge_first", AUTOMATON_ROWS_SPEC + "edge = a BADE BADF 1\n", "line 11: unknown edge label 'BADE'"),
     ("cayley_label_before_missing_row", CAYLEY_SPEC.replace("edge = 1 f e 0\n", "edge = 0 e BADF 0\n"),
      "line 14: unknown edge label 'BADF'"),
     # faithful_depth is true or false, in any case; a key that no loader of its section reads is refused.
     ("faithful_depth_value", AUTOMATON_MAP_SPEC.replace("= true", "= yes"),
      "line 5: faithful_depth must be true or false, got 'yes'"),
-    ("faithful_depth_rows_value", AUTOMATON_ROWS_SPEC.replace("= a\n", "= a\nfaithful_depth = ture\n"),
-     "line 8: faithful_depth must be true or false, got 'ture'"),
     ("unknown_key", AUTOMATON_MAP_SPEC + "bogus = 1\n", "line 6: unknown key 'bogus' in [automaton]"),
     ("misspelt_key", AUTOMATON_MAP_SPEC.replace("faithful_depth", "faithfull_depth"),
      "line 5: unknown key 'faithfull_depth' in [automaton]"),
     ("katsura_unknown_key", "[katsura]\na = 2\nb = 1\nc = 3\n", "line 4: unknown key 'c' in [katsura]"),
     ("integer_generators", INTEGER_SPEC.replace("kind = integer", "kind = integer\ngenerators = a"),
      "line 8: unknown key 'generators' in [group]"),
+    # An automaton is written as an [automaton] section; [group] takes only the kinds integer and cayley.
+    ("automaton_kind", "[graph]\nvertices = v\nedge = x v v\nedge = y v v\n[group]\nkind = automaton\ngenerators = a\n"
+     "[action]\nedge = a x y 1\nedge = a y x a\n", "line 5: unknown group kind 'automaton'"),
 ]
 
 
@@ -783,6 +804,8 @@ SPEC_ERRORS = [
     ("matrix_entry", KATSURA_SPEC.replace("a = 2", "a = 2 x"), "line 1: matrix entries must be integers: '2 x'"),
     ("two_builders", KATSURA_SPEC + "[automaton]\nalphabet = 0 1\nmap = a 0 1 1\n",
      "at most one builder section allowed"),
+    ("builder_and_action", AUTOMATON_MAP_SPEC + "[action]\nedge = a 0 1 1\n",
+     "use either a builder section or explicit graph/group/action sections"),
     ("no_edge_rows", INTEGER_SPEC.replace("edge = e0 v v\nedge = e1 v v\n", ""),
      "line 1: graph needs at least one edge row"),
     ("unknown_kind", INTEGER_SPEC.replace("kind = integer", "kind = free"), "line 6: unknown group kind 'free'"),

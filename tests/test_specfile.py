@@ -103,28 +103,6 @@ edge = 1 e1 e0 0
     assert t.step(1, 0)[0] == 1
 
 
-def test_load_explicit_automaton_group():
-    text = """
-[graph]
-vertices = v
-edge = x v v
-edge = y v v
-
-[group]
-kind = automaton
-generators = a
-faithful_depth = true
-
-[action]
-edge = a x y 1
-edge = a y x a
-"""
-    t = load_spec_text(text).triple
-    assert t.graph.edge_labels == ("x", "y")
-    img, coc = t.act_path(generator(t.group, 0), ss.edge_path(t.graph, [1, 0]))
-    assert img.edges == (0, 1)
-
-
 def test_explicit_spec_with_20000_edges_loads_in_linear_time():
     n = 20_000
     text = "\n".join([
@@ -141,17 +119,21 @@ def test_explicit_spec_with_20000_edges_loads_in_linear_time():
 
 
 MAP_SPEC = "[automaton]\nalphabet = 0 1\nmap = a 0 1 1\nmap = a 1 0 a\n"
-ACTION_SPEC = """[graph]
-vertices = v
-edge = x v v
-edge = y v v
-[group]
-kind = automaton
-generators = a
-[action]
-edge = a x y 1
-edge = a y x a
-"""
+
+
+def test_an_automaton_section_builds_one_vertex_v_with_the_alphabet_as_its_edges():
+    t = load_spec_text("[automaton]\nalphabet = x y\nmap = a x y 1\nmap = a y x a\nfaithful_depth = TRUE\n").triple
+    assert t.graph.vertex_labels == ("v",) and t.graph.edge_labels == ("x", "y")
+    assert t.group.faithful_to_depth  # faithful_depth is true or false in any case
+    img, coc = t.act_path(generator(t.group, 0), ss.edge_path(t.graph, [1, 0]))
+    assert img.edges == (0, 1)
+
+
+def test_automaton_states_are_numbered_in_order_of_first_appearance():
+    t = load_spec_text("[automaton]\nalphabet = 0 1\nmap = b 0 0 b\nmap = a 0 1 b\nmap = a 1 0 a\n"
+                       "map = b 1 1 a\n").triple
+    assert t.group.generator_names == ("b", "a")
+    assert t.step((2,), 0) == (1, (1,)) and t.step((1,), 1) == (1, (2,))
 
 
 @pytest.mark.parametrize(
@@ -163,16 +145,14 @@ edge = a y x a
         (MAP_SPEC + "map = b 0 1 c\n", "line 5: unknown generator 'c' in word 'c'"),
         (MAP_SPEC + "map = b 0 1 1\n", "line 1: state 'b' is missing a map row"),
         (MAP_SPEC.replace("alphabet = 0 1\n", ""), "line 1: missing key 'alphabet' in [automaton]"),
-        (ACTION_SPEC.replace("vertices = v", "vertices = v w"),
-         "line 5: automaton backend requires a single-vertex graph"),
-        (ACTION_SPEC + "vertex = a v v\n", "line 8: automaton backend takes no vertex rows"),
-        (ACTION_SPEC + "edge = b x y 1\n", "line 11: unknown generator 'b'"),
-        (ACTION_SPEC + "edge = a z w 1\n", "line 11: unknown edge label 'z'"),
-        (ACTION_SPEC + "edge = a x y a.c'\n", "line 11: unknown generator 'c' in word \"a.c'\""),
-        (ACTION_SPEC.replace("edge = a y x a\n", ""), "line 8: missing edge action rows for generator 'a'"),
+        (MAP_SPEC + "map = a 0 1 1 a\n", "line 5: map rows are 'state letter image restriction'"),
+        (MAP_SPEC + "map = a 0 z 1\n", "line 5: unknown letter in map row: 'a 0 z 1'"),
+        (MAP_SPEC + "map = a 0 1 a.c'\n", "line 5: unknown generator 'c' in word \"a.c'\""),
+        # The graph of an automaton is its one vertex v and its alphabet; [automaton] takes no vertex key.
+        (MAP_SPEC + "vertices = v w\n", "line 5: unknown key 'vertices' in [automaton]"),
     ],
     ids=["map_short_row", "map_empty_row", "map_letter", "map_word", "map_missing_row", "map_no_alphabet",
-         "rows_two_vertices", "rows_vertex_row", "rows_generator", "rows_edge", "rows_word", "rows_missing_row"],
+         "map_long_row", "map_image", "map_inverse_word", "map_vertices"],
 )
 def test_automaton_spec_errors_keep_their_text_and_line(text, message):
     with pytest.raises(SpecFileError) as err:
@@ -180,15 +160,7 @@ def test_automaton_spec_errors_keep_their_text_and_line(text, message):
     assert str(err.value) == message
 
 
-def test_both_automaton_forms_build_the_same_action():
-    by_map = load_spec_text(MAP_SPEC).triple
-    by_rows = load_spec_text(ACTION_SPEC).triple
-    for word in by_map.group.window(3):
-        for letter in (0, 1):
-            assert by_map.step(word, letter) == by_rows.step(word, letter)
-
-
-# A later [action] row for an edge replaces an earlier one, in every kind of explicit spec.
+# A later [action] or map row for an edge replaces an earlier one, in every kind of spec with rows.
 
 
 def test_a_later_integer_row_replaces_an_earlier_one():
@@ -220,9 +192,9 @@ def test_a_later_cayley_row_replaces_an_earlier_one_and_the_identity_default():
 
 
 def test_a_later_automaton_row_replaces_an_earlier_one():
-    for spec, rows in ((ACTION_SPEC, "edge = a x x a\nedge = a y y 1\n"), (MAP_SPEC, "map = a 0 0 a\nmap = a 1 1 1\n")):
-        assert [load_spec_text(spec).triple.step((1,), x) for x in (0, 1)] == [(1, ()), (0, (1,))]
-        assert [load_spec_text(spec + rows).triple.step((1,), x) for x in (0, 1)] == [(0, (1,)), (1, ())]
+    assert [load_spec_text(MAP_SPEC).triple.step((1,), x) for x in (0, 1)] == [(1, ()), (0, (1,))]
+    rows = "map = a 0 0 a\nmap = a 1 1 1\n"
+    assert [load_spec_text(MAP_SPEC + rows).triple.step((1,), x) for x in (0, 1)] == [(0, (1,)), (1, ())]
 
 
 def test_parse_errors_report_lines():
